@@ -9,9 +9,16 @@
 //! The logical counters are identical across substrates by construction —
 //! that is the conformance property — so the interesting columns are
 //! seconds and, for the cache, how much backing traffic was absorbed.
+//!
+//! A second table prices the memories alone, no engine above them: the
+//! per-block cost of batched sequential reads, gathered reads and
+//! sequential writes on `host`, `disk`, and `cached:disk` both fully
+//! resident (every access a hit) and thrashing at 1/8 capacity (every
+//! access a miss and an eviction). The full run asserts that a resident
+//! cache hit stays within 8× of `host`'s copy.
 
-use oblidb_bench::report::{write_substrate_json, Report, SubstrateMeasurement};
-use oblidb_bench::timing::{fmt_duration, time_mean};
+use oblidb_bench::report::{write_substrate_json, PerBlockCost, Report, SubstrateMeasurement};
+use oblidb_bench::timing::{fmt_duration, time_mean, time_once};
 use oblidb_core::{Database, DbConfig, StorageMethod, Value};
 use oblidb_enclave::EnclaveMemory;
 use oblidb_substrates::{AnySubstrate, SubstrateSpec};
@@ -107,6 +114,76 @@ fn measure(
     }
 }
 
+/// Blocks per batched call of the per-block table — the size of the
+/// operators' chunked scans.
+const RAW_CHUNK: usize = 256;
+
+/// Best-of-three nanoseconds per block of one pass over `blocks` blocks.
+fn best_ns_per_block(blocks: usize, mut pass: impl FnMut()) -> f64 {
+    pass(); // warm: page cache, cache residency, buffer capacities
+    let best = (0..3).map(|_| time_once(&mut pass).1).min().expect("three samples");
+    best.as_nanos() as f64 / blocks as f64
+}
+
+/// The raw per-block cost table (see the module docs).
+fn per_block_costs() -> Vec<PerBlockCost> {
+    let blocks = if smoke() { 2048 } else { 32768 };
+    let half = blocks as u64 / 2;
+    let memories = [
+        ("host", SubstrateSpec::Host),
+        ("disk", SubstrateSpec::Disk { dir: None }),
+        ("cached:disk resident", SubstrateSpec::CachedDisk { dir: None, capacity_blocks: blocks }),
+        (
+            "cached:disk thrashing",
+            SubstrateSpec::CachedDisk { dir: None, capacity_blocks: blocks / 8 },
+        ),
+    ];
+    let mut cells = Vec::new();
+    for block_bytes in [53, 300] {
+        for (memory, spec) in &memories {
+            let mut m = spec.build().expect("substrate builds");
+            let r = m.alloc_region(blocks, block_bytes).expect("region allocates");
+            let data = vec![0xA5u8; RAW_CHUNK * block_bytes];
+            let mut out = Vec::new();
+            let starts = || (0..blocks as u64).step_by(RAW_CHUNK);
+            let seq_write = best_ns_per_block(blocks, || {
+                for start in starts() {
+                    m.write_blocks(r, start, &data).expect("write");
+                }
+            });
+            let seq_read = best_ns_per_block(blocks, || {
+                for start in starts() {
+                    m.read_blocks(r, start, RAW_CHUNK, &mut out).expect("read");
+                    std::hint::black_box(&out);
+                }
+            });
+            // The bitonic-pair shape: each call gathers two runs half a
+            // region apart.
+            let run = RAW_CHUNK as u64 / 2;
+            let mut indices = Vec::with_capacity(RAW_CHUNK);
+            let gather_read = best_ns_per_block(blocks, || {
+                for a in (0..half).step_by(run as usize) {
+                    indices.clear();
+                    indices.extend((a..a + run).chain(a + half..a + half + run));
+                    m.read_blocks_at(r, &indices, &mut out).expect("gather");
+                    std::hint::black_box(&out);
+                }
+            });
+            for (access, ns_per_block) in
+                [("seq_read", seq_read), ("gather_read", gather_read), ("seq_write", seq_write)]
+            {
+                cells.push(PerBlockCost {
+                    memory: memory.to_string(),
+                    block_bytes,
+                    access,
+                    ns_per_block,
+                });
+            }
+        }
+    }
+    cells
+}
+
 fn main() {
     let n = rows();
     let mut results: Vec<SubstrateMeasurement> = Vec::new();
@@ -162,7 +239,35 @@ fn main() {
         println!("{note}");
     }
 
-    match write_substrate_json(std::path::Path::new("."), "substrates", &results) {
+    let cells = per_block_costs();
+    let mut table = Report::new(
+        format!("Per-block cost of the memories alone ({RAW_CHUNK}-block calls, crossings free)"),
+        &["memory", "block", "access", "ns/block"],
+    );
+    for c in &cells {
+        table.row(&[
+            c.memory.clone(),
+            format!("{} B", c.block_bytes),
+            c.access.to_string(),
+            format!("{:.1}", c.ns_per_block),
+        ]);
+    }
+    table.print();
+    if !smoke() {
+        let seq_read_53 = |memory: &str| {
+            let hit = |c: &&PerBlockCost| {
+                c.memory == memory && c.block_bytes == 53 && c.access == "seq_read"
+            };
+            cells.iter().find(hit).expect("cell measured").ns_per_block
+        };
+        let (hit, copy) = (seq_read_53("cached:disk resident"), seq_read_53("host"));
+        assert!(
+            hit <= 8.0 * copy,
+            "a resident cache hit costs {hit:.1} ns/block, over 8x host's {copy:.1} ns/block"
+        );
+    }
+
+    match write_substrate_json(std::path::Path::new("."), "substrates", &results, &cells) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_substrates.json: {e}"),
     }

@@ -134,14 +134,30 @@ pub struct SubstrateMeasurement {
     pub backing_crossings: Option<u64>,
 }
 
+/// One cell of the raw per-block cost table: what one block of one
+/// access shape costs on one memory, with no engine above it.
+#[derive(Debug, Clone)]
+pub struct PerBlockCost {
+    /// The memory under test, e.g. `"cached:disk resident"`.
+    pub memory: String,
+    /// Block size in bytes.
+    pub block_bytes: usize,
+    /// Access shape: `"seq_read"`, `"gather_read"` or `"seq_write"`.
+    pub access: &'static str,
+    /// Best-of-N nanoseconds per block.
+    pub ns_per_block: f64,
+}
+
 /// Writes `BENCH_<name>.json` with one row per substrate × workload:
 /// `{"bench": name, "results": [{substrate, workload, seconds, reads,
 /// writes, bytes_read, bytes_written, crossings, stall_nanos,
-/// backing_crossings?}, …]}`. Returns the path written.
+/// backing_crossings?}, …], "per_block": [{memory, block_bytes, access,
+/// ns_per_block}, …]}`. Returns the path written.
 pub fn write_substrate_json(
     dir: &std::path::Path,
     name: &str,
     results: &[SubstrateMeasurement],
+    per_block: &[PerBlockCost],
 ) -> std::io::Result<std::path::PathBuf> {
     let mut out = String::new();
     out.push_str(&format!("{{\n  \"bench\": {},\n  \"results\": [\n", json_str(name)));
@@ -166,6 +182,17 @@ pub fn write_substrate_json(
             s.stall_nanos,
             backing,
             if i + 1 < results.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n  \"per_block\": [\n");
+    for (i, c) in per_block.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"memory\": {}, \"block_bytes\": {}, \"access\": {}, \"ns_per_block\": {:.1}}}{}\n",
+            json_str(&c.memory),
+            c.block_bytes,
+            json_str(c.access),
+            c.ns_per_block,
+            if i + 1 < per_block.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -559,8 +586,18 @@ mod tests {
                 backing_crossings: Some(1),
             },
         ];
-        let path = write_substrate_json(&dir, "substrates_test", &rows).unwrap();
+        let cells = [PerBlockCost {
+            memory: "cached:disk resident".into(),
+            block_bytes: 53,
+            access: "seq_read",
+            ns_per_block: 12.34,
+        }];
+        let path = write_substrate_json(&dir, "substrates_test", &rows, &cells).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
+        assert!(body.contains(
+            "{\"memory\": \"cached:disk resident\", \"block_bytes\": 53, \
+             \"access\": \"seq_read\", \"ns_per_block\": 12.3}"
+        ));
         assert!(body.contains("\"bench\": \"substrates_test\""));
         assert!(body.contains("\"substrate\": \"disk\""));
         assert!(body.contains("\"crossings\": 3"));

@@ -257,6 +257,12 @@ impl ObTree {
         self.oram.stats()
     }
 
+    /// The untrusted regions of the backing ORAM (see
+    /// [`PathOram::region_ids`]).
+    pub fn oram_region_ids(&self) -> Vec<oblidb_enclave::RegionId> {
+        self.oram.region_ids()
+    }
+
     fn alloc_addr(&mut self) -> Result<u64, ObTreeError> {
         if let Some(a) = self.free_list.pop() {
             return Ok(a);

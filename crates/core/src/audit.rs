@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use oblidb_enclave::{AccessKind, Trace};
+use oblidb_enclave::{AccessKind, RegionId, Trace};
 
 /// One detected access-pattern divergence: the same statement shape
 /// produced two different traces.
@@ -62,11 +62,13 @@ pub struct TraceAuditor {
 impl TraceAuditor {
     /// Hashes `trace` and checks it against the reference hash for
     /// `shape`, recording the reference on first sight and a violation
-    /// on divergence.
-    pub fn observe(&mut self, shape: &str, trace: &Trace) {
+    /// on divergence. `randomized` names the regions whose block
+    /// positions are random or public by construction (see
+    /// [`trace_hash`]).
+    pub fn observe(&mut self, shape: &str, trace: &Trace, randomized: &[RegionId]) {
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::AuditChecks, 1);
         self.checks += 1;
-        let observed = trace_hash(trace);
+        let observed = trace_hash(trace, randomized);
         match self.shapes.get(shape) {
             None => {
                 self.shapes.insert(shape.to_string(), observed);
@@ -115,7 +117,15 @@ impl TraceAuditor {
 /// Collisions are astronomically unlikely for an auditor, and a colliding
 /// *divergent* trace would go unflagged, never the reverse — hashing adds
 /// no false positives.
-pub fn trace_hash(trace: &Trace) -> u64 {
+///
+/// In the `randomized` regions the block index is not part of the
+/// contract either: a Path ORAM tree is read along a freshly random path
+/// on every access, and the WAL is written at its append position, the
+/// public count of statements logged so far. Two oblivious runs of one
+/// shape differ there by construction, so those events hash as (region,
+/// direction) only — how many there are and where they fall in the
+/// sequence still counts.
+pub fn trace_hash(trace: &Trace, randomized: &[RegionId]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -125,12 +135,17 @@ pub fn trace_hash(trace: &Trace) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    let mut order: HashMap<u32, u64> = HashMap::new();
+    // Per region, resolved at first appearance: its ordinal, and whether
+    // its block indices count.
+    let mut order: HashMap<u32, (u64, bool)> = HashMap::new();
     for ev in &trace.0 {
         let next = order.len() as u64;
-        let region = *order.entry(ev.region.0).or_insert(next);
+        let (region, positioned) =
+            *order.entry(ev.region.0).or_insert_with(|| (next, !randomized.contains(&ev.region)));
         mix(region);
-        mix(ev.index);
+        if positioned {
+            mix(ev.index);
+        }
         mix(match ev.kind {
             AccessKind::Read => 0,
             AccessKind::Write => 1,
@@ -141,16 +156,15 @@ pub fn trace_hash(trace: &Trace) -> u64 {
 
 /// Builds the statement-shape key: the normalized SQL (literals masked,
 /// case and whitespace folded) concatenated with the public sizes the
-/// access pattern may legitimately depend on — each table's row count
-/// and the statement's result size. Everything else a trace varies with
-/// is, by ObliDB's contract, a leak.
-pub fn statement_shape(sql: &str, tables: &[(String, u64)], output_rows: u64) -> String {
+/// access pattern may legitimately depend on — each table's `(name, row
+/// count, flat insert cursor)` and the statement's result size. (The
+/// cursor is where a fast insert writes: the count of insertions so far,
+/// which table growth shows the adversary anyway, paper §3.1.) Everything
+/// else a trace varies with is, by ObliDB's contract, a leak.
+pub fn statement_shape(sql: &str, tables: &[(String, u64, u64)], output_rows: u64) -> String {
     let mut shape = normalize_statement(sql);
-    for (name, rows) in tables {
-        shape.push_str("|t:");
-        shape.push_str(name);
-        shape.push('=');
-        shape.push_str(&rows.to_string());
+    for (name, rows, cursor) in tables {
+        shape.push_str(&format!("|t:{name}={rows}@{cursor}"));
     }
     shape.push_str("|out=");
     shape.push_str(&output_rows.to_string());
@@ -209,7 +223,7 @@ pub fn normalize_statement(sql: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oblidb_enclave::{AccessEvent, RegionId};
+    use oblidb_enclave::AccessEvent;
 
     fn ev(region: u32, index: u64, kind: AccessKind) -> AccessEvent {
         AccessEvent { region: RegionId(region), index, kind }
@@ -239,9 +253,37 @@ mod tests {
         let a = Trace(vec![ev(1, 0, AccessKind::Read), ev(1, 1, AccessKind::Read)]);
         let b = Trace(vec![ev(1, 1, AccessKind::Read), ev(1, 0, AccessKind::Read)]);
         let c = Trace(vec![ev(1, 0, AccessKind::Write), ev(1, 1, AccessKind::Read)]);
-        assert_ne!(trace_hash(&a), trace_hash(&b));
-        assert_ne!(trace_hash(&a), trace_hash(&c));
-        assert_eq!(trace_hash(&a), trace_hash(&a.clone()));
+        assert_ne!(trace_hash(&a, &[]), trace_hash(&b, &[]));
+        assert_ne!(trace_hash(&a, &[]), trace_hash(&c, &[]));
+        assert_eq!(trace_hash(&a, &[]), trace_hash(&a.clone(), &[]));
+    }
+
+    #[test]
+    fn randomized_regions_hash_by_count_and_kind_not_position() {
+        // Region 2 is an ORAM tree: the same access lands on other buckets.
+        let path = |x: u64, y: u64| {
+            Trace(vec![
+                ev(1, 0, AccessKind::Read),
+                ev(2, x, AccessKind::Read),
+                ev(2, y, AccessKind::Read),
+                ev(2, x, AccessKind::Write),
+                ev(1, 1, AccessKind::Read),
+            ])
+        };
+        let oram = [RegionId(2)];
+        assert_eq!(trace_hash(&path(0, 5), &oram), trace_hash(&path(0, 6), &oram));
+        assert_ne!(trace_hash(&path(0, 5), &[]), trace_hash(&path(0, 6), &[]));
+        // One event more, another direction, or a moved flat-region block
+        // is still a different pattern.
+        let mut longer = path(0, 5);
+        longer.0.insert(2, ev(2, 3, AccessKind::Read));
+        assert_ne!(trace_hash(&path(0, 5), &oram), trace_hash(&longer, &oram));
+        let mut flipped = path(0, 5);
+        flipped.0[2].kind = AccessKind::Write;
+        assert_ne!(trace_hash(&path(0, 5), &oram), trace_hash(&flipped, &oram));
+        let mut moved = path(0, 5);
+        moved.0[4].index = 2;
+        assert_ne!(trace_hash(&path(0, 5), &oram), trace_hash(&moved, &oram));
     }
 
     #[test]
@@ -258,14 +300,14 @@ mod tests {
             ev(9, 0, AccessKind::Write),
             ev(7, 1, AccessKind::Read),
         ]);
-        assert_eq!(trace_hash(&a), trace_hash(&renamed));
+        assert_eq!(trace_hash(&a, &[]), trace_hash(&renamed, &[]));
         // Collapsing two regions into one is a different pattern.
         let collapsed = Trace(vec![
             ev(7, 0, AccessKind::Read),
             ev(7, 0, AccessKind::Write),
             ev(7, 1, AccessKind::Read),
         ]);
-        assert_ne!(trace_hash(&a), trace_hash(&collapsed));
+        assert_ne!(trace_hash(&a, &[]), trace_hash(&collapsed, &[]));
     }
 
     #[test]
@@ -273,11 +315,11 @@ mod tests {
         let mut aud = TraceAuditor::default();
         let t1 = Trace(vec![ev(1, 0, AccessKind::Read)]);
         let t2 = Trace(vec![ev(1, 3, AccessKind::Read)]);
-        aud.observe("s1", &t1);
-        aud.observe("s1", &t1);
+        aud.observe("s1", &t1, &[]);
+        aud.observe("s1", &t1, &[]);
         assert!(aud.violations().is_empty());
-        aud.observe("s2", &t2); // different shape: its own reference
-        aud.observe("s1", &t2); // same shape, different trace: flagged
+        aud.observe("s2", &t2, &[]); // different shape: its own reference
+        aud.observe("s1", &t2, &[]); // same shape, different trace: flagged
         let report = aud.report();
         assert_eq!(report.shapes, 2);
         assert_eq!(report.checks, 4);

@@ -589,6 +589,30 @@ impl<M: EnclaveMemory> Database<M> {
         self.host.take_trace()
     }
 
+    /// Every table's public sizes — name, row count, flat insert cursor —
+    /// for [`crate::audit::statement_shape`].
+    pub(crate) fn public_sizes(&self) -> Vec<(String, u64, u64)> {
+        let cursor = |t: &TableStorage| match t {
+            TableStorage::Flat(f) | TableStorage::Both { flat: f, .. } => f.insert_cursor(),
+            TableStorage::Indexed(_) => 0,
+        };
+        self.tables.iter().map(|(n, t)| (n.clone(), t.num_rows(), cursor(t))).collect()
+    }
+
+    /// The regions the trace auditor compares by event count and direction
+    /// only (see [`crate::audit::trace_hash`]): every indexed table's ORAM
+    /// regions, where positions are random by construction, and the WAL
+    /// region, written at its public append position.
+    pub(crate) fn position_randomized_regions(&self) -> Vec<oblidb_enclave::RegionId> {
+        let indexed = self.tables.iter().filter_map(|(_, t)| match t {
+            TableStorage::Indexed(i) | TableStorage::Both { indexed: i, .. } => Some(i),
+            TableStorage::Flat(_) => None,
+        });
+        let mut regions: Vec<_> = indexed.flat_map(|i| i.oram_region_ids()).collect();
+        regions.extend(self.wal.as_ref().map(|w| w.region_id()));
+        regions
+    }
+
     /// Trace-audit divergences recorded so far (empty unless
     /// [`DbConfig::audit`] is on — see [`crate::audit`]).
     pub fn audit_violations(&self) -> &[crate::audit::AuditViolation] {
@@ -1402,10 +1426,9 @@ impl<M: EnclaveMemory> Database<M> {
         if audit {
             let trace = self.host.take_trace();
             if let Ok(out) = &result {
-                let tables: Vec<(String, u64)> =
-                    self.tables.iter().map(|(n, t)| (n.clone(), t.num_rows())).collect();
+                let tables = self.public_sizes();
                 let shape = crate::audit::statement_shape(query, &tables, out.plan.output_rows);
-                self.auditor.observe(&shape, &trace);
+                self.auditor.observe(&shape, &trace, &self.position_randomized_regions());
             }
         }
         if let Some(t0) = timed {

@@ -387,15 +387,14 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
     /// both derive `key_counter = 1, 2, ...`, and nonce counters restart
     /// per region, so a shared epoch would reuse `(key, nonce)` pairs
     /// across different scratch plaintexts). Returns the fork plus the
-    /// full `(table, rows)` catalog at fork time, which audit shapes use
-    /// so fork-path and master-path shapes for the same statement agree.
+    /// full catalog of public table sizes at fork time, which audit shapes
+    /// use so fork-path and master-path shapes for the same statement agree.
     fn fork(
         &self,
         master: &Database<SessionMemory<M>>,
-    ) -> (Database<SessionMemory<M>>, Vec<(String, u64)>) {
+    ) -> (Database<SessionMemory<M>>, Vec<(String, u64, u64)>) {
         let seq = self.inner.fork_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let catalog: Vec<(String, u64)> =
-            master.tables.iter().map(|(n, t)| (n.clone(), t.num_rows())).collect();
+        let catalog = master.public_sizes();
         let tables: Vec<(String, TableStorage)> = master
             .tables
             .iter()
@@ -439,7 +438,7 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
     fn run_snapshot(
         &self,
         mut fork: Database<SessionMemory<M>>,
-        catalog: Vec<(String, u64)>,
+        catalog: Vec<(String, u64, u64)>,
         sql_text: &str,
         traced: bool,
     ) -> (Result<QueryOutput, DbError>, Option<Trace>) {
@@ -473,7 +472,7 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
 
     /// Executes one statement on `engine` with the shared auditor
     /// observing the run-phase trace — the same window the engine-level
-    /// auditor would use. `catalog` carries the fork-time `(table, rows)`
+    /// auditor would use. `catalog` carries the fork-time table-size
     /// list for fork runs (forks hold a filtered catalog; shapes must
     /// key on the full one); master runs recompute it post-run, exactly
     /// as the engine's internal audit does. When the caller asked for
@@ -482,7 +481,7 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
     fn run_audited(
         &self,
         engine: &mut Database<SessionMemory<M>>,
-        catalog: Option<&[(String, u64)]>,
+        catalog: Option<&[(String, u64, u64)]>,
         sql_text: &str,
         traced: bool,
     ) -> (Result<QueryOutput, DbError>, Option<Trace>) {
@@ -502,13 +501,10 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
         if let Ok(out) = &result {
             let shape = match catalog {
                 Some(tables) => statement_shape(sql_text, tables, out.plan.output_rows),
-                None => {
-                    let tables: Vec<(String, u64)> =
-                        engine.tables.iter().map(|(n, t)| (n.clone(), t.num_rows())).collect();
-                    statement_shape(sql_text, &tables, out.plan.output_rows)
-                }
+                None => statement_shape(sql_text, &engine.public_sizes(), out.plan.output_rows),
             };
-            lock(&self.inner.auditor).observe(&shape, &trace);
+            let randomized = engine.position_randomized_regions();
+            lock(&self.inner.auditor).observe(&shape, &trace, &randomized);
         }
         (result, None)
     }
@@ -604,8 +600,8 @@ mod tests {
             assert_eq!(a.rows(), b.rows(), "{sql_text}");
             assert_eq!(a.schema, b.schema, "{sql_text}");
             assert_eq!(
-                trace_hash(&solo_trace),
-                trace_hash(&session_trace),
+                trace_hash(&solo_trace, &[]),
+                trace_hash(&session_trace, &[]),
                 "canonical trace diverged for {sql_text}"
             );
         }

@@ -375,6 +375,9 @@ impl std::fmt::Debug for SelectShape {
 /// its pattern is replayed by a size-parameterized skeleton from the (public) match
 /// count instead.
 pub fn simulate_select(algo: SelectAlgo, shape: &SelectShape) -> Result<HostStats, DbError> {
+    // The dry run executes instrumented operators over blocks that do not
+    // exist: none of it is this statement's telemetry.
+    let _quiet = oblidb_telemetry::suppress();
     let mut mem = CountingMemory::new();
     let mut input =
         FlatTable::create(&mut mem, AeadKey([0x5A; 32]), shape.schema.clone(), shape.capacity)?;
@@ -478,6 +481,7 @@ pub struct JoinShape {
 /// dummy tables of the same shape — every access either side makes is a
 /// function of the two capacities and the budget alone.
 pub fn simulate_join(algo: JoinAlgo, shape: &JoinShape) -> Result<HostStats, DbError> {
+    let _quiet = oblidb_telemetry::suppress(); // as in `simulate_select`
     let mut mem = CountingMemory::new();
     let mut t1 = FlatTable::create(
         &mut mem,

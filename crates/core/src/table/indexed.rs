@@ -138,6 +138,12 @@ impl IndexedTable {
         self.tree.len()
     }
 
+    /// The untrusted regions of the index's ORAM, where block positions
+    /// are random by construction.
+    pub fn oram_region_ids(&self) -> Vec<oblidb_enclave::RegionId> {
+        self.tree.oram_region_ids()
+    }
+
     /// Index height (public; determines padded op costs).
     pub fn height(&self) -> u32 {
         self.tree.height()

@@ -234,6 +234,18 @@ impl PathOram {
         self.stats
     }
 
+    /// The untrusted regions this ORAM keeps its buckets in: its own tree
+    /// and, under a recursive position map, the inner ORAMs' trees. Which
+    /// block of them an access touches is random by construction — the
+    /// regions a trace auditor must compare by event count, not by index.
+    pub fn region_ids(&self) -> Vec<oblidb_enclave::RegionId> {
+        let mut regions = vec![self.store.region_id()];
+        if let PositionMap::Recursive { inner, .. } = &self.posmap {
+            regions.extend(inner.region_ids());
+        }
+        regions
+    }
+
     /// Bucket index of the node at `level` on the path to `leaf`.
     fn path_bucket(&self, leaf: u64, level: u32) -> u64 {
         let leaf_level = self.levels - 1;

@@ -1,7 +1,5 @@
 //! A write-back LRU of hot sealed blocks over any inner substrate.
 
-use std::collections::{BTreeMap, HashMap};
-
 use oblidb_enclave::{
     batch_count, AccessEvent, AccessKind, CrossingCost, EnclaveMemory, HostError, HostStats,
     RegionId, Trace,
@@ -35,47 +33,76 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    data: Vec<u8>,
+/// A block's address.
+type Key = (RegionId, u64);
+/// Region-table entry of an uncached block.
+const NONE: u32 = u32::MAX;
+/// [`CachedMemory::begin_batch`]'s passing mark on a block it has counted.
+const COUNTED: u32 = u32::MAX - 1;
+/// Slot 0 caches nothing: it anchors the circular LRU list, so linking
+/// and unlinking never meet an end. Its `next` is the least recently used
+/// slot and its `prev` the most recent (itself, when nothing is cached).
+const ANCHOR: u32 = 0;
+
+/// One cached block. Slots live in a slab and are recycled together with
+/// their payload buffer, so a steady-state install allocates nothing.
+#[derive(Default)]
+struct Slot {
+    region: u32,
+    index: u64,
+    /// LRU neighbours: the next older and the next newer slot.
+    prev: u32,
+    next: u32,
     dirty: bool,
-    tick: u64,
+    data: Vec<u8>,
 }
 
 /// An LRU cache of hot sealed blocks wrapping any [`EnclaveMemory`].
 ///
-/// The cache models (and later exploits) host-side caching **without
-/// weakening the trace model**: every logical block access is recorded in
-/// the wrapper's trace and [`HostStats`] exactly as a raw
-/// [`Host`](oblidb_enclave::Host) would record it — same events, same
-/// order, same counters, failed attempts included — so obliviousness
-/// tests comparing transcripts are oblivious to the cache's existence.
-/// What changes is the *inner* substrate's traffic: hits never touch it,
-/// and `inner().stats()` shows the savings (the interesting number when
-/// the inner store is [`DiskMemory`](crate::DiskMemory)).
+/// The cache models host-side caching **without weakening the trace
+/// model**: every logical block access is recorded in the wrapper's trace
+/// and [`HostStats`] exactly as a raw [`Host`](oblidb_enclave::Host)
+/// would record it — same events, same order, same counters, failed
+/// attempts included — so obliviousness tests comparing transcripts are
+/// oblivious to the cache's existence. What changes is the *inner*
+/// substrate's traffic: hits never touch it, and `inner().stats()` shows
+/// the savings.
 ///
 /// Policy: write-back with per-block dirty bits. Writes update only the
 /// cache; dirty blocks reach the inner substrate on eviction or
 /// [`EnclaveMemory::sync`] (which flushes in deterministic region/index
 /// order, coalescing consecutive runs into batched inner writes, then
 /// syncs the inner substrate). Evictions are paid the same way: a batched
-/// operation pre-evicts everything it displaces in one wave, so
-/// consecutive dirty victims drain as one batched inner write per run
-/// instead of one single-block write per eviction. Capacity is counted in
-/// blocks; a batched read larger than the capacity still completes — it
-/// just cannot retain the whole run.
+/// operation pre-evicts everything it displaces in one wave, consecutive
+/// dirty victims draining as one batched inner write per run. Capacity is
+/// counted in blocks; a batched read larger than the capacity still
+/// completes — it just cannot retain the whole run.
 ///
 /// Consecutive misses inside a batched read are coalesced into one
-/// batched inner fetch (one inner crossing per run); a failing run is
-/// replayed per block, preserving `Host`-exact failure ordering inside
-/// batches.
+/// batched inner fetch (one inner crossing per run — the decisive saving
+/// over [`DiskMemory`](crate::DiskMemory)); a failing run is replayed per
+/// block, preserving `Host`-exact failure ordering inside batches.
+///
+/// Layout: a hit is two array lookups, a list splice and a copy — no
+/// hashing, no allocation. Blocks sit in a slab of slots threaded on an
+/// intrusive list in exact LRU order; each region has a dense
+/// `index → slot` table as long as the region, found once per call by
+/// region id (which indexes the tables as it does every substrate's own
+/// region list).
 pub struct CachedMemory<M: EnclaveMemory> {
     inner: M,
     capacity: usize,
-    entries: HashMap<(RegionId, u64), Entry>,
-    /// LRU order: tick → key. Ticks are unique (monotone counter), so the
-    /// first entry is always the least recently used block.
-    lru: BTreeMap<u64, (RegionId, u64)>,
-    tick: u64,
+    slots: Vec<Slot>,
+    /// Vacant slots, payload buffers kept for reuse.
+    free: Vec<u32>,
+    /// `tables[region.0][index]` is the caching slot or [`NONE`]. Empty
+    /// until a call first touches the region, dropped when it is freed.
+    tables: Vec<Vec<u32>>,
+    /// Reused scratch: the dirty slots of an eviction wave or a flush, the
+    /// write-back run being assembled, the blocks a batched miss fetched.
+    wave: Vec<u32>,
+    run_buf: Vec<u8>,
+    fetched: Vec<u8>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
     cache_stats: CacheStats,
@@ -89,9 +116,12 @@ impl<M: EnclaveMemory> CachedMemory<M> {
         CachedMemory {
             inner,
             capacity: capacity_blocks,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            tick: 0,
+            slots: vec![Slot::default()],
+            free: Vec::new(),
+            tables: Vec::new(),
+            wave: Vec::new(),
+            run_buf: Vec::new(),
+            fetched: Vec::new(),
             trace: None,
             stats: HostStats::default(),
             cache_stats: CacheStats::default(),
@@ -125,7 +155,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
 
     /// Blocks currently cached.
     pub fn cached_blocks(&self) -> usize {
-        self.entries.len()
+        self.slots.len() - 1 - self.free.len()
     }
 
     /// Sets the simulated per-crossing cost of the *logical* boundary
@@ -155,262 +185,263 @@ impl<M: EnclaveMemory> CachedMemory<M> {
         }
     }
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// The region's current length, with its table sized to match — so
+    /// every in-bounds index a call names is a plain array lookup.
+    fn region(&mut self, region: RegionId) -> Result<u64, HostError> {
+        let (len, r) = (self.inner.region_len(region)?, region.0 as usize);
+        if self.tables.len() <= r {
+            self.tables.resize_with(r + 1, Vec::new);
+        }
+        if (self.tables[r].len() as u64) < len {
+            self.tables[r].resize(len as usize, NONE);
+        }
+        Ok(len)
     }
 
-    /// Moves `key` to most-recently-used.
-    fn touch(&mut self, key: (RegionId, u64)) {
-        let tick = self.next_tick();
-        if let Some(e) = self.entries.get_mut(&key) {
-            self.lru.remove(&e.tick);
-            e.tick = tick;
-            self.lru.insert(tick, key);
+    /// The slot caching an in-bounds block of a [sized](Self::region) region.
+    fn slot_of(&self, (region, index): Key) -> u32 {
+        self.tables[region.0 as usize][index as usize]
+    }
+
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+    }
+
+    fn push_mru(&mut self, s: u32) {
+        let newest = std::mem::replace(&mut self.slots[ANCHOR as usize].prev, s);
+        self.slots[newest as usize].next = s;
+        (self.slots[s as usize].prev, self.slots[s as usize].next) = (newest, ANCHOR);
+    }
+
+    fn touch(&mut self, s: u32) {
+        if self.slots[ANCHOR as usize].prev != s {
+            self.unlink(s);
+            self.push_mru(s);
         }
     }
 
-    /// Evicts the `count` least-recently-used blocks in one wave.
-    ///
-    /// Dirty victims are written back first, sorted by (region, index)
-    /// with consecutive runs **coalesced** into single batched inner
-    /// writes — a cache full of sequentially-written dirty blocks drains
-    /// in one inner crossing per run instead of one per block. A failed
-    /// write-back aborts the wave before any victim is dropped: every
-    /// entry stays cached (dirty ones still dirty), so the only
-    /// up-to-date copy of a block is never lost to an inner I/O error.
-    fn evict_many(&mut self, count: usize) -> Result<(), HostError> {
-        let count = count.min(self.entries.len());
-        if count == 0 {
-            return Ok(());
-        }
-        let victims: Vec<(RegionId, u64)> = self.lru.values().copied().take(count).collect();
-        let mut dirty: Vec<(RegionId, u64)> =
-            victims.iter().copied().filter(|k| self.entries[k].dirty).collect();
-        dirty.sort_unstable();
+    /// Writes dirty slots, `sorted` by region then index, back to the inner
+    /// substrate and marks them clean, each run of consecutive blocks as **one**
+    /// batched inner write. A failing run and everything after it stay dirty.
+    fn write_back(&mut self, sorted: &[u32], flush: bool) -> Result<(), HostError> {
         let mut i = 0;
-        while i < dirty.len() {
-            let (region, start) = dirty[i];
-            let mut run = 1;
-            while i + run < dirty.len()
-                && dirty[i + run].0 == region
-                && dirty[i + run].1 == start + run as u64
-            {
+        while i < sorted.len() {
+            let Slot { region, index: start, .. } = self.slots[sorted[i] as usize];
+            self.run_buf.clear();
+            let mut run = 0;
+            while let Some(s) = sorted.get(i + run).map(|&s| &self.slots[s as usize]) {
+                if s.region != region || s.index != start + run as u64 {
+                    break;
+                }
+                self.run_buf.extend_from_slice(&s.data);
                 run += 1;
             }
-            let mut buf = Vec::new();
-            for k in &dirty[i..i + run] {
-                buf.extend_from_slice(&self.entries[k].data);
+            self.inner.write_blocks(RegionId(region), start, &self.run_buf)?;
+            for &s in &sorted[i..i + run] {
+                self.slots[s as usize].dirty = false;
             }
-            self.inner.write_blocks(region, start, &buf)?;
-            for k in &dirty[i..i + run] {
-                self.entries.get_mut(k).expect("dirty key cached").dirty = false;
-                self.cache_stats.writebacks += 1;
-            }
+            let stats = &mut self.cache_stats;
+            *(if flush { &mut stats.flushed } else { &mut stats.writebacks }) += run as u64;
             i += run;
         }
-        // Every write-back landed; now the victims can be dropped.
-        for key in victims {
-            let e = self.entries.remove(&key).expect("victim cached");
-            self.lru.remove(&e.tick);
-            self.cache_stats.evictions += 1;
-        }
         Ok(())
     }
 
-    /// Pre-evicts enough blocks for `incoming` new keys in one coalesced
-    /// wave, so a batched operation pays one write-back run per dirty
-    /// stretch instead of one single-block inner write per install.
-    fn reserve(&mut self, incoming: usize) -> Result<(), HostError> {
-        let need = (self.entries.len() + incoming.min(self.capacity)).saturating_sub(self.capacity);
-        self.evict_many(need)
+    /// Evicts the `count` least-recently-used blocks in one wave, dirty
+    /// victims written back first. A failed write-back aborts the wave
+    /// before any victim is dropped: every entry stays cached (dirty ones
+    /// still dirty), so the only up-to-date copy of a block is never lost
+    /// to an inner I/O error.
+    fn evict_many(&mut self, count: usize) -> Result<(), HostError> {
+        let mut dirty = std::mem::take(&mut self.wave);
+        dirty.clear();
+        let (mut s, mut victims) = (self.slots[ANCHOR as usize].next, 0);
+        while victims < count && s != ANCHOR {
+            if self.slots[s as usize].dirty {
+                dirty.push(s);
+            }
+            (s, victims) = (self.slots[s as usize].next, victims + 1);
+        }
+        let slots = &self.slots;
+        dirty.sort_unstable_by_key(|&s| (slots[s as usize].region, slots[s as usize].index));
+        let res = self.write_back(&dirty, false);
+        self.wave = dirty;
+        res?;
+        for _ in 0..victims {
+            let s = self.slots[ANCHOR as usize].next;
+            self.unlink(s);
+            let Slot { region, index, .. } = self.slots[s as usize];
+            self.tables[region as usize][index as usize] = NONE;
+            self.free.push(s);
+        }
+        self.cache_stats.evictions += victims as u64;
+        Ok(())
     }
 
-    /// Inserts (or replaces) a cached block, evicting as needed.
-    fn install(
+    /// Opens a batched call over the `n` indices `at(0..n)`: pre-evicts
+    /// room, in one wave, for the distinct in-bounds blocks it will newly
+    /// cache. Returns the region's length.
+    fn begin_batch(
         &mut self,
-        key: (RegionId, u64),
-        data: Vec<u8>,
-        dirty: bool,
-    ) -> Result<(), HostError> {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.data = data;
-            e.dirty = e.dirty || dirty;
-            self.touch(key);
-            return Ok(());
+        region: RegionId,
+        n: usize,
+        at: impl Fn(usize) -> u64,
+    ) -> Result<u64, HostError> {
+        let len = self.region(region)?;
+        let table = &mut self.tables[region.0 as usize];
+        // An uncached block counts once however often the batch names it:
+        // mark it as it is counted, then take the marks off again.
+        let mut incoming = 0;
+        for (from, to) in [(NONE, COUNTED), (COUNTED, NONE)] {
+            for index in (0..n).map(&at).filter(|&index| index < len) {
+                if table[index as usize] == from {
+                    table[index as usize] = to;
+                    incoming += usize::from(to == COUNTED);
+                }
+            }
+            if incoming == 0 {
+                break;
+            }
         }
-        if self.entries.len() >= self.capacity {
-            self.evict_many(1)?;
-        }
-        let tick = self.next_tick();
-        self.entries.insert(key, Entry { data, dirty, tick });
-        self.lru.insert(tick, key);
-        Ok(())
+        let room = self.capacity - incoming.min(self.capacity);
+        self.evict_many(self.cached_blocks().saturating_sub(room))?;
+        Ok(len)
     }
 
-    /// Counts the distinct in-bounds indices a batch will newly cache —
-    /// the slot count [`CachedMemory::reserve`] frees up front.
-    fn incoming(&self, region: RegionId, len: u64, idx: &[u64]) -> usize {
-        let mut uniq: Vec<u64> = idx
-            .iter()
-            .copied()
-            .filter(|&i| i < len && !self.entries.contains_key(&(region, i)))
-            .collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        uniq.len()
-    }
-
-    /// Ensures `key`'s block is cached (fetching from inner on a miss)
-    /// and LRU-touched; returns its payload length. Trace/bounds must be
-    /// handled by the caller.
-    fn load(&mut self, key: (RegionId, u64)) -> Result<usize, HostError> {
-        if self.entries.contains_key(&key) {
-            self.cache_stats.hits += 1;
-            self.touch(key);
+    /// Caches `data` as the block's payload (replacing a cached copy,
+    /// evicting as needed), LRU-touched; returns its slot.
+    fn install(&mut self, key: Key, data: &[u8], dirty: bool) -> Result<u32, HostError> {
+        let mut s = self.slot_of(key);
+        if s != NONE {
+            self.touch(s);
         } else {
-            let data = self.inner.read(key.0, key.1)?.to_vec();
-            self.cache_stats.misses += 1;
-            self.install(key, data, false)?;
+            if self.cached_blocks() >= self.capacity {
+                self.evict_many(1)?;
+            }
+            s = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(Slot::default());
+                let fresh = u32::try_from(self.slots.len() - 1).ok().filter(|&s| s < COUNTED);
+                fresh.expect("cache slot ids fit in u32")
+            });
+            let slot = &mut self.slots[s as usize];
+            (slot.region, slot.index, slot.dirty) = (key.0 .0, key.1, false);
+            self.tables[key.0 .0 as usize][key.1 as usize] = s;
+            self.push_mru(s);
         }
-        Ok(self.entries[&key].data.len())
+        let slot = &mut self.slots[s as usize];
+        slot.data.clear();
+        slot.data.extend_from_slice(data);
+        slot.dirty |= dirty;
+        Ok(s)
     }
 
-    /// Shared body of the batched reads: per-block trace/validate/load
-    /// through the cache (Host's per-block contract), one logical
-    /// crossing. `region_len` is pre-fetched by the caller (Host checks
-    /// the region before recording any batch event).
-    ///
-    /// Consecutive cache misses are **coalesced**: a run of
-    /// block-consecutive, uncached, in-bounds indices is fetched from the
-    /// inner substrate with one batched `read_blocks` call — one inner
-    /// crossing for the whole run, where the per-block path paid one per
-    /// miss (the decisive saving when the inner store is
-    /// [`DiskMemory`](crate::DiskMemory)). A run whose batched fetch
-    /// fails is replayed per block so errors keep Host-exact ordering,
-    /// state, and identity.
+    /// Ensures the block is cached (fetching from inner on a miss) and
+    /// LRU-touched; returns its slot. Trace and bounds are the caller's.
+    fn load(&mut self, key: Key) -> Result<u32, HostError> {
+        let s = self.slot_of(key);
+        if s != NONE {
+            self.cache_stats.hits += 1;
+            self.touch(s);
+            return Ok(s);
+        }
+        let block = self.inner.read(key.0, key.1)?.to_vec();
+        self.cache_stats.misses += 1;
+        self.install(key, &block, false)
+    }
+
+    /// Shared body of the batched reads, over the `n` indices `at(0..n)`:
+    /// per-block trace/validate/load through the cache (Host's per-block
+    /// contract), one logical crossing — paid once a block validates.
     fn read_gather(
         &mut self,
         region: RegionId,
-        len: u64,
-        indices: impl Iterator<Item = u64>,
+        n: usize,
+        at: impl Fn(usize) -> u64,
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
+        // Cleared before the region check too: Host leaves no stale bytes, even on UnknownRegion.
         out.clear();
         let block_size = self.inner.region_block_size(region)?;
-        let idx: Vec<u64> = indices.collect();
-        // One coalesced eviction wave up front, instead of a single-block
-        // write-back per miss installed below.
-        let incoming = self.incoming(region, len, &idx);
-        self.reserve(incoming)?;
+        let len = self.begin_batch(region, n, &at)?;
+        // Dropped on an error return: the next miss regrows it.
+        let mut fetched = std::mem::take(&mut self.fetched);
         let mut crossed = false;
-        let mut fetched = Vec::new();
         let mut i = 0;
-        while i < idx.len() {
-            let index = idx[i];
+        while i < n {
+            let index = at(i);
             self.record(region, index, AccessKind::Read);
             if index >= len {
                 return Err(HostError::OutOfBounds { region, index, len });
             }
-            let key = (region, index);
-            if self.entries.contains_key(&key) || block_size == 0 {
-                // Hit (or a degenerate zero-size block region, which the
-                // batch buffer cannot express): the per-block path.
-                let payload = self.load(key)?;
-                if !crossed {
-                    Self::cross(&mut self.stats, self.crossing);
-                    crossed = true;
-                }
-                out.extend_from_slice(&self.entries[&key].data);
-                self.stats.reads += 1;
-                self.stats.bytes_read += payload as u64;
-                i += 1;
-                continue;
-            }
-            // Miss: extend the run while the request keeps asking for the
-            // next consecutive block and it is uncached and in bounds.
-            // (Cached blocks stop the run — they may hold dirty data the
-            // inner substrate has not seen.)
+            // A miss extends into a run while the request keeps asking for
+            // the next consecutive block and it is uncached and in bounds
+            // (a cached block may hold dirty data the inner substrate has
+            // not seen); one batched inner read fetches the run. Hits go per
+            // block, as do zero-size blocks, which no batch buffer expresses.
+            let miss = self.slot_of((region, index)) == NONE && block_size > 0;
             let mut run = 1;
-            while i + run < idx.len()
-                && idx[i + run] == index + run as u64
-                && idx[i + run] < len
-                && !self.entries.contains_key(&(region, idx[i + run]))
+            while miss
+                && i + run < n
+                && at(i + run) == index + run as u64
+                && at(i + run) < len
+                && self.slot_of((region, at(i + run))) == NONE
             {
                 run += 1;
             }
-            match self.inner.read_blocks(region, index, run, &mut fetched) {
-                Ok(()) => {
-                    for (j, chunk) in fetched.chunks_exact(block_size).enumerate() {
-                        let j_index = index + j as u64;
-                        if j > 0 {
-                            self.record(region, j_index, AccessKind::Read);
-                        }
-                        self.cache_stats.misses += 1;
-                        self.install((region, j_index), chunk.to_vec(), false)?;
-                        if !crossed {
-                            Self::cross(&mut self.stats, self.crossing);
-                            crossed = true;
-                        }
-                        out.extend_from_slice(chunk);
-                        self.stats.reads += 1;
-                        self.stats.bytes_read += block_size as u64;
-                    }
-                    i += run;
+            // A failed fetch means the run contains a failing block: replay
+            // the WHOLE run per block (not just the first index, which would
+            // rebuild ever-shorter doomed batches), so blocks before the
+            // failure load and cache as the unbatched path would and the
+            // failing index surfaces its own error, its event recorded.
+            let batched = miss && self.inner.read_blocks(region, index, run, &mut fetched).is_ok();
+            for j in 0..run {
+                let key = (region, index + j as u64);
+                if j > 0 {
+                    self.record(region, key.1, AccessKind::Read);
                 }
-                Err(_) => {
-                    // The run contains a failing block. Replay the WHOLE
-                    // run per block (not just the first index, which would
-                    // rebuild ever-shorter doomed batches): blocks before
-                    // the failure load and cache exactly as the unbatched
-                    // path would, and the failing index surfaces its own
-                    // error with its trace event already recorded.
-                    for j in 0..run {
-                        let j_index = index + j as u64;
-                        if j > 0 {
-                            self.record(region, j_index, AccessKind::Read);
-                        }
-                        let payload = self.load((region, j_index))?;
-                        if !crossed {
-                            Self::cross(&mut self.stats, self.crossing);
-                            crossed = true;
-                        }
-                        out.extend_from_slice(&self.entries[&(region, j_index)].data);
-                        self.stats.reads += 1;
-                        self.stats.bytes_read += payload as u64;
-                    }
-                    i += run;
+                let s = if batched {
+                    self.cache_stats.misses += 1;
+                    self.install(key, &fetched[j * block_size..][..block_size], false)?
+                } else {
+                    self.load(key)?
+                };
+                if !std::mem::replace(&mut crossed, true) {
+                    Self::cross(&mut self.stats, self.crossing);
                 }
+                let data = &self.slots[s as usize].data;
+                out.extend_from_slice(data);
+                self.stats.reads += 1;
+                self.stats.bytes_read += data.len() as u64;
             }
+            i += run;
         }
+        self.fetched = fetched;
         Ok(())
     }
 
-    /// Shared body of the batched writes: install each chunk dirty, one
-    /// logical crossing.
+    /// Shared body of the batched writes, over the `n` indices
+    /// `at(0..n)`: install each chunk dirty, one logical crossing.
     fn write_scatter(
         &mut self,
         region: RegionId,
-        len: u64,
-        indices: impl Iterator<Item = u64>,
+        n: usize,
+        at: impl Fn(usize) -> u64,
         data: &[u8],
         block_size: usize,
     ) -> Result<(), HostError> {
-        let idx: Vec<u64> = indices.collect();
-        // As in `read_gather`: drain the needed capacity in one coalesced
-        // write-back wave before the per-block installs.
-        let incoming = self.incoming(region, len, &idx);
-        self.reserve(incoming)?;
+        let len = self.begin_batch(region, n, &at)?;
         let mut crossed = false;
-        for (index, chunk) in idx.iter().copied().zip(data.chunks_exact(block_size)) {
+        for (i, chunk) in data.chunks_exact(block_size).enumerate().take(n) {
+            let index = at(i);
             self.record(region, index, AccessKind::Write);
             if index >= len {
                 return Err(HostError::OutOfBounds { region, index, len });
             }
-            self.install((region, index), chunk.to_vec(), true)?;
-            if !crossed {
+            self.install((region, index), chunk, true)?;
+            if !std::mem::replace(&mut crossed, true) {
                 Self::cross(&mut self.stats, self.crossing);
-                crossed = true;
             }
             self.stats.writes += 1;
             self.stats.bytes_written += block_size as u64;
@@ -418,39 +449,21 @@ impl<M: EnclaveMemory> CachedMemory<M> {
         Ok(())
     }
 
-    /// Flushes every dirty block (region/index order, consecutive runs
-    /// coalesced into one batched inner write each) without syncing inner.
-    /// `only` restricts the flush to one region (the `sync_region` path).
+    /// Flushes every dirty block, or `only` one region's, in region/index
+    /// order (runs coalesced) without syncing inner.
     fn flush_dirty(&mut self, only: Option<RegionId>) -> Result<(), HostError> {
-        let mut dirty: Vec<(RegionId, u64)> = self
-            .entries
-            .iter()
-            .filter(|(k, e)| e.dirty && only.is_none_or(|r| k.0 == r))
-            .map(|(k, _)| *k)
-            .collect();
-        dirty.sort_unstable();
-        let mut i = 0;
-        while i < dirty.len() {
-            let (region, start) = dirty[i];
-            let mut run = 1;
-            while i + run < dirty.len()
-                && dirty[i + run].0 == region
-                && dirty[i + run].1 == start + run as u64
-            {
-                run += 1;
-            }
-            let mut buf = Vec::new();
-            for k in &dirty[i..i + run] {
-                buf.extend_from_slice(&self.entries[k].data);
-            }
-            self.inner.write_blocks(region, start, &buf)?;
-            for k in &dirty[i..i + run] {
-                self.entries.get_mut(k).expect("dirty key cached").dirty = false;
-                self.cache_stats.flushed += 1;
-            }
-            i += run;
-        }
-        Ok(())
+        let mut dirty = std::mem::take(&mut self.wave);
+        dirty.clear();
+        let tables = match only {
+            Some(r) => self.tables.get(r.0 as usize..=r.0 as usize).unwrap_or_default(),
+            None => &self.tables[..],
+        };
+        // Tables are in region order and each in index order: no sort.
+        let cached = tables.iter().flatten().filter(|&&s| s != NONE);
+        dirty.extend(cached.filter(|&&s| self.slots[s as usize].dirty));
+        let res = self.write_back(&dirty, true);
+        self.wave = dirty;
+        res
     }
 }
 
@@ -461,11 +474,10 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
 
     fn free_region(&mut self, region: RegionId) -> Result<(), HostError> {
         // Cached copies (dirty or clean) die with the region.
-        let keys: Vec<(RegionId, u64)> =
-            self.entries.keys().filter(|(r, _)| *r == region).copied().collect();
-        for key in keys {
-            let e = self.entries.remove(&key).expect("key just listed");
-            self.lru.remove(&e.tick);
+        let table = self.tables.get_mut(region.0 as usize).map(std::mem::take);
+        for s in table.into_iter().flatten().filter(|&s| s != NONE) {
+            self.unlink(s);
+            self.free.push(s);
         }
         self.inner.free_region(region)
     }
@@ -484,16 +496,16 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
 
     fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
         self.record(region, index, AccessKind::Read);
-        let len = self.inner.region_len(region)?;
+        let len = self.region(region)?;
         if index >= len {
             return Err(HostError::OutOfBounds { region, index, len });
         }
-        let key = (region, index);
-        let payload = self.load(key)?;
+        let s = self.load((region, index))?;
         Self::cross(&mut self.stats, self.crossing);
+        let data = &self.slots[s as usize].data;
         self.stats.reads += 1;
-        self.stats.bytes_read += payload as u64;
-        Ok(&self.entries[&key].data)
+        self.stats.bytes_read += data.len() as u64;
+        Ok(data)
     }
 
     fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
@@ -502,11 +514,11 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         if data.len() != expected {
             return Err(HostError::BlockSizeMismatch { region, expected, got: data.len() });
         }
-        let len = self.inner.region_len(region)?;
+        let len = self.region(region)?;
         if index >= len {
             return Err(HostError::OutOfBounds { region, index, len });
         }
-        self.install((region, index), data.to_vec(), true)?;
+        self.install((region, index), data, true)?;
         Self::cross(&mut self.stats, self.crossing);
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
@@ -520,11 +532,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         count: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
-        // Clear before the region check too: Host never leaves stale
-        // bytes in the caller's buffer, even on UnknownRegion.
-        out.clear();
-        let len = self.inner.region_len(region)?;
-        self.read_gather(region, len, start..start + count as u64, out)
+        self.read_gather(region, count, |i| start + i as u64, out)
     }
 
     fn read_blocks_at(
@@ -533,16 +541,13 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         indices: &[u64],
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
-        out.clear();
-        let len = self.inner.region_len(region)?;
-        self.read_gather(region, len, indices.iter().copied(), out)
+        self.read_gather(region, indices.len(), |i| indices[i], out)
     }
 
     fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
         let block_size = self.inner.region_block_size(region)?;
-        let count = batch_count(region, block_size, data.len())? as u64;
-        let len = self.inner.region_len(region)?;
-        self.write_scatter(region, len, start..start + count, data, block_size)
+        let count = batch_count(region, block_size, data.len())?;
+        self.write_scatter(region, count, |i| start + i as u64, data, block_size)
     }
 
     fn write_blocks_at(
@@ -552,15 +557,11 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         data: &[u8],
     ) -> Result<(), HostError> {
         let block_size = self.inner.region_block_size(region)?;
-        if batch_count(region, block_size, data.len())? != indices.len() {
-            return Err(HostError::BlockSizeMismatch {
-                region,
-                expected: indices.len() * block_size,
-                got: data.len(),
-            });
+        let (expected, got) = (indices.len() * block_size, data.len());
+        if batch_count(region, block_size, got)? != indices.len() {
+            return Err(HostError::BlockSizeMismatch { region, expected, got });
         }
-        let len = self.inner.region_len(region)?;
-        self.write_scatter(region, len, indices.iter().copied(), data, block_size)
+        self.write_scatter(region, indices.len(), |i| indices[i], data, block_size)
     }
 
     fn start_trace(&mut self) {
@@ -604,7 +605,6 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         self.inner.sync_region(region)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

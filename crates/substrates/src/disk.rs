@@ -47,6 +47,34 @@ impl DiskRegion {
     fn mark_written(&mut self, index: u64) {
         self.written[(index / 64) as usize] |= 1 << (index % 64);
     }
+
+    /// Traces and validates the run of consecutive indices `indices`
+    /// starts with, through its first failing block (as Host does): out of
+    /// bounds, or — for a read — never written. Returns how many blocks
+    /// validated and the failure that ended the run, if one did.
+    fn scan_run(
+        &self,
+        region: RegionId,
+        indices: &[u64],
+        kind: AccessKind,
+        trace: &mut Option<Vec<AccessEvent>>,
+    ) -> (usize, Option<HostError>) {
+        let mut run = 0;
+        while indices.get(run).is_some_and(|x| x.checked_sub(indices[0]) == Some(run as u64)) {
+            let index = indices[run];
+            if let Some(t) = trace {
+                t.push(AccessEvent { region, index, kind });
+            }
+            if index >= self.blocks {
+                return (run, Some(HostError::OutOfBounds { region, index, len: self.blocks }));
+            }
+            if kind == AccessKind::Read && !self.is_written(index) {
+                return (run, Some(HostError::EmptyBlock(region, index)));
+            }
+            run += 1;
+        }
+        (run, None)
+    }
 }
 
 /// A file-per-region [`EnclaveMemory`] substrate for datasets larger than
@@ -58,7 +86,8 @@ impl DiskRegion {
 /// positioned reads/writes (`pread`/`pwrite`-style), so the engine's
 /// `read_blocks`/`write_blocks` path amortizes the syscall as well as the
 /// simulated enclave crossing; gather/scatter (`_at`) variants issue one
-/// positioned call per block but still count a single crossing.
+/// positioned call per run of consecutive indices (a Path ORAM bucket, one
+/// side of a bitonic pair) and count a single crossing.
 ///
 /// Accounting is bit-compatible with [`oblidb_enclave::Host`]: the same
 /// trace events in the same order (failed attempts included), the same
@@ -610,27 +639,29 @@ impl EnclaveMemory for DiskMemory {
             .get(region.0 as usize)
             .and_then(|r| r.as_ref())
             .ok_or(HostError::UnknownRegion(region))?;
-        for &index in indices {
-            if let Some(t) = trace {
-                t.push(AccessEvent { region, index, kind: AccessKind::Read });
+        let mut i = 0;
+        while i < indices.len() {
+            // One positioned read per run of consecutive indices; a failure
+            // surfaces after the blocks before it were transferred.
+            let start = indices[i];
+            let (run, failure) = r.scan_run(region, &indices[i..], AccessKind::Read, trace);
+            if run > 0 {
+                if !crossed {
+                    Self::cross(stats, cost);
+                    crossed = true;
+                }
+                let at = out.len();
+                out.resize(at + run * r.block_size, 0);
+                r.file
+                    .read_exact_at(&mut out[at..], start * r.block_size as u64)
+                    .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
+                stats.reads += run as u64;
+                stats.bytes_read += (run * r.block_size) as u64;
             }
-            if index >= r.blocks {
-                return Err(HostError::OutOfBounds { region, index, len: r.blocks });
+            if let Some(e) = failure {
+                return Err(e);
             }
-            if !r.is_written(index) {
-                return Err(HostError::EmptyBlock(region, index));
-            }
-            if !crossed {
-                Self::cross(stats, cost);
-                crossed = true;
-            }
-            let at = out.len();
-            out.resize(at + r.block_size, 0);
-            r.file
-                .read_exact_at(&mut out[at..], index * r.block_size as u64)
-                .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-            stats.reads += 1;
-            stats.bytes_read += r.block_size as u64;
+            i += run;
         }
         Ok(())
     }
@@ -706,24 +737,37 @@ impl EnclaveMemory for DiskMemory {
             .get_mut(region.0 as usize)
             .and_then(|r| r.as_mut())
             .ok_or(HostError::UnknownRegion(region))?;
-        for (&index, chunk) in indices.iter().zip(data.chunks_exact(block_size)) {
-            if let Some(t) = trace {
-                t.push(AccessEvent { region, index, kind: AccessKind::Write });
+        let mut i = 0;
+        while i < indices.len() {
+            // As in `read_blocks_at`: one positioned write per run of
+            // consecutive indices, whose chunks are consecutive in `data`
+            // too; an out-of-bounds index surfaces after the run before it
+            // reached the file.
+            let start = indices[i];
+            let (run, failure) = r.scan_run(region, &indices[i..], AccessKind::Write, trace);
+            if run > 0 {
+                let chunks = &data[i * block_size..(i + run) * block_size];
+                r.file
+                    .write_all_at(chunks, start * block_size as u64)
+                    .map_err(|e| HostError::io(&e, Some(region), IoOp::Write))?;
+                for index in start..start + run as u64 {
+                    r.mark_written(index);
+                }
+                // Patch each touched bitmap word once, not once per block.
+                for word in (start / 64)..=((start + run as u64 - 1) / 64) {
+                    Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
+                }
+                if !crossed {
+                    Self::cross(stats, cost);
+                    crossed = true;
+                }
+                stats.writes += run as u64;
+                stats.bytes_written += (run * block_size) as u64;
             }
-            if index >= r.blocks {
-                return Err(HostError::OutOfBounds { region, index, len: r.blocks });
+            if let Some(e) = failure {
+                return Err(e);
             }
-            r.file
-                .write_all_at(chunk, index * block_size as u64)
-                .map_err(|e| HostError::io(&e, Some(region), IoOp::Write))?;
-            r.mark_written(index);
-            Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, index);
-            if !crossed {
-                Self::cross(stats, cost);
-                crossed = true;
-            }
-            stats.writes += 1;
-            stats.bytes_written += block_size as u64;
+            i += run;
         }
         Ok(())
     }
@@ -797,8 +841,14 @@ mod tests {
         m.read_blocks(r, 0, 12, &mut out).unwrap();
         let mut gathered = Vec::new();
         m.read_blocks_at(r, &[11, 0, 5], &mut gathered).unwrap();
+        // Runs and strays mixed: a scatter of two runs around a single, then
+        // a gather of three runs, a stray, and a block named twice in a row.
+        m.write_blocks_at(r, &[4, 5, 6, 1, 9, 10], &[data.as_slice(), &data[..8]].concat())
+            .unwrap();
+        let mut mixed = Vec::new();
+        m.read_blocks_at(r, &[9, 10, 11, 2, 4, 5, 0, 1, 1], &mut mixed).unwrap();
         let single = m.read(r, 7).unwrap().to_vec();
-        (vec![out, gathered, single], m.take_trace(), m.stats())
+        (vec![out, gathered, mixed, single], m.take_trace(), m.stats())
     }
 
     #[test]
@@ -829,6 +879,37 @@ mod tests {
         assert_eq!(out, vec![1u8; 16], "failed batch read yields the valid prefix");
         m.free_region(r).unwrap();
         assert_eq!(m.read(r, 0), Err(HostError::UnknownRegion(r)));
+    }
+
+    #[test]
+    fn mid_run_failures_match_host() {
+        // Blocks 0, 1 and 3 of five are written. Two gathers whose runs meet
+        // a never-written block, a scatter whose run leaves the region, and
+        // a gather that follows it out: each must stop exactly where Host
+        // stops — same error, same events, same counters, same bytes moved.
+        fn drive<M: EnclaveMemory>(m: &mut M) -> (Vec<HostError>, Vec<Vec<u8>>, Trace, HostStats) {
+            let r = m.alloc_region(5, 2).unwrap();
+            m.write_blocks(r, 0, &[1, 1, 2, 2]).unwrap();
+            m.write(r, 3, &[4, 4]).unwrap();
+            m.start_trace();
+            m.reset_stats();
+            let (mut errors, mut outs, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            for gather in [&[3, 0, 1, 2, 3][..], &[0, 1, 3, 4, 5, 6]] {
+                errors.push(m.read_blocks_at(r, gather, &mut out).unwrap_err());
+                outs.push(out.clone());
+            }
+            errors.push(m.write_blocks_at(r, &[0, 3, 4, 5, 6], &[9; 10]).unwrap_err());
+            errors.push(m.read_blocks_at(r, &[0, 3, 4, 5, 6], &mut out).unwrap_err());
+            outs.push(out.clone());
+            (errors, outs, m.take_trace(), m.stats())
+        }
+        let host = drive(&mut Host::new());
+        assert_eq!(host.0[0], HostError::EmptyBlock(RegionId(0), 2));
+        assert!(matches!(host.0[1], HostError::EmptyBlock(_, 4)));
+        assert!(matches!(host.0[2], HostError::OutOfBounds { index: 5, .. }));
+        assert!(matches!(host.0[3], HostError::OutOfBounds { index: 5, .. }));
+        assert_eq!(host.1[2], [9; 6], "the scatter's in-bounds run landed before it failed");
+        assert_eq!(host, drive(&mut DiskMemory::temp().unwrap()));
     }
 
     #[test]

@@ -56,8 +56,8 @@ fn assert_serial_equivalence<M: EnclaveMemory + Send>(solo_store: M, shared_stor
         assert_eq!(a.schema, b.schema, "schema diverged for {stmt}");
         assert_eq!(a.rows_affected, b.rows_affected, "effects diverged for {stmt}");
         assert_eq!(
-            trace_hash(&solo_trace),
-            trace_hash(&session_trace),
+            trace_hash(&solo_trace, &[]),
+            trace_hash(&session_trace, &[]),
             "canonical trace diverged for {stmt}"
         );
     }

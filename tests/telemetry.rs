@@ -89,6 +89,40 @@ fn telemetry_on_is_trace_and_result_identical() {
     telemetry::reset_metrics();
 }
 
+/// Planning is not execution. The cost-based planner dry-runs the real,
+/// instrumented operators over a counting memory, and none of that may
+/// reach telemetry: preparing an uncached select records the prepare and
+/// plan spans and the preliminary scan's real reads — no operator span, no
+/// sealed block, and exactly as many opened blocks as the substrate served.
+#[test]
+fn planner_dry_runs_leave_no_telemetry() {
+    let _g = gate();
+    telemetry::set_enabled(false);
+    let mut db = seeded_db(DbConfig::default());
+    let _ = telemetry::take_spans();
+    telemetry::reset_metrics();
+    db.host_mut().reset_stats();
+
+    telemetry::set_enabled(true);
+    let explain = db.prepare(QUERY).unwrap().explain().to_string();
+    telemetry::set_enabled(false);
+    assert!(explain.contains("candidates:"), "the planner dry-ran its candidates:\n{explain}");
+
+    let spans = telemetry::take_spans();
+    assert!(spans.iter().any(|s| s.kind == telemetry::SpanKind::Plan));
+    for s in &spans {
+        use telemetry::SpanKind::{OpenBatch, Plan, Prepare};
+        assert!(matches!(s.kind, Prepare | Plan | OpenBatch), "a dry run recorded {:?}", s.kind);
+    }
+    let snap = telemetry::snapshot();
+    let counter = |name: &str| snap.counters.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(counter("blocks_sealed"), 0, "nothing real was written");
+    let served = db.host_mut().stats().reads;
+    assert!(served > 0, "the preliminary scan read the table");
+    assert_eq!(counter("blocks_opened"), served, "only blocks that exist were opened");
+    telemetry::reset_metrics();
+}
+
 /// `EXPLAIN ANALYZE` executes the query and renders measured actuals —
 /// wall time, crossings, and AEAD bytes — for all six select operators.
 #[test]
@@ -204,6 +238,49 @@ fn auditor_flags_data_dependent_plan_choice() {
     let v = &db.audit_violations()[0];
     assert!(v.shape.contains("where v = ?"), "unexpected shape: {}", v.shape);
     assert_ne!(v.expected_hash, v.observed_hash);
+}
+
+/// Where a block lands is not always the statement's doing. A Path ORAM
+/// access reads a freshly random path; a WAL append goes to the next free
+/// slot, the public count of statements logged so far; a fast insert
+/// writes at its table's cursor, the public count of insertions so far.
+/// Same-looking statements differ there by construction, and the auditor
+/// must not call that a leak: an indexed point read repeated fifty times
+/// and two same-shape INSERTs under a WAL leave it silent — the first two
+/// because the auditor hashes those regions without block positions, the
+/// third because the cursor is one of the public sizes that key a shape.
+/// (That it still catches a real divergence is
+/// `auditor_flags_data_dependent_plan_choice`.)
+#[test]
+fn auditor_ignores_positions_random_or_public_by_construction() {
+    let _g = gate();
+    telemetry::set_enabled(false);
+    for fast_inserts in [false, true] {
+        let wal = Some(oblidb::core::wal::WalConfig::default());
+        let config = DbConfig { audit: true, wal, fast_inserts, ..DbConfig::default() };
+        let mut db = Database::new(config);
+        db.execute("CREATE TABLE p (k INT, v INT) STORAGE = INDEXED INDEX ON k CAPACITY 64")
+            .unwrap();
+        for i in 0..32 {
+            db.execute(&format!("INSERT INTO p VALUES ({i}, {})", i * 3)).unwrap();
+        }
+        for i in 0..50 {
+            let out = db.execute(&format!("SELECT * FROM p WHERE k = {}", i % 32)).unwrap();
+            assert_eq!(out.len(), 1);
+        }
+        // Two INSERTs of one statement and the same row counts before and
+        // after (the DELETE between them restores the count): other WAL
+        // slots, and under fast inserts another table block.
+        db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+        db.execute("DELETE FROM t WHERE k = 1").unwrap();
+        db.execute("INSERT INTO t VALUES (2, 20)").unwrap();
+
+        let (report, found) = (db.audit_report(), db.audit_violations());
+        assert!(found.is_empty(), "fast_inserts={fast_inserts}: false positive: {found:?}");
+        assert!(report.shapes + 49 <= report.checks as usize, "the point reads shared a shape");
+        assert_eq!(report.skips, 0);
+    }
 }
 
 /// Oblivious plans (Continuous disabled, as the obliviousness suite pins

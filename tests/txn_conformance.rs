@@ -61,7 +61,7 @@ fn serial_run() -> (Vec<Vec<Vec<Value>>>, Vec<u64>) {
         for stmt in group {
             db.host_mut().start_trace();
             let out = db.execute(&stmt).unwrap_or_else(|e| panic!("serial {stmt}: {e}"));
-            hashes.push(trace_hash(&db.host_mut().take_trace()));
+            hashes.push(trace_hash(&db.host_mut().take_trace(), &[]));
             results.push(out.rows().to_vec());
         }
     }
@@ -160,7 +160,7 @@ fn transaction_commit_traces_equal_serial_traces() {
     for stmt in body {
         solo.execute(stmt).unwrap();
     }
-    let solo_hash = trace_hash(&solo.host_mut().take_trace());
+    let solo_hash = trace_hash(&solo.host_mut().take_trace(), &[]);
 
     // Transactional run: the same three statements buffered, then the
     // master host traced across the atomic commit alone.
@@ -174,7 +174,7 @@ fn transaction_commit_traces_equal_serial_traces() {
     }
     shared.admin(|e| e.host_mut().start_trace());
     session.execute("COMMIT").unwrap();
-    let txn_hash = shared.admin(|e| trace_hash(&e.host_mut().take_trace()));
+    let txn_hash = shared.admin(|e| trace_hash(&e.host_mut().take_trace(), &[]));
     assert_eq!(solo_hash, txn_hash, "commit trace must equal the serial trace");
 
     // And the committed state matches the serial state.
