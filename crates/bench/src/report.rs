@@ -282,15 +282,38 @@ pub struct CryptoThroughput {
     pub block_bytes: usize,
     /// Measured throughput, MiB/s of payload.
     pub mib_s: f64,
-    /// Throughput relative to the scalar backend at the same (op, batch).
+    /// Throughput relative to the scalar backend at the same (op, batch,
+    /// block size).
     pub speedup_vs_scalar: f64,
+    /// The same row's throughput in the artifact the bench found in its
+    /// working directory before overwriting it (the parent's numbers),
+    /// when that artifact had such a row.
+    pub parent_mib_s: Option<f64>,
+}
+
+impl CryptoThroughput {
+    /// Nanoseconds per block at the measured throughput.
+    pub fn ns_per_block(&self) -> f64 {
+        ns_per_block(self.block_bytes, self.mib_s)
+    }
+
+    /// Throughput relative to the parent artifact's row, if it had one.
+    pub fn vs_parent(&self) -> Option<f64> {
+        self.parent_mib_s.map(|p| self.mib_s / p.max(f64::MIN_POSITIVE))
+    }
+}
+
+fn ns_per_block(block_bytes: usize, mib_s: f64) -> f64 {
+    block_bytes as f64 / (mib_s.max(f64::MIN_POSITIVE) * 1024.0 * 1024.0) * 1e9
 }
 
 /// Writes `BENCH_<name>.json` for the crypto hot-path bench:
 /// `{"bench": name, "detected_backend": label, "results": [{op, backend,
-/// batch_blocks, block_bytes, mib_s, speedup_vs_scalar}, …]}`. The scalar
+/// batch_blocks, block_bytes, mib_s, ns_per_block, speedup_vs_scalar,
+/// parent_ns_per_block, vs_parent}, …]}`, one row per line. The scalar
 /// rows are always present so the artifact records the fallback numbers
-/// alongside the SIMD ones. Returns the path written.
+/// alongside the SIMD ones; the two parent fields are `null` on a row the
+/// parent artifact lacked. Returns the path written.
 pub fn write_crypto_json(
     dir: &std::path::Path,
     name: &str,
@@ -304,13 +327,17 @@ pub fn write_crypto_json(
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"op\": {}, \"backend\": {}, \"batch_blocks\": {}, \"block_bytes\": {}, \
-             \"mib_s\": {:.3}, \"speedup_vs_scalar\": {:.3}}}{}\n",
+             \"mib_s\": {:.3}, \"ns_per_block\": {:.1}, \"speedup_vs_scalar\": {:.3}, \
+             \"parent_ns_per_block\": {}, \"vs_parent\": {}}}{}\n",
             json_str(&r.op),
             json_str(&r.backend),
             r.batch_blocks,
             r.block_bytes,
             r.mib_s,
+            r.ns_per_block(),
             r.speedup_vs_scalar,
+            json_opt(r.parent_mib_s.map(|p| ns_per_block(r.block_bytes, p)), 1),
+            json_opt(r.vs_parent(), 3),
             if i + 1 < results.len() { "," } else { "" },
         ));
     }
@@ -318,6 +345,35 @@ pub fn write_crypto_json(
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, out)?;
     Ok(path)
+}
+
+fn json_opt(value: Option<f64>, decimals: usize) -> String {
+    value.map_or_else(|| "null".into(), |v| format!("{v:.decimals$}"))
+}
+
+/// Reads back the rows of an artifact [`write_crypto_json`] wrote (one
+/// row per line; a missing or foreign file reads as no rows). Only the
+/// measured fields are recovered — `speedup_vs_scalar` and the parent
+/// fields are the reading run's to fill.
+pub fn read_crypto_json(path: &std::path::Path) -> Vec<CryptoThroughput> {
+    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+        let rest = line.split_once(&format!("\"{key}\": "))?.1;
+        Some(rest.split([',', '}']).next()?.trim_matches('"'))
+    }
+    let Ok(body) = std::fs::read_to_string(path) else { return Vec::new() };
+    body.lines()
+        .filter_map(|line| {
+            Some(CryptoThroughput {
+                op: field(line, "op")?.into(),
+                backend: field(line, "backend")?.into(),
+                batch_blocks: field(line, "batch_blocks")?.parse().ok()?,
+                block_bytes: field(line, "block_bytes")?.parse().ok()?,
+                mib_s: field(line, "mib_s")?.parse().ok()?,
+                speedup_vs_scalar: 1.0,
+                parent_mib_s: None,
+            })
+        })
+        .collect()
 }
 
 /// One telemetry-overhead measurement: the same workload with spans and
@@ -642,6 +698,7 @@ mod tests {
                 block_bytes: 1024,
                 mib_s: 400.0,
                 speedup_vs_scalar: 1.0,
+                parent_mib_s: None,
             },
             CryptoThroughput {
                 op: "seal".into(),
@@ -650,6 +707,7 @@ mod tests {
                 block_bytes: 1024,
                 mib_s: 1200.0,
                 speedup_vs_scalar: 3.0,
+                parent_mib_s: Some(600.0),
             },
         ];
         let path = write_crypto_json(&dir, "crypto_test", "avx2", &rows).unwrap();
@@ -658,7 +716,16 @@ mod tests {
         assert!(body.contains("\"detected_backend\": \"avx2\""));
         assert!(body.contains("\"backend\": \"scalar\""));
         assert!(body.contains("\"speedup_vs_scalar\": 3.000"));
+        // 1024 B at 1200 MiB/s is 813.8 ns; the parent ran at half that.
+        assert!(body.contains("\"ns_per_block\": 813.8"));
+        assert!(body.contains("\"parent_ns_per_block\": 1627.6, \"vs_parent\": 2.000"));
+        assert!(body.contains("\"parent_ns_per_block\": null, \"vs_parent\": null"));
         assert!(body.trim_end().ends_with('}'));
+        // The artifact reads back as the next run's parent rows.
+        let back = read_crypto_json(&path);
+        assert_eq!(back.len(), 2);
+        assert_eq!((back[1].op.as_str(), back[1].backend.as_str()), ("seal", "avx2"));
+        assert_eq!((back[1].batch_blocks, back[1].block_bytes, back[1].mib_s), (256, 1024, 1200.0));
         std::fs::remove_file(path).unwrap();
     }
 

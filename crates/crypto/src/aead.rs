@@ -5,16 +5,20 @@
 //! revision) identity so the untrusted OS can neither tamper with, shuffle,
 //! nor replay blocks without detection (paper §3).
 //!
-//! [`seal`]/[`open`] handle one block. [`seal_batch`]/[`open_batch`] are
-//! the fused fast path the sealed-storage layer drives: one batch parses
-//! the key schedule once, derives every block's Poly1305 one-time key in
-//! multi-lane SIMD passes, and streams each payload through
-//! [`ChaCha20::apply_keystream_multi`]. Tags and ciphertext are
-//! byte-identical to the per-block functions — batching is purely a
-//! speed decision — and a failed batch open still attributes the exact
-//! offending block index.
+//! [`seal`]/[`open`] handle one block; [`seal_batch`]/[`open_batch`] a
+//! batch of independent blocks; [`seal_run`]/[`open_run`] a run of
+//! equal-sized blocks in the sealed-storage layer's strided staging
+//! layout. All six are one schedule: a run's keystream demands — per
+//! block, ChaCha20 counter 0 for the Poly1305 one-time key and counters
+//! `1..=⌈len/64⌉` for the payload — are enumerated as (block, counter)
+//! lanes and generated eight at a time **across block boundaries**, so a
+//! run of 25-byte rows keeps the SIMD kernels as busy as a run of 1 KiB
+//! blocks does (`keystream_run`). Tags and ciphertext are byte-identical
+//! whichever entry point and backend produced them, and a failed open
+//! verifies every tag of the run before decrypting anything and
+//! attributes the exact offending block.
 
-use crate::chacha::{ChaCha20, BLOCK_LEN, MAX_LANES};
+use crate::chacha::{xor_bytes, xor_into, ChaCha20, BLOCK_LEN, MAX_LANES};
 use crate::poly1305::{tags_equal, Poly1305};
 
 /// Byte length of the authentication tag.
@@ -90,77 +94,109 @@ impl std::fmt::Display for BatchAeadError {
 
 impl std::error::Error for BatchAeadError {}
 
-fn poly_key(key: &AeadKey, nonce: &Nonce) -> [u8; 32] {
-    let cipher = ChaCha20::new(&key.0, &nonce.0);
-    let mut block = [0u8; 64];
-    cipher.block(0, &mut block);
-    block[..32].try_into().unwrap()
-}
-
-/// Derives the Poly1305 one-time key for every nonce in one multi-lane
-/// sweep: lane `i` is ChaCha20 block 0 under `(key, nonces[i])`, of which
-/// the first 32 bytes are the one-time key (RFC 8439 §2.6).
-fn poly_keys_batch(cipher: &ChaCha20, nonces: &[Nonce]) -> Vec<[u8; 32]> {
-    let counters = [0u32; MAX_LANES];
-    let mut lanes = [[0u32; 3]; MAX_LANES];
-    let mut stream = [0u8; MAX_LANES * BLOCK_LEN];
-    let mut otks = Vec::with_capacity(nonces.len());
-    for group in nonces.chunks(MAX_LANES) {
-        for (lane, nonce) in lanes.iter_mut().zip(group.iter()) {
-            for (w, word) in lane.iter_mut().enumerate() {
-                *word = u32::from_le_bytes(nonce.0[4 * w..4 * w + 4].try_into().unwrap());
-            }
-        }
-        let n = group.len();
-        crate::simd::keystream_blocks(
-            cipher.key_words(),
-            &counters[..n],
-            &lanes[..n],
-            &mut stream[..n * BLOCK_LEN],
-        );
-        for lane in 0..n {
-            otks.push(stream[lane * BLOCK_LEN..lane * BLOCK_LEN + 32].try_into().unwrap());
-        }
-    }
-    otks
-}
-
 /// Parses a nonce into the three little-endian state words ChaCha20 uses.
 fn nonce_words(nonce: &Nonce) -> [u32; 3] {
     core::array::from_fn(|w| u32::from_le_bytes(nonce.0[4 * w..4 * w + 4].try_into().unwrap()))
 }
 
+/// The ChaCha20 block counters a `len`-byte payload consumes: counter 0
+/// is the block's Poly1305 one-time key (RFC 8439 §2.6), counters
+/// `1..=payload_blocks(len)` its keystream.
+fn payload_blocks(len: usize) -> u32 {
+    len.div_ceil(BLOCK_LEN) as u32
+}
+
+/// The byte range of a `len`-byte payload that keystream block `counter`
+/// (≥ 1) covers.
+fn covered(counter: u32, len: usize) -> core::ops::Range<usize> {
+    let at = (counter as usize - 1) * BLOCK_LEN;
+    at..(at + BLOCK_LEN).min(len)
+}
+
+/// Generates the keystream a run of blocks asks for and hands it to
+/// `sink(run, block, counter, keystream)` in run order.
+///
+/// Block `i` demands the ChaCha20 blocks `counters(run, i)` under
+/// `nonce(run, i)`. The demands of the whole run form one stream of
+/// independent (nonce, counter) lanes that fills the widest SIMD kernel
+/// **across block boundaries**: a run of 25-byte rows (two demands each)
+/// keeps all eight AVX2 lanes busy exactly as a run of 1 KiB blocks
+/// (seventeen each) does, and only the last, partial group of a run falls
+/// to the narrower kernels. One block's demands are consecutive in the
+/// stream, so a sink sees counter 0 of a block before its payload
+/// counters. `run` is whatever the three callbacks share (the sink
+/// mutates buffers the other two read lengths and nonces from). The
+/// keystream scratch is zeroized before returning.
+fn keystream_run<R: ?Sized>(
+    key: &AeadKey,
+    count: usize,
+    run: &mut R,
+    nonce: impl Fn(&R, usize) -> Nonce,
+    counters: impl Fn(&R, usize) -> core::ops::RangeInclusive<u32>,
+    mut sink: impl FnMut(&mut R, usize, u32, &[u8; BLOCK_LEN]),
+) {
+    let schedule = ChaCha20::new(&key.0, &[0u8; NONCE_LEN]);
+    let mut stream = [0u8; MAX_LANES * BLOCK_LEN];
+    let mut lane_block = [0usize; MAX_LANES];
+    let mut lane_counter = [0u32; MAX_LANES];
+    let mut lane_nonce = [[0u32; 3]; MAX_LANES];
+    let mut lanes = 0usize;
+    let mut flush = |run: &mut R, blocks: &[usize], counters: &[u32], nonces: &[[u32; 3]]| {
+        let stream = &mut stream[..blocks.len() * BLOCK_LEN];
+        crate::simd::keystream_blocks(schedule.key_words(), counters, nonces, stream);
+        for (lane, ks) in stream.chunks_exact(BLOCK_LEN).enumerate() {
+            sink(run, blocks[lane], counters[lane], ks.try_into().expect("64-byte lane"));
+        }
+    };
+    for block in 0..count {
+        let words = nonce_words(&nonce(run, block));
+        for counter in counters(run, block) {
+            lane_block[lanes] = block;
+            lane_counter[lanes] = counter;
+            lane_nonce[lanes] = words;
+            lanes += 1;
+            if lanes == MAX_LANES {
+                flush(run, &lane_block, &lane_counter, &lane_nonce);
+                lanes = 0;
+            }
+        }
+    }
+    if lanes > 0 {
+        flush(run, &lane_block[..lanes], &lane_counter[..lanes], &lane_nonce[..lanes]);
+    }
+    stream.fill(0);
+    core::hint::black_box(&stream);
+}
+
+/// The AEAD tag (RFC 8439 §2.8): Poly1305 under the one-time key over
+/// `pad16(aad) ‖ pad16(ciphertext) ‖ len(aad) ‖ len(ciphertext)`, fed to
+/// the MAC as whole 16-byte blocks.
 fn compute_tag(otk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
     let mut mac = Poly1305::new(otk);
-    mac.update(aad);
-    let aad_pad = (16 - aad.len() % 16) % 16;
-    mac.update(&[0u8; 16][..aad_pad]);
-    mac.update(ciphertext);
-    let ct_pad = (16 - ciphertext.len() % 16) % 16;
-    mac.update(&[0u8; 16][..ct_pad]);
+    mac.update_padded(aad);
+    mac.update_padded(ciphertext);
     let mut lens = [0u8; 16];
     lens[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
     lens[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
-    mac.update(&lens);
+    mac.update_padded(&lens);
     mac.finish()
 }
 
 /// Encrypts `plaintext` in place and returns the authentication tag.
 pub fn seal(key: &AeadKey, nonce: &Nonce, aad: &[u8], plaintext: &mut [u8]) -> [u8; TAG_LEN] {
-    let otk = poly_key(key, nonce);
-    let cipher = ChaCha20::new(&key.0, &nonce.0);
-    cipher.apply_keystream_multi(1, plaintext);
-    compute_tag(&otk, aad, plaintext)
+    let mut tag = [[0u8; TAG_LEN]];
+    seal_batch(key, &[*nonce], &[aad], &mut [plaintext], &mut tag);
+    tag[0]
 }
 
 /// Seals a batch of blocks in place, writing one tag per block into
 /// `tags`. Equivalent to calling [`seal`] once per block — identical
-/// ciphertext and tags — but the ChaCha20 key schedule is parsed once,
-/// one-time keys are derived in multi-lane SIMD sweeps, and each payload
-/// is streamed through the multi-block keystream path.
+/// ciphertext and tags — but the whole batch's keystream demands (one
+/// one-time key and `⌈len/64⌉` payload blocks per block) are generated
+/// eight lanes at a time across block boundaries.
 ///
 /// All four slices must have equal length; blocks may have differing
-/// sizes (the sealed-storage layer always passes equal-sized runs).
+/// sizes.
 pub fn seal_batch(
     key: &AeadKey,
     nonces: &[Nonce],
@@ -173,16 +209,99 @@ pub fn seal_batch(
         aads.len() == count && blocks.len() == count && tags.len() == count,
         "seal_batch slice lengths must match"
     );
-    if count == 0 {
-        return;
-    }
-    let schedule = ChaCha20::new(&key.0, &nonces[0].0);
-    let otks = poly_keys_batch(&schedule, nonces);
-    for i in 0..count {
-        let cipher = ChaCha20::from_words(*schedule.key_words(), nonce_words(&nonces[i]));
-        cipher.apply_keystream_multi(1, blocks[i]);
-        tags[i] = compute_tag(&otks[i], aads[i], blocks[i]);
-    }
+    keystream_run(
+        key,
+        count,
+        // The one-time key rides from a block's counter-0 lane to its last
+        // lane in a zeroize-on-drop holder.
+        &mut (blocks, tags, AeadKey([0u8; 32])),
+        |_, i| nonces[i],
+        |(blocks, ..), i| 0..=payload_blocks(blocks[i].len()),
+        |(blocks, tags, otk), i, counter, ks| {
+            let block = &mut *blocks[i];
+            let len = block.len();
+            if counter == 0 {
+                otk.0.copy_from_slice(&ks[..32]);
+            } else {
+                xor_bytes(&mut block[covered(counter, len)], ks);
+            }
+            if counter == payload_blocks(len) {
+                tags[i] = compute_tag(&otk.0, aads[i], block);
+            }
+        },
+    );
+}
+
+/// Seals a run of equal-sized blocks into the sealed-storage layout:
+/// block `i` becomes `nonce(i) ‖ ciphertext ‖ tag` at
+/// `sealed[i * stride..]`, `stride = NONCE_LEN + payload_len + TAG_LEN`,
+/// its plaintext read from `plain[i * payload_len..]` and its associated
+/// data being `aad(i)`. Byte-identical to [`seal`] per block; the same
+/// lane schedule as [`seal_batch`], without per-block slices to build.
+pub fn seal_run(
+    key: &AeadKey,
+    payload_len: usize,
+    plain: &[u8],
+    sealed: &mut [u8],
+    nonce: impl Fn(usize) -> Nonce,
+    aad: impl Fn(usize) -> [u8; 16],
+) {
+    let stride = NONCE_LEN + payload_len + TAG_LEN;
+    let count = sealed.len() / stride;
+    assert!(
+        sealed.len() == count * stride && plain.len() == count * payload_len,
+        "seal_run buffers must hold a whole number of blocks"
+    );
+    let last = payload_blocks(payload_len);
+    keystream_run(
+        key,
+        count,
+        &mut (sealed, AeadKey([0u8; 32])),
+        |_, i| nonce(i),
+        |_, _| 0..=last,
+        |(sealed, otk), i, counter, ks| {
+            let (head, tag) = sealed[i * stride..(i + 1) * stride].split_at_mut(stride - TAG_LEN);
+            let (nonce_out, ciphertext) = head.split_at_mut(NONCE_LEN);
+            if counter == 0 {
+                otk.0.copy_from_slice(&ks[..32]);
+                nonce_out.copy_from_slice(&nonce(i).0);
+            } else {
+                let range = covered(counter, payload_len);
+                let src = &plain[i * payload_len..(i + 1) * payload_len];
+                xor_into(&mut ciphertext[range.clone()], &src[range], ks);
+            }
+            if counter == last {
+                tag.copy_from_slice(&compute_tag(&otk.0, &aad(i), ciphertext));
+            }
+        },
+    );
+}
+
+/// The first phase of every open: derives each block's one-time key
+/// (counter 0 only, so eight blocks per SIMD pass) and asks
+/// `tag_matches(block, one_time_key)` whether its stored tag verifies.
+/// Reports the first block that does not; nothing has been decrypted.
+fn verify_run(
+    key: &AeadKey,
+    count: usize,
+    nonce: impl Fn(usize) -> Nonce,
+    tag_matches: impl Fn(usize, &[u8; 32]) -> bool,
+) -> Result<(), BatchAeadError> {
+    let mut failed = None;
+    keystream_run(
+        key,
+        count,
+        &mut failed,
+        |_, i| nonce(i),
+        |_, _| 0..=0,
+        |failed, i, _, ks| {
+            let otk = ks[..32].try_into().expect("one-time key");
+            if failed.is_none() && !tag_matches(i, otk) {
+                *failed = Some(i);
+            }
+        },
+    );
+    failed.map_or(Ok(()), |index| Err(BatchAeadError { index }))
 }
 
 /// Verifies and decrypts a batch of blocks in place.
@@ -204,21 +323,64 @@ pub fn open_batch(
         aads.len() == count && blocks.len() == count && tags.len() == count,
         "open_batch slice lengths must match"
     );
-    if count == 0 {
-        return Ok(());
-    }
-    let schedule = ChaCha20::new(&key.0, &nonces[0].0);
-    let otks = poly_keys_batch(&schedule, nonces);
-    for i in 0..count {
-        let expected = compute_tag(&otks[i], aads[i], blocks[i]);
-        if !tags_equal(&expected, &tags[i]) {
-            return Err(BatchAeadError { index: i });
-        }
-    }
-    for i in 0..count {
-        let cipher = ChaCha20::from_words(*schedule.key_words(), nonce_words(&nonces[i]));
-        cipher.apply_keystream_multi(1, blocks[i]);
-    }
+    verify_run(
+        key,
+        count,
+        |i| nonces[i],
+        |i, otk| tags_equal(&compute_tag(otk, aads[i], blocks[i]), &tags[i]),
+    )?;
+    keystream_run(
+        key,
+        count,
+        blocks,
+        |_, i| nonces[i],
+        |blocks, i| 1..=payload_blocks(blocks[i].len()),
+        |blocks, i, counter, ks| {
+            let block = &mut *blocks[i];
+            let len = block.len();
+            xor_bytes(&mut block[covered(counter, len)], ks);
+        },
+    );
+    Ok(())
+}
+
+/// Verifies and decrypts a run in the sealed-storage layout (see
+/// [`seal_run`]): block `i` of `sealed` is authenticated under `aad(i)`
+/// and its plaintext written to `plain[i * payload_len..]`. Every tag is
+/// checked before any byte of `plain` is written; the error carries the
+/// first failing block's position in the run.
+pub fn open_run(
+    key: &AeadKey,
+    payload_len: usize,
+    sealed: &[u8],
+    plain: &mut [u8],
+    aad: impl Fn(usize) -> [u8; 16],
+) -> Result<(), BatchAeadError> {
+    let stride = NONCE_LEN + payload_len + TAG_LEN;
+    let count = sealed.len() / stride;
+    assert!(
+        sealed.len() == count * stride && plain.len() == count * payload_len,
+        "open_run buffers must hold a whole number of blocks"
+    );
+    let block = |i: usize| &sealed[i * stride..(i + 1) * stride];
+    let nonce = |i: usize| Nonce(block(i)[..NONCE_LEN].try_into().expect("nonce length"));
+    let ciphertext = |i: usize| &block(i)[NONCE_LEN..stride - TAG_LEN];
+    verify_run(key, count, nonce, |i, otk| {
+        let tag = block(i)[stride - TAG_LEN..].try_into().expect("tag length");
+        tags_equal(&compute_tag(otk, &aad(i), ciphertext(i)), tag)
+    })?;
+    keystream_run(
+        key,
+        count,
+        plain,
+        |_, i| nonce(i),
+        |_, _| 1..=payload_blocks(payload_len),
+        |plain, i, counter, ks| {
+            let range = covered(counter, payload_len);
+            let dst = &mut plain[i * payload_len..(i + 1) * payload_len];
+            xor_into(&mut dst[range.clone()], &ciphertext(i)[range], ks);
+        },
+    );
     Ok(())
 }
 
@@ -233,14 +395,7 @@ pub fn open(
     ciphertext: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AeadError> {
-    let otk = poly_key(key, nonce);
-    let expected = compute_tag(&otk, aad, ciphertext);
-    if !tags_equal(&expected, tag) {
-        return Err(AeadError);
-    }
-    let cipher = ChaCha20::new(&key.0, &nonce.0);
-    cipher.apply_keystream_multi(1, ciphertext);
-    Ok(())
+    open_batch(key, &[*nonce], &[aad], &mut [ciphertext], &[*tag]).map_err(|_| AeadError)
 }
 
 #[cfg(test)]

@@ -61,9 +61,10 @@ pub(crate) fn scalar_block(
     }
 }
 
-/// XORs `src` into `dst` in `u64`-wide strides (plus a byte tail).
+/// XORs the first `dst.len()` bytes of `src` into `dst` in `u64`-wide
+/// strides (plus a byte tail).
 pub(crate) fn xor_bytes(dst: &mut [u8], src: &[u8]) {
-    debug_assert!(src.len() >= dst.len());
+    let src = &src[..dst.len()];
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
     for (dc, sc) in (&mut d).zip(&mut s) {
@@ -73,6 +74,24 @@ pub(crate) fn xor_bytes(dst: &mut [u8], src: &[u8]) {
     }
     for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *db ^= sb;
+    }
+}
+
+/// `dst = src ^ keystream[..dst.len()]`: [`xor_bytes`] for a destination
+/// that is not the source.
+pub(crate) fn xor_into(dst: &mut [u8], src: &[u8], keystream: &[u8]) {
+    assert_eq!(dst.len(), src.len());
+    let keystream = &keystream[..dst.len()];
+    let mut d = dst.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    let mut k = keystream.chunks_exact(8);
+    for ((dc, sc), kc) in (&mut d).zip(&mut s).zip(&mut k) {
+        let v = u64::from_ne_bytes(sc[..8].try_into().unwrap())
+            ^ u64::from_ne_bytes(kc[..8].try_into().unwrap());
+        dc.copy_from_slice(&v.to_ne_bytes());
+    }
+    for ((db, sb), kb) in d.into_remainder().iter_mut().zip(s.remainder()).zip(k.remainder()) {
+        *db = sb ^ kb;
     }
 }
 
@@ -102,13 +121,8 @@ impl ChaCha20 {
         Self { key: k, nonce: n }
     }
 
-    /// Creates a cipher directly from parsed key/nonce words (used by the
-    /// batch AEAD path, which parses each once per batch).
-    pub(crate) fn from_words(key: [u32; 8], nonce: [u32; 3]) -> Self {
-        Self { key, nonce }
-    }
-
-    /// The cipher's key words (for batch key-schedule reuse).
+    /// The cipher's parsed key words (the batch AEAD parses them once per
+    /// run and pairs them with each lane's own nonce).
     pub(crate) fn key_words(&self) -> &[u32; 8] {
         &self.key
     }

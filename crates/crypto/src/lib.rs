@@ -4,7 +4,8 @@
 //! and hashing. This offline reproduction provides the same capabilities:
 //!
 //! * [`chacha::ChaCha20`] — the RFC 8439 stream cipher.
-//! * [`poly1305::Poly1305`] — the RFC 8439 one-time authenticator.
+//! * [`poly1305::Poly1305`] — the RFC 8439 one-time authenticator
+//!   (64-bit limbs, the crate's only MAC).
 //! * [`aead`] — ChaCha20-Poly1305 authenticated encryption with associated
 //!   data, used to seal every block that leaves the enclave.
 //! * [`mod@sha256`] / [`hmac`] — hashing and keyed MACs for key derivation.
@@ -13,8 +14,10 @@
 //!   aggregation bucketing.
 //! * [`simd`] — runtime-dispatched SSE2/AVX2 multi-block ChaCha20 kernels
 //!   (scalar fallback everywhere else), feeding [`chacha::ChaCha20::blocks4`],
-//!   [`chacha::ChaCha20::apply_keystream_multi`], and the fused
-//!   [`aead::seal_batch`] / [`aead::open_batch`] pipeline.
+//!   [`chacha::ChaCha20::apply_keystream_multi`], and the AEAD's lane
+//!   schedule ([`aead::seal_batch`] / [`aead::open_batch`] and the strided
+//!   [`aead::seal_run`] / [`aead::open_run`]), which fills the kernels'
+//!   lanes across block boundaries.
 //!
 //! All primitives are validated against published test vectors in the unit
 //! tests and by property-based round-trip/tamper tests; every SIMD path is
@@ -36,7 +39,8 @@ pub mod simd;
 pub mod siphash;
 
 pub use aead::{
-    open, open_batch, seal, seal_batch, AeadError, AeadKey, BatchAeadError, Nonce, TAG_LEN,
+    open, open_batch, open_run, seal, seal_batch, seal_run, AeadError, AeadKey, BatchAeadError,
+    Nonce, TAG_LEN,
 };
 pub use hmac::hmac_sha256;
 pub use sha256::sha256;

@@ -1,253 +1,98 @@
 //! Poly1305 one-time authenticator (RFC 8439).
 //!
-//! This is a 32-bit limb implementation in the style of poly1305-donna-32:
-//! the accumulator and clamped `r` are held in five 26-bit limbs and
-//! multiplication/reduction is performed modulo 2^130 - 5 with 64-bit
-//! intermediates.
+//! A 64-bit limb implementation: the 130-bit accumulator is two full
+//! 64-bit limbs and a few-bit top limb, the clamped `r` two limbs, and one
+//! message block is one `h ← (h + m)·r mod 2^130 - 5` step of four
+//! 64×64→128-bit products, two small ones for the top limb, and add-with-
+//! carry chains — no masking or shifting between limbs, because the limbs
+//! are the machine's own words. The clamp clears the low two bits of
+//! `r`'s upper limb, so the `2^130 ≡ 5` wrap of that limb's products is
+//! the exact `s1 = r1 + (r1 >> 2)`.
 //!
-//! The bulk path ([`Poly1305::update_blocks`]) folds two message blocks
-//! per step in Horner form — `h ← (h + m0)·r² + m1·r` — so one carry
-//! chain covers 32 message bytes instead of 16. The final tag is
-//! bit-identical to the per-block path because [`Poly1305::finish`]
-//! performs the canonical reduction either way.
+//! The sealed-storage layer's messages are four to seven blocks long (a
+//! 16-byte AAD, a 25–73-byte row, the length block), so the step is kept
+//! short rather than wide: there is no `r²` to precompute and nothing to
+//! amortise. The AEAD feeds whole blocks straight from its inputs
+//! (`update_padded`); [`Poly1305::update`] is the general incremental
+//! interface and buffers at most one partial block.
 
 /// Byte length of a Poly1305 tag.
 pub const TAG_LEN: usize = 16;
 
-/// Multiplies two partially-reduced limb vectors modulo 2^130 - 5,
-/// returning limbs carried back below ~2^26. Inputs may be up to a few
-/// bits above 26 per limb; all intermediates fit in `u64`.
-fn mul_limbs(a: &[u32; 5], b: &[u32; 5]) -> [u32; 5] {
-    let a0 = a[0] as u64;
-    let a1 = a[1] as u64;
-    let a2 = a[2] as u64;
-    let a3 = a[3] as u64;
-    let a4 = a[4] as u64;
-    let b0 = b[0] as u64;
-    let b1 = b[1] as u64;
-    let b2 = b[2] as u64;
-    let b3 = b[3] as u64;
-    let b4 = b[4] as u64;
-    let s1 = b1 * 5;
-    let s2 = b2 * 5;
-    let s3 = b3 * 5;
-    let s4 = b4 * 5;
-
-    let d0 = a0 * b0 + a1 * s4 + a2 * s3 + a3 * s2 + a4 * s1;
-    let d1 = a0 * b1 + a1 * b0 + a2 * s4 + a3 * s3 + a4 * s2;
-    let d2 = a0 * b2 + a1 * b1 + a2 * b0 + a3 * s4 + a4 * s3;
-    let d3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * s4;
-    let d4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-    carry_reduce(d0, d1, d2, d3, d4)
-}
-
-/// Partial carry propagation shared by every multiply path: brings the
-/// five 64-bit accumulators back to limbs below ~2^26 (the top limb may
-/// exceed it by a few bits, which the next multiply absorbs).
-#[inline(always)]
-fn carry_reduce(mut d0: u64, mut d1: u64, mut d2: u64, mut d3: u64, mut d4: u64) -> [u32; 5] {
-    let mut c;
-    c = d0 >> 26;
-    let h0 = (d0 & 0x03ff_ffff) as u32;
-    d1 += c;
-    c = d1 >> 26;
-    let h1 = (d1 & 0x03ff_ffff) as u32;
-    d2 += c;
-    c = d2 >> 26;
-    let h2 = (d2 & 0x03ff_ffff) as u32;
-    d3 += c;
-    c = d3 >> 26;
-    let h3 = (d3 & 0x03ff_ffff) as u32;
-    d4 += c;
-    c = d4 >> 26;
-    let h4 = (d4 & 0x03ff_ffff) as u32;
-    d0 = (h0 as u64) + c * 5;
-    c = d0 >> 26;
-    let h0 = (d0 & 0x03ff_ffff) as u32;
-    let h1 = h1 + c as u32;
-    [h0, h1, h2, h3, h4]
-}
-
-/// Splits a 16-byte block into five 26-bit limbs, OR-ing `hibit`
-/// (the 2^128 marker for full blocks) into the top limb.
-#[inline(always)]
-fn block_limbs(block: &[u8], hibit: u32) -> [u32; 5] {
-    let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap());
-    let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap());
-    let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap());
-    let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap());
-    [
-        t0 & 0x03ff_ffff,
-        ((t0 >> 26) | (t1 << 6)) & 0x03ff_ffff,
-        ((t1 >> 20) | (t2 << 12)) & 0x03ff_ffff,
-        ((t2 >> 14) | (t3 << 18)) & 0x03ff_ffff,
-        (t3 >> 8) | hibit,
-    ]
-}
+/// The 2^128 marker a full 16-byte block carries, in the top limb.
+const HIBIT: u64 = 1;
 
 /// Incremental Poly1305 state.
 pub struct Poly1305 {
-    r: [u32; 5],
-    /// r² mod 2^130-5, precomputed for the two-blocks-per-step path.
-    rr: [u32; 5],
-    h: [u32; 5],
-    pad: [u32; 4],
+    r: [u64; 2],
+    h: [u64; 3],
+    pad: [u64; 2],
     leftover: usize,
     buffer: [u8; 16],
+}
+
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
 }
 
 impl Poly1305 {
     /// Initializes the authenticator with a 32-byte one-time key `(r, s)`.
     pub fn new(key: &[u8; 32]) -> Self {
-        let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap());
-        let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap());
-        let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap());
-        let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap());
-
-        // Clamp r per the spec and split into 26-bit limbs.
-        let r = [
-            t0 & 0x03ff_ffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x03ff_ff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x03ff_c0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x03f0_3fff,
-            (t3 >> 8) & 0x000f_ffff,
-        ];
-        let rr = mul_limbs(&r, &r);
-
-        let pad = [
-            u32::from_le_bytes(key[16..20].try_into().unwrap()),
-            u32::from_le_bytes(key[20..24].try_into().unwrap()),
-            u32::from_le_bytes(key[24..28].try_into().unwrap()),
-            u32::from_le_bytes(key[28..32].try_into().unwrap()),
-        ];
-
-        Self { r, rr, h: [0; 5], pad, leftover: 0, buffer: [0; 16] }
+        // Clamp r per the spec.
+        let r =
+            [le64(&key[0..8]) & 0x0fff_fffc_0fff_ffff, le64(&key[8..16]) & 0x0fff_fffc_0fff_fffc];
+        let pad = [le64(&key[16..24]), le64(&key[24..32])];
+        Self { r, h: [0; 3], pad, leftover: 0, buffer: [0; 16] }
     }
 
-    fn process_block(&mut self, block: &[u8; 16], hibit: u32) {
-        // h = (h + m) * r  (mod 2^130 - 5)
-        let m = block_limbs(block, hibit);
-        let t = [
-            self.h[0] + m[0],
-            self.h[1] + m[1],
-            self.h[2] + m[2],
-            self.h[3] + m[3],
-            self.h[4] + m[4],
-        ];
-        self.h = mul_limbs(&t, &self.r);
-    }
-
-    /// Folds two full message blocks at once: `h = (h + m0)·r² + m1·r`.
+    /// Absorbs whole 16-byte blocks: `h = (h + m) * r (mod 2^130 - 5)` per
+    /// block, `hibit` being the block's 2^128 marker (absent only from a
+    /// final partial block, which carries an explicit 0x01 byte instead).
     ///
-    /// One carry chain per 32 message bytes instead of one per 16. The
-    /// accumulated value is mathematically identical to two
-    /// `process_block` calls, so `finish` yields the same tag.
+    /// Inlined into its callers so that a whole AEAD tag — three short
+    /// feeds — keeps the accumulator in registers.
     #[inline(always)]
-    fn process_pair(&mut self, pair: &[u8]) {
-        let m0 = block_limbs(&pair[..16], 1 << 24);
-        let m1 = block_limbs(&pair[16..32], 1 << 24);
-        let t0 = (self.h[0] + m0[0]) as u64;
-        let t1 = (self.h[1] + m0[1]) as u64;
-        let t2 = (self.h[2] + m0[2]) as u64;
-        let t3 = (self.h[3] + m0[3]) as u64;
-        let t4 = (self.h[4] + m0[4]) as u64;
-        let u0 = m1[0] as u64;
-        let u1 = m1[1] as u64;
-        let u2 = m1[2] as u64;
-        let u3 = m1[3] as u64;
-        let u4 = m1[4] as u64;
+    fn absorb(&mut self, blocks: &[u8], hibit: u64) {
+        debug_assert_eq!(blocks.len() % 16, 0);
+        let [r0, r1] = self.r;
+        let s1 = r1 + (r1 >> 2);
+        let [mut h0, mut h1, mut h2] = self.h;
+        let mul = |a: u64, b: u64| u128::from(a) * u128::from(b);
+        for block in blocks.chunks_exact(16) {
+            // h += m. The top limb stays below 8: at most 4 after a block's
+            // reduction, plus this carry and the marker.
+            let t0 = u128::from(h0) + u128::from(le64(&block[..8]));
+            let t1 = u128::from(h1) + u128::from(le64(&block[8..])) + (t0 >> 64);
+            (h0, h1) = (t0 as u64, t1 as u64);
+            h2 += (t1 >> 64) as u64 + hibit;
 
-        let q0 = self.rr[0] as u64;
-        let q1 = self.rr[1] as u64;
-        let q2 = self.rr[2] as u64;
-        let q3 = self.rr[3] as u64;
-        let q4 = self.rr[4] as u64;
-        let qs1 = q1 * 5;
-        let qs2 = q2 * 5;
-        let qs3 = q3 * 5;
-        let qs4 = q4 * 5;
-        let r0 = self.r[0] as u64;
-        let r1 = self.r[1] as u64;
-        let r2 = self.r[2] as u64;
-        let r3 = self.r[3] as u64;
-        let r4 = self.r[4] as u64;
-        let s1 = r1 * 5;
-        let s2 = r2 * 5;
-        let s3 = r3 * 5;
-        let s4 = r4 * 5;
+            // h *= r: r0 < 2^60 and s1 < 2^62, so every sum fits its type.
+            let d0 = mul(h0, r0) + mul(h1, s1);
+            let d1 = mul(h0, r1) + mul(h1, r0) + u128::from(h2 * s1) + (d0 >> 64);
+            h2 = h2 * r0 + (d1 >> 64) as u64;
 
-        // (h + m0)·r² + m1·r, fused into one set of accumulators. Worst
-        // case per accumulator is ~2^59.6 — comfortably inside u64.
-        let d0 = t0 * q0
-            + t1 * qs4
-            + t2 * qs3
-            + t3 * qs2
-            + t4 * qs1
-            + u0 * r0
-            + u1 * s4
-            + u2 * s3
-            + u3 * s2
-            + u4 * s1;
-        let d1 = t0 * q1
-            + t1 * q0
-            + t2 * qs4
-            + t3 * qs3
-            + t4 * qs2
-            + u0 * r1
-            + u1 * r0
-            + u2 * s4
-            + u3 * s3
-            + u4 * s2;
-        let d2 = t0 * q2
-            + t1 * q1
-            + t2 * q0
-            + t3 * qs4
-            + t4 * qs3
-            + u0 * r2
-            + u1 * r1
-            + u2 * r0
-            + u3 * s4
-            + u4 * s3;
-        let d3 = t0 * q3
-            + t1 * q2
-            + t2 * q1
-            + t3 * q0
-            + t4 * qs4
-            + u0 * r3
-            + u1 * r2
-            + u2 * r1
-            + u3 * r0
-            + u4 * s4;
-        let d4 = t0 * q4
-            + t1 * q3
-            + t2 * q2
-            + t3 * q1
-            + t4 * q0
-            + u0 * r4
-            + u1 * r3
-            + u2 * r2
-            + u3 * r1
-            + u4 * r0;
-        self.h = carry_reduce(d0, d1, d2, d3, d4);
+            // Fold everything above 2^130 back in, times 5.
+            let t0 = u128::from(d0 as u64) + u128::from((h2 >> 2) + (h2 & !3));
+            let t1 = u128::from(d1 as u64) + (t0 >> 64);
+            (h0, h1) = (t0 as u64, t1 as u64);
+            h2 = (h2 & 3) + (t1 >> 64) as u64;
+        }
+        self.h = [h0, h1, h2];
     }
 
-    /// Absorbs whole 16-byte message blocks through the two-blocks-per-
-    /// step Horner path. `blocks.len()` must be a multiple of 16; if a
-    /// partial block is currently buffered this degrades to [`Self::update`]
-    /// (the result is identical either way).
-    pub fn update_blocks(&mut self, blocks: &[u8]) {
-        assert_eq!(blocks.len() % 16, 0, "update_blocks requires whole 16-byte blocks");
-        if self.leftover > 0 {
-            self.update(blocks);
-            return;
-        }
-        let mut pairs = blocks.chunks_exact(32);
-        for pair in &mut pairs {
-            self.process_pair(pair);
-        }
-        let rem = pairs.remainder();
-        if !rem.is_empty() {
-            self.process_block(rem.try_into().unwrap(), 1 << 24);
+    /// Absorbs `data` followed by zero bytes up to the next 16-byte
+    /// boundary — the AEAD construction's `pad16` (RFC 8439 §2.8) — with
+    /// every block read straight from `data` and only a partial tail
+    /// copied. Requires a block-aligned state (no buffered partial block).
+    #[inline(always)]
+    pub(crate) fn update_padded(&mut self, data: &[u8]) {
+        assert_eq!(self.leftover, 0, "update_padded needs a block-aligned state");
+        let (whole, tail) = data.split_at(data.len() & !15);
+        self.absorb(whole, HIBIT);
+        if !tail.is_empty() {
+            let mut last = [0u8; 16];
+            last[..tail.len()].copy_from_slice(tail);
+            self.absorb(&last, HIBIT);
         }
     }
 
@@ -262,19 +107,13 @@ impl Poly1305 {
                 return;
             }
             let block = self.buffer;
-            self.process_block(&block, 1 << 24);
+            self.absorb(&block, HIBIT);
             self.leftover = 0;
         }
-        let full = data.len() & !15;
-        if full > 0 {
-            let (blocks, rest) = data.split_at(full);
-            self.update_blocks(blocks);
-            data = rest;
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.leftover = data.len();
-        }
+        let (whole, tail) = data.split_at(data.len() & !15);
+        self.absorb(whole, HIBIT);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.leftover = tail.len();
     }
 
     /// Finishes and returns the 16-byte tag.
@@ -283,79 +122,25 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.leftover].copy_from_slice(&self.buffer[..self.leftover]);
             block[self.leftover] = 1;
-            self.process_block(&block, 0);
+            self.absorb(&block, 0);
         }
+        // h < 2p here (top limb at most 4), so one conditional subtraction
+        // is the full reduction: g = h + 5 reaches 2^130 exactly when
+        // h >= p, and then g mod 2^130 is h - p. Branch-free select.
+        let [h0, h1, h2] = self.h;
+        let g0 = u128::from(h0) + 5;
+        let g1 = u128::from(h1) + (g0 >> 64);
+        let g2 = h2 + (g1 >> 64) as u64;
+        let take_g = 0u64.wrapping_sub(g2 >> 2);
+        let h0 = (h0 & !take_g) | (g0 as u64 & take_g);
+        let h1 = (h1 & !take_g) | (g1 as u64 & take_g);
 
-        // Full carry propagation.
-        let mut h0 = self.h[0];
-        let mut h1 = self.h[1];
-        let mut h2 = self.h[2];
-        let mut h3 = self.h[3];
-        let mut h4 = self.h[4];
-
-        let mut c;
-        c = h1 >> 26;
-        h1 &= 0x03ff_ffff;
-        h2 += c;
-        c = h2 >> 26;
-        h2 &= 0x03ff_ffff;
-        h3 += c;
-        c = h3 >> 26;
-        h3 &= 0x03ff_ffff;
-        h4 += c;
-        c = h4 >> 26;
-        h4 &= 0x03ff_ffff;
-        h0 += c * 5;
-        c = h0 >> 26;
-        h0 &= 0x03ff_ffff;
-        h1 += c;
-
-        // Compute h + -p to check whether h >= p.
-        let mut g0 = h0.wrapping_add(5);
-        c = g0 >> 26;
-        g0 &= 0x03ff_ffff;
-        let mut g1 = h1.wrapping_add(c);
-        c = g1 >> 26;
-        g1 &= 0x03ff_ffff;
-        let mut g2 = h2.wrapping_add(c);
-        c = g2 >> 26;
-        g2 &= 0x03ff_ffff;
-        let mut g3 = h3.wrapping_add(c);
-        c = g3 >> 26;
-        g3 &= 0x03ff_ffff;
-        let g4 = h4.wrapping_add(c).wrapping_sub(1 << 26);
-
-        // Select h if h < p, else g.
-        let mask = (g4 >> 31).wrapping_sub(1);
-        g0 &= mask;
-        g1 &= mask;
-        g2 &= mask;
-        g3 &= mask;
-        let g4m = g4 & mask;
-        let inv = !mask;
-        h0 = (h0 & inv) | g0;
-        h1 = (h1 & inv) | g1;
-        h2 = (h2 & inv) | g2;
-        h3 = (h3 & inv) | g3;
-        h4 = (h4 & inv) | g4m;
-
-        // Serialize to four 32-bit words.
-        let w0 = h0 | (h1 << 26);
-        let w1 = (h1 >> 6) | (h2 << 20);
-        let w2 = (h2 >> 12) | (h3 << 14);
-        let w3 = (h3 >> 18) | (h4 << 8);
-
-        // Add s (the pad) with carry.
+        // tag = (h + s) mod 2^128.
+        let lo = u128::from(h0) + u128::from(self.pad[0]);
+        let hi = h1.wrapping_add(self.pad[1]).wrapping_add((lo >> 64) as u64);
         let mut tag = [0u8; TAG_LEN];
-        let mut f: u64;
-        f = w0 as u64 + self.pad[0] as u64;
-        tag[0..4].copy_from_slice(&(f as u32).to_le_bytes());
-        f = w1 as u64 + self.pad[1] as u64 + (f >> 32);
-        tag[4..8].copy_from_slice(&(f as u32).to_le_bytes());
-        f = w2 as u64 + self.pad[2] as u64 + (f >> 32);
-        tag[8..12].copy_from_slice(&(f as u32).to_le_bytes());
-        f = w3 as u64 + self.pad[3] as u64 + (f >> 32);
-        tag[12..16].copy_from_slice(&(f as u32).to_le_bytes());
+        tag[..8].copy_from_slice(&(lo as u64).to_le_bytes());
+        tag[8..].copy_from_slice(&hi.to_le_bytes());
         tag
     }
 
@@ -372,13 +157,11 @@ impl Drop for Poly1305 {
     /// `black_box` barrier keeps the dead stores from being optimized
     /// away.
     fn drop(&mut self) {
-        self.r = [0; 5];
-        self.rr = [0; 5];
-        self.h = [0; 5];
-        self.pad = [0; 4];
+        self.r = [0; 2];
+        self.h = [0; 3];
+        self.pad = [0; 2];
         self.buffer = [0; 16];
         core::hint::black_box(&self.r);
-        core::hint::black_box(&self.rr);
         core::hint::black_box(&self.h);
         core::hint::black_box(&self.pad);
         core::hint::black_box(&self.buffer);
@@ -428,31 +211,20 @@ mod tests {
         }
     }
 
-    /// The pairwise Horner path must produce the exact tag of the
-    /// per-block path for every block count and phase.
+    /// `update_padded(data)` is `update(data)` plus zeros to the next
+    /// block boundary, for every tail length.
     #[test]
-    fn update_blocks_matches_per_block_reference() {
+    fn update_padded_matches_update_plus_zero_padding() {
         let key: [u8; 32] = core::array::from_fn(|i| (i * 7 + 1) as u8);
         let msg: Vec<u8> = (0u8..=255).cycle().take(16 * 9).collect();
-        for blocks in 0..=9usize {
-            let len = blocks * 16;
-            // Reference: strictly one block at a time.
+        for len in 0..=msg.len() {
             let mut reference = Poly1305::new(&key);
-            for b in msg[..len].chunks_exact(16) {
-                reference.update(&b[..8]);
-                reference.update(&b[8..]);
-            }
+            reference.update(&msg[..len]);
+            reference.update(&[0u8; 16][..(16 - len % 16) % 16]);
             let mut fast = Poly1305::new(&key);
-            fast.update_blocks(&msg[..len]);
-            assert_eq!(fast.finish(), reference.finish(), "{blocks} blocks");
+            fast.update_padded(&msg[..len]);
+            assert_eq!(fast.finish(), reference.finish(), "{len} bytes");
         }
-        // With a buffered partial block it degrades gracefully.
-        let mut fast = Poly1305::new(&key);
-        fast.update(&msg[..5]);
-        fast.update_blocks(&msg[5..5 + 64]);
-        let mut reference = Poly1305::new(&key);
-        reference.update(&msg[..5 + 64]);
-        assert_eq!(fast.finish(), reference.finish());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! keystream block per round pass. The kernels here run the identical
 //! round function over **lanes** of independent blocks held column-wise in
 //! vector registers — 4 lanes in SSE2 `__m128i`, 8 lanes in AVX2
-//! `__m256i` — so one pass of 20 rounds yields 4 or 8 blocks. Each lane
-//! carries its own counter *and* nonce words, which lets the AEAD layer
-//! derive the Poly1305 one-time keys for several sealed blocks in a
-//! single pass ([`crate::aead::seal_batch`]).
+//! `__m256i` — so one pass of 20 rounds yields 4 or 8 blocks, written out
+//! lane by lane through a vector transpose. Each lane carries its own
+//! counter *and* nonce words, which lets the AEAD layer fill a pass with
+//! whatever a run of sealed blocks needs next — one-time keys and payload
+//! keystream of different blocks side by side ([`crate::aead`]).
 //!
 //! # Dispatch
 //!
@@ -114,8 +115,8 @@ pub fn force(backend: Option<Backend>) {
 /// Fills `out` (`64 * counters.len()` bytes) with one keystream block per
 /// lane: lane `i` is the ChaCha20 block for `(key, counters[i],
 /// nonces[i])`. Lanes are independent — different counters under one
-/// nonce (bulk keystream) or different nonces at counter 0 (batched
-/// Poly1305 key derivation) are both one call.
+/// nonce (bulk keystream), different nonces at counter 0 (Poly1305 key
+/// derivation), or the AEAD's mix of both are all one call.
 pub(crate) fn keystream_blocks(
     key: &[u32; 8],
     counters: &[u32],
@@ -229,7 +230,7 @@ mod x86 {
         nonces: &[[u32; 3]],
         out: &mut [u8],
     ) {
-        debug_assert!(counters.len() >= 4 && nonces.len() >= 4 && out.len() >= 256);
+        debug_assert!(counters.len() >= 4 && nonces.len() >= 4);
         let mut v = [_mm_setzero_si128(); 16];
         for w in 0..4 {
             v[w] = _mm_set1_epi32(SIGMA[w] as i32);
@@ -262,15 +263,29 @@ mod x86 {
             quarter128!(v, 2, 7, 8, 13);
             quarter128!(v, 3, 4, 9, 14);
         }
-        let mut ws = [[0u32; 4]; 16];
         for w in 0..16 {
-            let fed = _mm_add_epi32(v[w], initial[w]);
-            _mm_storeu_si128(ws[w].as_mut_ptr() as *mut __m128i, fed);
+            v[w] = _mm_add_epi32(v[w], initial[w]);
         }
-        for lane in 0..4 {
-            for w in 0..16 {
-                let at = lane * 64 + w * 4;
-                out[at..at + 4].copy_from_slice(&ws[w][lane].to_le_bytes());
+        // Transpose word-major vectors into lane-major bytes: each group
+        // of four word vectors is a 4×4 matrix whose columns are 16
+        // consecutive bytes of one lane's block.
+        let out = &mut out[..256];
+        for q in 0..4 {
+            let lo01 = _mm_unpacklo_epi32(v[4 * q], v[4 * q + 1]);
+            let hi01 = _mm_unpackhi_epi32(v[4 * q], v[4 * q + 1]);
+            let lo23 = _mm_unpacklo_epi32(v[4 * q + 2], v[4 * q + 3]);
+            let hi23 = _mm_unpackhi_epi32(v[4 * q + 2], v[4 * q + 3]);
+            let lanes = [
+                _mm_unpacklo_epi64(lo01, lo23),
+                _mm_unpackhi_epi64(lo01, lo23),
+                _mm_unpacklo_epi64(hi01, hi23),
+                _mm_unpackhi_epi64(hi01, hi23),
+            ];
+            for (lane, row) in lanes.into_iter().enumerate() {
+                let at = lane * 64 + q * 16;
+                // SAFETY: `at + 16 <= 256 == out.len()` (sliced above), and
+                // `storeu` has no alignment requirement.
+                _mm_storeu_si128(out[at..at + 16].as_mut_ptr() as *mut __m128i, row);
             }
         }
     }
@@ -286,7 +301,7 @@ mod x86 {
         nonces: &[[u32; 3]],
         out: &mut [u8],
     ) {
-        debug_assert!(counters.len() >= 8 && nonces.len() >= 8 && out.len() >= 512);
+        debug_assert!(counters.len() >= 8 && nonces.len() >= 8);
         let mut v = [_mm256_setzero_si256(); 16];
         for w in 0..4 {
             v[w] = _mm256_set1_epi32(SIGMA[w] as i32);
@@ -327,15 +342,40 @@ mod x86 {
             quarter256!(v, 2, 7, 8, 13);
             quarter256!(v, 3, 4, 9, 14);
         }
-        let mut ws = [[0u32; 8]; 16];
         for w in 0..16 {
-            let fed = _mm256_add_epi32(v[w], initial[w]);
-            _mm256_storeu_si256(ws[w].as_mut_ptr() as *mut __m256i, fed);
+            v[w] = _mm256_add_epi32(v[w], initial[w]);
         }
-        for lane in 0..8 {
-            for w in 0..16 {
-                let at = lane * 64 + w * 4;
-                out[at..at + 4].copy_from_slice(&ws[w][lane].to_le_bytes());
+        // Transpose word-major vectors into lane-major bytes: each half of
+        // the state (words 0–7, 8–15) is an 8×8 matrix whose columns are
+        // 32 consecutive bytes of one lane's block.
+        let out = &mut out[..512];
+        for half in 0..2 {
+            let r = &v[8 * half..8 * half + 8];
+            // 32-bit then 64-bit interleaves: `quads[2p + h]` holds, per
+            // 128-bit half, words 4h..4h+4 of lanes p (low) and p + 4 (high).
+            let mut quads = [_mm256_setzero_si256(); 8];
+            for h in 0..2 {
+                let lo01 = _mm256_unpacklo_epi32(r[4 * h], r[4 * h + 1]);
+                let hi01 = _mm256_unpackhi_epi32(r[4 * h], r[4 * h + 1]);
+                let lo23 = _mm256_unpacklo_epi32(r[4 * h + 2], r[4 * h + 3]);
+                let hi23 = _mm256_unpackhi_epi32(r[4 * h + 2], r[4 * h + 3]);
+                quads[h] = _mm256_unpacklo_epi64(lo01, lo23);
+                quads[2 + h] = _mm256_unpackhi_epi64(lo01, lo23);
+                quads[4 + h] = _mm256_unpacklo_epi64(hi01, hi23);
+                quads[6 + h] = _mm256_unpackhi_epi64(hi01, hi23);
+            }
+            for p in 0..4 {
+                let (a, b) = (quads[2 * p], quads[2 * p + 1]);
+                let rows = [
+                    (p, _mm256_permute2x128_si256::<0x20>(a, b)),
+                    (p + 4, _mm256_permute2x128_si256::<0x31>(a, b)),
+                ];
+                for (lane, row) in rows {
+                    let at = lane * 64 + half * 32;
+                    // SAFETY: `at + 32 <= 512 == out.len()` (sliced above),
+                    // and `storeu` has no alignment requirement.
+                    _mm256_storeu_si256(out[at..at + 32].as_mut_ptr() as *mut __m256i, row);
+                }
             }
         }
     }

@@ -461,29 +461,28 @@ impl SealedRegion {
             );
         }
         let parts = self.partitions(count);
-        let (key, region, revisions) = (self.key.clone(), self.region, &self.revisions[..]);
+        let (key, region, revisions) = (&self.key, self.region, &self.revisions[..]);
         let scratch =
             &mut self.scratch[scratch_row * payload_len..(scratch_row + count) * payload_len];
         if parts.len() <= 1 {
             return open_run(
-                &key,
+                key,
                 region,
                 payload_len,
                 revisions,
                 start,
                 indices,
                 0,
-                &mut self.batch,
+                &self.batch,
                 scratch,
             );
         }
         let pool = self.pool;
         let mut jobs = Vec::with_capacity(parts.len());
-        let mut batch_rest = &mut self.batch[..];
+        let mut batch_rest = &self.batch[..];
         let mut scratch_rest = scratch;
-        let key = &key;
         for (off, n) in parts {
-            let (sealed_part, b_rest) = batch_rest.split_at_mut(n * sealed_len);
+            let (sealed_part, b_rest) = batch_rest.split_at(n * sealed_len);
             let (plain_part, s_rest) = scratch_rest.split_at_mut(n * payload_len);
             batch_rest = b_rest;
             scratch_rest = s_rest;
@@ -595,7 +594,7 @@ impl SealedRegion {
             // skip the AEAD entirely — the zeroed batch buffer above is
             // what crosses. Revision/counter bookkeeping stays identical.
             for i in 0..count {
-                let index = indices.map_or(start + i as u64, |idx| idx[i]);
+                let index = batch_index(start, indices, i);
                 self.revisions[index as usize] += 1;
                 self.write_counter += 1;
             }
@@ -608,7 +607,7 @@ impl SealedRegion {
         // AEAD, partitioned across the pool when one is installed.
         let mut reserved: Vec<(u64, u64)> = Vec::with_capacity(count);
         for i in 0..count {
-            let index = indices.map_or(start + i as u64, |idx| idx[i]);
+            let index = batch_index(start, indices, i);
             let slot = &mut self.revisions[index as usize];
             *slot += 1;
             self.write_counter += 1;
@@ -789,6 +788,12 @@ impl SealedRegion {
     }
 }
 
+/// The absolute block index at batch position `pos`: `indices[pos]` for a
+/// gather/scatter batch, `start + pos` for a contiguous one.
+fn batch_index(start: u64, indices: Option<&[u64]>, pos: usize) -> u64 {
+    indices.map_or(start + pos as u64, |idx| idx[pos])
+}
+
 /// The per-block AAD: block index ‖ revision, little-endian.
 fn block_aad(index: u64, revision: u64) -> [u8; 16] {
     let mut aad = [0u8; 16];
@@ -799,12 +804,11 @@ fn block_aad(index: u64, revision: u64) -> [u8; 16] {
 
 /// Seals a run of payloads into the matching sealed staging slice
 /// (`nonce ‖ ciphertext ‖ tag` per block) with pre-assigned (revision,
-/// nonce counter) pairs, through one fused [`aead::seal_batch`] call —
-/// the key schedule is parsed once and one-time keys derive in multi-lane
-/// SIMD sweeps. Block `i` of the run sits at batch position `pos_off + i`;
-/// `reserved` is indexed by batch position. Pure function of its inputs —
-/// the unit both the serial path and pool workers execute per run, and
-/// byte-identical to the historical per-block seal loop.
+/// nonce counter) pairs, through one [`aead::seal_run`] call over the
+/// strided staging buffer. Block `i` of the run sits at batch position
+/// `pos_off + i`; `reserved` is indexed by batch position. Pure function
+/// of its inputs — the unit both the serial path and pool workers execute
+/// per run, and byte-identical to a per-block seal loop.
 #[allow(clippy::too_many_arguments)]
 fn seal_run(
     key: &AeadKey,
@@ -817,40 +821,24 @@ fn seal_run(
     payload_run: &[u8],
     sealed_run: &mut [u8],
 ) {
-    let sealed_len = payload_len + SEAL_OVERHEAD;
-    let count = sealed_run.len() / sealed_len;
-    let mut nonces = Vec::with_capacity(count);
-    let mut aads: Vec<[u8; 16]> = Vec::with_capacity(count);
-    let mut ciphertexts: Vec<&mut [u8]> = Vec::with_capacity(count);
-    let mut tag_slots: Vec<&mut [u8]> = Vec::with_capacity(count);
-    for (i, sealed) in sealed_run.chunks_exact_mut(sealed_len).enumerate() {
-        let pos = pos_off + i;
-        let index = indices.map_or(start + pos as u64, |idx| idx[pos]);
-        let (revision, counter) = reserved[pos];
-        let nonce = Nonce::from_parts(region.0, counter);
-        sealed[..NONCE_LEN].copy_from_slice(&nonce.0);
-        sealed[NONCE_LEN..NONCE_LEN + payload_len]
-            .copy_from_slice(&payload_run[i * payload_len..(i + 1) * payload_len]);
-        nonces.push(nonce);
-        aads.push(block_aad(index, revision));
-        let (head, tag) = sealed.split_at_mut(NONCE_LEN + payload_len);
-        ciphertexts.push(&mut head[NONCE_LEN..]);
-        tag_slots.push(tag);
-    }
-    let aad_refs: Vec<&[u8]> = aads.iter().map(|a| a.as_slice()).collect();
-    let mut tags = vec![[0u8; TAG_LEN]; count];
-    aead::seal_batch(key, &nonces, &aad_refs, &mut ciphertexts, &mut tags);
-    for (slot, tag) in tag_slots.iter_mut().zip(tags.iter()) {
-        slot.copy_from_slice(tag);
-    }
+    let index = |i: usize| batch_index(start, indices, pos_off + i);
+    aead::seal_run(
+        key,
+        payload_len,
+        payload_run,
+        sealed_run,
+        |i| Nonce::from_parts(region.0, reserved[pos_off + i].1),
+        |i| block_aad(index(i), reserved[pos_off + i].0),
+    );
 }
 
 /// Opens a run of staged sealed blocks into the matching plaintext slice
-/// through one fused [`aead::open_batch`] call. Block `i` of the run sits
-/// at batch position `pos_off + i`; its absolute index is `indices[pos]`
-/// when given, else `start + pos`. Every tag in the run is verified
-/// before anything decrypts; the error reports the run's first failing
-/// block in batch order, exactly as the historical per-block loop did.
+/// through one [`aead::open_run`] call over the strided staging buffer.
+/// Block `i` of the run sits at batch position `pos_off + i`; its
+/// absolute index is `indices[pos]` when given, else `start + pos`. Every
+/// tag in the run is verified before anything decrypts; the error reports
+/// the run's first failing block in batch order, exactly as a per-block
+/// loop would.
 #[allow(clippy::too_many_arguments)]
 fn open_run(
     key: &AeadKey,
@@ -860,35 +848,14 @@ fn open_run(
     start: u64,
     indices: Option<&[u64]>,
     pos_off: usize,
-    sealed_run: &mut [u8],
+    sealed_run: &[u8],
     plain_run: &mut [u8],
 ) -> Result<(), StorageError> {
-    let sealed_len = payload_len + SEAL_OVERHEAD;
-    let count = sealed_run.len() / sealed_len;
-    let mut nonces = Vec::with_capacity(count);
-    let mut aads: Vec<[u8; 16]> = Vec::with_capacity(count);
-    let mut abs_indices = Vec::with_capacity(count);
-    let mut ciphertexts: Vec<&mut [u8]> = Vec::with_capacity(count);
-    let mut tags: Vec<[u8; TAG_LEN]> = Vec::with_capacity(count);
-    for (i, sealed) in sealed_run.chunks_exact_mut(sealed_len).enumerate() {
-        let pos = pos_off + i;
-        let index = indices.map_or(start + pos as u64, |idx| idx[pos]);
-        let revision = revisions[index as usize];
-        abs_indices.push(index);
-        let (nonce_bytes, rest) = sealed.split_at_mut(NONCE_LEN);
-        let (ciphertext, tag) = rest.split_at_mut(payload_len);
-        nonces.push(Nonce((&*nonce_bytes).try_into().expect("nonce length")));
-        tags.push((&*tag).try_into().expect("tag length"));
-        aads.push(block_aad(index, revision));
-        ciphertexts.push(ciphertext);
-    }
-    let aad_refs: Vec<&[u8]> = aads.iter().map(|a| a.as_slice()).collect();
-    aead::open_batch(key, &nonces, &aad_refs, &mut ciphertexts, &tags)
-        .map_err(|e| StorageError::TamperDetected { region, index: abs_indices[e.index] })?;
-    for (i, ciphertext) in ciphertexts.iter().enumerate() {
-        plain_run[i * payload_len..(i + 1) * payload_len].copy_from_slice(ciphertext);
-    }
-    Ok(())
+    let index = |i: usize| batch_index(start, indices, pos_off + i);
+    aead::open_run(key, payload_len, sealed_run, plain_run, |i| {
+        block_aad(index(i), revisions[index(i) as usize])
+    })
+    .map_err(|e| StorageError::TamperDetected { region, index: index(e.index) })
 }
 
 /// A streaming cursor over a [`SealedRegion`]: yields the region's

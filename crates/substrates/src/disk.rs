@@ -278,7 +278,8 @@ impl DiskMemory {
                     ),
                 ));
             }
-            regions[id] = Some(DiskRegion { file, path, block_size, blocks, written, listed: true });
+            regions[id] =
+                Some(DiskRegion { file, path, block_size, blocks, written, listed: true });
         }
         if at != meta.len() {
             return Err(bad("trailing bytes"));

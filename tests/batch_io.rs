@@ -133,6 +133,86 @@ fn tamper_inside_batch_reports_exact_block() {
     }
 }
 
+/// The batch AEAD's lane schedule is invisible from outside: at the row
+/// sizes the engine seals (and a 1-byte payload), for run lengths around
+/// the 8-lane group and the 256-block chunk, `write_batch` and
+/// `write_batch_at` leave exactly the host bytes a per-block `write` loop
+/// leaves, and a tampered block fails `read_batch` at the same absolute
+/// index a per-block `read` loop fails at.
+#[test]
+fn batched_writes_leave_per_block_host_bytes_at_engine_row_sizes() {
+    let mut rng = EnclaveRng::seed_from_u64(0x13_AEAD);
+    for payload in [1usize, 25, 49, 73] {
+        for count in [1usize, 7, 8, 9, 255, 256] {
+            let key = AeadKey([payload as u8; 32]);
+            let (mut batched_host, mut loop_host) = (Host::new(), Host::new());
+            let mut batched =
+                SealedRegion::create(&mut batched_host, key.clone(), count, payload).unwrap();
+            let mut looped = SealedRegion::create(&mut loop_host, key, count, payload).unwrap();
+            let region = batched.region_id();
+            assert_eq!(region, looped.region_id(), "same region id, hence same nonces");
+            let same_host_bytes = |a: &mut Host, b: &mut Host, what: &str| {
+                for i in 0..count as u64 {
+                    assert_eq!(
+                        a.read(region, i).unwrap().to_vec(),
+                        b.read(region, i).unwrap(),
+                        "payload {payload} × {count}: block {i} after {what}"
+                    );
+                }
+            };
+
+            let mut data = vec![0u8; count * payload];
+            rng.fill(&mut data);
+            batched.write_batch(&mut batched_host, 0, &data).unwrap();
+            for (i, row) in data.chunks_exact(payload).enumerate() {
+                looped.write(&mut loop_host, i as u64, row).unwrap();
+            }
+            same_host_bytes(&mut batched_host, &mut loop_host, "write_batch");
+
+            // Scatter: every block once, back to front.
+            let indices: Vec<u64> = (0..count as u64).rev().collect();
+            rng.fill(&mut data);
+            batched.write_batch_at(&mut batched_host, &indices, &data).unwrap();
+            for (&index, row) in indices.iter().zip(data.chunks_exact(payload)) {
+                looped.write(&mut loop_host, index, row).unwrap();
+            }
+            same_host_bytes(&mut batched_host, &mut loop_host, "write_batch_at");
+
+            // Tamper with one block — and the last one too, which must not
+            // win — in both stores, compare, and flip the bits back.
+            let last = count as u64 - 1;
+            for victim in [0, 7, 8, last].into_iter().filter(|&v| v <= last) {
+                let mut hits = vec![victim, last];
+                hits.dedup();
+                let flip = |batched_host: &mut Host, loop_host: &mut Host| {
+                    for &index in &hits {
+                        for host in [&mut *batched_host, &mut *loop_host] {
+                            host.adversary_corrupt(region, index, |b| b[b.len() / 2] ^= 0x40);
+                        }
+                    }
+                };
+                flip(&mut batched_host, &mut loop_host);
+                let per_block = (0..count as u64)
+                    .find_map(|i| looped.read(&mut loop_host, i).err())
+                    .expect("a tampered block fails its read");
+                assert_eq!(per_block, StorageError::TamperDetected { region, index: victim });
+                assert_eq!(
+                    batched.read_batch(&mut batched_host, 0, count).unwrap_err(),
+                    per_block,
+                    "payload {payload} × {count}: victim {victim}"
+                );
+                flip(&mut batched_host, &mut loop_host);
+            }
+            // The stores are whole again and still agree with the data.
+            let all = batched.read_batch(&mut batched_host, 0, count).unwrap().to_vec();
+            for (&index, row) in indices.iter().zip(data.chunks_exact(payload)) {
+                let at = index as usize * payload;
+                assert_eq!(&all[at..at + payload], row, "payload {payload} × {count}");
+            }
+        }
+    }
+}
+
 fn schema() -> Schema {
     Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)])
 }

@@ -152,6 +152,10 @@ fn transaction_commit_traces_equal_serial_traces() {
         "INSERT INTO t VALUES (2, 20)",
         "UPDATE t SET v = 99 WHERE k = 1",
     ];
+    // This test takes the host trace itself, so the per-statement auditor
+    // (which borrows the same trace) stays off whatever `OBLIDB_AUDIT`
+    // says; the audited variant lives in `tests/telemetry.rs`.
+    let epoch_config = || DbConfig { audit: false, ..epoch_config() };
 
     // Serial oracle trace over the three statements.
     let mut solo = Database::with_memory(Host::new(), epoch_config());
