@@ -1,5 +1,6 @@
 //! Comparison systems for the ObliDB evaluation, re-implemented on the same
-//! enclave substrate (see DESIGN.md §2 for the substitution rationale).
+//! enclave substrate, so every system pays the same simulated boundary and
+//! the comparison isolates the algorithms.
 //!
 //! * [`opaque`] — Opaque's oblivious mode: full-table scans and oblivious
 //!   sorts for every operator (Zheng et al., NSDI'17).
@@ -9,6 +10,8 @@
 //!   Roche et al. (S&P'16).
 //! * [`mysql_like`] — a conventional non-oblivious B-tree index standing in
 //!   for MySQL in the point-query comparison (Figure 9).
+//! * [`paper_rules`] — the paper's closed-form §5 planner rules, the
+//!   reference the engine's measured planner is compared against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,4 +19,5 @@
 pub mod hirb;
 pub mod mysql_like;
 pub mod opaque;
+pub mod paper_rules;
 pub mod plain;

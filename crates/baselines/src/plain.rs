@@ -1,5 +1,5 @@
 //! A conventional in-memory engine with **no security guarantees** — the
-//! stand-in for Spark SQL in Figure 7 (see DESIGN.md §2).
+//! stand-in for Spark SQL in Figure 7.
 //!
 //! Data lives in plain `Vec`s, predicates short-circuit, joins use an
 //! ordinary hash map: every data-dependent branch the oblivious engine

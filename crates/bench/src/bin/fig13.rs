@@ -2,23 +2,25 @@
 //!
 //! Four scenarios — {5 %, 95 %} of the table retrieved × {contiguous,
 //! scattered} — timed under every applicable forced algorithm, plus the
-//! planner's own (starred) choice. Paper result: the planner's pick beats
+//! engine planner's own choice, with the operator the paper's closed-form
+//! §5 rule would take beside it. Paper result: the planner's pick beats
 //! the asymptotically-optimal Hash algorithm by 4.6–11×.
 
+use oblidb_baselines::paper_rules;
 use oblidb_bench::report::Report;
 use oblidb_bench::setup::{scale, synthetic_db, Scale};
 use oblidb_bench::timing::fmt_duration;
-use oblidb_core::planner::SelectAlgo;
-use oblidb_core::StorageMethod;
+use oblidb_core::planner::SelectStats;
+use oblidb_core::{DbConfig, PlanInfo, SelectAlgo, StorageMethod};
 use oblidb_workloads::synthetic;
 use std::time::{Duration, Instant};
 
-fn timed_select(n: usize, sql: &str, force: Option<SelectAlgo>) -> (Duration, SelectAlgo) {
+fn timed_select(n: usize, sql: &str, force: Option<SelectAlgo>) -> (Duration, PlanInfo) {
     let mut db = synthetic_db(n, StorageMethod::Flat, 21);
     db.config_mut().planner.force_select = force;
     let start = Instant::now();
     let out = db.execute(sql).unwrap();
-    (start.elapsed(), out.plan.select_algo.expect("selection ran"))
+    (start.elapsed(), out.plan)
 }
 
 fn main() {
@@ -43,6 +45,7 @@ fn main() {
             "Large",
             "Continuous",
             "planner pick",
+            "paper rule",
             "pick time",
             "pick vs Hash",
         ],
@@ -57,7 +60,16 @@ fn main() {
         } else {
             None
         };
-        let (planner_t, choice) = timed_select(n, &sql, None);
+        let (planner_t, plan) = timed_select(n, &sql, None);
+        let choice = plan.select_algo.expect("selection ran");
+        // What the closed-form rule would take from the same public stats.
+        let rule = paper_rules::choose_select(
+            SelectStats { matches: plan.output_rows, continuous: contiguous },
+            n as u64,
+            synthetic::schema(8).row_len(),
+            DbConfig::default().om_bytes,
+            true,
+        );
         report.row(&[
             name.to_string(),
             fmt_duration(hash_t),
@@ -65,6 +77,7 @@ fn main() {
             fmt_duration(large_t),
             cont.map(fmt_duration).unwrap_or_else(|| "n/a".into()),
             format!("{choice:?}"),
+            format!("{rule:?}"),
             fmt_duration(planner_t),
             format!("{:.1}x faster", hash_t.as_secs_f64() / planner_t.as_secs_f64().max(1e-9)),
         ]);

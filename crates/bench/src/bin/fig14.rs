@@ -5,19 +5,21 @@
 //! sort-merge (Opaque) join takes over as T2 grows with OM scarce; the
 //! 0-OM join always trails the Opaque join (same algorithm, no
 //! oblivious-memory quicksort) but speeds up with plain enclave scratch.
-//! The planner must pick the measured-fastest of {Hash, Opaque} per cell.
+//! The last two columns show the operator the engine's planner picks
+//! for the cell (the `JoinChoice` of a prepared `SELECT … JOIN` under the
+//! same budget) and the one the paper's closed-form §5 rule would.
 //!
-//! Note (EXPERIMENTS.md): on this substrate random and sequential block
-//! accesses cost the same, so the hash→sort crossover needs a smaller OM
-//! than on the paper's SGX testbed; the orderings within each column hold.
+//! On the simulated substrate random and sequential block accesses cost
+//! the same, so the hash→sort crossover needs a smaller OM than on the
+//! paper's SGX testbed; the orderings within each column hold.
 
+use oblidb_baselines::paper_rules;
 use oblidb_bench::report::Report;
 use oblidb_bench::setup::{scale, Scale};
 use oblidb_bench::timing::fmt_duration;
 use oblidb_core::exec::{hash_join, sort_merge_join, SortMergeVariant};
-use oblidb_core::planner::{choose_join, JoinAlgo, PlannerConfig};
 use oblidb_core::table::FlatTable;
-use oblidb_core::{DbConfig, Value};
+use oblidb_core::{Database, DbConfig, JoinAlgo, PlanNode, StorageMethod, Value};
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{Host, OmBudget};
 use oblidb_workloads::synthetic;
@@ -68,6 +70,30 @@ fn run_cell(n1: usize, n2: usize, om_rows: usize, algo: JoinAlgo) -> Duration {
     elapsed
 }
 
+/// The join operator the engine's planner picks for this cell: both
+/// tables stored flat, so the choice is made (and costed) at prepare.
+fn engine_pick(n1: usize, n2: usize, om_bytes: usize) -> JoinAlgo {
+    let mut db = Database::new(DbConfig { om_bytes, ..DbConfig::default() });
+    let (p, f) = synthetic::fk_join_tables(n1, n2, 3);
+    for (name, rows) in [("p", &p), ("f", &f)] {
+        let capacity = rows.len() as u64;
+        db.create_table_with_rows(
+            name,
+            synthetic::schema(8),
+            StorageMethod::Flat,
+            None,
+            rows,
+            capacity,
+        )
+        .unwrap();
+    }
+    let stmt = db.prepare("SELECT * FROM p JOIN f ON p.id = f.id").unwrap();
+    match stmt.plan().select_root() {
+        Some(PlanNode::Join(j)) => j.choice.algo().expect("flat sides are decided at prepare"),
+        other => panic!("expected a join root, got {other:?}"),
+    }
+}
+
 fn main() {
     let (t1_sizes, t2_sizes, om_rows): (Vec<usize>, Vec<usize>, Vec<usize>) = match scale() {
         Scale::Small => (vec![2_000, 5_000], vec![100, 1_000, 5_000, 10_000], vec![50, 500, 7_500]),
@@ -75,12 +101,11 @@ fn main() {
             (vec![5_000, 10_000], vec![100, 1_000, 5_000, 10_000, 25_000], vec![500, 7_500])
         }
     };
-    let _ = DbConfig::default();
 
     for &om in &om_rows {
         let mut report = Report::new(
             format!("Figure 14 — FK joins, {om} rows of oblivious memory"),
-            &["T1", "T2", "Hash", "Opaque", "0-OM", "fastest", "planner pick"],
+            &["T1", "T2", "Hash", "Opaque", "0-OM", "fastest", "engine pick", "paper rule"],
         );
         for &n1 in &t1_sizes {
             for &n2 in &t2_sizes {
@@ -92,16 +117,14 @@ fn main() {
                     .min_by_key(|(_, t)| *t)
                     .unwrap()
                     .0;
-                // What the planner would pick given this budget.
                 let row_len = synthetic::schema(8).row_len();
-                let budget = OmBudget::new(om * row_len);
-                let pick = choose_join(
+                let pick = engine_pick(n1, n2, om * row_len);
+                let rule = paper_rules::choose_join(
                     n1 as u64,
                     n2 as u64,
                     row_len,
                     18 + row_len,
-                    &budget,
-                    &PlannerConfig::default(),
+                    om * row_len,
                 );
                 report.row(&[
                     n1.to_string(),
@@ -111,6 +134,7 @@ fn main() {
                     fmt_duration(zero_t),
                     fastest.to_string(),
                     format!("{pick:?}"),
+                    format!("{rule:?}"),
                 ]);
             }
         }
@@ -119,6 +143,6 @@ fn main() {
     println!(
         "\nPaper shape: more OM speeds every algorithm; Opaque ≥ 0-OM always;\n\
          hash is fastest for small T2 and loses ground as T2/OM grows. The\n\
-         planner's pick should match the fastest of Hash/Opaque per row."
+         engine's pick should match the fastest of Hash/Opaque per row."
     );
 }

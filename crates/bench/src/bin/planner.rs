@@ -1,20 +1,20 @@
-//! Planner calibration: closed-form vs cost-calibrated operator choices
-//! across substrate profiles, recorded for the perf trajectory.
+//! Planner calibration: the paper's §5 rule vs the engine's measured
+//! choice across substrate profiles, recorded for the perf trajectory.
 //!
 //! For a sweep of query shapes (selectivity × oblivious-memory budget)
-//! the same SELECT is planned twice — once with the closed-form formulas
-//! (paper §5 as originally reproduced) and once with the measured,
-//! `CountingMemory`-driven model — under the host, disk, and cached-disk
-//! [`CostProfile`]s. Emits `BENCH_planner.json`: one row per profile ×
-//! shape with both choices and their counted, profile-weighted costs
-//! (crossings priced per substrate; the host profile's crossing weight is
-//! the SGX OCALL model). The interesting rows are the ones where the
-//! columns disagree — the flips the closed-form formulas cannot see.
+//! the same SELECT is planned under the host, disk, and cached-disk
+//! [`CostProfile`]s, and the operator the closed-form rule
+//! ([`paper_rules::choose_select`]) would take is priced beside the
+//! engine's pick by planning once more with `force_select` set to it.
+//! Emits `BENCH_planner.json`: one row per profile × shape with both
+//! choices and their counted, profile-weighted costs (crossings priced per
+//! substrate; the host profile's crossing weight is the SGX OCALL model).
+//! The interesting rows are the ones where the columns disagree — the
+//! flips a formula over block counts alone cannot see.
 
 use std::fmt::Write as _;
 
-use oblidb_core::plan::SelectChoice;
-use oblidb_core::planner::CostModel;
+use oblidb_baselines::paper_rules;
 use oblidb_core::{CostProfile, Database, DbConfig, SelectAlgo, StorageMethod, Value};
 
 fn smoke() -> bool {
@@ -46,58 +46,49 @@ fn profiles() -> Vec<CostProfile> {
     vec![CostProfile::host(), CostProfile::disk(), CostProfile::cached_disk()]
 }
 
-fn build(shape: &Shape, model: CostModel) -> Database {
-    let mut config = DbConfig { om_bytes: shape.om_bytes, ..DbConfig::default() };
-    config.planner.cost_model = model;
-    let mut db = Database::new(config);
-    let schema = oblidb_core::Schema::new(vec![
+fn schema() -> oblidb_core::Schema {
+    oblidb_core::Schema::new(vec![
         oblidb_core::Column::new("id", oblidb_core::DataType::Int),
         oblidb_core::Column::new("v", oblidb_core::DataType::Int),
-    ]);
-    let data: Vec<Vec<Value>> =
-        (0..shape.rows).map(|i| vec![Value::Int(i), Value::Int(i % shape.modulus)]).collect();
-    db.create_table_with_rows("t", schema, StorageMethod::Flat, None, &data, shape.rows as u64)
-        .unwrap();
-    db
+    ])
 }
 
-/// Plans (without running) and reports the filter's chosen operator plus
-/// its estimated weighted cost.
-fn plan_choice(shape: &Shape, model: CostModel) -> (SelectAlgo, f64, Vec<(SelectAlgo, f64)>) {
-    let mut db = build(shape, model);
+/// Plans `WHERE v = 1` (without running it) under `profile`, with the
+/// operator left to the engine or pinned, and reports the filter's
+/// operator and its estimated weighted cost.
+fn plan(shape: &Shape, profile: &CostProfile, force: Option<SelectAlgo>) -> (SelectAlgo, f64) {
+    let mut config = DbConfig { om_bytes: shape.om_bytes, ..DbConfig::default() };
+    config.planner.profile = profile.clone();
+    config.planner.force_select = force;
+    let mut db = Database::new(config);
+    let data: Vec<Vec<Value>> =
+        (0..shape.rows).map(|i| vec![Value::Int(i), Value::Int(i % shape.modulus)]).collect();
+    db.create_table_with_rows("t", schema(), StorageMethod::Flat, None, &data, shape.rows as u64)
+        .unwrap();
     let stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
     let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
     let algo = filter.choice.algo().expect("flat base filter is decided at prepare");
-    let weighted = filter.est.map(|c| c.weighted).unwrap_or(f64::NAN);
-    let candidates = match &filter.choice {
-        SelectChoice::Chosen { candidates, .. } => {
-            candidates.iter().map(|c| (c.algo, c.cost.weighted)).collect()
-        }
-        _ => Vec::new(),
-    };
-    (algo, weighted, candidates)
+    (algo, filter.est.expect("prepare costs a flat base filter").weighted)
 }
 
 fn main() {
     let mut rows_json = Vec::new();
     let mut table = oblidb_bench::report::Report::new(
-        "planner: closed-form vs cost-calibrated",
-        &["profile", "shape", "closed-form", "costed", "closed w-cost", "costed w-cost", "flip"],
+        "planner: paper rule vs the engine's measured choice",
+        &["profile", "shape", "paper rule", "engine", "rule w-cost", "engine w-cost", "flip"],
     );
 
     for profile in profiles() {
         for shape in shapes() {
-            let (closed_algo, _, _) = plan_choice(&shape, CostModel::ClosedForm);
-            let (costed_algo, costed_cost, candidates) =
-                plan_choice(&shape, CostModel::Measured(profile.clone()));
-            // Price the closed-form choice under the same profile so the
-            // columns are comparable; the candidate table has it unless
-            // the closed-form pick was inadmissible (then re-simulate).
-            let closed_cost = candidates
-                .iter()
-                .find(|(a, _)| *a == closed_algo)
-                .map(|(_, c)| *c)
-                .unwrap_or(f64::NAN);
+            let closed_algo = paper_rules::choose_select(
+                paper_rules::stats_of((0..shape.rows).map(|i| i % shape.modulus == 1)),
+                shape.rows as u64,
+                schema().row_len(),
+                shape.om_bytes,
+                true,
+            );
+            let (costed_algo, costed_cost) = plan(&shape, &profile, None);
+            let (_, closed_cost) = plan(&shape, &profile, Some(closed_algo));
             let flip = closed_algo != costed_algo;
             table.row(&[
                 profile.name.clone(),

@@ -1,5 +1,5 @@
-//! Shared helpers for the benchmark harness binaries (one per paper
-//! table/figure; see DESIGN.md §5 for the experiment index).
+//! Shared helpers for the benchmark harness binaries (one `figNN` binary
+//! per paper figure, named after it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

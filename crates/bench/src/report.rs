@@ -2,8 +2,7 @@
 //!
 //! Each binary prints the rows/series its paper figure reports, with the
 //! paper's numbers alongside for shape comparison (absolute values differ:
-//! our substrate is a simulator, not the authors' SGX testbed — see
-//! EXPERIMENTS.md).
+//! our substrate is a simulator, not the authors' SGX testbed).
 
 use oblidb_enclave::StatsReport;
 
@@ -54,7 +53,7 @@ impl Report {
         }
     }
 
-    /// Renders as a markdown table (for EXPERIMENTS.md snippets).
+    /// Renders as a markdown table.
     pub fn to_markdown(&self) -> String {
         let mut out = format!("### {}\n\n", self.title);
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
@@ -67,54 +66,6 @@ impl Report {
         }
         out
     }
-}
-
-/// One per-block vs. batched measurement for the perf trajectory.
-#[derive(Debug, Clone)]
-pub struct BatchComparison {
-    /// Case label, e.g. `"read/4096B"`.
-    pub name: String,
-    /// Blocks moved per measured operation.
-    pub blocks: usize,
-    /// Mean seconds for the per-block loop.
-    pub per_block_s: f64,
-    /// Mean seconds for the batched call.
-    pub batched_s: f64,
-}
-
-impl BatchComparison {
-    /// Wall-clock speedup of the batched path.
-    pub fn speedup(&self) -> f64 {
-        self.per_block_s / self.batched_s.max(f64::MIN_POSITIVE)
-    }
-}
-
-/// Writes `BENCH_<name>.json` (hand-rolled JSON — the workspace is
-/// dependency-free) with a stable schema the perf trajectory can diff:
-/// `{"bench": name, "results": [{name, blocks, per_block_s, batched_s,
-/// speedup}, …]}`. Returns the path written.
-pub fn write_batch_json(
-    dir: &std::path::Path,
-    name: &str,
-    results: &[BatchComparison],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"bench\": {},\n  \"results\": [\n", json_str(name)));
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": {}, \"blocks\": {}, \"per_block_s\": {:.9}, \"batched_s\": {:.9}, \"speedup\": {:.3}}}{}\n",
-            json_str(&r.name),
-            r.blocks,
-            r.per_block_s,
-            r.batched_s,
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 /// One substrate × workload measurement for the substrate trajectory:
@@ -193,73 +144,6 @@ pub fn write_substrate_json(
             json_str(c.access),
             c.ns_per_block,
             if i + 1 < per_block.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// One worker-count measurement of the parallel scan-scaling bench.
-#[derive(Debug, Clone)]
-pub struct ParallelScaling {
-    /// Worker threads driving the shards.
-    pub workers: usize,
-    /// Mean seconds per full scan of every shard.
-    pub seconds: f64,
-    /// Wall-clock speedup over the serial (workers = 1) row.
-    pub speedup: f64,
-    /// Total boundary crossings per scan, summed over shards (identical
-    /// at every worker count — parallelism never changes the counters).
-    pub crossings: u64,
-}
-
-/// The fixed experimental conditions behind a parallel-scaling run —
-/// recorded in the artifact so a reader can judge the numbers: the
-/// speedup comes from overlapping per-crossing *stalls* (the enclave
-/// waiting on the untrusted host), which parallelize even when
-/// `available_parallelism` is 1.
-#[derive(Debug, Clone)]
-pub struct ParallelMeta {
-    /// Shard (and therefore maximum worker) count.
-    pub shards: usize,
-    /// Rows scanned per shard.
-    pub rows_per_shard: u64,
-    /// Configured per-crossing stall, nanoseconds.
-    pub stall_nanos_nominal: u64,
-    /// Measured mean stall (sleep granularity inflates the nominal
-    /// value), nanoseconds.
-    pub stall_nanos_measured: u64,
-    /// `std::thread::available_parallelism()` on the machine that ran it.
-    pub available_parallelism: usize,
-}
-
-/// Writes `BENCH_<name>.json` for the parallel scan-scaling bench:
-/// `{"bench": name, <meta fields>, "results": [{workers, seconds,
-/// speedup, crossings}, …]}`. Returns the path written.
-pub fn write_parallel_json(
-    dir: &std::path::Path,
-    name: &str,
-    meta: &ParallelMeta,
-    results: &[ParallelScaling],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"bench\": {},\n", json_str(name)));
-    out.push_str(&format!("  \"shards\": {},\n", meta.shards));
-    out.push_str(&format!("  \"rows_per_shard\": {},\n", meta.rows_per_shard));
-    out.push_str(&format!("  \"stall_nanos_nominal\": {},\n", meta.stall_nanos_nominal));
-    out.push_str(&format!("  \"stall_nanos_measured\": {},\n", meta.stall_nanos_measured));
-    out.push_str(&format!("  \"available_parallelism\": {},\n", meta.available_parallelism));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"seconds\": {:.9}, \"speedup\": {:.3}, \"crossings\": {}}}{}\n",
-            r.workers,
-            r.seconds,
-            r.speedup,
-            r.crossings,
-            if i + 1 < results.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -376,165 +260,6 @@ pub fn read_crypto_json(path: &std::path::Path) -> Vec<CryptoThroughput> {
         .collect()
 }
 
-/// One telemetry-overhead measurement: the same workload with spans and
-/// metrics off vs on.
-#[derive(Debug, Clone)]
-pub struct TelemetryOverhead {
-    /// Workload label, e.g. `"select_scan"`, `"join"`.
-    pub workload: String,
-    /// Mean seconds per iteration, telemetry disabled.
-    pub off_seconds: f64,
-    /// Mean seconds per iteration, telemetry enabled.
-    pub on_seconds: f64,
-    /// `on_seconds / off_seconds - 1`, as a fraction (0.03 = 3%).
-    pub overhead: f64,
-    /// Spans the enabled run recorded per iteration.
-    pub spans_per_iter: u64,
-}
-
-/// Writes `BENCH_<name>.json` for the telemetry-overhead bench:
-/// `{"bench": name, "iters": n, "results": [{workload, off_seconds,
-/// on_seconds, overhead, spans_per_iter}, …]}`. Returns the path written.
-pub fn write_telemetry_json(
-    dir: &std::path::Path,
-    name: &str,
-    iters: usize,
-    results: &[TelemetryOverhead],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"bench\": {},\n", json_str(name)));
-    out.push_str(&format!("  \"iters\": {iters},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": {}, \"off_seconds\": {:.9}, \"on_seconds\": {:.9}, \
-             \"overhead\": {:.4}, \"spans_per_iter\": {}}}{}\n",
-            json_str(&r.workload),
-            r.off_seconds,
-            r.on_seconds,
-            r.overhead,
-            r.spans_per_iter,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// One serving-throughput measurement: N concurrent client connections
-/// (one session each) driving a read-heavy statement mix over TCP.
-#[derive(Debug, Clone)]
-pub struct ServerScaling {
-    /// Concurrent client connections (= sessions = pool workers).
-    pub sessions: usize,
-    /// Wall seconds for every client to finish its statement budget.
-    pub seconds: f64,
-    /// Aggregate statements per second across all sessions.
-    pub stmts_per_sec: f64,
-    /// Throughput relative to the single-session row.
-    pub speedup: f64,
-}
-
-/// Fixed experimental conditions behind a serving-scaling run.
-#[derive(Debug, Clone)]
-pub struct ServerMeta {
-    /// Rows in the served table.
-    pub rows: u64,
-    /// Statements each client submits.
-    pub statements_per_session: u64,
-    /// Selects per insert in the statement mix.
-    pub reads_per_write: u64,
-    /// Configured per-crossing stall (paid at the shared-store layer,
-    /// outside the store lock), nanoseconds.
-    pub stall_nanos_nominal: u64,
-    /// `std::thread::available_parallelism()` on the machine that ran it.
-    pub available_parallelism: usize,
-}
-
-/// Writes `BENCH_<name>.json` for the serving-throughput bench:
-/// `{"bench": name, <meta fields>, "results": [{sessions, seconds,
-/// stmts_per_sec, speedup}, …]}`. Returns the path written.
-pub fn write_server_json(
-    dir: &std::path::Path,
-    name: &str,
-    meta: &ServerMeta,
-    results: &[ServerScaling],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"bench\": {},\n", json_str(name)));
-    out.push_str(&format!("  \"rows\": {},\n", meta.rows));
-    out.push_str(&format!("  \"statements_per_session\": {},\n", meta.statements_per_session));
-    out.push_str(&format!("  \"reads_per_write\": {},\n", meta.reads_per_write));
-    out.push_str(&format!("  \"stall_nanos_nominal\": {},\n", meta.stall_nanos_nominal));
-    out.push_str(&format!("  \"available_parallelism\": {},\n", meta.available_parallelism));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sessions\": {}, \"seconds\": {:.9}, \"stmts_per_sec\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            r.sessions,
-            r.seconds,
-            r.stmts_per_sec,
-            r.speedup,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
-/// One commit-discipline measurement of the group-commit bench: a
-/// write-heavy statement stream on a disk store under one epoch size
-/// (or the per-statement-fsync baseline).
-#[derive(Debug, Clone)]
-pub struct TxnThroughput {
-    /// Discipline label: `"per-statement"` or `"epoch/<k>"`.
-    pub mode: String,
-    /// Statements per group fsync (1 for the per-statement baseline).
-    pub epoch_statements: u64,
-    /// Wall seconds for the whole statement stream.
-    pub seconds: f64,
-    /// Statements per second.
-    pub stmts_per_sec: f64,
-    /// Throughput relative to the per-statement baseline.
-    pub speedup: f64,
-}
-
-/// Writes `BENCH_<name>.json` for the group-commit bench:
-/// `{"bench": name, "statements": n, "results": [{mode,
-/// epoch_statements, seconds, stmts_per_sec, speedup}, …]}`. Returns the
-/// path written.
-pub fn write_txn_json(
-    dir: &std::path::Path,
-    name: &str,
-    statements: u64,
-    results: &[TxnThroughput],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"bench\": {},\n", json_str(name)));
-    out.push_str(&format!("  \"statements\": {statements},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": {}, \"epoch_statements\": {}, \"seconds\": {:.9}, \
-             \"stmts_per_sec\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            json_str(&r.mode),
-            r.epoch_statements,
-            r.seconds,
-            r.stmts_per_sec,
-            r.speedup,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
 /// JSON string quoting per RFC 8259: escape quotes, backslashes, and
 /// control characters; everything else (including non-ASCII) passes
 /// through unescaped, which valid JSON allows.
@@ -559,63 +284,6 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_json_schema_is_stable() {
-        let dir = std::env::temp_dir();
-        let rows = vec![
-            BatchComparison {
-                name: "read/64B".into(),
-                blocks: 256,
-                per_block_s: 2e-3,
-                batched_s: 1e-3,
-            },
-            BatchComparison {
-                name: "write/64B".into(),
-                blocks: 256,
-                per_block_s: 3e-3,
-                batched_s: 1e-3,
-            },
-        ];
-        let path = write_batch_json(&dir, "batch_io_test", &rows).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench\": \"batch_io_test\""));
-        assert!(body.contains("\"per_block_s\": 0.002000000"));
-        assert!(body.contains("\"speedup\": 2.000"));
-        assert!(body.trim_end().ends_with('}'));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn telemetry_json_schema_is_stable() {
-        let dir = std::env::temp_dir();
-        let rows = vec![
-            TelemetryOverhead {
-                workload: "select_scan".into(),
-                off_seconds: 0.010,
-                on_seconds: 0.0102,
-                overhead: 0.02,
-                spans_per_iter: 12,
-            },
-            TelemetryOverhead {
-                workload: "join".into(),
-                off_seconds: 0.020,
-                on_seconds: 0.0201,
-                overhead: 0.005,
-                spans_per_iter: 30,
-            },
-        ];
-        let path = write_telemetry_json(&dir, "telemetry_test", 7, &rows).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench\": \"telemetry_test\""));
-        assert!(body.contains("\"iters\": 7"));
-        assert!(body.contains("\"workload\": \"select_scan\""));
-        assert!(body.contains("\"off_seconds\": 0.010000000"));
-        assert!(body.contains("\"overhead\": 0.0200"));
-        assert!(body.contains("\"spans_per_iter\": 12"));
-        assert!(body.trim_end().ends_with('}'));
-        std::fs::remove_file(path).unwrap();
-    }
 
     #[test]
     fn substrate_json_schema_is_stable() {
@@ -664,30 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_json_schema_is_stable() {
-        let dir = std::env::temp_dir();
-        let meta = ParallelMeta {
-            shards: 8,
-            rows_per_shard: 512,
-            stall_nanos_nominal: 1_000_000,
-            stall_nanos_measured: 1_110_000,
-            available_parallelism: 1,
-        };
-        let rows = vec![
-            ParallelScaling { workers: 1, seconds: 0.016, speedup: 1.0, crossings: 16 },
-            ParallelScaling { workers: 4, seconds: 0.004, speedup: 4.0, crossings: 16 },
-        ];
-        let path = write_parallel_json(&dir, "parallel_test", &meta, &rows).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench\": \"parallel_test\""));
-        assert!(body.contains("\"stall_nanos_nominal\": 1000000"));
-        assert!(body.contains("\"workers\": 4"));
-        assert!(body.contains("\"speedup\": 4.000"));
-        assert!(body.trim_end().ends_with('}'));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
     fn crypto_json_schema_is_stable() {
         let dir = std::env::temp_dir();
         let rows = vec![
@@ -726,36 +370,6 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!((back[1].op.as_str(), back[1].backend.as_str()), ("seal", "avx2"));
         assert_eq!((back[1].batch_blocks, back[1].block_bytes, back[1].mib_s), (256, 1024, 1200.0));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn txn_json_schema_is_stable() {
-        let dir = std::env::temp_dir();
-        let rows = vec![
-            TxnThroughput {
-                mode: "per-statement".into(),
-                epoch_statements: 1,
-                seconds: 0.8,
-                stmts_per_sec: 320.0,
-                speedup: 1.0,
-            },
-            TxnThroughput {
-                mode: "epoch/32".into(),
-                epoch_statements: 32,
-                seconds: 0.1,
-                stmts_per_sec: 2560.0,
-                speedup: 8.0,
-            },
-        ];
-        let path = write_txn_json(&dir, "txn_test", 256, &rows).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("\"bench\": \"txn_test\""));
-        assert!(body.contains("\"statements\": 256"));
-        assert!(body.contains("\"mode\": \"per-statement\""));
-        assert!(body.contains("\"epoch_statements\": 32"));
-        assert!(body.contains("\"speedup\": 8.000"));
-        assert!(body.trim_end().ends_with('}'));
         std::fs::remove_file(path).unwrap();
     }
 

@@ -760,7 +760,7 @@ impl ObTree {
     }
 
     /// Builds a tree from records pre-sorted by key (pre-deployment bulk
-    /// load; see DESIGN.md §7). Much faster than repeated `insert`.
+    /// load). Much faster than repeated `insert`.
     ///
     /// Node addresses are assigned contiguously level by level (sentinel,
     /// then the leaf run, then each internal level bottom-up), so the

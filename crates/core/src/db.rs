@@ -37,7 +37,7 @@ use crate::plan::{
     AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
     PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan, TxnVerb,
 };
-use crate::planner::{self, CostModel, JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
+use crate::planner::{scan_stats, JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
 use crate::predicate::Predicate;
 use crate::sql::{self, Projection, SelectItem, Statement};
 use crate::table::{FlatTable, IndexedTable, TableStorage};
@@ -993,8 +993,7 @@ impl<M: EnclaveMemory> Database<M> {
     fn build_plan(&mut self, query: &str) -> Result<QueryPlan, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Plan);
         let statement = sql::parse(query)?;
-        let profile =
-            self.config.planner.cost_model.profile().with_threads(self.config.exec.threads);
+        let profile = self.config.planner.profile.clone().with_threads(self.config.exec.threads);
         let action = match statement {
             Statement::Create(c) => PlanAction::Create(c),
             Statement::Insert(i) => PlanAction::Insert(i),
@@ -1081,46 +1080,26 @@ impl<M: EnclaveMemory> Database<M> {
                 None => (None, None),
             };
 
-            let (left, left_shape) = self.plan_join_side(li, &s.table, left_pred, profile)?;
-            let (right, right_shape) = self.plan_join_side(ri, &join.table, right_pred, profile)?;
+            let (left, left_capacity) = self.plan_join_side(li, &s.table, left_pred, profile)?;
+            let (right, right_capacity) =
+                self.plan_join_side(ri, &join.table, right_pred, profile)?;
 
             let om_bytes = self.om.available();
             let renamed = ls.join(&s.table, &rs, &join.table);
-            let (choice, est) = if let Some(algo) = self.config.planner.force_join {
-                (JoinChoice::Forced(algo), None)
-            } else if let (Some((lcap, lrows)), Some((rcap, rrows))) = (left_shape, right_shape) {
-                let shape = JoinShape {
-                    left_schema: ls.clone(),
-                    left_capacity: lcap,
-                    right_schema: rs.clone(),
-                    right_capacity: rcap,
-                    om_bytes,
-                    zero_om_scratch_rows: self.config.zero_om_scratch_rows,
-                };
-                match &self.config.planner.cost_model {
-                    CostModel::Measured(_) => {
-                        let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
-                        let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-                        (JoinChoice::Chosen { algo, candidates }, est)
-                    }
-                    CostModel::ClosedForm => {
-                        let union_row = 18 + ls.row_len().max(rs.row_len());
-                        let algo = planner::choose_join(
-                            lrows,
-                            rrows,
-                            ls.row_len(),
-                            union_row,
-                            &self.om,
-                            &self.config.planner,
-                        );
-                        let est = cost::simulate_join(algo, &shape)
-                            .ok()
-                            .map(|c| NodeCost::from_stats(&c, profile));
-                        (JoinChoice::Chosen { algo, candidates: Vec::new() }, est)
-                    }
+            let (choice, est) = match (left_capacity, right_capacity) {
+                (Some(left_capacity), Some(right_capacity)) => {
+                    let shape = JoinShape {
+                        left_schema: ls.clone(),
+                        left_capacity,
+                        right_schema: rs.clone(),
+                        right_capacity,
+                        om_bytes,
+                        zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+                    };
+                    cost::choose_join(&self.config.planner, &shape, profile)?
                 }
-            } else {
-                (JoinChoice::Deferred, None)
+                // A side's shape waits on a runtime index probe.
+                _ => (JoinChoice::Deferred, None),
             };
 
             let mut top = PlanNode::Join(JoinNode {
@@ -1215,43 +1194,37 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Plans one join input: a pushed-down filter over its base table or a
-    /// bare scan. Returns the node plus its estimated output shape
-    /// `(capacity, rows)` when that shape is exact at prepare time —
-    /// `None` (→ deferred join choice) when a runtime index probe could
-    /// change it.
+    /// bare scan. Returns the node plus its output capacity when that is
+    /// exact at prepare time — `None` (→ deferred join choice) when a
+    /// runtime index probe could change it.
     fn plan_join_side(
         &mut self,
         idx: usize,
         name: &str,
         pred: Option<Predicate>,
         profile: &CostProfile,
-    ) -> Result<(PlanNode, Option<(u64, u64)>), DbError> {
+    ) -> Result<(PlanNode, Option<u64>), DbError> {
         match pred {
             Some(p) => {
                 let scan = self.plan_scan(idx, name, &p);
                 let exact_input = matches!(scan.access, AccessPath::Flat);
                 let node = self.plan_base_filter(scan, p, profile)?;
-                let shape = if exact_input {
-                    if let PlanNode::Filter(f) = &node {
-                        filter_output_shape(f)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
+                let capacity = match &node {
+                    PlanNode::Filter(f) if exact_input => filter_output_capacity(f),
+                    _ => None,
                 };
-                Ok((node, shape))
+                Ok((node, capacity))
             }
             None => {
                 let scan = self.plan_scan(idx, name, &Predicate::True);
-                let shape = match scan.access {
+                let capacity = match scan.access {
                     // A bare stored table is copied as-is (one oblivious
-                    // pass), keeping its capacity and fill.
-                    AccessPath::Flat => Some((scan.capacity, scan.rows)),
+                    // pass), keeping its capacity.
+                    AccessPath::Flat => Some(scan.capacity),
                     // Index materialization sizes the copy by the walk.
                     _ => None,
                 };
-                Ok((PlanNode::Scan(scan), shape))
+                Ok((PlanNode::Scan(scan), capacity))
             }
         }
     }
@@ -1380,7 +1353,7 @@ impl<M: EnclaveMemory> Database<M> {
         let stats = {
             let (_, storage) = &mut self.tables[idx];
             let table = storage.flat_mut().expect("flat access path");
-            planner::scan_stats(&mut self.host, table, &node.pred)?
+            scan_stats(&mut self.host, table, &node.pred)?
         };
         let out_key = self.next_key();
         let shape = SelectShape {
@@ -1392,7 +1365,7 @@ impl<M: EnclaveMemory> Database<M> {
             om_bytes,
             out_key: out_key.clone(),
         };
-        let (choice, est) = choose_filter(&self.config, &shape, stats, profile)?;
+        let (choice, est) = cost::choose_select(&self.config.planner, &shape, profile)?;
         node.choice = choice;
         node.est = est;
         node.est_matches = Some(stats.matches);
@@ -1763,45 +1736,19 @@ impl<M: EnclaveMemory> Database<M> {
         let mut left = self.exec_join_side(&mut j.left, info, profile)?;
         let mut right = self.exec_join_side(&mut j.right, info, profile)?;
 
-        let algo = match &j.choice {
-            JoinChoice::Forced(a) => *a,
-            JoinChoice::Chosen { algo, .. } => *algo,
-            JoinChoice::Deferred => {
-                let shape = JoinShape {
-                    left_schema: left.schema().clone(),
-                    left_capacity: left.capacity(),
-                    right_schema: right.schema().clone(),
-                    right_capacity: right.capacity(),
-                    om_bytes: self.om.available(),
-                    zero_om_scratch_rows: self.config.zero_om_scratch_rows,
-                };
-                j.om_bytes = shape.om_bytes;
-                match &self.config.planner.cost_model {
-                    CostModel::Measured(_) => {
-                        let (algo, candidates) = cost::choose_join_costed(&shape, profile)?;
-                        j.est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-                        j.choice = JoinChoice::Chosen { algo, candidates };
-                        algo
-                    }
-                    CostModel::ClosedForm => {
-                        let union_row = 18 + left.row_len().max(right.row_len());
-                        let algo = planner::choose_join(
-                            left.num_rows(),
-                            right.num_rows(),
-                            left.row_len(),
-                            union_row,
-                            &self.om,
-                            &self.config.planner,
-                        );
-                        j.est = cost::simulate_join(algo, &shape)
-                            .ok()
-                            .map(|c| NodeCost::from_stats(&c, profile));
-                        j.choice = JoinChoice::Chosen { algo, candidates: Vec::new() };
-                        algo
-                    }
-                }
-            }
-        };
+        if matches!(j.choice, JoinChoice::Deferred) {
+            let shape = JoinShape {
+                left_schema: left.schema().clone(),
+                left_capacity: left.capacity(),
+                right_schema: right.schema().clone(),
+                right_capacity: right.capacity(),
+                om_bytes: self.om.available(),
+                zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+            };
+            j.om_bytes = shape.om_bytes;
+            (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile)?;
+        }
+        let algo = j.choice.algo().expect("deferred choice is resolved");
         info.join_algo = Some(algo);
 
         let key = self.next_key();
@@ -2058,43 +2005,6 @@ fn select_span_kind(algo: SelectAlgo) -> oblidb_telemetry::SpanKind {
     }
 }
 
-/// Picks a filter operator for a fully-shaped input: forced, cost-chosen
-/// (dry-run candidates, weigh, argmin), or closed-form — shared between
-/// prepare-time and deferred run-time decisions.
-fn choose_filter(
-    config: &DbConfig,
-    shape: &SelectShape,
-    stats: SelectStats,
-    profile: &CostProfile,
-) -> Result<(SelectChoice, Option<NodeCost>), DbError> {
-    if let Some(algo) = config.planner.force_select {
-        let est =
-            cost::simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
-        return Ok((SelectChoice::Forced(algo), est));
-    }
-    match &config.planner.cost_model {
-        CostModel::Measured(_) => {
-            let (algo, candidates) =
-                cost::choose_select_costed(shape, stats, &config.planner, profile)?;
-            let est = candidates.iter().find(|c| c.algo == algo).map(|c| c.cost);
-            Ok((SelectChoice::Chosen { algo, candidates }, est))
-        }
-        CostModel::ClosedForm => {
-            let om = OmBudget::new(shape.om_bytes);
-            let algo = planner::choose_select(
-                stats,
-                shape.rows,
-                shape.schema.row_len(),
-                &om,
-                &config.planner,
-            );
-            let est =
-                cost::simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
-            Ok((SelectChoice::Chosen { algo, candidates: Vec::new() }, est))
-        }
-    }
-}
-
 /// Runs a filter node's selection stage over a materialized flat input
 /// (paper §4.1 + §5): resolves a deferred choice, dispatches the chosen
 /// operator, and records the measured cost into the node.
@@ -2143,7 +2053,7 @@ fn run_filter_stage<M: EnclaveMemory>(
             SelectStats { matches: m, continuous: false }
         }
         _ => {
-            let s = planner::scan_stats(host, input, &f.pred)?;
+            let s = scan_stats(host, input, &f.pred)?;
             f.est_matches = Some(s.matches);
             s
         }
@@ -2163,7 +2073,7 @@ fn run_filter_stage<M: EnclaveMemory>(
                 out_key: out_key.clone(),
             };
             f.om_bytes = shape.om_bytes;
-            let (choice, est) = choose_filter(config, &shape, stats, profile)?;
+            let (choice, est) = cost::choose_select(&config.planner, &shape, profile)?;
             f.est = est;
             f.choice = choice;
             f.choice.algo().expect("deferred choice is resolved")
@@ -2194,24 +2104,23 @@ fn run_filter_stage<M: EnclaveMemory>(
     Ok(out)
 }
 
-/// Exact output shape `(capacity, rows)` of a filter whose operator and
-/// match count were pinned at prepare time — the basis for prepare-time
-/// join costing. `None` when the shape depends on runtime state.
-fn filter_output_shape(f: &FilterNode) -> Option<(u64, u64)> {
+/// Exact output capacity of a filter whose operator and match count were
+/// pinned at prepare time — the basis for prepare-time join costing.
+/// `None` when it depends on runtime state.
+fn filter_output_capacity(f: &FilterNode) -> Option<u64> {
     let input_capacity = match f.input.as_ref() {
         PlanNode::Scan(s) => s.capacity,
         _ => return None,
     };
     if let SelectChoice::Padded { pad_rows } = &f.choice {
-        return Some(((*pad_rows).max(1), *pad_rows));
+        return Some((*pad_rows).max(1));
     }
     let m = f.est_matches?;
-    let capacity = match f.choice.algo()? {
+    Some(match f.choice.algo()? {
         SelectAlgo::Large => input_capacity,
         SelectAlgo::Hash => m.max(1) * exec::HASH_SLOTS as u64,
         _ => m.max(1),
-    };
-    Some((capacity, m))
+    })
 }
 
 /// One oblivious copy pass.

@@ -52,7 +52,7 @@ pub use error::DbError;
 pub use plan::cost::{CostProfile, CALIBRATION_FILE};
 pub use plan::TxnVerb;
 pub use plan::{Explain, NodeCost, PlanNode, QueryPlan};
-pub use planner::{CostModel, JoinAlgo, SelectAlgo};
+pub use planner::{JoinAlgo, SelectAlgo};
 pub use predicate::Predicate;
 pub use types::{Column, DataType, Row, Schema, Value};
 pub use wal::{EpochConfig, WalConfig};

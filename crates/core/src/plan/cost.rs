@@ -25,12 +25,12 @@ use oblidb_enclave::{CountingMemory, EnclaveMemory, EnclaveRng, HostStats, OmBud
 
 use crate::error::DbError;
 use crate::exec::{self, SortMergeVariant};
-use crate::planner::{JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
+use crate::planner::{JoinAlgo, PlannerConfig, SelectAlgo};
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
 
-use super::{CandidateCost, JoinCandidateCost, NodeCost};
+use super::{CandidateCost, JoinCandidateCost, JoinChoice, NodeCost, SelectChoice};
 
 /// Per-substrate operator pricing, in units of one in-RAM block access.
 ///
@@ -128,46 +128,6 @@ impl CostProfile {
             "cached-disk" | "cached-host" => Self::cached_disk(),
             _ => Self::host(),
         }
-    }
-
-    /// Seeds a profile from a `BENCH_substrates.json` document (the
-    /// artifact `bench/src/bin/substrates.rs` emits): block weights come
-    /// from the measured seconds-per-block of the named substrate,
-    /// normalized so the `host` rows define 1.0, and the crossing weight
-    /// is retained from the label's canonical profile (crossing counts in
-    /// the bench are too small — everything is batched — to fit reliably).
-    /// Returns `None` when the document has no rows for `label`.
-    pub fn from_bench_json(json: &str, label: &str) -> Option<Self> {
-        let per_block = |name: &str| -> Option<f64> {
-            let mut total_secs = 0.0;
-            let mut total_blocks = 0.0;
-            for line in json.lines() {
-                if !line.contains(&format!("\"substrate\": \"{name}\"")) {
-                    continue;
-                }
-                let secs = json_num(line, "seconds")?;
-                let blocks = json_num(line, "reads")? + json_num(line, "writes")?;
-                total_secs += secs;
-                total_blocks += blocks;
-            }
-            if total_blocks > 0.0 {
-                Some(total_secs / total_blocks)
-            } else {
-                None
-            }
-        };
-        let own = per_block(label)?;
-        let base = per_block("host").unwrap_or(own);
-        let rel = if base > 0.0 { (own / base).max(0.1) } else { 1.0 };
-        let canonical = Self::named(label);
-        Some(CostProfile {
-            name: format!("{label} (bench-seeded)"),
-            read_block: rel,
-            write_block: rel * (canonical.write_block / canonical.read_block),
-            crossing: canonical.crossing,
-            threads: canonical.threads,
-            parallel_block_fraction: canonical.parallel_block_fraction,
-        })
     }
 
     /// Measures a live profile with a micro-probe against `mem`: times
@@ -324,17 +284,6 @@ impl Default for CostProfile {
     }
 }
 
-/// Extracts `"key": <number>` from one JSON object line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// The public shape a SELECT dry run needs: everything the adversary
 /// already knows (or will learn) about the stage.
 #[derive(Clone)]
@@ -343,7 +292,7 @@ pub struct SelectShape {
     pub schema: Schema,
     /// Input capacity in blocks (scans cover capacity, not fill).
     pub capacity: u64,
-    /// Rows in use (the closed-form threshold gate uses this).
+    /// Rows in use (the `large_threshold` admission gate uses this).
     pub rows: u64,
     /// Match count |R| from the planner's preliminary scan.
     pub matches: u64,
@@ -530,66 +479,81 @@ pub fn simulate_join(algo: JoinAlgo, shape: &JoinShape) -> Result<HostStats, DbE
     Ok(mem.stats())
 }
 
-/// Cost-based SELECT choice: dry-run every admissible candidate, weigh by
-/// `profile`, pick the cheapest (ties break toward the earlier candidate).
+/// Picks the SELECT operator for a fully-shaped input — the engine's one
+/// way to choose, called at prepare time and again when a
+/// [`SelectChoice::Deferred`] stage resolves at run time.
 ///
-/// Candidate admission follows §5's structure, not its formulas:
-/// `Continuous` requires a contiguous result (and the config switch),
-/// `Large` requires a near-total result — below the threshold its
+/// `cfg.force_select` pins the operator (still dry-run, so the plan
+/// carries an estimate). Otherwise every admissible candidate is dry-run,
+/// weighed by `profile`, and the cheapest wins (ties break toward the
+/// earlier candidate). Candidate admission follows §5's structure, not
+/// its formulas: `Continuous` requires a contiguous result (and the config
+/// switch), `Large` requires a near-total result — below the threshold its
 /// `|T|`-sized output structure taxes every downstream operator, which
 /// the single-stage dry run cannot see — and `Small`/`Hash` always apply.
 /// `Naive` exists for comparison and is never chosen (Figure 3).
-pub fn choose_select_costed(
-    shape: &SelectShape,
-    stats: SelectStats,
+pub fn choose_select(
     cfg: &PlannerConfig,
+    shape: &SelectShape,
     profile: &CostProfile,
-) -> Result<(SelectAlgo, Vec<CandidateCost>), DbError> {
-    let mut candidates = Vec::new();
-    if stats.continuous && cfg.enable_continuous {
-        candidates.push(SelectAlgo::Continuous);
+) -> Result<(SelectChoice, Option<NodeCost>), DbError> {
+    if let Some(algo) = cfg.force_select {
+        let est = simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
+        return Ok((SelectChoice::Forced(algo), est));
     }
-    candidates.push(SelectAlgo::Small);
-    if shape.rows > 0 && stats.matches as f64 >= cfg.large_threshold * shape.rows as f64 {
-        candidates.push(SelectAlgo::Large);
+    let mut admitted = Vec::new();
+    if shape.continuous && cfg.enable_continuous {
+        admitted.push(SelectAlgo::Continuous);
     }
-    candidates.push(SelectAlgo::Hash);
+    admitted.push(SelectAlgo::Small);
+    if shape.rows > 0 && shape.matches as f64 >= cfg.large_threshold * shape.rows as f64 {
+        admitted.push(SelectAlgo::Large);
+    }
+    admitted.push(SelectAlgo::Hash);
 
-    let mut costed = Vec::with_capacity(candidates.len());
-    for algo in candidates {
+    let mut candidates = Vec::with_capacity(admitted.len());
+    for algo in admitted {
         let counted = simulate_select(algo, shape)?;
-        costed.push(CandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
+        candidates.push(CandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
     }
-    let best = costed
+    let best = candidates
         .iter()
         .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
-        .expect("candidate set is never empty")
-        .algo;
-    Ok((best, costed))
+        .expect("candidate set is never empty");
+    let (algo, est) = (best.algo, best.cost);
+    Ok((SelectChoice::Chosen { algo, candidates }, Some(est)))
 }
 
-/// Cost-based JOIN choice, mirroring [`choose_select_costed`]. A zero
-/// oblivious-memory budget admits only the 0-OM join (§4.3).
-pub fn choose_join_costed(
+/// Picks the JOIN operator for two fully-shaped inputs, mirroring
+/// [`choose_select`]: `cfg.force_join` pins it (uncosted); otherwise the
+/// candidates are dry-run and the cheapest under `profile` wins. A zero
+/// oblivious-memory budget admits only the 0-OM join (§4.3). Prepare calls
+/// this when both sides are flat; a [`JoinChoice::Deferred`] node calls it
+/// once its sides are materialized.
+pub fn choose_join(
+    cfg: &PlannerConfig,
     shape: &JoinShape,
     profile: &CostProfile,
-) -> Result<(JoinAlgo, Vec<JoinCandidateCost>), DbError> {
-    let candidates: &[JoinAlgo] = if shape.om_bytes == 0 {
+) -> Result<(JoinChoice, Option<NodeCost>), DbError> {
+    if let Some(algo) = cfg.force_join {
+        return Ok((JoinChoice::Forced(algo), None));
+    }
+    let admitted: &[JoinAlgo] = if shape.om_bytes == 0 {
         &[JoinAlgo::ZeroOm]
     } else {
         &[JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm]
     };
-    let mut costed = Vec::with_capacity(candidates.len());
-    for &algo in candidates {
+    let mut candidates = Vec::with_capacity(admitted.len());
+    for &algo in admitted {
         let counted = simulate_join(algo, shape)?;
-        costed.push(JoinCandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
+        candidates.push(JoinCandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
     }
-    let best = costed
+    let best = candidates
         .iter()
         .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
-        .expect("candidate set is never empty")
-        .algo;
-    Ok((best, costed))
+        .expect("candidate set is never empty");
+    let (algo, est) = (best.algo, best.cost);
+    Ok((JoinChoice::Chosen { algo, candidates }, Some(est)))
 }
 
 #[cfg(test)]
@@ -633,14 +597,10 @@ mod tests {
         let cfg = PlannerConfig::default();
         let cheap = CostProfile::new("ram", 1.0, 1.0, 1.0);
         let dear = CostProfile::new("disk", 1.0, 2.0, 64.0);
-        let (on_ram, _) =
-            choose_select_costed(&s, SelectStats { matches: 256, continuous: false }, &cfg, &cheap)
-                .unwrap();
-        let (on_disk, _) =
-            choose_select_costed(&s, SelectStats { matches: 256, continuous: false }, &cfg, &dear)
-                .unwrap();
-        assert_eq!(on_ram, SelectAlgo::Hash);
-        assert_eq!(on_disk, SelectAlgo::Small);
+        let (on_ram, _) = choose_select(&cfg, &s, &cheap).unwrap();
+        let (on_disk, _) = choose_select(&cfg, &s, &dear).unwrap();
+        assert_eq!(on_ram.algo(), Some(SelectAlgo::Hash));
+        assert_eq!(on_disk.algo(), Some(SelectAlgo::Small));
     }
 
     #[test]
@@ -653,26 +613,43 @@ mod tests {
             om_bytes: 1 << 16,
             zero_om_scratch_rows: 1,
         };
-        let (algo, costed) = choose_join_costed(&s, &CostProfile::host()).unwrap();
-        assert_eq!(costed.len(), 3);
-        assert!(costed.iter().any(|c| c.algo == algo));
-        let zero = JoinShape { om_bytes: 0, ..s };
-        let (algo, costed) = choose_join_costed(&zero, &CostProfile::host()).unwrap();
-        assert_eq!(algo, JoinAlgo::ZeroOm);
-        assert_eq!(costed.len(), 1);
+        let cfg = PlannerConfig::default();
+        let candidates_of = |shape: &JoinShape| {
+            let (choice, est) = choose_join(&cfg, shape, &CostProfile::host()).unwrap();
+            match choice {
+                JoinChoice::Chosen { algo, candidates } => {
+                    let won = candidates.iter().find(|c| c.algo == algo).expect("winner is listed");
+                    assert_eq!(est, Some(won.cost));
+                    (algo, candidates.len())
+                }
+                other => panic!("expected a costed choice, got {other:?}"),
+            }
+        };
+        assert_eq!(candidates_of(&s).1, 3);
+        assert_eq!(candidates_of(&JoinShape { om_bytes: 0, ..s }), (JoinAlgo::ZeroOm, 1));
     }
 
     #[test]
-    fn bench_json_seeding_normalizes_to_host() {
-        let json = r#"
-{"substrate": "host", "workload": "scan", "seconds": 0.001, "reads": 900, "writes": 100, "crossings": 10}
-{"substrate": "disk", "workload": "scan", "seconds": 0.002, "reads": 900, "writes": 100, "crossings": 10}
-"#;
-        let host = CostProfile::from_bench_json(json, "host").unwrap();
-        let disk = CostProfile::from_bench_json(json, "disk").unwrap();
-        assert!((host.read_block - 1.0).abs() < 1e-9);
-        assert!((disk.read_block - 2.0).abs() < 1e-9);
-        assert!(CostProfile::from_bench_json(json, "nope").is_none());
+    fn force_overrides() {
+        let cfg = PlannerConfig {
+            force_select: Some(SelectAlgo::Naive),
+            force_join: Some(JoinAlgo::ZeroOm),
+            ..PlannerConfig::default()
+        };
+        let (select, est) =
+            choose_select(&cfg, &shape(10, 1, true, 1 << 20), &CostProfile::host()).unwrap();
+        assert_eq!(select, SelectChoice::Forced(SelectAlgo::Naive));
+        assert!(est.is_some(), "a forced select is still costed");
+        let joined = JoinShape {
+            left_schema: Schema::new(vec![Column::new("k", DataType::Int)]),
+            left_capacity: 10,
+            right_schema: Schema::new(vec![Column::new("k", DataType::Int)]),
+            right_capacity: 10,
+            om_bytes: 1 << 20,
+            zero_om_scratch_rows: 1,
+        };
+        let (join, _) = choose_join(&cfg, &joined, &CostProfile::host()).unwrap();
+        assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));
     }
 
     #[test]

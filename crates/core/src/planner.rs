@@ -5,10 +5,17 @@
 //! result's continuity, and the oblivious-memory budget. The planner's own
 //! preliminary scan has a fixed access pattern — read every row once — so
 //! the only leakage optimization adds is the final algorithm choice.
+//!
+//! The choice itself is made in [`crate::plan::cost`]: `choose_select` and
+//! `choose_join` dry-run every admissible candidate and weigh the counted
+//! accesses with [`PlannerConfig::profile`]. The paper's closed-form §5
+//! rules are not an engine mode; they live in `oblidb_baselines::paper_rules`
+//! as the reference the figure harnesses and parity tests compare against.
 
-use oblidb_enclave::{EnclaveMemory, OmBudget};
+use oblidb_enclave::EnclaveMemory;
 
 use crate::error::DbError;
+use crate::plan::cost::CostProfile;
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
@@ -54,32 +61,6 @@ pub struct SelectStats {
     pub continuous: bool,
 }
 
-/// How the planner prices candidate operators.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CostModel {
-    /// The closed-form access-count formulas (paper §5 as originally
-    /// reproduced). Kept for comparison and for the parity tests; the
-    /// measured model subsumes it.
-    ClosedForm,
-    /// Dry-run each candidate against a scratch
-    /// [`CountingMemory`](oblidb_enclave::CountingMemory), count blocks
-    /// and boundary crossings, and weigh them with the per-substrate
-    /// [`CostProfile`](crate::plan::cost::CostProfile) — the
-    /// cost-calibrated planner (ROADMAP).
-    Measured(crate::plan::cost::CostProfile),
-}
-
-impl CostModel {
-    /// The profile used for weighting (the closed-form model reports
-    /// costs under the default profile for explain purposes).
-    pub fn profile(&self) -> crate::plan::cost::CostProfile {
-        match self {
-            CostModel::ClosedForm => crate::plan::cost::CostProfile::default(),
-            CostModel::Measured(p) => p.clone(),
-        }
-    }
-}
-
 /// Planner tunables.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
@@ -90,25 +71,16 @@ pub struct PlannerConfig {
     /// Fraction of the table above which Large is used ("contains almost
     /// every row", §4.1).
     pub large_threshold: f64,
-    /// Maximum Small passes before falling back to Hash — a
-    /// [`CostModel::ClosedForm`]-only proxy for the pass cost (Small is
-    /// ≈ passes·N reads vs Hash's ≈ 21·N accesses, break-even around
-    /// 16–20 passes; measured calibration in the fig13 harness). The
-    /// measured model prices the passes directly — block counts and
-    /// crossing weight — so it deliberately ignores this cap: on a
-    /// dear-crossing substrate, 50 cheap sequential passes legitimately
-    /// beat ~2·N crossings.
-    pub small_max_passes: u64,
     /// Operator overrides ("users can also manually choose to force a
     /// particular operator", §5).
     pub force_select: Option<SelectAlgo>,
     /// Join override.
     pub force_join: Option<JoinAlgo>,
-    /// How candidates are priced. Defaults to the measured model under
+    /// The per-substrate weights candidates are priced with. Defaults to
     /// the (substrate-neutral) host profile, so plan choices — which are
     /// deliberate leakage — stay identical across substrates unless a
     /// per-substrate profile is opted into.
-    pub cost_model: CostModel,
+    pub profile: CostProfile,
 }
 
 impl Default for PlannerConfig {
@@ -116,10 +88,9 @@ impl Default for PlannerConfig {
         PlannerConfig {
             enable_continuous: true,
             large_threshold: 0.9,
-            small_max_passes: 16,
             force_select: None,
             force_join: None,
-            cost_model: CostModel::Measured(crate::plan::cost::CostProfile::host()),
+            profile: CostProfile::host(),
         }
     }
 }
@@ -147,114 +118,6 @@ pub fn scan_stats<M: EnclaveMemory>(
         prev = hit;
     })?;
     Ok(SelectStats { matches, continuous: runs <= 1 && matches > 0 })
-}
-
-/// Chooses the SELECT operator from the stats, sizes, and budget — the
-/// decision procedure behind Figure 13.
-pub fn choose_select(
-    stats: SelectStats,
-    table_rows: u64,
-    row_len: usize,
-    om: &OmBudget,
-    cfg: &PlannerConfig,
-) -> SelectAlgo {
-    if let Some(algo) = cfg.force_select {
-        return algo;
-    }
-    if stats.continuous && cfg.enable_continuous {
-        return SelectAlgo::Continuous;
-    }
-    let buf_rows = (om.available() / row_len.max(1)).max(1) as u64;
-    let passes = stats.matches.div_ceil(buf_rows).max(1);
-    // Access-count costs (reads + writes) of the two candidates.
-    let cost_small = passes * table_rows + stats.matches;
-    let cost_large = 4 * table_rows; // copy (r+w) + clear pass (r+w)
-    if table_rows > 0 && stats.matches as f64 >= cfg.large_threshold * table_rows as f64 {
-        // "Contains almost every row": Large applies; still take Small
-        // when the whole result fits in a few enclave-fulls and wins on
-        // measured accesses (it also yields a tighter output structure).
-        return if cost_small <= cost_large && passes <= cfg.small_max_passes {
-            SelectAlgo::Small
-        } else {
-            SelectAlgo::Large
-        };
-    }
-    // Below the threshold Large's |T|-block output structure penalizes
-    // every downstream operator, so the choice is Small vs Hash (§5).
-    if passes <= cfg.small_max_passes {
-        SelectAlgo::Small
-    } else {
-        SelectAlgo::Hash
-    }
-}
-
-/// Cost model for the sort-merge joins: untrusted block accesses of
-/// sorting `n` union rows with an enclave chunk of `m` rows, plus the
-/// fill and merge passes. Mirrors the structure of `exec::sort`.
-fn sort_join_cost(n1: u64, n2: u64, chunk: u64) -> u64 {
-    let n = (n1 + n2).max(2).next_power_of_two();
-    // Largest power of two ≤ chunk (matches exec::sort's buffer shaping).
-    let c = chunk.max(1);
-    let m = (1u64 << (63 - c.leading_zeros())).min(n);
-    // Phase A (local sorts) reads and writes everything once.
-    let mut passes: u64 = 2;
-    let mut k = 2 * m;
-    while k <= n {
-        let mut j = k / 2;
-        while j >= m {
-            passes += 2; // element pass reads + writes the span
-            j /= 2;
-        }
-        if m > 1 {
-            passes += 2; // local merge pass
-        }
-        k *= 2;
-    }
-    // Fill (read inputs + write union) and merge (read union + write out).
-    (n1 + n2) * 2 + n * passes + n * 2
-}
-
-/// Cost model for the hash join. Each probe step costs one T2 read, one
-/// (joined-row) output write, and one output-region creation write —
-/// hence the weight of 3 on the per-pass term, validated cell-by-cell
-/// against the fig14 grid.
-fn hash_join_cost(n1: u64, n2: u64, chunk_rows: u64) -> u64 {
-    let passes = n1.div_ceil(chunk_rows.max(1));
-    n1 + passes * n2 * 3
-}
-
-/// Chooses the join algorithm from table sizes and the oblivious-memory
-/// budget only (paper §5: "planning for joins requires even less
-/// information than selection").
-pub fn choose_join(
-    n1: u64,
-    n2: u64,
-    row_len1: usize,
-    union_row_len: usize,
-    om: &OmBudget,
-    cfg: &PlannerConfig,
-) -> JoinAlgo {
-    if let Some(algo) = cfg.force_join {
-        return algo;
-    }
-    let om_bytes = om.available();
-    if om_bytes == 0 {
-        return JoinAlgo::ZeroOm;
-    }
-    let build_rows = (om_bytes / (row_len1 + 32).max(1)) as u64;
-    // "If the amount of oblivious memory is large relative to the size of
-    // the first table, we always use the hash join."
-    if build_rows >= n1 {
-        return JoinAlgo::Hash;
-    }
-    let sort_rows = (om_bytes / union_row_len.max(1)).max(1) as u64;
-    let hash_cost = hash_join_cost(n1, n2, build_rows.max(1));
-    let opaque_cost = sort_join_cost(n1, n2, sort_rows);
-    if hash_cost <= opaque_cost {
-        JoinAlgo::Hash
-    } else {
-        JoinAlgo::Opaque
-    }
 }
 
 #[cfg(test)]
@@ -308,85 +171,5 @@ mod tests {
         scan_stats(&mut host, &mut t, &p2).unwrap();
         let b = host.take_trace();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn continuous_preferred_when_enabled() {
-        let om = OmBudget::new(1 << 20);
-        let cfg = PlannerConfig::default();
-        let stats = SelectStats { matches: 50, continuous: true };
-        assert_eq!(choose_select(stats, 1000, 64, &om, &cfg), SelectAlgo::Continuous);
-        let cfg_off = PlannerConfig { enable_continuous: false, ..cfg };
-        assert_eq!(choose_select(stats, 1000, 64, &om, &cfg_off), SelectAlgo::Small);
-    }
-
-    #[test]
-    fn large_for_near_total_selection() {
-        // Tiny OM: Small would need ~60 passes, so Large wins.
-        let om = OmBudget::new(16 * 64);
-        let cfg = PlannerConfig::default();
-        let stats = SelectStats { matches: 950, continuous: false };
-        assert_eq!(choose_select(stats, 1000, 64, &om, &cfg), SelectAlgo::Large);
-        // Plentiful OM: the whole result fits in one enclave buffer and
-        // Small beats Large on measured accesses (fig13 at small scale).
-        let om = OmBudget::new(1 << 20);
-        assert_eq!(choose_select(stats, 1000, 64, &om, &cfg), SelectAlgo::Small);
-    }
-
-    #[test]
-    fn small_for_small_results_hash_for_medium() {
-        // OM fits 16 rows; 5% → few passes → Small; 50% → many → Hash.
-        let om = OmBudget::new(16 * 64);
-        let cfg = PlannerConfig::default();
-        let small = SelectStats { matches: 50, continuous: false };
-        assert_eq!(choose_select(small, 1000, 64, &om, &cfg), SelectAlgo::Small);
-        let medium = SelectStats { matches: 500, continuous: false };
-        assert_eq!(choose_select(medium, 1000, 64, &om, &cfg), SelectAlgo::Hash);
-    }
-
-    #[test]
-    fn force_overrides() {
-        let om = OmBudget::new(1 << 20);
-        let cfg = PlannerConfig {
-            force_select: Some(SelectAlgo::Naive),
-            force_join: Some(JoinAlgo::ZeroOm),
-            ..PlannerConfig::default()
-        };
-        let stats = SelectStats { matches: 1, continuous: true };
-        assert_eq!(choose_select(stats, 10, 8, &om, &cfg), SelectAlgo::Naive);
-        assert_eq!(choose_join(10, 10, 8, 32, &om, &cfg), JoinAlgo::ZeroOm);
-    }
-
-    #[test]
-    fn join_hash_when_t1_fits() {
-        let om = OmBudget::new(1 << 20);
-        let cfg = PlannerConfig::default();
-        assert_eq!(choose_join(100, 100_000, 64, 128, &om, &cfg), JoinAlgo::Hash);
-    }
-
-    #[test]
-    fn join_opaque_when_om_is_tiny() {
-        // With almost no oblivious memory the hash join degenerates to
-        // hundreds of passes over T2 and the sort-merge join wins. (In our
-        // substrate random and sequential block accesses cost the same, so
-        // the crossover sits at a smaller budget than on the paper's SGX
-        // testbed — see EXPERIMENTS.md.)
-        let om = OmBudget::new(20 * 96);
-        let cfg = PlannerConfig::default();
-        assert_eq!(choose_join(10_000, 25_000, 64, 96, &om, &cfg), JoinAlgo::Opaque);
-    }
-
-    #[test]
-    fn join_hash_when_t2_tiny() {
-        let om = OmBudget::new(500 * 96);
-        let cfg = PlannerConfig::default();
-        assert_eq!(choose_join(10_000, 100, 64, 96, &om, &cfg), JoinAlgo::Hash);
-    }
-
-    #[test]
-    fn join_zero_om_when_no_budget() {
-        let om = OmBudget::new(0);
-        let cfg = PlannerConfig::default();
-        assert_eq!(choose_join(1000, 1000, 64, 96, &om, &cfg), JoinAlgo::ZeroOm);
     }
 }

@@ -97,7 +97,7 @@ pub struct Wal {
     /// `base_lsn + len` is the monotonic log sequence number across
     /// truncations.
     base_lsn: u64,
-    /// Statements appended as [`REC_EPOCH_PENDING`] since the last
+    /// Statements appended as `REC_EPOCH_PENDING` since the last
     /// epoch-commit marker — what the next marker will make durable.
     epoch_pending: u64,
 }
@@ -211,7 +211,7 @@ impl Wal {
     }
 
     /// Appends one statement as immediately committed (kind
-    /// [`REC_STATEMENT`]), before its mutation executes. Exactly one
+    /// `REC_STATEMENT`), before its mutation executes. Exactly one
     /// sealed write — no data-dependent access pattern.
     pub fn append<M: EnclaveMemory>(
         &mut self,
@@ -227,7 +227,7 @@ impl Wal {
     }
 
     /// Appends one statement into the currently open epoch (kind
-    /// [`REC_EPOCH_PENDING`]). Invisible to recovery until
+    /// `REC_EPOCH_PENDING`). Invisible to recovery until
     /// [`Wal::append_epoch_commit`] seals the group.
     pub fn append_pending<M: EnclaveMemory>(
         &mut self,

@@ -23,8 +23,6 @@
 
 mod bucket;
 mod path_oram;
-mod queue;
 
 pub use bucket::{Bucket, Slot, DUMMY_ADDR};
 pub use path_oram::{OramError, OramStats, PathOram, PosMapKind, Z};
-pub use queue::OramRequestQueue;

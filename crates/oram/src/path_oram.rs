@@ -401,146 +401,6 @@ impl PathOram {
         Ok(())
     }
 
-    /// Batched oblivious access: services every request in `ops` with a
-    /// single path-union read and a single joint eviction write (two
-    /// boundary crossings total, like one plain access).
-    ///
-    /// Each element of `ops` is `(addr, write)` — `None` reads, `Some(data)`
-    /// writes. Results come back in request order and see earlier writes in
-    /// the same batch (read-your-writes). Every request still remaps its
-    /// address and fetches one full path, so the trace reveals exactly
-    /// `ops.len()` paths — the same leakage as issuing the requests one by
-    /// one. A duplicate address's later request fetches the fresh random
-    /// path its predecessor just installed, which no block yet lives on: a
-    /// natural dummy path, exactly as in Obladi-style epoch batching. The
-    /// saving is the crossings and the shared bucket I/O: overlapping
-    /// buckets (at least the root, usually the top levels) are read and
-    /// written once instead of once per request.
-    pub fn access_batch<M: EnclaveMemory>(
-        &mut self,
-        host: &mut M,
-        ops: &[(u64, Option<Vec<u8>>)],
-    ) -> Result<Vec<Vec<u8>>, OramError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        for &(addr, ref data) in ops {
-            self.check_addr(addr)?;
-            if let Some(data) = data {
-                assert_eq!(data.len(), self.payload_len, "payload length mismatch");
-            }
-        }
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::OramPath);
-        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::OramAccesses, ops.len() as u64);
-        let timed = oblidb_telemetry::enabled().then(std::time::Instant::now);
-
-        // Remap every address up front, collecting the old (to-be-read)
-        // leaves. For a duplicate address the second get_and_set returns the
-        // first request's fresh leaf — an unwritten random path.
-        let mut remapped = Vec::with_capacity(ops.len());
-        for &(addr, _) in ops {
-            let new_leaf = self.rng.below(self.leaves) as u32;
-            let old_leaf = self.posmap.get_and_set(host, addr, new_leaf)? as u64;
-            remapped.push((old_leaf, new_leaf));
-        }
-
-        // Union of the paths' bucket indices, root-first per path in
-        // request order. The root is shared by every path, so it is always
-        // first and every stash block can land somewhere at eviction.
-        let mut union: Vec<u64> = Vec::with_capacity(ops.len() * self.levels as usize);
-        for &(old_leaf, _) in &remapped {
-            for level in 0..self.levels {
-                let idx = self.path_bucket(old_leaf, level);
-                if !union.contains(&idx) {
-                    union.push(idx);
-                }
-            }
-        }
-        let dense = ops.len() as u64 * self.levels as u64;
-        oblidb_telemetry::counter_add(
-            oblidb_telemetry::Counter::OramBatchedFetches,
-            dense - union.len() as u64,
-        );
-
-        // One gather over the union; unpack every real slot into the stash.
-        let bucket_len = Bucket::serialized_len(Z, self.payload_len);
-        self.path_buf.clear();
-        self.path_buf.extend_from_slice(&union);
-        let fetched = self.store.read_batch_at(host, &self.path_buf)?;
-        for plaintext in fetched.chunks_exact(bucket_len) {
-            let bucket = Bucket::deserialize(plaintext, Z, self.payload_len);
-            for slot in bucket.slots {
-                if slot.is_real() {
-                    self.stash.push(slot);
-                }
-            }
-        }
-
-        // Service the requests in order against the stash. Later requests
-        // on the same address observe earlier writes, and the last writer's
-        // leaf assignment matches what the position map already says.
-        let mut out = Vec::with_capacity(ops.len());
-        for (&(addr, ref new_data), &(_, new_leaf)) in ops.iter().zip(&remapped) {
-            let data = match self.stash.iter_mut().find(|s| s.addr == addr) {
-                Some(slot) => {
-                    slot.leaf = new_leaf;
-                    if let Some(data) = new_data {
-                        slot.data.clear();
-                        slot.data.extend_from_slice(data);
-                    }
-                    slot.data.clone()
-                }
-                None => {
-                    let data = new_data.clone().unwrap_or_else(|| vec![0u8; self.payload_len]);
-                    self.stash.push(Slot { addr, leaf: new_leaf, data: data.clone() });
-                    data
-                }
-            };
-            out.push(data);
-        }
-        self.stats.stash_peak = self.stats.stash_peak.max(self.stash.len());
-
-        // Joint greedy eviction over the union, deepest bucket first. A
-        // bucket's level is recoverable from its index (complete binary
-        // tree, root = 0), so sorting indices descending visits leaves
-        // before ancestors — the same deepest-first order as evict_path,
-        // generalized to a forest of overlapping paths.
-        union.sort_unstable_by(|a, b| b.cmp(a));
-        self.path_buf.clear();
-        self.scratch.clear();
-        self.scratch.resize(union.len() * bucket_len, 0);
-        for (depth, &idx) in union.iter().enumerate() {
-            let level = (idx + 1).ilog2();
-            self.path_buf.push(idx);
-            let mut bucket = Bucket::empty(Z, self.payload_len);
-            let mut filled = 0;
-            let mut i = 0;
-            while i < self.stash.len() && filled < Z {
-                let entry_leaf = self.stash[i].leaf as u64;
-                if self.path_bucket(entry_leaf, level) == idx {
-                    bucket.slots[filled] = self.stash.swap_remove(i);
-                    filled += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            bucket.serialize_into(
-                self.payload_len,
-                &mut self.scratch[depth * bucket_len..][..bucket_len],
-            );
-        }
-        self.store.write_batch_at(host, &self.path_buf, &self.scratch)?;
-
-        self.stats.accesses += ops.len() as u64;
-        if let Some(t0) = timed {
-            oblidb_telemetry::histogram_record(
-                oblidb_telemetry::HistogramId::OramPathNanos,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        Ok(out)
-    }
-
     /// Linear scan over the whole structure: every bucket in index order,
     /// then the (enclave-resident) stash. The callback receives every slot,
     /// dummy or real, so callers can do data-independent per-slot work —
@@ -569,8 +429,8 @@ impl PathOram {
         Ok(())
     }
 
-    /// Bulk-loads contents at creation time (pre-deployment loading; see
-    /// DESIGN.md §7). `items[i]` becomes logical block `i`.
+    /// Bulk-loads contents at creation time (pre-deployment loading).
+    /// `items[i]` becomes logical block `i`.
     pub fn with_contents<M: EnclaveMemory>(
         host: &mut M,
         key: AeadKey,
@@ -760,115 +620,6 @@ mod tests {
         host.reset_stats();
         oram.dummy_access(&mut host).unwrap();
         assert_eq!(host.stats().crossings, 2, "dummy accesses batch identically");
-    }
-
-    #[test]
-    fn batch_is_two_crossings() {
-        // A whole batch costs the same number of crossings as one access:
-        // one gather over the path union, one scatter back.
-        let (mut host, mut oram, _om) = setup(256, 8, PosMapKind::Direct);
-        let ops: Vec<(u64, Option<Vec<u8>>)> =
-            (0..8).map(|i| (i * 3, Some(vec![i as u8; 8]))).collect();
-        host.reset_stats();
-        oram.access_batch(&mut host, &ops).unwrap();
-        let s = host.stats();
-        assert_eq!(s.crossings, 2, "batched gather + batched scatter");
-        // The union is smaller than the dense path set (root is shared).
-        assert!(s.total_accesses() < 2 * 8 * oram.path_len() as u64);
-    }
-
-    #[test]
-    fn batch_matches_sequential_model() {
-        // Batched execution is equivalent to running the requests one by
-        // one, including read-your-writes on duplicate addresses inside a
-        // single batch.
-        let (mut host, mut oram, _om) = setup(64, 16, PosMapKind::Direct);
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut rng = EnclaveRng::seed_from_u64(11);
-        for round in 0..60 {
-            let batch_len = 1 + rng.below(7) as usize;
-            let mut ops: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(batch_len);
-            for _ in 0..batch_len {
-                // Small address space so duplicates are common.
-                let addr = rng.below(16);
-                if rng.below(2) == 0 {
-                    let mut data = vec![0u8; 16];
-                    rng.fill(&mut data);
-                    ops.push((addr, Some(data)));
-                } else {
-                    ops.push((addr, None));
-                }
-            }
-            let got = oram.access_batch(&mut host, &ops).unwrap();
-            assert_eq!(got.len(), ops.len());
-            for ((addr, write), result) in ops.iter().zip(&got) {
-                match write {
-                    Some(data) => {
-                        assert_eq!(result, data, "round {round}: write echoes its payload");
-                        model.insert(*addr, data.clone());
-                    }
-                    None => {
-                        let expected = model.get(addr).cloned().unwrap_or_else(|| vec![0u8; 16]);
-                        assert_eq!(result, &expected, "round {round} addr {addr}");
-                    }
-                }
-            }
-        }
-        // Plain accesses after batches still see the batched state.
-        for (addr, data) in &model {
-            assert_eq!(&oram.read(&mut host, *addr).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn batch_recursive_posmap() {
-        let (mut host, mut oram, _om) =
-            setup(64, 16, PosMapKind::Recursive { entries_per_block: 8 });
-        let ops: Vec<(u64, Option<Vec<u8>>)> =
-            (0..10u64).map(|i| (i, Some(vec![i as u8 + 1; 16]))).collect();
-        oram.access_batch(&mut host, &ops).unwrap();
-        let reads: Vec<(u64, Option<Vec<u8>>)> = (0..10u64).map(|i| (i, None)).collect();
-        let got = oram.access_batch(&mut host, &reads).unwrap();
-        for (i, data) in got.iter().enumerate() {
-            assert_eq!(data, &vec![i as u8 + 1; 16]);
-        }
-    }
-
-    #[test]
-    fn batch_trace_is_union_of_paths() {
-        // The data-region trace of a batch is: a read of each union bucket,
-        // then a write of exactly the same buckets. Duplicate addresses
-        // still contribute a (fresh, dummy) path each, so the trace shape
-        // depends only on the batch size and the sampled leaves — never on
-        // which addresses repeat.
-        let (mut host, mut oram, _om) = setup(32, 8, PosMapKind::Direct);
-        let region = oram.store.region_id();
-        let ops: Vec<(u64, Option<Vec<u8>>)> = vec![(4, Some(vec![1u8; 8])), (4, None), (9, None)];
-        host.start_trace();
-        oram.access_batch(&mut host, &ops).unwrap();
-        let trace = host.take_trace();
-        let events = trace.for_region(region);
-        let read_idx: Vec<u64> =
-            events.iter().filter(|e| e.kind == AccessKind::Read).map(|e| e.index).collect();
-        let mut written: Vec<u64> =
-            events.iter().filter(|e| e.kind == AccessKind::Write).map(|e| e.index).collect();
-        assert_eq!(read_idx.len(), written.len());
-        let levels = oram.path_len() as usize;
-        // At least one full path, at most one per request; root always read.
-        assert!(read_idx.len() >= levels && read_idx.len() <= ops.len() * levels);
-        assert!(read_idx.contains(&0), "root bucket is always in the union");
-        let mut read_sorted = read_idx.clone();
-        read_sorted.sort_unstable();
-        written.sort_unstable();
-        assert_eq!(read_sorted, written, "eviction rewrites exactly the union");
-    }
-
-    #[test]
-    fn empty_batch_is_free() {
-        let (mut host, mut oram, _om) = setup(16, 8, PosMapKind::Direct);
-        host.reset_stats();
-        assert!(oram.access_batch(&mut host, &[]).unwrap().is_empty());
-        assert_eq!(host.stats().crossings, 0);
     }
 
     #[test]

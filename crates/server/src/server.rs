@@ -1,7 +1,7 @@
 //! Session-per-connection TCP server over a [`SharedDatabase`].
 //!
 //! One accept thread owns the listener; each accepted connection becomes
-//! a [`Session`] driven on the in-tree [`ThreadPool`]'s scoped mode, so
+//! a [`Session`](oblidb_core::Session) driven on the in-tree [`ThreadPool`]'s scoped mode, so
 //! concurrency is bounded at the worker count and excess connections
 //! queue at submit time (backpressure, not thread explosion). Statement
 //! routing — snapshot forks for flat reads, the exclusive master for

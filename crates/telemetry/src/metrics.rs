@@ -69,13 +69,10 @@ pub enum Counter {
     /// Epoch-commit group fsyncs — one per closed epoch, however many
     /// statements it covered.
     EpochFsyncs,
-    /// ORAM requests in a batch served without their own path fetch
-    /// (repeat addresses answered from the stash after the first fetch).
-    OramBatchedFetches,
 }
 
 /// Number of [`Counter`] variants (the registry's fixed size).
-const COUNTER_COUNT: usize = Counter::OramBatchedFetches as usize + 1;
+const COUNTER_COUNT: usize = Counter::EpochFsyncs as usize + 1;
 
 const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "prepares",
@@ -101,7 +98,6 @@ const COUNTER_NAMES: [&str; COUNTER_COUNT] = [
     "txn_commits",
     "txn_aborts",
     "epoch_fsyncs",
-    "oram_batched_fetches",
 ];
 
 /// Every log₂ histogram the engine maintains.

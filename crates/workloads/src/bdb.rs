@@ -3,7 +3,7 @@
 //! The original AMPLab data is not redistributable offline, so this module
 //! generates deterministic synthetic tables with the same schemas, row
 //! counts, and — what the evaluation actually depends on — the same query
-//! selectivities (see DESIGN.md §2):
+//! selectivities:
 //!
 //! * RANKINGS (360 000 rows): `pageURL, pageRank, avgDuration`;
 //!   Q1's `pageRank > 1000` matches ≈ 0.25 % of rows (the BDB "tiny"

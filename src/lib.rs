@@ -169,11 +169,11 @@ pub fn database_open_with_report(
     })?;
     // Reload the persisted calibration artifact (written by
     // [`database_on_calibrated`]) so planner weights survive restarts.
-    // Only a caller-default cost model is substituted — an explicit model
+    // Only a caller-default profile is substituted — an explicit profile
     // in `config` is a deliberate choice and wins over the artifact.
-    if config.planner.cost_model == core::DbConfig::default().planner.cost_model {
+    if config.planner.profile == core::CostProfile::default() {
         if let Some(profile) = core::CostProfile::load_from(dir) {
-            config.planner.cost_model = core::CostModel::Measured(profile);
+            config.planner.profile = profile;
         }
     }
     // A pending recovery journal means an earlier rebuild was interrupted
@@ -294,6 +294,6 @@ pub fn database_on_calibrated(
         }),
         None => core::CostProfile::named(spec.profile_name()),
     };
-    config.planner.cost_model = core::CostModel::Measured(profile);
+    config.planner.profile = profile;
     core::Database::try_with_memory(mem, config).map_err(|e| std::io::Error::other(e.to_string()))
 }

@@ -381,7 +381,7 @@ fn open_requires_a_persisted_store() {
 /// instead of re-deriving stock ones.
 #[test]
 fn calibration_artifact_survives_restart() {
-    use oblidb::core::{CostModel, CostProfile, CALIBRATION_FILE};
+    use oblidb::core::{CostProfile, CALIBRATION_FILE};
 
     let guard = TempDir::new("oblidb-persist-calibration").unwrap();
     let dir = guard.path().join("db");
@@ -398,8 +398,8 @@ fn calibration_artifact_survives_restart() {
     // Reopen with an untouched default config: the persisted weights win.
     let mut reopened = oblidb::database_open(&spec, wal_config()).unwrap();
     assert_eq!(
-        reopened.config_mut().planner.cost_model,
-        CostModel::Measured(saved.clone()),
+        reopened.config_mut().planner.profile,
+        saved,
         "database_open must reload the persisted calibration"
     );
     assert_eq!(reopened.execute(QUERY).unwrap().len(), 20);
@@ -407,11 +407,11 @@ fn calibration_artifact_survives_restart() {
     // A second calibrated open loads the artifact instead of re-probing:
     // the weights stay bit-identical across restarts.
     let mut again = oblidb::database_open_with_report(&spec, wal_config()).unwrap().0;
-    assert_eq!(again.config_mut().planner.cost_model, CostModel::Measured(saved.clone()));
+    assert_eq!(again.config_mut().planner.profile, saved);
 
-    // An explicit cost model in the caller's config is never overridden.
+    // An explicit profile in the caller's config is never overridden.
     let mut cfg = wal_config();
-    cfg.planner.cost_model = CostModel::ClosedForm;
+    cfg.planner.profile = CostProfile::uniform();
     let mut pinned = oblidb::database_open(&spec, cfg).unwrap();
-    assert_eq!(pinned.config_mut().planner.cost_model, CostModel::ClosedForm);
+    assert_eq!(pinned.config_mut().planner.profile, CostProfile::uniform());
 }

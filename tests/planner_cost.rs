@@ -5,16 +5,17 @@
 //!    `CountingMemory` dry run) equal the measured actuals for *every*
 //!    SELECT algorithm, forced one at a time.
 //! 2. **Never worse than closed-form** — across randomized shapes, the
-//!    cost-based choice's measured weighted cost never exceeds the
-//!    closed-form choice's on `Host`.
+//!    engine's choice never costs more (measured, host-weighted) than the
+//!    operator the paper's closed-form rule (`baselines::paper_rules`)
+//!    would take, run by forcing it.
 //! 3. **Substrate-calibrated divergence** (acceptance) — the same query
 //!    picks a different, and cheaper-by-weighted-crossings, operator under
 //!    the disk profile than under the host profile; and the conformance
 //!    property (byte-identical results + traces across substrates) holds
 //!    through the prepare/execute path when the profiles agree.
 
+use oblidb::baselines::paper_rules;
 use oblidb::core::plan::{PlanNode, SelectChoice};
-use oblidb::core::planner::CostModel;
 use oblidb::core::{CostProfile, Database, DbConfig, SelectAlgo};
 use oblidb::enclave::EnclaveRng;
 
@@ -83,38 +84,39 @@ fn padded_estimates_match_actuals() {
 
 /// 2. Property: across randomized table sizes, OM budgets and
 ///    selectivities, the cost-based choice never costs more (measured,
-///    host-weighted) than the closed-form choice would have.
+///    host-weighted) than the closed-form rule's choice would have.
 #[test]
 fn cost_based_choice_never_exceeds_closed_form() {
     let mut rng = EnclaveRng::seed_from_u64(0xC057_CA1B);
-    let profile = CostProfile::host();
     for case in 0..12 {
         let rows = 32 + (rng.next_u64() % 160);
         let om = 64 + (rng.next_u64() % 4096) as usize;
         let cut = (rng.next_u64() % rows) as i64;
         let scattered = rng.next_u64() % 2 == 0;
+        // Scattered: two runs → not continuous (unless one is empty).
+        let (lo, hi) = (cut / 2, rows as i64 - (cut - cut / 2).max(1));
         let query = if scattered {
-            // Two runs → not continuous.
-            format!(
-                "SELECT * FROM t WHERE id < {} OR id >= {}",
-                cut / 2,
-                rows as i64 - (cut - cut / 2).max(1)
-            )
+            format!("SELECT * FROM t WHERE id < {lo} OR id >= {hi}")
         } else {
             format!("SELECT * FROM t WHERE id < {cut}")
         };
+        let hit = |id: i64| if scattered { id < lo || id >= hi } else { id < cut };
 
-        let run_with = |model: CostModel| {
+        let run_with = |force: Option<SelectAlgo>| {
             let mut config = DbConfig { om_bytes: om, ..DbConfig::default() };
-            config.planner.cost_model = model;
+            config.planner.force_select = force;
             let mut db = build_db(config, rows, rows as i64);
+            let row_len = db.table_schema("t").unwrap().row_len();
             let mut stmt = db.prepare(&query).unwrap();
             stmt.run().unwrap();
             let f = filter_of(stmt.plan().select_root().unwrap());
-            (f.choice.algo().unwrap(), f.actual.unwrap())
+            (f.choice.algo().unwrap(), f.actual.unwrap(), row_len)
         };
-        let (costed_algo, costed) = run_with(CostModel::Measured(profile.clone()));
-        let (closed_algo, closed) = run_with(CostModel::ClosedForm);
+        let (costed_algo, costed, row_len) = run_with(None);
+        let stats = paper_rules::stats_of((0..rows as i64).map(hit));
+        let rule = paper_rules::choose_select(stats, rows, row_len, om, true);
+        let (closed_algo, closed, _) = run_with(Some(rule));
+        assert_eq!(closed_algo, rule);
         assert!(
             costed.weighted <= closed.weighted + 1e-6,
             "case {case} ({query}): costed {costed_algo:?} = {} must not exceed \
@@ -132,7 +134,7 @@ fn cost_based_choice_never_exceeds_closed_form() {
 fn disk_and_host_profiles_pick_different_cheaper_operators() {
     let plan_with = |profile: CostProfile| {
         let mut config = DbConfig { om_bytes: 128, ..DbConfig::default() };
-        config.planner.cost_model = CostModel::Measured(profile);
+        config.planner.profile = profile;
         let mut db = build_db(config, 512, 2);
         let mut stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
         stmt.run().unwrap();
@@ -173,7 +175,7 @@ fn disk_and_host_profiles_pick_different_cheaper_operators() {
 fn explain_select_shows_the_calibrated_choice() {
     let explain_with = |profile: CostProfile| {
         let mut config = DbConfig { om_bytes: 128, ..DbConfig::default() };
-        config.planner.cost_model = CostModel::Measured(profile);
+        config.planner.profile = profile;
         let mut db = build_db(config, 512, 2);
         let out = db.execute("EXPLAIN SELECT * FROM t WHERE v = 1").unwrap();
         out.rows().iter().map(|r| r[0].as_text().unwrap().to_string()).collect::<Vec<_>>()
@@ -219,4 +221,38 @@ fn join_estimates_match_actuals() {
         (actual.reads, actual.writes, actual.crossings),
         "join dry-run estimate must equal measured cost"
     );
+}
+
+/// One choice function, two call sites: a join planned at prepare (both
+/// sides flat) and a join of the same public shape whose choice waits for
+/// run time (one side materialized through its index) must report the
+/// same operator, the same candidate table and the same estimate.
+#[test]
+fn deferred_join_resolves_to_the_plan_time_choice() {
+    use oblidb::core::plan::JoinChoice;
+
+    let mut db = Database::new(DbConfig::default());
+    db.execute("CREATE TABLE d_flat (k INT, name INT) CAPACITY 16").unwrap();
+    db.execute("CREATE TABLE d_idx (k INT, name INT) STORAGE = INDEXED INDEX ON k").unwrap();
+    db.execute("CREATE TABLE f (k INT, v INT) CAPACITY 48").unwrap();
+    for i in 0..16 {
+        db.execute(&format!("INSERT INTO d_flat VALUES ({i}, {i})")).unwrap();
+        db.execute(&format!("INSERT INTO d_idx VALUES ({i}, {i})")).unwrap();
+    }
+    for i in 0..48 {
+        db.execute(&format!("INSERT INTO f VALUES ({}, {i})", i % 16)).unwrap();
+    }
+    let join_of = |plan: &oblidb::core::QueryPlan| match plan.select_root().unwrap() {
+        PlanNode::Join(j) => (j.choice.clone(), j.est),
+        other => panic!("expected join root, got {other:?}"),
+    };
+
+    let stmt = db.prepare("SELECT * FROM d_flat JOIN f ON d_flat.k = f.k").unwrap();
+    let planned = join_of(stmt.plan());
+    assert!(matches!(planned.0, JoinChoice::Chosen { .. }), "flat sides decide at prepare");
+
+    let mut stmt = db.prepare("SELECT * FROM d_idx JOIN f ON d_idx.k = f.k").unwrap();
+    assert_eq!(join_of(stmt.plan()), (JoinChoice::Deferred, None));
+    assert_eq!(stmt.run().unwrap().len(), 48);
+    assert_eq!(join_of(stmt.plan()), planned, "deferred resolution must match plan time");
 }

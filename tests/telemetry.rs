@@ -206,10 +206,10 @@ fn explain_analyze_is_cacheable_and_rerunnable() {
 fn auditor_flags_data_dependent_plan_choice() {
     let _g = gate();
     telemetry::set_enabled(false);
-    let mut config = DbConfig { audit: true, ..DbConfig::default() };
-    // The closed-form planner takes Continuous whenever the matches are
-    // contiguous — the sharpest data-dependent choice to flip.
-    config.planner.cost_model = oblidb::core::CostModel::ClosedForm;
+    // A tight budget (16 matches need several Small passes) is what makes
+    // Continuous the cheapest candidate once contiguity admits it; from
+    // 256 bytes up Small wins either way and nothing would flip.
+    let config = DbConfig { audit: true, om_bytes: 128, ..DbConfig::default() };
     let mut db = Database::new(config);
     // v marks 16 *contiguous* rows (k in 10..26); w marks 16 *scattered*
     // rows (every fourth k). Same table size, same match count.
@@ -231,7 +231,7 @@ fn auditor_flags_data_dependent_plan_choice() {
 
     let run2 = db.execute("SELECT k FROM t WHERE v = 1").unwrap();
     assert_eq!(run1.plan.output_rows, run2.plan.output_rows, "shapes must match");
-    assert_ne!(run1.plan.select_algo, run2.plan.select_algo, "plan choice should flip");
+    assert_eq!(run2.plan.select_algo, Some(SelectAlgo::Small), "plan choice should flip");
 
     let report = db.audit_report();
     assert_eq!(db.audit_violations().len(), 1, "auditor missed the plan leak: {report:?}");
