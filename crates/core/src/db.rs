@@ -25,9 +25,7 @@ pub mod shared;
 use std::collections::HashMap;
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{
-    EnclaveMemory, EnclaveRng, Host, OmBudget, ThreadPool, Trace, DEFAULT_OM_BYTES,
-};
+use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
 use crate::exec::{self, AggFunc, SortMergeVariant};
@@ -55,45 +53,6 @@ pub enum StorageMethod {
     Indexed,
     /// Both, kept in sync (Figure 12).
     Both,
-}
-
-/// Parallel-execution configuration: how many worker threads the engine
-/// may use for partitioned sealing inside batched region I/O.
-///
-/// Parallelism never changes what the untrusted host observes — the
-/// memory-call sequence, crossing counts, and sealed bytes are identical
-/// to serial execution — so the worker count is a pure performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Worker threads (`1` = serial, the default; `0` is clamped to 1).
-    pub threads: usize,
-}
-
-impl ExecConfig {
-    /// Serial execution (one worker).
-    pub const SERIAL: ExecConfig = ExecConfig { threads: 1 };
-
-    /// Reads the worker count from the `OBLIDB_THREADS` environment
-    /// variable; unset, empty, or unparsable values mean serial.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("OBLIDB_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .unwrap_or(1);
-        ExecConfig { threads }
-    }
-
-    /// The worker pool this configuration describes.
-    pub fn pool(&self) -> ThreadPool {
-        ThreadPool::new(self.threads)
-    }
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig::SERIAL
-    }
 }
 
 /// Engine configuration.
@@ -126,9 +85,6 @@ pub struct DbConfig {
     /// one `sync_region` for the whole group. Recovery replays whole
     /// epochs or none. Only meaningful with `wal` on.
     pub epoch: Option<crate::wal::EpochConfig>,
-    /// Parallel execution (worker threads for partitioned sealing). The
-    /// default honors `OBLIDB_THREADS`; set explicitly to override.
-    pub exec: ExecConfig,
     /// Oblivious-trace auditing: when on, every statement records its
     /// access trace, hashes it, and checks the hash against the first
     /// trace observed for the same statement *shape* (normalized SQL plus
@@ -151,7 +107,6 @@ impl Default for DbConfig {
             zero_om_scratch_rows: 1,
             wal: None,
             epoch: None,
-            exec: ExecConfig::from_env(),
             audit: std::env::var("OBLIDB_AUDIT").is_ok_and(|v| v == "1"),
         }
     }
@@ -674,8 +629,7 @@ impl<M: EnclaveMemory> Database<M> {
         let storage = match method {
             StorageMethod::Flat => {
                 let key = self.next_key();
-                let mut flat = FlatTable::create(&mut self.host, key, schema, capacity)?;
-                flat.set_parallelism(self.config.exec.pool());
+                let flat = FlatTable::create(&mut self.host, key, schema, capacity)?;
                 TableStorage::Flat(flat)
             }
             StorageMethod::Indexed => {
@@ -700,8 +654,7 @@ impl<M: EnclaveMemory> Database<M> {
                     .ok_or(DbError::Unsupported("BOTH storage requires INDEX ON <col>".into()))?;
                 let key_col = schema.col(col)?;
                 let fk = self.next_key();
-                let mut flat = FlatTable::create(&mut self.host, fk, schema.clone(), capacity)?;
-                flat.set_parallelism(self.config.exec.pool());
+                let flat = FlatTable::create(&mut self.host, fk, schema.clone(), capacity)?;
                 let ik = self.next_key();
                 let rng = self.rng.fork();
                 let indexed = IndexedTable::create(
@@ -752,9 +705,8 @@ impl<M: EnclaveMemory> Database<M> {
         let storage = match method {
             StorageMethod::Flat => {
                 let key = self.next_key();
-                let mut flat =
+                let flat =
                     FlatTable::from_encoded_rows(&mut self.host, key, schema, &encoded, cap)?;
-                flat.set_parallelism(self.config.exec.pool());
                 TableStorage::Flat(flat)
             }
             StorageMethod::Indexed => {
@@ -780,14 +732,13 @@ impl<M: EnclaveMemory> Database<M> {
                     .ok_or(DbError::Unsupported("BOTH storage requires INDEX ON <col>".into()))?;
                 let key_col = schema.col(col)?;
                 let fk = self.next_key();
-                let mut flat = FlatTable::from_encoded_rows(
+                let flat = FlatTable::from_encoded_rows(
                     &mut self.host,
                     fk,
                     schema.clone(),
                     &encoded,
                     cap,
                 )?;
-                flat.set_parallelism(self.config.exec.pool());
                 let ik = self.next_key();
                 let rng = self.rng.fork();
                 let indexed = match IndexedTable::from_encoded_rows(
@@ -993,7 +944,7 @@ impl<M: EnclaveMemory> Database<M> {
     fn build_plan(&mut self, query: &str) -> Result<QueryPlan, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Plan);
         let statement = sql::parse(query)?;
-        let profile = self.config.planner.profile.clone().with_threads(self.config.exec.threads);
+        let profile = self.config.planner.profile.clone();
         let action = match statement {
             Statement::Create(c) => PlanAction::Create(c),
             Statement::Insert(i) => PlanAction::Insert(i),
@@ -1860,7 +1811,6 @@ impl<M: EnclaveMemory> Database<M> {
         let key = self.next_key();
         let encoded = out_schema.encode_row(&states)?;
         let mut out = FlatTable::from_encoded_rows(&mut self.host, key, out_schema, &[encoded], 1)?;
-        out.set_parallelism(self.config.exec.pool());
         out.set_num_rows(1);
         a.actual = Some(timed_cost(self.host.stats() - before, profile, started));
         Ok(out)
@@ -2130,7 +2080,6 @@ fn copy_flat<M: EnclaveMemory>(
     key: AeadKey,
 ) -> Result<FlatTable, DbError> {
     let mut out = FlatTable::create(host, key, input.schema().clone(), input.capacity())?;
-    out.set_parallelism(input.parallelism());
     let chunk = input.io_chunk_rows();
     let cap = input.capacity();
     let mut start = 0u64;

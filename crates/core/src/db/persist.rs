@@ -803,9 +803,7 @@ impl<M: EnclaveMemory> Database<M> {
                     store.payload_len()
                 )));
             }
-            let mut flat =
-                FlatTable::reattach(store, t.schema.clone(), t.num_rows, t.insert_cursor);
-            flat.set_parallelism(config.exec.pool());
+            let flat = FlatTable::reattach(store, t.schema.clone(), t.num_rows, t.insert_cursor);
             tables.push((t.name.clone(), TableStorage::Flat(flat)));
         }
 

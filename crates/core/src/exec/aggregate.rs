@@ -219,7 +219,6 @@ pub fn group_aggregate_padded<M: EnclaveMemory>(
     let n = entries.len() as u64;
     let capacity = pad_groups.unwrap_or(n).max(n).max(1);
     let mut out = FlatTable::create(host, out_key, out_schema.clone(), capacity)?;
-    out.set_parallelism(input.parallelism());
     // Decode the group value through a scratch row so Text padding rules
     // match the input encoding. Output rows (groups, then the dummy pad up
     // to the public capacity) stream out in contiguous batched runs.

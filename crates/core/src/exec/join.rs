@@ -72,7 +72,6 @@ pub fn hash_join<M: EnclaveMemory>(
     let passes = t1.capacity().div_ceil(chunk);
 
     let mut out = FlatTable::create(host, out_key, out_schema.clone(), passes * t2.capacity())?;
-    out.set_parallelism(t1.parallelism());
     let dummy = out_schema.dummy_row();
 
     let row1 = s1.row_len();
@@ -173,7 +172,6 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     let n = (t1.capacity() + t2.capacity()).max(2).next_power_of_two();
     let union_key = AeadKey(oblidb_crypto::derive_key(&out_key.0, b"join-union"));
     let mut union = FlatTable::create(host, union_key, union_schema, n)?;
-    union.set_parallelism(t1.parallelism());
 
     let kd = oblidb_crypto::derive_key(&out_key.0, b"join-key-hash");
     let hasher = SipHash24::new(
@@ -251,7 +249,6 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     // Merge scan: one read of the union and one output write per position,
     // both in batched runs.
     let mut out = FlatTable::create(host, out_key, out_schema.clone(), n)?;
-    out.set_parallelism(t1.parallelism());
     let dummy = out_schema.dummy_row();
     let mut current_primary: Option<(Vec<u8>, Vec<u8>)> = None; // (key bytes, row)
     let mut matches = 0u64;

@@ -35,7 +35,6 @@ pub fn select_small<M: EnclaveMemory>(
     let schema = input.schema().clone();
     let row_len = schema.row_len();
     let mut out = FlatTable::create(host, out_key, schema.clone(), out_rows.max(1))?;
-    out.set_parallelism(input.parallelism());
 
     // Buffer capacity: everything the OM budget will give us, at least one
     // row so progress is guaranteed.
@@ -79,7 +78,6 @@ pub fn select_large<M: EnclaveMemory>(
 ) -> Result<FlatTable, DbError> {
     let schema = input.schema().clone();
     let mut out = FlatTable::create(host, out_key, schema.clone(), input.capacity())?;
-    out.set_parallelism(input.parallelism());
     // Copy pass: data-independent, one chunk per crossing each way.
     let row_len = schema.row_len();
     let chunk = input.io_chunk_rows();
@@ -130,7 +128,6 @@ pub fn select_continuous<M: EnclaveMemory>(
     let schema = input.schema().clone();
     let r = out_rows.max(1);
     let mut out = FlatTable::create(host, out_key, schema.clone(), r)?;
-    out.set_parallelism(input.parallelism());
     let mut matched = 0u64;
     let row_len = schema.row_len();
     let chunk = input.io_chunk_rows();
@@ -195,7 +192,6 @@ pub fn select_hash<M: EnclaveMemory>(
     let buckets = out_rows.max(1);
     let capacity = buckets * HASH_SLOTS as u64;
     let mut out = FlatTable::create(host, out_key.clone(), schema.clone(), capacity)?;
-    out.set_parallelism(input.parallelism());
 
     // Hash keys derive from the output table key: deterministic per query,
     // unknown to the adversary, and independent of the data.
@@ -282,7 +278,6 @@ pub fn select_padded<M: EnclaveMemory>(
     let row_len = schema.row_len();
     let pad = pad_rows.max(1);
     let mut out = FlatTable::create(host, out_key, schema.clone(), pad)?;
-    out.set_parallelism(input.parallelism());
     let dummy = schema.dummy_row();
 
     let alloc = om.alloc_up_to(pad as usize * row_len);
@@ -361,7 +356,6 @@ pub fn select_naive<M: EnclaveMemory>(
     // Copy the ORAM contents to the flat output format, flushing output
     // rows in contiguous batched runs.
     let mut out = FlatTable::create(host, out_key, schema, out_rows.max(1))?;
-    out.set_parallelism(input.parallelism());
     let mut flush: Vec<u8> = Vec::with_capacity(chunk * row_len);
     let mut flush_start = 0u64;
     for addr in 0..out_rows {

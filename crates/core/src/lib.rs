@@ -45,8 +45,7 @@ pub use db::persist::{
 };
 pub use db::shared::{Session, SessionStats, SharedDatabase};
 pub use db::{
-    Database, DbConfig, ExecConfig, PlanCacheStats, PlanInfo, PreparedStatement, QueryOutput,
-    StorageMethod,
+    Database, DbConfig, PlanCacheStats, PlanInfo, PreparedStatement, QueryOutput, StorageMethod,
 };
 pub use error::DbError;
 pub use plan::cost::{CostProfile, CALIBRATION_FILE};

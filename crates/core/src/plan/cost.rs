@@ -53,41 +53,12 @@ pub struct CostProfile {
     /// Fixed cost of one enclave boundary crossing (batched calls pay it
     /// once however many blocks they move).
     pub crossing: f64,
-    /// Worker threads available to partitioned sealing (`1` = serial).
-    /// Block-transfer weights shrink by an Amdahl factor in [`weigh`]
-    /// (crossings stay serial — one boundary transition per batch however
-    /// many workers seal its payload).
-    ///
-    /// [`weigh`]: CostProfile::weigh
-    pub threads: usize,
-    /// Fraction of per-block cost that parallelizes across workers: the
-    /// AEAD seal/open CPU. The residual (copying, allocator, the medium
-    /// itself) stays serial.
-    pub parallel_block_fraction: f64,
 }
 
-/// Default parallelizable share of per-block cost: on the in-memory
-/// substrates the AEAD pass dominates batched block transfer, with a
-/// serial residual for copying and bookkeeping.
-pub const PARALLEL_BLOCK_FRACTION: f64 = 0.6;
-
 impl CostProfile {
-    /// Builds a serial profile from explicit weights.
+    /// Builds a profile from explicit weights.
     pub fn new(name: impl Into<String>, read_block: f64, write_block: f64, crossing: f64) -> Self {
-        CostProfile {
-            name: name.into(),
-            read_block,
-            write_block,
-            crossing,
-            threads: 1,
-            parallel_block_fraction: PARALLEL_BLOCK_FRACTION,
-        }
-    }
-
-    /// The same weights, priced for `threads` sealing workers.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        CostProfile { name: name.into(), read_block, write_block, crossing }
     }
 
     /// Every quantity costs the same: pure access-count minimization.
@@ -180,30 +151,13 @@ impl CostProfile {
 
         let unit = batched_read.max(1e-12);
         let crossing = ((single_read - batched_read) / unit).max(1.0);
-        Ok(CostProfile {
-            name: name.into(),
-            read_block: 1.0,
-            write_block: (batched_write / unit).max(0.1),
-            crossing,
-            threads: 1,
-            parallel_block_fraction: PARALLEL_BLOCK_FRACTION,
-        })
+        Ok(Self::new(name, 1.0, (batched_write / unit).max(0.1), crossing))
     }
 
     /// Weighs counted accesses into one scalar cost.
-    ///
-    /// With `threads > 1`, per-block work shrinks by the Amdahl factor
-    /// `(1 - p) + p / threads` where `p` is
-    /// [`parallel_block_fraction`](CostProfile::parallel_block_fraction);
-    /// crossings are never divided — however many workers seal a batch,
-    /// the enclave boundary is crossed once, which is exactly why
-    /// parallelism pays more on crossing-cheap substrates than on
-    /// crossing-dominated ones (EXPLAIN shows the difference).
     pub fn weigh(&self, stats: &HostStats) -> f64 {
-        let t = self.threads.max(1) as f64;
-        let p = self.parallel_block_fraction.clamp(0.0, 1.0);
-        let amdahl = (1.0 - p) + p / t;
-        (stats.reads as f64 * self.read_block + stats.writes as f64 * self.write_block) * amdahl
+        stats.reads as f64 * self.read_block
+            + stats.writes as f64 * self.write_block
             + stats.crossings as f64 * self.crossing
     }
 
@@ -218,15 +172,11 @@ impl CostProfile {
              name = {}\n\
              read_block = {}\n\
              write_block = {}\n\
-             crossing = {}\n\
-             threads = {}\n\
-             parallel_block_fraction = {}\n",
+             crossing = {}\n",
             self.name.replace('\n', " "),
             self.read_block,
             self.write_block,
             self.crossing,
-            self.threads,
-            self.parallel_block_fraction,
         )
     }
 
@@ -234,7 +184,9 @@ impl CostProfile {
     /// `None` on any missing key or non-finite/non-positive weight — the
     /// file lives on untrusted storage, so a mangled artifact must fall
     /// back to canonical weights instead of poisoning the planner with
-    /// NaNs.
+    /// NaNs. Other keys are ignored, so an artifact from an earlier
+    /// release, which also recorded a worker count and the share of block
+    /// work it divided, still loads with the weights as written.
     pub fn from_text(text: &str) -> Option<Self> {
         let field = |key: &str| -> Option<&str> {
             text.lines().find_map(|line| {
@@ -251,11 +203,6 @@ impl CostProfile {
             read_block: num("read_block")?,
             write_block: num("write_block")?,
             crossing: num("crossing")?,
-            threads: field("threads")?.parse().ok().filter(|&t: &usize| t >= 1)?,
-            parallel_block_fraction: {
-                let p: f64 = field("parallel_block_fraction")?.parse().ok()?;
-                p.is_finite().then_some(p.clamp(0.0, 1.0))?
-            },
         })
     }
 
@@ -653,32 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_discounts_block_work_never_crossings() {
-        let stats = HostStats {
-            reads: 100,
-            writes: 100,
-            bytes_read: 0,
-            bytes_written: 0,
-            crossings: 10,
-            stall_nanos: 0,
-        };
-        let serial = CostProfile::host();
-        let four = CostProfile::host().with_threads(4);
-        let serial_cost = serial.weigh(&stats);
-        let four_cost = four.weigh(&stats);
-        assert!(four_cost < serial_cost);
-        // Amdahl: block work scales by (1-p) + p/4, crossings stay whole.
-        let p = serial.parallel_block_fraction;
-        let expect = 200.0 * ((1.0 - p) + p / 4.0) + 10.0 * serial.crossing;
-        assert!((four_cost - expect).abs() < 1e-9, "{four_cost} vs {expect}");
-        // Crossing-only work sees no benefit at all.
-        let only_crossings = HostStats { crossings: 7, ..HostStats::default() };
-        assert_eq!(serial.weigh(&only_crossings), four.weigh(&only_crossings));
-        // Zero threads clamps to serial rather than dividing by zero.
-        assert_eq!(CostProfile::host().with_threads(0).weigh(&stats), serial_cost);
-    }
-
-    #[test]
     fn calibration_runs_on_counting_memory() {
         let mut mem = CountingMemory::new();
         let p = CostProfile::calibrate("counting", &mut mem).unwrap();
@@ -689,14 +610,7 @@ mod tests {
 
     #[test]
     fn calibration_text_round_trips() {
-        let p = CostProfile {
-            name: "probe".into(),
-            read_block: 1.25,
-            write_block: 2.5,
-            crossing: 17.0,
-            threads: 4,
-            parallel_block_fraction: 0.6,
-        };
+        let p = CostProfile::new("probe", 1.25, 2.5, 17.0);
         assert_eq!(CostProfile::from_text(&p.to_text()), Some(p));
         // Every stock profile survives the trip too.
         for stock in [
@@ -730,21 +644,34 @@ mod tests {
                 .join("\n");
             assert_eq!(CostProfile::from_text(&t), None, "read_block = {bad}");
         }
-        // Zero threads would divide block weights into nonsense.
-        let zero_threads = good
-            .lines()
-            .map(|l| if l.starts_with("threads") { "threads = 0".into() } else { l.to_string() })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(CostProfile::from_text(&zero_threads), None);
         assert_eq!(CostProfile::from_text(""), None);
+    }
+
+    #[test]
+    fn calibration_written_with_a_thread_count_loads_undiscounted() {
+        // What the previous release's `to_text` wrote for `CostProfile::disk()`.
+        let parent = "# ObliDB planner calibration — per-deploy CostProfile weights.\n\
+                      # Untrusted advisory data: a tampered file can only skew plan\n\
+                      # choice, never correctness or obliviousness.\n\
+                      name = disk\n\
+                      read_block = 1\n\
+                      write_block = 2\n\
+                      crossing = 64\n\
+                      threads = 1\n\
+                      parallel_block_fraction = 0.6\n";
+        assert_eq!(CostProfile::from_text(parent), Some(CostProfile::disk()));
+        // A recorded worker count no longer discounts block work.
+        let four = parent.replace("threads = 1", "threads = 4");
+        let stats = HostStats { reads: 100, writes: 50, crossings: 10, ..HostStats::default() };
+        let loaded = CostProfile::from_text(&four).unwrap();
+        assert_eq!(loaded.weigh(&stats), 100.0 * 1.0 + 50.0 * 2.0 + 10.0 * 64.0);
     }
 
     #[test]
     fn calibration_save_and_load_round_trip_on_disk() {
         let dir = std::env::temp_dir().join(format!("oblidb-calib-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = CostProfile::disk().with_threads(3);
+        let p = CostProfile::disk();
         p.save_to(&dir).unwrap();
         assert_eq!(CostProfile::load_from(&dir), Some(p));
         // A corrupt artifact reads as absent, not as garbage weights.

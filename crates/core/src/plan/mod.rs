@@ -488,9 +488,6 @@ impl Explain {
                 let est = s.root.estimated_weight();
                 let act = s.root.actual_weight();
                 let mut header = format!("Select  [profile={}]", plan.profile.name);
-                if plan.profile.threads > 1 {
-                    header.push_str(&format!("  [threads={}]", plan.profile.threads));
-                }
                 if est > 0.0 {
                     header.push_str(&format!("  est weighted cost {est:.1}"));
                 }

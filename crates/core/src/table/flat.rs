@@ -9,7 +9,7 @@
 //! nothing beyond the table size, which grows observably anyway.
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{EnclaveMemory, ThreadPool};
+use oblidb_enclave::EnclaveMemory;
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use crate::error::DbError;
@@ -155,19 +155,6 @@ impl FlatTable {
     /// the row width only (see `oblidb_storage::batch_chunk_blocks`).
     pub fn io_chunk_rows(&self) -> usize {
         batch_chunk_blocks(self.row_len())
-    }
-
-    /// Sets the worker pool batched row I/O seals and opens with (see
-    /// `SealedRegion::set_parallelism`): the memory-access pattern is
-    /// untouched, only the AEAD work inside each batch is partitioned.
-    /// Operators copy this pool onto the intermediate tables they create.
-    pub fn set_parallelism(&mut self, pool: ThreadPool) {
-        self.store.set_parallelism(pool);
-    }
-
-    /// The worker pool batched row I/O runs under.
-    pub fn parallelism(&self) -> ThreadPool {
-        self.store.parallelism()
     }
 
     /// Reads `count` consecutive row blocks starting at `start` in one

@@ -320,13 +320,13 @@ struct Region {
 
 /// Simulated price of one enclave boundary transition.
 ///
-/// Two components, because they behave differently under parallel
-/// execution: `spins` burns the worker's core (transition compute — it
-/// does **not** overlap across workers), while `stall_nanos` blocks the
-/// worker without consuming CPU (the enclave thread waiting for the
-/// untrusted host to service the exit — stalls from different workers
-/// **do** overlap, which is exactly the regime where worker-per-shard
-/// parallelism pays).
+/// Two components, because they behave differently under concurrent
+/// sessions: `spins` burns the session's core (transition compute — it
+/// does **not** overlap across sessions), while `stall_nanos` blocks the
+/// thread without consuming CPU (the enclave thread waiting for the
+/// untrusted host to service the exit — stalls from different sessions
+/// **do** overlap; [`SharedMemory`](crate::SharedMemory) pays them
+/// outside the store lock).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CrossingCost {
     /// CPU-burning spin iterations per crossing (~8k cycles on real SGX).
@@ -351,8 +351,8 @@ impl CrossingCost {
 /// The untrusted world: all memory outside the enclave.
 ///
 /// Single-threaded by design, matching the paper's single-node engine; the
-/// benchmark harness gives each experiment its own `Host`, and the parallel
-/// execution mode gives each worker its own `Host` shard.
+/// benchmark harness gives each experiment its own `Host`, and concurrent
+/// sessions share one through [`SharedMemory`](crate::SharedMemory).
 #[derive(Default)]
 pub struct Host {
     regions: Vec<Option<Region>>,

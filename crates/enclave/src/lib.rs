@@ -27,12 +27,6 @@
 //!   passes, smaller chunks) when it shrinks — reproduced in Figure 8.
 //! * [`EnclaveRng`] is the in-enclave randomness source (leaf assignment,
 //!   nonces). It is deterministic under a seed so experiments reproduce.
-//! * [`ThreadPool`] is the scoped worker pool behind worker-per-shard
-//!   parallel execution: each worker drives its own partition's accesses
-//!   exactly as the serial loop would, so per-partition traces are
-//!   unchanged and obliviousness is preserved by construction. Its
-//!   [`ThreadPool::scoped`] mode accepts dynamically submitted jobs
-//!   (session-per-connection serving) bounded at the same worker count.
 //! * [`SharedMemory`] / [`SessionMemory`] let many concurrent sessions
 //!   share one substrate: per-session stats/traces identical to the
 //!   single-owner contract, crossing stalls paid outside the store lock
@@ -44,7 +38,6 @@
 mod host;
 mod memory;
 mod om;
-mod pool;
 mod rng;
 mod shared;
 
@@ -54,7 +47,6 @@ pub use host::{
 };
 pub use memory::{CountingMemory, EnclaveMemory};
 pub use om::{OmAllocation, OmBudget, OmError};
-pub use pool::{TaskScope, ThreadPool};
 pub use rng::EnclaveRng;
 pub use shared::{SessionMemory, SharedMemory};
 

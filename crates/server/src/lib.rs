@@ -6,9 +6,10 @@
 //! store, writes serialize on the resident master, and any serial
 //! schedule is statement-for-statement equivalent to a single-owner
 //! engine. This crate puts a socket in front of it: one [`Session`] per
-//! accepted connection, driven on the in-tree scoped thread pool, with
-//! a length-prefixed binary protocol (statements in; typed row sets,
-//! rows-affected counts, errors, metrics snapshots out).
+//! accepted connection, each on its own thread and at most
+//! [`ServerConfig::workers`] at once, with a length-prefixed binary
+//! protocol (statements in; typed row sets, rows-affected counts, errors,
+//! metrics snapshots out).
 //!
 //! Binaries: `oblidb-serve` (the server) and `oblidb-sql` (an
 //! interactive shell that also pipes cleanly for scripting).
@@ -21,6 +22,7 @@
 pub mod client;
 pub mod protocol;
 pub mod server;
+mod slots;
 
 pub use client::{ClientError, Connection, StatementResult};
 pub use protocol::{ProtocolError, Request, Response, MAX_FRAME};

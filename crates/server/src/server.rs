@@ -1,9 +1,11 @@
 //! Session-per-connection TCP server over a [`SharedDatabase`].
 //!
 //! One accept thread owns the listener; each accepted connection becomes
-//! a [`Session`](oblidb_core::Session) driven on the in-tree [`ThreadPool`]'s scoped mode, so
-//! concurrency is bounded at the worker count and excess connections
-//! queue at submit time (backpressure, not thread explosion). Statement
+//! a [`Session`](oblidb_core::Session) on its own scoped thread, admitted
+//! through the session limiter (`slots.rs`), so concurrency is bounded at
+//! the worker count and excess connections queue at submit time
+//! (backpressure, not thread explosion). Each statement executes on its
+//! session's thread alone; sessions are what runs concurrently. Statement
 //! routing — snapshot forks for flat reads, the exclusive master for
 //! everything else — lives entirely in the core layer; this layer only
 //! frames bytes and counts them.
@@ -11,8 +13,9 @@
 //! Shutdown is graceful and cooperative: a `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) raises a flag; the accept loop stops
 //! taking connections, every handler notices at its next read-timeout
-//! tick, finishes its in-flight statement, and closes. The pool scope
-//! then joins all handlers before the server thread returns its stats.
+//! tick, finishes its in-flight statement, and closes. The limiter's
+//! scope then joins all handlers before the server thread returns its
+//! stats.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -22,11 +25,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use oblidb_core::{EpochConfig, SharedDatabase};
-use oblidb_enclave::{EnclaveMemory, ThreadPool};
+use oblidb_enclave::EnclaveMemory;
 use oblidb_telemetry::Counter;
 use oblidb_txn::{TxnManager, TxnOutcome, TxnSession};
 
 use crate::protocol::{read_request, write_response, ProtocolError, Request, Response};
+use crate::slots::with_session_slots;
 
 /// How long a handler blocks in `read` before re-checking the shutdown
 /// flag. Bounds shutdown latency; costs one syscall per tick per idle
@@ -38,7 +42,7 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Connection-handler worker count (scoped pool slots). Connections
+    /// Connection-handler worker count (session slots). Connections
     /// beyond this queue at accept time.
     pub workers: usize,
     /// Group-commit epoch schedule. `Some` must match the engine's
@@ -168,8 +172,7 @@ where
             // arrives to trip the cap; dropped (joined) before the final
             // flush below.
             let flusher = config.epoch.is_some().then(|| manager.spawn_flusher());
-            let pool = ThreadPool::new(workers);
-            pool.scoped(|scope| {
+            with_session_slots(workers, |slots| {
                 while !lifecycle.shutdown.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
@@ -182,7 +185,7 @@ where
                             // panic must not tear down the scope (that
                             // would abort every other connection), so
                             // it is caught and the connection dropped.
-                            scope.submit(move || {
+                            slots.submit(move || {
                                 let r = catch_unwind(AssertUnwindSafe(|| {
                                     handle_connection(stream, session, &lifecycle)
                                 }));

@@ -37,28 +37,12 @@
 //! sizes must be (and are) a function of block geometry only — never of
 //! data — so chunking cannot leak. [`SealedScan`] streams a whole region
 //! at that granularity.
-//!
-//! # Partitioned (parallel) sealing
-//!
-//! [`SealedRegion::set_parallelism`] hands the region a
-//! [`ThreadPool`]; batched calls then partition each sub-batch's AEAD
-//! work — and only the AEAD work — across workers over **disjoint** block
-//! ranges: each worker gets its own contiguous slice of the sealed
-//! staging buffer and of the plaintext scratch, plus a pre-reserved range
-//! of nonce counters and revision values (reserved serially before
-//! workers start, so every block is sealed with exactly the nonce and
-//! revision the serial loop would have used). The [`EnclaveMemory`] calls
-//! are untouched: same blocks, same order, same crossings — the
-//! adversary's view is bit-identical to a serial run, so parallelism
-//! cannot leak. Batches smaller than [`PARALLEL_MIN_BLOCKS`] stay serial
-//! (thread spawn would cost more than it saves); the threshold is a
-//! function of batch geometry only, never of data.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use oblidb_crypto::aead::{self, AeadKey, Nonce, NONCE_LEN, TAG_LEN};
-use oblidb_enclave::{EnclaveMemory, HostError, RegionId, ThreadPool};
+use oblidb_enclave::{EnclaveMemory, HostError, RegionId};
 
 /// Extra bytes a sealed block occupies beyond its plaintext payload.
 pub const SEAL_OVERHEAD: usize = NONCE_LEN + TAG_LEN;
@@ -68,10 +52,6 @@ pub const MAX_BATCH_BYTES: usize = 256 * 1024;
 
 /// Upper bound on the blocks moved per batched crossing.
 pub const MAX_BATCH_BLOCKS: usize = 256;
-
-/// Smallest batch (in blocks) worth partitioning across pool workers;
-/// below this, scoped-thread spawn overhead exceeds the AEAD work saved.
-pub const PARALLEL_MIN_BLOCKS: usize = 64;
 
 /// The default batch size, in blocks, for a region with `payload_len`-byte
 /// payloads: as many sealed blocks as fit in [`MAX_BATCH_BYTES`], clamped
@@ -141,9 +121,6 @@ pub struct SealedRegion {
     /// Sealed-side staging buffer for batched calls (one allocation per
     /// region, reused across batches).
     batch: Vec<u8>,
-    /// Worker pool for partitioned batch AEAD (serial by default; see the
-    /// module docs on partitioned sealing).
-    pool: ThreadPool,
 }
 
 impl SealedRegion {
@@ -168,7 +145,6 @@ impl SealedRegion {
             revisions: vec![0; blocks],
             scratch: vec![0u8; payload_len + SEAL_OVERHEAD],
             batch: Vec::new(),
-            pool: ThreadPool::serial(),
         };
         this.zero_fill(host, 0, blocks)?;
         Ok(this)
@@ -234,7 +210,6 @@ impl SealedRegion {
             revisions: self.revisions.clone(),
             scratch: vec![0u8; self.payload_len + SEAL_OVERHEAD],
             batch: Vec::new(),
-            pool: self.pool,
         }
     }
 
@@ -251,31 +226,6 @@ impl SealedRegion {
     /// Plaintext payload length per block.
     pub fn payload_len(&self) -> usize {
         self.payload_len
-    }
-
-    /// Selects the worker pool for partitioned batch AEAD (see the module
-    /// docs). The pool changes only *who computes* the seal/open work
-    /// inside the enclave — the memory calls, nonces, revisions and
-    /// ciphertexts are bit-identical to a serial run, so the adversary's
-    /// view is unchanged. Serial by default.
-    pub fn set_parallelism(&mut self, pool: ThreadPool) {
-        self.pool = pool;
-    }
-
-    /// The worker pool batched calls currently use.
-    pub fn parallelism(&self) -> ThreadPool {
-        self.pool
-    }
-
-    /// The per-worker block ranges a `count`-block batch would be split
-    /// into: one partition per worker when the batch is big enough to pay
-    /// for spawning ([`PARALLEL_MIN_BLOCKS`]), a single partition
-    /// otherwise. Geometry-only, so partitioning cannot leak.
-    fn partitions(&self, count: usize) -> Vec<(usize, usize)> {
-        if self.pool.is_serial() || count < PARALLEL_MIN_BLOCKS {
-            return vec![(0, count)];
-        }
-        self.pool.partition(count)
     }
 
     /// Reads and authenticates a block, returning its plaintext payload.
@@ -435,9 +385,10 @@ impl SealedRegion {
     /// payloads into `self.scratch` starting at row `scratch_row`. Block
     /// `i`'s absolute index is `indices[i]` when given, else `start + i`.
     ///
-    /// With a parallel pool, the batch is split into per-worker disjoint
-    /// (staging, scratch) slice pairs; the first failing block in batch
-    /// order is reported, exactly as the serial loop would.
+    /// One [`aead::open_run`] call over the strided staging buffer: every
+    /// tag is verified before anything decrypts, and the error reports the
+    /// first failing block in batch order, exactly as a per-block loop
+    /// would.
     fn open_batch(
         &mut self,
         start: u64,
@@ -446,8 +397,7 @@ impl SealedRegion {
         scratch_row: usize,
     ) -> Result<(), StorageError> {
         let payload_len = self.payload_len;
-        let sealed_len = payload_len + SEAL_OVERHEAD;
-        debug_assert_eq!(self.batch.len(), count * sealed_len);
+        debug_assert_eq!(self.batch.len(), count * (payload_len + SEAL_OVERHEAD));
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::OpenBatch);
         if oblidb_telemetry::enabled() {
             oblidb_telemetry::counter_add(oblidb_telemetry::Counter::BlocksOpened, count as u64);
@@ -460,49 +410,14 @@ impl SealedRegion {
                 count as u64,
             );
         }
-        let parts = self.partitions(count);
-        let (key, region, revisions) = (&self.key, self.region, &self.revisions[..]);
+        let (region, revisions) = (self.region, &self.revisions);
+        let index = |i: usize| batch_index(start, indices, i);
         let scratch =
             &mut self.scratch[scratch_row * payload_len..(scratch_row + count) * payload_len];
-        if parts.len() <= 1 {
-            return open_run(
-                key,
-                region,
-                payload_len,
-                revisions,
-                start,
-                indices,
-                0,
-                &self.batch,
-                scratch,
-            );
-        }
-        let pool = self.pool;
-        let mut jobs = Vec::with_capacity(parts.len());
-        let mut batch_rest = &self.batch[..];
-        let mut scratch_rest = scratch;
-        for (off, n) in parts {
-            let (sealed_part, b_rest) = batch_rest.split_at(n * sealed_len);
-            let (plain_part, s_rest) = scratch_rest.split_at_mut(n * payload_len);
-            batch_rest = b_rest;
-            scratch_rest = s_rest;
-            jobs.push(move || {
-                open_run(
-                    key,
-                    region,
-                    payload_len,
-                    revisions,
-                    start,
-                    indices,
-                    off,
-                    sealed_part,
-                    plain_part,
-                )
-            });
-        }
-        // The first error in partition order is the first failing block in
-        // batch order (partitions are contiguous and ascending).
-        pool.run(jobs).into_iter().collect()
+        aead::open_run(&self.key, payload_len, &self.batch, scratch, |i| {
+            block_aad(index(i), revisions[index(i) as usize])
+        })
+        .map_err(|e| StorageError::TamperDetected { region, index: index(e.index) })
     }
 
     /// Seals and writes a whole number of payloads (`payloads.len()` must
@@ -559,12 +474,6 @@ impl SealedRegion {
     /// Seals `count` payloads into `self.batch` (or zero-fills it on a
     /// payload-free substrate), bumping revisions and the write counter
     /// exactly as `count` per-block writes would.
-    ///
-    /// With a parallel pool, the revision/counter bookkeeping still runs
-    /// serially first — reserving each block's exact nonce and revision in
-    /// batch order — then workers seal disjoint slices of the staging
-    /// buffer using those pre-reserved values, so the sealed bytes are
-    /// bit-identical to a serial run.
     fn seal_batch(
         &mut self,
         retains: bool,
@@ -574,7 +483,6 @@ impl SealedRegion {
         payloads: &[u8],
     ) {
         let payload_len = self.payload_len;
-        let sealed_len = payload_len + SEAL_OVERHEAD;
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::SealBatch);
         if oblidb_telemetry::enabled() {
             oblidb_telemetry::counter_add(oblidb_telemetry::Counter::BlocksSealed, count as u64);
@@ -588,7 +496,7 @@ impl SealedRegion {
             );
         }
         self.batch.clear();
-        self.batch.resize(count * sealed_len, 0);
+        self.batch.resize(count * (payload_len + SEAL_OVERHEAD), 0);
         if !retains {
             // Payload-free substrate: blocks are dropped on arrival, so
             // skip the AEAD entirely — the zeroed batch buffer above is
@@ -600,11 +508,12 @@ impl SealedRegion {
             }
             return;
         }
-        // Reserve every block's (revision, nonce counter) serially, in
-        // batch order — the exact values a per-block loop would assign,
-        // kept per-position so duplicate scatter indices stay
-        // well-defined — then seal whole runs through the fused batch
-        // AEAD, partitioned across the pool when one is installed.
+        // Assign every block's (revision, nonce counter) in batch order —
+        // the exact values a per-block loop would assign, kept
+        // per-position so duplicate scatter indices stay well-defined —
+        // then seal the whole run through the fused batch AEAD
+        // (`nonce ‖ ciphertext ‖ tag` per block, byte-identical to a
+        // per-block seal loop).
         let mut reserved: Vec<(u64, u64)> = Vec::with_capacity(count);
         for i in 0..count {
             let index = batch_index(start, indices, i);
@@ -613,45 +522,15 @@ impl SealedRegion {
             self.write_counter += 1;
             reserved.push((*slot, self.write_counter));
         }
-        let parts = self.partitions(count);
-        if parts.len() <= 1 {
-            seal_run(
-                &self.key,
-                self.region,
-                payload_len,
-                start,
-                indices,
-                0,
-                &reserved,
-                payloads,
-                &mut self.batch,
-            );
-            return;
-        }
-        let pool = self.pool;
-        let (key, region) = (&self.key, self.region);
-        let reserved = &reserved[..];
-        let mut jobs = Vec::with_capacity(parts.len());
-        let mut batch_rest = &mut self.batch[..];
-        for (off, n) in parts {
-            let (sealed_part, rest) = batch_rest.split_at_mut(n * sealed_len);
-            batch_rest = rest;
-            let payload_part = &payloads[off * payload_len..(off + n) * payload_len];
-            jobs.push(move || {
-                seal_run(
-                    key,
-                    region,
-                    payload_len,
-                    start,
-                    indices,
-                    off,
-                    reserved,
-                    payload_part,
-                    sealed_part,
-                );
-            });
-        }
-        pool.run(jobs);
+        let region = self.region;
+        aead::seal_run(
+            &self.key,
+            payload_len,
+            payloads,
+            &mut self.batch,
+            |i| Nonce::from_parts(region.0, reserved[i].1),
+            |i| block_aad(batch_index(start, indices, i), reserved[i].0),
+        );
     }
 
     /// Grows the region to `new_blocks`, sealing zeroed payloads into the
@@ -703,7 +582,6 @@ impl SealedRegion {
             revisions,
             scratch: vec![0u8; payload_len + SEAL_OVERHEAD],
             batch: Vec::new(),
-            pool: ThreadPool::serial(),
         }
     }
 
@@ -800,62 +678,6 @@ fn block_aad(index: u64, revision: u64) -> [u8; 16] {
     aad[..8].copy_from_slice(&index.to_le_bytes());
     aad[8..].copy_from_slice(&revision.to_le_bytes());
     aad
-}
-
-/// Seals a run of payloads into the matching sealed staging slice
-/// (`nonce ‖ ciphertext ‖ tag` per block) with pre-assigned (revision,
-/// nonce counter) pairs, through one [`aead::seal_run`] call over the
-/// strided staging buffer. Block `i` of the run sits at batch position
-/// `pos_off + i`; `reserved` is indexed by batch position. Pure function
-/// of its inputs — the unit both the serial path and pool workers execute
-/// per run, and byte-identical to a per-block seal loop.
-#[allow(clippy::too_many_arguments)]
-fn seal_run(
-    key: &AeadKey,
-    region: RegionId,
-    payload_len: usize,
-    start: u64,
-    indices: Option<&[u64]>,
-    pos_off: usize,
-    reserved: &[(u64, u64)],
-    payload_run: &[u8],
-    sealed_run: &mut [u8],
-) {
-    let index = |i: usize| batch_index(start, indices, pos_off + i);
-    aead::seal_run(
-        key,
-        payload_len,
-        payload_run,
-        sealed_run,
-        |i| Nonce::from_parts(region.0, reserved[pos_off + i].1),
-        |i| block_aad(index(i), reserved[pos_off + i].0),
-    );
-}
-
-/// Opens a run of staged sealed blocks into the matching plaintext slice
-/// through one [`aead::open_run`] call over the strided staging buffer.
-/// Block `i` of the run sits at batch position `pos_off + i`; its
-/// absolute index is `indices[pos]` when given, else `start + pos`. Every
-/// tag in the run is verified before anything decrypts; the error reports
-/// the run's first failing block in batch order, exactly as a per-block
-/// loop would.
-#[allow(clippy::too_many_arguments)]
-fn open_run(
-    key: &AeadKey,
-    region: RegionId,
-    payload_len: usize,
-    revisions: &[u64],
-    start: u64,
-    indices: Option<&[u64]>,
-    pos_off: usize,
-    sealed_run: &[u8],
-    plain_run: &mut [u8],
-) -> Result<(), StorageError> {
-    let index = |i: usize| batch_index(start, indices, pos_off + i);
-    aead::open_run(key, payload_len, sealed_run, plain_run, |i| {
-        block_aad(index(i), revisions[index(i) as usize])
-    })
-    .map_err(|e| StorageError::TamperDetected { region, index: index(e.index) })
 }
 
 /// A streaming cursor over a [`SealedRegion`]: yields the region's
@@ -1073,6 +895,26 @@ mod tests {
         assert_eq!(r.read_batch_at(&mut host, &indices).unwrap(), &payloads[..]);
         assert_eq!(r.read(&mut host, 1).unwrap(), &payloads[8..16]);
         assert_eq!(r.read(&mut host, 0).unwrap(), &[0u8; 8], "untouched blocks stay zero");
+
+        // A 128-block scatter over reversed indices leaves the sealed bytes
+        // the per-block `write` loop leaves, and gathers back what went in.
+        let blocks = 128;
+        let indices: Vec<u64> = (0..blocks as u64).rev().collect();
+        let payloads: Vec<u8> = (0..blocks * 8).map(|i| (i % 249) as u8).collect();
+        let (mut batched_host, mut batched) = setup(blocks, 8);
+        batched.write_batch_at(&mut batched_host, &indices, &payloads).unwrap();
+        assert_eq!(batched.read_batch_at(&mut batched_host, &indices).unwrap(), &payloads[..]);
+        let (mut looped_host, mut looped) = setup(blocks, 8);
+        for (&index, payload) in indices.iter().zip(payloads.chunks_exact(8)) {
+            looped.write(&mut looped_host, index, payload).unwrap();
+        }
+        for i in 0..blocks as u64 {
+            assert_eq!(
+                batched_host.adversary_snapshot(batched.region_id(), i),
+                looped_host.adversary_snapshot(looped.region_id(), i),
+                "scatter-sealed block {i} must be bit-identical to the per-block write"
+            );
+        }
     }
 
     #[test]
@@ -1100,8 +942,8 @@ mod tests {
 
     #[test]
     fn batch_tamper_reports_offending_index() {
-        let (mut host, mut r) = setup(8, 16);
-        r.write_batch(&mut host, 0, &[5u8; 8 * 16]).unwrap();
+        let (mut host, mut r) = setup(128, 16);
+        r.write_batch(&mut host, 0, &[5u8; 128 * 16]).unwrap();
         let rid = r.region_id();
         host.adversary_corrupt(rid, 5, |b| b[NONCE_LEN] ^= 1);
         assert_eq!(
@@ -1113,6 +955,17 @@ mod tests {
         assert_eq!(
             r.read_batch_at(&mut host, &[1, 5, 7]).err(),
             Some(StorageError::TamperDetected { region: rid, index: 5 })
+        );
+        // Two corrupted blocks in one batch: the first in batch order is
+        // reported, which for a gather is not the lowest index.
+        host.adversary_corrupt(rid, 125, |b| b[NONCE_LEN] ^= 1);
+        assert_eq!(
+            r.read_batch(&mut host, 0, 128).err(),
+            Some(StorageError::TamperDetected { region: rid, index: 5 })
+        );
+        assert_eq!(
+            r.read_batch_at(&mut host, &[125, 1, 5]).err(),
+            Some(StorageError::TamperDetected { region: rid, index: 125 })
         );
     }
 
@@ -1247,86 +1100,6 @@ mod tests {
         // Revision 6 of block 1 must not be readable from the blob.
         let needle = 6u64.to_le_bytes();
         assert!(!manifest.windows(8).any(|w| w == needle));
-    }
-
-    #[test]
-    fn parallel_batches_are_bit_identical_to_serial() {
-        // Two regions, same key, same writes; one region seals with 4
-        // workers. Sealed bytes, traces and stats must match exactly —
-        // partitioned AEAD reserves the very nonces the serial loop uses.
-        let blocks = 3 * PARALLEL_MIN_BLOCKS;
-        let payloads: Vec<u8> = (0..blocks * 16).map(|i| (i % 251) as u8).collect();
-        let run = |pool: ThreadPool| {
-            let mut host = Host::new();
-            let mut r = SealedRegion::create(&mut host, AeadKey([7u8; 32]), blocks, 16).unwrap();
-            r.set_parallelism(pool);
-            host.start_trace();
-            host.reset_stats();
-            r.write_batch(&mut host, 0, &payloads).unwrap();
-            let opened = r.read_batch(&mut host, 0, blocks).unwrap().to_vec();
-            let sealed: Vec<_> =
-                (0..blocks as u64).map(|i| host.adversary_snapshot(r.region_id(), i)).collect();
-            (opened, sealed, host.take_trace(), host.stats())
-        };
-        let serial = run(ThreadPool::serial());
-        let parallel = run(ThreadPool::new(4));
-        assert_eq!(serial.0, payloads);
-        assert_eq!(parallel.0, payloads);
-        assert_eq!(serial.1, parallel.1, "sealed bytes must be bit-identical");
-        assert_eq!(serial.2, parallel.2, "traces must be identical");
-        assert_eq!(serial.3, parallel.3, "stats must be identical");
-    }
-
-    #[test]
-    fn parallel_scatter_batch_matches_serial() {
-        let blocks = 2 * PARALLEL_MIN_BLOCKS;
-        let indices: Vec<u64> = (0..blocks as u64).rev().collect();
-        let payloads: Vec<u8> = (0..blocks * 8).map(|i| (i % 249) as u8).collect();
-        let run = |pool: ThreadPool| {
-            let mut host = Host::new();
-            let mut r = SealedRegion::create(&mut host, AeadKey([3u8; 32]), blocks, 8).unwrap();
-            r.set_parallelism(pool);
-            r.write_batch_at(&mut host, &indices, &payloads).unwrap();
-            let opened = r.read_batch_at(&mut host, &indices).unwrap().to_vec();
-            let sealed: Vec<_> =
-                (0..blocks as u64).map(|i| host.adversary_snapshot(r.region_id(), i)).collect();
-            (opened, sealed)
-        };
-        let serial = run(ThreadPool::serial());
-        let parallel = run(ThreadPool::new(3));
-        assert_eq!(serial.0, payloads);
-        assert_eq!(serial.0, parallel.0);
-        assert_eq!(serial.1, parallel.1, "scatter-sealed bytes must be bit-identical");
-    }
-
-    #[test]
-    fn parallel_tamper_reports_first_failing_block() {
-        let blocks = 2 * PARALLEL_MIN_BLOCKS;
-        let mut host = Host::new();
-        let mut r = SealedRegion::create(&mut host, AeadKey([7u8; 32]), blocks, 16).unwrap();
-        r.set_parallelism(ThreadPool::new(4));
-        r.write_batch(&mut host, 0, &vec![5u8; blocks * 16]).unwrap();
-        let rid = r.region_id();
-        // Corrupt two blocks in different worker partitions; the batch
-        // must report the first one in batch order, as serial would.
-        host.adversary_corrupt(rid, 9, |b| b[NONCE_LEN] ^= 1);
-        host.adversary_corrupt(rid, (blocks - 3) as u64, |b| b[NONCE_LEN] ^= 1);
-        assert_eq!(
-            r.read_batch(&mut host, 0, blocks).err(),
-            Some(StorageError::TamperDetected { region: rid, index: 9 })
-        );
-    }
-
-    #[test]
-    fn small_batches_stay_serial() {
-        // Below PARALLEL_MIN_BLOCKS the pool is bypassed; this is a
-        // geometry-only decision, asserted here to pin the threshold.
-        let (mut host, mut r) = setup(8, 16);
-        r.set_parallelism(ThreadPool::new(4));
-        assert_eq!(r.partitions(PARALLEL_MIN_BLOCKS - 1), vec![(0, PARALLEL_MIN_BLOCKS - 1)]);
-        assert_eq!(r.partitions(PARALLEL_MIN_BLOCKS).len(), 4);
-        r.write_batch(&mut host, 0, &[9u8; 8 * 16]).unwrap();
-        assert_eq!(r.read_batch(&mut host, 0, 8).unwrap(), &[9u8; 8 * 16][..]);
     }
 
     #[test]

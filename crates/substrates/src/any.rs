@@ -345,7 +345,7 @@ impl AnySubstrate {
     /// boundary transition, e.g. OCALL service time) on the layer that
     /// models the enclave boundary — same layer selection as
     /// [`AnySubstrate::set_crossing_cost`]. Stalls, unlike spins, overlap
-    /// across parallel workers, which is what the parallel bench prices.
+    /// across concurrent sessions.
     pub fn set_crossing_stall(&mut self, nanos: u64) {
         match self {
             AnySubstrate::Host(h) => h.set_crossing_stall(nanos),

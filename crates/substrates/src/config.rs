@@ -5,7 +5,6 @@
 //! # deployment.conf — lines are `key = value`; `#` starts a comment
 //! substrate = cached:512:disk:/data/oblidb
 //! crossing_cost = 8000
-//! threads = 4
 //! ```
 //!
 //! Recognized keys:
@@ -14,11 +13,12 @@
 //!   `cached:512:disk:/path`, `sharded:4:host`, ...).
 //! * `crossing_cost` — simulated SGX transition cost in spin iterations,
 //!   applied via `AnySubstrate::set_crossing_cost`.
-//! * `threads` — worker count for parallel execution (a positive
-//!   integer; `1` = serial), the file-based form of `OBLIDB_THREADS`.
 //!
 //! Everything else is a typed [`ConfigError`] — configuration typos fail
-//! loudly at startup, never silently fall back to defaults.
+//! loudly at startup, never silently fall back to defaults. There is no
+//! worker-count key: statements execute on one thread, and a file that
+//! sets `threads` is rejected as an unknown key rather than having the
+//! operator's setting silently ignored.
 
 use std::path::Path;
 
@@ -31,8 +31,6 @@ pub struct SubstrateConfig {
     pub spec: SubstrateSpec,
     /// Simulated per-crossing cost (spin iterations), when configured.
     pub crossing_cost: Option<u32>,
-    /// Parallel-execution worker count, when configured (`1` = serial).
-    pub threads: Option<usize>,
 }
 
 impl SubstrateConfig {
@@ -101,11 +99,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "line {line}: expected `key = value`, got '{text}'")
             }
             ConfigError::UnknownKey { line, key } => {
-                write!(
-                    f,
-                    "line {line}: unknown key '{key}' (expected substrate | crossing_cost | \
-                     threads)"
-                )
+                write!(f, "line {line}: unknown key '{key}' (expected substrate | crossing_cost)")
             }
             ConfigError::DuplicateKey { line, key } => {
                 write!(f, "line {line}: key '{key}' given twice")
@@ -142,7 +136,6 @@ impl SubstrateSpec {
     pub fn from_config_str(text: &str) -> Result<SubstrateConfig, ConfigError> {
         let mut spec: Option<SubstrateSpec> = None;
         let mut crossing_cost: Option<u32> = None;
-        let mut threads: Option<usize> = None;
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
             let content = raw.split('#').next().unwrap_or("").trim();
@@ -171,22 +164,10 @@ impl SubstrateSpec {
                         got: value.to_string(),
                     })?);
                 }
-                "threads" => {
-                    if threads.is_some() {
-                        return Err(ConfigError::DuplicateKey { line, key: key.into() });
-                    }
-                    threads = Some(value.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
-                        ConfigError::BadNumber { line, key: key.into(), got: value.to_string() }
-                    })?);
-                }
                 other => return Err(ConfigError::UnknownKey { line, key: other.into() }),
             }
         }
-        Ok(SubstrateConfig {
-            spec: spec.ok_or(ConfigError::MissingSubstrate)?,
-            crossing_cost,
-            threads,
-        })
+        Ok(SubstrateConfig { spec: spec.ok_or(ConfigError::MissingSubstrate)?, crossing_cost })
     }
 }
 
@@ -198,8 +179,7 @@ mod tests {
     #[test]
     fn parses_full_config() {
         let cfg = SubstrateSpec::from_config_str(
-            "# deployment\nsubstrate = cached:512:disk:/data # hot blocks\ncrossing_cost = 8000\n\
-             threads = 4\n",
+            "# deployment\nsubstrate = cached:512:disk:/data # hot blocks\ncrossing_cost = 8000\n",
         )
         .unwrap();
         assert_eq!(
@@ -207,35 +187,24 @@ mod tests {
             SubstrateSpec::CachedDisk { dir: Some("/data".into()), capacity_blocks: 512 }
         );
         assert_eq!(cfg.crossing_cost, Some(8000));
-        assert_eq!(cfg.threads, Some(4));
     }
 
     #[test]
-    fn crossing_cost_and_threads_are_optional() {
+    fn crossing_cost_is_optional() {
         let cfg = SubstrateSpec::from_config_str("substrate = host\n").unwrap();
         assert_eq!(cfg.spec, SubstrateSpec::Host);
         assert_eq!(cfg.crossing_cost, None);
-        assert_eq!(cfg.threads, None);
         cfg.build().unwrap();
     }
 
     #[test]
-    fn threads_must_be_a_positive_integer() {
-        assert!(matches!(
-            SubstrateSpec::from_config_str("substrate = host\nthreads = many\n"),
-            Err(ConfigError::BadNumber { line: 2, .. })
-        ));
-        assert!(matches!(
-            SubstrateSpec::from_config_str("substrate = host\nthreads = 0\n"),
-            Err(ConfigError::BadNumber { line: 2, .. })
-        ));
-        assert!(matches!(
-            SubstrateSpec::from_config_str("substrate = host\nthreads = 2\nthreads = 4\n"),
-            Err(ConfigError::DuplicateKey { line: 3, .. })
-        ));
-        // The unknown-key hint advertises the new key.
-        let msg = SubstrateSpec::from_config_str("substrate = host\nspindle = 4\n").unwrap_err();
-        assert!(msg.to_string().contains("threads"), "{msg}");
+    fn retired_threads_key_is_rejected_with_its_line() {
+        let err = SubstrateSpec::from_config_str("substrate = host\nthreads = 4\n").unwrap_err();
+        assert!(matches!(&err, ConfigError::UnknownKey { line: 2, key } if key == "threads"));
+        assert_eq!(
+            err.to_string(),
+            "line 2: unknown key 'threads' (expected substrate | crossing_cost)"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Region routing across multiple inner substrates.
 
 use oblidb_enclave::{
-    AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, RegionId, ThreadPool, Trace,
+    AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, RegionId, Trace,
 };
 
 /// Routes regions round-robin across N inner [`EnclaveMemory`] shards —
@@ -151,31 +151,6 @@ impl<M: EnclaveMemory> ShardedMemory<M> {
         for index in start..start + events {
             self.record(region, index, kind);
         }
-    }
-
-    /// Worker-per-shard execution: runs `f(shard_index, &mut shard)` for
-    /// every shard through `pool`, each worker holding exclusive `&mut`
-    /// access to a contiguous range of shards — no locks, no sharing.
-    /// Results come back in shard order; stats still aggregate per shard
-    /// ([`EnclaveMemory::stats`] sums them after the join); a panicking
-    /// worker is joined with the rest, then its panic propagates.
-    ///
-    /// Block I/O through the shard handles bypasses the wrapper's global
-    /// trace, exactly like [`ShardedMemory::shard_mut`]. In this mode the
-    /// adversary's view is the set of per-shard traces (each shard's own
-    /// `start_trace`/`take_trace`), and each of those is unchanged from a
-    /// serial drive of the same per-shard work — only the interleaving
-    /// *across* shards differs, which the enclave boundary already leaks.
-    /// `tests/parallel_conformance.rs` asserts exactly that.
-    pub fn for_each_shard<R: Send>(
-        &mut self,
-        pool: &ThreadPool,
-        f: impl Fn(usize, &mut M) -> R + Sync,
-    ) -> Vec<R>
-    where
-        M: Send,
-    {
-        pool.for_each_mut(&mut self.shards, f)
     }
 
     /// Gather/scatter variant of [`ShardedMemory::record_run`].
@@ -423,35 +398,6 @@ mod tests {
         let (st, se) = drive(&mut ShardedMemory::from_fn(3, |_| Host::new()));
         assert_eq!(he, se, "errors must carry global region ids");
         assert_eq!(ht, st, "failure-path traces must match Host event-for-event");
-    }
-
-    #[test]
-    fn worker_per_shard_traces_match_serial_drive() {
-        // The same per-shard workload driven serially and by a 4-worker
-        // pool: each shard's own trace (the adversary's view in
-        // worker-per-shard mode) and the aggregated stats must match.
-        fn drive(m: &mut ShardedMemory<Host>, pool: &ThreadPool) -> Vec<Trace> {
-            m.for_each_shard(pool, |i, shard| {
-                shard.start_trace();
-                let r = shard.alloc_region(4, 8).unwrap();
-                for b in 0..4 {
-                    shard.write(r, b, &[i as u8; 8]).unwrap();
-                }
-                let mut out = Vec::new();
-                shard.read_blocks(r, 0, 4, &mut out).unwrap();
-                assert_eq!(out, vec![i as u8; 32]);
-                shard.take_trace()
-            })
-        }
-        let mut serial = ShardedMemory::from_fn(4, |_| Host::new());
-        let mut parallel = ShardedMemory::from_fn(4, |_| Host::new());
-        let st = drive(&mut serial, &ThreadPool::serial());
-        let pt = drive(&mut parallel, &ThreadPool::new(4));
-        assert_eq!(st, pt, "per-shard traces are unchanged by the worker pool");
-        assert_eq!(serial.stats(), parallel.stats());
-        for shard in 0..4 {
-            assert_eq!(serial.shard_stats(shard), parallel.shard_stats(shard));
-        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub enum Counter {
     BytesOpened,
     /// Path ORAM accesses (real + dummy).
     OramAccesses,
-    /// Jobs executed by `ThreadPool` workers.
+    /// Sessions the server's session limiter admitted and ran.
     PoolJobs,
     /// Statement traces checked by the oblivious-trace auditor.
     AuditChecks,

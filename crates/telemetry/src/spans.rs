@@ -95,7 +95,7 @@ pub enum SpanKind {
     WalAppend,
     /// WAL recovery scan of a persisted region.
     WalRecovery,
-    /// One `ThreadPool` worker job.
+    /// One server session, from admission by the limiter to its end.
     Worker,
     /// Replay of recovered statements into a reopened database.
     Recovery,

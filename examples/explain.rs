@@ -9,7 +9,6 @@
 //! # or from a key=value config file:
 //! #   substrate = cached:512:disk
 //! #   crossing_cost = 8000
-//! #   threads = 4
 //! cargo run --release --example explain -- deployment.conf
 //! ```
 //!
@@ -18,16 +17,16 @@
 //! Hash select (fewest block accesses), while a disk-calibrated profile
 //! picks Small (fewest boundary crossings).
 
-use oblidb::core::{CostProfile, DbConfig, ExecConfig};
+use oblidb::core::{CostProfile, DbConfig};
 use oblidb::substrates::SubstrateSpec;
 
 fn main() {
     // A config-file argument wins over the environment variable(s).
-    let (spec, crossing_cost, threads) = match std::env::args().nth(1) {
+    let (spec, crossing_cost) = match std::env::args().nth(1) {
         Some(path) => match SubstrateSpec::from_config_file(&path) {
             Ok(cfg) => {
                 println!("config:    {path}");
-                (cfg.spec, cfg.crossing_cost, cfg.threads)
+                (cfg.spec, cfg.crossing_cost)
             }
             Err(e) => {
                 eprintln!("{path}: {e}");
@@ -35,7 +34,7 @@ fn main() {
             }
         },
         None => match SubstrateSpec::from_env() {
-            Ok(s) => (s, None, None),
+            Ok(s) => (s, None),
             Err(e) => {
                 eprintln!("OBLIDB_SUBSTRATE: {e}");
                 std::process::exit(2);
@@ -48,11 +47,7 @@ fn main() {
     // Tiny OM budget so the planner has a real trade-off to weigh: the
     // Small select needs ~52 passes here, the Hash select ~2 crossings
     // per input row.
-    // The config file's `threads` key wins over `OBLIDB_THREADS` (the
-    // default already honors the environment variable).
-    let exec = threads.map_or_else(ExecConfig::from_env, |threads| ExecConfig { threads });
-    println!("threads:   {}", exec.threads);
-    let config = DbConfig { om_bytes: 128, exec, ..DbConfig::default() };
+    let config = DbConfig { om_bytes: 128, ..DbConfig::default() };
     let mut db = oblidb::database_on_calibrated(&spec, config).expect("substrate builds");
     if let Some(spins) = crossing_cost {
         db.host_mut().set_crossing_cost(spins);
