@@ -1,12 +1,12 @@
 //! The paper's §5 planner rules, as closed-form functions of public sizes.
 //!
-//! The engine does not plan with these: it dry-runs each candidate
-//! operator and counts its accesses (`oblidb_core::plan::cost`). The rules
+//! The engine does not plan with these: it counts each candidate
+//! operator's accesses from public sizes (`oblidb_core::plan::cost`). The rules
 //! are kept as the reference the Figure 13/14 harnesses print beside the
 //! engine's pick and the parity suite compares against — price a rule's
 //! pick by running the engine with `force_select` / `force_join` set to it.
 
-use oblidb_core::planner::{JoinAlgo, SelectAlgo, SelectStats};
+use oblidb_core::plan::cost::{JoinAlgo, SelectAlgo, SelectStats};
 
 /// Fraction of the table above which Large applies ("contains almost every
 /// row", §4.1).

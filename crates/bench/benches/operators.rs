@@ -3,7 +3,7 @@
 
 use oblidb_bench::harness::{BenchmarkId, Criterion};
 use oblidb_bench::{criterion_group, criterion_main};
-use oblidb_core::planner::SelectAlgo;
+use oblidb_core::SelectAlgo;
 use oblidb_core::{Database, DbConfig, StorageMethod};
 use oblidb_workloads::synthetic;
 

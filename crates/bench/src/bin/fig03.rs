@@ -5,7 +5,7 @@
 
 use oblidb_bench::report::Report;
 use oblidb_bench::setup::synthetic_db;
-use oblidb_core::planner::SelectAlgo;
+use oblidb_core::SelectAlgo;
 use oblidb_core::StorageMethod;
 
 /// Runs a 10%-selective select under a forced algorithm, returning
@@ -33,8 +33,8 @@ fn run_select(n: usize, algo: SelectAlgo, om_bytes: usize) -> (u64, usize) {
     (db.host_mut().stats().total_accesses(), db.om().used())
 }
 
-fn run_join(n: usize, algo: oblidb_core::planner::JoinAlgo) -> u64 {
-    use oblidb_core::planner::JoinAlgo;
+fn run_join(n: usize, algo: oblidb_core::JoinAlgo) -> u64 {
+    use oblidb_core::JoinAlgo;
     let mut db = oblidb_core::Database::new(oblidb_core::DbConfig::default());
     let (p, f) = oblidb_workloads::synthetic::fk_join_tables(n, n, 5);
     let schema = oblidb_workloads::synthetic::schema(8);
@@ -101,9 +101,9 @@ fn main() {
     }
 
     for (name, algo, claim) in [
-        ("Hash join", oblidb_core::planner::JoinAlgo::Hash, "O(N/S * M)"),
-        ("Opaque join", oblidb_core::planner::JoinAlgo::Opaque, "O((N+M) log^2((N+M)/S))"),
-        ("0-OM join", oblidb_core::planner::JoinAlgo::ZeroOm, "O((N+M) log^2(N+M)), 0 OM"),
+        ("Hash join", oblidb_core::JoinAlgo::Hash, "O(N/S * M)"),
+        ("Opaque join", oblidb_core::JoinAlgo::Opaque, "O((N+M) log^2((N+M)/S))"),
+        ("0-OM join", oblidb_core::JoinAlgo::ZeroOm, "O((N+M) log^2(N+M)), 0 OM"),
     ] {
         let a1 = run_join(n / 4, algo);
         let a2 = run_join(n / 2, algo);

@@ -10,7 +10,7 @@ use oblidb_baselines::paper_rules;
 use oblidb_bench::report::Report;
 use oblidb_bench::setup::{scale, synthetic_db, Scale};
 use oblidb_bench::timing::fmt_duration;
-use oblidb_core::planner::SelectStats;
+use oblidb_core::plan::cost::SelectStats;
 use oblidb_core::{DbConfig, PlanInfo, SelectAlgo, StorageMethod};
 use oblidb_workloads::synthetic;
 use std::time::{Duration, Instant};

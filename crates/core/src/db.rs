@@ -7,8 +7,8 @@
 //! 1. [`Database::prepare`] compiles SQL into a typed physical-plan IR
 //!    ([`crate::plan::QueryPlan`]): a tree of scan/filter/join/aggregate
 //!    nodes, each annotated with the chosen operator, padded bounds, OM
-//!    budget, and a cost estimate counted by dry-running the candidates
-//!    against `CountingMemory` and weighing them with the configured
+//!    budget, and a cost estimate counted from public sizes for every
+//!    candidate and weighed with the configured
 //!    [`crate::plan::cost::CostProfile`] (paper §5, cost-calibrated per
 //!    substrate).
 //! 2. [`PreparedStatement::explain`] renders the tree with estimated and,
@@ -30,12 +30,14 @@ use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_O
 use crate::error::DbError;
 use crate::exec::{self, AggFunc, SortMergeVariant};
 use crate::padding::PaddingConfig;
-use crate::plan::cost::{self, CostProfile, JoinShape, SelectShape};
+use crate::plan::cost::{
+    self, scan_stats, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape,
+    SelectStats,
+};
 use crate::plan::{
     AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
     PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan, TxnVerb,
 };
-use crate::planner::{scan_stats, JoinAlgo, PlannerConfig, SelectAlgo, SelectStats};
 use crate::predicate::Predicate;
 use crate::sql::{self, Projection, SelectItem, Statement};
 use crate::table::{FlatTable, IndexedTable, TableStorage};
@@ -203,7 +205,7 @@ pub struct Database<M: EnclaveMemory = Host> {
     /// Compiled SELECT plans keyed by statement text, each validated
     /// against the catalog version it was planned under — repeated
     /// `prepare` of the same SQL skips parsing, the preliminary scan, and
-    /// dry-run costing. Any catalog/data change (version bump) makes an
+    /// costing. Any catalog/data change (version bump) makes an
     /// entry stale; DDL included.
     plan_cache: HashMap<String, QueryPlan>,
     plan_cache_stats: PlanCacheStats,
@@ -215,7 +217,7 @@ pub struct Database<M: EnclaveMemory = Host> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// `prepare` calls served from the cache (same SQL, same catalog
-    /// version — no parse, no preliminary scan, no dry-run costing).
+    /// version — no parse, no preliminary scan, no costing).
     pub hits: u64,
     /// `prepare` calls that compiled a plan (first sight, or stale).
     pub misses: u64,
@@ -899,7 +901,7 @@ impl<M: EnclaveMemory> Database<M> {
     ///
     /// Compiled SELECT plans are cached by statement text and validated
     /// against the catalog version, so preparing the same SQL again with
-    /// no intervening change skips the dry-run costing entirely
+    /// no intervening change skips the preliminary scan and costing entirely
     /// ([`Database::plan_cache_stats`] counts it). Mutations are never
     /// cached — running one bumps the version, which would invalidate the
     /// entry immediately anyway.
@@ -1047,7 +1049,7 @@ impl<M: EnclaveMemory> Database<M> {
                         om_bytes,
                         zero_om_scratch_rows: self.config.zero_om_scratch_rows,
                     };
-                    cost::choose_join(&self.config.planner, &shape, profile)?
+                    cost::choose_join(&self.config.planner, &shape, profile)
                 }
                 // A side's shape waits on a runtime index probe.
                 _ => (JoinChoice::Deferred, None),
@@ -1270,9 +1272,8 @@ impl<M: EnclaveMemory> Database<M> {
                 out_key: out_key.clone(),
             };
             node.choice = SelectChoice::Padded { pad_rows };
-            node.est = cost::simulate_select(SelectAlgo::Padded, &shape)
-                .ok()
-                .map(|s| NodeCost::from_stats(&s, profile));
+            node.est =
+                Some(NodeCost::from_stats(&cost::select_cost(SelectAlgo::Padded, &shape), profile));
             node.out_key = Some(crate::plan::PlanKey(out_key));
             return Ok(PlanNode::Filter(node));
         }
@@ -1316,7 +1317,7 @@ impl<M: EnclaveMemory> Database<M> {
             om_bytes,
             out_key: out_key.clone(),
         };
-        let (choice, est) = cost::choose_select(&self.config.planner, &shape, profile)?;
+        let (choice, est) = cost::choose_select(&self.config.planner, &shape, profile);
         node.choice = choice;
         node.est = est;
         node.est_matches = Some(stats.matches);
@@ -1697,7 +1698,7 @@ impl<M: EnclaveMemory> Database<M> {
                 zero_om_scratch_rows: self.config.zero_om_scratch_rows,
             };
             j.om_bytes = shape.om_bytes;
-            (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile)?;
+            (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
         }
         let algo = j.choice.algo().expect("deferred choice is resolved");
         info.join_algo = Some(algo);
@@ -2023,7 +2024,7 @@ fn run_filter_stage<M: EnclaveMemory>(
                 out_key: out_key.clone(),
             };
             f.om_bytes = shape.om_bytes;
-            let (choice, est) = cost::choose_select(&config.planner, &shape, profile)?;
+            let (choice, est) = cost::choose_select(&config.planner, &shape, profile);
             f.est = est;
             f.choice = choice;
             f.choice.algo().expect("deferred choice is resolved")
@@ -2579,7 +2580,7 @@ mod tests {
         assert_eq!(after_first.hits, 0);
 
         // Same SQL, unchanged catalog: served from the cache with zero
-        // host accesses (no preliminary scan, no dry-run costing).
+        // host accesses (no preliminary scan, no costing).
         db.host_mut().reset_stats();
         {
             let stmt = db.prepare(q).unwrap();

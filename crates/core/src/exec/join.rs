@@ -18,9 +18,11 @@
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_crypto::SipHash24;
-use oblidb_enclave::{EnclaveMemory, OmBudget};
+use oblidb_enclave::{EnclaveMemory, HostStats, OmBudget};
+use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use crate::error::DbError;
+use crate::plan::cost::JoinShape;
 use crate::table::FlatTable;
 use crate::types::{Column, Schema};
 
@@ -34,6 +36,13 @@ fn col_bytes(schema: &Schema, row: &[u8], col: usize) -> Vec<u8> {
 /// Output schema of a join: all of T1's columns then all of T2's.
 fn join_schema(s1: &Schema, s2: &Schema) -> Schema {
     s1.join("t1", s2, "t2")
+}
+
+/// The sort-merge joins' union row: `[used][tag][key u128][padded
+/// original row]`, wide enough for a row of either side.
+fn union_schema(s1: &Schema, s2: &Schema) -> Schema {
+    let payload = s1.row_len().max(s2.row_len());
+    Schema::new(vec![Column::new("u", crate::types::DataType::Text(1 + 16 + payload))])
 }
 
 /// Encodes a joined row from two used input rows (strips the inner flags).
@@ -132,6 +141,26 @@ pub fn hash_join<M: EnclaveMemory>(
     Ok(out)
 }
 
+/// What [`hash_join`] costs over `shape`: the `passes · |T2|` output, each
+/// T1 chunk streamed once, and per pass one full probe of T2 writing one
+/// output block per probe in T2-chunk-sized runs.
+pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
+    let (row1, row2) = (shape.left_schema.row_len(), shape.right_schema.row_len());
+    let (cap1, cap2) = (shape.left_capacity.max(1), shape.right_capacity.max(1));
+    let out_len = join_schema(&shape.left_schema, &shape.right_schema).row_len();
+    let entry_size = row1 + 32;
+    let chunk =
+        (((cap1 as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64).min(cap1);
+    let passes = cap1.div_ceil(chunk);
+    let probe = SealedRegion::read_batch_cost(row2, cap2)
+        + super::in_runs(cap2, batch_chunk_blocks(row2) as u64, |n| {
+            SealedRegion::write_batch_cost(out_len, n)
+        });
+    FlatTable::create_cost(out_len, passes * cap2)
+        + super::in_runs(cap1, chunk, |n| SealedRegion::read_batch_cost(row1, n))
+        + probe * passes
+}
+
 /// Which sort-merge variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortMergeVariant {
@@ -164,10 +193,7 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     let out_schema = join_schema(&s1, &s2);
     let out_len = out_schema.row_len();
 
-    // Union row layout: [used][tag][key u128][padded original row].
-    let payload = s1.row_len().max(s2.row_len());
-    let union_schema =
-        Schema::new(vec![Column::new("u", crate::types::DataType::Text(1 + 16 + payload))]);
+    let union_schema = union_schema(&s1, &s2);
     let union_len = union_schema.row_len();
     let n = (t1.capacity() + t2.capacity()).max(2).next_power_of_two();
     let union_key = AeadKey(oblidb_crypto::derive_key(&out_key.0, b"join-union"));
@@ -291,6 +317,38 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     out.set_insert_cursor(out.capacity());
     union.free(host)?;
     Ok(out)
+}
+
+/// What [`sort_merge_join`] costs over `shape`: the power-of-two union
+/// filled from both sides chunk by chunk, its bitonic sort, and the merge
+/// scan writing one output block per union row.
+pub fn sort_merge_join_cost(shape: &JoinShape, variant: SortMergeVariant) -> HostStats {
+    let (s1, s2) = (&shape.left_schema, &shape.right_schema);
+    let (cap1, cap2) = (shape.left_capacity.max(1), shape.right_capacity.max(1));
+    let union_len = union_schema(s1, s2).row_len();
+    let out_len = join_schema(s1, s2).row_len();
+    let n = (cap1 + cap2).max(2).next_power_of_two();
+    let chunk_rows = match variant {
+        SortMergeVariant::Opaque => {
+            ((n as usize * union_len).min(shape.om_bytes) / union_len).max(1).min(n as usize)
+        }
+        SortMergeVariant::ZeroOm { scratch_rows } => scratch_rows.max(1),
+    };
+    let fill = |row_len: usize, cap: u64| {
+        super::in_runs(cap, batch_chunk_blocks(row_len) as u64, |k| {
+            SealedRegion::read_batch_cost(row_len, k) + SealedRegion::write_batch_cost(union_len, k)
+        })
+    };
+    let merge = SealedRegion::read_batch_cost(union_len, n)
+        + super::in_runs(n, batch_chunk_blocks(union_len) as u64, |k| {
+            SealedRegion::write_batch_cost(out_len, k)
+        });
+    FlatTable::create_cost(union_len, n)
+        + fill(s1.row_len(), cap1)
+        + fill(s2.row_len(), cap2)
+        + super::sort::bitonic_sort_cost(union_len, n, chunk_rows)
+        + FlatTable::create_cost(out_len, n)
+        + merge
 }
 
 #[cfg(test)]

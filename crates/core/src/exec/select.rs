@@ -4,14 +4,17 @@
 //! supplies `|R|` (the match count) up front, from its preliminary scan —
 //! it is part of the leakage contract. Each algorithm's access pattern is
 //! a deterministic function of `(|T|, |R|, oblivious-memory budget)` only;
-//! trace-equality tests in `tests/` verify this.
+//! trace-equality tests in `tests/` verify this, and the `…_cost` function
+//! beside each operator counts that pattern's accesses from those sizes.
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_crypto::SipHash24;
-use oblidb_enclave::{EnclaveMemory, EnclaveRng, OmBudget};
+use oblidb_enclave::{EnclaveMemory, EnclaveRng, HostStats, OmBudget};
 use oblidb_oram::{PathOram, PosMapKind};
+use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use crate::error::DbError;
+use crate::plan::cost::SelectShape;
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
@@ -67,6 +70,31 @@ pub fn select_small<M: EnclaveMemory>(
     Ok(out)
 }
 
+/// What [`select_small`] costs over `shape`: the output allocation, one
+/// full pass over the input per buffer-full of matches, and one flush of
+/// each window (windows partition `[0, |R|)`).
+pub fn small_cost(shape: &SelectShape) -> HostStats {
+    let row_len = shape.schema.row_len();
+    let out_rows = shape.matches;
+    let buf_rows = buffer_rows(shape.om_bytes, out_rows.max(1), row_len);
+    let passes = out_rows.div_ceil(buf_rows).max(1);
+    FlatTable::create_cost(row_len, out_rows)
+        + input_pass(shape) * passes
+        + super::in_runs(out_rows, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
+}
+
+/// Rows of the enclave buffer `om.alloc_up_to(rows · row_len)` grants from
+/// a budget of `om_bytes` — at least one, as the operators guarantee.
+fn buffer_rows(om_bytes: usize, rows: u64, row_len: usize) -> u64 {
+    ((rows as usize * row_len).min(om_bytes) / row_len).max(1) as u64
+}
+
+/// One batched pass over the input's capacity, chunk by chunk — what
+/// [`FlatTable::for_each_row`] and every operator's `read_rows` loop cost.
+fn input_pass(shape: &SelectShape) -> HostStats {
+    SealedRegion::read_batch_cost(shape.schema.row_len(), shape.capacity.max(1))
+}
+
 /// Large (Figure 4B): copy T to R, then one pass over R clearing
 /// unselected rows (dummy writes for selected ones). Fast when R contains
 /// almost all of T. Uses no oblivious memory.
@@ -111,6 +139,15 @@ pub fn select_large<M: EnclaveMemory>(
     out.set_num_rows(kept);
     out.set_insert_cursor(out.capacity());
     Ok(out)
+}
+
+/// What [`select_large`] costs over `shape`: a `|T|`-block output, then a
+/// copy pass and a clear pass that each read and rewrite every block.
+pub fn large_cost(shape: &SelectShape) -> HostStats {
+    let (row_len, cap) = (shape.schema.row_len(), shape.capacity.max(1));
+    let rewrite =
+        SealedRegion::read_batch_cost(row_len, cap) + SealedRegion::write_batch_cost(row_len, cap);
+    FlatTable::create_cost(row_len, cap) + rewrite * 2
 }
 
 /// Continuous (Figure 4C): when the selected rows form one contiguous
@@ -171,10 +208,51 @@ pub fn select_continuous<M: EnclaveMemory>(
     Ok(out)
 }
 
+/// What [`select_continuous`] costs over `shape`: the input pass, plus one
+/// read and one write of `R` per input row, batched per segment — and a
+/// segment ends at every input chunk boundary and every wraparound of `R`.
+pub fn continuous_cost(shape: &SelectShape) -> HostStats {
+    let (row_len, cap) = (shape.schema.row_len(), shape.capacity.max(1));
+    let r = shape.matches.max(1);
+    let chunk = batch_chunk_blocks(row_len) as u64;
+    // Segment starts inside (0, cap): multiples of the chunk or of r,
+    // counting the common multiples once.
+    let starts = |step: u64| (cap - 1) / step;
+    let common = (r / gcd(r, chunk)).checked_mul(chunk).map_or(0, starts);
+    let segments = 1 + starts(chunk) + starts(r) - common;
+    let updates =
+        SealedRegion::read_batch_cost(row_len, cap) + SealedRegion::write_batch_cost(row_len, cap);
+    FlatTable::create_cost(row_len, r)
+        + input_pass(shape)
+        + HostStats { crossings: 2 * segments, ..updates }
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 /// The two per-row bucket positions probed by the Hash algorithm. Public
 /// function of the row index only — never of row contents (Figure 5).
 fn hash_positions(h1: &SipHash24, h2: &SipHash24, i: u64, buckets: u64) -> (u64, u64) {
     (h1.hash_u64(i) % buckets, h2.hash_u64(i) % buckets)
+}
+
+/// The Hash algorithm's two bucket functions. They derive from the output
+/// table key: deterministic per query, unknown to the adversary, and
+/// independent of the data.
+fn hash_functions(out_key: &AeadKey) -> (SipHash24, SipHash24) {
+    let derive = |label: &[u8]| {
+        let d = oblidb_crypto::derive_key(&out_key.0, label);
+        SipHash24::new(
+            u64::from_le_bytes(d[..8].try_into().expect("8-byte half")),
+            u64::from_le_bytes(d[8..16].try_into().expect("8-byte half")),
+        )
+    };
+    (derive(b"hash-select-1"), derive(b"hash-select-2"))
 }
 
 /// Hash (Figure 5): the general-purpose fallback. Row `i` of T hashes (by
@@ -192,19 +270,7 @@ pub fn select_hash<M: EnclaveMemory>(
     let buckets = out_rows.max(1);
     let capacity = buckets * HASH_SLOTS as u64;
     let mut out = FlatTable::create(host, out_key.clone(), schema.clone(), capacity)?;
-
-    // Hash keys derive from the output table key: deterministic per query,
-    // unknown to the adversary, and independent of the data.
-    let d1 = oblidb_crypto::derive_key(&out_key.0, b"hash-select-1");
-    let d2 = oblidb_crypto::derive_key(&out_key.0, b"hash-select-2");
-    let h1 = SipHash24::new(
-        u64::from_le_bytes(d1[..8].try_into().unwrap()),
-        u64::from_le_bytes(d1[8..16].try_into().unwrap()),
-    );
-    let h2 = SipHash24::new(
-        u64::from_le_bytes(d2[..8].try_into().unwrap()),
-        u64::from_le_bytes(d2[8..16].try_into().unwrap()),
-    );
+    let (h1, h2) = hash_functions(&out_key);
 
     let row_len = schema.row_len();
     let chunk = input.io_chunk_rows();
@@ -261,6 +327,32 @@ pub fn select_hash<M: EnclaveMemory>(
     Ok(out)
 }
 
+/// What [`select_hash`] costs over `shape`: a `5|R|`-slot output, the input
+/// pass, and per input row one gather and one scatter of its candidate
+/// slots — ten, or five when both functions pick the same bucket (always,
+/// with one bucket). Only the bucket indices are computed, never a row.
+pub fn hash_cost(shape: &SelectShape) -> HostStats {
+    let (row_len, cap) = (shape.schema.row_len(), shape.capacity.max(1));
+    let buckets = shape.matches.max(1);
+    let collisions = if buckets == 1 {
+        cap
+    } else {
+        let (h1, h2) = hash_functions(&shape.out_key);
+        (0..cap)
+            .filter(|&i| {
+                let (b1, b2) = hash_positions(&h1, &h2, i, buckets);
+                b1 == b2
+            })
+            .count() as u64
+    };
+    let slots = HASH_SLOTS as u64 * (2 * cap - collisions);
+    let probes = SealedRegion::read_batch_at_cost(row_len, slots)
+        + SealedRegion::write_batch_at_cost(row_len, slots);
+    FlatTable::create_cost(row_len, buckets * HASH_SLOTS as u64)
+        + input_pass(shape)
+        + HostStats { crossings: 2 * cap, ..probes }
+}
+
 /// Padding-mode selection (paper §2.3): a Small-style multi-pass select
 /// whose pass count and output size are fixed by the *padded* bound, not
 /// the true match count — so two queries of any selectivity produce
@@ -312,6 +404,18 @@ pub fn select_padded<M: EnclaveMemory>(
     out.set_num_rows(written);
     out.set_insert_cursor(pad);
     Ok(out)
+}
+
+/// What [`select_padded`] costs over `shape` (`shape.matches` is the
+/// padded bound): [`small_cost`]'s structure with every size fixed by the
+/// bound instead of the match count.
+pub fn padded_cost(shape: &SelectShape) -> HostStats {
+    let row_len = shape.schema.row_len();
+    let pad = shape.matches.max(1);
+    let buf_rows = buffer_rows(shape.om_bytes, pad, row_len);
+    FlatTable::create_cost(row_len, pad)
+        + input_pass(shape) * pad.div_ceil(buf_rows)
+        + super::in_runs(pad, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
 }
 
 /// Naive (baseline only): a direct ORAM translation — one ORAM operation
@@ -374,10 +478,24 @@ pub fn select_naive<M: EnclaveMemory>(
     Ok(out)
 }
 
+/// What [`select_naive`] costs over `shape`: the ORAM's tree, the input
+/// pass with one ORAM access per input row, then one access per output row
+/// copied out into a flat output written in chunk-sized runs.
+pub fn naive_cost(shape: &SelectShape) -> HostStats {
+    let (row_len, cap) = (shape.schema.row_len(), shape.capacity.max(1));
+    let out_rows = shape.matches;
+    let oram_rows = out_rows.max(1);
+    PathOram::create_cost(oram_rows, row_len)
+        + input_pass(shape)
+        + PathOram::access_cost(oram_rows, row_len) * (cap + out_rows)
+        + FlatTable::create_cost(row_len, out_rows)
+        + SealedRegion::write_batch_cost(row_len, out_rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::SelectAlgo;
+    use crate::plan::cost::SelectAlgo;
     use crate::predicate::CmpOp;
     use crate::types::{Column, DataType, Value};
     use oblidb_enclave::Host;

@@ -15,7 +15,8 @@
 //! Every compare-exchange reads both blocks and rewrites both (fresh
 //! encryptions), hiding whether a swap occurred.
 
-use oblidb_enclave::EnclaveMemory;
+use oblidb_enclave::{EnclaveMemory, HostStats};
+use oblidb_storage::SealedRegion;
 
 use crate::error::DbError;
 use crate::table::FlatTable;
@@ -91,6 +92,27 @@ pub fn bitonic_sort_with<M: EnclaveMemory>(
         k *= 2;
     }
     Ok(())
+}
+
+/// What [`bitonic_sort_with`] over `n` rows of `row_len` bytes with a
+/// `chunk_rows` buffer costs the substrate (either in-enclave chunk sort;
+/// neither moves a block): every aligned chunk loaded and stored once in
+/// phase A and once per later stage, plus `n/2` gathered-and-scattered
+/// pairs per strided element pass.
+pub fn bitonic_sort_cost(row_len: usize, n: u64, chunk_rows: usize) -> HostStats {
+    let m = (1u64 << (63 - (chunk_rows.max(1) as u64).leading_zeros())).min(n);
+    let chunk_trip =
+        SealedRegion::read_batch_cost(row_len, m) + SealedRegion::write_batch_cost(row_len, m);
+    if m >= n {
+        return chunk_trip;
+    }
+    // Stages k = 2m, 4m, …, n; stage k runs log2(k/m) element passes.
+    let stages = u64::from(n.trailing_zeros() - m.trailing_zeros());
+    let element_passes = stages * (stages + 1) / 2;
+    let local_merges = if m > 1 { stages } else { 0 };
+    let exchange = SealedRegion::read_batch_at_cost(row_len, 2)
+        + SealedRegion::write_batch_at_cost(row_len, 2);
+    chunk_trip * ((n / m) * (1 + local_merges)) + exchange * (element_passes * (n / 2))
 }
 
 /// One strided compare-exchange pass over the whole span. Each
@@ -328,6 +350,7 @@ mod tests {
             let schema = t.schema().clone();
             host.reset_stats();
             bitonic_sort(&mut host, &mut t, 64, key_fn(&schema), chunk).unwrap();
+            assert_eq!(host.stats(), bitonic_sort_cost(t.row_len(), 64, chunk), "chunk {chunk}");
             counts.push(host.stats().total_accesses());
         }
         assert!(counts[0] > counts[1], "{counts:?}");

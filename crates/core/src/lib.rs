@@ -9,7 +9,7 @@
 //!   Small, Large, Continuous, Hash), aggregation and grouped aggregation,
 //!   a fused select+project+aggregate operator, and three join algorithms
 //!   (oblivious hash join, Opaque sort-merge join, 0-OM bitonic join).
-//! * **A query planner** ([`planner`]) that picks operators using only
+//! * **A query planner** ([`plan::cost`]) that picks operators using only
 //!   already-leaked information: input/output sizes, result continuity, and
 //!   the oblivious-memory budget.
 //! * **A SQL front-end** ([`sql`]) and the [`Database`] facade tying it all
@@ -31,7 +31,6 @@ pub mod exec;
 pub mod key;
 pub mod padding;
 pub mod plan;
-pub mod planner;
 pub mod predicate;
 pub mod sql;
 pub mod table;
@@ -48,10 +47,9 @@ pub use db::{
     Database, DbConfig, PlanCacheStats, PlanInfo, PreparedStatement, QueryOutput, StorageMethod,
 };
 pub use error::DbError;
-pub use plan::cost::{CostProfile, CALIBRATION_FILE};
+pub use plan::cost::{CostProfile, JoinAlgo, SelectAlgo, CALIBRATION_FILE};
 pub use plan::TxnVerb;
 pub use plan::{Explain, NodeCost, PlanNode, QueryPlan};
-pub use planner::{JoinAlgo, SelectAlgo};
 pub use predicate::Predicate;
 pub use types::{Column, DataType, Row, Schema, Value};
 pub use wal::{EpochConfig, WalConfig};

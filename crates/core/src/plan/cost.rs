@@ -1,31 +1,34 @@
-//! The measured cost model behind the planner (ROADMAP: "use
-//! `CountingMemory` to build a real cost-based planner").
+//! The query planner (paper §5) and the cost model it chooses with.
 //!
-//! Instead of trusting closed-form formulas, each candidate physical
-//! operator is **dry-run** against a scratch [`CountingMemory`]: a
-//! payload-free substrate over which the real operator code executes its
-//! real access pattern (every select and join operator's pattern is a
-//! function of public sizes only — the obliviousness property the test
-//! suite asserts), while the substrate counts block reads, block writes
-//! and boundary crossings natively, including all batching effects. The
-//! counts are then weighed by a per-substrate [`CostProfile`]
-//! (disk ≫ cached ≫ RAM), so the same query can legitimately pick a
-//! different operator on `DiskMemory` than on `Host`.
+//! ObliDB chooses among operator implementations using only information the
+//! adversary already has (or will get): table sizes, the output size, the
+//! result's continuity, and the oblivious-memory budget. The planner's own
+//! preliminary scan ([`scan_stats`]) has a fixed access pattern — read
+//! every row once — so the only leakage optimization adds is the final
+//! algorithm choice.
 //!
-//! Exactness: the dry run issues the same `FlatTable`/operator calls the
-//! real execution will, so the counted blocks and crossings are *equal*,
-//! not approximate — `tests/planner_cost.rs` asserts estimate == actual
-//! for every SELECT algorithm. The one operator whose flush sizes depend
-//! on the true match count ([`crate::exec::select_small`]) is replayed by
-//! a size-parameterized skeleton instead (matches are public: the
-//! planner's preliminary scan already leaked them).
+//! Candidates are **counted from public sizes**. Every select and join
+//! operator's access pattern is a function of those sizes only (the
+//! obliviousness property the test suite asserts), so the `…_cost`
+//! function beside each operator in [`crate::exec`] replays its loop
+//! structure in integer arithmetic and returns the block reads, writes,
+//! sealed bytes and boundary crossings it will cost — touching no memory.
+//! The counts are weighed by a per-substrate [`CostProfile`] (disk ≫
+//! cached ≫ RAM), so the same query can legitimately pick a different
+//! operator on `DiskMemory` than on `Host`.
+//!
+//! Exactness: tests hold the count equal to execution —
+//! `tests/planner_cost.rs` compares every operator's count against the
+//! real operator's measured `HostStats` on `Host` over a grid of shapes.
+//! The paper's closed-form §5 rules are not an engine mode; they live in
+//! `oblidb_baselines::paper_rules` as the reference the figure harnesses
+//! and parity tests compare against.
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{CountingMemory, EnclaveMemory, EnclaveRng, HostStats, OmBudget};
+use oblidb_enclave::{EnclaveMemory, HostStats};
 
 use crate::error::DbError;
-use crate::exec::{self, SortMergeVariant};
-use crate::planner::{JoinAlgo, PlannerConfig, SelectAlgo};
+use crate::exec::{join, select, SortMergeVariant};
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
@@ -34,7 +37,7 @@ use super::{CandidateCost, JoinCandidateCost, JoinChoice, NodeCost, SelectChoice
 
 /// Per-substrate operator pricing, in units of one in-RAM block access.
 ///
-/// The counted quantities come from a [`CountingMemory`] dry run; this
+/// The counted quantities come from the operators' count model; this
 /// profile turns them into one comparable scalar. The decisive axis
 /// between substrates is the **crossing** weight: per-block sealed
 /// transfer costs are nearly identical across `Host`, `DiskMemory` and
@@ -231,8 +234,108 @@ impl Default for CostProfile {
     }
 }
 
-/// The public shape a SELECT dry run needs: everything the adversary
-/// already knows (or will learn) about the stage.
+/// The SELECT physical operators (paper §4.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SelectAlgo {
+    /// Multi-pass, enclave-buffered (small results).
+    Small,
+    /// Copy-then-clear (results covering almost the whole table).
+    Large,
+    /// Single-pass wraparound writes (contiguous results). Leaks
+    /// continuity; can be disabled.
+    Continuous,
+    /// Double-hashed bucket writes (the general case).
+    Hash,
+    /// ORAM-per-row baseline (never chosen; for comparison).
+    Naive,
+    /// Padding-mode selection: multi-pass with pass count and output size
+    /// fixed by the padded bound (§2.3; only used when padding is on).
+    Padded,
+}
+
+/// The JOIN physical operators (paper §4.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinAlgo {
+    /// Block-partitioned oblivious hash join.
+    Hash,
+    /// Opaque sort-merge join (oblivious-memory quicksort chunks).
+    Opaque,
+    /// Bitonic sort-merge join using zero oblivious memory.
+    ZeroOm,
+}
+
+/// What the planner's preliminary scan learns (paper §5: "(1) the number
+/// of rows satisfying the predicate and (2) whether those rows are
+/// adjacent in the input table").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SelectStats {
+    /// Number of matching rows — becomes |R|, already-leaked output size.
+    pub matches: u64,
+    /// Whether the matches form one contiguous run of the table.
+    pub continuous: bool,
+}
+
+/// Planner tunables.
+#[derive(Debug, Clone)]
+pub struct PlannerConfig {
+    /// Whether the Continuous algorithm may be chosen (§4.1 allows
+    /// disabling it to remove the continuity leak; the paper disables it
+    /// when comparing against Opaque).
+    pub enable_continuous: bool,
+    /// Fraction of the table above which Large is used ("contains almost
+    /// every row", §4.1).
+    pub large_threshold: f64,
+    /// Operator overrides ("users can also manually choose to force a
+    /// particular operator", §5).
+    pub force_select: Option<SelectAlgo>,
+    /// Join override.
+    pub force_join: Option<JoinAlgo>,
+    /// The per-substrate weights candidates are priced with. Defaults to
+    /// the (substrate-neutral) host profile, so plan choices — which are
+    /// deliberate leakage — stay identical across substrates unless a
+    /// per-substrate profile is opted into.
+    pub profile: CostProfile,
+}
+
+impl Default for PlannerConfig {
+    fn default() -> Self {
+        PlannerConfig {
+            enable_continuous: true,
+            large_threshold: 0.9,
+            force_select: None,
+            force_join: None,
+            profile: CostProfile::host(),
+        }
+    }
+}
+
+/// The planner's preliminary scan: reads every row once, updating
+/// statistics inside the enclave. Fixed access pattern; "often for free"
+/// because operators need |R| before allocating output anyway (§5).
+pub fn scan_stats<M: EnclaveMemory>(
+    host: &mut M,
+    input: &mut FlatTable,
+    pred: &Predicate,
+) -> Result<SelectStats, DbError> {
+    let schema = input.schema().clone();
+    let mut matches = 0u64;
+    let mut runs = 0u32;
+    let mut prev = false;
+    input.for_each_row(host, |_, bytes| {
+        let hit = Schema::row_used(bytes) && pred.eval(&schema, bytes);
+        if hit {
+            matches += 1;
+            if !prev {
+                runs += 1;
+            }
+        }
+        prev = hit;
+    })?;
+    Ok(SelectStats { matches, continuous: runs <= 1 && matches > 0 })
+}
+
+/// The public shape a SELECT stage is priced from: everything the
+/// adversary already knows (or will learn) about it.
 #[derive(Clone)]
 pub struct SelectShape {
     /// Input schema (fixes the row/block geometry).
@@ -241,15 +344,16 @@ pub struct SelectShape {
     pub capacity: u64,
     /// Rows in use (the `large_threshold` admission gate uses this).
     pub rows: u64,
-    /// Match count |R| from the planner's preliminary scan.
+    /// Match count |R| from the planner's preliminary scan (the padded
+    /// bound for [`SelectAlgo::Padded`]).
     pub matches: u64,
     /// Whether the matches form one contiguous run.
     pub continuous: bool,
     /// Oblivious-memory budget available to the stage.
     pub om_bytes: usize,
     /// The output-region key execution will use. The Hash operator
-    /// derives its (index-keyed) bucket functions from it, so estimating
-    /// with the same key makes the dry run exact, not just close.
+    /// derives its (index-keyed) bucket functions from it, so counting
+    /// with the same key makes its count exact, not just close.
     pub out_key: AeadKey,
 }
 
@@ -265,97 +369,20 @@ impl std::fmt::Debug for SelectShape {
     }
 }
 
-/// Dry-runs one SELECT operator over [`CountingMemory`] and returns the
-/// counted accesses. The real operator code runs for every algorithm
-/// except `Small`, whose buffer flushes depend on the true match count;
-/// its pattern is replayed by a size-parameterized skeleton from the (public) match
-/// count instead.
-pub fn simulate_select(algo: SelectAlgo, shape: &SelectShape) -> Result<HostStats, DbError> {
-    // The dry run executes instrumented operators over blocks that do not
-    // exist: none of it is this statement's telemetry.
-    let _quiet = oblidb_telemetry::suppress();
-    let mut mem = CountingMemory::new();
-    let mut input =
-        FlatTable::create(&mut mem, AeadKey([0x5A; 32]), shape.schema.clone(), shape.capacity)?;
-    mem.reset_stats();
-    let om = OmBudget::new(shape.om_bytes);
-    // On a payload-free substrate no row ever matches, which is exactly
-    // what makes the dry run cheap: every remaining algorithm's access
-    // pattern is independent of which rows match.
-    let pred = Predicate::True;
+/// The accesses one SELECT operator will make over `shape`, counted from
+/// public sizes (`Naive` with a direct, in-budget position map).
+pub fn select_cost(algo: SelectAlgo, shape: &SelectShape) -> HostStats {
     match algo {
-        SelectAlgo::Small => small_pattern(&mut mem, &om, &mut input, shape)?,
-        SelectAlgo::Large => {
-            exec::select_large(&mut mem, &mut input, &pred, shape.out_key.clone())?;
-        }
-        SelectAlgo::Continuous => {
-            exec::select_continuous(
-                &mut mem,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-            )?;
-        }
-        SelectAlgo::Hash => {
-            exec::select_hash(&mut mem, &mut input, &pred, shape.out_key.clone(), shape.matches)?;
-        }
-        SelectAlgo::Naive => {
-            exec::select_naive(
-                &mut mem,
-                &om,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-                EnclaveRng::seed_from_u64(0x0B11_D0DE),
-            )?;
-        }
-        SelectAlgo::Padded => {
-            exec::select::select_padded(
-                &mut mem,
-                &om,
-                &mut input,
-                &pred,
-                shape.out_key.clone(),
-                shape.matches,
-            )?;
-        }
+        SelectAlgo::Small => select::small_cost(shape),
+        SelectAlgo::Large => select::large_cost(shape),
+        SelectAlgo::Continuous => select::continuous_cost(shape),
+        SelectAlgo::Hash => select::hash_cost(shape),
+        SelectAlgo::Naive => select::naive_cost(shape),
+        SelectAlgo::Padded => select::padded_cost(shape),
     }
-    Ok(mem.stats())
 }
 
-/// Replays [`exec::select_small`]'s access pattern from public sizes: the
-/// same output allocation, the same full passes over the input, and one
-/// window-sized flush per pass (window sizes partition `[0, matches)`, so
-/// when the match count is right — it comes from the same preliminary
-/// scan execution uses — every flush length equals the real one).
-fn small_pattern(
-    mem: &mut CountingMemory,
-    om: &OmBudget,
-    input: &mut FlatTable,
-    shape: &SelectShape,
-) -> Result<(), DbError> {
-    let row_len = shape.schema.row_len();
-    let out_rows = shape.matches;
-    let mut out =
-        FlatTable::create(mem, shape.out_key.clone(), shape.schema.clone(), out_rows.max(1))?;
-    let alloc = om.alloc_up_to((out_rows.max(1) as usize) * row_len);
-    let buf_rows = ((alloc.bytes() / row_len).max(1)) as u64;
-    let passes = out_rows.div_ceil(buf_rows).max(1);
-    let mut written = 0u64;
-    for pass in 0..passes {
-        let window_lo = pass * buf_rows;
-        let window_hi = (window_lo + buf_rows).min(out_rows);
-        input.for_each_row(mem, |_, _| {})?;
-        let flush = vec![0u8; (window_hi - window_lo) as usize * row_len];
-        out.write_rows(mem, written, &flush)?;
-        written += window_hi - window_lo;
-    }
-    Ok(())
-}
-
-/// The public shape a JOIN dry run needs.
+/// The public shape a JOIN stage is priced from.
 #[derive(Debug, Clone)]
 pub struct JoinShape {
     /// Left (primary) input schema.
@@ -372,81 +399,41 @@ pub struct JoinShape {
     pub zero_om_scratch_rows: usize,
 }
 
-/// Dry-runs one JOIN operator over [`CountingMemory`]: the real operator
-/// code runs end to end (fill, oblivious sort, merge / build, probe) over
-/// dummy tables of the same shape — every access either side makes is a
-/// function of the two capacities and the budget alone.
-pub fn simulate_join(algo: JoinAlgo, shape: &JoinShape) -> Result<HostStats, DbError> {
-    let _quiet = oblidb_telemetry::suppress(); // as in `simulate_select`
-    let mut mem = CountingMemory::new();
-    let mut t1 = FlatTable::create(
-        &mut mem,
-        AeadKey([0x31; 32]),
-        shape.left_schema.clone(),
-        shape.left_capacity,
-    )?;
-    let mut t2 = FlatTable::create(
-        &mut mem,
-        AeadKey([0x32; 32]),
-        shape.right_schema.clone(),
-        shape.right_capacity,
-    )?;
-    mem.reset_stats();
-    let om = OmBudget::new(shape.om_bytes);
-    let key = AeadKey([0x77; 32]);
+/// The accesses one JOIN operator will make over `shape` — fill, oblivious
+/// sort, merge / build, probe — counted from the two capacities and the
+/// budget alone.
+pub fn join_cost(algo: JoinAlgo, shape: &JoinShape) -> HostStats {
     match algo {
-        JoinAlgo::Hash => {
-            exec::hash_join(&mut mem, &om, &mut t1, 0, &mut t2, 0, key)?;
-        }
-        JoinAlgo::Opaque => {
-            exec::sort_merge_join(
-                &mut mem,
-                &om,
-                &mut t1,
-                0,
-                &mut t2,
-                0,
-                key,
-                SortMergeVariant::Opaque,
-            )?;
-        }
-        JoinAlgo::ZeroOm => {
-            exec::sort_merge_join(
-                &mut mem,
-                &om,
-                &mut t1,
-                0,
-                &mut t2,
-                0,
-                key,
-                SortMergeVariant::ZeroOm { scratch_rows: shape.zero_om_scratch_rows },
-            )?;
-        }
+        JoinAlgo::Hash => join::hash_join_cost(shape),
+        JoinAlgo::Opaque => join::sort_merge_join_cost(shape, SortMergeVariant::Opaque),
+        JoinAlgo::ZeroOm => join::sort_merge_join_cost(
+            shape,
+            SortMergeVariant::ZeroOm { scratch_rows: shape.zero_om_scratch_rows },
+        ),
     }
-    Ok(mem.stats())
 }
 
 /// Picks the SELECT operator for a fully-shaped input — the engine's one
 /// way to choose, called at prepare time and again when a
 /// [`SelectChoice::Deferred`] stage resolves at run time.
 ///
-/// `cfg.force_select` pins the operator (still dry-run, so the plan
-/// carries an estimate). Otherwise every admissible candidate is dry-run,
+/// `cfg.force_select` pins the operator (still counted, so the plan
+/// carries an estimate). Otherwise every admissible candidate is counted,
 /// weighed by `profile`, and the cheapest wins (ties break toward the
 /// earlier candidate). Candidate admission follows §5's structure, not
 /// its formulas: `Continuous` requires a contiguous result (and the config
 /// switch), `Large` requires a near-total result — below the threshold its
 /// `|T|`-sized output structure taxes every downstream operator, which
-/// the single-stage dry run cannot see — and `Small`/`Hash` always apply.
+/// the single-stage count cannot see — and `Small`/`Hash` always apply.
 /// `Naive` exists for comparison and is never chosen (Figure 3).
 pub fn choose_select(
     cfg: &PlannerConfig,
     shape: &SelectShape,
     profile: &CostProfile,
-) -> Result<(SelectChoice, Option<NodeCost>), DbError> {
+) -> (SelectChoice, Option<NodeCost>) {
+    let priced = |algo| NodeCost::from_stats(&select_cost(algo, shape), profile);
     if let Some(algo) = cfg.force_select {
-        let est = simulate_select(algo, shape).ok().map(|s| NodeCost::from_stats(&s, profile));
-        return Ok((SelectChoice::Forced(algo), est));
+        return (SelectChoice::Forced(algo), Some(priced(algo)));
     }
     let mut admitted = Vec::new();
     if shape.continuous && cfg.enable_continuous {
@@ -458,22 +445,19 @@ pub fn choose_select(
     }
     admitted.push(SelectAlgo::Hash);
 
-    let mut candidates = Vec::with_capacity(admitted.len());
-    for algo in admitted {
-        let counted = simulate_select(algo, shape)?;
-        candidates.push(CandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
-    }
+    let candidates: Vec<CandidateCost> =
+        admitted.into_iter().map(|algo| CandidateCost { algo, cost: priced(algo) }).collect();
     let best = candidates
         .iter()
         .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
         .expect("candidate set is never empty");
     let (algo, est) = (best.algo, best.cost);
-    Ok((SelectChoice::Chosen { algo, candidates }, Some(est)))
+    (SelectChoice::Chosen { algo, candidates }, Some(est))
 }
 
 /// Picks the JOIN operator for two fully-shaped inputs, mirroring
 /// [`choose_select`]: `cfg.force_join` pins it (uncosted); otherwise the
-/// candidates are dry-run and the cheapest under `profile` wins. A zero
+/// candidates are counted and the cheapest under `profile` wins. A zero
 /// oblivious-memory budget admits only the 0-OM join (§4.3). Prepare calls
 /// this when both sides are flat; a [`JoinChoice::Deferred`] node calls it
 /// once its sides are materialized.
@@ -481,32 +465,36 @@ pub fn choose_join(
     cfg: &PlannerConfig,
     shape: &JoinShape,
     profile: &CostProfile,
-) -> Result<(JoinChoice, Option<NodeCost>), DbError> {
+) -> (JoinChoice, Option<NodeCost>) {
     if let Some(algo) = cfg.force_join {
-        return Ok((JoinChoice::Forced(algo), None));
+        return (JoinChoice::Forced(algo), None);
     }
     let admitted: &[JoinAlgo] = if shape.om_bytes == 0 {
         &[JoinAlgo::ZeroOm]
     } else {
         &[JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm]
     };
-    let mut candidates = Vec::with_capacity(admitted.len());
-    for &algo in admitted {
-        let counted = simulate_join(algo, shape)?;
-        candidates.push(JoinCandidateCost { algo, cost: NodeCost::from_stats(&counted, profile) });
-    }
+    let candidates: Vec<JoinCandidateCost> = admitted
+        .iter()
+        .map(|&algo| JoinCandidateCost {
+            algo,
+            cost: NodeCost::from_stats(&join_cost(algo, shape), profile),
+        })
+        .collect();
     let best = candidates
         .iter()
         .min_by(|a, b| a.cost.weighted.total_cmp(&b.cost.weighted))
         .expect("candidate set is never empty");
     let (algo, est) = (best.algo, best.cost);
-    Ok((JoinChoice::Chosen { algo, candidates }, Some(est)))
+    (JoinChoice::Chosen { algo, candidates }, Some(est))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Column, DataType};
+    use crate::predicate::CmpOp;
+    use crate::types::{Column, DataType, Value};
+    use oblidb_enclave::Host;
 
     fn shape(cap: u64, matches: u64, continuous: bool, om: usize) -> SelectShape {
         SelectShape {
@@ -524,10 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn simulated_counts_are_deterministic_and_size_shaped() {
+    fn counted_costs_are_deterministic_and_size_shaped() {
         let s = shape(64, 8, false, 1 << 20);
-        let a = simulate_select(SelectAlgo::Small, &s).unwrap();
-        let b = simulate_select(SelectAlgo::Small, &s).unwrap();
+        let a = select_cost(SelectAlgo::Small, &s);
+        let b = select_cost(SelectAlgo::Small, &s);
         assert_eq!(a, b);
         // One pass: read the capacity once, write the 8 matches, plus the
         // 8-block output allocation.
@@ -544,8 +532,8 @@ mod tests {
         let cfg = PlannerConfig::default();
         let cheap = CostProfile::new("ram", 1.0, 1.0, 1.0);
         let dear = CostProfile::new("disk", 1.0, 2.0, 64.0);
-        let (on_ram, _) = choose_select(&cfg, &s, &cheap).unwrap();
-        let (on_disk, _) = choose_select(&cfg, &s, &dear).unwrap();
+        let (on_ram, _) = choose_select(&cfg, &s, &cheap);
+        let (on_disk, _) = choose_select(&cfg, &s, &dear);
         assert_eq!(on_ram.algo(), Some(SelectAlgo::Hash));
         assert_eq!(on_disk.algo(), Some(SelectAlgo::Small));
     }
@@ -562,7 +550,7 @@ mod tests {
         };
         let cfg = PlannerConfig::default();
         let candidates_of = |shape: &JoinShape| {
-            let (choice, est) = choose_join(&cfg, shape, &CostProfile::host()).unwrap();
+            let (choice, est) = choose_join(&cfg, shape, &CostProfile::host());
             match choice {
                 JoinChoice::Chosen { algo, candidates } => {
                     let won = candidates.iter().find(|c| c.algo == algo).expect("winner is listed");
@@ -583,8 +571,7 @@ mod tests {
             force_join: Some(JoinAlgo::ZeroOm),
             ..PlannerConfig::default()
         };
-        let (select, est) =
-            choose_select(&cfg, &shape(10, 1, true, 1 << 20), &CostProfile::host()).unwrap();
+        let (select, est) = choose_select(&cfg, &shape(10, 1, true, 1 << 20), &CostProfile::host());
         assert_eq!(select, SelectChoice::Forced(SelectAlgo::Naive));
         assert!(est.is_some(), "a forced select is still costed");
         let joined = JoinShape {
@@ -595,17 +582,8 @@ mod tests {
             om_bytes: 1 << 20,
             zero_om_scratch_rows: 1,
         };
-        let (join, _) = choose_join(&cfg, &joined, &CostProfile::host()).unwrap();
+        let (join, _) = choose_join(&cfg, &joined, &CostProfile::host());
         assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));
-    }
-
-    #[test]
-    fn calibration_runs_on_counting_memory() {
-        let mut mem = CountingMemory::new();
-        let p = CostProfile::calibrate("counting", &mut mem).unwrap();
-        assert_eq!(p.read_block, 1.0);
-        assert!(p.crossing >= 1.0);
-        assert!(p.write_block > 0.0);
     }
 
     #[test]
@@ -679,5 +657,46 @@ mod tests {
         assert_eq!(CostProfile::load_from(&dir), None);
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(CostProfile::load_from(&dir), None);
+    }
+
+    fn build(n: i64) -> (Host, FlatTable) {
+        let s = Schema::new(vec![Column::new("id", DataType::Int)]);
+        let mut host = Host::new();
+        let rows: Vec<Vec<u8>> = (0..n).map(|i| s.encode_row(&[Value::Int(i)]).unwrap()).collect();
+        let t = FlatTable::from_encoded_rows(&mut host, AeadKey([1u8; 32]), s, &rows, n as u64)
+            .unwrap();
+        (host, t)
+    }
+
+    #[test]
+    fn stats_count_and_continuity() {
+        let (mut host, mut t) = build(20);
+        let p = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(5)).unwrap();
+        let s = scan_stats(&mut host, &mut t, &p).unwrap();
+        assert_eq!(s, SelectStats { matches: 5, continuous: true });
+
+        let a = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(3)).unwrap();
+        let b = Predicate::cmp(t.schema(), "id", CmpOp::Ge, Value::Int(15)).unwrap();
+        let split = Predicate::Or(Box::new(a), Box::new(b));
+        let s = scan_stats(&mut host, &mut t, &split).unwrap();
+        assert_eq!(s, SelectStats { matches: 8, continuous: false });
+
+        let none = Predicate::cmp(t.schema(), "id", CmpOp::Gt, Value::Int(99)).unwrap();
+        let s = scan_stats(&mut host, &mut t, &none).unwrap();
+        assert_eq!(s, SelectStats { matches: 0, continuous: false });
+    }
+
+    #[test]
+    fn stats_scan_has_fixed_pattern() {
+        let (mut host, mut t) = build(10);
+        let p1 = Predicate::True;
+        let p2 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(3)).unwrap();
+        host.start_trace();
+        scan_stats(&mut host, &mut t, &p1).unwrap();
+        let a = host.take_trace();
+        host.start_trace();
+        scan_stats(&mut host, &mut t, &p2).unwrap();
+        let b = host.take_trace();
+        assert_eq!(a, b);
     }
 }

@@ -5,7 +5,7 @@
 //! with the chosen physical algorithm ([`crate::SelectAlgo`] /
 //! [`crate::JoinAlgo`]), padded bounds, the oblivious-memory budget the
 //! choice assumed, and — where the input shape is known at prepare time —
-//! a [`NodeCost`] estimate counted by a [`cost`] dry run. Execution
+//! a [`NodeCost`] estimate counted from public sizes by [`cost`]. Execution
 //! ([`crate::PreparedStatement::run`]) walks the tree, measures the
 //! actual per-node access counts, and writes them back, so a post-run
 //! [`Explain`] shows estimated *and* actual costs side by side.
@@ -19,12 +19,11 @@ use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::HostStats;
 
 use crate::exec::AggFunc;
-use crate::planner::{JoinAlgo, SelectAlgo};
 use crate::predicate::{Bound, Predicate};
 use crate::sql;
 use crate::types::Value;
 
-use cost::CostProfile;
+use cost::{CostProfile, JoinAlgo, SelectAlgo};
 
 /// Pre-allocated output-region key material, redacted from Debug output
 /// (plans render in logs and EXPLAIN results; keys must not).
@@ -37,8 +36,8 @@ impl std::fmt::Debug for PlanKey {
     }
 }
 
-/// Counted cost of one plan node: blocks and crossings from a
-/// [`cost::simulate_select`]-style dry run (estimates) or a measured
+/// Counted cost of one plan node: blocks and crossings counted from
+/// public sizes ([`cost::select_cost`], estimates) or a measured
 /// [`HostStats`] delta (actuals), plus the profile-weighted scalar.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeCost {
@@ -51,9 +50,9 @@ pub struct NodeCost {
     /// `reads·read_block + writes·write_block + crossings·crossing` under
     /// the plan's [`CostProfile`].
     pub weighted: f64,
-    /// AEAD payload bytes moved across the boundary (read + written).
-    /// Zero for dry-run estimates on payload-free scratch memory is
-    /// possible only when nothing moved; measured actuals always carry it.
+    /// Sealed bytes moved across the boundary (read + written). Counted
+    /// estimates and measured actuals both carry it; zero means nothing
+    /// moved.
     pub bytes: u64,
     /// Measured wall time in nanoseconds. Always zero for estimates —
     /// only `EXPLAIN ANALYZE` / executed plans fill it in.
@@ -179,7 +178,7 @@ pub enum SelectChoice {
     Chosen {
         /// The winning operator.
         algo: SelectAlgo,
-        /// Every candidate the planner dry-ran, in admission order.
+        /// Every candidate the planner counted, in admission order.
         candidates: Vec<CandidateCost>,
     },
     /// Deferred to execution: the input is an intermediate (index
@@ -211,7 +210,7 @@ pub struct FilterNode {
     /// Match count |R| from the prepare-time preliminary scan (`None`
     /// when deferred or in padding mode).
     pub est_matches: Option<u64>,
-    /// Dry-run cost estimate for the chosen operator.
+    /// Counted cost estimate for the chosen operator.
     pub est: Option<NodeCost>,
     /// Measured cost, filled by `run()`.
     pub actual: Option<NodeCost>,
@@ -231,7 +230,7 @@ pub enum JoinChoice {
     Chosen {
         /// The winning operator.
         algo: JoinAlgo,
-        /// Every candidate the planner dry-ran.
+        /// Every candidate the planner counted.
         candidates: Vec<JoinCandidateCost>,
     },
     /// Deferred to execution (an input shape depends on a runtime index
@@ -262,7 +261,7 @@ pub struct JoinNode {
     pub right_col: usize,
     /// The operator decision.
     pub choice: JoinChoice,
-    /// Dry-run cost estimate for the chosen operator.
+    /// Counted cost estimate for the chosen operator.
     pub est: Option<NodeCost>,
     /// Measured cost, filled by `run()`.
     pub actual: Option<NodeCost>,

@@ -9,7 +9,7 @@
 //! nothing beyond the table size, which grows observably anyway.
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::EnclaveMemory;
+use oblidb_enclave::{EnclaveMemory, HostStats};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use crate::error::DbError;
@@ -38,6 +38,13 @@ impl FlatTable {
         let row_len = schema.row_len();
         let store = SealedRegion::create(host, key, capacity.max(1) as usize, row_len)?;
         Ok(FlatTable { schema, store, num_rows: 0, insert_cursor: 0 })
+    }
+
+    /// What [`FlatTable::create`] of `capacity` rows of `row_len` bytes
+    /// costs the substrate. Reads and writes of existing tables are priced
+    /// by [`SealedRegion`]'s batch costs at payload length `row_len`.
+    pub fn create_cost(row_len: usize, capacity: u64) -> HostStats {
+        SealedRegion::create_cost(row_len, capacity.max(1))
     }
 
     /// Bulk-creates a table from encoded rows (pre-deployment load).

@@ -6,10 +6,10 @@
 //! dependency-free, so no proptest); failures print the offending case.
 
 use oblidb_core::exec::{self, AggFunc, SortMergeVariant};
-use oblidb_core::planner::SelectAlgo;
 use oblidb_core::predicate::{CmpOp, Predicate};
 use oblidb_core::table::FlatTable;
 use oblidb_core::types::{Column, DataType, Schema, Value};
+use oblidb_core::SelectAlgo;
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveRng, Host, OmBudget, DEFAULT_OM_BYTES};
 

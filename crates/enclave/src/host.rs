@@ -112,6 +112,23 @@ impl std::ops::Add for HostStats {
     }
 }
 
+impl std::ops::Mul<u64> for HostStats {
+    type Output = HostStats;
+
+    /// `n` repetitions of the same work: how a cost model prices a loop
+    /// whose body's accesses it has counted once.
+    fn mul(self, n: u64) -> HostStats {
+        HostStats {
+            reads: self.reads * n,
+            writes: self.writes * n,
+            bytes_read: self.bytes_read * n,
+            bytes_written: self.bytes_written * n,
+            crossings: self.crossings * n,
+            stall_nanos: self.stall_nanos * n,
+        }
+    }
+}
+
 impl std::ops::Sub for HostStats {
     type Output = HostStats;
 
@@ -866,6 +883,7 @@ mod tests {
         assert_eq!(sum.reads, 11);
         assert_eq!(sum.crossings, 55);
         assert_eq!(sum.stall_nanos, 66);
+        assert_eq!(a * 3, a + a + a);
         let report = sum.report("disk");
         assert_eq!(report.cells().len(), StatsReport::HEADERS.len());
         assert!(report.to_string().starts_with("disk: reads=11"));

@@ -1,7 +1,7 @@
 //! The Path ORAM protocol (Stefanov et al., CCS'13) as used by ObliDB.
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{EnclaveMemory, EnclaveRng, OmBudget, OmError};
+use oblidb_enclave::{EnclaveMemory, EnclaveRng, HostStats, OmBudget, OmError};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion, SealedScan, StorageError};
 
 use crate::bucket::{Bucket, Slot};
@@ -202,6 +202,24 @@ impl PathOram {
             scratch: vec![0u8; bucket_len],
             path_buf: Vec::new(),
         })
+    }
+
+    /// What [`PathOram::new`] with a [`PosMapKind::Direct`] map costs the
+    /// substrate: the tree's zero fill (the map lives in enclave memory).
+    pub fn create_cost(capacity: u64, payload_len: usize) -> HostStats {
+        let buckets = 2 * next_pow2(capacity) - 1;
+        SealedRegion::create_cost(Bucket::serialized_len(Z, payload_len), buckets)
+    }
+
+    /// What one access — [`PathOram::read`], [`PathOram::write`] or
+    /// [`PathOram::dummy_access`] — to an ORAM with a
+    /// [`PosMapKind::Direct`] map costs the substrate: one gathered path
+    /// read and one scattered path write.
+    pub fn access_cost(capacity: u64, payload_len: usize) -> HostStats {
+        let levels = u64::from(next_pow2(capacity).trailing_zeros() + 1);
+        let bucket_len = Bucket::serialized_len(Z, payload_len);
+        SealedRegion::read_batch_at_cost(bucket_len, levels)
+            + SealedRegion::write_batch_at_cost(bucket_len, levels)
     }
 
     /// Number of logical blocks.
@@ -612,14 +630,17 @@ mod tests {
         // The whole root-to-leaf path is fetched in one batched crossing
         // and written back in another, regardless of tree height.
         let (mut host, mut oram, _om) = setup(256, 8, PosMapKind::Direct);
+        assert_eq!(host.stats(), PathOram::create_cost(256, 8), "creation is priced exactly");
         host.reset_stats();
         oram.write(&mut host, 5, &[1u8; 8]).unwrap();
         let s = host.stats();
         assert_eq!(s.crossings, 2, "one read crossing + one write crossing per access");
         assert_eq!(s.total_accesses(), 2 * oram.path_len() as u64);
+        assert_eq!(s, PathOram::access_cost(256, 8), "an access is priced exactly");
         host.reset_stats();
         oram.dummy_access(&mut host).unwrap();
         assert_eq!(host.stats().crossings, 2, "dummy accesses batch identically");
+        assert_eq!(host.stats(), PathOram::access_cost(256, 8));
     }
 
     #[test]

@@ -37,12 +37,21 @@
 //! sizes must be (and are) a function of block geometry only — never of
 //! data — so chunking cannot leak. [`SealedScan`] streams a whole region
 //! at that granularity.
+//!
+//! ## Pricing without running
+//!
+//! Because the geometry is public, so is what a call costs the substrate:
+//! [`SealedRegion::create_cost`], [`SealedRegion::read_batch_cost`],
+//! [`SealedRegion::write_batch_cost`] and their gather/scatter twins return
+//! the exact [`HostStats`] the call adds on [`oblidb_enclave::Host`] —
+//! blocks, sealed bytes, and one crossing per chunk-sized run or per
+//! gather/scatter. The planner's cost model is built from them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use oblidb_crypto::aead::{self, AeadKey, Nonce, NONCE_LEN, TAG_LEN};
-use oblidb_enclave::{EnclaveMemory, HostError, RegionId};
+use oblidb_enclave::{EnclaveMemory, HostError, HostStats, RegionId};
 
 /// Extra bytes a sealed block occupies beyond its plaintext payload.
 pub const SEAL_OVERHEAD: usize = NONCE_LEN + TAG_LEN;
@@ -226,6 +235,40 @@ impl SealedRegion {
     /// Plaintext payload length per block.
     pub fn payload_len(&self) -> usize {
         self.payload_len
+    }
+
+    /// What [`SealedRegion::create`] of `blocks` blocks with
+    /// `payload_len`-byte payloads costs the substrate: the batched zero
+    /// fill (per-block writes for zero-length payloads).
+    pub fn create_cost(payload_len: usize, blocks: u64) -> HostStats {
+        if payload_len == 0 {
+            return moved(true, payload_len, blocks, blocks);
+        }
+        Self::write_batch_cost(payload_len, blocks)
+    }
+
+    /// What [`SealedRegion::read_batch`] of `count` blocks costs the
+    /// substrate: one crossing per [`batch_chunk_blocks`] run.
+    pub fn read_batch_cost(payload_len: usize, count: u64) -> HostStats {
+        moved(false, payload_len, count, count.div_ceil(batch_chunk_blocks(payload_len) as u64))
+    }
+
+    /// What [`SealedRegion::write_batch`] of `count` blocks costs the
+    /// substrate: one crossing per [`batch_chunk_blocks`] run.
+    pub fn write_batch_cost(payload_len: usize, count: u64) -> HostStats {
+        moved(true, payload_len, count, count.div_ceil(batch_chunk_blocks(payload_len) as u64))
+    }
+
+    /// What [`SealedRegion::read_batch_at`] of `count` blocks costs the
+    /// substrate: one crossing whenever a block moves.
+    pub fn read_batch_at_cost(payload_len: usize, count: u64) -> HostStats {
+        moved(false, payload_len, count, (count > 0) as u64)
+    }
+
+    /// What [`SealedRegion::write_batch_at`] of `count` blocks costs the
+    /// substrate: one crossing whenever a block moves.
+    pub fn write_batch_at_cost(payload_len: usize, count: u64) -> HostStats {
+        moved(true, payload_len, count, (count > 0) as u64)
     }
 
     /// Reads and authenticates a block, returning its plaintext payload.
@@ -672,6 +715,17 @@ fn batch_index(start: u64, indices: Option<&[u64]>, pos: usize) -> u64 {
     indices.map_or(start + pos as u64, |idx| idx[pos])
 }
 
+/// `count` sealed blocks of `payload_len`-byte payloads moved one way in
+/// `crossings` boundary transitions.
+fn moved(write: bool, payload_len: usize, count: u64, crossings: u64) -> HostStats {
+    let bytes = count * (payload_len + SEAL_OVERHEAD) as u64;
+    if write {
+        HostStats { writes: count, bytes_written: bytes, crossings, ..HostStats::default() }
+    } else {
+        HostStats { reads: count, bytes_read: bytes, crossings, ..HostStats::default() }
+    }
+}
+
 /// The per-block AAD: block index ‖ revision, little-endian.
 fn block_aad(index: u64, revision: u64) -> [u8; 16] {
     let mut aad = [0u8; 16];
@@ -927,6 +981,33 @@ mod tests {
         let s = host.stats();
         assert_eq!((s.reads, s.writes), (16, 16));
         assert_eq!(s.crossings, 2, "one crossing per batched call");
+    }
+
+    #[test]
+    fn priced_calls_cost_what_they_cost_on_host() {
+        for payload in [17usize, 300, 4000] {
+            let chunk = batch_chunk_blocks(payload) as u64;
+            for count in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
+                let at = format!("payload {payload}, count {count}");
+                let (mut host, mut r) = setup(count.max(1) as usize, payload);
+                assert_eq!(host.stats(), SealedRegion::create_cost(payload, count.max(1)), "{at}");
+                let data = vec![3u8; count as usize * payload];
+                let indices: Vec<u64> = (0..count).rev().collect();
+
+                host.reset_stats();
+                r.write_batch(&mut host, 0, &data).unwrap();
+                assert_eq!(host.stats(), SealedRegion::write_batch_cost(payload, count), "{at}");
+                host.reset_stats();
+                r.read_batch(&mut host, 0, count as usize).unwrap();
+                assert_eq!(host.stats(), SealedRegion::read_batch_cost(payload, count), "{at}");
+                host.reset_stats();
+                r.write_batch_at(&mut host, &indices, &data).unwrap();
+                assert_eq!(host.stats(), SealedRegion::write_batch_at_cost(payload, count), "{at}");
+                host.reset_stats();
+                r.read_batch_at(&mut host, &indices).unwrap();
+                assert_eq!(host.stats(), SealedRegion::read_batch_at_cost(payload, count), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub use metrics::{
     HistogramSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use spans::{
-    dropped_spans, enabled, set_enabled, span, suppress, take_spans, SpanGuard, SpanKind,
-    SpanRecord, SuppressGuard, RING_CAPACITY,
+    dropped_spans, enabled, set_enabled, span, take_spans, SpanGuard, SpanKind, SpanRecord,
+    RING_CAPACITY,
 };

@@ -35,8 +35,6 @@ static RING: Mutex<Option<Ring>> = Mutex::new(None);
 thread_local! {
     static STACK: std::cell::RefCell<SpanStack> =
         const { std::cell::RefCell::new(SpanStack { ids: [0; MAX_DEPTH], depth: 0 }) };
-    /// How many [`SuppressGuard`]s the thread holds.
-    static SUPPRESSED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 struct SpanStack {
@@ -61,7 +59,7 @@ struct Ring {
 pub enum SpanKind {
     /// `Database::prepare`: parse + plan (or plan-cache hit).
     Prepare,
-    /// Physical plan construction, including planner dry-runs.
+    /// Physical plan construction: preliminary scans and costing.
     Plan,
     /// `run_plan`: one statement end to end.
     Run,
@@ -179,37 +177,11 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether recording is currently enabled on this thread — the single
-/// branch every hot-path entry point takes. Disabled telemetry stops at
-/// the flag; only enabled telemetry goes on to ask whether the thread
-/// holds a [`suppress`] guard.
+/// Whether recording is currently enabled — the single branch every
+/// hot-path entry point takes.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && SUPPRESSED.get() == 0
-}
-
-/// Holds this thread's telemetry off: until the guard drops, spans,
-/// counters and histograms recorded on the thread are no-ops, exactly as
-/// if telemetry were disabled. For work that runs the instrumented code
-/// without being the work it measures — the planner's dry runs execute
-/// the real operators over a counting memory, and must not appear as
-/// operator spans and sealed blocks that never existed. Guards nest.
-pub fn suppress() -> SuppressGuard {
-    SUPPRESSED.set(SUPPRESSED.get() + 1);
-    SuppressGuard { _this_thread: std::marker::PhantomData }
-}
-
-/// Ends a [`suppress`] scope when dropped. Tied to the thread that
-/// created it (not `Send`).
-#[must_use = "telemetry is suppressed only while the guard lives"]
-pub struct SuppressGuard {
-    _this_thread: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for SuppressGuard {
-    fn drop(&mut self) {
-        SUPPRESSED.set(SUPPRESSED.get() - 1);
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 fn now_ns() -> u64 {
@@ -327,32 +299,6 @@ mod tests {
         }
         set_enabled(true);
         assert!(take_spans().is_empty());
-    }
-
-    #[test]
-    fn suppression_silences_this_thread_until_the_last_guard_drops() {
-        let _x = exclusive();
-        crate::reset_metrics();
-        let wal_appends =
-            || crate::snapshot().counters.iter().find(|c| c.0 == "wal_appends").unwrap().1;
-        let outer = span(SpanKind::Plan);
-        {
-            let _quiet = suppress();
-            let _nested = suppress();
-            assert!(!enabled());
-            let _inert = span(SpanKind::SealBatch);
-            crate::counter_add(crate::Counter::WalAppends, 5);
-            drop(_nested);
-            assert!(!enabled(), "the outer guard still holds");
-            // Other threads are not silenced.
-            std::thread::spawn(|| drop(span(SpanKind::Worker))).join().unwrap();
-        }
-        assert!(enabled());
-        crate::counter_add(crate::Counter::WalAppends, 2);
-        drop(outer);
-        let kinds: Vec<SpanKind> = take_spans().iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, [SpanKind::Worker, SpanKind::Plan]);
-        assert_eq!(wal_appends(), 2, "only the unsuppressed increment lands");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cargo run --release --example cost_model
 //! ```
 
-use oblidb::core::planner::SelectAlgo;
+use oblidb::core::SelectAlgo;
 use oblidb::core::{Database, DbConfig};
 use oblidb::enclave::{CountingMemory, EnclaveMemory, Host};
 

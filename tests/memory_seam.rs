@@ -5,10 +5,10 @@
 //! length, access counts, byte counts — is identical, while the counting
 //! substrate provably keeps no payload bytes.
 
-use oblidb::core::planner::SelectAlgo;
 use oblidb::core::predicate::{CmpOp, Predicate};
 use oblidb::core::table::FlatTable;
 use oblidb::core::types::{Column, DataType, Schema, Value};
+use oblidb::core::SelectAlgo;
 use oblidb::core::{exec, Database, DbConfig, DbError};
 use oblidb::crypto::aead::AeadKey;
 use oblidb::enclave::{
@@ -217,7 +217,7 @@ fn adaptive_planner_rejects_payload_free_memory() {
 /// produce the identical trace on both substrates.
 #[test]
 fn forced_join_cost_model_matches_host() {
-    use oblidb::core::planner::JoinAlgo;
+    use oblidb::core::JoinAlgo;
 
     fn run<M: EnclaveMemory>(mut db: Database<M>) -> (usize, Vec<u64>) {
         db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 32").unwrap();
@@ -309,4 +309,14 @@ fn counting_memory_drops_payloads() {
     let region = EnclaveMemory::alloc_region(&mut host, 2, 4).unwrap();
     EnclaveMemory::write(&mut host, region, 0, &[0xAB; 4]).unwrap();
     assert_eq!(EnclaveMemory::read(&mut host, region, 0).unwrap(), &[0xAB; 4]);
+}
+
+/// Planner calibration probes any substrate, the payload-free one too.
+#[test]
+fn calibration_runs_on_counting_memory() {
+    let mut mem = CountingMemory::new();
+    let p = oblidb::core::CostProfile::calibrate("counting", &mut mem).unwrap();
+    assert_eq!(p.read_block, 1.0);
+    assert!(p.crossing >= 1.0);
+    assert!(p.write_block > 0.0);
 }

@@ -1,9 +1,11 @@
-//! Planner-parity properties for the cost-calibrated, CountingMemory-
-//! driven planner:
+//! Planner-parity properties for the cost-calibrated planner:
 //!
-//! 1. **Estimate exactness** — `explain()`'s estimated block counts (a
-//!    `CountingMemory` dry run) equal the measured actuals for *every*
-//!    SELECT algorithm, forced one at a time.
+//! 1. **Count exactness** — every operator's count from public sizes
+//!    (`plan::cost::{select_cost, join_cost}`) equals the real operator's
+//!    measured `HostStats` on `Host`, field for field, over a seeded grid
+//!    of shapes; and through the engine, `explain()`'s estimates equal the
+//!    measured actuals for *every* SELECT algorithm, forced one at a time.
+//!    An off-by-one in any chunk, segment, pass or stage count fails here.
 //! 2. **Never worse than closed-form** — across randomized shapes, the
 //!    engine's choice never costs more (measured, host-weighted) than the
 //!    operator the paper's closed-form rule (`baselines::paper_rules`)
@@ -15,9 +17,16 @@
 //!    through the prepare/execute path when the profiles agree.
 
 use oblidb::baselines::paper_rules;
+use oblidb::core::exec::{self, select, SortMergeVariant};
+use oblidb::core::plan::cost::{join_cost, select_cost, JoinAlgo, JoinShape, SelectShape};
 use oblidb::core::plan::{PlanNode, SelectChoice};
-use oblidb::core::{CostProfile, Database, DbConfig, SelectAlgo};
-use oblidb::enclave::EnclaveRng;
+use oblidb::core::predicate::CmpOp;
+use oblidb::core::table::FlatTable;
+use oblidb::core::{Column, CostProfile, DataType, Database, DbConfig, Predicate, SelectAlgo};
+use oblidb::core::{Schema, Value};
+use oblidb::crypto::aead::AeadKey;
+use oblidb::enclave::{EnclaveRng, Host, HostStats, OmBudget};
+use oblidb::storage::batch_chunk_blocks;
 
 fn filter_of(root: &PlanNode) -> &oblidb::core::plan::FilterNode {
     root.find_filter().expect("plan has a filter stage")
@@ -32,10 +41,144 @@ fn build_db(config: DbConfig, rows: u64, modulus: i64) -> Database {
     db
 }
 
-/// 1. Estimated block counts match `CountingMemory` actuals for every
-///    SELECT algorithm — the dry run is exact, not approximate.
+/// Two row widths with different batch geometry: `batch_chunk_blocks`
+/// clamps the narrow one to 256 rows and leaves the wide one below it.
+fn widths() -> [Schema; 2] {
+    [
+        Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)]),
+        Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("pad", DataType::Text(1500)),
+        ]),
+    ]
+}
+
+/// `capacity` used rows of `schema` whose `id` column reads `id(i)`.
+fn table(host: &mut Host, schema: &Schema, capacity: u64, id: impl Fn(u64) -> i64) -> FlatTable {
+    let rows: Vec<Vec<u8>> = (0..capacity)
+        .map(|i| {
+            let other = match schema.columns[1].dtype {
+                DataType::Int => Value::Int(i as i64),
+                _ => Value::Text(format!("row {i}")),
+            };
+            schema.encode_row(&[Value::Int(id(i)), other]).unwrap()
+        })
+        .collect();
+    FlatTable::from_encoded_rows(host, AeadKey([0x5A; 32]), schema.clone(), &rows, capacity)
+        .unwrap()
+}
+
+/// What running `op` adds to `host`'s counters.
+fn measured(host: &mut Host, op: impl FnOnce(&mut Host)) -> HostStats {
+    host.reset_stats();
+    op(host);
+    host.stats()
+}
+
+/// 1. Every SELECT operator's count equals its measured cost on `Host`
+///    over a seeded grid — capacity 1, chunk − 1, chunk, chunk + 1 and
+///    3·chunk + 7 at both widths; |R| of 0, 1 (Hash's single bucket, every
+///    row colliding), 2, past the chunk (Continuous wrapping below and above
+///    it), the `large_threshold` edge and all rows; a budget of one to
+///    three passes' worth of rows (multi-pass Small and Padded). Through
+///    the engine, each forced operator's plan estimate equals the measured
+///    actual.
 #[test]
 fn estimates_match_actuals_for_every_select_algorithm() {
+    let mut rng = EnclaveRng::seed_from_u64(0x5E1E_C7ED);
+    for (w, schema) in widths().into_iter().enumerate() {
+        let row_len = schema.row_len();
+        let chunk = batch_chunk_blocks(row_len) as u64;
+        for capacity in [1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
+            // Unoptimized AEAD is slow: debug builds skip the 3·chunk + 7
+            // table of wide rows and run one seeded |R| per capacity.
+            if cfg!(debug_assertions) && w == 1 && capacity > chunk + 1 {
+                continue;
+            }
+            let large_edge = (0.9 * capacity as f64).ceil() as u64;
+            let mut sizes = vec![0, 1, 2, chunk + 5, large_edge, capacity];
+            sizes.retain(|&m| m <= capacity);
+            sizes.sort_unstable();
+            sizes.dedup();
+            if cfg!(debug_assertions) {
+                sizes = vec![sizes[rng.below(sizes.len() as u64) as usize]];
+            }
+            for matches in sizes {
+                let lo = rng.below(capacity - matches + 1) as i64;
+                // A buffer of |R|, |R|/2 or |R|/3 rows: one to three passes.
+                let passes = 1 + rng.below(3);
+                let om_bytes = matches.div_ceil(passes) as usize * row_len;
+                let out_key = AeadKey([rng.below(256) as u8; 32]);
+                let pad = matches + rng.below(3);
+                for algo in [
+                    SelectAlgo::Small,
+                    SelectAlgo::Large,
+                    SelectAlgo::Continuous,
+                    SelectAlgo::Hash,
+                    SelectAlgo::Naive,
+                    SelectAlgo::Padded,
+                ] {
+                    if algo == SelectAlgo::Naive && w == 1 {
+                        continue; // ORAM buckets of wide rows: slow, and no new geometry
+                    }
+                    let mut host = Host::new();
+                    let mut input = table(&mut host, &schema, capacity, |i| i as i64);
+                    let ge = Predicate::cmp(&schema, "id", CmpOp::Ge, Value::Int(lo)).unwrap();
+                    let lt =
+                        Predicate::cmp(&schema, "id", CmpOp::Lt, Value::Int(lo + matches as i64))
+                            .unwrap();
+                    let pred = Predicate::And(Box::new(ge), Box::new(lt));
+                    let om =
+                        OmBudget::new(if algo == SelectAlgo::Naive { 1 << 20 } else { om_bytes });
+                    let key = out_key.clone();
+                    let actual = measured(&mut host, |h| {
+                        let out = match algo {
+                            SelectAlgo::Small => {
+                                exec::select_small(h, &om, &mut input, &pred, key, matches)
+                            }
+                            SelectAlgo::Large => exec::select_large(h, &mut input, &pred, key),
+                            SelectAlgo::Continuous => {
+                                exec::select_continuous(h, &mut input, &pred, key, matches)
+                            }
+                            SelectAlgo::Hash => {
+                                exec::select_hash(h, &mut input, &pred, key, matches)
+                            }
+                            SelectAlgo::Naive => exec::select_naive(
+                                h,
+                                &om,
+                                &mut input,
+                                &pred,
+                                key,
+                                matches,
+                                EnclaveRng::seed_from_u64(7),
+                            ),
+                            SelectAlgo::Padded => {
+                                select::select_padded(h, &om, &mut input, &pred, key, pad)
+                            }
+                        }
+                        .unwrap();
+                        assert_eq!(out.num_rows(), matches.min(pad), "{algo:?} result");
+                    });
+                    let shape = SelectShape {
+                        schema: schema.clone(),
+                        capacity,
+                        rows: capacity,
+                        matches: if algo == SelectAlgo::Padded { pad } else { matches },
+                        continuous: matches > 0,
+                        om_bytes,
+                        out_key: out_key.clone(),
+                    };
+                    assert_eq!(
+                        select_cost(algo, &shape),
+                        actual,
+                        "{algo:?}: capacity {capacity}, |R| {matches}, row {row_len} B, OM {om_bytes} B"
+                    );
+                }
+            }
+        }
+    }
+
+    // The engine wires the same counts into every forced plan.
     for algo in [
         SelectAlgo::Small,
         SelectAlgo::Large,
@@ -56,9 +199,9 @@ fn estimates_match_actuals_for_every_select_algorithm() {
         assert_eq!(out.len(), 32, "{algo:?}");
         let actual = filter_of(stmt.plan().select_root().unwrap()).actual.unwrap();
         assert_eq!(
-            (est.reads, est.writes, est.crossings),
-            (actual.reads, actual.writes, actual.crossings),
-            "{algo:?}: dry-run estimate must equal measured cost"
+            (est.reads, est.writes, est.crossings, est.bytes),
+            (actual.reads, actual.writes, actual.crossings, actual.bytes),
+            "{algo:?}: counted estimate must equal measured cost"
         );
     }
 }
@@ -187,10 +330,80 @@ fn explain_select_shows_the_calibrated_choice() {
     assert!(host.iter().any(|l| l.contains("candidates:")), "{host:?}");
 }
 
-/// Joins are costed by the same machinery: the chosen join's estimate
-/// matches its measured cost (flat inputs make the estimate exact).
+/// Joins are costed by the same machinery. Every join operator's count
+/// equals its measured cost on `Host` over a seeded grid — power-of-two and
+/// other side capacities, both widths (so the output's write runs split
+/// T2's chunks), a zero budget, a budget smaller than one row, and budgets
+/// or scratch covering the whole union (a single local sort) — and the
+/// engine's chosen join carries that count as its estimate.
 #[test]
 fn join_estimates_match_actuals() {
+    let [narrow, wide] = widths();
+    let mut rng = EnclaveRng::seed_from_u64(0x701_4C05);
+    // (left, right, OM budget, 0-OM scratch rows)
+    let mut cases = vec![
+        (&narrow, 16, &narrow, 16, 1usize << 20, 1usize),
+        (&narrow, 5, &narrow, 11, 0, 3),
+        (&wide, 3, &narrow, 29, wide.row_len() - 1, 64),
+        (&narrow, 7, &wide, 9, 5 * (wide.row_len() + 18), 2),
+        (&narrow, 1, &narrow, 1, 1 << 10, 1),
+        (&wide, 2, &narrow, 300, 1 << 20, 128),
+    ];
+    if !cfg!(debug_assertions) {
+        cases.push((&narrow, 37, &narrow, 300, 40 * 64, 4));
+    }
+    for (ls, lcap, rs, rcap, om_bytes, scratch_rows) in cases {
+        let shape = JoinShape {
+            left_schema: ls.clone(),
+            left_capacity: lcap,
+            right_schema: rs.clone(),
+            right_capacity: rcap,
+            om_bytes,
+            zero_om_scratch_rows: scratch_rows,
+        };
+        let keys = rng.below(lcap + 3);
+        for algo in [JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm] {
+            let mut host = Host::new();
+            let mut t1 = table(&mut host, ls, lcap, |i| i as i64);
+            let mut t2 = table(&mut host, rs, rcap, |i| ((i * 7) % (keys + 1)) as i64);
+            let om = OmBudget::new(om_bytes);
+            let key = AeadKey([0x77; 32]);
+            let actual = measured(&mut host, |h| {
+                match algo {
+                    JoinAlgo::Hash => exec::hash_join(h, &om, &mut t1, 0, &mut t2, 0, key),
+                    JoinAlgo::Opaque => exec::sort_merge_join(
+                        h,
+                        &om,
+                        &mut t1,
+                        0,
+                        &mut t2,
+                        0,
+                        key,
+                        SortMergeVariant::Opaque,
+                    ),
+                    JoinAlgo::ZeroOm => exec::sort_merge_join(
+                        h,
+                        &om,
+                        &mut t1,
+                        0,
+                        &mut t2,
+                        0,
+                        key,
+                        SortMergeVariant::ZeroOm { scratch_rows },
+                    ),
+                }
+                .unwrap();
+            });
+            assert_eq!(
+                join_cost(algo, &shape),
+                actual,
+                "{algo:?}: {lcap} × {rcap} rows of {} × {} B, OM {om_bytes} B, scratch {scratch_rows}",
+                ls.row_len(),
+                rs.row_len()
+            );
+        }
+    }
+
     let mut db = Database::new(DbConfig::default());
     db.execute("CREATE TABLE d (k INT, name INT) CAPACITY 16").unwrap();
     db.execute("CREATE TABLE f (k INT, v INT) CAPACITY 48").unwrap();
@@ -217,9 +430,9 @@ fn join_estimates_match_actuals() {
         _ => unreachable!(),
     };
     assert_eq!(
-        (est.reads, est.writes, est.crossings),
-        (actual.reads, actual.writes, actual.crossings),
-        "join dry-run estimate must equal measured cost"
+        (est.reads, est.writes, est.crossings, est.bytes),
+        (actual.reads, actual.writes, actual.crossings, actual.bytes),
+        "join counted estimate must equal measured cost"
     );
 }
 

@@ -89,13 +89,13 @@ fn telemetry_on_is_trace_and_result_identical() {
     telemetry::reset_metrics();
 }
 
-/// Planning is not execution. The cost-based planner dry-runs the real,
-/// instrumented operators over a counting memory, and none of that may
-/// reach telemetry: preparing an uncached select records the prepare and
-/// plan spans and the preliminary scan's real reads — no operator span, no
-/// sealed block, and exactly as many opened blocks as the substrate served.
+/// Planning is not execution. The cost-based planner counts its
+/// candidates from public sizes and touches no memory doing it: preparing
+/// an uncached select records the prepare and plan spans and the
+/// preliminary scan's real reads — no operator span, no sealed block, and
+/// exactly as many opened blocks as the substrate served.
 #[test]
-fn planner_dry_runs_leave_no_telemetry() {
+fn planner_costing_touches_no_memory() {
     let _g = gate();
     telemetry::set_enabled(false);
     let mut db = seeded_db(DbConfig::default());
@@ -106,13 +106,13 @@ fn planner_dry_runs_leave_no_telemetry() {
     telemetry::set_enabled(true);
     let explain = db.prepare(QUERY).unwrap().explain().to_string();
     telemetry::set_enabled(false);
-    assert!(explain.contains("candidates:"), "the planner dry-ran its candidates:\n{explain}");
+    assert!(explain.contains("candidates:"), "the planner costed its candidates:\n{explain}");
 
     let spans = telemetry::take_spans();
     assert!(spans.iter().any(|s| s.kind == telemetry::SpanKind::Plan));
     for s in &spans {
         use telemetry::SpanKind::{OpenBatch, Plan, Prepare};
-        assert!(matches!(s.kind, Prepare | Plan | OpenBatch), "a dry run recorded {:?}", s.kind);
+        assert!(matches!(s.kind, Prepare | Plan | OpenBatch), "planning recorded {:?}", s.kind);
     }
     let snap = telemetry::snapshot();
     let counter = |name: &str| snap.counters.iter().find(|(n, _)| n == name).unwrap().1;
