@@ -399,8 +399,9 @@ impl<M: EnclaveMemory> Database<M> {
     /// that exists (or that the batch itself creates), and carry values /
     /// predicates / assignments its schema accepts — all checked *before*
     /// the first statement executes, so a mid-batch rejection cannot
-    /// leave the group half-applied. After a clean validation, execution
-    /// can still fail only on substrate I/O errors.
+    /// leave the group half-applied. With a WAL, every statement must also
+    /// fit one log record. After a clean validation, execution can still
+    /// fail only on substrate I/O errors.
     pub(crate) fn validate_batch(&self, statements: &[String]) -> Result<(), DbError> {
         // Tables the batch itself creates, visible to its later statements.
         let mut created: Vec<(String, Schema)> = Vec::new();
@@ -411,6 +412,9 @@ impl<M: EnclaveMemory> Database<M> {
             this.table_index(name).map(|i| this.tables[i].1.schema().clone())
         };
         for stmt in statements {
+            if let Some(wal) = &self.wal {
+                wal.check_fits(stmt.as_bytes())?;
+            }
             match sql::parse(stmt)? {
                 Statement::Create(c) => {
                     if self.table_index(&c.name).is_ok()
@@ -871,27 +875,6 @@ impl<M: EnclaveMemory> Database<M> {
     /// over the prepare → run lifecycle.
     pub fn execute(&mut self, query: &str) -> Result<QueryOutput, DbError> {
         self.prepare(query)?.run()
-    }
-
-    /// Prepares and runs `query`, recording an access trace around the
-    /// *run phase only* — the same window the engine-level auditor uses
-    /// (tracing `prepare` would smuggle plan-cache state into the trace,
-    /// because a cache hit skips the preliminary scan). While the trace
-    /// channel is borrowed the engine-level auditor stands down, so the
-    /// caller — [`shared::SharedDatabase`], which funnels every member
-    /// engine's statements into one shared auditor — owns observation.
-    pub(crate) fn execute_with_run_trace(
-        &mut self,
-        query: &str,
-    ) -> (Result<QueryOutput, DbError>, Trace) {
-        let mut plan = match self.prepare(query) {
-            Ok(stmt) => stmt.plan,
-            Err(e) => return (Err(e), Trace(Vec::new())),
-        };
-        self.host.start_trace();
-        let result = self.run_plan(&mut plan, query);
-        let trace = self.host.take_trace();
-        (result, trace)
     }
 
     /// Parses and compiles one SQL statement into a physical plan without

@@ -85,20 +85,6 @@ impl FlatTable {
         FlatTable { schema, store, num_rows, insert_cursor }
     }
 
-    /// A **read-only** sibling handle over the same sealed region (see
-    /// [`SealedRegion::snapshot_handle`]): snapshot read sessions scan the
-    /// table concurrently while the database layer's latch excludes
-    /// writers. Writing through the snapshot is a logic error and is
-    /// caught as tamper detection on whichever handle went stale.
-    pub fn snapshot_handle(&self) -> FlatTable {
-        FlatTable {
-            schema: self.schema.clone(),
-            store: self.store.snapshot_handle(),
-            num_rows: self.num_rows,
-            insert_cursor: self.insert_cursor,
-        }
-    }
-
     /// Seals this table's trusted storage state (per-block revisions,
     /// nonce counter) for the database manifest.
     pub fn seal_manifest(&mut self) -> Vec<u8> {

@@ -250,14 +250,10 @@ impl Wal {
         Ok(std::mem::take(&mut self.epoch_pending))
     }
 
-    fn append_record<M: EnclaveMemory>(
-        &mut self,
-        host: &mut M,
-        kind: u8,
-        bytes: &[u8],
-    ) -> Result<(), DbError> {
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::WalAppend);
-        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::WalAppends, 1);
+    /// Rejects a record payload longer than one log record holds — the
+    /// limit every append enforces, exposed so an atomic batch can be
+    /// checked before any of its statements runs.
+    pub(crate) fn check_fits(&self, bytes: &[u8]) -> Result<(), DbError> {
         // The record header stores the payload length as u16, so that
         // bounds oversized blocks too.
         let max = (self.block_bytes - 3).min(u16::MAX as usize);
@@ -267,6 +263,18 @@ impl Wal {
                 bytes.len(),
             )));
         }
+        Ok(())
+    }
+
+    fn append_record<M: EnclaveMemory>(
+        &mut self,
+        host: &mut M,
+        kind: u8,
+        bytes: &[u8],
+    ) -> Result<(), DbError> {
+        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::WalAppend);
+        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::WalAppends, 1);
+        self.check_fits(bytes)?;
         if self.len >= self.store.len() {
             let new_cap = (self.store.len() * 2).max(8);
             self.store.grow(host, new_cap as usize)?;

@@ -337,13 +337,14 @@ struct Region {
 
 /// Simulated price of one enclave boundary transition.
 ///
-/// Two components, because they behave differently under concurrent
-/// sessions: `spins` burns the session's core (transition compute — it
-/// does **not** overlap across sessions), while `stall_nanos` blocks the
-/// thread without consuming CPU (the enclave thread waiting for the
-/// untrusted host to service the exit — stalls from different sessions
-/// **do** overlap; [`SharedMemory`](crate::SharedMemory) pays them
-/// outside the store lock).
+/// Two components, because they behave differently under concurrency:
+/// `spins` burns the calling core (transition compute), while
+/// `stall_nanos` blocks the thread without consuming CPU (the enclave
+/// thread waiting for the untrusted host to service the exit).
+/// [`SharedMemory`](crate::SharedMemory) pays both outside its store
+/// lock, so handles driven from different threads overlap their stalls;
+/// the serving front-end runs every statement on one engine under one
+/// lock, so its sessions' stalls do not overlap.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CrossingCost {
     /// CPU-burning spin iterations per crossing (~8k cycles on real SGX).
@@ -368,8 +369,8 @@ impl CrossingCost {
 /// The untrusted world: all memory outside the enclave.
 ///
 /// Single-threaded by design, matching the paper's single-node engine; the
-/// benchmark harness gives each experiment its own `Host`, and concurrent
-/// sessions share one through [`SharedMemory`](crate::SharedMemory).
+/// benchmark harness gives each experiment its own `Host`, and the serving
+/// front-end shares one through [`SharedMemory`](crate::SharedMemory).
 #[derive(Default)]
 pub struct Host {
     regions: Vec<Option<Region>>,

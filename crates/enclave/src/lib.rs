@@ -27,10 +27,10 @@
 //!   passes, smaller chunks) when it shrinks — reproduced in Figure 8.
 //! * [`EnclaveRng`] is the in-enclave randomness source (leaf assignment,
 //!   nonces). It is deterministic under a seed so experiments reproduce.
-//! * [`SharedMemory`] / [`SessionMemory`] let many concurrent sessions
-//!   share one substrate: per-session stats/traces identical to the
-//!   single-owner contract, crossing stalls paid outside the store lock
-//!   so they overlap across sessions.
+//! * [`SharedMemory`] / [`SessionMemory`] put one substrate behind a lock
+//!   and hand out handles to it: per-handle stats/traces identical to the
+//!   single-owner contract, crossing stalls paid outside the store lock.
+//!   The serving front-end runs its one engine over one handle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,8 +11,8 @@
 //!
 //! The pool is shared through an `Arc` with atomic accounting, so a budget
 //! (and everything holding one, e.g. a `Database`) is `Send + Sync` —
-//! required by the concurrent serving front-end, where snapshot sessions
-//! run on their own threads.
+//! required by the concurrent serving front-end, whose sessions reach the
+//! one engine from their own threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -69,22 +69,6 @@ impl OmBudget {
     /// Bytes currently free.
     pub fn available(&self) -> usize {
         self.inner.capacity - self.used()
-    }
-
-    /// An **independent** pool with the same capacity and the same bytes
-    /// currently marked used, but its own accounting.
-    ///
-    /// Snapshot read sessions fork the engine's budget this way: the fork
-    /// sees the same availability the owning engine would (so planning
-    /// decisions match the single-owner path), but releases inside the
-    /// fork never underflow the original pool.
-    pub fn snapshot(&self) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                capacity: self.inner.capacity,
-                used: AtomicUsize::new(self.used()),
-            }),
-        }
     }
 
     /// Reserves `bytes`; the reservation is released when the returned guard
@@ -197,23 +181,6 @@ mod tests {
         let om = OmBudget::new(0);
         assert!(om.try_alloc(1).is_err());
         assert_eq!(om.alloc_up_to(10).bytes(), 0);
-    }
-
-    #[test]
-    fn snapshot_is_independent() {
-        let om = OmBudget::new(100);
-        let held = om.try_alloc(30).unwrap();
-        let snap = om.snapshot();
-        assert_eq!(snap.capacity(), 100);
-        assert_eq!(snap.available(), 70);
-        // Releases inside the snapshot don't touch the original.
-        let g = snap.try_alloc(70).unwrap();
-        drop(g);
-        assert_eq!(snap.available(), 70);
-        assert_eq!(om.available(), 70);
-        drop(held);
-        assert_eq!(om.available(), 100);
-        assert_eq!(snap.available(), 70);
     }
 
     #[test]

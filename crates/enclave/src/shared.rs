@@ -1,17 +1,20 @@
-//! One untrusted store, many concurrent enclave sessions.
+//! One untrusted store behind a lock, reached through session handles.
 //!
-//! The serving front-end runs many sessions against a single substrate.
-//! [`SharedMemory`] owns the store behind a mutex; [`SessionMemory`] is a
-//! per-session [`EnclaveMemory`] handle that forwards every operation to
-//! the shared store under the lock while keeping **per-session** stats,
-//! traces, and crossing pricing:
+//! [`SharedMemory`] owns the store behind a mutex; [`SessionMemory`] is an
+//! [`EnclaveMemory`] handle that forwards every operation to the shared
+//! store under the lock while keeping **per-handle** stats, traces, and
+//! crossing pricing. The serving front-end (`oblidb_core::SharedDatabase`)
+//! runs its one engine over one such handle and keeps the
+//! [`SharedMemory`] for store-level stats, crossing pricing, and admin
+//! access that must not wait for the engine:
 //!
 //! * Each forwarded call holds the store lock only for the memory
 //!   operation itself. The simulated crossing price (the OCALL stall) is
-//!   paid by the *session's* thread **outside** the lock — exactly like
-//!   real SGX, where each enclave thread waits out its own OCALL. Stalls
-//!   from different sessions therefore overlap, which is the regime where
-//!   inter-query concurrency pays (the store op itself is brief).
+//!   paid by the handle's thread **outside** the lock — exactly like real
+//!   SGX, where each enclave thread waits out its own OCALL. Handles
+//!   driven from different threads overlap their stalls; the serving
+//!   front-end runs every statement on one engine under its own lock, so
+//!   its sessions' stalls do not overlap.
 //! * Session stats and trace events are synthesized from the shared
 //!   store's own counters, diffed under the lock, so they are
 //!   bit-identical to what a single-owner substrate would have recorded
@@ -22,11 +25,11 @@
 //!   validates).
 //! * Price the *inner* store at zero and the [`SharedMemory`] at the
 //!   boundary cost: an inner-store price would be paid while holding the
-//!   lock and serialize the stalls you are trying to overlap.
+//!   store lock, blocking every other handle's store access.
 //!
 //! Region-id allocation stays globally ordered by the store lock, so any
-//! serial schedule of sessions allocates exactly the ids the single-owner
-//! engine would — the property the concurrent conformance suite pins.
+//! serial schedule of handles allocates exactly the ids a single owner
+//! would.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -87,7 +90,7 @@ impl<M: EnclaveMemory> SharedMemory<M> {
 
     /// Sets the stall component of the per-crossing price every session
     /// pays (see [`CrossingCost::stall_nanos`]). Paid outside the store
-    /// lock, so concurrent sessions' stalls overlap.
+    /// lock.
     pub fn set_crossing_stall(&self, nanos: u64) {
         self.inner.crossing_stall.store(nanos, Ordering::Relaxed);
     }
@@ -152,16 +155,6 @@ pub struct SessionMemory<M> {
 }
 
 impl<M: EnclaveMemory> SessionMemory<M> {
-    /// A sibling handle over the same shared store (fresh stats/trace).
-    pub fn sibling(&self) -> SessionMemory<M> {
-        self.shared_handle().session()
-    }
-
-    /// The owning [`SharedMemory`] handle.
-    pub fn shared_handle(&self) -> SharedMemory<M> {
-        SharedMemory { inner: Arc::clone(&self.shared) }
-    }
-
     fn cost(&self) -> CrossingCost {
         CrossingCost {
             spins: self.shared.crossing_spins.load(Ordering::Relaxed),
@@ -492,7 +485,7 @@ mod tests {
     fn sessions_keep_independent_stats_and_traces() {
         let shared = SharedMemory::new(Host::new());
         let mut a = shared.session();
-        let mut b = a.sibling();
+        let mut b = shared.session();
         let r = a.alloc_region(4, 4).unwrap();
         a.start_trace();
         a.write(r, 0, &[1; 4]).unwrap();

@@ -10,12 +10,12 @@
 //! wraps it in a `SharedDatabase`, and serves sessions until a client
 //! sends the shutdown verb (`oblidb-sql` dot-command `.shutdown`) or
 //! the process receives EOF-equivalent listener failure. Disk-backed
-//! stores are checkpointed through the admin latch before exit.
+//! stores are checkpointed through the engine lock before exit.
 //!
 //! `--stall-nanos` prices each enclave boundary crossing at the shared
-//! layer (paid outside the store lock, so stalls overlap across
-//! sessions) — the serving-side analogue of the bench harness's
-//! crossing cost.
+//! layer — the serving-side analogue of the bench harness's crossing
+//! cost. Every statement runs on the one engine under its lock, so one
+//! session's stalls do not overlap another's.
 //!
 //! `--epoch-ms N` (N > 0) enables the write-ahead log with Obladi-style
 //! group commit: commits pool into N-millisecond epochs and share one

@@ -2,10 +2,10 @@
 //! blocking [`client`].
 //!
 //! The engine's concurrency core lives in `oblidb-core`
-//! ([`oblidb_core::SharedDatabase`]): snapshot reads fork off the shared
-//! store, writes serialize on the resident master, and any serial
-//! schedule is statement-for-statement equivalent to a single-owner
-//! engine. This crate puts a socket in front of it: one [`Session`] per
+//! ([`oblidb_core::SharedDatabase`]): every statement of every session
+//! runs, one at a time, on one resident engine, so any schedule is
+//! statement-for-statement equivalent to a single-owner engine. This
+//! crate puts a socket in front of it: one [`Session`] per
 //! accepted connection, each on its own thread and at most
 //! [`ServerConfig::workers`] at once, with a length-prefixed binary
 //! protocol (statements in; typed row sets, rows-affected counts, errors,

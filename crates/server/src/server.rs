@@ -5,10 +5,9 @@
 //! through the session limiter (`slots.rs`), so concurrency is bounded at
 //! the worker count and excess connections queue at submit time
 //! (backpressure, not thread explosion). Each statement executes on its
-//! session's thread alone; sessions are what runs concurrently. Statement
-//! routing — snapshot forks for flat reads, the exclusive master for
-//! everything else — lives entirely in the core layer; this layer only
-//! frames bytes and counts them.
+//! session's thread; connections read, decode and encode concurrently,
+//! while the core layer runs their statements one at a time on its one
+//! engine. This layer only frames bytes and counts them.
 //!
 //! Shutdown is graceful and cooperative: a `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) raises a flag; the accept loop stops

@@ -199,29 +199,6 @@ impl SealedRegion {
         self.key.clone()
     }
 
-    /// A **read-only** sibling handle over the same underlying region:
-    /// same key, same revision counters, fresh scratch buffers.
-    ///
-    /// Snapshot sessions use this to read a table concurrently: reads
-    /// authenticate against the per-block revisions without bumping them,
-    /// so any number of snapshot handles agree — **as long as no writer
-    /// runs**. Writing through a snapshot handle (or through the original
-    /// while snapshots are live) desynchronizes the revision counters and
-    /// shows up as `TamperDetected` on the stale handle; the database
-    /// layer excludes writers for the lifetime of every snapshot (its
-    /// read/write latch), which is what makes handing these out sound.
-    pub fn snapshot_handle(&self) -> SealedRegion {
-        SealedRegion {
-            region: self.region,
-            key: self.key.clone(),
-            payload_len: self.payload_len,
-            write_counter: self.write_counter,
-            revisions: self.revisions.clone(),
-            scratch: vec![0u8; self.payload_len + SEAL_OVERHEAD],
-            batch: Vec::new(),
-        }
-    }
-
     /// Number of blocks.
     pub fn len(&self) -> u64 {
         self.revisions.len() as u64

@@ -344,8 +344,8 @@ impl AnySubstrate {
     /// Sets the simulated per-crossing *stall* (worker blocked on the
     /// boundary transition, e.g. OCALL service time) on the layer that
     /// models the enclave boundary — same layer selection as
-    /// [`AnySubstrate::set_crossing_cost`]. Stalls, unlike spins, overlap
-    /// across concurrent sessions.
+    /// [`AnySubstrate::set_crossing_cost`]. Stalls, unlike spins, leave
+    /// the CPU free for other threads while they last.
     pub fn set_crossing_stall(&mut self, nanos: u64) {
         match self {
             AnySubstrate::Host(h) => h.set_crossing_stall(nanos),

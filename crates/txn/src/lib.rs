@@ -10,9 +10,9 @@
 //! * [`TxnSession`] wraps a [`Session`] with `BEGIN` / `COMMIT` /
 //!   `ROLLBACK`. Mutations inside a transaction are buffered client-side
 //!   (inside the enclave, never visible to the host) and applied at
-//!   `COMMIT` through [`SharedDatabase::execute_atomic`] — one
-//!   write-latch hold, so concurrent snapshot readers observe the
-//!   transaction all-or-nothing. `ROLLBACK` (or dropping the session
+//!   `COMMIT` through [`Session::execute_atomic`] — one hold of
+//!   the engine lock, so other sessions observe the transaction
+//!   all-or-nothing. `ROLLBACK` (or dropping the session
 //!   mid-transaction) discards the buffer; nothing to undo, because
 //!   nothing ran.
 //! * [`TxnManager`] owns the **epoch scheduler**: with
@@ -33,7 +33,7 @@
 //! commit timing, which per-statement fsyncs revealed more of.
 //!
 //! Isolation: reads inside an open transaction run against the shared
-//! snapshot state and do **not** see the transaction's own buffered
+//! committed state and do **not** see the transaction's own buffered
 //! writes (no read-your-writes); the write set becomes visible to
 //! everyone atomically at commit. This is the Obladi client model —
 //! transactions are write-buffered, not workspace-isolated.
@@ -138,8 +138,8 @@ impl<M: EnclaveMemory + Send> TxnManager<M> {
             state.pending = 0;
             state.opened_at = Instant::now();
         }
-        // The state lock is released before taking the engine latch
-        // (admin): lock order is always state → latch, never both held.
+        // The state lock is released before taking the engine lock
+        // (admin): the two are never held together.
         // A racing flush is harmless — commit_epoch no-ops on a boundary.
         self.inner.db.admin(|engine| engine.commit_epoch())
     }
@@ -276,7 +276,7 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
             return Ok(TxnOutcome::Committed { statements: 0 });
         }
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::TxnCommit);
-        match self.manager.db().execute_atomic(&statements) {
+        match self.session.execute_atomic(&statements) {
             Ok(_) => {
                 oblidb_telemetry::counter_add(oblidb_telemetry::Counter::TxnCommits, 1);
                 self.manager.note_applied(n)?;
@@ -302,12 +302,17 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
     ///
     /// * `BEGIN` / `COMMIT` / `ROLLBACK` control the buffer;
     /// * inside a transaction, mutations buffer ([`TxnOutcome::Buffered`])
-    ///   and reads run against shared snapshot state;
+    ///   and reads run against shared committed state;
     /// * outside one, everything autocommits exactly like
     ///   [`Session::execute`] — and, under an epoch scheduler, joins the
     ///   open epoch's group fsync.
     pub fn execute(&mut self, sql_text: &str) -> Result<TxnOutcome, DbError> {
-        match sql::parse(sql_text)? {
+        let Ok(statement) = sql::parse(sql_text) else {
+            // The session rejects it with the same parse error, and
+            // counts it.
+            return self.session.execute(sql_text).map(TxnOutcome::Statement);
+        };
+        match statement {
             Statement::Begin => self.begin(),
             Statement::Commit => self.commit(),
             Statement::Rollback => self.rollback(),
@@ -405,6 +410,12 @@ mod tests {
         assert!(s.execute("COMMIT").is_err());
         assert!(!s.in_txn(), "a failed commit ends the transaction");
         assert!(rows(&s.execute("SELECT * FROM t").unwrap()).is_empty());
+        // A malformed statement and the rejected COMMIT are both session
+        // errors, and both reach the shared counter the metrics verb reads.
+        assert!(s.execute("SELEC nope").is_err());
+        assert_eq!(s.stats().errors, 2);
+        let metrics = s.database().metrics_snapshot().to_text();
+        assert!(metrics.contains("db_statement_errors 2\n"), "{metrics}");
     }
 
     #[test]

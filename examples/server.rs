@@ -46,7 +46,7 @@ fn main() {
     run(&mut alice, "alice", "CREATE TABLE orders (id INT, total INT) STORAGE = FLAT CAPACITY 64");
     run(&mut alice, "alice", "INSERT INTO orders VALUES (1, 120)");
     run(&mut bob, "bob  ", "INSERT INTO orders VALUES (2, 75)");
-    // Bob's snapshot read sees Alice's completed write immediately.
+    // Bob's read runs on the same engine and sees Alice's completed write.
     run(&mut bob, "bob  ", "SELECT id, total FROM orders WHERE total > 100");
     run(&mut alice, "alice", "UPDATE orders SET total = 80 WHERE id = 2");
     run(&mut bob, "bob  ", "SELECT COUNT(*), SUM(total) FROM orders");

@@ -3,7 +3,7 @@
 //! schedule — byte-identical results AND event-identical adversary
 //! traces — on every substrate (in-RAM host, disk, sharded), and
 //! concurrent sessions must converge to the serial-equivalent state with
-//! the shared trace auditor silent. The top layer is exercised too: a
+//! the engine's trace auditor silent. The top layer is exercised too: a
 //! real TCP server over a disk store with interleaving clients.
 
 use oblidb::core::audit::trace_hash;
@@ -81,8 +81,8 @@ fn serial_sessions_match_single_owner_on_sharded() {
     );
 }
 
-/// N threads interleaving inserts with snapshot reads must converge to
-/// the serial-equivalent row count with the shared auditor silent.
+/// N threads interleaving inserts with reads must converge to the
+/// serial-equivalent row count with the engine's auditor silent.
 fn assert_concurrent_convergence<M: EnclaveMemory + Send + 'static>(store: M) {
     let config = DbConfig { audit: true, ..DbConfig::default() };
     let shared = SharedDatabase::new(store, config).unwrap();
@@ -100,7 +100,7 @@ fn assert_concurrent_convergence<M: EnclaveMemory + Send + 'static>(store: M) {
                 for i in 0..PER_WORKER {
                     let id = 1000 + w * PER_WORKER + i;
                     session.execute(&format!("INSERT INTO t VALUES ({id}, {id})")).unwrap();
-                    // Snapshot reads overlap freely with other sessions.
+                    // Reads interleave with other sessions' inserts.
                     let out = session.execute("SELECT COUNT(*) FROM t").unwrap();
                     assert_eq!(out.rows().len(), 1);
                     let out = session.execute(&format!("SELECT v FROM t WHERE id = {id}")).unwrap();

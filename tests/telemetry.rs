@@ -16,8 +16,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use oblidb::core::{Database, DbConfig, JoinAlgo, SelectAlgo};
-use oblidb::enclave::Trace;
+use oblidb::core::{Database, DbConfig, JoinAlgo, SelectAlgo, SharedDatabase};
+use oblidb::enclave::{Host, Trace};
 use oblidb::telemetry;
 
 static GATE: Mutex<()> = Mutex::new(());
@@ -201,7 +201,8 @@ fn explain_analyze_is_cacheable_and_rerunnable() {
 /// public size. Two runs of the same statement shape (same normalized
 /// SQL, table sizes, output size) over contiguous vs scattered matches
 /// pick different operators and therefore touch untrusted memory
-/// differently: exactly the §2.3 plan leakage, and the auditor flags it.
+/// differently: exactly the §2.3 plan leakage, and the auditor flags it —
+/// on a single-owner engine and through a `SharedDatabase` session alike.
 #[test]
 fn auditor_flags_data_dependent_plan_choice() {
     let _g = gate();
@@ -210,26 +211,30 @@ fn auditor_flags_data_dependent_plan_choice() {
     // Continuous the cheapest candidate once contiguity admits it; from
     // 256 bytes up Small wins either way and nothing would flip.
     let config = DbConfig { audit: true, om_bytes: 128, ..DbConfig::default() };
-    let mut db = Database::new(config);
     // v marks 16 *contiguous* rows (k in 10..26); w marks 16 *scattered*
     // rows (every fourth k). Same table size, same match count.
-    db.execute("CREATE TABLE t (k INT, v INT, w INT) CAPACITY 128").unwrap();
+    let mut setup = vec!["CREATE TABLE t (k INT, v INT, w INT) CAPACITY 128".to_string()];
     for i in 0..64 {
         let v = i64::from((10..26).contains(&i));
         let w = i64::from(i % 4 == 0);
-        db.execute(&format!("INSERT INTO t VALUES ({i}, {v}, {w})")).unwrap();
+        setup.push(format!("INSERT INTO t VALUES ({i}, {v}, {w})"));
     }
-
-    let run1 = db.execute("SELECT k FROM t WHERE v = 1").unwrap();
-    assert_eq!(run1.plan.select_algo, Some(SelectAlgo::Continuous));
-    assert!(db.audit_violations().is_empty(), "reference run cannot diverge from itself");
-
+    const SELECT: &str = "SELECT k FROM t WHERE v = 1";
     // Move the matches from the contiguous set to the scattered one —
     // same count, different layout.
-    db.execute("UPDATE t SET v = 0 WHERE k >= 0").unwrap();
-    db.execute("UPDATE t SET v = 1 WHERE w = 1").unwrap();
+    const MOVE: [&str; 2] = ["UPDATE t SET v = 0 WHERE k >= 0", "UPDATE t SET v = 1 WHERE w = 1"];
 
-    let run2 = db.execute("SELECT k FROM t WHERE v = 1").unwrap();
+    let mut db = Database::new(config.clone());
+    for stmt in &setup {
+        db.execute(stmt).unwrap();
+    }
+    let run1 = db.execute(SELECT).unwrap();
+    assert_eq!(run1.plan.select_algo, Some(SelectAlgo::Continuous));
+    assert!(db.audit_violations().is_empty(), "reference run cannot diverge from itself");
+    for stmt in MOVE {
+        db.execute(stmt).unwrap();
+    }
+    let run2 = db.execute(SELECT).unwrap();
     assert_eq!(run1.plan.output_rows, run2.plan.output_rows, "shapes must match");
     assert_eq!(run2.plan.select_algo, Some(SelectAlgo::Small), "plan choice should flip");
 
@@ -238,6 +243,28 @@ fn auditor_flags_data_dependent_plan_choice() {
     let v = &db.audit_violations()[0];
     assert!(v.shape.contains("where v = ?"), "unexpected shape: {}", v.shape);
     assert_ne!(v.expected_hash, v.observed_hash);
+
+    // The same statements through a session: the adopted engine's own
+    // auditor sees them, and a traced statement counts as a skip.
+    let shared = SharedDatabase::new(Host::new(), config).unwrap();
+    let mut session = shared.session();
+    for stmt in setup.iter().map(String::as_str).chain([SELECT]).chain(MOVE) {
+        session.execute(stmt).unwrap();
+    }
+    let skips = shared.audit_report().skips;
+    let (traced, trace) = session.execute_traced(SELECT);
+    assert_eq!(traced.unwrap().plan.select_algo, Some(SelectAlgo::Small));
+    assert!(!trace.is_empty(), "the caller got the statement's trace");
+    assert_eq!(shared.audit_report().skips, skips + 1, "traced statement must count a skip");
+    assert!(shared.audit_violations().is_empty(), "a skipped statement is not checked");
+    session.execute(SELECT).unwrap();
+    let violations = shared.audit_violations();
+    assert_eq!(violations.len(), 1, "session auditor missed the plan leak: {violations:?}");
+    assert!(
+        violations[0].shape.contains("where v = ?"),
+        "unexpected shape: {}",
+        violations[0].shape
+    );
 }
 
 /// Where a block lands is not always the statement's doing. A Path ORAM

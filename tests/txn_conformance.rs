@@ -230,6 +230,27 @@ fn rollback_restores_and_abort_is_deterministic() {
     }
 }
 
+/// A statement too long for one WAL record is rejected at validation,
+/// before the batch's first statement runs — not mid-commit after its
+/// shorter predecessors already applied.
+#[test]
+fn oversized_wal_record_aborts_the_whole_commit() {
+    let config = DbConfig { wal: Some(WalConfig::default()), ..DbConfig::default() };
+    let mgr = TxnManager::new(SharedDatabase::new(Host::new(), config).unwrap(), None);
+    let mut s = mgr.session();
+    s.execute("CREATE TABLE t (k INT, v INT) STORAGE = FLAT CAPACITY 32").unwrap();
+    s.execute("BEGIN").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+    s.execute(&format!("INSERT INTO t VALUES (2,{} 20)", " ".repeat(600))).unwrap();
+    let err = s.execute("COMMIT").unwrap_err();
+    assert!(err.to_string().contains("exceeds the WAL record size"), "{err}");
+    let out = match s.execute("SELECT COUNT(*) FROM t").unwrap() {
+        TxnOutcome::Statement(out) => out.rows().to_vec(),
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(out, vec![vec![Value::Int(0)]], "a rejected commit applied part of its batch");
+}
+
 #[test]
 fn concurrent_transactions_converge_with_auditor_silent() {
     let config = DbConfig { audit: true, ..epoch_config() };
@@ -257,9 +278,9 @@ fn concurrent_transactions_converge_with_auditor_silent() {
                         }
                         other => panic!("{other:?}"),
                     }
-                    // Snapshot reads interleave freely with other commits,
-                    // and always observe whole transactions: the count is
-                    // a multiple of the transaction size.
+                    // Reads interleave with other sessions' commits and
+                    // always observe whole transactions: the count is a
+                    // multiple of the transaction size.
                     let out = match session.execute("SELECT COUNT(*) FROM t").unwrap() {
                         TxnOutcome::Statement(out) => out.rows().to_vec(),
                         other => panic!("{other:?}"),
