@@ -36,12 +36,6 @@ impl OpaqueEngine<Host> {
 
 impl<M: EnclaveMemory> OpaqueEngine<M> {
     /// Creates an engine over a caller-provided memory substrate.
-    ///
-    /// On a payload-free substrate (e.g. `CountingMemory`) the traces and
-    /// access counters of every operator are exact — output shapes here
-    /// are functions of public capacities only — but decoded results and
-    /// `num_rows` metadata are meaningless (group keys and match flags
-    /// read as zeros). Use such substrates for cost modeling only.
     pub fn with_memory(host: M, om_bytes: usize, seed: u64) -> Self {
         let mut rng = EnclaveRng::seed_from_u64(seed);
         let mut master = [0u8; 32];

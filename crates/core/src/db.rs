@@ -179,8 +179,7 @@ impl QueryOutput {
 /// The database engine, generic over its untrusted memory substrate.
 ///
 /// `M` is the [`EnclaveMemory`] backing every table region: [`Host`] (the
-/// default, stores sealed blocks in memory) or any other implementor —
-/// e.g. [`oblidb_enclave::CountingMemory`] for payload-free cost modeling.
+/// default, stores sealed blocks in memory) or any other implementor.
 pub struct Database<M: EnclaveMemory = Host> {
     host: M,
     om: OmBudget,
@@ -241,11 +240,6 @@ impl<M: EnclaveMemory> Database<M> {
     /// if the substrate cannot allocate the WAL region — impossible for
     /// in-memory substrates; use `try_with_memory` when handing over a
     /// disk-backed substrate whose allocation can genuinely fail.
-    ///
-    /// Payload-free substrates (e.g. `CountingMemory`) support flat
-    /// storage with padding mode or a forced size-oblivious select;
-    /// adaptive planning and indexed storage return typed errors there,
-    /// since both depend on payload contents.
     pub fn with_memory(host: M, config: DbConfig) -> Self {
         Self::try_with_memory(host, config).expect("substrate failed to allocate the WAL region")
     }
@@ -309,20 +303,7 @@ impl<M: EnclaveMemory> Database<M> {
     /// (empty when WAL is off).
     pub fn wal_records(&mut self) -> Result<Vec<String>, DbError> {
         match &mut self.wal {
-            Some(w) => {
-                // Log records live in payloads; a payload-free substrate
-                // would decode zeroed blocks into empty statements and
-                // recovery would silently no-op. Refuse loudly, like every
-                // other payload-dependent read path.
-                if !self.host.retains_payloads() {
-                    return Err(DbError::Unsupported(
-                        "WAL recovery requires a payload-retaining EnclaveMemory \
-                         (log records live in block payloads)"
-                            .into(),
-                    ));
-                }
-                w.records(&mut self.host)
-            }
+            Some(w) => w.records(&mut self.host),
             None => Ok(Vec::new()),
         }
     }
@@ -492,23 +473,6 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(out)
     }
 
-    /// Unpadded GROUP BY sizes its output by the group count, which is
-    /// decoded from block payloads — unavailable on a payload-free
-    /// substrate, where the trace would silently diverge from the real
-    /// engine. Padding mode sizes by the (public) configured maximum, so
-    /// it stays exact. Mirrors `require_payloads` for indexed storage.
-    fn require_payloads_for_group_by(&self) -> Result<(), DbError> {
-        if self.host.retains_payloads() || self.config.padding.is_some() {
-            Ok(())
-        } else {
-            Err(DbError::Unsupported(
-                "GROUP BY on a payload-free EnclaveMemory substrate requires padding \
-                 mode (the unpadded output size is payload-derived)"
-                    .into(),
-            ))
-        }
-    }
-
     /// Fresh derived key for a new region/table: master key, incarnation
     /// epoch, and a monotone counter — unique per region per incarnation.
     fn next_key(&mut self) -> AeadKey {
@@ -672,8 +636,7 @@ impl<M: EnclaveMemory> Database<M> {
                     &self.om,
                     rng,
                 );
-                // Don't leak the flat region if the index half fails
-                // (deterministic on payload-free substrates).
+                // Don't leak the flat region if the index half fails.
                 let indexed = match indexed {
                     Ok(i) => i,
                     Err(e) => {
@@ -981,17 +944,6 @@ impl<M: EnclaveMemory> Database<M> {
         let pad_groups = self.config.padding.map(|p| p.max_groups);
 
         let root = if let Some(join) = &s.join {
-            // Adaptive join choice consumes num_rows, which is
-            // payload-derived after a pushed-down filter — refuse loudly on
-            // payload-free substrates unless the operator is pinned,
-            // mirroring the select and GROUP BY guards.
-            if !self.host.retains_payloads() && self.config.planner.force_join.is_none() {
-                return Err(DbError::Unsupported(
-                    "joins on a payload-free EnclaveMemory substrate require a pinned \
-                     operator: set planner.force_join"
-                        .into(),
-                ));
-            }
             let li = self.table_index(&s.table)?;
             let ri = self.table_index(&join.table)?;
             let ls = self.tables[li].1.schema().clone();
@@ -1070,7 +1022,6 @@ impl<M: EnclaveMemory> Database<M> {
             }
 
             if let Some(g) = &s.group_by {
-                self.require_payloads_for_group_by()?;
                 let (func, agg_col) = single_agg(&agg_items)?;
                 let group_col = renamed.col(g)?;
                 let agg_col = agg_col.map(|c| renamed.col(&c)).transpose()?;
@@ -1102,7 +1053,6 @@ impl<M: EnclaveMemory> Database<M> {
             };
             let scan = self.plan_scan(idx, &s.table, &pred);
             if let Some(g) = &s.group_by {
-                self.require_payloads_for_group_by()?;
                 let (func, agg_col) = single_agg(&agg_items)?;
                 let group_col = schema.col(g)?;
                 let agg_col = agg_col.map(|c| schema.col(&c)).transpose()?;
@@ -1264,21 +1214,6 @@ impl<M: EnclaveMemory> Database<M> {
         if !flat_access {
             // The probe result shapes the stage; decide at run time.
             return Ok(PlanNode::Filter(node));
-        }
-
-        // Every remaining plan except the forced Large algorithm shapes its
-        // trace from scan statistics, and statistics live in payloads. On a
-        // payload-free substrate (cost modeling) those stats read as zero,
-        // so planning would silently diverge from the real engine — refuse
-        // loudly instead, mirroring `require_payloads` for indexed storage.
-        if !self.host.retains_payloads()
-            && self.config.planner.force_select != Some(SelectAlgo::Large)
-        {
-            return Err(DbError::Unsupported(
-                "payload-free EnclaveMemory substrates need a size-oblivious plan: \
-                 set padding mode or force_select = Some(SelectAlgo::Large)"
-                    .into(),
-            ));
         }
 
         // The planner's preliminary scan (paper §5) — also supplies |R|
@@ -1964,19 +1899,6 @@ fn run_filter_stage<M: EnclaveMemory>(
         let out = exec::select::select_padded(host, om, input, &f.pred, out_key, pad_rows)?;
         f.actual = Some(timed_cost(host.stats() - before, profile, started));
         return Ok(out);
-    }
-
-    // Every remaining plan except the forced Large algorithm shapes its
-    // trace from scan statistics, and statistics live in payloads. On a
-    // payload-free substrate (cost modeling) those stats read as zero, so
-    // planning would silently diverge from the real engine — refuse loudly
-    // instead, mirroring `require_payloads` for indexed storage.
-    if !host.retains_payloads() && config.planner.force_select != Some(SelectAlgo::Large) {
-        return Err(DbError::Unsupported(
-            "payload-free EnclaveMemory substrates need a size-oblivious plan: \
-             set padding mode or force_select = Some(SelectAlgo::Large)"
-                .into(),
-        ));
     }
 
     // |R| for output sizing: reuse the prepare-time preliminary scan when

@@ -263,7 +263,17 @@ impl<M: EnclaveMemory + Send> Session<M> {
         self.account(statements.len() as u64, result)
     }
 
-    fn account<T>(&mut self, statements: u64, result: Result<T, DbError>) -> Result<T, DbError> {
+    /// The one place this session's counters move: adds `statements` to
+    /// the submitted count and, if `result` is an error, counts one error
+    /// here and in the shared `db_statement_errors`. Front-ends that reject
+    /// a request before it reaches the engine (e.g. a `COMMIT` with no
+    /// open transaction) pass their result through here so it is counted
+    /// like any other failed statement.
+    pub fn account<T>(
+        &mut self,
+        statements: u64,
+        result: Result<T, DbError>,
+    ) -> Result<T, DbError> {
         self.stats.statements += statements;
         if result.is_err() {
             self.stats.errors += 1;

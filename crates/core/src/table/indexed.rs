@@ -43,23 +43,6 @@ fn key_range(lo: &Bound, hi: &Bound) -> (u128, u128) {
     (k_lo, k_hi)
 }
 
-/// The oblivious B+ tree keeps its routing state (node kinds, child
-/// pointers, key separators) in block payloads, so it cannot run over a
-/// payload-free substrate like `CountingMemory` — reads would parse
-/// zeroed nodes. Flat tables and raw ORAM cost-model fine; indexed
-/// storage needs a payload-retaining memory.
-fn require_payloads<M: EnclaveMemory>(host: &M) -> Result<(), DbError> {
-    if host.retains_payloads() {
-        Ok(())
-    } else {
-        Err(DbError::Unsupported(
-            "indexed storage requires a payload-retaining EnclaveMemory \
-             (B+ tree routing state lives in block payloads)"
-                .into(),
-        ))
-    }
-}
-
 impl IndexedTable {
     /// Creates an empty indexed table. The index ORAM's position map is
     /// charged to `om` (8 bytes per node, paper §3.3).
@@ -72,7 +55,6 @@ impl IndexedTable {
         om: &OmBudget,
         rng: EnclaveRng,
     ) -> Result<Self, DbError> {
-        require_payloads(host)?;
         let payload_len = schema.row_len();
         let tree = ObTree::new(
             host,
@@ -107,7 +89,6 @@ impl IndexedTable {
             })
             .collect();
         items.sort_by_key(|(k, _)| *k);
-        require_payloads(host)?;
         let payload_len = schema.row_len();
         let tree = ObTree::bulk_load(
             host,

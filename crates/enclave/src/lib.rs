@@ -17,10 +17,6 @@
 //!   adversary's view in the paper's Appendix A security theorem. Tests
 //!   assert *trace equality* across runs with different data to verify
 //!   obliviousness.
-//! * [`CountingMemory`] is a payload-free implementor: it tracks region
-//!   shapes, counters and traces but stores no data — a fast cost model
-//!   for capacity planning (oblivious access patterns are
-//!   payload-independent, so its counts equal [`Host`]'s).
 //! * [`OmBudget`] accounts for the limited *oblivious memory* available
 //!   inside the enclave (20 MB in the paper's evaluation). Position maps and
 //!   operator buffers must fit in it; operators degrade gracefully (more
@@ -45,7 +41,7 @@ pub use host::{
     batch_count, AccessEvent, AccessKind, CrossingCost, Host, HostError, HostStats, IoOp, RegionId,
     StatsReport, Trace,
 };
-pub use memory::{CountingMemory, EnclaveMemory};
+pub use memory::EnclaveMemory;
 pub use om::{OmAllocation, OmBudget, OmError};
 pub use rng::EnclaveRng;
 pub use shared::{SessionMemory, SharedMemory};

@@ -4,12 +4,9 @@
 //! that each boundary crossing is observable. [`EnclaveMemory`] captures
 //! exactly the surface the engine needs (allocate / free / grow / read /
 //! write / stats / trace), so the same operators run unchanged over the
-//! in-memory [`Host`], the payload-free [`CountingMemory`] cost model, and
-//! — in later iterations — disk-backed or sharded backends.
+//! in-memory [`Host`] and the disk-backed, cached and sharded substrates.
 
-use crate::host::{
-    batch_count, AccessEvent, AccessKind, Host, HostError, HostStats, RegionId, Trace,
-};
+use crate::host::{batch_count, Host, HostError, HostStats, RegionId, Trace};
 
 /// Abstract untrusted block memory, as seen from inside the enclave.
 ///
@@ -17,11 +14,10 @@ use crate::host::{
 /// region identity, block indices and access direction are public (the
 /// adversary's view), payload bytes are sealed before they arrive here.
 ///
-/// Implementors: [`Host`] (stores sealed payloads, the default substrate)
-/// and [`CountingMemory`] (drops payloads, counts accesses — a fast cost
-/// model). Code generic over `M: EnclaveMemory` must keep its *access
-/// pattern* independent of payload contents; that is the obliviousness
-/// property the test suite asserts via trace equality.
+/// [`Host`] is the default implementor. Code generic over
+/// `M: EnclaveMemory` must keep its *access pattern* independent of
+/// payload contents; that is the obliviousness property the test suite
+/// asserts via trace equality.
 pub trait EnclaveMemory {
     /// Allocates a region of `blocks` blocks, each `block_size` bytes.
     ///
@@ -139,13 +135,13 @@ pub trait EnclaveMemory {
     /// Zeroes the aggregate counters.
     fn reset_stats(&mut self);
 
-    /// Whether reads return the payload bytes that were written.
+    /// Whether reads return the payload bytes that were written: always
+    /// `true`, and nothing in the engine asks.
     ///
-    /// `true` for real substrates. [`CountingMemory`] returns `false`: it
-    /// discards payloads, so the sealed-storage layer skips decryption and
-    /// synthesizes zeroed plaintext instead of failing authentication.
-    /// Oblivious code paths have payload-independent access patterns, so
-    /// access counts and trace shapes are preserved.
+    /// Every substrate keeps its payloads. The method stays only because
+    /// the end-to-end benchmark's timing wrapper (`e2ebench/src/timed.rs`)
+    /// still overrides it and that package changes only together with the
+    /// benchmark definition. Delete it together with that override.
     fn retains_payloads(&self) -> bool {
         true
     }
@@ -154,12 +150,11 @@ pub trait EnclaveMemory {
     ///
     /// Durable substrates (disk-backed files) fsync; caching substrates
     /// write back dirty blocks to their inner store and then sync it;
-    /// purely in-memory substrates ([`Host`], [`CountingMemory`]) have
-    /// nothing to flush and keep this default no-op. Called from WAL
-    /// checkpoint paths, so a checkpoint means the same thing on every
-    /// substrate. Flush writes are driven by which blocks are dirty —
-    /// state the adversary already observed being written — so syncing
-    /// adds no new leakage.
+    /// purely in-memory substrates ([`Host`]) have nothing to flush and
+    /// keep this default no-op. Called from WAL checkpoint paths, so a
+    /// checkpoint means the same thing on every substrate. Flush writes
+    /// are driven by which blocks are dirty — state the adversary already
+    /// observed being written — so syncing adds no new leakage.
     fn sync(&mut self) -> Result<(), HostError> {
         Ok(())
     }
@@ -260,375 +255,29 @@ impl EnclaveMemory for Host {
     }
 }
 
-struct CountingRegion {
-    block_size: usize,
-    blocks: u64,
-    /// One bit per block: whether it was ever written. Keeps the
-    /// [`HostError::EmptyBlock`] contract identical to [`Host`] without
-    /// storing payloads.
-    written: Vec<u64>,
-}
-
-impl CountingRegion {
-    fn new(blocks: u64, block_size: usize) -> Self {
-        CountingRegion { block_size, blocks, written: vec![0; blocks.div_ceil(64) as usize] }
-    }
-
-    fn is_written(&self, index: u64) -> bool {
-        self.written[(index / 64) as usize] & (1 << (index % 64)) != 0
-    }
-
-    fn mark_written(&mut self, index: u64) {
-        self.written[(index / 64) as usize] |= 1 << (index % 64);
-    }
-}
-
-/// A payload-free [`EnclaveMemory`]: tracks region shapes, access counts
-/// and (optionally) the full trace, but never copies a payload byte.
-///
-/// Reads return a zeroed scratch slice of the region's block size; writes
-/// are bounds- and size-checked, then dropped (only a written bit per
-/// block is kept, so unwritten reads fail with the same
-/// [`HostError::EmptyBlock`] as [`Host`]). For structures whose access
-/// pattern is independent of substrate payloads — flat tables, scan
-/// operators, direct-posmap ORAM — driving them over `CountingMemory`
-/// yields exactly the trace and counters a [`Host`] run would produce,
-/// at a fraction of the cost. Recursive-posmap ORAM stores its leaf
-/// assignments *in* payloads, so there only aggregate access counts
-/// match (paths differ event-by-event). Use it for cost-model tests and
-/// capacity planning, never for data correctness.
-///
-/// Scope: flat tables, raw ORAM and scan operators cost-model exactly;
-/// structures that route through payload contents (the oblivious B+
-/// tree, so `Indexed`/`Both` storage) refuse payload-free substrates
-/// with a typed error.
-#[derive(Default)]
-pub struct CountingMemory {
-    regions: Vec<Option<CountingRegion>>,
-    trace: Option<Vec<AccessEvent>>,
-    stats: HostStats,
-    scratch: Vec<u8>,
-}
-
-impl CountingMemory {
-    /// Creates an empty counting memory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn region(&self, region: RegionId) -> Result<&CountingRegion, HostError> {
-        self.regions
-            .get(region.0 as usize)
-            .and_then(|r| r.as_ref())
-            .ok_or(HostError::UnknownRegion(region))
-    }
-
-    fn record(&mut self, region: RegionId, index: u64, kind: AccessKind) {
-        if let Some(t) = &mut self.trace {
-            t.push(AccessEvent { region, index, kind });
-        }
-    }
-
-    /// Native batched gather: identical accounting to [`Host::read_blocks`]
-    /// (per-block trace events and counters, one crossing), zeroed payload.
-    fn read_gather(
-        &mut self,
-        region: RegionId,
-        indices: impl Iterator<Item = u64>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), HostError> {
-        out.clear();
-        let mut crossed = false;
-        let CountingMemory { regions, trace, stats, .. } = self;
-        let r = regions
-            .get(region.0 as usize)
-            .and_then(|r| r.as_ref())
-            .ok_or(HostError::UnknownRegion(region))?;
-        for index in indices {
-            if let Some(t) = trace {
-                t.push(AccessEvent { region, index, kind: AccessKind::Read });
-            }
-            if index >= r.blocks {
-                return Err(HostError::OutOfBounds { region, index, len: r.blocks });
-            }
-            if !r.is_written(index) {
-                return Err(HostError::EmptyBlock(region, index));
-            }
-            if !crossed {
-                // Counted only once a block validates — per-block parity.
-                stats.crossings += 1;
-                crossed = true;
-            }
-            out.resize(out.len() + r.block_size, 0);
-            stats.reads += 1;
-            stats.bytes_read += r.block_size as u64;
-        }
-        Ok(())
-    }
-
-    fn write_scatter(
-        &mut self,
-        region: RegionId,
-        indices: impl Iterator<Item = u64>,
-        data: &[u8],
-    ) -> Result<(), HostError> {
-        let mut crossed = false;
-        let CountingMemory { regions, trace, stats, .. } = self;
-        let r = regions
-            .get_mut(region.0 as usize)
-            .and_then(|r| r.as_mut())
-            .ok_or(HostError::UnknownRegion(region))?;
-        for (index, chunk) in indices.zip(data.chunks_exact(r.block_size)) {
-            if let Some(t) = trace {
-                t.push(AccessEvent { region, index, kind: AccessKind::Write });
-            }
-            if index >= r.blocks {
-                return Err(HostError::OutOfBounds { region, index, len: r.blocks });
-            }
-            if !crossed {
-                stats.crossings += 1;
-                crossed = true;
-            }
-            r.mark_written(index);
-            stats.writes += 1;
-            stats.bytes_written += chunk.len() as u64;
-        }
-        Ok(())
-    }
-}
-
-impl EnclaveMemory for CountingMemory {
-    fn alloc_region(&mut self, blocks: usize, block_size: usize) -> Result<RegionId, HostError> {
-        let id = RegionId(self.regions.len() as u32);
-        self.regions.push(Some(CountingRegion::new(blocks as u64, block_size)));
-        Ok(id)
-    }
-
-    fn free_region(&mut self, region: RegionId) -> Result<(), HostError> {
-        if let Some(slot) = self.regions.get_mut(region.0 as usize) {
-            *slot = None;
-        }
-        Ok(())
-    }
-
-    fn grow_region(&mut self, region: RegionId, new_blocks: usize) -> Result<(), HostError> {
-        let r = self
-            .regions
-            .get_mut(region.0 as usize)
-            .and_then(|r| r.as_mut())
-            .ok_or(HostError::UnknownRegion(region))?;
-        r.blocks = r.blocks.max(new_blocks as u64);
-        r.written.resize(r.blocks.div_ceil(64) as usize, 0);
-        Ok(())
-    }
-
-    fn region_len(&self, region: RegionId) -> Result<u64, HostError> {
-        Ok(self.region(region)?.blocks)
-    }
-
-    fn region_block_size(&self, region: RegionId) -> Result<usize, HostError> {
-        Ok(self.region(region)?.block_size)
-    }
-
-    fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
-        self.record(region, index, AccessKind::Read);
-        let r = self
-            .regions
-            .get(region.0 as usize)
-            .and_then(|r| r.as_ref())
-            .ok_or(HostError::UnknownRegion(region))?;
-        if index >= r.blocks {
-            return Err(HostError::OutOfBounds { region, index, len: r.blocks });
-        }
-        if !r.is_written(index) {
-            // Same contract as `Host`: the attempt is traced (above), but
-            // the read fails and the success counters stay untouched.
-            return Err(HostError::EmptyBlock(region, index));
-        }
-        let block_size = r.block_size;
-        self.stats.crossings += 1;
-        self.stats.reads += 1;
-        self.stats.bytes_read += block_size as u64;
-        // The scratch is only ever zeroed; resize covers changing sizes.
-        self.scratch.resize(block_size, 0);
-        Ok(&self.scratch[..block_size])
-    }
-
-    fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
-        self.record(region, index, AccessKind::Write);
-        let r = self
-            .regions
-            .get_mut(region.0 as usize)
-            .and_then(|r| r.as_mut())
-            .ok_or(HostError::UnknownRegion(region))?;
-        if data.len() != r.block_size {
-            return Err(HostError::BlockSizeMismatch {
-                region,
-                expected: r.block_size,
-                got: data.len(),
-            });
-        }
-        if index >= r.blocks {
-            return Err(HostError::OutOfBounds { region, index, len: r.blocks });
-        }
-        r.mark_written(index);
-        self.stats.crossings += 1;
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        Ok(())
-    }
-
-    fn read_blocks(
-        &mut self,
-        region: RegionId,
-        start: u64,
-        count: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), HostError> {
-        self.read_gather(region, start..start + count as u64, out)
-    }
-
-    fn read_blocks_at(
-        &mut self,
-        region: RegionId,
-        indices: &[u64],
-        out: &mut Vec<u8>,
-    ) -> Result<(), HostError> {
-        self.read_gather(region, indices.iter().copied(), out)
-    }
-
-    fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
-        let block_size = self.region(region)?.block_size;
-        let count = batch_count(region, block_size, data.len())?;
-        self.write_scatter(region, start..start + count as u64, data)
-    }
-
-    fn write_blocks_at(
-        &mut self,
-        region: RegionId,
-        indices: &[u64],
-        data: &[u8],
-    ) -> Result<(), HostError> {
-        let block_size = self.region(region)?.block_size;
-        let count = batch_count(region, block_size, data.len())?;
-        if count != indices.len() {
-            return Err(HostError::BlockSizeMismatch {
-                region,
-                expected: indices.len() * block_size,
-                got: data.len(),
-            });
-        }
-        self.write_scatter(region, indices.iter().copied(), data)
-    }
-
-    fn start_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        Trace(self.trace.take().unwrap_or_default())
-    }
-
-    fn tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    fn stats(&self) -> HostStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = HostStats::default();
-    }
-
-    fn retains_payloads(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counting_memory_counts_without_storing() {
-        let mut m = CountingMemory::new();
-        let r = EnclaveMemory::alloc_region(&mut m, 4, 8).unwrap();
-        m.write(r, 1, &[7u8; 8]).unwrap();
-        assert_eq!(m.read(r, 1).unwrap(), &[0u8; 8], "payloads are dropped");
-        let s = m.stats();
-        assert_eq!((s.reads, s.writes), (1, 1));
-        assert_eq!((s.bytes_read, s.bytes_written), (8, 8));
-    }
-
-    #[test]
-    fn counting_memory_traces_like_host() {
-        let mut h = Host::new();
-        let mut m = CountingMemory::new();
-        let rh = EnclaveMemory::alloc_region(&mut h, 4, 8).unwrap();
-        let rm = EnclaveMemory::alloc_region(&mut m, 4, 8).unwrap();
-        EnclaveMemory::start_trace(&mut h);
-        m.start_trace();
-        for i in 0..4 {
-            EnclaveMemory::write(&mut h, rh, i, &[1u8; 8]).unwrap();
-            m.write(rm, i, &[1u8; 8]).unwrap();
-            EnclaveMemory::read(&mut h, rh, i).unwrap();
-            m.read(rm, i).unwrap();
-        }
-        assert_eq!(EnclaveMemory::take_trace(&mut h), m.take_trace());
-    }
-
-    #[test]
-    fn counting_memory_checks_bounds_and_sizes() {
-        let mut m = CountingMemory::new();
-        let r = EnclaveMemory::alloc_region(&mut m, 2, 8).unwrap();
-        assert!(matches!(m.write(r, 5, &[0u8; 8]), Err(HostError::OutOfBounds { .. })));
-        assert!(matches!(m.write(r, 0, &[0u8; 7]), Err(HostError::BlockSizeMismatch { .. })));
-        assert_eq!(m.read(r, 1), Err(HostError::EmptyBlock(r, 1)), "unwritten reads fail as Host");
-        m.free_region(r).unwrap();
-        assert_eq!(m.read(r, 0), Err(HostError::UnknownRegion(r)));
-    }
-
-    #[test]
-    fn counting_memory_grow_extends_bounds() {
-        let mut m = CountingMemory::new();
-        let r = EnclaveMemory::alloc_region(&mut m, 2, 4).unwrap();
-        EnclaveMemory::grow_region(&mut m, r, 10).unwrap();
-        assert_eq!(EnclaveMemory::region_len(&m, r).unwrap(), 10);
-        m.write(r, 9, &[0u8; 4]).unwrap();
-    }
-
-    #[test]
-    fn host_retains_payloads_counting_does_not() {
-        assert!(EnclaveMemory::retains_payloads(&Host::new()));
-        assert!(!CountingMemory::new().retains_payloads());
-    }
-
-    #[test]
-    fn batched_io_is_one_crossing_on_both_substrates() {
-        fn drive<M: EnclaveMemory>(m: &mut M) -> (Trace, crate::HostStats) {
-            let r = m.alloc_region(8, 4).unwrap();
-            m.start_trace();
-            m.reset_stats();
-            let data: Vec<u8> = (0..24).collect();
-            m.write_blocks(r, 1, &data).unwrap();
-            let mut out = Vec::new();
-            m.read_blocks(r, 1, 6, &mut out).unwrap();
-            assert_eq!(out.len(), 24);
-            m.write_blocks_at(r, &[7, 2, 0], &data[..12]).unwrap();
-            m.read_blocks_at(r, &[0, 7], &mut out).unwrap();
-            assert_eq!(out.len(), 8);
-            (m.take_trace(), m.stats())
-        }
-        let (trace_h, stats_h) = drive(&mut Host::new());
-        let (trace_c, stats_c) = drive(&mut CountingMemory::new());
-        assert_eq!(trace_h, trace_c, "batched traces must be identical across substrates");
-        assert_eq!(stats_h, stats_c);
-        assert_eq!(stats_h.crossings, 4, "one crossing per batched call");
-        assert_eq!(stats_h.reads, 8);
-        assert_eq!(stats_h.writes, 9);
+    fn batched_io_is_one_crossing_per_call() {
+        let mut m = Host::new();
+        let r = EnclaveMemory::alloc_region(&mut m, 8, 4).unwrap();
+        EnclaveMemory::start_trace(&mut m);
+        let data: Vec<u8> = (0..24).collect();
+        EnclaveMemory::write_blocks(&mut m, r, 1, &data).unwrap();
+        let mut out = Vec::new();
+        EnclaveMemory::read_blocks(&mut m, r, 1, 6, &mut out).unwrap();
+        assert_eq!(out, data);
+        EnclaveMemory::write_blocks_at(&mut m, r, &[7, 2, 0], &data[..12]).unwrap();
+        EnclaveMemory::read_blocks_at(&mut m, r, &[0, 7], &mut out).unwrap();
+        assert_eq!(out, [&data[8..12], &data[..4]].concat());
+        let (trace, stats) = (EnclaveMemory::take_trace(&mut m), EnclaveMemory::stats(&m));
+        assert_eq!(stats.crossings, 4, "one crossing per batched call");
+        assert_eq!(stats.reads, 8);
+        assert_eq!(stats.writes, 9);
         // Per-block events are still all recorded for the adversary.
-        assert_eq!(trace_h.len(), 17);
+        assert_eq!(trace.len(), 17);
     }
 
     #[test]
@@ -657,7 +306,7 @@ mod tests {
 
     #[test]
     fn batched_errors_match_per_block_contract() {
-        let mut m = CountingMemory::new();
+        let mut m = Host::new();
         let r = EnclaveMemory::alloc_region(&mut m, 4, 2).unwrap();
         let mut out = Vec::new();
         // Unwritten block inside the batch: same EmptyBlock as per-block.

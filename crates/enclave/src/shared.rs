@@ -98,13 +98,11 @@ impl<M: EnclaveMemory> SharedMemory<M> {
     /// Mints a new session handle over the shared store.
     pub fn session(&self) -> SessionMemory<M> {
         self.inner.sessions.fetch_add(1, Ordering::Relaxed);
-        let retains = lock(&self.inner.store).retains_payloads();
         SessionMemory {
             shared: Arc::clone(&self.inner),
             stats: HostStats::default(),
             trace: None,
             scratch: Vec::new(),
-            retains,
         }
     }
 
@@ -151,7 +149,6 @@ pub struct SessionMemory<M> {
     stats: HostStats,
     trace: Option<Vec<AccessEvent>>,
     scratch: Vec<u8>,
-    retains: bool,
 }
 
 impl<M: EnclaveMemory> SessionMemory<M> {
@@ -389,10 +386,6 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
         // on the shared handle and the store-level aggregate is
         // [`SharedMemory::store_stats`].
         self.stats = HostStats::default();
-    }
-
-    fn retains_payloads(&self) -> bool {
-        self.retains
     }
 
     fn sync(&mut self) -> Result<(), HostError> {

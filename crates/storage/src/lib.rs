@@ -137,8 +137,7 @@ impl SealedRegion {
     /// `payload_len` plaintext bytes, and initializes every block to an
     /// encryption of zeros so the region is uniformly unreadable from
     /// outside and every block is readable from inside. Initialization is
-    /// batched: one crossing per [`batch_chunk_blocks`] chunk, and no AEAD
-    /// work at all on payload-free substrates.
+    /// batched: one crossing per [`batch_chunk_blocks`] chunk.
     pub fn create<M: EnclaveMemory>(
         host: &mut M,
         key: AeadKey,
@@ -262,17 +261,7 @@ impl SealedRegion {
             index,
             len: self.len(),
         })?;
-        let retains = host.retains_payloads();
         let sealed = host.read(self.region, index)?;
-        if !retains {
-            // Payload-free substrate (e.g. `CountingMemory`): the boundary
-            // crossing above is what the cost model observes; synthesize
-            // zeroed plaintext in place of decryption. Oblivious callers'
-            // access patterns are payload-independent, so counts match.
-            self.scratch.clear();
-            self.scratch.resize(NONCE_LEN + self.payload_len, 0);
-            return Ok(&self.scratch[NONCE_LEN..NONCE_LEN + self.payload_len]);
-        }
         self.scratch.clear();
         self.scratch.extend_from_slice(sealed);
 
@@ -311,16 +300,6 @@ impl SealedRegion {
         let revision = *slot;
 
         self.write_counter += 1;
-        if !host.retains_payloads() {
-            // Payload-free substrate: the block is dropped on arrival, so
-            // sealing it would only burn AEAD cycles (the dominant cost in
-            // every operator). Ship a zeroed sealed-size buffer; revision
-            // and counter bookkeeping above stay identical.
-            self.scratch.clear();
-            self.scratch.resize(self.payload_len + SEAL_OVERHEAD, 0);
-            host.write(self.region, index, &self.scratch)?;
-            return Ok(());
-        }
         let nonce = Nonce::from_parts(self.region.0, self.write_counter);
         let mut aad = [0u8; 16];
         aad[..8].copy_from_slice(&index.to_le_bytes());
@@ -367,15 +346,12 @@ impl SealedRegion {
         self.check_bounds((start..start + count as u64).take(count))?;
         self.scratch.clear();
         self.scratch.resize(count * self.payload_len, 0);
-        let retains = host.retains_payloads();
         let chunk = batch_chunk_blocks(self.payload_len);
         let mut at = 0usize;
         while at < count {
             let n = chunk.min(count - at);
             host.read_blocks(self.region, start + at as u64, n, &mut self.batch)?;
-            if retains {
-                self.open_batch(start + at as u64, n, None, at)?;
-            }
+            self.open_batch(start + at as u64, n, None, at)?;
             at += n;
         }
         Ok(&self.scratch)
@@ -395,9 +371,7 @@ impl SealedRegion {
         self.scratch.clear();
         self.scratch.resize(indices.len() * self.payload_len, 0);
         host.read_blocks_at(self.region, indices, &mut self.batch)?;
-        if host.retains_payloads() {
-            self.open_batch(0, indices.len(), Some(indices), 0)?;
-        }
+        self.open_batch(0, indices.len(), Some(indices), 0)?;
         Ok(&self.scratch)
     }
 
@@ -454,13 +428,12 @@ impl SealedRegion {
     ) -> Result<(), StorageError> {
         let count = self.payload_count(payloads);
         self.check_bounds((start..start + count as u64).take(count))?;
-        let retains = host.retains_payloads();
         let chunk = batch_chunk_blocks(self.payload_len);
         let mut at = 0usize;
         while at < count {
             let n = chunk.min(count - at);
             let slice = &payloads[at * self.payload_len..(at + n) * self.payload_len];
-            self.seal_batch(retains, start + at as u64, n, None, slice);
+            self.seal_batch(start + at as u64, n, None, slice);
             host.write_blocks(self.region, start + at as u64, &self.batch)?;
             at += n;
         }
@@ -478,7 +451,7 @@ impl SealedRegion {
         let count = self.payload_count(payloads);
         assert_eq!(count, indices.len(), "one payload per index");
         self.check_bounds(indices.iter().copied())?;
-        self.seal_batch(host.retains_payloads(), 0, count, Some(indices), payloads);
+        self.seal_batch(0, count, Some(indices), payloads);
         host.write_blocks_at(self.region, indices, &self.batch)?;
         Ok(())
     }
@@ -491,17 +464,9 @@ impl SealedRegion {
         payloads.len() / self.payload_len
     }
 
-    /// Seals `count` payloads into `self.batch` (or zero-fills it on a
-    /// payload-free substrate), bumping revisions and the write counter
-    /// exactly as `count` per-block writes would.
-    fn seal_batch(
-        &mut self,
-        retains: bool,
-        start: u64,
-        count: usize,
-        indices: Option<&[u64]>,
-        payloads: &[u8],
-    ) {
+    /// Seals `count` payloads into `self.batch`, bumping revisions and the
+    /// write counter exactly as `count` per-block writes would.
+    fn seal_batch(&mut self, start: u64, count: usize, indices: Option<&[u64]>, payloads: &[u8]) {
         let payload_len = self.payload_len;
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::SealBatch);
         if oblidb_telemetry::enabled() {
@@ -517,17 +482,6 @@ impl SealedRegion {
         }
         self.batch.clear();
         self.batch.resize(count * (payload_len + SEAL_OVERHEAD), 0);
-        if !retains {
-            // Payload-free substrate: blocks are dropped on arrival, so
-            // skip the AEAD entirely — the zeroed batch buffer above is
-            // what crosses. Revision/counter bookkeeping stays identical.
-            for i in 0..count {
-                let index = batch_index(start, indices, i);
-                self.revisions[index as usize] += 1;
-                self.write_counter += 1;
-            }
-            return;
-        }
         // Assign every block's (revision, nonce counter) in batch order —
         // the exact values a per-block loop would assign, kept
         // per-position so duplicate scatter indices stay well-defined —

@@ -466,10 +466,6 @@ impl EnclaveMemory for AnySubstrate {
         dispatch!(self, m => m.reset_stats())
     }
 
-    fn retains_payloads(&self) -> bool {
-        dispatch!(self, m => m.retains_payloads())
-    }
-
     fn sync(&mut self) -> Result<(), HostError> {
         dispatch!(self, m => m.sync())
     }
@@ -488,9 +484,7 @@ mod tests {
         let label = m.label();
         let r = m.alloc_region(4, 8).unwrap();
         m.write(r, 2, &[5u8; 8]).unwrap();
-        if m.retains_payloads() {
-            assert_eq!(m.read(r, 2).unwrap(), &[5u8; 8], "{label}");
-        }
+        assert_eq!(m.read(r, 2).unwrap(), &[5u8; 8], "{label}");
         assert_eq!(m.stats().writes, 1, "{label}");
         m.sync().unwrap();
     }

@@ -588,10 +588,6 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         self.cache_stats = CacheStats::default();
     }
 
-    fn retains_payloads(&self) -> bool {
-        self.inner.retains_payloads()
-    }
-
     fn sync(&mut self) -> Result<(), HostError> {
         self.flush_dirty(None)?;
         self.inner.sync()

@@ -309,10 +309,6 @@ impl<M: EnclaveMemory> EnclaveMemory for ShardedMemory<M> {
         }
     }
 
-    fn retains_payloads(&self) -> bool {
-        self.shards.iter().all(|s| s.retains_payloads())
-    }
-
     fn sync(&mut self) -> Result<(), HostError> {
         for s in &mut self.shards {
             s.sync()?;

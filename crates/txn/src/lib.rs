@@ -252,11 +252,13 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
 
     /// Opens a transaction. Statements until `COMMIT` / `ROLLBACK`
     /// buffer client-side; reads keep executing against shared state.
+    /// A nested `BEGIN` is rejected and counted as a session error.
     pub fn begin(&mut self) -> Result<TxnOutcome, DbError> {
         if self.buffer.is_some() {
-            return Err(DbError::Unsupported(
-                "BEGIN inside an open transaction (no nesting)".into(),
-            ));
+            return self.session.account(
+                0,
+                Err(DbError::Unsupported("BEGIN inside an open transaction (no nesting)".into())),
+            );
         }
         self.buffer = Some(Vec::new());
         Ok(TxnOutcome::Begun)
@@ -266,9 +268,13 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
     /// batch (validation or execution error) the transaction aborts:
     /// the buffer is discarded and the error returned — deterministic,
     /// because validation runs before the first statement executes.
+    /// A `COMMIT` with no open transaction is counted as a session error.
     pub fn commit(&mut self) -> Result<TxnOutcome, DbError> {
         let Some(statements) = self.buffer.take() else {
-            return Err(DbError::Unsupported("COMMIT without an open transaction".into()));
+            return self.session.account(
+                0,
+                Err(DbError::Unsupported("COMMIT without an open transaction".into())),
+            );
         };
         let n = statements.len() as u64;
         if statements.is_empty() {
@@ -289,10 +295,14 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
         }
     }
 
-    /// Discards the open transaction's buffer.
+    /// Discards the open transaction's buffer. A `ROLLBACK` with no open
+    /// transaction is counted as a session error.
     pub fn rollback(&mut self) -> Result<TxnOutcome, DbError> {
         let Some(statements) = self.buffer.take() else {
-            return Err(DbError::Unsupported("ROLLBACK without an open transaction".into()));
+            return self.session.account(
+                0,
+                Err(DbError::Unsupported("ROLLBACK without an open transaction".into())),
+            );
         };
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::TxnAborts, 1);
         Ok(TxnOutcome::RolledBack { statements: statements.len() as u64 })
@@ -426,6 +436,11 @@ mod tests {
         assert!(s.execute("ROLLBACK").is_err());
         s.execute("BEGIN").unwrap();
         assert!(s.execute("BEGIN").is_err(), "no nested transactions");
+        // All three rejections are session errors the metrics verb sees;
+        // the successful BEGIN counts nothing.
+        assert_eq!(s.stats().errors, 3);
+        let metrics = s.database().metrics_snapshot().to_text();
+        assert!(metrics.contains("db_statement_errors 3\n"), "{metrics}");
     }
 
     #[test]

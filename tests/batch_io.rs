@@ -1,14 +1,13 @@
 //! Batched sealed-block I/O: result-equivalence, crossing accounting, and
-//! tamper attribution. Seeded-loop property tests in the style of
-//! `memory_seam.rs` — the workspace is dependency-free, so cases come from
-//! [`EnclaveRng`] instead of proptest.
+//! tamper attribution. Seeded-loop property tests — the workspace is
+//! dependency-free, so cases come from [`EnclaveRng`] instead of proptest.
 
 use oblidb::core::exec;
 use oblidb::core::predicate::{CmpOp, Predicate};
 use oblidb::core::table::FlatTable;
 use oblidb::core::types::{Column, DataType, Schema, Value};
 use oblidb::crypto::aead::AeadKey;
-use oblidb::enclave::{CountingMemory, EnclaveMemory, EnclaveRng, Host};
+use oblidb::enclave::{AccessEvent, AccessKind, EnclaveRng, Host};
 use oblidb::storage::{SealedRegion, SealedScan, StorageError};
 
 /// Random batched write/read sequences produce exactly the bytes a
@@ -53,45 +52,39 @@ fn batched_io_is_result_equivalent_to_per_block() {
     }
 }
 
-/// Batched calls record the identical per-block trace on `Host` and
-/// `CountingMemory`, and the chunked scan issues exactly
-/// `ceil(blocks / chunk)` crossings.
+/// The chunked scan issues exactly `ceil(blocks / chunk)` crossings while
+/// the trace still records one read per block, in order.
 #[test]
-fn batched_crossings_and_traces_match_on_counting_memory() {
+fn chunked_scan_crosses_once_per_chunk_and_traces_every_block() {
     let mut rng = EnclaveRng::seed_from_u64(0x5EAB);
     for case in 0..24 {
         let blocks = 8 + rng.below(120) as usize;
         let payload = 4 + rng.below(40) as usize;
         let chunk = 1 + rng.below(blocks as u64) as usize;
 
-        fn drive<M: EnclaveMemory>(
-            m: &mut M,
-            blocks: usize,
-            payload: usize,
-            chunk: usize,
-        ) -> (oblidb::enclave::Trace, oblidb::enclave::HostStats, u64) {
-            let mut region = SealedRegion::create(m, AeadKey([9u8; 32]), blocks, payload).unwrap();
-            m.reset_stats();
-            m.start_trace();
-            let mut scan = SealedScan::with_chunk(&region, chunk);
-            let mut seen = 0u64;
-            while let Some((_, payloads)) = scan.next_chunk(m, &mut region).unwrap() {
-                seen += (payloads.len() / payload) as u64;
-            }
-            (m.take_trace(), m.stats(), seen)
+        let mut host = Host::new();
+        let mut region =
+            SealedRegion::create(&mut host, AeadKey([9u8; 32]), blocks, payload).unwrap();
+        host.reset_stats();
+        host.start_trace();
+        let mut scan = SealedScan::with_chunk(&region, chunk);
+        let mut seen = 0u64;
+        while let Some((_, payloads)) = scan.next_chunk(&mut host, &mut region).unwrap() {
+            seen += (payloads.len() / payload) as u64;
         }
+        let (trace, stats) = (host.take_trace(), host.stats());
 
-        let (trace_h, stats_h, seen_h) = drive(&mut Host::new(), blocks, payload, chunk);
-        let (trace_c, stats_c, seen_c) = drive(&mut CountingMemory::new(), blocks, payload, chunk);
-        assert_eq!(trace_h, trace_c, "case {case}: traces must be identical");
-        assert_eq!(stats_h, stats_c, "case {case}: counters must be identical");
-        assert_eq!((seen_h, seen_c), (blocks as u64, blocks as u64), "case {case}");
+        assert_eq!(seen, blocks as u64, "case {case}");
         assert_eq!(
-            stats_h.crossings,
+            stats.crossings,
             (blocks as u64).div_ceil(chunk as u64),
             "case {case}: one crossing per {chunk}-block chunk over {blocks} blocks"
         );
-        assert_eq!(stats_h.reads, blocks as u64, "case {case}: every block still read");
+        assert_eq!(stats.reads, blocks as u64, "case {case}: every block still read");
+        let expected: Vec<AccessEvent> = (0..blocks as u64)
+            .map(|index| AccessEvent { region: region.region_id(), index, kind: AccessKind::Read })
+            .collect();
+        assert_eq!(trace.0, expected, "case {case}: one traced read per block");
     }
 }
 
@@ -217,7 +210,7 @@ fn schema() -> Schema {
     Schema::new(vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)])
 }
 
-fn build_flat<M: EnclaveMemory>(host: &mut M, n: i64) -> FlatTable {
+fn build_flat(host: &mut Host, n: i64) -> FlatTable {
     let s = schema();
     let encoded: Vec<Vec<u8>> =
         (0..n).map(|i| s.encode_row(&[Value::Int(i), Value::Int(i * 3)]).unwrap()).collect();
@@ -225,55 +218,30 @@ fn build_flat<M: EnclaveMemory>(host: &mut M, n: i64) -> FlatTable {
 }
 
 /// Sequential-scan operators issue one boundary crossing per chunk — not
-/// per block — while still touching every block (verified on the
-/// payload-free cost model, where the counts are exact).
+/// per block — while still touching every block.
 #[test]
 fn operators_issue_one_crossing_per_chunk() {
     let n: i64 = 500;
-    let mut counting = CountingMemory::new();
-    let mut t = build_flat(&mut counting, n);
+    let mut host = Host::new();
+    let mut t = build_flat(&mut host, n);
     let chunk = t.io_chunk_rows() as u64;
     let expected_chunks = (n as u64).div_ceil(chunk);
 
     // select_large: copy pass (read T, write R) + clear pass (read R,
     // write R) → four chunked streams over n blocks, plus R's creation.
-    counting.reset_stats();
+    host.reset_stats();
     let pred = Predicate::Cmp { col: 0, op: CmpOp::Lt, value: Value::Int(10) };
-    let out = exec::select_large(&mut counting, &mut t, &pred, AeadKey([2u8; 32])).unwrap();
-    let s = counting.stats();
+    let out = exec::select_large(&mut host, &mut t, &pred, AeadKey([2u8; 32])).unwrap();
+    let s = host.stats();
     assert_eq!(s.total_accesses(), 5 * n as u64, "4 scan passes + zero-init of R");
     assert_eq!(s.crossings, 5 * expected_chunks, "one crossing per chunked run");
     drop(out);
 
     // A fused aggregate is a single chunked read stream.
-    counting.reset_stats();
-    exec::aggregate(&mut counting, &mut t, exec::AggFunc::Count, None, &Predicate::True).unwrap();
-    let s = counting.stats();
+    host.reset_stats();
+    exec::aggregate(&mut host, &mut t, exec::AggFunc::Count, None, &Predicate::True).unwrap();
+    let s = host.stats();
     assert_eq!(s.reads, n as u64);
     assert_eq!(s.writes, 0);
     assert_eq!(s.crossings, expected_chunks);
-}
-
-/// The batched operators over `CountingMemory` still produce the exact
-/// trace a `Host` run produces — batching moved the chunk boundaries into
-/// the substrate without disturbing the adversary's per-block view.
-#[test]
-fn batched_operator_traces_still_match_across_substrates() {
-    let pred = Predicate::Cmp { col: 0, op: CmpOp::Ge, value: Value::Int(40) };
-
-    let mut host = Host::new();
-    let mut t_host = build_flat(&mut host, 96);
-    host.start_trace();
-    exec::select_large(&mut host, &mut t_host, &pred, AeadKey([2u8; 32])).unwrap();
-    exec::aggregate(&mut host, &mut t_host, exec::AggFunc::Sum, Some(1), &pred).unwrap();
-    let trace_host = host.take_trace();
-
-    let mut counting = CountingMemory::new();
-    let mut t_cnt = build_flat(&mut counting, 96);
-    counting.start_trace();
-    exec::select_large(&mut counting, &mut t_cnt, &pred, AeadKey([2u8; 32])).unwrap();
-    exec::aggregate(&mut counting, &mut t_cnt, exec::AggFunc::Sum, Some(1), &pred).unwrap();
-    let trace_cnt = counting.take_trace();
-
-    assert_eq!(trace_host, trace_cnt);
 }

@@ -222,8 +222,6 @@ fn alloc_failure_surfaces_as_typed_error_never_a_panic() {
     // In-memory substrates cannot fail allocation.
     let mut host = SubstrateSpec::Host.build().unwrap();
     host.alloc_region(4, 8).unwrap();
-    let mut counting = oblidb::enclave::CountingMemory::new();
-    counting.alloc_region(4, 8).unwrap();
 
     // Database API level: CREATE TABLE over a full/broken store is an
     // Err, not a panic.

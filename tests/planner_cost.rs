@@ -469,3 +469,12 @@ fn deferred_join_resolves_to_the_plan_time_choice() {
     assert_eq!(stmt.run().unwrap().len(), 48);
     assert_eq!(join_of(stmt.plan()), planned, "deferred resolution must match plan time");
 }
+
+/// Planner calibration probes a live substrate and yields usable weights.
+#[test]
+fn calibration_runs_on_host() {
+    let p = CostProfile::calibrate("host", &mut Host::new()).unwrap();
+    assert_eq!(p.read_block, 1.0);
+    assert!(p.crossing >= 1.0);
+    assert!(p.write_block > 0.0);
+}

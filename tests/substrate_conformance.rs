@@ -263,8 +263,8 @@ fn explicit_disk_dir_survives_engine_drop() {
     );
 }
 
-/// Payload-free guards still work through `AnySubstrate` dispatch, and
-/// stats surface uniformly across the substrate families.
+/// Stats surface uniformly through `AnySubstrate` dispatch across the
+/// substrate families.
 #[test]
 fn any_substrate_stats_surface_uniformly() {
     let specs = [
