@@ -6,7 +6,7 @@
 //! When [`crate::DbConfig::audit`] is on (or `OBLIDB_AUDIT=1`), every
 //! statement runs under an access trace. The trace is folded into a
 //! 64-bit FNV-1a hash and compared against the first hash recorded for
-//! the same *statement shape*: the normalized SQL text plus the public
+//! the same *statement shape*: the parser's token shape plus the public
 //! sizes the plan is allowed to depend on (table row counts and the
 //! result size — ObliDB leaks sizes by design, §2.3). Two runs with the
 //! same shape that touch untrusted memory differently can only have
@@ -28,7 +28,8 @@ use oblidb_enclave::{AccessKind, RegionId, Trace};
 /// produced two different traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditViolation {
-    /// The statement shape (normalized SQL + public sizes) that diverged.
+    /// The statement shape (the parser's token shape + public sizes) that
+    /// diverged.
     pub shape: String,
     /// Trace hash recorded the first time this shape ran.
     pub expected_hash: u64,
@@ -154,70 +155,25 @@ pub fn trace_hash(trace: &Trace, randomized: &[RegionId]) -> u64 {
     h
 }
 
-/// Builds the statement-shape key: the normalized SQL (literals masked,
-/// case and whitespace folded) concatenated with the public sizes the
-/// access pattern may legitimately depend on — each table's `(name, row
-/// count, flat insert cursor)` and the statement's result size. (The
-/// cursor is where a fast insert writes: the count of insertions so far,
-/// which table growth shows the adversary anyway, paper §3.1.) Everything
-/// else a trace varies with is, by ObliDB's contract, a leak.
-pub fn statement_shape(sql: &str, tables: &[(String, u64, u64)], output_rows: u64) -> String {
-    let mut shape = normalize_statement(sql);
+/// Builds the statement-shape key: the parser's token shape
+/// ([`crate::sql::Parsed::shape`]: literals masked, keyword case and
+/// spacing folded) concatenated with the public sizes the access pattern
+/// may legitimately depend on — each table's `(name, row count, flat
+/// insert cursor)` and the statement's result size. (The cursor is where a
+/// fast insert writes: the count of insertions so far, which table growth
+/// shows the adversary anyway, paper §3.1.) Everything else a trace varies
+/// with is, by ObliDB's contract, a leak.
+pub fn statement_shape(
+    mut shape: String,
+    tables: &[(String, u64, u64)],
+    output_rows: u64,
+) -> String {
     for (name, rows, cursor) in tables {
         shape.push_str(&format!("|t:{name}={rows}@{cursor}"));
     }
     shape.push_str("|out=");
     shape.push_str(&output_rows.to_string());
     shape
-}
-
-/// Normalizes SQL for shape keying: string literals and standalone
-/// numbers become `?`, letters fold to lowercase, and whitespace runs
-/// collapse to one space — so `SELECT … WHERE v = 3` and
-/// `select … where v = 7` share a shape (their traces must agree; the
-/// literal only selects *which* rows match, not how many blocks are
-/// touched) while structurally different statements never collide.
-pub fn normalize_statement(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut prev_space = true;
-    while let Some(c) = chars.next() {
-        if c == '\'' {
-            // Mask the quoted literal ('' escapes a quote inside it).
-            while let Some(q) = chars.next() {
-                if q == '\'' {
-                    if chars.peek() == Some(&'\'') {
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            out.push('?');
-            prev_space = false;
-        } else if c.is_ascii_digit()
-            && !out.chars().last().is_some_and(|p| p.is_ascii_alphanumeric() || p == '_')
-        {
-            // A number not continuing an identifier: mask the whole run.
-            while chars.peek().is_some_and(|d| d.is_ascii_digit() || *d == '.') {
-                chars.next();
-            }
-            out.push('?');
-            prev_space = false;
-        } else if c.is_whitespace() {
-            if !prev_space {
-                out.push(' ');
-            }
-            prev_space = true;
-        } else {
-            out.push(c.to_ascii_lowercase());
-            prev_space = false;
-        }
-    }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -227,25 +183,6 @@ mod tests {
 
     fn ev(region: u32, index: u64, kind: AccessKind) -> AccessEvent {
         AccessEvent { region: RegionId(region), index, kind }
-    }
-
-    #[test]
-    fn normalization_masks_literals_and_folds_case() {
-        assert_eq!(
-            normalize_statement("SELECT  v FROM t WHERE v = 31"),
-            "select v from t where v = ?"
-        );
-        assert_eq!(
-            normalize_statement("select v from t where v = 7"),
-            "select v from t where v = ?"
-        );
-        // Digits continuing an identifier (t2, c1x) stay; standalone
-        // number literals are masked.
-        assert_eq!(
-            normalize_statement("INSERT INTO t2 VALUES ('o''brien', 4)"),
-            "insert into t2 values (?, ?)"
-        );
-        assert_eq!(normalize_statement("select c1x from t"), "select c1x from t");
     }
 
     #[test]

@@ -36,10 +36,10 @@ use crate::plan::cost::{
 };
 use crate::plan::{
     AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
-    PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan, TxnVerb,
+    PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan,
 };
 use crate::predicate::Predicate;
-use crate::sql::{self, Projection, SelectItem, Statement};
+use crate::sql::{self, Parsed, Projection, SelectItem, Statement};
 use crate::table::{FlatTable, IndexedTable, TableStorage};
 use crate::types::{Column, DataType, Row, Schema, Value};
 
@@ -89,10 +89,10 @@ pub struct DbConfig {
     pub epoch: Option<crate::wal::EpochConfig>,
     /// Oblivious-trace auditing: when on, every statement records its
     /// access trace, hashes it, and checks the hash against the first
-    /// trace observed for the same statement *shape* (normalized SQL plus
-    /// the public table sizes). A divergence means an access pattern
-    /// depended on data, not just on public parameters — exactly the
-    /// property ObliDB promises never to violate. The default honors
+    /// trace observed for the same statement *shape* (the parser's token
+    /// shape plus the public table sizes). A divergence means an access
+    /// pattern depended on data, not just on public parameters — exactly
+    /// the property ObliDB promises never to violate. The default honors
     /// `OBLIDB_AUDIT=1`; statements that run while a caller already holds
     /// the trace channel are skipped (counted, never silently dropped).
     pub audit: bool,
@@ -201,11 +201,9 @@ pub struct Database<M: EnclaveMemory = Host> {
     /// Bumped on every catalog or data mutation; prepared statements
     /// re-plan transparently when their snapshot goes stale.
     version: u64,
-    /// Compiled SELECT plans keyed by statement text, each validated
-    /// against the catalog version it was planned under — repeated
-    /// `prepare` of the same SQL skips parsing, the preliminary scan, and
-    /// costing. Any catalog/data change (version bump) makes an
-    /// entry stale; DDL included.
+    /// Compiled SELECT plans keyed by [`Parsed::cache_key`] (shape and
+    /// literals), each valid for the catalog version it was planned under.
+    /// Any catalog/data change (version bump) makes an entry stale.
     plan_cache: HashMap<String, QueryPlan>,
     plan_cache_stats: PlanCacheStats,
     /// Per-statement-shape trace hashes when [`DbConfig::audit`] is on.
@@ -215,8 +213,8 @@ pub struct Database<M: EnclaveMemory = Host> {
 /// Hit/miss counters for the prepared-plan cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// `prepare` calls served from the cache (same SQL, same catalog
-    /// version — no parse, no preliminary scan, no costing).
+    /// `prepare` calls served from the cache (same shape and literals,
+    /// same catalog version — no preliminary scan, no costing).
     pub hits: u64,
     /// `prepare` calls that compiled a plan (first sight, or stale).
     pub misses: u64,
@@ -375,15 +373,15 @@ impl<M: EnclaveMemory> Database<M> {
         self.wal.as_ref().map_or(0, |w| w.len())
     }
 
-    /// Dry-run validation of an atomic statement batch (a transaction
-    /// commit): every statement must parse, be a mutation, target a table
+    /// Dry-run validation of an atomic batch of parsed statements (a
+    /// transaction commit): every one must be a mutation, target a table
     /// that exists (or that the batch itself creates), and carry values /
     /// predicates / assignments its schema accepts — all checked *before*
     /// the first statement executes, so a mid-batch rejection cannot
     /// leave the group half-applied. With a WAL, every statement must also
     /// fit one log record. After a clean validation, execution can still
     /// fail only on substrate I/O errors.
-    pub(crate) fn validate_batch(&self, statements: &[String]) -> Result<(), DbError> {
+    pub(crate) fn validate_batch(&self, statements: &[Parsed]) -> Result<(), DbError> {
         // Tables the batch itself creates, visible to its later statements.
         let mut created: Vec<(String, Schema)> = Vec::new();
         let lookup = |created: &[(String, Schema)], this: &Self, name: &str| {
@@ -392,11 +390,11 @@ impl<M: EnclaveMemory> Database<M> {
             }
             this.table_index(name).map(|i| this.tables[i].1.schema().clone())
         };
-        for stmt in statements {
+        for parsed in statements {
             if let Some(wal) = &self.wal {
-                wal.check_fits(stmt.as_bytes())?;
+                wal.check_fits(parsed.text().as_bytes())?;
             }
-            match sql::parse(stmt)? {
+            match parsed.statement() {
                 Statement::Create(c) => {
                     if self.table_index(&c.name).is_ok()
                         || created.iter().any(|(n, _)| n == &c.name)
@@ -430,7 +428,8 @@ impl<M: EnclaveMemory> Database<M> {
                 }
                 Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_) => {
                     return Err(DbError::Unsupported(format!(
-                        "read-only statement in an atomic commit batch: {stmt}"
+                        "read-only statement in an atomic commit batch: {}",
+                        parsed.text()
                     )));
                 }
                 Statement::Begin | Statement::Commit | Statement::Rollback => {
@@ -841,35 +840,44 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Parses and compiles one SQL statement into a physical plan without
-    /// executing it. The returned [`PreparedStatement`] can be inspected
-    /// ([`PreparedStatement::explain`]) and run — repeatedly; it re-plans
-    /// itself transparently if the database changed in between.
-    ///
-    /// Compiled SELECT plans are cached by statement text and validated
-    /// against the catalog version, so preparing the same SQL again with
-    /// no intervening change skips the preliminary scan and costing entirely
-    /// ([`Database::plan_cache_stats`] counts it). Mutations are never
-    /// cached — running one bumps the version, which would invalidate the
-    /// entry immediately anyway.
+    /// executing it: [`sql::parse`], then [`Database::prepare_parsed`].
     pub fn prepare(&mut self, query: &str) -> Result<PreparedStatement<'_, M>, DbError> {
+        self.prepare_parsed(sql::parse(query)?)
+    }
+
+    /// Compiles one parsed statement into a physical plan without executing
+    /// it. The returned [`PreparedStatement`] can be inspected
+    /// ([`PreparedStatement::explain`]) and run — repeatedly; it re-plans
+    /// itself transparently, without reparsing, if the database changed.
+    ///
+    /// SELECT plans are cached by the parser's token shape and literals
+    /// ([`Parsed::cache_key`]: spacing and keyword case do not matter) and
+    /// validated against the catalog version, so preparing the same
+    /// statement again with no intervening change skips the preliminary
+    /// scan and costing ([`Database::plan_cache_stats`] counts it).
+    /// Mutations are never cached: running one bumps the version anyway.
+    pub fn prepare_parsed(&mut self, parsed: Parsed) -> Result<PreparedStatement<'_, M>, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Prepare);
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::Prepares, 1);
-        if let Some(plan) =
-            self.plan_cache.get(query).filter(|p| p.version == self.version).cloned()
+        let key = matches!(
+            parsed.statement(),
+            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
+        )
+        .then(|| parsed.cache_key());
+        if let Some(plan) = key
+            .as_ref()
+            .and_then(|k| self.plan_cache.get(k))
+            .filter(|p| p.version == self.version)
+            .cloned()
         {
             self.plan_cache_stats.hits += 1;
             oblidb_telemetry::counter_add(oblidb_telemetry::Counter::PlanCacheHits, 1);
-            return Ok(PreparedStatement { db: self, sql: query.to_string(), plan });
+            return Ok(PreparedStatement { db: self, parsed, plan });
         }
         self.plan_cache_stats.misses += 1;
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::PlanCacheMisses, 1);
-        let plan = self.build_plan(query)?;
-        if matches!(
-            plan.action,
-            PlanAction::Select(_)
-                | PlanAction::ExplainSelect(_)
-                | PlanAction::ExplainAnalyzeSelect(_)
-        ) {
+        let plan = self.build_plan(parsed.statement())?;
+        if let Some(key) = key {
             if self.plan_cache.len() >= PLAN_CACHE_CAP {
                 let current = self.version;
                 self.plan_cache.retain(|_, p| p.version == current);
@@ -877,9 +885,9 @@ impl<M: EnclaveMemory> Database<M> {
                     self.plan_cache.clear();
                 }
             }
-            self.plan_cache.insert(query.to_string(), plan.clone());
+            self.plan_cache.insert(key, plan.clone());
         }
-        Ok(PreparedStatement { db: self, sql: query.to_string(), plan })
+        Ok(PreparedStatement { db: self, parsed, plan })
     }
 
     /// Prepared-plan cache counters (hits avoid re-planning entirely).
@@ -889,13 +897,12 @@ impl<M: EnclaveMemory> Database<M> {
 
     // ---- plan construction ------------------------------------------------
 
-    fn build_plan(&mut self, query: &str) -> Result<QueryPlan, DbError> {
+    fn build_plan(&mut self, statement: &Statement) -> Result<QueryPlan, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Plan);
-        let statement = sql::parse(query)?;
         let profile = self.config.planner.profile.clone();
         let action = match statement {
-            Statement::Create(c) => PlanAction::Create(c),
-            Statement::Insert(i) => PlanAction::Insert(i),
+            Statement::Create(c) => PlanAction::Create(c.clone()),
+            Statement::Insert(i) => PlanAction::Insert(i.clone()),
             Statement::Update(u) => {
                 let idx = self.table_index(&u.table)?;
                 let schema = self.tables[idx].1.schema().clone();
@@ -908,7 +915,7 @@ impl<M: EnclaveMemory> Database<M> {
                     .iter()
                     .map(|a| Ok((schema.col(&a.col)?, a.value.clone())))
                     .collect::<Result<_, DbError>>()?;
-                PlanAction::Update { table: u.table, assignments, pred }
+                PlanAction::Update { table: u.table.clone(), assignments, pred }
             }
             Statement::Delete(d) => {
                 let idx = self.table_index(&d.table)?;
@@ -917,16 +924,22 @@ impl<M: EnclaveMemory> Database<M> {
                     Some(w) => w.resolve(&schema)?,
                     None => Predicate::True,
                 };
-                PlanAction::Delete { table: d.table, pred }
+                PlanAction::Delete { table: d.table.clone(), pred }
             }
-            Statement::Select(s) => PlanAction::Select(self.plan_select(s, &profile)?),
-            Statement::Explain(s) => PlanAction::ExplainSelect(self.plan_select(s, &profile)?),
+            Statement::Select(s) => PlanAction::Select(self.plan_select(s.clone(), &profile)?),
+            Statement::Explain(s) => {
+                PlanAction::ExplainSelect(self.plan_select(s.clone(), &profile)?)
+            }
             Statement::ExplainAnalyze(s) => {
-                PlanAction::ExplainAnalyzeSelect(self.plan_select(s, &profile)?)
+                PlanAction::ExplainAnalyzeSelect(self.plan_select(s.clone(), &profile)?)
             }
-            Statement::Begin => PlanAction::TxnControl(TxnVerb::Begin),
-            Statement::Commit => PlanAction::TxnControl(TxnVerb::Commit),
-            Statement::Rollback => PlanAction::TxnControl(TxnVerb::Rollback),
+            Statement::Begin | Statement::Commit | Statement::Rollback => {
+                return Err(DbError::Unsupported(
+                    "BEGIN / COMMIT / ROLLBACK require a transaction session (oblidb::txn) — \
+                     a bare engine has no statement buffer to control"
+                        .into(),
+                ))
+            }
         };
         Ok(QueryPlan { action, profile, version: self.version })
     }
@@ -1254,7 +1267,7 @@ impl<M: EnclaveMemory> Database<M> {
     /// statement shape (see [`crate::audit`]). Auditing borrows the trace
     /// channel — a statement that runs while the caller is already tracing
     /// is counted as a skip, never silently unaudited.
-    fn run_plan(&mut self, plan: &mut QueryPlan, query: &str) -> Result<QueryOutput, DbError> {
+    fn run_plan(&mut self, plan: &mut QueryPlan, parsed: &Parsed) -> Result<QueryOutput, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Run);
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::StatementsRun, 1);
         let timed = oblidb_telemetry::enabled().then(std::time::Instant::now);
@@ -1265,12 +1278,13 @@ impl<M: EnclaveMemory> Database<M> {
         if audit {
             self.host.start_trace();
         }
-        let result = self.run_plan_inner(plan, query);
+        let result = self.run_plan_inner(plan, parsed.text());
         if audit {
             let trace = self.host.take_trace();
             if let Ok(out) = &result {
                 let tables = self.public_sizes();
-                let shape = crate::audit::statement_shape(query, &tables, out.plan.output_rows);
+                let shape =
+                    crate::audit::statement_shape(parsed.shape(), &tables, out.plan.output_rows);
                 self.auditor.observe(&shape, &trace, &self.position_randomized_regions());
             }
         }
@@ -1413,11 +1427,6 @@ impl<M: EnclaveMemory> Database<M> {
             PlanAction::ExplainSelect(_) | PlanAction::ExplainAnalyzeSelect(_) => {
                 unreachable!("handled above")
             }
-            PlanAction::TxnControl(verb) => Err(DbError::Unsupported(format!(
-                "{} requires a transaction session (oblidb::txn) — a bare engine has no \
-                 statement buffer to control",
-                verb.keyword()
-            ))),
         }
     }
 
@@ -1805,7 +1814,7 @@ impl<M: EnclaveMemory> Database<M> {
 /// ```
 pub struct PreparedStatement<'db, M: EnclaveMemory> {
     db: &'db mut Database<M>,
-    sql: String,
+    parsed: Parsed,
     plan: QueryPlan,
 }
 
@@ -1827,9 +1836,9 @@ impl<M: EnclaveMemory> PreparedStatement<'_, M> {
     /// their outputs from them).
     pub fn run(&mut self) -> Result<QueryOutput, DbError> {
         if self.plan.version != self.db.version {
-            self.plan = self.db.build_plan(&self.sql)?;
+            self.plan = self.db.build_plan(self.parsed.statement())?;
         }
-        self.db.run_plan(&mut self.plan, &self.sql)
+        self.db.run_plan(&mut self.plan, &self.parsed)
     }
 }
 
@@ -2479,6 +2488,9 @@ mod tests {
     fn plan_cache_hits_skip_replanning_and_invalidate_on_change() {
         let mut db = db();
         setup_people(&mut db, StorageMethod::Flat);
+        // A case-distinct table: the catalog, and so the cache, tell
+        // `People` from `people`.
+        db.execute("CREATE TABLE People (id INT) CAPACITY 64").unwrap();
         let q = "SELECT * FROM people WHERE id < 6";
         assert_eq!(db.prepare(q).unwrap().run().unwrap().len(), 6);
         let after_first = db.plan_cache_stats();
@@ -2495,6 +2507,16 @@ mod tests {
         assert_eq!(db.plan_cache_stats().hits, after_first.hits + 1);
         // A cached plan still runs correctly (fresh output regions).
         assert_eq!(db.prepare(q).unwrap().run().unwrap().len(), 6);
+        // The key is the token shape plus literals: spacing and keyword
+        // case do not matter, a case-distinct table name does.
+        assert_eq!(
+            db.prepare("select *  from people\nwhere id<6;").unwrap().run().unwrap().len(),
+            6
+        );
+        assert_eq!(db.plan_cache_stats().hits, after_first.hits + 3);
+        let misses = db.plan_cache_stats().misses;
+        assert!(db.prepare("SELECT * FROM People WHERE id < 6").unwrap().run().unwrap().is_empty());
+        assert_eq!(db.plan_cache_stats().misses, misses + 1);
 
         // Any mutation (data or DDL) bumps the version: stale entry,
         // re-planned, and the fresh row is visible.

@@ -7,8 +7,8 @@
 //! session on it, one at a time:
 //!
 //! * **One engine, serial statements.** Reads, writes, DDL and atomic
-//!   batches all lock the master and call [`Database::execute`], exactly
-//!   as a single-owner caller would. Any schedule of sessions is therefore
+//!   batches all lock the master and prepare and run on it
+//!   ([`Database::prepare_parsed`]), exactly as a single-owner caller would. Any schedule of sessions is therefore
 //!   a serial schedule: results, sealed bytes, and access traces are
 //!   bit-identical to replaying the same statements, in lock order, on
 //!   one `Database` — there is no second execution path to diverge.
@@ -39,6 +39,7 @@ use oblidb_enclave::{EnclaveMemory, SessionMemory, SharedMemory, Trace};
 
 use crate::audit::{AuditReport, AuditViolation};
 use crate::error::DbError;
+use crate::sql::{self, Parsed};
 
 use super::{Database, DbConfig, PlanCacheStats, QueryOutput};
 
@@ -227,10 +228,20 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
 }
 
 impl<M: EnclaveMemory + Send> Session<M> {
-    /// Parses and executes one SQL statement on the shared engine; results
-    /// and errors are exactly what a single-owner [`Database`] returns.
+    /// Parses one SQL statement, outside the engine lock, and executes it
+    /// with [`Session::execute_parsed`]. A parse error is counted like any
+    /// other failed statement.
     pub fn execute(&mut self, sql_text: &str) -> Result<QueryOutput, DbError> {
-        let result = self.db.admin(|master| master.execute(sql_text));
+        match sql::parse(sql_text) {
+            Ok(parsed) => self.execute_parsed(parsed),
+            Err(e) => self.account(1, Err(e)),
+        }
+    }
+
+    /// Executes one parsed statement on the shared engine; results and
+    /// errors are exactly what a single-owner [`Database`] returns.
+    pub fn execute_parsed(&mut self, parsed: Parsed) -> Result<QueryOutput, DbError> {
+        let result = self.db.admin(|master| master.prepare_parsed(parsed)?.run());
         self.account(1, result)
     }
 
@@ -246,21 +257,22 @@ impl<M: EnclaveMemory + Send> Session<M> {
         (self.account(1, result), trace)
     }
 
-    /// Executes a statement batch atomically: all of it becomes visible
-    /// under one engine-lock hold, or none of it runs. The batch is
-    /// dry-run validated first (parse, table/column resolution, value
-    /// typing, WAL record size — see `Database::validate_batch`), so the
-    /// only failures past the first executed statement are substrate I/O
-    /// errors. This is the commit path of `oblidb::txn` transactions;
+    /// Executes a batch of parsed statements atomically: all of it becomes
+    /// visible under one engine-lock hold, or none of it runs. The batch is
+    /// dry-run validated first, without reparsing (table/column resolution,
+    /// value typing, WAL record size — see `Database::validate_batch`), so
+    /// the only failures past the first executed statement are substrate
+    /// I/O errors. This is the commit path of `oblidb::txn` transactions;
     /// under an epoch scheduler the whole batch lands inside one WAL epoch
     /// and shares its group fsync. Counted against this session: every
     /// statement of the batch, and one error if it is rejected.
-    pub fn execute_atomic(&mut self, statements: &[String]) -> Result<Vec<QueryOutput>, DbError> {
+    pub fn execute_atomic(&mut self, statements: Vec<Parsed>) -> Result<Vec<QueryOutput>, DbError> {
+        let n = statements.len() as u64;
         let result = self.db.admin(|master| {
-            master.validate_batch(statements)?;
-            statements.iter().map(|stmt| master.execute(stmt)).collect()
+            master.validate_batch(&statements)?;
+            statements.into_iter().map(|parsed| master.prepare_parsed(parsed)?.run()).collect()
         });
-        self.account(statements.len() as u64, result)
+        self.account(n, result)
     }
 
     /// The one place this session's counters move: adds `statements` to

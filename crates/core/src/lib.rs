@@ -48,7 +48,6 @@ pub use db::{
 };
 pub use error::DbError;
 pub use plan::cost::{CostProfile, JoinAlgo, SelectAlgo, CALIBRATION_FILE};
-pub use plan::TxnVerb;
 pub use plan::{Explain, NodeCost, PlanNode, QueryPlan};
 pub use predicate::Predicate;
 pub use types::{Column, DataType, Row, Schema, Value};

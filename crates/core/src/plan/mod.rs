@@ -404,32 +404,6 @@ pub enum PlanAction {
     /// render the tree with measured per-node time/crossings/bytes next
     /// to the planner's estimates.
     ExplainAnalyzeSelect(SelectPlan),
-    /// `BEGIN` / `COMMIT` / `ROLLBACK`. The engine itself never runs
-    /// these — a transaction session intercepts them before planning —
-    /// so executing one is a typed error, not a query.
-    TxnControl(TxnVerb),
-}
-
-/// Which transaction-control statement a [`PlanAction::TxnControl`] is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnVerb {
-    /// `BEGIN [TRANSACTION]`.
-    Begin,
-    /// `COMMIT`.
-    Commit,
-    /// `ROLLBACK`.
-    Rollback,
-}
-
-impl TxnVerb {
-    /// The SQL keyword, for error messages.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            TxnVerb::Begin => "BEGIN",
-            TxnVerb::Commit => "COMMIT",
-            TxnVerb::Rollback => "ROLLBACK",
-        }
-    }
 }
 
 /// A compiled statement: the action, the cost profile its estimates were
@@ -475,9 +449,6 @@ impl Explain {
             }
             PlanAction::Delete { table, .. } => {
                 lines.push(format!("Delete from {table} (oblivious rewrite pass)"))
-            }
-            PlanAction::TxnControl(verb) => {
-                lines.push(format!("{} (transaction control)", verb.keyword()))
             }
             PlanAction::Select(s)
             | PlanAction::ExplainSelect(s)

@@ -25,6 +25,9 @@ impl Token {
     }
 }
 
+/// Punctuation and operators, two-character ones first.
+const SYMBOLS: [&str; 12] = ["<=", ">=", "<>", "!=", "(", ")", ",", "*", ";", "=", "<", ">"];
+
 /// Tokenizes a SQL string.
 pub fn tokenize(input: &str) -> Result<Vec<Token>, DbError> {
     let mut tokens = Vec::new();
@@ -34,69 +37,33 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, DbError> {
         let c = bytes[i] as char;
         match c {
             ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' | ')' | ',' | '*' | ';' => {
-                tokens.push(Token::Sym(match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '*' => "*",
-                    _ => ";",
-                }));
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Sym("="));
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Sym("<="));
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    tokens.push(Token::Sym("<>"));
-                    i += 2;
-                } else {
-                    tokens.push(Token::Sym("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Sym(">="));
-                    i += 2;
-                } else {
-                    tokens.push(Token::Sym(">"));
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token::Sym("<>"));
-                    i += 2;
-                } else {
+            '(' | ')' | ',' | '*' | ';' | '=' | '<' | '>' | '!' => {
+                // Longest match first; `!=` is spelled `<>`.
+                let Some(sym) = SYMBOLS.iter().find(|s| input[i..].starts_with(**s)) else {
                     return Err(DbError::Sql(format!("unexpected character '!' at {i}")));
-                }
+                };
+                tokens.push(Token::Sym(if *sym == "!=" { "<>" } else { sym }));
+                i += sym.len();
             }
             '\'' => {
-                let start = i + 1;
-                let mut j = start;
+                // Slices of the input between quotes, so multi-byte UTF-8
+                // stays intact; `''` inside the literal is one quote.
                 let mut s = String::new();
+                let mut j = i + 1;
                 loop {
-                    match bytes.get(j) {
-                        Some(b'\'') if bytes.get(j + 1) == Some(&b'\'') => {
-                            s.push('\'');
-                            j += 2;
-                        }
-                        Some(b'\'') => break,
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
-                        None => return Err(DbError::Sql("unterminated string".into())),
+                    let Some(end) = input[j..].find('\'') else {
+                        return Err(DbError::Sql("unterminated string".into()));
+                    };
+                    s.push_str(&input[j..j + end]);
+                    j += end + 1;
+                    if bytes.get(j) != Some(&b'\'') {
+                        break;
                     }
+                    s.push('\'');
+                    j += 1;
                 }
                 tokens.push(Token::Str(s));
-                i = j + 1;
+                i = j;
             }
             '-' | '0'..='9' => {
                 let start = i;
@@ -185,12 +152,16 @@ mod tests {
             })
             .collect();
         assert_eq!(syms, vec!["<=", ">=", "<>", "<>", "<", ">"]);
+        assert!(tokenize("a ! b").is_err());
     }
 
     #[test]
     fn string_with_escape() {
         let toks = tokenize("'it''s'").unwrap();
         assert_eq!(toks, vec![Token::Str("it's".into())]);
+        // Non-ASCII text keeps its UTF-8 bytes: 'café' is five bytes.
+        let toks = tokenize("'café' 'naïve''s'").unwrap();
+        assert_eq!(toks, vec![Token::Str("café".into()), Token::Str("naïve's".into())]);
     }
 
     #[test]

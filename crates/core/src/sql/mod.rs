@@ -14,4 +14,4 @@ pub use ast::{
     Statement, Update,
 };
 pub use lexer::{tokenize, Token};
-pub use parser::parse;
+pub use parser::{parse, parses_on_this_thread, Parsed};

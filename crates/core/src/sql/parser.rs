@@ -1,5 +1,8 @@
 //! Recursive-descent SQL parser.
 
+use std::cell::Cell;
+use std::fmt::Write as _;
+
 use crate::db::StorageMethod;
 use crate::error::DbError;
 use crate::exec::AggFunc;
@@ -33,8 +36,11 @@ impl Parser {
         Ok(t)
     }
 
+    /// Consumes `kw` if it is next, rewriting its token to the canonical
+    /// lowercase spelling so a statement's shape ignores keyword case.
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().is_some_and(|t| t.is_kw(kw)) {
+        if let Some(Token::Ident(s)) = self.tokens.get_mut(self.pos).filter(|t| t.is_kw(kw)) {
+            s.make_ascii_lowercase();
             self.pos += 1;
             true
         } else {
@@ -117,9 +123,13 @@ impl Parser {
         } else {
             return Err(DbError::Sql(format!("unknown statement start: {:?}", self.peek())));
         };
-        self.eat_sym(";");
+        let semicolon = self.eat_sym(";");
         if self.pos != self.tokens.len() {
             return Err(DbError::Sql(format!("trailing tokens from {:?}", self.peek())));
+        }
+        if semicolon {
+            // A closing `;` is not part of the statement's shape.
+            self.tokens.pop();
         }
         Ok(stmt)
     }
@@ -368,11 +378,80 @@ impl Parser {
     }
 }
 
+/// One statement, parsed once: the AST every layer runs, the source text
+/// the WAL logs, and the parser's tokens, from which the statement's shape
+/// and plan-cache key are rendered only when asked for.
+#[derive(Debug)]
+pub struct Parsed {
+    statement: Statement,
+    text: String,
+    /// Keywords in canonical lowercase; identifiers as written, since the
+    /// catalog is case-sensitive.
+    tokens: Vec<Token>,
+}
+
+impl Parsed {
+    /// The parsed statement.
+    pub fn statement(&self) -> &Statement {
+        &self.statement
+    }
+
+    /// The source text, as given to [`parse`].
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The statement's shape: the parser's tokens space-joined, with every
+    /// literal written as `?`. Statements that differ only in literal
+    /// values, spacing or keyword case share a shape; `t` and `T` are
+    /// different tables, so they do not.
+    pub fn shape(&self) -> String {
+        self.render(false)
+    }
+
+    /// The plan-cache key: the shape with each literal written back in,
+    /// typed and exact (`Int(3)`, `Str("x")`), so the key is the pair
+    /// (shape, literals) in one string.
+    pub fn cache_key(&self) -> String {
+        self.render(true)
+    }
+
+    fn render(&self, literals: bool) -> String {
+        let mut out = String::with_capacity(self.text.len());
+        for (i, token) in self.tokens.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            match token {
+                Token::Ident(s) => out.push_str(s),
+                Token::Sym(s) => out.push_str(s),
+                literal if literals => {
+                    let _ = write!(out, "{literal:?}");
+                }
+                _ => out.push('?'),
+            }
+        }
+        out
+    }
+}
+
+thread_local! {
+    static PARSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times [`parse`] has run on the calling thread: a count that
+/// tests can read without racing other threads.
+pub fn parses_on_this_thread() -> u64 {
+    PARSES.with(Cell::get)
+}
+
 /// Parses one SQL statement.
-pub fn parse(sql: &str) -> Result<Statement, DbError> {
+pub fn parse(sql: &str) -> Result<Parsed, DbError> {
+    PARSES.with(|n| n.set(n.get() + 1));
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
-    p.statement()
+    let statement = p.statement()?;
+    Ok(Parsed { statement, text: sql.to_string(), tokens: p.tokens })
 }
 
 #[cfg(test)]
@@ -385,7 +464,8 @@ mod tests {
             "CREATE TABLE users (id INT, name CHAR(16), score FLOAT) \
              STORAGE = BOTH INDEX ON id CAPACITY 5000",
         )
-        .unwrap();
+        .unwrap()
+        .statement;
         let Statement::Create(c) = stmt else { panic!() };
         assert_eq!(c.name, "users");
         assert_eq!(c.columns.len(), 3);
@@ -397,7 +477,7 @@ mod tests {
 
     #[test]
     fn insert_values() {
-        let stmt = parse("INSERT INTO t VALUES (1, 'bob', 2.5)").unwrap();
+        let stmt = parse("INSERT INTO t VALUES (1, 'bob', 2.5)").unwrap().statement;
         let Statement::Insert(i) = stmt else { panic!() };
         assert_eq!(i.table, "t");
         assert_eq!(i.values, vec![Value::Int(1), Value::Text("bob".into()), Value::Float(2.5)]);
@@ -405,8 +485,9 @@ mod tests {
 
     #[test]
     fn select_star_where() {
-        let stmt =
-            parse("SELECT * FROM Checkins WHERE uid = 3172 AND date > '2018-01-01'").unwrap();
+        let stmt = parse("SELECT * FROM Checkins WHERE uid = 3172 AND date > '2018-01-01'")
+            .unwrap()
+            .statement;
         let Statement::Select(s) = stmt else { panic!() };
         assert_eq!(s.table, "Checkins");
         assert!(matches!(s.projection, Projection::Star));
@@ -415,7 +496,9 @@ mod tests {
 
     #[test]
     fn select_aggregates_group_by() {
-        let stmt = parse("SELECT grp, SUM(v), COUNT(*) FROM t WHERE v > 0 GROUP BY grp").unwrap();
+        let stmt = parse("SELECT grp, SUM(v), COUNT(*) FROM t WHERE v > 0 GROUP BY grp")
+            .unwrap()
+            .statement;
         let Statement::Select(s) = stmt else { panic!() };
         let Projection::Items(items) = &s.projection else { panic!() };
         assert_eq!(items.len(), 3);
@@ -429,7 +512,8 @@ mod tests {
     fn select_join() {
         let stmt =
             parse("SELECT * FROM R JOIN UV ON R.pageURL = UV.destURL WHERE UV.adRevenue > 0.5")
-                .unwrap();
+                .unwrap()
+                .statement;
         let Statement::Select(s) = stmt else { panic!() };
         let j = s.join.unwrap();
         assert_eq!(j.table, "UV");
@@ -439,7 +523,7 @@ mod tests {
 
     #[test]
     fn join_with_reversed_on_order() {
-        let stmt = parse("SELECT * FROM R JOIN UV ON UV.destURL = R.pageURL").unwrap();
+        let stmt = parse("SELECT * FROM R JOIN UV ON UV.destURL = R.pageURL").unwrap().statement;
         let Statement::Select(s) = stmt else { panic!() };
         let j = s.join.unwrap();
         assert_eq!(j.left_col, "pageURL");
@@ -448,19 +532,19 @@ mod tests {
 
     #[test]
     fn update_and_delete() {
-        let stmt = parse("UPDATE t SET a = 1, b = 'x' WHERE id <> 9").unwrap();
+        let stmt = parse("UPDATE t SET a = 1, b = 'x' WHERE id <> 9").unwrap().statement;
         let Statement::Update(u) = stmt else { panic!() };
         assert_eq!(u.sets.len(), 2);
         assert!(u.where_clause.is_some());
 
-        let stmt = parse("DELETE FROM t WHERE id >= 100").unwrap();
+        let stmt = parse("DELETE FROM t WHERE id >= 100").unwrap().statement;
         let Statement::Delete(d) = stmt else { panic!() };
         assert_eq!(d.table, "t");
     }
 
     #[test]
     fn predicate_precedence() {
-        let stmt = parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3").unwrap();
+        let stmt = parse("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3").unwrap().statement;
         let Statement::Select(s) = stmt else { panic!() };
         // AND binds tighter: Or(a=1, And(b=2, c=3)).
         let Some(PredExpr::Or(l, r)) = s.where_clause else { panic!() };
@@ -470,7 +554,7 @@ mod tests {
 
     #[test]
     fn parenthesized_predicates() {
-        let stmt = parse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND NOT c = 3").unwrap();
+        let stmt = parse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND NOT c = 3").unwrap().statement;
         let Statement::Select(s) = stmt else { panic!() };
         let Some(PredExpr::And(l, r)) = s.where_clause else { panic!() };
         assert!(matches!(*l, PredExpr::Or(_, _)));
@@ -479,17 +563,41 @@ mod tests {
 
     #[test]
     fn order_by_and_limit() {
-        let stmt = parse("SELECT * FROM t WHERE a > 0 ORDER BY a DESC LIMIT 10").unwrap();
+        let stmt = parse("SELECT * FROM t WHERE a > 0 ORDER BY a DESC LIMIT 10").unwrap().statement;
         let Statement::Select(s) = stmt else { panic!() };
         assert_eq!(s.order_by, Some(("a".into(), true)));
         assert_eq!(s.limit, Some(10));
 
-        let stmt = parse("SELECT * FROM t ORDER BY b").unwrap();
+        let stmt = parse("SELECT * FROM t ORDER BY b").unwrap().statement;
         let Statement::Select(s) = stmt else { panic!() };
         assert_eq!(s.order_by, Some(("b".into(), false)));
         assert_eq!(s.limit, None);
 
         assert!(parse("SELECT * FROM t LIMIT x").is_err());
+    }
+
+    #[test]
+    fn shape_masks_literals_and_folds_keyword_case_only() {
+        let a = parse("SELECT  k FROM t WHERE v = 31;").unwrap();
+        let b = parse("select k from t where v=7").unwrap();
+        assert_eq!(a.shape(), "select k from t where v = ?");
+        assert_eq!(a.shape(), b.shape());
+        assert_ne!(a.cache_key(), b.cache_key());
+        assert_eq!(a.text(), "SELECT  k FROM t WHERE v = 31;");
+        // Identifiers keep their case: `T` and `t` are different tables.
+        assert_eq!(parse("SELECT * FROM T").unwrap().shape(), "select * from T");
+        // Digits inside an identifier stay; every literal form is masked,
+        // and the key keeps each literal's type.
+        let insert = parse("INSERT INTO t2 VALUES ('o''brien', 4, -2.5e3)").unwrap();
+        assert_eq!(insert.shape(), "insert into t2 values ( ? , ? , ? )");
+        assert_eq!(
+            insert.cache_key(),
+            r#"insert into t2 values ( Str("o'brien") , Int(4) , Float(-2500.0) )"#
+        );
+        assert_ne!(
+            parse("SELECT k FROM t WHERE v = 3").unwrap().cache_key(),
+            parse("SELECT k FROM t WHERE v = 3.0").unwrap().cache_key()
+        );
     }
 
     #[test]

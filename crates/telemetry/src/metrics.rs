@@ -21,7 +21,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Statements prepared (parse + plan or cache hit).
+    /// Statements prepared (plan or cache hit).
     Prepares,
     /// Prepared-plan cache hits.
     PlanCacheHits,

@@ -57,7 +57,8 @@ struct Ring {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum SpanKind {
-    /// `Database::prepare`: parse + plan (or plan-cache hit).
+    /// `Database::prepare_parsed`: plan (or plan-cache hit) of a statement
+    /// its text entry point has already parsed.
     Prepare,
     /// Physical plan construction: preliminary scans and costing.
     Plan,

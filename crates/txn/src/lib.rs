@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use oblidb_core::sql::{self, Statement};
+use oblidb_core::sql::{self, Parsed, Statement};
 use oblidb_core::{DbError, EpochConfig, QueryOutput, Session, SessionStats, SharedDatabase};
 use oblidb_enclave::EnclaveMemory;
 
@@ -230,8 +230,8 @@ pub struct TxnSession<M: EnclaveMemory + Send = oblidb_enclave::Host> {
     session: Session<M>,
     manager: TxnManager<M>,
     /// `Some` while a transaction is open: the buffered mutation
-    /// statements, in arrival order.
-    buffer: Option<Vec<String>>,
+    /// statements, parsed once on arrival, in arrival order.
+    buffer: Option<Vec<Parsed>>,
 }
 
 impl<M: EnclaveMemory + Send> TxnSession<M> {
@@ -282,7 +282,7 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
             return Ok(TxnOutcome::Committed { statements: 0 });
         }
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::TxnCommit);
-        match self.session.execute_atomic(&statements) {
+        match self.session.execute_atomic(statements) {
             Ok(_) => {
                 oblidb_telemetry::counter_add(oblidb_telemetry::Counter::TxnCommits, 1);
                 self.manager.note_applied(n)?;
@@ -316,34 +316,31 @@ impl<M: EnclaveMemory + Send> TxnSession<M> {
     /// * outside one, everything autocommits exactly like
     ///   [`Session::execute`] — and, under an epoch scheduler, joins the
     ///   open epoch's group fsync.
+    ///
+    /// The statement is parsed once, here; an unparsable one is counted as
+    /// a session error.
     pub fn execute(&mut self, sql_text: &str) -> Result<TxnOutcome, DbError> {
-        let Ok(statement) = sql::parse(sql_text) else {
-            // The session rejects it with the same parse error, and
-            // counts it.
-            return self.session.execute(sql_text).map(TxnOutcome::Statement);
+        let parsed = match sql::parse(sql_text) {
+            Ok(parsed) => parsed,
+            Err(e) => return self.session.account(1, Err(e)),
         };
-        match statement {
-            Statement::Begin => self.begin(),
-            Statement::Commit => self.commit(),
-            Statement::Rollback => self.rollback(),
+        let mutation = matches!(
+            parsed.statement(),
             Statement::Create(_)
-            | Statement::Insert(_)
-            | Statement::Update(_)
-            | Statement::Delete(_)
-                if self.buffer.is_some() =>
-            {
-                self.buffer.as_mut().expect("checked").push(sql_text.to_string());
+                | Statement::Insert(_)
+                | Statement::Update(_)
+                | Statement::Delete(_)
+        );
+        match (parsed.statement(), &mut self.buffer) {
+            (Statement::Begin, _) => self.begin(),
+            (Statement::Commit, _) => self.commit(),
+            (Statement::Rollback, _) => self.rollback(),
+            (_, Some(buffer)) if mutation => {
+                buffer.push(parsed);
                 Ok(TxnOutcome::Buffered)
             }
-            stmt => {
-                let mutation = matches!(
-                    stmt,
-                    Statement::Create(_)
-                        | Statement::Insert(_)
-                        | Statement::Update(_)
-                        | Statement::Delete(_)
-                );
-                let out = self.session.execute(sql_text)?;
+            _ => {
+                let out = self.session.execute_parsed(parsed)?;
                 if mutation {
                     self.manager.note_applied(1)?;
                 }
@@ -441,6 +438,45 @@ mod tests {
         assert_eq!(s.stats().errors, 3);
         let metrics = s.database().metrics_snapshot().to_text();
         assert!(metrics.contains("db_statement_errors 3\n"), "{metrics}");
+    }
+
+    /// Each statement is parsed once, at its entry point, whichever path
+    /// it takes: buffered then committed, autocommitted, read, rejected,
+    /// or re-run as a stale prepared statement. The count is per thread,
+    /// so parallel tests do not disturb it.
+    #[test]
+    fn every_statement_is_parsed_once() {
+        let mgr = manager(None);
+        let mut s = mgr.session();
+        s.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+        let parses = sql::parses_on_this_thread;
+
+        let before = parses();
+        s.execute("BEGIN").unwrap();
+        for i in 0..3 {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+        }
+        s.execute("COMMIT").unwrap();
+        assert_eq!(parses() - before, 5, "BEGIN, three INSERTs, COMMIT");
+
+        let before = parses();
+        s.execute("INSERT INTO t VALUES (3, 3)").unwrap();
+        assert_eq!(rows(&s.execute("SELECT * FROM t").unwrap()).len(), 4);
+        assert_eq!(parses() - before, 2, "autocommit INSERT and a SELECT");
+
+        let (before, errors) = (parses(), s.stats().errors);
+        assert!(s.execute("SELEC nope").is_err());
+        assert_eq!(parses() - before, 1, "a malformed statement");
+        assert_eq!(s.stats().errors, errors + 1);
+
+        let before = parses();
+        mgr.db().admin(|db| {
+            let mut delete = db.prepare("DELETE FROM t WHERE id = 3").unwrap();
+            assert_eq!(delete.run().unwrap().rows_affected, Some(1));
+            // The DELETE bumped the catalog version: this run re-plans.
+            assert_eq!(delete.run().unwrap().rows_affected, Some(0));
+        });
+        assert_eq!(parses() - before, 1, "a stale prepared statement re-plans without reparsing");
     }
 
     #[test]

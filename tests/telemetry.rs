@@ -198,8 +198,8 @@ fn explain_analyze_is_cacheable_and_rerunnable() {
 
 /// Injected data-dependent access pattern, caught. The adaptive planner's
 /// operator choice reacts to match *contiguity* — payload data, not a
-/// public size. Two runs of the same statement shape (same normalized
-/// SQL, table sizes, output size) over contiguous vs scattered matches
+/// public size. Two runs of the same statement shape (same token shape
+/// from the parser, table sizes, output size) over contiguous vs scattered matches
 /// pick different operators and therefore touch untrusted memory
 /// differently: exactly the §2.3 plan leakage, and the auditor flags it —
 /// on a single-owner engine and through a `SharedDatabase` session alike.
@@ -265,6 +265,32 @@ fn auditor_flags_data_dependent_plan_choice() {
         "unexpected shape: {}",
         violations[0].shape
     );
+}
+
+/// The auditor keys a statement by the parser's tokens, not by folded
+/// text. Case-distinct tables are different statements, so full scans of
+/// `T` and `t` (same row count, different capacities) are not compared;
+/// spacing and keyword case never split one statement into two shapes.
+#[test]
+fn auditor_shapes_come_from_the_parsers_tokens() {
+    let _g = gate();
+    telemetry::set_enabled(false);
+    let mut db = Database::new(DbConfig { audit: true, ..DbConfig::default() });
+    db.execute("CREATE TABLE T (k INT, v INT) CAPACITY 64").unwrap();
+    db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 128").unwrap();
+    for i in 0..8 {
+        db.execute(&format!("INSERT INTO T VALUES ({i}, {})", i % 4)).unwrap();
+        db.execute(&format!("INSERT INTO t VALUES ({i}, {})", i % 4)).unwrap();
+    }
+    db.execute("SELECT * FROM T").unwrap();
+    db.execute("SELECT * FROM t").unwrap();
+    assert!(db.audit_violations().is_empty(), "false positive: {:?}", db.audit_violations());
+
+    let shapes = db.audit_report().shapes;
+    assert_eq!(db.execute("SELECT k FROM t WHERE v = 2").unwrap().len(), 2);
+    assert_eq!(db.execute("select k from t where v=3").unwrap().len(), 2);
+    assert_eq!(db.audit_report().shapes, shapes + 1, "one statement, one shape");
+    assert!(db.audit_violations().is_empty(), "{:?}", db.audit_violations());
 }
 
 /// Where a block lands is not always the statement's doing. A Path ORAM
