@@ -2,9 +2,10 @@
 //!
 //! The engine does not plan with these: it counts each candidate
 //! operator's accesses from public sizes (`oblidb_core::plan::cost`). The rules
-//! are kept as the reference the Figure 13/14 harnesses print beside the
-//! engine's pick and the parity suite compares against — price a rule's
-//! pick by running the engine with `force_select` / `force_join` set to it.
+//! are kept as the reference the planner-parity suite
+//! (`tests/planner_cost.rs`, property 2) and the `planner` bench compare
+//! the engine's pick against — price a rule's pick by running the engine
+//! with `force_select` / `force_join` set to it.
 
 use oblidb_core::plan::cost::{JoinAlgo, SelectAlgo, SelectStats};
 
@@ -99,8 +100,9 @@ fn sort_join_cost(n1: u64, n2: u64, chunk: u64) -> u64 {
 
 /// Cost model for the hash join. Each probe step costs one T2 read, one
 /// (joined-row) output write, and one output-region creation write —
-/// hence the weight of 3 on the per-pass term, validated cell-by-cell
-/// against the fig14 grid.
+/// hence the weight of 3 on the per-pass term. The rule's picks are run
+/// and measured against the engine's by
+/// `cost_based_join_never_exceeds_closed_form` in `tests/planner_cost.rs`.
 fn hash_join_cost(n1: u64, n2: u64, chunk_rows: u64) -> u64 {
     let passes = n1.div_ceil(chunk_rows.max(1));
     n1 + passes * n2 * 3
@@ -162,7 +164,7 @@ mod tests {
         let stats = SelectStats { matches: 950, continuous: false };
         assert_eq!(choose_select(stats, 1000, 64, 16 * 64, true), SelectAlgo::Large);
         // Plentiful OM: the whole result fits in one enclave buffer and
-        // Small beats Large on accesses (fig13 at small scale).
+        // Small beats Large on accesses.
         assert_eq!(choose_select(stats, 1000, 64, 1 << 20, true), SelectAlgo::Small);
     }
 

@@ -39,7 +39,7 @@ const GEOMETRIES: [(usize, &[usize]); 6] =
 /// Iterations sized so each timed pass moves ~2 MiB (one call in smoke
 /// mode); small blocks get at least 64 passes over the batch.
 fn iters(total_bytes: usize) -> usize {
-    if oblidb_bench::harness::smoke_mode() {
+    if oblidb_bench::smoke_mode() {
         1
     } else {
         (2 * 1024 * 1024 / total_bytes).max(64)
@@ -49,7 +49,7 @@ fn iters(total_bytes: usize) -> usize {
 /// Mean seconds per call of `f`: the fastest of five timed passes (one in
 /// smoke mode), so a scheduler hiccup in one pass does not set the row.
 fn best_mean(total_bytes: usize, mut f: impl FnMut()) -> f64 {
-    let passes = if oblidb_bench::harness::smoke_mode() { 1 } else { 5 };
+    let passes = if oblidb_bench::smoke_mode() { 1 } else { 5 };
     (0..passes)
         .map(|_| time_mean(iters(total_bytes), &mut f).as_secs_f64())
         .fold(f64::INFINITY, f64::min)
@@ -175,7 +175,7 @@ fn main() {
         Err(e) => eprintln!("could not write BENCH_crypto.json: {e}"),
     }
 
-    if detected != Backend::Avx2 || oblidb_bench::harness::smoke_mode() {
+    if detected != Backend::Avx2 || oblidb_bench::smoke_mode() {
         return;
     }
     let avx2_256 = |op: &str, block_bytes: usize| {

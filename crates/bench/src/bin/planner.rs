@@ -18,7 +18,7 @@ use oblidb_baselines::paper_rules;
 use oblidb_core::{CostProfile, Database, DbConfig, SelectAlgo, StorageMethod, Value};
 
 fn smoke() -> bool {
-    oblidb_bench::harness::smoke_mode()
+    oblidb_bench::smoke_mode()
 }
 
 struct Shape {

@@ -28,7 +28,7 @@ use std::time::Duration;
 const SGX_CROSSING_SPINS: u32 = 250;
 
 fn smoke() -> bool {
-    oblidb_bench::harness::smoke_mode()
+    oblidb_bench::smoke_mode()
 }
 
 fn rows() -> i64 {

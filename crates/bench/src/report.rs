@@ -1,8 +1,7 @@
-//! Result-table printing for the figure harness binaries.
+//! Result tables and JSON artifacts for the recorded benchmark binaries.
 //!
-//! Each binary prints the rows/series its paper figure reports, with the
-//! paper's numbers alongside for shape comparison (absolute values differ:
-//! our substrate is a simulator, not the authors' SGX testbed).
+//! Each binary prints its rows as a table to stdout and writes them to
+//! one `BENCH_<name>.json`, the artifact the perf trajectory compares.
 
 use oblidb_enclave::StatsReport;
 
@@ -51,20 +50,6 @@ impl Report {
                 row.iter().enumerate().map(|(i, c)| format!("{c:<w$}", w = widths[i])).collect();
             println!("{}", line.join("  "));
         }
-    }
-
-    /// Renders as a markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
     }
 }
 
@@ -377,9 +362,6 @@ mod tests {
     fn builds_and_renders() {
         let mut r = Report::new("Fig X", &["a", "b"]);
         r.row(&["1".into(), "2".into()]);
-        let md = r.to_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
         r.print();
     }
 

@@ -1,4 +1,4 @@
-//! Wall-clock measurement helpers for the experiment harness.
+//! Wall-clock measurement helpers for the recorded benchmark binaries.
 
 use std::time::{Duration, Instant};
 

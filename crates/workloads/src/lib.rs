@@ -2,11 +2,11 @@
 //!
 //! * [`bdb`] — the Big Data Benchmark tables (RANKINGS 360 k rows,
 //!   USERVISITS 350 k rows; paper Figure 6) and queries Q1–Q3.
-//! * [`cfpb`] — the 107 k-row complaints table used for the padding-mode
-//!   experiment (§7.1).
-//! * [`mixes`] — the L1–L5 mixed read/write workloads of Figure 12.
-//! * [`synthetic`] — parameterized tables with controllable selectivity for
-//!   the microbenchmarks (Figures 10, 11, 13, 14).
+//! * [`cfpb`] — the 107 k-row complaints table of the padding-mode
+//!   experiment (§7.1), driven by the `padding_mode` example.
+//! * [`synthetic`] — a parameterized table with a sequential key, so range
+//!   predicates control selectivity exactly (the index and serving
+//!   workloads, the engine-equivalence suite).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,5 +15,4 @@ mod rng;
 
 pub mod bdb;
 pub mod cfpb;
-pub mod mixes;
 pub mod synthetic;

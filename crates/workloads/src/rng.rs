@@ -57,7 +57,7 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(i64, u64, i32, u32, usize);
+impl_int_range!(i64, u64, i32, usize);
 
 impl SampleRange<f64> for Range<f64> {
     fn sample(self, rng: &mut EnclaveRng) -> f64 {

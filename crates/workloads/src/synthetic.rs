@@ -1,6 +1,6 @@
-//! Parameterized synthetic tables for the microbenchmarks (Figures 10,
-//! 11, 13, 14): a sequential key column, a shuffled payload column, and a
-//! width filler so row sizes match realistic records.
+//! A parameterized synthetic table: a sequential key column, a shuffled
+//! payload column, and a width filler so row sizes match realistic
+//! records.
 
 use crate::rng::StdRng;
 use oblidb_core::types::{Column, DataType, Schema, Value};
@@ -30,50 +30,6 @@ pub fn table(n: usize, pad_width: usize, seed: u64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// SQL for selecting a fraction of the table via a contiguous id range.
-pub fn range_select_sql(n: usize, fraction: f64, from_start: bool) -> String {
-    let k = ((n as f64) * fraction).round() as i64;
-    if from_start {
-        format!("SELECT * FROM t WHERE id < {k}")
-    } else {
-        let lo = n as i64 - k;
-        format!("SELECT * FROM t WHERE id >= {lo}")
-    }
-}
-
-/// SQL selecting the same fraction but scattered (non-contiguous): rows
-/// whose `id` falls in two disjoint runs.
-pub fn scattered_select_sql(n: usize, fraction: f64) -> String {
-    let k = (((n as f64) * fraction).round() as i64) / 2;
-    let mid = n as i64 / 2;
-    format!("SELECT * FROM t WHERE id < {k} OR (id >= {mid} AND id < {})", mid + k)
-}
-
-/// Foreign-key join inputs for Figure 14: a primary table of `n1` unique
-/// keys and a foreign table of `n2` rows referencing them.
-pub fn fk_join_tables(n1: usize, n2: usize, seed: u64) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF0E1);
-    let primary = (0..n1)
-        .map(|i| {
-            vec![
-                Value::Int(i as i64),
-                Value::Int(rng.random_range(0..1000) as i64),
-                Value::Text("p".into()),
-            ]
-        })
-        .collect();
-    let foreign = (0..n2)
-        .map(|_| {
-            vec![
-                Value::Int(rng.random_range(0..n1 as u64) as i64),
-                Value::Int(rng.random_range(0..1000) as i64),
-                Value::Text("f".into()),
-            ]
-        })
-        .collect();
-    (primary, foreign)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,24 +39,6 @@ mod tests {
         let rows = table(100, 8, 1);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r[0], Value::Int(i as i64));
-        }
-    }
-
-    #[test]
-    fn range_sql_selects_expected_fraction() {
-        let sql = range_select_sql(1000, 0.05, true);
-        assert_eq!(sql, "SELECT * FROM t WHERE id < 50");
-        let sql = range_select_sql(1000, 0.95, false);
-        assert_eq!(sql, "SELECT * FROM t WHERE id >= 50");
-    }
-
-    #[test]
-    fn fk_join_references_valid() {
-        let (p, f) = fk_join_tables(50, 200, 3);
-        assert_eq!(p.len(), 50);
-        for row in &f {
-            let k = row[0].as_int().unwrap();
-            assert!((0..50).contains(&k));
         }
     }
 

@@ -32,9 +32,10 @@
 //!   protocol, session-per-connection server ([`server::serve`]), blocking
 //!   client, and the `oblidb-serve` / `oblidb-sql` binaries.
 //! * [`baselines`] — the comparison systems re-implemented on the same
-//!   substrate (Opaque, plain/Spark-SQL-like, HIRB + vORAM, MySQL-like).
+//!   substrate (Opaque, plain/Spark-SQL-like) and the paper's closed-form
+//!   planner rules.
 //! * [`workloads`] — deterministic generators for the paper's evaluation
-//!   workloads (Big Data Benchmark, CFPB, L1–L5 mixes).
+//!   workloads (Big Data Benchmark, CFPB, a synthetic keyed table).
 //!
 //! ## Quickstart
 //!

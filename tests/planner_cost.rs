@@ -9,7 +9,9 @@
 //! 2. **Never worse than closed-form** — across randomized shapes, the
 //!    engine's choice never costs more (measured, host-weighted) than the
 //!    operator the paper's closed-form rule (`baselines::paper_rules`)
-//!    would take, run by forcing it.
+//!    would take, run by forcing it: for SELECT via `force_select`
+//!    (`cost_based_choice_never_exceeds_closed_form`) and for JOIN via
+//!    `force_join` (`cost_based_join_never_exceeds_closed_form`).
 //! 3. **Substrate-calibrated divergence** (acceptance) — the same query
 //!    picks a different, and cheaper-by-weighted-crossings, operator under
 //!    the disk profile than under the host profile; and the conformance
@@ -23,7 +25,7 @@ use oblidb::core::plan::{PlanNode, SelectChoice};
 use oblidb::core::predicate::CmpOp;
 use oblidb::core::table::FlatTable;
 use oblidb::core::{Column, CostProfile, DataType, Database, DbConfig, Predicate, SelectAlgo};
-use oblidb::core::{Schema, Value};
+use oblidb::core::{Schema, StorageMethod, Value};
 use oblidb::crypto::aead::AeadKey;
 use oblidb::enclave::{EnclaveRng, Host, HostStats, OmBudget};
 use oblidb::storage::batch_chunk_blocks;
@@ -268,6 +270,79 @@ fn cost_based_choice_never_exceeds_closed_form() {
             closed.weighted,
         );
     }
+}
+
+/// 2, join half: across a seeded grid of foreign-key table sizes and OM
+/// budgets (zero, below one row, a few rows, and all of T1), the engine's
+/// join never costs more (measured, host-weighted) than the one the
+/// closed-form rule (`paper_rules::choose_join`) would take, run by
+/// forcing it. Reports how often the two picks differ.
+#[test]
+fn cost_based_join_never_exceeds_closed_form() {
+    const OMS: [usize; 6] = [0, 40, 64, 96, 128, 1 << 20];
+    let [schema, _] = widths();
+    let row_len = schema.row_len();
+    let mut rng = EnclaveRng::seed_from_u64(0x701_2B1E);
+    let cases = if cfg!(debug_assertions) { OMS.len() } else { 4 * OMS.len() };
+    let mut disagreements = 0;
+    for case in 0..cases {
+        let n1 = 16 + rng.below(240);
+        let n2 = 4 + rng.below(400);
+        let om = OMS[case % OMS.len()];
+        let primary: Vec<Vec<Value>> =
+            (0..n1 as i64).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+        let foreign: Vec<Vec<Value>> =
+            (0..n2 as i64).map(|i| vec![Value::Int(i % n1 as i64), Value::Int(i)]).collect();
+
+        let run_with = |force: Option<JoinAlgo>| {
+            let mut config = DbConfig { om_bytes: om, ..DbConfig::default() };
+            config.planner.force_join = force;
+            let mut db = Database::new(config);
+            for (name, rows) in [("d", &primary), ("f", &foreign)] {
+                let capacity = rows.len() as u64;
+                db.create_table_with_rows(
+                    name,
+                    schema.clone(),
+                    StorageMethod::Flat,
+                    None,
+                    rows,
+                    capacity,
+                )
+                .unwrap();
+            }
+            let mut stmt = db.prepare("SELECT * FROM d JOIN f ON d.id = f.id").unwrap();
+            assert_eq!(stmt.run().unwrap().len() as u64, n2, "FK join matches every foreign row");
+            match stmt.plan().select_root().unwrap() {
+                PlanNode::Join(j) => (j.choice.algo().unwrap(), j.actual.unwrap()),
+                other => panic!("expected join root, got {other:?}"),
+            }
+        };
+        let (costed_algo, costed) = run_with(None);
+        let rule = paper_rules::choose_join(n1, n2, row_len, 18 + row_len, om);
+        let (closed_algo, closed) = run_with(Some(rule));
+        assert_eq!(closed_algo, rule);
+        assert!(
+            costed.weighted <= closed.weighted + 1e-6,
+            "case {case} ({n1} × {n2}, OM {om} B): costed {costed_algo:?} = {} must not exceed \
+             closed-form {closed_algo:?} = {}",
+            costed.weighted,
+            closed.weighted,
+        );
+        if costed_algo != rule {
+            disagreements += 1;
+            println!(
+                "case {case} ({n1} × {n2}, OM {om} B): engine {costed_algo:?} = {:.0}, \
+                 rule {rule:?} = {:.0} ({:.2}×)",
+                costed.weighted,
+                closed.weighted,
+                closed.weighted / costed.weighted,
+            );
+        }
+    }
+    println!(
+        "the engine and the closed-form join rule disagree in {disagreements} of {cases} cases"
+    );
+    assert!(disagreements > 0, "a grid where the rule always agrees compares nothing");
 }
 
 /// 3a. Acceptance: the same query picks a different operator under the
