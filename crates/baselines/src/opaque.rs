@@ -116,7 +116,7 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
         col: Option<usize>,
         pred: &Predicate,
     ) -> Result<Value, DbError> {
-        exec::aggregate(&mut self.host, input, func, col, pred)
+        Ok(exec::aggregate(&mut self.host, input, &[(func, col)], pred)?.remove(0))
     }
 
     /// Grouped aggregation, Opaque style (paper §4.2 calls it

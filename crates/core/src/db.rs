@@ -28,7 +28,7 @@ use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
-use crate::exec::{self, AggFunc, SortMergeVariant};
+use crate::exec::{self, AggFold, AggFunc, JoinSink, SortMergeVariant};
 use crate::padding::PaddingConfig;
 use crate::plan::cost::{
     self, scan_stats, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape,
@@ -987,6 +987,9 @@ impl<M: EnclaveMemory> Database<M> {
 
             let om_bytes = self.om.available();
             let renamed = ls.join(&s.table, &rs, &join.table);
+            // Aggregates directly over the join (no GROUP BY, no WHERE left
+            // above it) fold the joined rows instead of materializing them.
+            let folded = has_aggs && s.group_by.is_none() && (pushed || s.where_clause.is_none());
             let (choice, est) = match (left_capacity, right_capacity) {
                 (Some(left_capacity), Some(right_capacity)) => {
                     let shape = JoinShape {
@@ -996,6 +999,7 @@ impl<M: EnclaveMemory> Database<M> {
                         right_capacity,
                         om_bytes,
                         zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+                        folded,
                     };
                     cost::choose_join(&self.config.planner, &shape, profile)
                 }
@@ -1117,8 +1121,7 @@ impl<M: EnclaveMemory> Database<M> {
             None => {
                 let scan = self.plan_scan(idx, name, &Predicate::True);
                 let capacity = match scan.access {
-                    // A bare stored table is copied as-is (one oblivious
-                    // pass), keeping its capacity.
+                    // A bare stored table is read in place.
                     AccessPath::Flat => Some(scan.capacity),
                     // Index materialization sizes the copy by the walk.
                     _ => None,
@@ -1473,25 +1476,28 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<FlatTable, DbError> {
         match node {
-            PlanNode::Scan(scan) => {
-                // A bare scan only appears as a join side: materialize an
-                // owned copy (join operators consume flat inputs; a copy
-                // is one oblivious pass).
-                let input = self.exec_input(scan, info, profile)?;
-                match input {
-                    InputRef::Owned(t) => Ok(t),
-                    InputRef::Stored(i) => {
-                        let key = self.next_key();
-                        let (_, storage) = &mut self.tables[i];
-                        let f = storage.flat_mut().expect("stored input is flat");
-                        copy_flat(&mut self.host, f, key)
-                    }
-                }
-            }
+            PlanNode::Scan(_) => unreachable!("a bare scan is read by the operator above it"),
             PlanNode::Filter(f) => self.exec_filter(f, info, profile),
-            PlanNode::Join(j) => self.exec_join(j, info, profile),
+            PlanNode::Join(j) => {
+                let out = self.exec_join(j, None, info, profile)?;
+                Ok(out.expect("an unfolded join returns its table"))
+            }
             PlanNode::Aggregate(a) => self.exec_aggregate(a, info, profile),
             PlanNode::GroupBy(g) => self.exec_group(g, info, profile),
+        }
+    }
+
+    /// An operator's input: a base-table access, read in place where the
+    /// planned path allows, or a child operator's materialized output.
+    fn exec_operand(
+        &mut self,
+        node: &mut PlanNode,
+        info: &mut PlanInfo,
+        profile: &CostProfile,
+    ) -> Result<InputRef, DbError> {
+        match node {
+            PlanNode::Scan(scan) => self.exec_input(scan, info, profile),
+            other => Ok(InputRef::Owned(self.exec_node(other, info, profile)?)),
         }
     }
 
@@ -1553,10 +1559,7 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<FlatTable, DbError> {
         let over_intermediate = !matches!(f.input.as_ref(), PlanNode::Scan(_));
-        let mut input = match f.input.as_mut() {
-            PlanNode::Scan(scan) => self.exec_input(scan, info, profile)?,
-            other => InputRef::Owned(self.exec_node(other, info, profile)?),
-        };
+        let mut input = self.exec_operand(&mut f.input, info, profile)?;
 
         let out_key = match &f.out_key {
             Some(k) => k.0.clone(),
@@ -1604,25 +1607,39 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(out)
     }
 
-    /// Executes a join node over its materialized sides.
+    /// Executes a join node over its sides, read in place where they are
+    /// stored. The joined rows fold into `fold` when one is given (no
+    /// output table, `None` returned); otherwise they are materialized.
     fn exec_join(
         &mut self,
         j: &mut JoinNode,
+        fold: Option<&mut AggFold<'_>>,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
+    ) -> Result<Option<FlatTable>, DbError> {
         info.fused_aggregate = false;
-        let mut left = self.exec_join_side(&mut j.left, info, profile)?;
-        let mut right = self.exec_join_side(&mut j.right, info, profile)?;
+        let (mut left, _) = self.exec_join_side(&mut j.left, info, profile)?;
+        let (mut right, right_key) = self.exec_join_side(&mut j.right, info, profile)?;
+        if let (InputRef::Stored(l), InputRef::Stored(r), Some(key)) = (&left, &right, right_key) {
+            if l == r {
+                // A self-join reads one stored table twice, but a sealed
+                // region is only read through `&mut`: copy one side.
+                let f = self.tables[*r].1.flat_mut().expect("stored input is flat");
+                right = InputRef::Owned(copy_flat(&mut self.host, f, key)?);
+            }
+        }
+        let key = self.next_key();
+        let (t1, t2) = join_inputs(&mut self.tables, &mut left, &mut right);
 
         if matches!(j.choice, JoinChoice::Deferred) {
             let shape = JoinShape {
-                left_schema: left.schema().clone(),
-                left_capacity: left.capacity(),
-                right_schema: right.schema().clone(),
-                right_capacity: right.capacity(),
+                left_schema: t1.schema().clone(),
+                left_capacity: t1.capacity(),
+                right_schema: t2.schema().clone(),
+                right_capacity: t2.capacity(),
                 om_bytes: self.om.available(),
                 zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+                folded: fold.is_some(),
             };
             j.om_bytes = shape.om_bytes;
             (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
@@ -1630,114 +1647,99 @@ impl<M: EnclaveMemory> Database<M> {
         let algo = j.choice.algo().expect("deferred choice is resolved");
         info.join_algo = Some(algo);
 
-        let key = self.next_key();
+        let sink = match fold {
+            Some(agg) => JoinSink::Fold(agg),
+            None => JoinSink::Table,
+        };
+        let (host, om) = (&mut self.host, &self.om);
+        let (c1, c2) = (j.left_col, j.right_col);
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
-        let before = self.host.stats();
+        let before = host.stats();
         let started = std::time::Instant::now();
         let out = match algo {
-            JoinAlgo::Hash => exec::hash_join(
-                &mut self.host,
-                &self.om,
-                &mut left,
-                j.left_col,
-                &mut right,
-                j.right_col,
-                key,
-            )?,
-            JoinAlgo::Opaque => exec::sort_merge_join(
-                &mut self.host,
-                &self.om,
-                &mut left,
-                j.left_col,
-                &mut right,
-                j.right_col,
-                key,
-                SortMergeVariant::Opaque,
-            )?,
-            JoinAlgo::ZeroOm => exec::sort_merge_join(
-                &mut self.host,
-                &self.om,
-                &mut left,
-                j.left_col,
-                &mut right,
-                j.right_col,
-                key,
-                SortMergeVariant::ZeroOm { scratch_rows: self.config.zero_om_scratch_rows },
-            )?,
+            JoinAlgo::Hash => exec::hash_join_into(host, om, t1, c1, t2, c2, key, sink)?,
+            JoinAlgo::Opaque => {
+                let variant = SortMergeVariant::Opaque;
+                exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
+            }
+            JoinAlgo::ZeroOm => {
+                let variant =
+                    SortMergeVariant::ZeroOm { scratch_rows: self.config.zero_om_scratch_rows };
+                exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
+            }
         };
         j.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        left.free(&mut self.host)?;
-        right.free(&mut self.host)?;
-        info.intermediate_rows.push(out.num_rows());
+        left.free(self)?;
+        right.free(self)?;
 
         // Rename output columns with the real table names so WHERE/GROUP BY
         // can reference them.
-        let mut out = out;
-        out.rename_columns(j.renamed.clone());
-        Ok(out)
+        Ok(out.map(|mut out| {
+            info.intermediate_rows.push(out.num_rows());
+            out.rename_columns(j.renamed.clone());
+            out
+        }))
     }
 
-    /// Materializes one join side: a pushed-down filter's output, or an
-    /// owned copy of the base table.
+    /// Executes one join side: a pushed-down filter's output, or the base
+    /// table read in place. A side read from a stored table also draws
+    /// the key a copy of it would be sealed under — used only by a
+    /// self-join's copy, it keeps every later key where a copying plan
+    /// would put it, and with it the row order of keyed operators.
     fn exec_join_side(
         &mut self,
         node: &mut PlanNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
-        match node {
-            PlanNode::Filter(f) => {
-                let out = self.exec_filter(f, info, profile)?;
-                info.intermediate_rows.push(out.num_rows());
-                Ok(out)
-            }
-            other => self.exec_node(other, info, profile),
+    ) -> Result<(InputRef, Option<AeadKey>), DbError> {
+        if let PlanNode::Filter(f) = node {
+            let out = self.exec_filter(f, info, profile)?;
+            info.intermediate_rows.push(out.num_rows());
+            return Ok((InputRef::Owned(out), None));
         }
+        let input = self.exec_operand(node, info, profile)?;
+        let copy_key = matches!(input, InputRef::Stored(_)).then(|| self.next_key());
+        Ok((input, copy_key))
     }
 
-    /// Executes a fused select + aggregate node (paper §4.2): one pass per
-    /// aggregate over the input, no intermediate table.
+    /// Executes a fused select + aggregate node (paper §4.2): one pass over
+    /// the input folds every aggregate, no intermediate table. Over a join
+    /// there is no pass at all: the join folds its rows straight in.
     fn exec_aggregate(
         &mut self,
         a: &mut AggregateNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
     ) -> Result<FlatTable, DbError> {
-        let mut input = match a.input.as_mut() {
-            PlanNode::Scan(scan) => self.exec_input(scan, info, profile)?,
-            other => InputRef::Owned(self.exec_node(other, info, profile)?),
-        };
-        let schema = match &input {
-            InputRef::Owned(t) => t.schema().clone(),
-            InputRef::Stored(i) => self.tables[*i].1.schema().clone(),
-        };
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
-        let before = self.host.stats();
-        let started = std::time::Instant::now();
-        let mut states = Vec::new();
-        for (func, col_name) in &a.items {
-            let col = col_name.as_ref().map(|c| schema.col(c)).transpose()?;
-            let v = match &mut input {
-                InputRef::Owned(t) => exec::aggregate(&mut self.host, t, *func, col, &a.pred)?,
-                InputRef::Stored(i) => {
-                    let (_, storage) = &mut self.tables[*i];
-                    let f = storage.flat_mut().expect("stored input is flat");
-                    exec::aggregate(&mut self.host, f, *func, col, &a.pred)?
-                }
+        let (values, _span, before, started) = if let PlanNode::Join(j) = a.input.as_mut() {
+            let items = agg_columns(&a.items, &j.renamed)?;
+            let mut fold = AggFold::new(j.renamed.clone(), &items, &a.pred);
+            self.exec_join(j, Some(&mut fold), info, profile)?;
+            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
+            (fold.finish(), span, self.host.stats(), std::time::Instant::now())
+        } else {
+            let mut input = self.exec_operand(&mut a.input, info, profile)?;
+            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
+            let (before, started) = (self.host.stats(), std::time::Instant::now());
+            let table = match &mut input {
+                InputRef::Owned(t) => t,
+                InputRef::Stored(i) => self.tables[*i].1.flat_mut().expect("stored input is flat"),
             };
-            states.push(v);
-        }
-        input.free(self)?;
+            let items = agg_columns(&a.items, table.schema())?;
+            let values = exec::aggregate(&mut self.host, table, &items, &a.pred)?;
+            input.free(self)?;
+            (values, span, before, started)
+        };
         info.fused_aggregate = true;
         let out_schema = Schema::new(
             a.items
                 .iter()
-                .zip(&states)
+                .zip(&values)
                 .map(|((func, col), v)| Column::new(agg_name(*func, col.as_deref()), value_type(v)))
                 .collect(),
         );
         let key = self.next_key();
-        let encoded = out_schema.encode_row(&states)?;
+        let encoded = out_schema.encode_row(&values)?;
         let mut out = FlatTable::from_encoded_rows(&mut self.host, key, out_schema, &[encoded], 1)?;
         out.set_num_rows(1);
         a.actual = Some(timed_cost(self.host.stats() - before, profile, started));
@@ -1752,10 +1754,7 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<FlatTable, DbError> {
         let over_base = matches!(g.input.as_ref(), PlanNode::Scan(_));
-        let mut input = match g.input.as_mut() {
-            PlanNode::Scan(scan) => self.exec_input(scan, info, profile)?,
-            other => InputRef::Owned(self.exec_node(other, info, profile)?),
-        };
+        let mut input = self.exec_operand(&mut g.input, info, profile)?;
         let key = self.next_key();
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::GroupBy);
         let before = self.host.stats();
@@ -1986,6 +1985,42 @@ fn filter_output_capacity(f: &FilterNode) -> Option<u64> {
         SelectAlgo::Hash => m.max(1) * exec::HASH_SLOTS as u64,
         _ => m.max(1),
     })
+}
+
+/// The flat tables behind a join's two inputs; two stored inputs name
+/// distinct tables (a self-join copies one side first).
+fn join_inputs<'a>(
+    tables: &'a mut [(String, TableStorage)],
+    left: &'a mut InputRef,
+    right: &'a mut InputRef,
+) -> (&'a mut FlatTable, &'a mut FlatTable) {
+    let flat = |t: &'a mut (String, TableStorage)| t.1.flat_mut().expect("stored input is flat");
+    match (left, right) {
+        (InputRef::Owned(l), InputRef::Owned(r)) => (l, r),
+        (InputRef::Owned(l), InputRef::Stored(r)) => (l, flat(&mut tables[*r])),
+        (InputRef::Stored(l), InputRef::Owned(r)) => (flat(&mut tables[*l]), r),
+        (InputRef::Stored(l), InputRef::Stored(r)) => {
+            let (l, r) = (*l, *r);
+            let (lo, hi) = tables.split_at_mut(l.max(r));
+            let (first, second) = (flat(&mut lo[l.min(r)]), flat(&mut hi[0]));
+            if l < r {
+                (first, second)
+            } else {
+                (second, first)
+            }
+        }
+    }
+}
+
+/// Resolves aggregate items' column names against `schema`.
+fn agg_columns(
+    items: &[(AggFunc, Option<String>)],
+    schema: &Schema,
+) -> Result<Vec<(AggFunc, Option<usize>)>, DbError> {
+    items
+        .iter()
+        .map(|(func, col)| Ok((*func, col.as_ref().map(|c| schema.col(c)).transpose()?)))
+        .collect()
 }
 
 /// One oblivious copy pass.

@@ -115,27 +115,57 @@ impl Default for AggState {
     }
 }
 
-/// Fused select+aggregate (paper §4.2): one pass over T, folding matching
-/// rows into the accumulator. Leaks only |T| — the filtered intermediate
-/// size never materializes. `col = None` means COUNT(*)-style counting.
-pub fn aggregate<M: EnclaveMemory>(
-    host: &mut M,
-    input: &mut FlatTable,
-    func: AggFunc,
-    col: Option<usize>,
-    pred: &Predicate,
-) -> Result<Value, DbError> {
-    let schema = input.schema().clone();
-    let mut state = AggState::new();
-    input.for_each_row(host, |_, bytes| {
-        if Schema::row_used(bytes) && pred.eval(&schema, bytes) {
+/// Every aggregate of one statement folded together: the resolved
+/// `(func, col)` items, one accumulator each, and the filter fused into
+/// the fold. Rows arrive one at a time from a table scan ([`aggregate`])
+/// or straight from a join loop (`exec::join`'s fold sink), so no
+/// intermediate table is needed either way.
+pub struct AggFold<'p> {
+    schema: Schema,
+    items: Vec<(AggFunc, Option<usize>)>,
+    states: Vec<AggState>,
+    pred: &'p Predicate,
+}
+
+impl<'p> AggFold<'p> {
+    /// Empty accumulators for `items` over rows of `schema`; `col = None`
+    /// means COUNT(*)-style counting.
+    pub fn new(schema: Schema, items: &[(AggFunc, Option<usize>)], pred: &'p Predicate) -> Self {
+        let states = vec![AggState::new(); items.len()];
+        AggFold { schema, items: items.to_vec(), states, pred }
+    }
+
+    /// Folds one encoded row in, if it is used and matches the filter.
+    pub fn add_row(&mut self, bytes: &[u8]) {
+        if !Schema::row_used(bytes) || !self.pred.eval(&self.schema, bytes) {
+            return;
+        }
+        for ((_, col), state) in self.items.iter().zip(&mut self.states) {
             match col {
-                Some(c) => state.add(&schema.decode_col(bytes, c)),
+                Some(c) => state.add(&self.schema.decode_col(bytes, *c)),
                 None => state.add(&Value::Int(1)),
             }
         }
-    })?;
-    Ok(state.finish(func))
+    }
+
+    /// One final value per item, in item order.
+    pub fn finish(&self) -> Vec<Value> {
+        self.items.iter().zip(&self.states).map(|((func, _), s)| s.finish(*func)).collect()
+    }
+}
+
+/// Fused select+aggregate (paper §4.2): one pass over T, folding matching
+/// rows into every item's accumulator at once. Leaks only |T| — the
+/// filtered intermediate size never materializes.
+pub fn aggregate<M: EnclaveMemory>(
+    host: &mut M,
+    input: &mut FlatTable,
+    items: &[(AggFunc, Option<usize>)],
+    pred: &Predicate,
+) -> Result<Vec<Value>, DbError> {
+    let mut fold = AggFold::new(input.schema().clone(), items, pred);
+    input.for_each_row(host, |_, bytes| fold.add_row(bytes))?;
+    Ok(fold.finish())
 }
 
 /// Grouped aggregation (paper §4.2): one pass with a per-group accumulator
@@ -290,39 +320,31 @@ mod tests {
     #[test]
     fn plain_aggregates() {
         let (mut host, mut t) = build(&[(1, 10, 1.0), (1, 20, 2.0), (2, 30, 3.0), (2, 40, 4.5)]);
+        let items = [
+            (AggFunc::Count, None),
+            (AggFunc::Sum, Some(1)),
+            (AggFunc::Min, Some(1)),
+            (AggFunc::Max, Some(2)),
+            (AggFunc::Avg, Some(1)),
+        ];
+        let before = host.stats();
+        let got = aggregate(&mut host, &mut t, &items, &Predicate::True).unwrap();
         assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Count, None, &Predicate::True).unwrap(),
-            Value::Int(4)
+            got,
+            [Value::Int(4), Value::Int(100), Value::Int(10), Value::Float(4.5), Value::Float(25.0)]
         );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Sum, Some(1), &Predicate::True).unwrap(),
-            Value::Int(100)
-        );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Min, Some(1), &Predicate::True).unwrap(),
-            Value::Int(10)
-        );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Max, Some(2), &Predicate::True).unwrap(),
-            Value::Float(4.5)
-        );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Avg, Some(1), &Predicate::True).unwrap(),
-            Value::Float(25.0)
-        );
+        // Every item folds in the same pass: one read per block.
+        assert_eq!((host.stats() - before).reads, t.capacity());
     }
 
     #[test]
     fn fused_predicate_filters() {
         let (mut host, mut t) = build(&[(1, 10, 0.0), (1, 20, 0.0), (2, 30, 0.0), (2, 40, 0.0)]);
         let pred = Predicate::cmp(t.schema(), "grp", CmpOp::Eq, Value::Int(2)).unwrap();
+        let items = [(AggFunc::Sum, Some(1)), (AggFunc::Count, None)];
         assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Sum, Some(1), &pred).unwrap(),
-            Value::Int(70)
-        );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Count, None, &pred).unwrap(),
-            Value::Int(2)
+            aggregate(&mut host, &mut t, &items, &pred).unwrap(),
+            [Value::Int(70), Value::Int(2)]
         );
     }
 
@@ -330,13 +352,10 @@ mod tests {
     fn empty_aggregates() {
         let (mut host, mut t) = build(&[(1, 1, 1.0)]);
         let pred = Predicate::cmp(t.schema(), "v", CmpOp::Gt, Value::Int(100)).unwrap();
+        let items = [(AggFunc::Count, None), (AggFunc::Avg, Some(1))];
         assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Count, None, &pred).unwrap(),
-            Value::Int(0)
-        );
-        assert_eq!(
-            aggregate(&mut host, &mut t, AggFunc::Avg, Some(1), &pred).unwrap(),
-            Value::Float(0.0)
+            aggregate(&mut host, &mut t, &items, &pred).unwrap(),
+            [Value::Int(0), Value::Float(0.0)]
         );
     }
 
@@ -408,10 +427,10 @@ mod tests {
         let (mut host, mut t) = build(&[(1, 1, 0.0), (2, 2, 0.0), (3, 3, 0.0)]);
         let p1 = Predicate::cmp(t.schema(), "v", CmpOp::Gt, Value::Int(100)).unwrap();
         host.start_trace();
-        aggregate(&mut host, &mut t, AggFunc::Sum, Some(1), &p1).unwrap();
+        aggregate(&mut host, &mut t, &[(AggFunc::Sum, Some(1))], &p1).unwrap();
         let a = host.take_trace();
         host.start_trace();
-        aggregate(&mut host, &mut t, AggFunc::Sum, Some(1), &Predicate::True).unwrap();
+        aggregate(&mut host, &mut t, &[(AggFunc::Sum, Some(1))], &Predicate::True).unwrap();
         let b = host.take_trace();
         assert_eq!(a, b, "aggregate access pattern must not depend on matches");
     }

@@ -1,15 +1,21 @@
 //! Oblivious join algorithms (paper §4.3).
 //!
 //! * [`hash_join`] — block-partitioned oblivious hash join: chunks of T1
-//!   that fit in oblivious memory become an in-enclave hash table; every
-//!   probe of T2 writes exactly one output block (joined row or dummy), so
-//!   the access pattern depends only on the table sizes and the budget.
+//!   that fit in oblivious memory become an in-enclave hash table, and
+//!   every row of T2 probes each chunk once, so the access pattern depends
+//!   only on the table sizes and the budget.
 //! * [`sort_merge_join`] — the Opaque join and its 0-OM variant: union the
-//!   tables, obliviously sort by join key, then a linear merge scan that
-//!   writes one output block per union row. The two variants differ only
-//!   in whether the sort's chunk buffer is charged to oblivious memory
-//!   (Opaque) or lives in ordinary enclave memory (0-OM, chunk of 1 by
-//!   default).
+//!   tables, obliviously sort by join key, then one linear merge scan over
+//!   the union. The two variants differ only in whether the sort's chunk
+//!   buffer is charged to oblivious memory (Opaque) or lives in ordinary
+//!   enclave memory (0-OM, chunk of 1 by default).
+//!
+//! Each algorithm has one loop that emits one position per probe or merge
+//! row into a [`JoinSink`]. The table sink materializes the joined table,
+//! one output block per position, dummies included. The fold sink feeds
+//! each real joined row straight into an [`AggFold`] and writes nothing,
+//! so an aggregate over a join ([`hash_join_into`], [`sort_merge_join_into`])
+//! costs no output table and no second pass.
 //!
 //! Sort keys hash the join value (SipHash-2-4 of the encoded column bytes)
 //! so text joins group correctly; the merge verifies true byte equality,
@@ -21,16 +27,16 @@ use oblidb_crypto::SipHash24;
 use oblidb_enclave::{EnclaveMemory, HostStats, OmBudget};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
+use super::aggregate::AggFold;
 use crate::error::DbError;
 use crate::plan::cost::JoinShape;
 use crate::table::FlatTable;
 use crate::types::{Column, Schema};
 
-/// Bytes of an encoded column value (the join key's canonical form).
-fn col_bytes(schema: &Schema, row: &[u8], col: usize) -> Vec<u8> {
+/// Byte range of an encoded column value (the join key's canonical form).
+fn key_range(schema: &Schema, col: usize) -> std::ops::Range<usize> {
     let off = schema.col_offset(col);
-    let w = schema.columns[col].dtype.width();
-    row[off..off + w].to_vec()
+    off..off + schema.columns[col].dtype.width()
 }
 
 /// Output schema of a join: all of T1's columns then all of T2's.
@@ -45,18 +51,95 @@ fn union_schema(s1: &Schema, s2: &Schema) -> Schema {
     Schema::new(vec![Column::new("u", crate::types::DataType::Text(1 + 16 + payload))])
 }
 
-/// Encodes a joined row from two used input rows (strips the inner flags).
-fn join_rows(out_len: usize, r1: &[u8], r2: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(out_len);
-    out.push(1u8);
-    out.extend_from_slice(&r1[1..]);
-    out.extend_from_slice(&r2[1..]);
-    debug_assert_eq!(out.len(), out_len);
-    out
+/// Where a join's rows go.
+pub enum JoinSink<'a, 'p> {
+    /// Materialize the joined table, sealed under the join's output key.
+    Table,
+    /// Fold every real joined row into these aggregates; nothing is
+    /// written.
+    Fold(&'a mut AggFold<'p>),
 }
 
-/// Oblivious hash join (paper §4.3). Complexity O(|T1|·|T2| / S); the
-/// output data structure holds one block per probe:
+/// A [`JoinSink`] opened for one run of a join loop.
+enum Emit<'a, 'p> {
+    /// The output table and the positions buffered since the last flush.
+    Table { out: FlatTable, dummy: Vec<u8>, buf: Vec<u8>, pos: u64, matches: u64 },
+    /// The aggregates and the scratch row each hit is assembled in.
+    Fold { agg: &'a mut AggFold<'p>, row: Vec<u8> },
+}
+
+impl<'a, 'p> Emit<'a, 'p> {
+    /// Opens `sink` for `positions` emitted rows of `schema`; the table
+    /// sink creates its output here.
+    fn open<M: EnclaveMemory>(
+        host: &mut M,
+        sink: JoinSink<'a, 'p>,
+        key: AeadKey,
+        schema: Schema,
+        positions: u64,
+    ) -> Result<Self, DbError> {
+        Ok(match sink {
+            JoinSink::Table => {
+                let dummy = schema.dummy_row();
+                let out = FlatTable::create(host, key, schema, positions)?;
+                Emit::Table { out, dummy, buf: Vec::new(), pos: 0, matches: 0 }
+            }
+            JoinSink::Fold(agg) => {
+                let mut row = schema.dummy_row();
+                row[0] = 1;
+                Emit::Fold { agg, row }
+            }
+        })
+    }
+
+    /// One position: the joined row of used rows `r1` and `r2` (their
+    /// inner flags stripped), or a dummy.
+    fn emit(&mut self, hit: Option<(&[u8], &[u8])>) {
+        match self {
+            Emit::Table { dummy, buf, matches, .. } => match hit {
+                Some((r1, r2)) => {
+                    buf.push(1u8);
+                    buf.extend_from_slice(&r1[1..]);
+                    buf.extend_from_slice(&r2[1..]);
+                    *matches += 1;
+                }
+                None => buf.extend_from_slice(dummy),
+            },
+            Emit::Fold { agg, row } => {
+                if let Some((r1, r2)) = hit {
+                    row[1..r1.len()].copy_from_slice(&r1[1..]);
+                    row[r1.len()..].copy_from_slice(&r2[1..]);
+                    agg.add_row(row);
+                }
+            }
+        }
+    }
+
+    /// Writes the positions emitted since the last flush as one run.
+    fn flush<M: EnclaveMemory>(&mut self, host: &mut M) -> Result<(), DbError> {
+        if let Emit::Table { out, buf, pos, .. } = self {
+            out.write_rows(host, *pos, buf)?;
+            *pos += (buf.len() / out.row_len()) as u64;
+            buf.clear();
+        }
+        Ok(())
+    }
+
+    /// The materialized table with its real-row count; `None` for a fold.
+    fn finish(self) -> Option<FlatTable> {
+        match self {
+            Emit::Table { mut out, matches, .. } => {
+                out.set_num_rows(matches);
+                out.set_insert_cursor(out.capacity());
+                Some(out)
+            }
+            Emit::Fold { .. } => None,
+        }
+    }
+}
+
+/// Oblivious hash join (paper §4.3) into a table. Complexity
+/// O(|T1|·|T2| / S); the output data structure holds one block per probe:
 /// `ceil(|T1| / chunk) · |T2|` blocks.
 pub fn hash_join<M: EnclaveMemory>(
     host: &mut M,
@@ -67,83 +150,83 @@ pub fn hash_join<M: EnclaveMemory>(
     c2: usize,
     out_key: AeadKey,
 ) -> Result<FlatTable, DbError> {
+    let out = hash_join_into(host, om, t1, c1, t2, c2, out_key, JoinSink::Table)?;
+    Ok(out.expect("a table sink returns its table"))
+}
+
+/// [`hash_join`] emitting into `sink`; returns the table a table sink
+/// built.
+#[allow(clippy::too_many_arguments)]
+pub fn hash_join_into<M: EnclaveMemory>(
+    host: &mut M,
+    om: &OmBudget,
+    t1: &mut FlatTable,
+    c1: usize,
+    t2: &mut FlatTable,
+    c2: usize,
+    out_key: AeadKey,
+    sink: JoinSink<'_, '_>,
+) -> Result<Option<FlatTable>, DbError> {
     use std::collections::HashMap;
 
     let s1 = t1.schema().clone();
     let s2 = t2.schema().clone();
-    let out_schema = join_schema(&s1, &s2);
-    let out_len = out_schema.row_len();
+    let (key1, key2) = (key_range(&s1, c1), key_range(&s2, c2));
+    let (row1, row2) = (s1.row_len(), s2.row_len());
 
     // Oblivious-memory chunk: how much of T1 fits in the enclave at once.
-    let entry_size = s1.row_len() + 32;
+    let entry_size = row1 + 32;
     let alloc = om.alloc_up_to(t1.capacity() as usize * entry_size);
     let chunk = ((alloc.bytes() / entry_size).max(1) as u64).min(t1.capacity());
     let passes = t1.capacity().div_ceil(chunk);
 
-    let mut out = FlatTable::create(host, out_key, out_schema.clone(), passes * t2.capacity())?;
-    let dummy = out_schema.dummy_row();
-
-    let row1 = s1.row_len();
-    let row2 = s2.row_len();
+    let out_schema = join_schema(&s1, &s2);
+    let mut emit = Emit::open(host, sink, out_key, out_schema, passes * t2.capacity())?;
     let io_chunk = t2.io_chunk_rows();
-    let mut matches = 0u64;
-    let mut out_pos = 0u64;
-    let mut out_buf: Vec<u8> = Vec::with_capacity(io_chunk * out_len);
+    let build_io = t1.io_chunk_rows();
+    let mut arena: Vec<u8> = Vec::with_capacity(chunk as usize * row1);
     for pass in 0..passes {
         let lo = pass * chunk;
         let hi = (lo + chunk).min(t1.capacity());
-        // Build the in-enclave hash table from this chunk of T1, streaming
-        // the (contiguous) chunk in io-sized batched runs so the region
-        // scratch stays bounded — the hash table itself is what the OM
-        // budget pays for.
-        let mut build: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-        let build_io = t1.io_chunk_rows();
+        // Read this chunk of T1 into one contiguous arena, in io-sized
+        // batched runs so the region scratch stays bounded — the arena
+        // and its index are what the OM budget pays for.
+        arena.clear();
         let mut at = lo;
         while at < hi {
             let n = build_io.min((hi - at) as usize);
-            let data = t1.read_rows(host, at, n)?;
-            for bytes in data.chunks_exact(row1) {
-                if Schema::row_used(bytes) {
-                    build.insert(col_bytes(&s1, bytes, c1), bytes.to_vec());
-                }
-            }
+            arena.extend_from_slice(t1.read_rows(host, at, n)?);
             at += n as u64;
         }
-        // Probe every row of T2; each probe emits exactly one output block
+        // Index the used rows by key bytes; a later duplicate overwrites
+        // an earlier one.
+        let mut build: HashMap<&[u8], usize> = HashMap::with_capacity((hi - lo) as usize);
+        for (i, r1) in arena.chunks_exact(row1).enumerate() {
+            if Schema::row_used(r1) {
+                build.insert(&r1[key1.clone()], i * row1);
+            }
+        }
+        // Probe every row of T2; each probe emits exactly one position
         // (paper: "After each check, a row is written to the next block of
         // an output table") — reads and writes move in batched runs.
         let mut start = 0u64;
         while start < t2.capacity() {
             let n = io_chunk.min((t2.capacity() - start) as usize);
             let probes = t2.read_rows(host, start, n)?;
-            out_buf.clear();
-            for bytes in probes.chunks_exact(row2) {
-                let hit = if Schema::row_used(bytes) {
-                    build.get(&col_bytes(&s2, bytes, c2))
-                } else {
-                    None
-                };
-                match hit {
-                    Some(r1) => {
-                        out_buf.extend_from_slice(&join_rows(out_len, r1, bytes));
-                        matches += 1;
-                    }
-                    None => out_buf.extend_from_slice(&dummy),
-                }
+            for r2 in probes.chunks_exact(row2) {
+                let hit = if Schema::row_used(r2) { build.get(&r2[key2.clone()]) } else { None };
+                emit.emit(hit.map(|&off| (&arena[off..off + row1], r2)));
             }
-            out.write_rows(host, out_pos, &out_buf)?;
-            out_pos += n as u64;
+            emit.flush(host)?;
             start += n as u64;
         }
     }
-    out.set_num_rows(matches);
-    out.set_insert_cursor(out.capacity());
-    Ok(out)
+    Ok(emit.finish())
 }
 
-/// What [`hash_join`] costs over `shape`: the `passes · |T2|` output, each
-/// T1 chunk streamed once, and per pass one full probe of T2 writing one
-/// output block per probe in T2-chunk-sized runs.
+/// What [`hash_join`] costs over `shape`: each T1 chunk streamed once, and
+/// per pass one full probe of T2; the table sink adds the `passes · |T2|`
+/// output and one output block per probe in T2-chunk-sized runs.
 pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
     let (row1, row2) = (shape.left_schema.row_len(), shape.right_schema.row_len());
     let (cap1, cap2) = (shape.left_capacity.max(1), shape.right_capacity.max(1));
@@ -152,13 +235,15 @@ pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
     let chunk =
         (((cap1 as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64).min(cap1);
     let passes = cap1.div_ceil(chunk);
-    let probe = SealedRegion::read_batch_cost(row2, cap2)
-        + super::in_runs(cap2, batch_chunk_blocks(row2) as u64, |n| {
-            SealedRegion::write_batch_cost(out_len, n)
-        });
-    FlatTable::create_cost(out_len, passes * cap2)
-        + super::in_runs(cap1, chunk, |n| SealedRegion::read_batch_cost(row1, n))
-        + probe * passes
+    let build = super::in_runs(cap1, chunk, |n| SealedRegion::read_batch_cost(row1, n));
+    let probe = SealedRegion::read_batch_cost(row2, cap2);
+    if shape.folded {
+        return build + probe * passes;
+    }
+    let writes = super::in_runs(cap2, batch_chunk_blocks(row2) as u64, |n| {
+        SealedRegion::write_batch_cost(out_len, n)
+    });
+    FlatTable::create_cost(out_len, passes * cap2) + build + (probe + writes) * passes
 }
 
 /// Which sort-merge variant to run.
@@ -175,9 +260,9 @@ pub enum SortMergeVariant {
     },
 }
 
-/// Oblivious sort-merge join for foreign-key joins: T1 is the primary
-/// side (unique join keys), T2 the foreign side. Output structure size is
-/// the padded union size; real rows number at most |T2|.
+/// Oblivious sort-merge join for foreign-key joins into a table: T1 is the
+/// primary side (unique join keys), T2 the foreign side. Output structure
+/// size is the padded union size; real rows number at most |T2|.
 pub fn sort_merge_join<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
@@ -188,10 +273,29 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     out_key: AeadKey,
     variant: SortMergeVariant,
 ) -> Result<FlatTable, DbError> {
+    let sink = JoinSink::Table;
+    let out = sort_merge_join_into(host, om, t1, c1, t2, c2, out_key, sink, variant)?;
+    Ok(out.expect("a table sink returns its table"))
+}
+
+/// [`sort_merge_join`] emitting into `sink`; returns the table a table
+/// sink built. The union and the key hash derive from `out_key` either
+/// way, so a fold visits rows in the order the table would hold them.
+#[allow(clippy::too_many_arguments)]
+pub fn sort_merge_join_into<M: EnclaveMemory>(
+    host: &mut M,
+    om: &OmBudget,
+    t1: &mut FlatTable,
+    c1: usize,
+    t2: &mut FlatTable,
+    c2: usize,
+    out_key: AeadKey,
+    sink: JoinSink<'_, '_>,
+    variant: SortMergeVariant,
+) -> Result<Option<FlatTable>, DbError> {
     let s1 = t1.schema().clone();
     let s2 = t2.schema().clone();
-    let out_schema = join_schema(&s1, &s2);
-    let out_len = out_schema.row_len();
+    let (key1, key2) = (key_range(&s1, c1), key_range(&s2, c2));
 
     let union_schema = union_schema(&s1, &s2);
     let union_len = union_schema.row_len();
@@ -208,17 +312,6 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     // bit puts the primary row before its foreign matches.
     let make_key = |hash: u64, tag: u8| ((hash as u128) << 1) | tag as u128;
 
-    let pack = |used: bool, tag: u8, hash: u64, row: &[u8]| -> Vec<u8> {
-        let mut out = vec![0u8; union_len];
-        if used {
-            out[0] = 1;
-            out[1] = tag;
-            out[2..18].copy_from_slice(&make_key(hash, tag).to_le_bytes());
-            out[18..18 + row.len()].copy_from_slice(row);
-        }
-        out
-    };
-
     // Fill the union table: T1 then T2 then dummies (all positions get one
     // write; the fill pattern is size-determined). Both sides stream in
     // batched runs: one read crossing from the source, one write crossing
@@ -226,9 +319,9 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     let mut pos = 0u64;
     let mut pack_buf: Vec<u8> = Vec::new();
     for side in 0..2u8 {
-        let (table, schema, col): (&mut FlatTable, &Schema, usize) =
-            if side == 0 { (&mut *t1, &s1, c1) } else { (&mut *t2, &s2, c2) };
-        let row_len = schema.row_len();
+        let (table, key): (&mut FlatTable, &std::ops::Range<usize>) =
+            if side == 0 { (&mut *t1, &key1) } else { (&mut *t2, &key2) };
+        let row_len = table.row_len();
         let chunk = table.io_chunk_rows();
         let cap = table.capacity();
         let mut start = 0u64;
@@ -237,9 +330,16 @@ pub fn sort_merge_join<M: EnclaveMemory>(
             let data = table.read_rows(host, start, count)?;
             pack_buf.clear();
             for bytes in data.chunks_exact(row_len) {
-                let used = Schema::row_used(bytes);
-                let h = hasher.hash(&col_bytes(schema, bytes, col));
-                pack_buf.extend_from_slice(&pack(used, side, h, bytes));
+                let at = pack_buf.len();
+                pack_buf.resize(at + union_len, 0);
+                if Schema::row_used(bytes) {
+                    let h = hasher.hash(&bytes[key.clone()]);
+                    let packed = &mut pack_buf[at..];
+                    packed[0] = 1;
+                    packed[1] = side;
+                    packed[2..18].copy_from_slice(&make_key(h, side).to_le_bytes());
+                    packed[18..18 + row_len].copy_from_slice(bytes);
+                }
             }
             union.write_rows(host, pos, &pack_buf)?;
             pos += count as u64;
@@ -272,56 +372,44 @@ pub fn sort_merge_join<M: EnclaveMemory>(
         oblivious_local,
     )?;
 
-    // Merge scan: one read of the union and one output write per position,
-    // both in batched runs.
-    let mut out = FlatTable::create(host, out_key, out_schema.clone(), n)?;
-    let dummy = out_schema.dummy_row();
-    let mut current_primary: Option<(Vec<u8>, Vec<u8>)> = None; // (key bytes, row)
-    let mut matches = 0u64;
+    // Merge scan: one read of the union and one emitted position per row,
+    // both in batched runs. The current primary row lives in one reused
+    // buffer.
+    let mut emit = Emit::open(host, sink, out_key, join_schema(&s1, &s2), n)?;
+    let (row1, row2) = (s1.row_len(), s2.row_len());
+    let mut primary: Option<Vec<u8>> = None;
     let merge_chunk = union.io_chunk_rows();
-    let mut out_buf: Vec<u8> = Vec::with_capacity(merge_chunk * out_len);
     let mut start = 0u64;
     while start < n {
         let count = merge_chunk.min((n - start) as usize);
         let data = union.read_rows(host, start, count)?;
-        out_buf.clear();
         for bytes in data.chunks_exact(union_len) {
-            let used = bytes[0] == 1;
-            let tag = bytes[1];
             let row = &bytes[18..];
-            let mut emit: Option<Vec<u8>> = None;
-            if used && tag == 0 {
-                let r1 = &row[..s1.row_len()];
-                current_primary = Some((col_bytes(&s1, r1, c1), r1.to_vec()));
-            } else if used && tag == 1 {
-                let r2 = &row[..s2.row_len()];
-                if let Some((pk, pr)) = &current_primary {
-                    // Verify true equality — hash adjacency is not trusted.
-                    if *pk == col_bytes(&s2, r2, c2) {
-                        emit = Some(join_rows(out_len, pr, r2));
-                    }
-                }
+            let mut hit = None;
+            if bytes[0] == 1 && bytes[1] == 0 {
+                let r1 = primary.get_or_insert_with(|| Vec::with_capacity(row1));
+                r1.clear();
+                r1.extend_from_slice(&row[..row1]);
+            } else if bytes[0] == 1 {
+                let r2 = &row[..row2];
+                // Verify true equality — hash adjacency is not trusted.
+                hit = primary
+                    .as_deref()
+                    .filter(|r1| r1[key1.clone()] == r2[key2.clone()])
+                    .map(|r1| (r1, r2));
             }
-            match emit {
-                Some(joined) => {
-                    out_buf.extend_from_slice(&joined);
-                    matches += 1;
-                }
-                None => out_buf.extend_from_slice(&dummy),
-            }
+            emit.emit(hit);
         }
-        out.write_rows(host, start, &out_buf)?;
+        emit.flush(host)?;
         start += count as u64;
     }
-    out.set_num_rows(matches);
-    out.set_insert_cursor(out.capacity());
     union.free(host)?;
-    Ok(out)
+    Ok(emit.finish())
 }
-
 /// What [`sort_merge_join`] costs over `shape`: the power-of-two union
 /// filled from both sides chunk by chunk, its bitonic sort, and the merge
-/// scan writing one output block per union row.
+/// scan reading it once; the table sink adds the union-sized output and
+/// one output block per union row.
 pub fn sort_merge_join_cost(shape: &JoinShape, variant: SortMergeVariant) -> HostStats {
     let (s1, s2) = (&shape.left_schema, &shape.right_schema);
     let (cap1, cap2) = (shape.left_capacity.max(1), shape.right_capacity.max(1));
@@ -339,16 +427,19 @@ pub fn sort_merge_join_cost(shape: &JoinShape, variant: SortMergeVariant) -> Hos
             SealedRegion::read_batch_cost(row_len, k) + SealedRegion::write_batch_cost(union_len, k)
         })
     };
-    let merge = SealedRegion::read_batch_cost(union_len, n)
-        + super::in_runs(n, batch_chunk_blocks(union_len) as u64, |k| {
-            SealedRegion::write_batch_cost(out_len, k)
-        });
-    FlatTable::create_cost(union_len, n)
+    let merged = FlatTable::create_cost(union_len, n)
         + fill(s1.row_len(), cap1)
         + fill(s2.row_len(), cap2)
         + super::sort::bitonic_sort_cost(union_len, n, chunk_rows)
+        + SealedRegion::read_batch_cost(union_len, n);
+    if shape.folded {
+        return merged;
+    }
+    merged
         + FlatTable::create_cost(out_len, n)
-        + merge
+        + super::in_runs(n, batch_chunk_blocks(union_len) as u64, |k| {
+            SealedRegion::write_batch_cost(out_len, k)
+        })
 }
 
 #[cfg(test)]

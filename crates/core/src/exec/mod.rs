@@ -13,8 +13,10 @@ pub mod sort;
 
 use oblidb_enclave::HostStats;
 
-pub use aggregate::{aggregate, group_aggregate, AggFunc, AggState};
-pub use join::{hash_join, sort_merge_join, SortMergeVariant};
+pub use aggregate::{aggregate, group_aggregate, AggFold, AggFunc, AggState};
+pub use join::{
+    hash_join, hash_join_into, sort_merge_join, sort_merge_join_into, JoinSink, SortMergeVariant,
+};
 pub use select::{
     select_continuous, select_hash, select_large, select_naive, select_small, HASH_SLOTS,
 };

@@ -21,8 +21,8 @@
 //! `tests/planner_cost.rs` compares every operator's count against the
 //! real operator's measured `HostStats` on `Host` over a grid of shapes.
 //! The paper's closed-form §5 rules are not an engine mode; they live in
-//! `oblidb_baselines::paper_rules` as the reference the figure harnesses
-//! and parity tests compare against.
+//! `oblidb_baselines::paper_rules` as the reference the planner bench and
+//! the parity tests compare against.
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, HostStats};
@@ -397,11 +397,14 @@ pub struct JoinShape {
     pub om_bytes: usize,
     /// Plain enclave scratch rows granted to the 0-OM sort.
     pub zero_om_scratch_rows: usize,
+    /// Whether the join folds into the aggregate above it instead of
+    /// materializing: no output table is created or written.
+    pub folded: bool,
 }
 
 /// The accesses one JOIN operator will make over `shape` — fill, oblivious
-/// sort, merge / build, probe — counted from the two capacities and the
-/// budget alone.
+/// sort, merge / build, probe, and the output unless the join folds —
+/// counted from the two capacities and the budget alone.
 pub fn join_cost(algo: JoinAlgo, shape: &JoinShape) -> HostStats {
     match algo {
         JoinAlgo::Hash => join::hash_join_cost(shape),
@@ -547,6 +550,7 @@ mod tests {
             right_capacity: 48,
             om_bytes: 1 << 16,
             zero_om_scratch_rows: 1,
+            folded: false,
         };
         let cfg = PlannerConfig::default();
         let candidates_of = |shape: &JoinShape| {
@@ -581,6 +585,7 @@ mod tests {
             right_capacity: 10,
             om_bytes: 1 << 20,
             zero_om_scratch_rows: 1,
+            folded: false,
         };
         let (join, _) = choose_join(&cfg, &joined, &CostProfile::host());
         assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));

@@ -174,16 +174,13 @@ fn aggregates_match_reference() {
         let mut t = build(&mut host, &rows);
         let pred = to_pred(&spec);
 
-        let count = exec::aggregate(&mut host, &mut t, AggFunc::Count, None, &pred).unwrap();
-        assert_eq!(count, Value::Int(matching.len() as i64), "case {case}");
-
-        let sum = exec::aggregate(&mut host, &mut t, AggFunc::Sum, Some(1), &pred).unwrap();
-        assert_eq!(sum, Value::Int(matching.iter().map(|(_, b)| b).sum::<i64>()), "case {case}");
-
+        let items = [(AggFunc::Count, None), (AggFunc::Sum, Some(1)), (AggFunc::Min, Some(0))];
+        let got = exec::aggregate(&mut host, &mut t, &items, &pred).unwrap();
+        assert_eq!(got[0], Value::Int(matching.len() as i64), "case {case}");
+        assert_eq!(got[1], Value::Int(matching.iter().map(|(_, b)| b).sum::<i64>()), "case {case}");
         if !matching.is_empty() {
-            let min = exec::aggregate(&mut host, &mut t, AggFunc::Min, Some(0), &pred).unwrap();
             assert_eq!(
-                min,
+                got[2],
                 Value::Int(matching.iter().map(|(a, _)| *a).min().unwrap()),
                 "case {case}"
             );

@@ -48,6 +48,10 @@ fn main() {
         "EXPLAIN ANALYZE SELECT kind, COUNT(*) FROM events WHERE size < 768 GROUP BY kind",
         "EXPLAIN ANALYZE SELECT * FROM kinds JOIN events ON kinds.kind = events.kind \
          WHERE size < 96",
+        // An aggregate over a join folds the joined rows in the join's
+        // own loop: no join output table, no aggregate pass.
+        "EXPLAIN ANALYZE SELECT COUNT(*), SUM(events.size) FROM kinds \
+         JOIN events ON kinds.kind = events.kind",
     ] {
         println!("--- {query}");
         let out = db.execute(query).unwrap();

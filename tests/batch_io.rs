@@ -239,7 +239,7 @@ fn operators_issue_one_crossing_per_chunk() {
 
     // A fused aggregate is a single chunked read stream.
     host.reset_stats();
-    exec::aggregate(&mut host, &mut t, exec::AggFunc::Count, None, &Predicate::True).unwrap();
+    exec::aggregate(&mut host, &mut t, &[(exec::AggFunc::Count, None)], &Predicate::True).unwrap();
     let s = host.stats();
     assert_eq!(s.reads, n as u64);
     assert_eq!(s.writes, 0);

@@ -148,6 +148,134 @@ fn bdb_q3_equivalent_to_plain_reference() {
     assert!((got_sum - sum_rev).abs() < 1e-3, "sum {got_sum} vs {sum_rev}");
 }
 
+/// An aggregate over a join folds each joined row in the join's own loop
+/// instead of materializing the join. Whatever the algorithm, the number
+/// of hash passes, the side the WHERE is pushed to, or whether a side is
+/// index-probed (a join chosen at run time), the fold must equal folding
+/// the rows the same join materializes (`SELECT *`, in result order) —
+/// floats to the bit — and its integer aggregates must equal the plain
+/// engine's.
+#[test]
+fn folded_join_aggregates_equal_the_materialized_join() {
+    use oblidb::core::{Column, DataType, JoinAlgo, Schema};
+
+    let l_schema =
+        Schema::new(vec![Column::new("lk", DataType::Int), Column::new("i", DataType::Int)]);
+    let r_schema = Schema::new(vec![
+        Column::new("rk", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("x", DataType::Int),
+    ]);
+    let l_rows: Vec<Vec<Value>> =
+        (0..40).map(|n| vec![Value::Int(n), Value::Int(n * 37 % 101 - 50)]).collect();
+    let r_rows: Vec<Vec<Value>> = (0..90)
+        .map(|n| vec![Value::Int(n % 50), Value::Float(n as f64 * 0.1 + 1.0 / 3.0), Value::Int(n)])
+        .collect();
+    let entry = l_schema.row_len() + 32;
+    // (label, WHERE, l indexed on lk)
+    let cases = [
+        ("no WHERE", "", false),
+        ("WHERE on l", " WHERE lk < 30", false),
+        ("WHERE on r", " WHERE x >= 20", false),
+        ("index-probed l", " WHERE lk < 30", true),
+    ];
+    let aggregate = "SELECT COUNT(*), SUM(i), MIN(i), MAX(i), AVG(f) FROM l JOIN r ON l.lk = r.rk";
+    let star = "SELECT * FROM l JOIN r ON l.lk = r.rk";
+
+    for algo in [JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm] {
+        // One hash pass, then a chunk of 12 rows: 3 or 4 passes.
+        for om_bytes in [1 << 20, 12 * entry] {
+            for (label, where_clause, indexed) in cases {
+                let ctx = format!("{algo:?}, OM {om_bytes} B, {label}");
+                let run = |sql: String| {
+                    let mut config = DbConfig { om_bytes, ..DbConfig::default() };
+                    config.planner.force_join = Some(algo);
+                    let mut db = Database::new(config);
+                    let l_method =
+                        if indexed { StorageMethod::Indexed } else { StorageMethod::Flat };
+                    db.create_table_with_rows(
+                        "l",
+                        l_schema.clone(),
+                        l_method,
+                        Some("lk"),
+                        &l_rows,
+                        40,
+                    )
+                    .unwrap();
+                    db.create_table_with_rows(
+                        "r",
+                        r_schema.clone(),
+                        StorageMethod::Flat,
+                        None,
+                        &r_rows,
+                        90,
+                    )
+                    .unwrap();
+                    db.execute(&sql).unwrap()
+                };
+                let folded = run(format!("{aggregate}{where_clause}"));
+                let materialized = run(format!("{star}{where_clause}"));
+
+                // Fold the materialized rows [lk, i, rk, f, x] in order.
+                let rows = materialized.rows();
+                assert!(!rows.is_empty(), "{ctx}");
+                let ints: Vec<i64> = rows.iter().map(|r| r[1].as_int().unwrap()).collect();
+                let sum_f = rows.iter().fold(0.0f64, |acc, r| acc + r[3].as_float().unwrap());
+                let expected = [
+                    Value::Int(rows.len() as i64),
+                    Value::Int(ints.iter().sum()),
+                    Value::Int(*ints.iter().min().unwrap()),
+                    Value::Int(*ints.iter().max().unwrap()),
+                    Value::Float(sum_f / rows.len() as f64),
+                ];
+                let got = &folded.rows()[0];
+                assert_eq!(got[..4], expected[..4], "{ctx}");
+                assert_eq!(
+                    got[4].as_float().unwrap().to_bits(),
+                    expected[4].as_float().unwrap().to_bits(),
+                    "{ctx}: AVG must be bit-identical"
+                );
+
+                // The plain engine agrees on the integer aggregates.
+                let keep = |row: &[Value]| match label {
+                    "WHERE on l" | "index-probed l" => row[0].as_int().unwrap() < 30,
+                    "WHERE on r" => row[4].as_int().unwrap() >= 20,
+                    _ => true,
+                };
+                let pl = PlainTable::new(l_schema.clone(), l_rows.clone());
+                let pr = PlainTable::new(r_schema.clone(), r_rows.clone());
+                let plain: Vec<i64> = pl
+                    .join(0, &pr, 0)
+                    .iter()
+                    .filter(|row| keep(row))
+                    .map(|row| row[1].as_int().unwrap())
+                    .collect();
+                assert_eq!(
+                    got[..4],
+                    [
+                        Value::Int(plain.len() as i64),
+                        Value::Int(plain.iter().sum()),
+                        Value::Int(*plain.iter().min().unwrap()),
+                        Value::Int(*plain.iter().max().unwrap()),
+                    ],
+                    "{ctx}: plain"
+                );
+
+                // The same plan, minus the join's output table.
+                assert!(folded.plan.fused_aggregate, "{ctx}");
+                assert_eq!(folded.plan.join_algo, Some(algo), "{ctx}");
+                assert_eq!(folded.plan.used_index, indexed, "{ctx}");
+                let (join_rows, inputs) = materialized.plan.intermediate_rows.split_last().unwrap();
+                assert_eq!(*join_rows, rows.len() as u64, "{ctx}");
+                assert_eq!(
+                    folded.plan.intermediate_rows, inputs,
+                    "{ctx}: no join output is listed"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn mixed_mutations_keep_storages_equivalent() {
     // Interleave inserts/updates/deletes on a Both table; flat and index

@@ -3,8 +3,10 @@
 //! output sizes, physical plan — the untrusted-memory transcript must be
 //! *identical* whatever the data values or query parameters.
 
+use std::collections::BTreeSet;
+
 use oblidb::core::{Database, DbConfig, StorageMethod, Value};
-use oblidb::enclave::Trace;
+use oblidb::enclave::{AccessKind, RegionId, Trace};
 
 fn fresh_db(rows: &[(i64, i64)], method: StorageMethod) -> Database {
     let mut db = Database::new(DbConfig::default());
@@ -108,6 +110,91 @@ fn join_trace_depends_only_on_sizes() {
     assert!(n0 > 0);
     assert_eq!(n100, 0);
     assert_eq!(t0, t100, "join selectivity must not show in the trace");
+}
+
+/// The regions `trace` writes, in first-write order, each with the block
+/// indices written.
+fn written(trace: &Trace) -> Vec<(RegionId, BTreeSet<u64>)> {
+    let mut out: Vec<(RegionId, BTreeSet<u64>)> = Vec::new();
+    for e in trace.0.iter().filter(|e| e.kind == AccessKind::Write) {
+        match out.iter_mut().find(|(r, _)| *r == e.region) {
+            Some((_, blocks)) => {
+                blocks.insert(e.index);
+            }
+            None => out.push((e.region, BTreeSet::from([e.index]))),
+        }
+    }
+    out
+}
+
+/// An aggregate over a join folds the joined rows in the join's own loop.
+/// Its trace still depends only on sizes, under every join algorithm, and
+/// a folded hash join writes nothing but the pushed-down filter's output
+/// and the one-row result.
+#[test]
+fn folded_join_aggregate_trace_depends_only_on_sizes() {
+    use oblidb::core::JoinAlgo;
+    let run = |algo: JoinAlgo, offset: i64, sql: &str| {
+        let mut db = Database::new(DbConfig::default());
+        db.config_mut().planner.enable_continuous = false;
+        db.config_mut().planner.force_join = Some(algo);
+        db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 32").unwrap();
+        db.execute("CREATE TABLE b (k INT, y INT) CAPACITY 32").unwrap();
+        for i in 0..16 {
+            db.execute(&format!("INSERT INTO a VALUES ({}, {i})", i + offset)).unwrap();
+        }
+        for i in 0..24 {
+            db.execute(&format!("INSERT INTO b VALUES ({}, {i})", (i % 8) + offset * 3)).unwrap();
+        }
+        db.start_trace();
+        let out = db.execute(sql).unwrap();
+        assert!(out.plan.fused_aggregate, "{sql}");
+        (out.rows()[0][0].clone(), db.take_trace())
+    };
+    let bare = "SELECT COUNT(*), SUM(y) FROM a JOIN b ON a.k = b.k";
+    let pushed = "SELECT COUNT(*), SUM(y) FROM a JOIN b ON a.k = b.k WHERE x < 100";
+    for algo in [JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm] {
+        for sql in [bare, pushed] {
+            // offset 0: many matches; offset 100: none. Identical traces.
+            let (n0, t0) = run(algo, 0, sql);
+            let (n100, t100) = run(algo, 100, sql);
+            assert_eq!((n0, n100), (Value::Int(24), Value::Int(0)), "{algo:?}: {sql}");
+            assert_eq!(t0, t100, "{algo:?}: join selectivity must not show in the folded trace");
+        }
+    }
+
+    let one_row = BTreeSet::from([0]);
+    let (_, trace) = run(JoinAlgo::Hash, 0, bare);
+    let writes = written(&trace);
+    assert_eq!(writes.len(), 1, "a bare folded join writes only its result: {writes:?}");
+    assert_eq!(writes[0].1, one_row);
+
+    let (_, trace) = run(JoinAlgo::Hash, 0, pushed);
+    let writes = written(&trace);
+    assert_eq!(writes.len(), 2, "filter output and result only: {writes:?}");
+    assert_eq!(writes[1].1, one_row);
+    // The first region written is the pushed-down filter's output: the
+    // join reads it back, and nothing writes it after that.
+    let filter_out = writes[0].0;
+    let events = trace.for_region(filter_out);
+    let first_read = events.iter().position(|e| e.kind == AccessKind::Read).unwrap();
+    assert!(events[first_read..].iter().all(|e| e.kind == AccessKind::Read));
+}
+
+/// A self-join names one stored table on both sides; one side is copied
+/// so the two reads do not share a sealed region. The ON clause's sides
+/// are attributed by prefix, so `t.k = t.v` joins the FROM side's `v` to
+/// the other side's `k`; `v` is unique, as the primary side's key.
+#[test]
+fn self_join_aggregate_counts_every_pair() {
+    let data: Vec<(i64, i64)> = (0..40).map(|i| (i, (i * 7) % 40 + 20)).collect();
+    let expected =
+        data.iter().map(|(_, v)| data.iter().filter(|(k, _)| k == v).count() as i64).sum::<i64>();
+    assert_eq!(expected, 20);
+    let mut db = fresh_db(&data, StorageMethod::Flat);
+    let out = db.execute("SELECT COUNT(*) FROM t JOIN t ON t.k = t.v").unwrap();
+    assert_eq!(out.rows()[0][0], Value::Int(expected));
+    assert!(out.plan.fused_aggregate);
 }
 
 /// Index point lookups: constant untrusted-access count for any key,

@@ -19,7 +19,7 @@
 //!    through the prepare/execute path when the profiles agree.
 
 use oblidb::baselines::paper_rules;
-use oblidb::core::exec::{self, select, SortMergeVariant};
+use oblidb::core::exec::{self, select, AggFold, AggFunc, JoinSink, SortMergeVariant};
 use oblidb::core::plan::cost::{join_cost, select_cost, JoinAlgo, JoinShape, SelectShape};
 use oblidb::core::plan::{PlanNode, SelectChoice};
 use oblidb::core::predicate::CmpOp;
@@ -409,8 +409,10 @@ fn explain_select_shows_the_calibrated_choice() {
 /// equals its measured cost on `Host` over a seeded grid — power-of-two and
 /// other side capacities, both widths (so the output's write runs split
 /// T2's chunks), a zero budget, a budget smaller than one row, and budgets
-/// or scratch covering the whole union (a single local sort) — and the
-/// engine's chosen join carries that count as its estimate.
+/// or scratch covering the whole union (a single local sort) — both
+/// materialized and folded into an aggregate (no output table, no output
+/// writes), and the engine's chosen join carries that count as its
+/// estimate either way.
 #[test]
 fn join_estimates_match_actuals() {
     let [narrow, wide] = widths();
@@ -427,55 +429,60 @@ fn join_estimates_match_actuals() {
     if !cfg!(debug_assertions) {
         cases.push((&narrow, 37, &narrow, 300, 40 * 64, 4));
     }
+    let items = [(AggFunc::Count, None), (AggFunc::Sum, Some(0))];
     for (ls, lcap, rs, rcap, om_bytes, scratch_rows) in cases {
-        let shape = JoinShape {
-            left_schema: ls.clone(),
-            left_capacity: lcap,
-            right_schema: rs.clone(),
-            right_capacity: rcap,
-            om_bytes,
-            zero_om_scratch_rows: scratch_rows,
-        };
         let keys = rng.below(lcap + 3);
         for algo in [JoinAlgo::Hash, JoinAlgo::Opaque, JoinAlgo::ZeroOm] {
-            let mut host = Host::new();
-            let mut t1 = table(&mut host, ls, lcap, |i| i as i64);
-            let mut t2 = table(&mut host, rs, rcap, |i| ((i * 7) % (keys + 1)) as i64);
-            let om = OmBudget::new(om_bytes);
-            let key = AeadKey([0x77; 32]);
-            let actual = measured(&mut host, |h| {
-                match algo {
-                    JoinAlgo::Hash => exec::hash_join(h, &om, &mut t1, 0, &mut t2, 0, key),
-                    JoinAlgo::Opaque => exec::sort_merge_join(
-                        h,
-                        &om,
-                        &mut t1,
-                        0,
-                        &mut t2,
-                        0,
-                        key,
-                        SortMergeVariant::Opaque,
-                    ),
-                    JoinAlgo::ZeroOm => exec::sort_merge_join(
-                        h,
-                        &om,
-                        &mut t1,
-                        0,
-                        &mut t2,
-                        0,
-                        key,
-                        SortMergeVariant::ZeroOm { scratch_rows },
-                    ),
-                }
-                .unwrap();
-            });
-            assert_eq!(
-                join_cost(algo, &shape),
-                actual,
-                "{algo:?}: {lcap} × {rcap} rows of {} × {} B, OM {om_bytes} B, scratch {scratch_rows}",
-                ls.row_len(),
-                rs.row_len()
-            );
+            let mut matched = Vec::new();
+            for folded in [false, true] {
+                let shape = JoinShape {
+                    left_schema: ls.clone(),
+                    left_capacity: lcap,
+                    right_schema: rs.clone(),
+                    right_capacity: rcap,
+                    om_bytes,
+                    zero_om_scratch_rows: scratch_rows,
+                    folded,
+                };
+                let mut host = Host::new();
+                let mut t1 = table(&mut host, ls, lcap, |i| i as i64);
+                let mut t2 = table(&mut host, rs, rcap, |i| ((i * 7) % (keys + 1)) as i64);
+                let om = OmBudget::new(om_bytes);
+                let key = AeadKey([0x77; 32]);
+                let mut agg = AggFold::new(ls.join("l", rs, "r"), &items, &Predicate::True);
+                let mut out = None;
+                let actual = measured(&mut host, |h| {
+                    let sink = if folded { JoinSink::Fold(&mut agg) } else { JoinSink::Table };
+                    let (t1, t2) = (&mut t1, &mut t2);
+                    out = match algo {
+                        JoinAlgo::Hash => exec::hash_join_into(h, &om, t1, 0, t2, 0, key, sink),
+                        JoinAlgo::Opaque => {
+                            let variant = SortMergeVariant::Opaque;
+                            exec::sort_merge_join_into(h, &om, t1, 0, t2, 0, key, sink, variant)
+                        }
+                        JoinAlgo::ZeroOm => {
+                            let variant = SortMergeVariant::ZeroOm { scratch_rows };
+                            exec::sort_merge_join_into(h, &om, t1, 0, t2, 0, key, sink, variant)
+                        }
+                    }
+                    .unwrap();
+                });
+                assert_eq!(
+                    join_cost(algo, &shape),
+                    actual,
+                    "{algo:?}{}: {lcap} × {rcap} rows of {} × {} B, OM {om_bytes} B, scratch \
+                     {scratch_rows}",
+                    if folded { " folded" } else { "" },
+                    ls.row_len(),
+                    rs.row_len()
+                );
+                assert_eq!(out.is_none(), folded, "only a table sink returns a table");
+                matched.push(match out {
+                    Some(t) => Value::Int(t.num_rows() as i64),
+                    None => agg.finish()[0].clone(),
+                });
+            }
+            assert_eq!(matched[0], matched[1], "{algo:?}: the fold counts the table's rows");
         }
     }
 
@@ -488,27 +495,34 @@ fn join_estimates_match_actuals() {
     for i in 0..48 {
         db.execute(&format!("INSERT INTO f VALUES ({}, {i})", i % 16)).unwrap();
     }
-    let mut stmt = db.prepare("SELECT * FROM d JOIN f ON d.k = f.k").unwrap();
-    let (est, algo) = match stmt.plan().select_root().unwrap() {
-        PlanNode::Join(j) => {
-            (j.est.expect("join over flat inputs is costed at prepare"), j.choice.algo().unwrap())
-        }
-        other => panic!("expected join root, got {other:?}"),
+    let join_of = |root: &PlanNode| match root {
+        PlanNode::Join(j) => j.clone(),
+        PlanNode::Aggregate(a) => match a.input.as_ref() {
+            PlanNode::Join(j) => j.clone(),
+            other => panic!("expected a join under the aggregate, got {other:?}"),
+        },
+        other => panic!("expected a join, got {other:?}"),
     };
-    let out = stmt.run().unwrap();
-    assert_eq!(out.len(), 48);
-    let actual = match stmt.plan().select_root().unwrap() {
-        PlanNode::Join(j) => {
-            assert_eq!(j.choice.algo().unwrap(), algo, "pinned choice survives run");
-            j.actual.unwrap()
-        }
-        _ => unreachable!(),
-    };
-    assert_eq!(
-        (est.reads, est.writes, est.crossings, est.bytes),
-        (actual.reads, actual.writes, actual.crossings, actual.bytes),
-        "join counted estimate must equal measured cost"
-    );
+    let mut writes = Vec::new();
+    for (sql, rows) in [
+        ("SELECT * FROM d JOIN f ON d.k = f.k", 48),
+        ("SELECT COUNT(*), SUM(v) FROM d JOIN f ON d.k = f.k", 1),
+    ] {
+        let mut stmt = db.prepare(sql).unwrap();
+        let planned = join_of(stmt.plan().select_root().unwrap());
+        let est = planned.est.expect("join over flat inputs is costed at prepare");
+        assert_eq!(stmt.run().unwrap().len(), rows, "{sql}");
+        let ran = join_of(stmt.plan().select_root().unwrap());
+        assert_eq!(ran.choice.algo(), planned.choice.algo(), "pinned choice survives run");
+        let actual = ran.actual.unwrap();
+        assert_eq!(
+            (est.reads, est.writes, est.crossings, est.bytes),
+            (actual.reads, actual.writes, actual.crossings, actual.bytes),
+            "{sql}: join counted estimate must equal measured cost"
+        );
+        writes.push(actual.writes);
+    }
+    assert!(writes[1] < writes[0], "a folded join writes no output: {writes:?}");
 }
 
 /// One choice function, two call sites: a join planned at prepare (both
