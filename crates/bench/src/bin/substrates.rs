@@ -1,5 +1,5 @@
-//! Substrate comparison: the same engine workloads over in-RAM, disk,
-//! cached-disk, and sharded backends, recorded for the perf trajectory.
+//! Substrate comparison: the same engine workloads over in-RAM, disk and
+//! cached-disk backends, recorded for the perf trajectory.
 //!
 //! Runs scan-, select-, and ORAM-shaped workloads through the full
 //! engine over each [`SubstrateSpec`] and emits `BENCH_substrates.json`
@@ -57,8 +57,6 @@ fn specs() -> Vec<SubstrateSpec> {
         SubstrateSpec::Host,
         SubstrateSpec::Disk { dir: None },
         SubstrateSpec::CachedDisk { dir: None, capacity_blocks: cache },
-        SubstrateSpec::ShardedHost { shards: 4 },
-        SubstrateSpec::ShardedDisk { dir: None, shards: 4 },
     ]
 }
 

@@ -161,7 +161,7 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
         Session { db: self.clone(), stats: SessionStats { id, statements: 0, errors: 0 } }
     }
 
-    /// The shared substrate handle — for crossing-cost configuration
+    /// The shared substrate handle — for the crossing stall
     /// ([`SharedMemory::set_crossing_stall`]) and store-level stats.
     pub fn store(&self) -> &SharedMemory<M> {
         &self.inner.store

@@ -98,8 +98,8 @@ impl CostProfile {
     pub fn named(label: &str) -> Self {
         match label {
             "uniform" => Self::uniform(),
-            "disk" | "sharded-disk" => Self::disk(),
-            "cached-disk" | "cached-host" => Self::cached_disk(),
+            "disk" => Self::disk(),
+            "cached-disk" => Self::cached_disk(),
             _ => Self::host(),
         }
     }

@@ -70,11 +70,11 @@ pub struct HostStats {
     /// each transition is an OCALL-sized fixed cost, so
     /// `crossings << reads + writes` is what batching buys.
     pub crossings: u64,
-    /// Nanoseconds the enclave spent *stalled* on crossings — the sum of
-    /// the configured [`CrossingCost::stall_nanos`] over every transition
-    /// paid. Spin-priced crossings show up only in `crossings`; this field
-    /// makes the wait-time component of stall-priced substrates (disk,
-    /// stall-calibrated hosts) visible in reports.
+    /// Nanoseconds the enclave spent *stalled* on crossings: the per-crossing
+    /// stall a [`SessionMemory`](crate::SessionMemory) pays
+    /// ([`SharedMemory::set_crossing_stall`](crate::SharedMemory::set_crossing_stall)),
+    /// summed over every transition. Spin-priced crossings show up only in
+    /// `crossings`, so a substrate's own counters always read 0 here.
     pub stall_nanos: u64,
 }
 
@@ -335,34 +335,14 @@ struct Region {
     blocks: Vec<Option<Box<[u8]>>>,
 }
 
-/// Simulated price of one enclave boundary transition.
-///
-/// Two components, because they behave differently under concurrency:
-/// `spins` burns the calling core (transition compute), while
-/// `stall_nanos` blocks the thread without consuming CPU (the enclave
-/// thread waiting for the untrusted host to service the exit).
-/// [`SharedMemory`](crate::SharedMemory) pays both outside its store
-/// lock, so handles driven from different threads overlap their stalls;
-/// the serving front-end runs every statement on one engine under one
-/// lock, so its sessions' stalls do not overlap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CrossingCost {
-    /// CPU-burning spin iterations per crossing (~8k cycles on real SGX).
-    pub spins: u32,
-    /// Worker stall per crossing, in nanoseconds (OCALL service time, EPC
-    /// paging). Realized stalls are floored by OS timer resolution.
-    pub stall_nanos: u64,
-}
-
-impl CrossingCost {
-    /// Burns/waits the configured price. Counters are the caller's job.
-    pub fn pay(self) {
-        for _ in 0..self.spins {
-            std::hint::spin_loop();
-        }
-        if self.stall_nanos > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(self.stall_nanos));
-        }
+/// Counts one enclave boundary transition into `stats` and pays its
+/// simulated price: `spins` CPU-burning spin-loop iterations (~8k cycles
+/// on real SGX). Every substrate that models the boundary crosses here.
+#[inline]
+pub fn pay_crossing(stats: &mut HostStats, spins: u32) {
+    stats.crossings += 1;
+    for _ in 0..spins {
+        std::hint::spin_loop();
     }
 }
 
@@ -376,7 +356,7 @@ pub struct Host {
     regions: Vec<Option<Region>>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
-    crossing: CrossingCost,
+    crossing_spins: u32,
 }
 
 impl Host {
@@ -395,21 +375,7 @@ impl Host {
     /// so unit tests and traces are unaffected; the benchmark harness
     /// opts in to measure the amortization honestly.
     pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the stall component of the crossing price (see
-    /// [`CrossingCost::stall_nanos`]): the worker blocks that long per
-    /// transition instead of burning CPU. Default 0.
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    /// Pays for one boundary transition.
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
+        self.crossing_spins = spins;
     }
 
     /// Allocates a region of `blocks` blocks, each `block_size` bytes.
@@ -493,7 +459,7 @@ impl Host {
             .ok_or(HostError::OutOfBounds { region, index, len })?
             .as_deref()
             .ok_or(HostError::EmptyBlock(region, index))?;
-        Self::cross(&mut self.stats, self.crossing);
+        pay_crossing(&mut self.stats, self.crossing_spins);
         self.stats.reads += 1;
         self.stats.bytes_read += block.len() as u64;
         // Reborrow immutably for the return value.
@@ -526,7 +492,7 @@ impl Host {
             Some(existing) => existing.copy_from_slice(data),
             None => *slot = Some(data.to_vec().into_boxed_slice()),
         }
-        Self::cross(&mut self.stats, self.crossing);
+        pay_crossing(&mut self.stats, self.crossing_spins);
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
@@ -565,7 +531,7 @@ impl Host {
         out.clear();
         let mut crossed = false;
         // Split borrows: trace/stats mutate while region data is read.
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let Host { regions, trace, stats, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -585,7 +551,7 @@ impl Host {
             if !crossed {
                 // Counted only once a block validates, exactly like the
                 // per-block path (failed accesses leave counters alone).
-                Self::cross(stats, cost);
+                pay_crossing(stats, spins);
                 crossed = true;
             }
             out.extend_from_slice(block);
@@ -634,7 +600,7 @@ impl Host {
         data: &[u8],
     ) -> Result<(), HostError> {
         let mut crossed = false;
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let Host { regions, trace, stats, .. } = self;
         let r = regions
             .get_mut(region.0 as usize)
@@ -655,7 +621,7 @@ impl Host {
                 None => *slot = Some(chunk.to_vec().into_boxed_slice()),
             }
             if !crossed {
-                Self::cross(stats, cost);
+                pay_crossing(stats, spins);
                 crossed = true;
             }
             stats.writes += 1;
@@ -858,7 +824,7 @@ mod tests {
         // still counting exactly one crossing).
         h.write(r, 0, &[1; 4]).unwrap();
         assert_eq!(h.stats().crossings, 1);
-        assert_eq!(h.crossing.spins, 3, "reset must not clear the crossing cost");
+        assert_eq!(h.crossing_spins, 3, "reset must not clear the crossing cost");
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod rng;
 mod shared;
 
 pub use host::{
-    batch_count, AccessEvent, AccessKind, CrossingCost, Host, HostError, HostStats, IoOp, RegionId,
+    batch_count, pay_crossing, AccessEvent, AccessKind, Host, HostError, HostStats, IoOp, RegionId,
     StatsReport, Trace,
 };
 pub use memory::EnclaveMemory;

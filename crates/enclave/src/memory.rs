@@ -4,7 +4,7 @@
 //! that each boundary crossing is observable. [`EnclaveMemory`] captures
 //! exactly the surface the engine needs (allocate / free / grow / read /
 //! write / stats / trace), so the same operators run unchanged over the
-//! in-memory [`Host`] and the disk-backed, cached and sharded substrates.
+//! in-memory [`Host`] and the disk-backed and cached substrates.
 
 use crate::host::{batch_count, Host, HostError, HostStats, RegionId, Trace};
 

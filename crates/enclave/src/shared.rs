@@ -3,9 +3,9 @@
 //! [`SharedMemory`] owns the store behind a mutex; [`SessionMemory`] is an
 //! [`EnclaveMemory`] handle that forwards every operation to the shared
 //! store under the lock while keeping **per-handle** stats, traces, and
-//! crossing pricing. The serving front-end (`oblidb_core::SharedDatabase`)
+//! crossing stalls. The serving front-end (`oblidb_core::SharedDatabase`)
 //! runs its one engine over one such handle and keeps the
-//! [`SharedMemory`] for store-level stats, crossing pricing, and admin
+//! [`SharedMemory`] for store-level stats, the crossing stall, and admin
 //! access that must not wait for the engine:
 //!
 //! * Each forwarded call holds the store lock only for the memory
@@ -23,24 +23,24 @@
 //!   the failing index; `UnknownRegion` and ragged-buffer validation
 //!   precede any event; a crossing is counted only once a block
 //!   validates).
-//! * Price the *inner* store at zero and the [`SharedMemory`] at the
-//!   boundary cost: an inner-store price would be paid while holding the
-//!   store lock, blocking every other handle's store access.
+//! * Leave the *inner* store's spin price at zero and price the boundary
+//!   with [`SharedMemory::set_crossing_stall`]: an inner-store price would
+//!   be paid while holding the store lock, blocking every other handle's
+//!   store access.
 //!
 //! Region-id allocation stays globally ordered by the store lock, so any
 //! serial schedule of handles allocates exactly the ids a single owner
 //! would.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::host::{AccessEvent, AccessKind, CrossingCost, HostError, HostStats, RegionId, Trace};
+use crate::host::{AccessEvent, AccessKind, HostError, HostStats, RegionId, Trace};
 use crate::memory::EnclaveMemory;
 
 #[derive(Debug)]
 struct Shared<M> {
     store: Mutex<M>,
-    crossing_spins: AtomicU32,
     crossing_stall: AtomicU64,
     /// Stall nanoseconds paid by *sessions* (the inner store is unpriced),
     /// aggregated across every session for server-level reporting.
@@ -67,13 +67,11 @@ impl<M> Clone for SharedMemory<M> {
 impl<M: EnclaveMemory> SharedMemory<M> {
     /// Wraps `store` for shared use. The store's own crossing price should
     /// be zero (see the module docs); price the boundary with
-    /// [`SharedMemory::set_crossing_stall`] /
-    /// [`SharedMemory::set_crossing_cost`] instead.
+    /// [`SharedMemory::set_crossing_stall`] instead.
     pub fn new(store: M) -> Self {
         Self {
             inner: Arc::new(Shared {
                 store: Mutex::new(store),
-                crossing_spins: AtomicU32::new(0),
                 crossing_stall: AtomicU64::new(0),
                 session_stall_nanos: AtomicU64::new(0),
                 sessions: AtomicU64::new(0),
@@ -81,16 +79,10 @@ impl<M: EnclaveMemory> SharedMemory<M> {
         }
     }
 
-    /// Sets the CPU-burning component of the per-crossing price every
-    /// session pays (see [`CrossingCost::spins`]). Takes effect on the
-    /// next crossing of every session.
-    pub fn set_crossing_cost(&self, spins: u32) {
-        self.inner.crossing_spins.store(spins, Ordering::Relaxed);
-    }
-
-    /// Sets the stall component of the per-crossing price every session
-    /// pays (see [`CrossingCost::stall_nanos`]). Paid outside the store
-    /// lock.
+    /// Sets the per-crossing stall every session pays, in nanoseconds:
+    /// the thread blocks that long per crossing without burning CPU (the
+    /// enclave thread waiting out an OCALL). Paid outside the store lock;
+    /// realized stalls are floored by OS timer resolution.
     pub fn set_crossing_stall(&self, nanos: u64) {
         self.inner.crossing_stall.store(nanos, Ordering::Relaxed);
     }
@@ -152,30 +144,27 @@ pub struct SessionMemory<M> {
 }
 
 impl<M: EnclaveMemory> SessionMemory<M> {
-    fn cost(&self) -> CrossingCost {
-        CrossingCost {
-            spins: self.shared.crossing_spins.load(Ordering::Relaxed),
-            stall_nanos: self.shared.crossing_stall.load(Ordering::Relaxed),
-        }
+    fn stall(&self) -> u64 {
+        self.shared.crossing_stall.load(Ordering::Relaxed)
     }
 
     /// Folds one forwarded call's inner-store counter delta into the
-    /// session stats, then pays the session's crossing price once per
+    /// session stats, then pays the session's crossing stall once per
     /// crossing the inner store counted — after the lock is gone, so
     /// concurrent sessions stall in parallel.
-    fn account(&mut self, delta: HostStats, cost: CrossingCost) {
+    fn account(&mut self, delta: HostStats, stall_nanos: u64) {
         self.stats.reads += delta.reads;
         self.stats.writes += delta.writes;
         self.stats.bytes_read += delta.bytes_read;
         self.stats.bytes_written += delta.bytes_written;
         self.stats.crossings += delta.crossings;
-        let stall = delta.crossings * cost.stall_nanos;
+        let stall = delta.crossings * stall_nanos;
         self.stats.stall_nanos += stall;
         if stall > 0 {
             self.shared.session_stall_nanos.fetch_add(stall, Ordering::Relaxed);
-        }
-        for _ in 0..delta.crossings {
-            cost.pay();
+            for _ in 0..delta.crossings {
+                std::thread::sleep(std::time::Duration::from_nanos(stall_nanos));
+            }
         }
     }
 
@@ -242,7 +231,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
     fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
         // Single accesses trace unconditionally, even when they fail.
         self.record(region, index, AccessKind::Read);
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
@@ -256,21 +245,21 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
         // the inner counters alone, a mid-batch fault leaves the
         // successful prefix — either way the delta IS the single-owner
         // behavior.
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome?;
         Ok(&self.scratch[..])
     }
 
     fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
         self.record(region, index, AccessKind::Write);
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
             let outcome = store.write(region, index, data);
             (outcome, store.stats() - before)
         };
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome
     }
 
@@ -281,7 +270,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
         count: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
@@ -295,7 +284,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
             delta.reads,
             &outcome,
         );
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome
     }
 
@@ -305,7 +294,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
         indices: &[u64],
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
@@ -313,12 +302,12 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
             (outcome, store.stats() - before)
         };
         self.record_batch(region, indices.iter().copied(), AccessKind::Read, delta.reads, &outcome);
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome
     }
 
     fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta, count) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
@@ -337,7 +326,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
             delta.writes,
             &outcome,
         );
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome
     }
 
@@ -347,7 +336,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
         indices: &[u64],
         data: &[u8],
     ) -> Result<(), HostError> {
-        let cost = self.cost();
+        let stall = self.stall();
         let (outcome, delta) = {
             let mut store = lock(&self.shared.store);
             let before = store.stats();
@@ -361,7 +350,7 @@ impl<M: EnclaveMemory> EnclaveMemory for SessionMemory<M> {
             delta.writes,
             &outcome,
         );
-        self.account(delta, cost);
+        self.account(delta, stall);
         outcome
     }
 

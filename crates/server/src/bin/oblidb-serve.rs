@@ -5,8 +5,8 @@
 //!              [--stall-nanos N] [--audit] [--seed N] [--epoch-ms N]
 //! ```
 //!
-//! Builds a fresh engine over the given substrate spec (`memory`,
-//! `disk:/path`, `cached:N:disk:/path`, `sharded:N:disk:/path`, ...),
+//! Builds a fresh engine over the given substrate spec (`host`, the
+//! default, `disk:/path` or `cached:N:disk:/path`),
 //! wraps it in a `SharedDatabase`, and serves sessions until a client
 //! sends the shutdown verb (`oblidb-sql` dot-command `.shutdown`) or
 //! the process receives EOF-equivalent listener failure. Disk-backed
@@ -42,7 +42,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7033".to_string(),
-        substrate: "memory".to_string(),
+        substrate: "host".to_string(),
         workers: 4,
         stall_nanos: 0,
         audit: false,

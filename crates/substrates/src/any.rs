@@ -4,9 +4,9 @@ use std::path::PathBuf;
 
 use oblidb_enclave::{EnclaveMemory, Host, HostError, HostStats, RegionId, Trace};
 
-use crate::{CachedMemory, DiskMemory, ShardedMemory};
+use crate::{CachedMemory, DiskMemory};
 
-/// Declarative substrate choice, buildable from configuration. Feed the
+/// Declarative substrate choice, parsed from a spec string. Feed the
 /// built [`AnySubstrate`] to `Database::with_memory` (or the facade's
 /// `oblidb::database_on`) to open the same engine over any backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,12 +19,6 @@ pub enum SubstrateSpec {
         /// Region-file directory; `None` → self-cleaning temp dir.
         dir: Option<PathBuf>,
     },
-    /// [`CachedMemory`] over [`Host`] (models host-side caching without
-    /// disk latency underneath).
-    CachedHost {
-        /// Cache capacity in blocks.
-        capacity_blocks: usize,
-    },
     /// [`CachedMemory`] over [`DiskMemory`]: the larger-than-RAM
     /// configuration.
     CachedDisk {
@@ -33,39 +27,23 @@ pub enum SubstrateSpec {
         /// Cache capacity in blocks.
         capacity_blocks: usize,
     },
-    /// [`ShardedMemory`] over in-RAM hosts.
-    ShardedHost {
-        /// Number of shards (≥ 1).
-        shards: usize,
-    },
-    /// [`ShardedMemory`] over disk substrates, one directory per shard
-    /// under `dir` (`None` → self-cleaning temp dirs).
-    ShardedDisk {
-        /// Parent directory for the shard directories; `None` →
-        /// self-cleaning temp dirs.
-        dir: Option<PathBuf>,
-        /// Number of shards (≥ 1).
-        shards: usize,
-    },
 }
 
 /// Why a substrate spec string failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseSubstrateError {
-    /// Unknown leading keyword (expected `host`, `disk`, `cached`, or
-    /// `sharded`).
+    /// Unknown leading keyword (expected `host`, `disk`, or `cached`).
     UnknownKind(String),
-    /// `cached:`/`sharded:` wraps something that is not `host`/`disk`.
+    /// `cached:` wraps something that is not `disk`.
     UnknownInner(String),
-    /// A numeric field (cache blocks, shard count) failed to parse or was
-    /// zero.
+    /// The cache block count failed to parse or was zero.
     BadNumber {
         /// Which field.
         field: &'static str,
         /// The offending text.
         got: String,
     },
-    /// The spec ended where more was required (e.g. `sharded:4`).
+    /// The spec ended where more was required (e.g. `cached`).
     Incomplete(&'static str),
 }
 
@@ -73,10 +51,10 @@ impl std::fmt::Display for ParseSubstrateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParseSubstrateError::UnknownKind(s) => {
-                write!(f, "unknown substrate '{s}' (expected host | disk[:dir] | cached[:blocks]:<inner> | sharded:<n>:<inner>)")
+                write!(f, "unknown substrate '{s}' (expected host | disk[:dir] | cached[:blocks]:disk[:dir])")
             }
             ParseSubstrateError::UnknownInner(s) => {
-                write!(f, "unknown inner substrate '{s}' (expected host or disk[:dir])")
+                write!(f, "unknown inner substrate '{s}' (expected disk[:dir])")
             }
             ParseSubstrateError::BadNumber { field, got } => {
                 write!(f, "invalid {field} '{got}' (expected a positive integer)")
@@ -94,14 +72,13 @@ pub const DEFAULT_CACHE_BLOCKS: usize = 4096;
 impl std::str::FromStr for SubstrateSpec {
     type Err = ParseSubstrateError;
 
-    /// Parses the configuration-string form used by `OBLIDB_SUBSTRATE`:
+    /// Parses the spec string `OBLIDB_SUBSTRATE` and
+    /// `oblidb-serve --substrate` take:
     ///
     /// * `host`
     /// * `disk` | `disk:/path/to/dir`
-    /// * `cached:<inner>` | `cached:<blocks>:<inner>` — e.g.
-    ///   `cached:disk:/data`, `cached:8192:host`
-    /// * `sharded:<n>:<inner>` — e.g. `sharded:4:host`,
-    ///   `sharded:2:disk:/data`
+    /// * `cached:disk[:dir]` | `cached:<blocks>:disk[:dir]` — e.g.
+    ///   `cached:disk:/data`, `cached:8192:disk`
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         fn inner_disk_dir(rest: Option<&str>) -> Option<PathBuf> {
             rest.filter(|p| !p.is_empty()).map(PathBuf::from)
@@ -133,29 +110,10 @@ impl std::str::FromStr for SubstrateSpec {
                     None => (inner, None),
                 };
                 match ik.trim().to_ascii_lowercase().as_str() {
-                    "host" => Ok(SubstrateSpec::CachedHost { capacity_blocks }),
                     "disk" => Ok(SubstrateSpec::CachedDisk {
                         dir: inner_disk_dir(irest),
                         capacity_blocks,
                     }),
-                    other => Err(ParseSubstrateError::UnknownInner(other.to_string())),
-                }
-            }
-            "sharded" => {
-                let rest = rest.ok_or(ParseSubstrateError::Incomplete("a shard count"))?;
-                let (count, inner) = rest
-                    .split_once(':')
-                    .ok_or(ParseSubstrateError::Incomplete("an inner substrate"))?;
-                let shards = count.parse::<usize>().ok().filter(|n| *n > 0).ok_or(
-                    ParseSubstrateError::BadNumber { field: "shard count", got: count.to_string() },
-                )?;
-                let (ik, irest) = match inner.split_once(':') {
-                    Some((k, r)) => (k, Some(r)),
-                    None => (inner, None),
-                };
-                match ik.trim().to_ascii_lowercase().as_str() {
-                    "host" => Ok(SubstrateSpec::ShardedHost { shards }),
-                    "disk" => Ok(SubstrateSpec::ShardedDisk { dir: inner_disk_dir(irest), shards }),
                     other => Err(ParseSubstrateError::UnknownInner(other.to_string())),
                 }
             }
@@ -181,10 +139,7 @@ impl SubstrateSpec {
         match self {
             SubstrateSpec::Host => "host",
             SubstrateSpec::Disk { .. } => "disk",
-            SubstrateSpec::CachedHost { .. } => "cached-host",
             SubstrateSpec::CachedDisk { .. } => "cached-disk",
-            SubstrateSpec::ShardedHost { .. } => "sharded-host",
-            SubstrateSpec::ShardedDisk { .. } => "sharded-disk",
         }
     }
 
@@ -195,8 +150,7 @@ impl SubstrateSpec {
     pub fn persist_dir(&self) -> Option<&std::path::Path> {
         match self {
             SubstrateSpec::Disk { dir: Some(d) }
-            | SubstrateSpec::CachedDisk { dir: Some(d), .. }
-            | SubstrateSpec::ShardedDisk { dir: Some(d), .. } => Some(d),
+            | SubstrateSpec::CachedDisk { dir: Some(d), .. } => Some(d),
             _ => None,
         }
     }
@@ -218,20 +172,10 @@ impl SubstrateSpec {
             SubstrateSpec::CachedDisk { dir: Some(d), capacity_blocks } => {
                 AnySubstrate::CachedDisk(CachedMemory::new(DiskMemory::open(d)?, *capacity_blocks))
             }
-            SubstrateSpec::ShardedDisk { dir: Some(d), shards } => {
-                let mut inners = Vec::with_capacity(*shards);
-                for i in 0..*shards {
-                    inners.push(DiskMemory::open(d.join(format!("shard-{i}")))?);
-                }
-                let slots: Vec<usize> = inners.iter().map(DiskMemory::region_slots).collect();
-                AnySubstrate::ShardedDisk(ShardedMemory::reattach(inners, &slots))
-            }
-            SubstrateSpec::Disk { dir: None }
-            | SubstrateSpec::CachedDisk { dir: None, .. }
-            | SubstrateSpec::ShardedDisk { dir: None, .. } => {
+            SubstrateSpec::Disk { dir: None } | SubstrateSpec::CachedDisk { dir: None, .. } => {
                 return Err(nothing_durable("disk (temp dir)"));
             }
-            other => return Err(nothing_durable(other.profile_name())),
+            SubstrateSpec::Host => return Err(nothing_durable("host")),
         })
     }
 
@@ -240,24 +184,8 @@ impl SubstrateSpec {
         Ok(match self {
             SubstrateSpec::Host => AnySubstrate::Host(Host::new()),
             SubstrateSpec::Disk { dir } => AnySubstrate::Disk(disk(dir)?),
-            SubstrateSpec::CachedHost { capacity_blocks } => {
-                AnySubstrate::CachedHost(CachedMemory::new(Host::new(), *capacity_blocks))
-            }
             SubstrateSpec::CachedDisk { dir, capacity_blocks } => {
                 AnySubstrate::CachedDisk(CachedMemory::new(disk(dir)?, *capacity_blocks))
-            }
-            SubstrateSpec::ShardedHost { shards } => {
-                AnySubstrate::ShardedHost(ShardedMemory::from_fn(*shards, |_| Host::new()))
-            }
-            SubstrateSpec::ShardedDisk { dir, shards } => {
-                let mut inners = Vec::with_capacity(*shards);
-                for i in 0..*shards {
-                    inners.push(match dir {
-                        Some(d) => DiskMemory::create(d.join(format!("shard-{i}")))?,
-                        None => DiskMemory::temp()?,
-                    });
-                }
-                AnySubstrate::ShardedDisk(ShardedMemory::new(inners))
             }
         })
     }
@@ -272,22 +200,16 @@ fn disk(dir: &Option<PathBuf>) -> std::io::Result<DiskMemory> {
 
 /// A runtime-selected [`EnclaveMemory`]: the closed set of substrate
 /// stacks the engine ships, behind one concrete type so `Database` keeps
-/// a single instantiation per binary while the backend comes from
-/// configuration. Built by [`SubstrateSpec::build`].
+/// a single instantiation per binary while the backend comes from a spec
+/// string. Built by [`SubstrateSpec::build`].
 #[allow(clippy::large_enum_variant)]
 pub enum AnySubstrate {
     /// In-RAM host.
     Host(Host),
     /// Disk-backed.
     Disk(DiskMemory),
-    /// LRU cache over an in-RAM host.
-    CachedHost(CachedMemory<Host>),
     /// LRU cache over disk.
     CachedDisk(CachedMemory<DiskMemory>),
-    /// Round-robin shards of in-RAM hosts.
-    ShardedHost(ShardedMemory<Host>),
-    /// Round-robin shards of disk substrates.
-    ShardedDisk(ShardedMemory<DiskMemory>),
 }
 
 macro_rules! dispatch {
@@ -295,10 +217,7 @@ macro_rules! dispatch {
         match $self {
             AnySubstrate::Host($m) => $body,
             AnySubstrate::Disk($m) => $body,
-            AnySubstrate::CachedHost($m) => $body,
             AnySubstrate::CachedDisk($m) => $body,
-            AnySubstrate::ShardedHost($m) => $body,
-            AnySubstrate::ShardedDisk($m) => $body,
         }
     };
 }
@@ -309,10 +228,7 @@ impl AnySubstrate {
         match self {
             AnySubstrate::Host(_) => "host",
             AnySubstrate::Disk(_) => "disk",
-            AnySubstrate::CachedHost(_) => "cached-host",
             AnySubstrate::CachedDisk(_) => "cached-disk",
-            AnySubstrate::ShardedHost(_) => "sharded-host",
-            AnySubstrate::ShardedDisk(_) => "sharded-disk",
         }
     }
 
@@ -323,52 +239,12 @@ impl AnySubstrate {
     /// not a second enclave transition, so the inner substrate stays at
     /// its real (unspun) cost.
     pub fn set_crossing_cost(&mut self, spins: u32) {
-        match self {
-            AnySubstrate::Host(h) => h.set_crossing_cost(spins),
-            AnySubstrate::Disk(d) => d.set_crossing_cost(spins),
-            AnySubstrate::CachedHost(c) => c.set_crossing_cost(spins),
-            AnySubstrate::CachedDisk(c) => c.set_crossing_cost(spins),
-            AnySubstrate::ShardedHost(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_cost(spins);
-                }
-            }
-            AnySubstrate::ShardedDisk(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_cost(spins);
-                }
-            }
-        }
-    }
-
-    /// Sets the simulated per-crossing *stall* (worker blocked on the
-    /// boundary transition, e.g. OCALL service time) on the layer that
-    /// models the enclave boundary — same layer selection as
-    /// [`AnySubstrate::set_crossing_cost`]. Stalls, unlike spins, leave
-    /// the CPU free for other threads while they last.
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        match self {
-            AnySubstrate::Host(h) => h.set_crossing_stall(nanos),
-            AnySubstrate::Disk(d) => d.set_crossing_stall(nanos),
-            AnySubstrate::CachedHost(c) => c.set_crossing_stall(nanos),
-            AnySubstrate::CachedDisk(c) => c.set_crossing_stall(nanos),
-            AnySubstrate::ShardedHost(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_stall(nanos);
-                }
-            }
-            AnySubstrate::ShardedDisk(s) => {
-                for i in 0..s.shard_count() {
-                    s.shard_mut(i).set_crossing_stall(nanos);
-                }
-            }
-        }
+        dispatch!(self, m => m.set_crossing_cost(spins))
     }
 
     /// Cache counters when this substrate has a cache layer.
     pub fn cache_stats(&self) -> Option<crate::CacheStats> {
         match self {
-            AnySubstrate::CachedHost(c) => Some(c.cache_stats()),
             AnySubstrate::CachedDisk(c) => Some(c.cache_stats()),
             _ => None,
         }
@@ -378,7 +254,6 @@ impl AnySubstrate {
     /// cache layer: the traffic that survived cache absorption.
     pub fn backing_stats(&self) -> Option<HostStats> {
         match self {
-            AnySubstrate::CachedHost(c) => Some(c.inner().stats()),
             AnySubstrate::CachedDisk(c) => Some(c.inner().stats()),
             _ => None,
         }
@@ -494,10 +369,7 @@ mod tests {
         for spec in [
             SubstrateSpec::Host,
             SubstrateSpec::Disk { dir: None },
-            SubstrateSpec::CachedHost { capacity_blocks: 2 },
             SubstrateSpec::CachedDisk { dir: None, capacity_blocks: 2 },
-            SubstrateSpec::ShardedHost { shards: 3 },
-            SubstrateSpec::ShardedDisk { dir: None, shards: 2 },
         ] {
             roundtrip(&spec);
         }
@@ -509,8 +381,6 @@ mod tests {
             ("host", SubstrateSpec::Host),
             ("disk", SubstrateSpec::Disk { dir: None }),
             ("disk:/tmp/obli", SubstrateSpec::Disk { dir: Some("/tmp/obli".into()) }),
-            ("cached:host", SubstrateSpec::CachedHost { capacity_blocks: DEFAULT_CACHE_BLOCKS }),
-            ("cached:512:host", SubstrateSpec::CachedHost { capacity_blocks: 512 }),
             (
                 "cached:disk:/data",
                 SubstrateSpec::CachedDisk {
@@ -519,11 +389,6 @@ mod tests {
                 },
             ),
             ("cached:128:disk", SubstrateSpec::CachedDisk { dir: None, capacity_blocks: 128 }),
-            ("sharded:4:host", SubstrateSpec::ShardedHost { shards: 4 }),
-            (
-                "sharded:2:disk:/data",
-                SubstrateSpec::ShardedDisk { dir: Some("/data".into()), shards: 2 },
-            ),
         ];
         for (text, expect) in cases {
             assert_eq!(text.parse::<SubstrateSpec>().unwrap(), expect, "{text}");
@@ -541,16 +406,18 @@ mod tests {
             Err(ParseSubstrateError::UnknownInner(k)) if k == "tape"
         ));
         assert!(matches!(
-            "sharded:0:host".parse::<SubstrateSpec>(),
-            Err(ParseSubstrateError::BadNumber { field: "shard count", .. })
-        ));
-        assert!(matches!(
-            "cached:0:host".parse::<SubstrateSpec>(),
+            "cached:0:disk".parse::<SubstrateSpec>(),
             Err(ParseSubstrateError::BadNumber { field: "cache block count", .. })
         ));
+        // Retired spec forms fail loudly rather than fall back to another
+        // substrate.
         assert!(matches!(
-            "sharded:4".parse::<SubstrateSpec>(),
-            Err(ParseSubstrateError::Incomplete(_))
+            "sharded:2:host".parse::<SubstrateSpec>(),
+            Err(ParseSubstrateError::UnknownKind(k)) if k == "sharded"
+        ));
+        assert!(matches!(
+            "cached:host".parse::<SubstrateSpec>(),
+            Err(ParseSubstrateError::UnknownInner(k)) if k == "host"
         ));
         assert!(matches!(
             "cached".parse::<SubstrateSpec>(),
@@ -563,7 +430,7 @@ mod tests {
 
     #[test]
     fn profile_names_match_labels() {
-        for text in ["host", "disk", "cached:host", "cached:disk", "sharded:2:host"] {
+        for text in ["host", "disk", "cached:disk"] {
             let spec: SubstrateSpec = text.parse().unwrap();
             let built = spec.build().unwrap();
             assert_eq!(spec.profile_name(), built.label(), "{text}");

@@ -1,7 +1,7 @@
 //! A write-back LRU of hot sealed blocks over any inner substrate.
 
 use oblidb_enclave::{
-    batch_count, AccessEvent, AccessKind, CrossingCost, EnclaveMemory, HostError, HostStats,
+    batch_count, pay_crossing, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats,
     RegionId, Trace,
 };
 
@@ -106,7 +106,7 @@ pub struct CachedMemory<M: EnclaveMemory> {
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
     cache_stats: CacheStats,
-    crossing: CrossingCost,
+    crossing_spins: u32,
 }
 
 impl<M: EnclaveMemory> CachedMemory<M> {
@@ -125,7 +125,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
             trace: None,
             stats: HostStats::default(),
             cache_stats: CacheStats::default(),
-            crossing: CrossingCost::default(),
+            crossing_spins: 0,
         }
     }
 
@@ -163,20 +163,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
     /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost).
     /// Preserved across [`EnclaveMemory::reset_stats`].
     pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the simulated per-crossing stall of the *logical* boundary;
-    /// see [`Host::set_crossing_stall`](oblidb_enclave::Host::set_crossing_stall).
-    /// Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
+        self.crossing_spins = spins;
     }
 
     fn record(&mut self, region: RegionId, index: u64, kind: AccessKind) {
@@ -408,7 +395,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
                     self.load(key)?
                 };
                 if !std::mem::replace(&mut crossed, true) {
-                    Self::cross(&mut self.stats, self.crossing);
+                    pay_crossing(&mut self.stats, self.crossing_spins);
                 }
                 let data = &self.slots[s as usize].data;
                 out.extend_from_slice(data);
@@ -441,7 +428,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
             }
             self.install((region, index), chunk, true)?;
             if !std::mem::replace(&mut crossed, true) {
-                Self::cross(&mut self.stats, self.crossing);
+                pay_crossing(&mut self.stats, self.crossing_spins);
             }
             self.stats.writes += 1;
             self.stats.bytes_written += block_size as u64;
@@ -501,7 +488,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
             return Err(HostError::OutOfBounds { region, index, len });
         }
         let s = self.load((region, index))?;
-        Self::cross(&mut self.stats, self.crossing);
+        pay_crossing(&mut self.stats, self.crossing_spins);
         let data = &self.slots[s as usize].data;
         self.stats.reads += 1;
         self.stats.bytes_read += data.len() as u64;
@@ -519,7 +506,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
             return Err(HostError::OutOfBounds { region, index, len });
         }
         self.install((region, index), data, true)?;
-        Self::cross(&mut self.stats, self.crossing);
+        pay_crossing(&mut self.stats, self.crossing_spins);
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())

@@ -6,7 +6,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use oblidb_enclave::{
-    batch_count, AccessEvent, AccessKind, CrossingCost, EnclaveMemory, HostError, HostStats, IoOp,
+    batch_count, pay_crossing, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, IoOp,
     RegionId, Trace,
 };
 
@@ -104,7 +104,7 @@ pub struct DiskMemory {
     regions: Vec<Option<DiskRegion>>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
-    crossing: CrossingCost,
+    crossing_spins: u32,
     scratch: Vec<u8>,
     /// Serialized region table, kept in sync incrementally: single-block
     /// writes patch their bitmap word in place, so the steady-state
@@ -152,7 +152,7 @@ impl DiskMemory {
             regions: Vec::new(),
             trace: None,
             stats: HostStats::default(),
-            crossing: CrossingCost::default(),
+            crossing_spins: 0,
             scratch: Vec::new(),
             meta_buf: Vec::new(),
             meta_spans: Vec::new(),
@@ -192,7 +192,7 @@ impl DiskMemory {
             regions,
             trace: None,
             stats: HostStats::default(),
-            crossing: CrossingCost::default(),
+            crossing_spins: 0,
             scratch: Vec::new(),
             meta_buf: Vec::new(),
             meta_spans: Vec::new(),
@@ -376,12 +376,6 @@ impl DiskMemory {
         &self.dir
     }
 
-    /// Total region slots ever allocated (live regions plus tombstones of
-    /// freed ones) — the id-space size a reattaching wrapper needs.
-    pub fn region_slots(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Sets the simulated per-crossing cost, exactly as
     /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost):
     /// every boundary transition additionally executes `spins` spin-loop
@@ -389,23 +383,7 @@ impl DiskMemory {
     /// SGX transition on top, so Host/disk/cached costs calibrate on the
     /// same axis. Preserved across [`EnclaveMemory::reset_stats`].
     pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing.spins = spins;
-    }
-
-    /// Sets the simulated per-crossing *stall*, exactly as
-    /// [`Host::set_crossing_stall`](oblidb_enclave::Host::set_crossing_stall):
-    /// every boundary transition additionally sleeps for `nanos`
-    /// nanoseconds, modelling OCALL service time the worker spends
-    /// blocked rather than computing. Preserved across
-    /// [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_stall(&mut self, nanos: u64) {
-        self.crossing.stall_nanos = nanos;
-    }
-
-    fn cross(stats: &mut HostStats, cost: CrossingCost) {
-        stats.crossings += 1;
-        stats.stall_nanos += cost.stall_nanos;
-        cost.pay();
+        self.crossing_spins = spins;
     }
 
     fn region(&self, region: RegionId) -> Result<&DiskRegion, HostError> {
@@ -518,7 +496,7 @@ impl EnclaveMemory for DiskMemory {
 
     fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
         self.record(region, index, AccessKind::Read);
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let DiskMemory { regions, stats, scratch, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -536,7 +514,7 @@ impl EnclaveMemory for DiskMemory {
         r.file
             .read_exact_at(scratch, index * r.block_size as u64)
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-        Self::cross(stats, cost);
+        pay_crossing(stats, spins);
         stats.reads += 1;
         stats.bytes_read += r.block_size as u64;
         Ok(&self.scratch[..])
@@ -544,7 +522,7 @@ impl EnclaveMemory for DiskMemory {
 
     fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
         self.record(region, index, AccessKind::Write);
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let DiskMemory { regions, stats, meta_buf, meta_spans, meta_valid, .. } = self;
         let r = regions
             .get_mut(region.0 as usize)
@@ -565,7 +543,7 @@ impl EnclaveMemory for DiskMemory {
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Write))?;
         r.mark_written(index);
         Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, index);
-        Self::cross(stats, cost);
+        pay_crossing(stats, spins);
         stats.writes += 1;
         stats.bytes_written += data.len() as u64;
         Ok(())
@@ -579,7 +557,7 @@ impl EnclaveMemory for DiskMemory {
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
         out.clear();
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let DiskMemory { regions, trace, stats, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -616,7 +594,7 @@ impl EnclaveMemory for DiskMemory {
             r.file
                 .read_exact_at(out, start * r.block_size as u64)
                 .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-            Self::cross(stats, cost);
+            pay_crossing(stats, spins);
             stats.reads += valid as u64;
             stats.bytes_read += (valid * r.block_size) as u64;
         }
@@ -633,7 +611,7 @@ impl EnclaveMemory for DiskMemory {
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
         out.clear();
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let mut crossed = false;
         let DiskMemory { regions, trace, stats, .. } = self;
         let r = regions
@@ -648,7 +626,7 @@ impl EnclaveMemory for DiskMemory {
             let (run, failure) = r.scan_run(region, &indices[i..], AccessKind::Read, trace);
             if run > 0 {
                 if !crossed {
-                    Self::cross(stats, cost);
+                    pay_crossing(stats, spins);
                     crossed = true;
                 }
                 let at = out.len();
@@ -668,7 +646,7 @@ impl EnclaveMemory for DiskMemory {
     }
 
     fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let block_size = self.region_block_size(region)?;
         let count = batch_count(region, block_size, data.len())? as u64;
         let DiskMemory { regions, trace, stats, meta_buf, meta_spans, meta_valid, .. } = self;
@@ -707,7 +685,7 @@ impl EnclaveMemory for DiskMemory {
             for word in (start / 64)..=((start + valid as u64 - 1) / 64) {
                 Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
             }
-            Self::cross(stats, cost);
+            pay_crossing(stats, spins);
             stats.writes += valid as u64;
             stats.bytes_written += (valid * block_size) as u64;
         }
@@ -723,7 +701,7 @@ impl EnclaveMemory for DiskMemory {
         indices: &[u64],
         data: &[u8],
     ) -> Result<(), HostError> {
-        let cost = self.crossing;
+        let spins = self.crossing_spins;
         let block_size = self.region_block_size(region)?;
         if batch_count(region, block_size, data.len())? != indices.len() {
             return Err(HostError::BlockSizeMismatch {
@@ -759,7 +737,7 @@ impl EnclaveMemory for DiskMemory {
                     Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
                 }
                 if !crossed {
-                    Self::cross(stats, cost);
+                    pay_crossing(stats, spins);
                     crossed = true;
                 }
                 stats.writes += run as u64;

@@ -16,16 +16,13 @@
 //!   at the wrapper, so the adversary's view is exactly the view a raw
 //!   [`Host`](oblidb_enclave::Host) would give — caching changes backing
 //!   traffic, never the access pattern.
-//! * [`ShardedMemory`] — routes regions round-robin across N inner
-//!   substrates, with per-shard counters. The placement prerequisite for
-//!   concurrent query execution over multiple backing stores.
 //! * [`AnySubstrate`] + [`SubstrateSpec`] — runtime substrate selection:
 //!   one enum type implementing
 //!   [`EnclaveMemory`](oblidb_enclave::EnclaveMemory), so a single
-//!   `Database<AnySubstrate>` can open over any backend chosen from
-//!   configuration.
+//!   `Database<AnySubstrate>` can open over any backend named by a spec
+//!   string (`host`, `disk[:dir]`, `cached[:blocks]:disk[:dir]`).
 //!
-//! All three substrates reproduce the [`Host`](oblidb_enclave::Host)
+//! Both substrates reproduce the [`Host`](oblidb_enclave::Host)
 //! contract bit-for-bit: same error taxonomy and precedence, same
 //! per-block trace events (including failed attempts), same stats
 //! accounting (one crossing per call, per-block read/write counts). The
@@ -38,14 +35,10 @@
 
 mod any;
 mod cache;
-pub mod config;
 mod disk;
-mod shard;
 mod tempdir;
 
 pub use any::{AnySubstrate, ParseSubstrateError, SubstrateSpec, DEFAULT_CACHE_BLOCKS};
 pub use cache::{CacheStats, CachedMemory};
-pub use config::{ConfigError, SubstrateConfig};
 pub use disk::{DiskMemory, REGION_META_FILE};
-pub use shard::ShardedMemory;
 pub use tempdir::TempDir;

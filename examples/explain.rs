@@ -5,11 +5,6 @@
 //! cargo run --release --example explain
 //! OBLIDB_SUBSTRATE=disk:/tmp/oblidb cargo run --release --example explain
 //! OBLIDB_SUBSTRATE=cached:512:disk cargo run --release --example explain
-//! OBLIDB_SUBSTRATE=sharded:4:host cargo run --release --example explain
-//! # or from a key=value config file:
-//! #   substrate = cached:512:disk
-//! #   crossing_cost = 8000
-//! cargo run --release --example explain -- deployment.conf
 //! ```
 //!
 //! The same medium-selectivity query plans differently as the crossing
@@ -21,27 +16,14 @@ use oblidb::core::{CostProfile, DbConfig};
 use oblidb::substrates::SubstrateSpec;
 
 fn main() {
-    // A config-file argument wins over the environment variable(s).
-    let (spec, crossing_cost) = match std::env::args().nth(1) {
-        Some(path) => match SubstrateSpec::from_config_file(&path) {
-            Ok(cfg) => {
-                println!("config:    {path}");
-                (cfg.spec, cfg.crossing_cost)
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => match SubstrateSpec::from_env() {
-            Ok(s) => (s, None),
-            Err(e) => {
-                eprintln!("OBLIDB_SUBSTRATE: {e}");
-                std::process::exit(2);
-            }
-        },
+    let spec = match SubstrateSpec::from_env() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("OBLIDB_SUBSTRATE: {e}");
+            std::process::exit(2);
+        }
     };
-    println!("substrate: {} (set OBLIDB_SUBSTRATE or pass a config file)", spec.profile_name());
+    println!("substrate: {} (set OBLIDB_SUBSTRATE to change)", spec.profile_name());
     println!("profile:   {:?}\n", CostProfile::named(spec.profile_name()));
 
     // Tiny OM budget so the planner has a real trade-off to weigh: the
@@ -49,9 +31,6 @@ fn main() {
     // per input row.
     let config = DbConfig { om_bytes: 128, ..DbConfig::default() };
     let mut db = oblidb::database_on_calibrated(&spec, config).expect("substrate builds");
-    if let Some(spins) = crossing_cost {
-        db.host_mut().set_crossing_cost(spins);
-    }
 
     db.execute("CREATE TABLE events (id INT, kind INT, size INT) CAPACITY 512").unwrap();
     for i in 0..512 {

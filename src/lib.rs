@@ -9,9 +9,8 @@
 //! * [`enclave`] — the simulated enclave boundary: untrusted block memory
 //!   with access-pattern tracing and an oblivious-memory budget.
 //! * [`substrates`] — production-shaped [`enclave::EnclaveMemory`]
-//!   backends: disk-backed ([`substrates::DiskMemory`]), LRU-cached
-//!   ([`substrates::CachedMemory`]), sharded
-//!   ([`substrates::ShardedMemory`]), plus runtime selection via
+//!   backends: disk-backed ([`substrates::DiskMemory`]) and LRU-cached
+//!   ([`substrates::CachedMemory`]), plus runtime selection via
 //!   [`substrates::SubstrateSpec`] / [`substrates::AnySubstrate`].
 //! * [`telemetry`] — enclave-safe observability: hierarchical spans over a
 //!   fixed in-enclave ring, a counters/histograms registry, and text/JSON
@@ -130,8 +129,8 @@ impl From<core::DbError> for OpenError {
 }
 
 /// Reopens a database persisted with [`core::Database::persist_to`] on a
-/// durable substrate spec (`disk:/path`, `cached:N:disk:/path`,
-/// `sharded:N:disk:/path`): re-attaches the substrate
+/// durable substrate spec (`disk:/path`, `cached:N:disk:/path`):
+/// re-attaches the substrate
 /// ([`substrates::SubstrateSpec::open`]), verifies the sealed manifest,
 /// and reconstructs the engine so prepare/explain/execute resumes against
 /// yesterday's data with byte-identical results and traces.
@@ -239,27 +238,17 @@ fn rebuild(
     Ok((db, report))
 }
 
-/// Removes a store's region files and region tables so recovery can
-/// rebuild on the same directories. The sealed manifest is left in place
+/// Removes a store's region files and region table so recovery can
+/// rebuild in the same directory. The sealed manifest is left in place
 /// until `persist_to` atomically replaces it.
 fn wipe_store(spec: &substrates::SubstrateSpec) -> std::io::Result<()> {
     let Some(dir) = spec.persist_dir() else { return Ok(()) };
-    let mut dirs = vec![dir.to_path_buf()];
-    if let substrates::SubstrateSpec::ShardedDisk { shards, .. } = spec {
-        dirs = (0..*shards).map(|i| dir.join(format!("shard-{i}"))).collect();
-    }
-    for d in dirs {
-        if !d.exists() {
-            // A crash can land before a shard directory was even created.
-            continue;
-        }
-        for entry in std::fs::read_dir(&d)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".blk") || name == substrates::REGION_META_FILE {
-                std::fs::remove_file(entry.path())?;
-            }
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".blk") || name == substrates::REGION_META_FILE {
+            std::fs::remove_file(entry.path())?;
         }
     }
     Ok(())

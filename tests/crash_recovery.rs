@@ -120,15 +120,6 @@ fn crash_between_writes_and_sync_recovers_on_cached_disk() {
 }
 
 #[test]
-fn crash_between_writes_and_sync_recovers_on_sharded_disk() {
-    for seed in 0..2u64 {
-        let guard = TempDir::new("oblidb-crash-sharded").unwrap();
-        let spec = SubstrateSpec::ShardedDisk { dir: Some(guard.path().join("db")), shards: 2 };
-        crash_and_recover(&spec, seed);
-    }
-}
-
-#[test]
 fn crash_during_recovery_itself_loses_nothing() {
     // The nastiest schedule: crash past a checkpoint, start recovery,
     // then crash again mid-rebuild — after the store was wiped but before

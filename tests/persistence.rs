@@ -74,12 +74,6 @@ fn reopen_is_byte_identical_on_cached_disk() {
 }
 
 #[test]
-fn reopen_is_byte_identical_on_sharded_disk() {
-    let guard = TempDir::new("oblidb-persist-sharded").unwrap();
-    reopen_roundtrip(SubstrateSpec::ShardedDisk { dir: Some(guard.path().join("db")), shards: 3 });
-}
-
-#[test]
 fn tampered_region_file_is_rejected_with_typed_error() {
     let guard = TempDir::new("oblidb-persist-tamper").unwrap();
     let dir = guard.path().join("db");
@@ -207,15 +201,9 @@ fn alloc_failure_surfaces_as_typed_error_never_a_panic() {
                 capacity_blocks: 8,
             },
         ),
-        (
-            "sharded-disk",
-            SubstrateSpec::ShardedDisk { dir: Some(guard.path().join("sharded")), shards: 2 },
-        ),
     ] {
         let mut m = spec.build().unwrap();
-        let dir = spec.persist_dir().unwrap().to_path_buf();
-        let dir = if name == "sharded-disk" { dir.join("shard-0") } else { dir };
-        squat(&dir, 0);
+        squat(spec.persist_dir().unwrap(), 0);
         let err = m.alloc_region(4, 8).unwrap_err();
         assert!(matches!(err, HostError::Io { op: IoOp::Alloc, .. }), "{name}: {err:?}");
     }

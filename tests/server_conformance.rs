@@ -1,7 +1,8 @@
 //! Serving conformance: the concurrent [`SharedDatabase`] front-end must
 //! be indistinguishable from a single-owner [`Database`] for any serial
 //! schedule — byte-identical results AND event-identical adversary
-//! traces — on every substrate (in-RAM host, disk, sharded), and
+//! traces — on every substrate (in-RAM host, disk, and a cache over disk
+//! small enough to evict under the served path), and
 //! concurrent sessions must converge to the serial-equivalent state with
 //! the engine's trace auditor silent. The top layer is exercised too: a
 //! real TCP server over a disk store with interleaving clients.
@@ -11,7 +12,7 @@ use oblidb::core::{Database, DbConfig, SharedDatabase, Value};
 use oblidb::enclave::{EnclaveMemory, Host};
 use oblidb::server::client::{Connection, StatementResult};
 use oblidb::server::server::{serve, ServerConfig};
-use oblidb::substrates::{DiskMemory, ShardedMemory};
+use oblidb::substrates::{CachedMemory, DiskMemory};
 
 /// The statement mix: DDL, a burst of inserts, point/range/aggregate
 /// selects, an update and a delete, then re-reads that observe them.
@@ -73,12 +74,15 @@ fn serial_sessions_match_single_owner_on_disk() {
     assert_serial_equivalence(DiskMemory::temp().unwrap(), DiskMemory::temp().unwrap());
 }
 
+/// Eight cached blocks: the served workload's table alone outgrows the
+/// cache, so sessions run through evictions and write-backs.
+fn small_cache_over_disk() -> CachedMemory<DiskMemory> {
+    CachedMemory::new(DiskMemory::temp().unwrap(), 8)
+}
+
 #[test]
-fn serial_sessions_match_single_owner_on_sharded() {
-    assert_serial_equivalence(
-        ShardedMemory::from_fn(3, |_| Host::new()),
-        ShardedMemory::from_fn(3, |_| Host::new()),
-    );
+fn serial_sessions_match_single_owner_on_cached_disk() {
+    assert_serial_equivalence(small_cache_over_disk(), small_cache_over_disk());
 }
 
 /// N threads interleaving inserts with reads must converge to the
@@ -127,8 +131,8 @@ fn concurrent_sessions_converge_on_disk() {
 }
 
 #[test]
-fn concurrent_sessions_converge_on_sharded() {
-    assert_concurrent_convergence(ShardedMemory::from_fn(4, |_| Host::new()));
+fn concurrent_sessions_converge_on_cached_disk() {
+    assert_concurrent_convergence(small_cache_over_disk());
 }
 
 /// Full stack over a durable substrate: a real TCP server on a disk

@@ -1,17 +1,15 @@
 //! Substrate conformance: the full engine must behave identically — byte-
 //! identical query results, event-identical adversary traces — over every
 //! [`EnclaveMemory`] substrate: in-RAM [`Host`], disk-backed
-//! [`DiskMemory`], the write-back [`CachedMemory`] LRU, and round-robin
-//! [`ShardedMemory`]. The substrates only change *where* sealed blocks
+//! [`DiskMemory`], and the write-back [`CachedMemory`] LRU. The
+//! substrates only change *where* sealed blocks
 //! live and what backing traffic costs; the trusted protocol, and
 //! therefore the adversary's view, must not move by one event.
 
 use oblidb::core::wal::WalConfig;
 use oblidb::core::{Database, DbConfig, Row, SelectAlgo};
 use oblidb::enclave::{EnclaveMemory, Host, Trace};
-use oblidb::substrates::{
-    AnySubstrate, CachedMemory, DiskMemory, ShardedMemory, SubstrateSpec, TempDir,
-};
+use oblidb::substrates::{AnySubstrate, CachedMemory, DiskMemory, SubstrateSpec, TempDir};
 
 fn wal_db_config() -> DbConfig {
     DbConfig { wal: Some(WalConfig::default()), ..DbConfig::default() }
@@ -87,7 +85,7 @@ fn host_reference() -> (Vec<Vec<Row>>, Vec<String>) {
     mixed_workload(&mut db, N)
 }
 
-/// Engine equivalence: the four substrate families return byte-identical
+/// Engine equivalence: every substrate family returns byte-identical
 /// results and identical WAL transcripts.
 #[test]
 fn engine_equivalence_across_substrates() {
@@ -96,10 +94,7 @@ fn engine_equivalence_across_substrates() {
 
     let specs = [
         SubstrateSpec::Disk { dir: None },
-        SubstrateSpec::CachedHost { capacity_blocks: 32 },
         SubstrateSpec::CachedDisk { dir: None, capacity_blocks: 32 },
-        SubstrateSpec::ShardedHost { shards: 3 },
-        SubstrateSpec::ShardedDisk { dir: None, shards: 2 },
     ];
     for spec in specs {
         let substrate = spec.build().unwrap();
@@ -173,16 +168,16 @@ fn cached_memory_trace_equals_host_trace() {
     }
 }
 
-/// Sharding must not change the adversary's view either (global region
-/// ids are allocated in the same order as a single Host).
+/// Moving blocks to disk must not change the adversary's view either:
+/// the full engine trace over a bare `DiskMemory` (region files, batched
+/// positioned I/O, no cache in front) is event-identical to `Host`'s.
 #[test]
-fn sharded_memory_trace_equals_host_trace() {
+fn disk_memory_trace_equals_host_trace() {
     let mut host_db = Database::new(wal_db_config());
     let host_trace = traced_workload(&mut host_db);
-    let mut sharded_db =
-        Database::with_memory(ShardedMemory::from_fn(3, |_| Host::new()), wal_db_config());
-    let sharded_trace = traced_workload(&mut sharded_db);
-    assert_eq!(host_trace, sharded_trace);
+    let mut disk_db = Database::with_memory(DiskMemory::temp().unwrap(), wal_db_config());
+    let disk_trace = traced_workload(&mut disk_db);
+    assert_eq!(host_trace, disk_trace);
 }
 
 /// The acceptance scenario: a dataset whose sealed blocks outnumber the
@@ -271,7 +266,6 @@ fn any_substrate_stats_surface_uniformly() {
         SubstrateSpec::Host,
         SubstrateSpec::Disk { dir: None },
         SubstrateSpec::CachedDisk { dir: None, capacity_blocks: 64 },
-        SubstrateSpec::ShardedHost { shards: 2 },
     ];
     let mut reports = Vec::new();
     for spec in specs {

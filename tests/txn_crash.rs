@@ -139,13 +139,6 @@ fn mid_epoch_crash_on_cached_disk() {
 }
 
 #[test]
-fn mid_epoch_crash_on_sharded_disk() {
-    let guard = TempDir::new("oblidb-txncrash-sharded").unwrap();
-    let spec = SubstrateSpec::ShardedDisk { dir: Some(guard.path().join("db")), shards: 2 };
-    crash_mid_epoch_lands_on_boundary(&spec);
-}
-
-#[test]
 fn sealed_epoch_survives_on_disk() {
     let guard = TempDir::new("oblidb-txncrash-sealed").unwrap();
     let spec = SubstrateSpec::Disk { dir: Some(guard.path().join("db")) };
