@@ -24,9 +24,6 @@ use oblidb_enclave::EnclaveMemory;
 use oblidb_substrates::{AnySubstrate, SubstrateSpec};
 use std::time::Duration;
 
-/// Same SGX-transition model as `batch_io`: ~8k cycles per crossing.
-const SGX_CROSSING_SPINS: u32 = 250;
-
 fn smoke() -> bool {
     oblidb_bench::smoke_mode()
 }
@@ -188,8 +185,7 @@ fn main() {
     let mut cache_notes: Vec<String> = Vec::new();
 
     for spec in specs() {
-        let mut substrate = spec.build().expect("substrate builds");
-        substrate.set_crossing_cost(SGX_CROSSING_SPINS);
+        let substrate = spec.build().expect("substrate builds");
         let label = substrate.label();
         let mut db = setup(substrate);
 
@@ -220,7 +216,7 @@ fn main() {
     }
 
     let mut report = Report::new(
-        format!("Engine workloads across substrates ({n} rows, SGX-priced crossings)"),
+        format!("Engine workloads across substrates ({n} rows, crossings free)"),
         &["substrate", "workload", "mean", "crossings", "backing-crossings"],
     );
     for r in &results {

@@ -86,9 +86,9 @@ pub struct PerBlockCost {
 
 /// Writes `BENCH_<name>.json` with one row per substrate × workload:
 /// `{"bench": name, "results": [{substrate, workload, seconds, reads,
-/// writes, bytes_read, bytes_written, crossings, stall_nanos,
-/// backing_crossings?}, …], "per_block": [{memory, block_bytes, access,
-/// ns_per_block}, …]}`. Returns the path written.
+/// writes, bytes_read, bytes_written, crossings, backing_crossings?}, …],
+/// "per_block": [{memory, block_bytes, access, ns_per_block}, …]}`.
+/// Returns the path written.
 pub fn write_substrate_json(
     dir: &std::path::Path,
     name: &str,
@@ -105,8 +105,7 @@ pub fn write_substrate_json(
         };
         out.push_str(&format!(
             "    {{\"substrate\": {}, \"workload\": {}, \"seconds\": {:.9}, \"reads\": {}, \
-             \"writes\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \"crossings\": {}, \
-             \"stall_nanos\": {}{}}}{}\n",
+             \"writes\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \"crossings\": {}{}}}{}\n",
             json_str(&r.report.name),
             json_str(&r.workload),
             r.seconds,
@@ -115,7 +114,6 @@ pub fn write_substrate_json(
             s.bytes_read,
             s.bytes_written,
             s.crossings,
-            s.stall_nanos,
             backing,
             if i + 1 < results.len() { "," } else { "" },
         ));
@@ -279,7 +277,7 @@ mod tests {
             bytes_read: 100,
             bytes_written: 40,
             crossings: 3,
-            stall_nanos: 9,
+            ..Default::default()
         };
         let rows = vec![
             SubstrateMeasurement {
@@ -310,7 +308,7 @@ mod tests {
         assert!(body.contains("\"bench\": \"substrates_test\""));
         assert!(body.contains("\"substrate\": \"disk\""));
         assert!(body.contains("\"crossings\": 3"));
-        assert!(body.contains("\"stall_nanos\": 9"));
+        assert!(!body.contains("stall_nanos"));
         assert!(body.contains("\"backing_crossings\": 1"));
         assert!(!body.contains("\"backing_crossings\": null"));
         std::fs::remove_file(path).unwrap();

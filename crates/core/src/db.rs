@@ -550,9 +550,9 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// One merged telemetry snapshot: the process-wide metrics registry
-    /// (counters + histograms) plus this engine's substrate traffic and
-    /// plan-cache counters — the single surface that absorbs `HostStats`,
-    /// substrate cache stats, and `PlanCacheStats`.
+    /// (counters + histograms) plus this engine's substrate traffic,
+    /// plan-cache and audit counters — the single surface that absorbs
+    /// `HostStats`, `PlanCacheStats` and `AuditReport`.
     ///
     /// Exporting it is an *explicit* boundary crossing: the snapshot
     /// aggregates sizes and counts the adversary model already concedes
@@ -567,12 +567,13 @@ impl<M: EnclaveMemory> Database<M> {
         snap.push_counter("host_bytes_read", stats.bytes_read);
         snap.push_counter("host_bytes_written", stats.bytes_written);
         snap.push_counter("host_crossings", stats.crossings);
-        snap.push_counter("host_stall_nanos", stats.stall_nanos);
-        snap.push_counter("plan_cache_hits", self.plan_cache_stats.hits);
-        snap.push_counter("plan_cache_misses", self.plan_cache_stats.misses);
+        // `db_`-prefixed: the registry already holds process-wide
+        // counters named `plan_cache_hits` and `audit_violations`.
+        snap.push_counter("db_plan_cache_hits", self.plan_cache_stats.hits);
+        snap.push_counter("db_plan_cache_misses", self.plan_cache_stats.misses);
         let audit = self.auditor.report();
-        snap.push_counter("audit_shapes", audit.shapes as u64);
-        snap.push_counter("audit_violations", audit.violations as u64);
+        snap.push_counter("db_audit_shapes", audit.shapes as u64);
+        snap.push_counter("db_audit_violations", audit.violations as u64);
         snap
     }
 

@@ -186,8 +186,8 @@ pub struct RecoveryReport {
     pub skipped: Vec<(String, DbError)>,
     /// Wall time the replay took.
     pub duration: std::time::Duration,
-    /// Host traffic the replay generated (reads, writes, bytes, crossings,
-    /// stall) — the recovery cost in the same currency as
+    /// Host traffic the replay generated (reads, writes, bytes,
+    /// crossings) — the recovery cost in the same currency as
     /// [`oblidb_enclave::StatsReport`].
     pub replay_stats: oblidb_enclave::HostStats,
 }

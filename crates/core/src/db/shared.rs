@@ -27,15 +27,15 @@
 //! one lock hold for the whole batch, so other sessions see a
 //! transaction's effects all-or-nothing.
 //!
-//! Stall pricing: configure crossing stalls on the [`SharedMemory`]
-//! handle (see [`SharedDatabase::store`]), not on the inner substrate.
-//! Stalls are paid outside the store lock but inside the engine lock, so
-//! one session's stalls no longer overlap another's.
+//! The master runs directly on the substrate, so the engine lock is the
+//! only lock and [`SharedDatabase::store_stats`] is the engine's own
+//! `HostStats`. Crossings are counted, never priced in the engine: a
+//! priced time is `crossings × price`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use oblidb_enclave::{EnclaveMemory, SessionMemory, SharedMemory, Trace};
+use oblidb_enclave::{EnclaveMemory, HostStats, Trace};
 
 use crate::audit::{AuditReport, AuditViolation};
 use crate::error::DbError;
@@ -52,9 +52,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 struct Inner<M: EnclaveMemory + Send> {
     /// The resident engine every statement runs on.
-    master: Mutex<Database<SessionMemory<M>>>,
-    /// The shared substrate handle the master's store handle came from.
-    store: SharedMemory<M>,
+    master: Mutex<Database<M>>,
     session_seq: AtomicU64,
     statement_errors: AtomicU64,
 }
@@ -110,45 +108,11 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
 
     /// Wraps an existing single-owner engine — tables, WAL, plan cache,
     /// auditor history and all — for concurrent serving. The engine
-    /// becomes the resident *master* behind the engine lock, and its
-    /// substrate is rehomed into a [`SharedMemory`] so store-level stats
-    /// and crossing pricing can be reached without that lock.
+    /// becomes the resident *master* behind the engine lock.
     pub fn adopt(db: Database<M>) -> Self {
-        let Database {
-            host,
-            om,
-            rng,
-            master_key,
-            key_epoch,
-            key_counter,
-            tables,
-            config,
-            wal,
-            version,
-            plan_cache,
-            plan_cache_stats,
-            auditor,
-        } = db;
-        let store = SharedMemory::new(host);
-        let master = Database {
-            host: store.session(),
-            om,
-            rng,
-            master_key,
-            key_epoch,
-            key_counter,
-            tables,
-            config,
-            wal,
-            version,
-            plan_cache,
-            plan_cache_stats,
-            auditor,
-        };
         Self {
             inner: Arc::new(Inner {
-                master: Mutex::new(master),
-                store,
+                master: Mutex::new(db),
                 session_seq: AtomicU64::new(0),
                 statement_errors: AtomicU64::new(0),
             }),
@@ -161,17 +125,30 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
         Session { db: self.clone(), stats: SessionStats { id, statements: 0, errors: 0 } }
     }
 
-    /// The shared substrate handle — for the crossing stall
-    /// ([`SharedMemory::set_crossing_stall`]) and store-level stats.
-    pub fn store(&self) -> &SharedMemory<M> {
-        &self.inner.store
+    /// This handle itself: the substrate is the master's own, so
+    /// `store().with_store(..)` and `store().store_stats()` are
+    /// [`SharedDatabase::with_store`] and [`SharedDatabase::store_stats`].
+    #[doc(hidden)]
+    pub fn store(&self) -> &Self {
+        self
     }
 
     /// Exclusive access to the master engine: checkpointing, DDL batches,
     /// config surgery. Takes the engine lock every statement takes, so it
     /// serializes with all of them.
-    pub fn admin<R>(&self, f: impl FnOnce(&mut Database<SessionMemory<M>>) -> R) -> R {
+    pub fn admin<R>(&self, f: impl FnOnce(&mut Database<M>) -> R) -> R {
         f(&mut lock(&self.inner.master))
+    }
+
+    /// Exclusive access to the master's substrate (substrate probes,
+    /// adversary APIs in tests), under the engine lock.
+    pub fn with_store<R>(&self, f: impl FnOnce(&mut M) -> R) -> R {
+        self.admin(|db| f(db.host_mut()))
+    }
+
+    /// The master's substrate counters: every session's traffic.
+    pub fn store_stats(&self) -> HostStats {
+        self.admin(|db| db.host.stats())
     }
 
     /// The master engine's plan-cache counters (every session plans
@@ -192,32 +169,17 @@ impl<M: EnclaveMemory + Send> SharedDatabase<M> {
     }
 
     /// One merged telemetry snapshot for the whole shared engine: the
-    /// process-wide registry, store-level substrate traffic (every
-    /// session's accounted accesses plus aggregated session stalls),
-    /// plan-cache counters, audit counters, and the serving-level
-    /// statement counters.
+    /// master's [`Database::metrics_snapshot`] (the process-wide registry
+    /// plus substrate, plan-cache and audit counters, read in one engine
+    /// lock hold) and the serving-level `db_sessions` and
+    /// `db_statement_errors`.
     ///
-    /// The engine counters wait for the statement in flight; the others
-    /// do not, so values read while statements are running may straddle
-    /// a statement (e.g. a `db_statement_errors` bump visible before the
-    /// corresponding `host_reads` traffic). Quiesce sessions first when
-    /// exact cross-counter consistency matters.
+    /// A failed statement bumps `db_statement_errors` just after it
+    /// releases the engine lock, so a snapshot taken while statements run
+    /// may show its engine counters without its error yet. Quiesce
+    /// sessions first when that matters.
     pub fn metrics_snapshot(&self) -> oblidb_telemetry::MetricsSnapshot {
-        let mut snap = oblidb_telemetry::snapshot();
-        let stats = self.inner.store.store_stats();
-        snap.push_counter("host_reads", stats.reads);
-        snap.push_counter("host_writes", stats.writes);
-        snap.push_counter("host_bytes_read", stats.bytes_read);
-        snap.push_counter("host_bytes_written", stats.bytes_written);
-        snap.push_counter("host_crossings", stats.crossings);
-        snap.push_counter("host_stall_nanos", stats.stall_nanos);
-        // Prefixed `db_` to stay distinct from the global telemetry
-        // counters of the same shape already in the snapshot.
-        let (plans, audit) = self.admin(|m| (m.plan_cache_stats(), m.audit_report()));
-        snap.push_counter("db_plan_cache_hits", plans.hits);
-        snap.push_counter("db_plan_cache_misses", plans.misses);
-        snap.push_counter("db_audit_shapes", audit.shapes as u64);
-        snap.push_counter("db_audit_violations", audit.violations as u64);
+        let mut snap = self.admin(|db| db.metrics_snapshot());
         snap.push_counter("db_sessions", self.inner.session_seq.load(Ordering::Relaxed));
         snap.push_counter(
             "db_statement_errors",
@@ -331,7 +293,9 @@ mod tests {
     }
 
     /// Any serial schedule through sessions must match the single-owner
-    /// engine statement-for-statement: same rows, same traced run.
+    /// engine statement-for-statement: same rows, same traced run, and
+    /// afterwards the same substrate counters, which the metrics export
+    /// reports as they are.
     #[test]
     fn serial_sessions_match_single_owner_results_and_traces() {
         let config = DbConfig::default();
@@ -360,6 +324,16 @@ mod tests {
                 trace_hash(&session_trace, &[]),
                 "canonical trace diverged for {sql_text}"
             );
+        }
+        let stats = solo.host_mut().stats();
+        assert_eq!(stats, shared.store_stats());
+        assert_eq!(stats, shared.store().store_stats());
+        let counter = |snap: &oblidb_telemetry::MetricsSnapshot, name: &str| {
+            snap.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        };
+        for snap in [solo.metrics_snapshot(), shared.metrics_snapshot()] {
+            assert_eq!(counter(&snap, "host_reads"), Some(stats.reads));
+            assert_eq!(counter(&snap, "host_crossings"), Some(stats.crossings));
         }
     }
 

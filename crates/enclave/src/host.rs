@@ -70,11 +70,11 @@ pub struct HostStats {
     /// each transition is an OCALL-sized fixed cost, so
     /// `crossings << reads + writes` is what batching buys.
     pub crossings: u64,
-    /// Nanoseconds the enclave spent *stalled* on crossings: the per-crossing
-    /// stall a [`SessionMemory`](crate::SessionMemory) pays
-    /// ([`SharedMemory::set_crossing_stall`](crate::SharedMemory::set_crossing_stall)),
-    /// summed over every transition. Spin-priced crossings show up only in
-    /// `crossings`, so a substrate's own counters always read 0 here.
+    /// Always 0: no substrate prices a crossing, it only counts one, and a
+    /// priced figure is `crossings × price` computed by whoever reports it.
+    /// The field stays only because the end-to-end bench still reads it
+    /// (its `enclave.stall_ms`); ROADMAP item 6, which moves that bench
+    /// into the workspace, deletes it.
     pub stall_nanos: u64,
 }
 
@@ -168,8 +168,8 @@ pub struct StatsReport {
 
 impl StatsReport {
     /// Column headers matching [`StatsReport::cells`].
-    pub const HEADERS: [&'static str; 7] =
-        ["substrate", "reads", "writes", "bytes_read", "bytes_written", "crossings", "stall_ns"];
+    pub const HEADERS: [&'static str; 6] =
+        ["substrate", "reads", "writes", "bytes_read", "bytes_written", "crossings"];
 
     /// The row cells, in [`StatsReport::HEADERS`] order.
     pub fn cells(&self) -> Vec<String> {
@@ -180,7 +180,6 @@ impl StatsReport {
             self.stats.bytes_read.to_string(),
             self.stats.bytes_written.to_string(),
             self.stats.crossings.to_string(),
-            self.stats.stall_nanos.to_string(),
         ]
     }
 }
@@ -189,14 +188,13 @@ impl fmt::Display for StatsReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: reads={} writes={} bytes_read={} bytes_written={} crossings={} stall_ns={}",
+            "{}: reads={} writes={} bytes_read={} bytes_written={} crossings={}",
             self.name,
             self.stats.reads,
             self.stats.writes,
             self.stats.bytes_read,
             self.stats.bytes_written,
-            self.stats.crossings,
-            self.stats.stall_nanos
+            self.stats.crossings
         )
     }
 }
@@ -335,47 +333,22 @@ struct Region {
     blocks: Vec<Option<Box<[u8]>>>,
 }
 
-/// Counts one enclave boundary transition into `stats` and pays its
-/// simulated price: `spins` CPU-burning spin-loop iterations (~8k cycles
-/// on real SGX). Every substrate that models the boundary crosses here.
-#[inline]
-pub fn pay_crossing(stats: &mut HostStats, spins: u32) {
-    stats.crossings += 1;
-    for _ in 0..spins {
-        std::hint::spin_loop();
-    }
-}
-
 /// The untrusted world: all memory outside the enclave.
 ///
 /// Single-threaded by design, matching the paper's single-node engine; the
-/// benchmark harness gives each experiment its own `Host`, and the serving
-/// front-end shares one through [`SharedMemory`](crate::SharedMemory).
+/// serving front-end shares one engine, and so one substrate, behind a
+/// mutex.
 #[derive(Default)]
 pub struct Host {
     regions: Vec<Option<Region>>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
-    crossing_spins: u32,
 }
 
 impl Host {
     /// Creates an empty untrusted memory.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets a simulated per-crossing cost: every boundary transition
-    /// (per-block call or batched call, either direction) additionally
-    /// executes `spins` spin-loop iterations.
-    ///
-    /// On real SGX an enclave transition costs ~8,000+ cycles regardless
-    /// of payload size — the fixed cost that makes batching matter and
-    /// that an in-process simulator otherwise prices at zero. Default 0,
-    /// so unit tests and traces are unaffected; the benchmark harness
-    /// opts in to measure the amortization honestly.
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing_spins = spins;
     }
 
     /// Allocates a region of `blocks` blocks, each `block_size` bytes.
@@ -459,7 +432,7 @@ impl Host {
             .ok_or(HostError::OutOfBounds { region, index, len })?
             .as_deref()
             .ok_or(HostError::EmptyBlock(region, index))?;
-        pay_crossing(&mut self.stats, self.crossing_spins);
+        self.stats.crossings += 1;
         self.stats.reads += 1;
         self.stats.bytes_read += block.len() as u64;
         // Reborrow immutably for the return value.
@@ -492,7 +465,7 @@ impl Host {
             Some(existing) => existing.copy_from_slice(data),
             None => *slot = Some(data.to_vec().into_boxed_slice()),
         }
-        pay_crossing(&mut self.stats, self.crossing_spins);
+        self.stats.crossings += 1;
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
@@ -531,7 +504,6 @@ impl Host {
         out.clear();
         let mut crossed = false;
         // Split borrows: trace/stats mutate while region data is read.
-        let spins = self.crossing_spins;
         let Host { regions, trace, stats, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -551,7 +523,7 @@ impl Host {
             if !crossed {
                 // Counted only once a block validates, exactly like the
                 // per-block path (failed accesses leave counters alone).
-                pay_crossing(stats, spins);
+                stats.crossings += 1;
                 crossed = true;
             }
             out.extend_from_slice(block);
@@ -600,7 +572,6 @@ impl Host {
         data: &[u8],
     ) -> Result<(), HostError> {
         let mut crossed = false;
-        let spins = self.crossing_spins;
         let Host { regions, trace, stats, .. } = self;
         let r = regions
             .get_mut(region.0 as usize)
@@ -621,7 +592,7 @@ impl Host {
                 None => *slot = Some(chunk.to_vec().into_boxed_slice()),
             }
             if !crossed {
-                pay_crossing(stats, spins);
+                stats.crossings += 1;
                 crossed = true;
             }
             stats.writes += 1;
@@ -688,11 +659,6 @@ impl Host {
     }
 
     /// Zeroes the aggregate counters.
-    ///
-    /// The simulated crossing cost ([`Host::set_crossing_cost`]) is
-    /// *configuration*, not a counter: it survives resets, so a benchmark
-    /// can price the boundary once and reset between measurements without
-    /// silently reverting to free crossings.
     pub fn reset_stats(&mut self) {
         self.stats = HostStats::default();
     }
@@ -812,19 +778,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_preserves_crossing_cost() {
+    fn reset_stats_zeroes_every_counter() {
         let mut h = Host::new();
-        h.set_crossing_cost(3);
         let r = h.alloc_region(1, 4).unwrap();
         h.write(r, 0, &[0; 4]).unwrap();
+        h.read(r, 0).unwrap();
         h.reset_stats();
         assert_eq!(h.stats(), HostStats::default());
-        // The configured cost is still in force: this write spins again
-        // (observable only as the config field; assert via another write
-        // still counting exactly one crossing).
         h.write(r, 0, &[1; 4]).unwrap();
         assert_eq!(h.stats().crossings, 1);
-        assert_eq!(h.crossing_spins, 3, "reset must not clear the crossing cost");
     }
 
     #[test]
@@ -854,7 +816,7 @@ mod tests {
         let report = sum.report("disk");
         assert_eq!(report.cells().len(), StatsReport::HEADERS.len());
         assert!(report.to_string().starts_with("disk: reads=11"));
-        assert!(report.to_string().ends_with("stall_ns=66"));
+        assert!(report.to_string().ends_with("crossings=55"));
     }
 
     #[test]

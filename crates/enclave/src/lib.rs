@@ -23,10 +23,10 @@
 //!   passes, smaller chunks) when it shrinks — reproduced in Figure 8.
 //! * [`EnclaveRng`] is the in-enclave randomness source (leaf assignment,
 //!   nonces). It is deterministic under a seed so experiments reproduce.
-//! * [`SharedMemory`] / [`SessionMemory`] put one substrate behind a lock
-//!   and hand out handles to it: per-handle stats/traces identical to the
-//!   single-owner contract, crossing stalls paid outside the store lock.
-//!   The serving front-end runs its one engine over one handle.
+//!
+//! A boundary crossing is only ever *counted* ([`HostStats::crossings`]),
+//! never simulated with a stall or a spin: a priced time is
+//! `crossings × price`, computed by whoever reports it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,16 +35,14 @@ mod host;
 mod memory;
 mod om;
 mod rng;
-mod shared;
 
 pub use host::{
-    batch_count, pay_crossing, AccessEvent, AccessKind, Host, HostError, HostStats, IoOp, RegionId,
-    StatsReport, Trace,
+    batch_count, AccessEvent, AccessKind, Host, HostError, HostStats, IoOp, RegionId, StatsReport,
+    Trace,
 };
 pub use memory::EnclaveMemory;
 pub use om::{OmAllocation, OmBudget, OmError};
 pub use rng::EnclaveRng;
-pub use shared::{SessionMemory, SharedMemory};
 
 /// Default oblivious-memory budget used across the evaluation (paper §2.2:
 /// "we evaluate using 20MB or less in all our experiments").

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! oblidb-serve [--addr HOST:PORT] [--substrate SPEC] [--workers N]
-//!              [--stall-nanos N] [--audit] [--seed N] [--epoch-ms N]
+//!              [--audit] [--seed N] [--epoch-ms N]
 //! ```
 //!
 //! Builds a fresh engine over the given substrate spec (`host`, the
@@ -12,10 +12,9 @@
 //! the process receives EOF-equivalent listener failure. Disk-backed
 //! stores are checkpointed through the engine lock before exit.
 //!
-//! `--stall-nanos` prices each enclave boundary crossing at the shared
-//! layer — the serving-side analogue of the bench harness's crossing
-//! cost. Every statement runs on the one engine under its lock, so one
-//! session's stalls do not overlap another's.
+//! Enclave boundary crossings are counted, not priced: the `metrics`
+//! verb exports `host_crossings`, and a priced time is
+//! `crossings × price`.
 //!
 //! `--epoch-ms N` (N > 0) enables the write-ahead log with Obladi-style
 //! group commit: commits pool into N-millisecond epochs and share one
@@ -33,7 +32,6 @@ struct Args {
     addr: String,
     substrate: String,
     workers: usize,
-    stall_nanos: u64,
     audit: bool,
     seed: u64,
     epoch_ms: u64,
@@ -44,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7033".to_string(),
         substrate: "host".to_string(),
         workers: 4,
-        stall_nanos: 0,
         audit: false,
         seed: 7,
         epoch_ms: 0,
@@ -58,10 +55,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 args.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
             }
-            "--stall-nanos" => {
-                args.stall_nanos =
-                    value("--stall-nanos")?.parse().map_err(|e| format!("--stall-nanos: {e}"))?
-            }
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--epoch-ms" => {
                 args.epoch_ms =
@@ -71,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: oblidb-serve [--addr HOST:PORT] [--substrate SPEC] [--workers N] \
-                     [--stall-nanos N] [--audit] [--seed N] [--epoch-ms N]"
+                     [--audit] [--seed N] [--epoch-ms N]"
                         .to_string(),
                 )
             }
@@ -120,7 +113,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    db.store().set_crossing_stall(args.stall_nanos);
     let durable = spec.persist_dir().is_some();
     let server_config = ServerConfig { addr: args.addr.clone(), workers: args.workers, epoch };
     let handle = match serve(db.clone(), server_config) {

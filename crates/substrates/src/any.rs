@@ -232,16 +232,6 @@ impl AnySubstrate {
         }
     }
 
-    /// Sets the simulated per-crossing cost on the layer that models the
-    /// enclave boundary, so substrate costs calibrate on the same axis as
-    /// [`Host::set_crossing_cost`]. For cached substrates that is the
-    /// *wrapper only*: a miss's inner fetch is a host-side cache fill,
-    /// not a second enclave transition, so the inner substrate stays at
-    /// its real (unspun) cost.
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        dispatch!(self, m => m.set_crossing_cost(spins))
-    }
-
     /// Cache counters when this substrate has a cache layer.
     pub fn cache_stats(&self) -> Option<crate::CacheStats> {
         match self {

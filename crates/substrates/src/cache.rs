@@ -1,8 +1,7 @@
 //! A write-back LRU of hot sealed blocks over any inner substrate.
 
 use oblidb_enclave::{
-    batch_count, pay_crossing, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats,
-    RegionId, Trace,
+    batch_count, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, RegionId, Trace,
 };
 
 /// Cache-level counters, separate from the [`HostStats`] access counters
@@ -106,7 +105,6 @@ pub struct CachedMemory<M: EnclaveMemory> {
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
     cache_stats: CacheStats,
-    crossing_spins: u32,
 }
 
 impl<M: EnclaveMemory> CachedMemory<M> {
@@ -125,7 +123,6 @@ impl<M: EnclaveMemory> CachedMemory<M> {
             trace: None,
             stats: HostStats::default(),
             cache_stats: CacheStats::default(),
-            crossing_spins: 0,
         }
     }
 
@@ -137,8 +134,8 @@ impl<M: EnclaveMemory> CachedMemory<M> {
 
     /// Mutable access to the inner substrate. Mutating blocks directly
     /// through this bypasses the cache and can make cached copies stale —
-    /// meant for substrate-level configuration (crossing costs, traces of
-    /// backing traffic), not block I/O.
+    /// meant for observing the backing traffic (its stats and traces), not
+    /// block I/O.
     pub fn inner_mut(&mut self) -> &mut M {
         &mut self.inner
     }
@@ -156,14 +153,6 @@ impl<M: EnclaveMemory> CachedMemory<M> {
     /// Blocks currently cached.
     pub fn cached_blocks(&self) -> usize {
         self.slots.len() - 1 - self.free.len()
-    }
-
-    /// Sets the simulated per-crossing cost of the *logical* boundary
-    /// (every cached or uncached access still crosses it once); see
-    /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost).
-    /// Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing_spins = spins;
     }
 
     fn record(&mut self, region: RegionId, index: u64, kind: AccessKind) {
@@ -395,7 +384,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
                     self.load(key)?
                 };
                 if !std::mem::replace(&mut crossed, true) {
-                    pay_crossing(&mut self.stats, self.crossing_spins);
+                    self.stats.crossings += 1;
                 }
                 let data = &self.slots[s as usize].data;
                 out.extend_from_slice(data);
@@ -428,7 +417,7 @@ impl<M: EnclaveMemory> CachedMemory<M> {
             }
             self.install((region, index), chunk, true)?;
             if !std::mem::replace(&mut crossed, true) {
-                pay_crossing(&mut self.stats, self.crossing_spins);
+                self.stats.crossings += 1;
             }
             self.stats.writes += 1;
             self.stats.bytes_written += block_size as u64;
@@ -488,7 +477,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
             return Err(HostError::OutOfBounds { region, index, len });
         }
         let s = self.load((region, index))?;
-        pay_crossing(&mut self.stats, self.crossing_spins);
+        self.stats.crossings += 1;
         let data = &self.slots[s as usize].data;
         self.stats.reads += 1;
         self.stats.bytes_read += data.len() as u64;
@@ -506,7 +495,7 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
             return Err(HostError::OutOfBounds { region, index, len });
         }
         self.install((region, index), data, true)?;
-        pay_crossing(&mut self.stats, self.crossing_spins);
+        self.stats.crossings += 1;
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         Ok(())
@@ -567,9 +556,8 @@ impl<M: EnclaveMemory> EnclaveMemory for CachedMemory<M> {
         self.stats
     }
 
-    /// Zeroes both the logical [`HostStats`] and the [`CacheStats`]; the
-    /// configured crossing cost is preserved. The inner substrate's stats
-    /// are its own (`inner_mut().reset_stats()`).
+    /// Zeroes both the logical [`HostStats`] and the [`CacheStats`]. The
+    /// inner substrate's stats are its own (`inner_mut().reset_stats()`).
     fn reset_stats(&mut self) {
         self.stats = HostStats::default();
         self.cache_stats = CacheStats::default();

@@ -6,8 +6,8 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use oblidb_enclave::{
-    batch_count, pay_crossing, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, IoOp,
-    RegionId, Trace,
+    batch_count, AccessEvent, AccessKind, EnclaveMemory, HostError, HostStats, IoOp, RegionId,
+    Trace,
 };
 
 use crate::TempDir;
@@ -104,7 +104,6 @@ pub struct DiskMemory {
     regions: Vec<Option<DiskRegion>>,
     trace: Option<Vec<AccessEvent>>,
     stats: HostStats,
-    crossing_spins: u32,
     scratch: Vec<u8>,
     /// Serialized region table, kept in sync incrementally: single-block
     /// writes patch their bitmap word in place, so the steady-state
@@ -152,7 +151,6 @@ impl DiskMemory {
             regions: Vec::new(),
             trace: None,
             stats: HostStats::default(),
-            crossing_spins: 0,
             scratch: Vec::new(),
             meta_buf: Vec::new(),
             meta_spans: Vec::new(),
@@ -192,7 +190,6 @@ impl DiskMemory {
             regions,
             trace: None,
             stats: HostStats::default(),
-            crossing_spins: 0,
             scratch: Vec::new(),
             meta_buf: Vec::new(),
             meta_spans: Vec::new(),
@@ -376,16 +373,6 @@ impl DiskMemory {
         &self.dir
     }
 
-    /// Sets the simulated per-crossing cost, exactly as
-    /// [`Host::set_crossing_cost`](oblidb_enclave::Host::set_crossing_cost):
-    /// every boundary transition additionally executes `spins` spin-loop
-    /// iterations. Disk already pays real I/O latency; the spin models the
-    /// SGX transition on top, so Host/disk/cached costs calibrate on the
-    /// same axis. Preserved across [`EnclaveMemory::reset_stats`].
-    pub fn set_crossing_cost(&mut self, spins: u32) {
-        self.crossing_spins = spins;
-    }
-
     fn region(&self, region: RegionId) -> Result<&DiskRegion, HostError> {
         self.regions
             .get(region.0 as usize)
@@ -496,7 +483,6 @@ impl EnclaveMemory for DiskMemory {
 
     fn read(&mut self, region: RegionId, index: u64) -> Result<&[u8], HostError> {
         self.record(region, index, AccessKind::Read);
-        let spins = self.crossing_spins;
         let DiskMemory { regions, stats, scratch, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -514,7 +500,7 @@ impl EnclaveMemory for DiskMemory {
         r.file
             .read_exact_at(scratch, index * r.block_size as u64)
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-        pay_crossing(stats, spins);
+        stats.crossings += 1;
         stats.reads += 1;
         stats.bytes_read += r.block_size as u64;
         Ok(&self.scratch[..])
@@ -522,7 +508,6 @@ impl EnclaveMemory for DiskMemory {
 
     fn write(&mut self, region: RegionId, index: u64, data: &[u8]) -> Result<(), HostError> {
         self.record(region, index, AccessKind::Write);
-        let spins = self.crossing_spins;
         let DiskMemory { regions, stats, meta_buf, meta_spans, meta_valid, .. } = self;
         let r = regions
             .get_mut(region.0 as usize)
@@ -543,7 +528,7 @@ impl EnclaveMemory for DiskMemory {
             .map_err(|e| HostError::io(&e, Some(region), IoOp::Write))?;
         r.mark_written(index);
         Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, index);
-        pay_crossing(stats, spins);
+        stats.crossings += 1;
         stats.writes += 1;
         stats.bytes_written += data.len() as u64;
         Ok(())
@@ -557,7 +542,6 @@ impl EnclaveMemory for DiskMemory {
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
         out.clear();
-        let spins = self.crossing_spins;
         let DiskMemory { regions, trace, stats, .. } = self;
         let r = regions
             .get(region.0 as usize)
@@ -594,7 +578,7 @@ impl EnclaveMemory for DiskMemory {
             r.file
                 .read_exact_at(out, start * r.block_size as u64)
                 .map_err(|e| HostError::io(&e, Some(region), IoOp::Read))?;
-            pay_crossing(stats, spins);
+            stats.crossings += 1;
             stats.reads += valid as u64;
             stats.bytes_read += (valid * r.block_size) as u64;
         }
@@ -611,7 +595,6 @@ impl EnclaveMemory for DiskMemory {
         out: &mut Vec<u8>,
     ) -> Result<(), HostError> {
         out.clear();
-        let spins = self.crossing_spins;
         let mut crossed = false;
         let DiskMemory { regions, trace, stats, .. } = self;
         let r = regions
@@ -626,7 +609,7 @@ impl EnclaveMemory for DiskMemory {
             let (run, failure) = r.scan_run(region, &indices[i..], AccessKind::Read, trace);
             if run > 0 {
                 if !crossed {
-                    pay_crossing(stats, spins);
+                    stats.crossings += 1;
                     crossed = true;
                 }
                 let at = out.len();
@@ -646,7 +629,6 @@ impl EnclaveMemory for DiskMemory {
     }
 
     fn write_blocks(&mut self, region: RegionId, start: u64, data: &[u8]) -> Result<(), HostError> {
-        let spins = self.crossing_spins;
         let block_size = self.region_block_size(region)?;
         let count = batch_count(region, block_size, data.len())? as u64;
         let DiskMemory { regions, trace, stats, meta_buf, meta_spans, meta_valid, .. } = self;
@@ -685,7 +667,7 @@ impl EnclaveMemory for DiskMemory {
             for word in (start / 64)..=((start + valid as u64 - 1) / 64) {
                 Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
             }
-            pay_crossing(stats, spins);
+            stats.crossings += 1;
             stats.writes += valid as u64;
             stats.bytes_written += (valid * block_size) as u64;
         }
@@ -701,7 +683,6 @@ impl EnclaveMemory for DiskMemory {
         indices: &[u64],
         data: &[u8],
     ) -> Result<(), HostError> {
-        let spins = self.crossing_spins;
         let block_size = self.region_block_size(region)?;
         if batch_count(region, block_size, data.len())? != indices.len() {
             return Err(HostError::BlockSizeMismatch {
@@ -737,7 +718,7 @@ impl EnclaveMemory for DiskMemory {
                     Self::patch_meta_word(meta_buf, meta_spans, *meta_valid, region, r, word * 64);
                 }
                 if !crossed {
-                    pay_crossing(stats, spins);
+                    stats.crossings += 1;
                     crossed = true;
                 }
                 stats.writes += run as u64;
@@ -767,8 +748,7 @@ impl EnclaveMemory for DiskMemory {
         self.stats
     }
 
-    /// Zeroes the aggregate counters; the configured crossing cost is
-    /// preserved, as on [`oblidb_enclave::Host`].
+    /// Zeroes the aggregate counters.
     fn reset_stats(&mut self) {
         self.stats = HostStats::default();
     }

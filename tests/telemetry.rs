@@ -375,3 +375,24 @@ fn auditor_skips_when_caller_is_tracing() {
     assert_eq!(report.checks, checks_before, "audited a statement it should have skipped");
     assert_eq!(report.skips, 1);
 }
+
+/// Every exported counter has one name: the engine's own plan-cache and
+/// audit counters must not reuse the registry's process-wide names, or
+/// the JSON export carries one key twice with two values.
+#[test]
+fn metrics_snapshots_name_every_counter_once() {
+    let _g = gate();
+    telemetry::set_enabled(true);
+    let config = DbConfig { audit: true, ..DbConfig::default() };
+    let mut db = seeded_db(config.clone());
+    db.execute(QUERY).unwrap();
+    let shared = SharedDatabase::adopt(seeded_db(config));
+    shared.session().execute(QUERY).unwrap();
+    telemetry::set_enabled(false);
+    for snap in [db.metrics_snapshot(), shared.metrics_snapshot()] {
+        let mut names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        let twice: Vec<&str> = names.windows(2).filter(|w| w[0] == w[1]).map(|w| w[0]).collect();
+        assert!(twice.is_empty(), "counters named twice: {twice:?}");
+    }
+}

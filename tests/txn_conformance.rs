@@ -7,7 +7,7 @@
 
 use oblidb::core::audit::trace_hash;
 use oblidb::core::{Database, DbConfig, EpochConfig, SharedDatabase, Value, WalConfig};
-use oblidb::enclave::{EnclaveMemory, Host};
+use oblidb::enclave::Host;
 use oblidb::txn::{TxnManager, TxnOutcome};
 
 fn epoch_config() -> DbConfig {
