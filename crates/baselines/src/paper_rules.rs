@@ -7,11 +7,7 @@
 //! the engine's pick against — price a rule's pick by running the engine
 //! with `force_select` / `force_join` set to it.
 
-use oblidb_core::plan::cost::{JoinAlgo, SelectAlgo, SelectStats};
-
-/// Fraction of the table above which Large applies ("contains almost every
-/// row", §4.1).
-pub const LARGE_THRESHOLD: f64 = 0.9;
+use oblidb_core::plan::cost::{JoinAlgo, SelectAlgo, SelectStats, LARGE_THRESHOLD};
 
 /// Small passes beyond which Hash is taken instead: Small is ≈ passes·N
 /// reads against Hash's ≈ 21·N accesses, break-even around 16–20 passes.

@@ -1,4 +1,4 @@
-//! Planner calibration: the paper's §5 rule vs the engine's measured
+//! Planner profiles: the paper's §5 rule vs the engine's measured
 //! choice across substrate profiles, recorded for the perf trajectory.
 //!
 //! For a sweep of query shapes (selectivity × oblivious-memory budget)
@@ -129,7 +129,7 @@ fn main() {
     std::fs::write("BENCH_planner.json", &json).expect("write BENCH_planner.json");
     println!("\nwrote BENCH_planner.json ({} rows)", rows_json.len());
 
-    // The artifact must contain at least one flip, or the calibration adds
-    // nothing — fail the bench run loudly rather than rot silently.
+    // The artifact must contain at least one flip, or per-substrate pricing
+    // adds nothing — fail the bench run loudly rather than rot silently.
     assert!(json.contains("\"flip\": true"), "expected at least one profile-driven plan flip");
 }

@@ -6,13 +6,14 @@
 //! ORAM accesses that depends only on `h` and the operation *type* — never
 //! on the key, the payload, or the tree's private contents:
 //!
-//! | op      | budget (ORAM accesses)        |
-//! |---------|-------------------------------|
-//! | get     | `h + 2`                       |
-//! | update  | `h + 3`                       |
-//! | insert  | `3h + 8`                      |
-//! | delete  | `5h + 10`                     |
-//! | range   | `h + 2 + limit` (limit leaks) |
+//! | op      | budget (ORAM accesses)                    |
+//! |---------|-------------------------------------------|
+//! | get     | `h + 2`                                   |
+//! | update  | `h + 3`                                   |
+//! | insert  | `3h + 8`                                  |
+//! | delete  | `5h + 10`                                 |
+//! | range   | `h + 4 + matches` (the match count leaks) |
+//! | aborted | `h + 3 + cap` (a capped range walk)       |
 //!
 //! Operations that finish early (a lookup miss, an insert without splits)
 //! issue dummy ORAM accesses until they hit the budget. Since each ORAM
@@ -596,70 +597,8 @@ impl ObTree {
         Ok(())
     }
 
-    /// Range scan: returns records with keys in `[lo, hi]`, walking the
-    /// leaf chain for exactly `limit` steps (dummy accesses after the range
-    /// ends). The total access count is `h + 2 + limit`; `limit` is chosen
-    /// by the query planner and is part of the leaked result-size
-    /// information (paper §4.1, "Selection over Indexes").
-    pub fn range<M: EnclaveMemory>(
-        &mut self,
-        host: &mut M,
-        lo: u128,
-        hi: u128,
-        limit: u64,
-    ) -> Result<Vec<(u128, Vec<u8>)>, ObTreeError> {
-        let budget = self.op_budget(OpKind::Get) + limit;
-        let mut ctx = OpCtx::new();
-        let (_, leaf_idx) = self.descend(host, &mut ctx, lo)?;
-        let leaf = ctx.leaf(leaf_idx);
-
-        let mut out = Vec::new();
-        // Start at the landed leaf if it is in range, else at its successor.
-        let mut cursor = if ctx.addr(leaf_idx) != self.sentinel && leaf.key >= lo {
-            if leaf.key <= hi {
-                out.push((leaf.key, leaf.payload.clone()));
-            }
-            leaf.next
-        } else {
-            leaf.next
-        };
-
-        // `finish` pads the descent portion; chain steps are padded here.
-        let descent_budget = self.op_budget(OpKind::Get);
-        self.finish(host, ctx, descent_budget)?;
-
-        for _ in 0..limit {
-            if cursor == NIL {
-                self.oram.dummy_access(host)?;
-                continue;
-            }
-            let bytes = self.oram.read(host, cursor)?;
-            match Node::deserialize(&bytes, self.payload_len) {
-                Node::Leaf(leaf) => {
-                    if leaf.key > hi {
-                        cursor = NIL;
-                    } else {
-                        out.push((leaf.key, leaf.payload.clone()));
-                        cursor = leaf.next;
-                    }
-                }
-                _ => cursor = NIL,
-            }
-        }
-        let _ = budget;
-        Ok(out)
-    }
-
-    /// Full scan in key order via the leaf chain (`len + h + 2` accesses).
-    pub fn scan_chain<M: EnclaveMemory>(
-        &mut self,
-        host: &mut M,
-    ) -> Result<Vec<(u128, Vec<u8>)>, ObTreeError> {
-        self.range(host, 0, u128::MAX, self.len)
-    }
-
-    /// Range scan that stops as soon as the range is exhausted instead of
-    /// padding to a limit. The access count therefore reveals the size of
+    /// Range scan over the leaf chain that stops once the range is
+    /// exhausted. The access count therefore reveals the size of
     /// the scanned segment — exactly the leakage the paper accepts for
     /// selection over indexes (§4.1: "the leakage also includes the size
     /// of the segment of the database scanned in the index"), counted as
@@ -678,7 +617,8 @@ impl ObTree {
     /// records are found, returning `None`. The planner uses this to probe
     /// whether an index range is small enough to beat a flat scan without
     /// paying for a full walk; the abort point is a public function of the
-    /// (leaked) table size.
+    /// (leaked) table size, and every aborted walk costs exactly `cap + 1`
+    /// chain accesses, whether or not `lo` is a stored key.
     pub fn range_leaky_capped<M: EnclaveMemory>(
         &mut self,
         host: &mut M,
@@ -702,11 +642,8 @@ impl ObTree {
         };
         self.finish(host, ctx, descent_budget)?;
 
-        if out.len() as u64 > cap {
-            return Ok(None);
-        }
         let mut chain_accesses: u64 = 0;
-        while cursor != NIL {
+        while out.len() as u64 <= cap && cursor != NIL {
             let bytes = self.oram.read(host, cursor)?;
             chain_accesses += 1;
             match Node::deserialize(&bytes, self.payload_len) {
@@ -715,13 +652,18 @@ impl ObTree {
                         break;
                     }
                     out.push((leaf.key, leaf.payload.clone()));
-                    if out.len() as u64 > cap {
-                        return Ok(None);
-                    }
                     cursor = leaf.next;
                 }
                 _ => break,
             }
+        }
+        if out.len() as u64 > cap {
+            // A `lo` that is a stored key came with the descent, one chain
+            // read earlier than an absent one: pad the abort to `cap + 1`.
+            for _ in chain_accesses..=cap {
+                self.oram.dummy_access(host)?;
+            }
+            return Ok(None);
         }
         // Pad the chain walk to exactly `matches + 2` ORAM accesses so the
         // scanned-segment leakage is a function of the (already leaked)
@@ -914,7 +856,7 @@ mod tests {
             assert_eq!(tree.get(&mut host, i as u128).unwrap(), Some(payload(i)));
         }
         // Chain order must be sorted.
-        let all = tree.scan_chain(&mut host).unwrap();
+        let all = tree.range_leaky(&mut host, 0, u128::MAX).unwrap();
         let keys: Vec<u128> = all.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..60).map(|i| i as u128).collect::<Vec<_>>());
     }
@@ -948,7 +890,8 @@ mod tests {
         }
         assert!(!tree.delete(&mut host, 0).unwrap());
         assert_eq!(tree.len(), 20);
-        let keys: Vec<u128> = tree.scan_chain(&mut host).unwrap().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u128> =
+            tree.range_leaky(&mut host, 0, u128::MAX).unwrap().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (1..40).step_by(2).map(|i| i as u128).collect::<Vec<_>>());
     }
 
@@ -958,26 +901,28 @@ mod tests {
         for i in 0..50u64 {
             tree.insert(&mut host, (i * 2) as u128, &payload(i)).unwrap();
         }
-        let hits = tree.range(&mut host, 10, 20, 10).unwrap();
+        let hits = tree.range_leaky(&mut host, 10, 20).unwrap();
         let keys: Vec<u128> = hits.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![10, 12, 14, 16, 18, 20]);
     }
 
     #[test]
-    fn range_scan_pads_to_limit() {
-        let (mut host, mut tree) = setup(50);
-        for i in 0..10u64 {
-            tree.insert(&mut host, i as u128, &payload(i)).unwrap();
+    fn aborted_capped_walk_costs_the_same_whether_lo_is_stored() {
+        let (mut host, mut tree) = setup(100);
+        for i in 0..50u64 {
+            tree.insert(&mut host, (i * 2) as u128, &payload(i)).unwrap();
         }
-        // Two ranges with identical limits must cost identical accesses,
-        // whatever they match.
-        host.reset_stats();
-        tree.range(&mut host, 0, 3, 8).unwrap();
-        let a = host.stats().total_accesses();
-        host.reset_stats();
-        tree.range(&mut host, 9, 9, 8).unwrap();
-        let b = host.stats().total_accesses();
-        assert_eq!(a, b);
+        // [10, 40] holds 16 keys, past every cap below; `lo` = 10 is a
+        // stored key and 9 is not, so only the landed leaf differs.
+        for cap in [0u64, 3, 7] {
+            let mut walk = |lo: u128| {
+                host.reset_stats();
+                assert_eq!(tree.range_leaky_capped(&mut host, lo, 40, cap).unwrap(), None);
+                host.stats().total_accesses()
+            };
+            let (present, absent) = (walk(10), walk(9));
+            assert_eq!(present, absent, "cap {cap}");
+        }
     }
 
     #[test]
@@ -1102,7 +1047,8 @@ mod tests {
         tree.delete(&mut host, 0).unwrap();
         assert_eq!(tree.get(&mut host, 3).unwrap(), Some(payload(999)));
         assert_eq!(tree.get(&mut host, 0).unwrap(), None);
-        let keys: Vec<u128> = tree.scan_chain(&mut host).unwrap().iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u128> =
+            tree.range_leaky(&mut host, 0, u128::MAX).unwrap().iter().map(|(k, _)| *k).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -17,7 +17,7 @@ enum Op {
     Delete(u8),
     Get(u8),
     Update(u8, u8),
-    Range(u8, u8),
+    Range(u8, u8, u64),
 }
 
 fn rand_op(rng: &mut EnclaveRng) -> Op {
@@ -28,7 +28,7 @@ fn rand_op(rng: &mut EnclaveRng) -> Op {
         1 => Op::Delete(k),
         2 => Op::Get(k),
         3 => Op::Update(k, v),
-        _ => Op::Range(k.min(v), k.max(v)),
+        _ => Op::Range(k.min(v), k.max(v), rng.below(8)),
     }
 }
 
@@ -82,17 +82,19 @@ fn matches_btreemap_model() {
                         model.insert(k as u128, vec![v; 4]);
                     }
                 }
-                Op::Range(lo, hi) => {
-                    let expected: Vec<u128> =
-                        model.range(lo as u128..=hi as u128).map(|(k, _)| *k).collect();
-                    let limit = (hi - lo) as u64 + 2;
-                    let got: Vec<u128> = tree
-                        .range(&mut host, lo as u128, hi as u128, limit)
-                        .unwrap()
-                        .iter()
-                        .map(|(k, _)| *k)
+                Op::Range(lo, hi, cap) => {
+                    let expected: Vec<(u128, Vec<u8>)> = model
+                        .range(lo as u128..=hi as u128)
+                        .map(|(k, v)| (*k, v.clone()))
                         .collect();
+                    let got = tree.range_leaky(&mut host, lo as u128, hi as u128).unwrap();
                     assert_eq!(got, expected, "case {case}: {op:?}");
+                    // The capped walk the planner probes with: the same
+                    // records within the cap, an abort past it.
+                    let capped =
+                        tree.range_leaky_capped(&mut host, lo as u128, hi as u128, cap).unwrap();
+                    let within = expected.len() as u64 <= cap;
+                    assert_eq!(capped, within.then_some(expected), "case {case}: {op:?}");
                 }
             }
             assert_eq!(tree.len(), model.len() as u64, "case {case}");

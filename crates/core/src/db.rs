@@ -9,8 +9,8 @@
 //!    nodes, each annotated with the chosen operator, padded bounds, OM
 //!    budget, and a cost estimate counted from public sizes for every
 //!    candidate and weighed with the configured
-//!    [`crate::plan::cost::CostProfile`] (paper §5, cost-calibrated per
-//!    substrate).
+//!    [`crate::plan::cost::CostProfile`] (paper §5; the stock profiles
+//!    are fixed weights in code).
 //! 2. [`PreparedStatement::explain`] renders the tree with estimated and,
 //!    post-run, actual costs; `EXPLAIN SELECT ...` does the same through
 //!    SQL.
@@ -57,6 +57,11 @@ pub enum StorageMethod {
     Both,
 }
 
+/// Plain (non-oblivious) enclave scratch rows granted to the 0-OM join's
+/// sort (§4.3: it speeds up "regardless of whether the memory is
+/// oblivious").
+const ZERO_OM_SCRATCH_ROWS: usize = 1;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -71,10 +76,6 @@ pub struct DbConfig {
     /// Use the constant-time fast insert on flat tables (§3.1). On by
     /// default, as for tables with few deletions.
     pub fast_inserts: bool,
-    /// Plain (non-oblivious) enclave scratch rows granted to the 0-OM
-    /// join's sort (§4.3: it speeds up "regardless of whether the memory
-    /// is oblivious").
-    pub zero_om_scratch_rows: usize,
     /// Write-ahead logging of mutation statements (paper §3). `Some`
     /// appends every INSERT/UPDATE/DELETE statement to an encrypted log
     /// before executing it; replay with [`Database::wal_records`] +
@@ -106,7 +107,6 @@ impl Default for DbConfig {
             planner: PlannerConfig::default(),
             padding: None,
             fast_inserts: true,
-            zero_om_scratch_rows: 1,
             wal: None,
             epoch: None,
             audit: std::env::var("OBLIDB_AUDIT").is_ok_and(|v| v == "1"),
@@ -321,8 +321,10 @@ impl<M: EnclaveMemory> Database<M> {
     /// its durable medium ([`EnclaveMemory::sync`]) — write-back caches
     /// flush dirty blocks, disk regions fsync, in-memory substrates
     /// no-op. The WAL (when enabled) lives in host regions like every
-    /// table, so this is also the log's flush point; checkpoint *records*
-    /// and log truncation are future work (see ROADMAP).
+    /// table, so this is also the log's flush point. It seals no manifest
+    /// and never shortens the log: [`Database::persist_to`] does both, and
+    /// truncates the log under
+    /// [`crate::wal::WalConfig::truncate_at_checkpoint`].
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
         self.host.sync().map_err(DbError::from)
     }
@@ -352,12 +354,6 @@ impl<M: EnclaveMemory> Database<M> {
     /// Statements pending in the open WAL epoch (0 without a WAL).
     pub fn epoch_pending(&self) -> u64 {
         self.wal.as_ref().map_or(0, |w| w.epoch_pending())
-    }
-
-    /// The WAL's monotonic log sequence number — records ever appended
-    /// across truncating checkpoints (`None` without a WAL).
-    pub fn wal_lsn(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.checkpoint_lsn())
     }
 
     /// Records dropped from the WAL prefix by truncating checkpoints
@@ -999,7 +995,7 @@ impl<M: EnclaveMemory> Database<M> {
                         right_schema: rs.clone(),
                         right_capacity,
                         om_bytes,
-                        zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+                        zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
                         folded,
                     };
                     cost::choose_join(&self.config.planner, &shape, profile)
@@ -1639,7 +1635,7 @@ impl<M: EnclaveMemory> Database<M> {
                 right_schema: t2.schema().clone(),
                 right_capacity: t2.capacity(),
                 om_bytes: self.om.available(),
-                zero_om_scratch_rows: self.config.zero_om_scratch_rows,
+                zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
                 folded: fold.is_some(),
             };
             j.om_bytes = shape.om_bytes;
@@ -1664,8 +1660,7 @@ impl<M: EnclaveMemory> Database<M> {
                 exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
             }
             JoinAlgo::ZeroOm => {
-                let variant =
-                    SortMergeVariant::ZeroOm { scratch_rows: self.config.zero_om_scratch_rows };
+                let variant = SortMergeVariant::ZeroOm { scratch_rows: ZERO_OM_SCRATCH_ROWS };
                 exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
             }
         };

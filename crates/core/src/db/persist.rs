@@ -585,7 +585,7 @@ impl<M: EnclaveMemory> Database<M> {
         if self.wal.is_some() && self.config.wal.is_some_and(|c| c.truncate_at_checkpoint) {
             let dump = self.dump_state_statements()?;
             let old = self.wal.take().expect("checked above");
-            let old_lsn = old.base_lsn() + old.len();
+            let old_lsn = old.checkpoint_lsn();
             let durable = old.durable_appends();
             let longest = dump.iter().map(|s| s.len()).max().unwrap_or(0);
             let block_bytes = old.block_bytes().max(longest + 3);

@@ -47,7 +47,7 @@ pub use db::{
     Database, DbConfig, PlanCacheStats, PlanInfo, PreparedStatement, QueryOutput, StorageMethod,
 };
 pub use error::DbError;
-pub use plan::cost::{CostProfile, JoinAlgo, SelectAlgo, CALIBRATION_FILE};
+pub use plan::cost::{CostProfile, JoinAlgo, SelectAlgo};
 pub use plan::{Explain, NodeCost, PlanNode, QueryPlan};
 pub use predicate::Predicate;
 pub use types::{Column, DataType, Row, Schema, Value};

@@ -64,11 +64,6 @@ impl CostProfile {
         CostProfile { name: name.into(), read_block, write_block, crossing }
     }
 
-    /// Every quantity costs the same: pure access-count minimization.
-    pub fn uniform() -> Self {
-        Self::new("uniform", 1.0, 1.0, 1.0)
-    }
-
     /// In-RAM `Host`: a crossing is an OCALL-sized fixed cost, a few
     /// block-transfers' worth (the default profile).
     pub fn host() -> Self {
@@ -97,64 +92,10 @@ impl CostProfile {
     /// `SubstrateSpec::profile_name()`. Unknown labels get [`CostProfile::host`].
     pub fn named(label: &str) -> Self {
         match label {
-            "uniform" => Self::uniform(),
             "disk" => Self::disk(),
             "cached-disk" => Self::cached_disk(),
             _ => Self::host(),
         }
-    }
-
-    /// Measures a live profile with a micro-probe against `mem`: times
-    /// per-block vs batched reads and writes over a scratch region, and
-    /// solves for the per-block and per-crossing costs (normalized so one
-    /// block read is 1.0). The probe allocates and frees its own region;
-    /// run it before `start_trace`, since its accesses are real and would
-    /// otherwise land in the transcript. A probe I/O failure (e.g. a full
-    /// disk — exactly the degraded state live calibration may meet) is
-    /// returned, so callers can fall back to a canonical
-    /// [`CostProfile::named`] profile.
-    pub fn calibrate<M: EnclaveMemory>(
-        name: impl Into<String>,
-        mem: &mut M,
-    ) -> Result<Self, oblidb_enclave::HostError> {
-        const BLOCKS: usize = 256;
-        const BLOCK_SIZE: usize = 256;
-        const ROUNDS: usize = 8;
-        let region = mem.alloc_region(BLOCKS, BLOCK_SIZE)?;
-        let zeros = vec![0u8; BLOCKS * BLOCK_SIZE];
-        // Free the scratch region on every exit path.
-        let result = (|| {
-            mem.write_blocks(region, 0, &zeros)?;
-            let mut buf = Vec::new();
-            let now = std::time::Instant::now;
-            // Batched accesses amortize the crossing: per-block slope.
-            let start = now();
-            for _ in 0..ROUNDS {
-                mem.read_blocks(region, 0, BLOCKS, &mut buf)?;
-            }
-            let batched_read = start.elapsed().as_secs_f64() / (ROUNDS * BLOCKS) as f64;
-            let start = now();
-            for _ in 0..ROUNDS {
-                mem.write_blocks(region, 0, &zeros)?;
-            }
-            let batched_write = start.elapsed().as_secs_f64() / (ROUNDS * BLOCKS) as f64;
-            // Per-block accesses pay one crossing each: slope + crossing.
-            let start = now();
-            for _ in 0..ROUNDS {
-                for i in 0..BLOCKS as u64 {
-                    let _ = mem.read(region, i)?;
-                }
-            }
-            let single_read = start.elapsed().as_secs_f64() / (ROUNDS * BLOCKS) as f64;
-            Ok((batched_read, batched_write, single_read))
-        })();
-        let freed = mem.free_region(region);
-        let (batched_read, batched_write, single_read) = result?;
-        freed?;
-
-        let unit = batched_read.max(1e-12);
-        let crossing = ((single_read - batched_read) / unit).max(1.0);
-        Ok(Self::new(name, 1.0, (batched_write / unit).max(0.1), crossing))
     }
 
     /// Weighs counted accesses into one scalar cost.
@@ -163,70 +104,7 @@ impl CostProfile {
             + stats.writes as f64 * self.write_block
             + stats.crossings as f64 * self.crossing
     }
-
-    /// Serializes the profile as the `key = value` text of an
-    /// [`CALIBRATION_FILE`] artifact. Round-trips through
-    /// [`CostProfile::from_text`].
-    pub fn to_text(&self) -> String {
-        format!(
-            "# ObliDB planner calibration — per-deploy CostProfile weights.\n\
-             # Untrusted advisory data: a tampered file can only skew plan\n\
-             # choice, never correctness or obliviousness.\n\
-             name = {}\n\
-             read_block = {}\n\
-             write_block = {}\n\
-             crossing = {}\n",
-            self.name.replace('\n', " "),
-            self.read_block,
-            self.write_block,
-            self.crossing,
-        )
-    }
-
-    /// Parses a profile from [`CostProfile::to_text`] output. Returns
-    /// `None` on any missing key or non-finite/non-positive weight — the
-    /// file lives on untrusted storage, so a mangled artifact must fall
-    /// back to canonical weights instead of poisoning the planner with
-    /// NaNs. Other keys are ignored, so an artifact from an earlier
-    /// release, which also recorded a worker count and the share of block
-    /// work it divided, still loads with the weights as written.
-    pub fn from_text(text: &str) -> Option<Self> {
-        let field = |key: &str| -> Option<&str> {
-            text.lines().find_map(|line| {
-                let (k, v) = line.split_once('=')?;
-                (k.trim() == key).then(|| v.trim())
-            })
-        };
-        let num = |key: &str| -> Option<f64> {
-            let v: f64 = field(key)?.parse().ok()?;
-            (v.is_finite() && v > 0.0).then_some(v)
-        };
-        Some(CostProfile {
-            name: field("name")?.to_string(),
-            read_block: num("read_block")?,
-            write_block: num("write_block")?,
-            crossing: num("crossing")?,
-        })
-    }
-
-    /// Writes the profile as the [`CALIBRATION_FILE`] artifact inside
-    /// `dir` (next to the region files), so calibrated planner weights
-    /// survive restarts.
-    pub fn save_to(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(dir.join(CALIBRATION_FILE), self.to_text())
-    }
-
-    /// Loads a previously saved [`CALIBRATION_FILE`] artifact from `dir`.
-    /// Returns `None` when the file is absent or fails validation.
-    pub fn load_from(dir: &std::path::Path) -> Option<Self> {
-        Self::from_text(&std::fs::read_to_string(dir.join(CALIBRATION_FILE)).ok()?)
-    }
 }
-
-/// File name of the persisted calibration artifact, written next to a
-/// disk store's region files by calibration and reloaded by
-/// `database_open`.
-pub const CALIBRATION_FILE: &str = "oblidb.calibration";
 
 impl Default for CostProfile {
     fn default() -> Self {
@@ -275,6 +153,10 @@ pub struct SelectStats {
     pub continuous: bool,
 }
 
+/// Fraction of the table at or above which Large is admitted ("contains
+/// almost every row", §4.1).
+pub const LARGE_THRESHOLD: f64 = 0.9;
+
 /// Planner tunables.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
@@ -282,9 +164,6 @@ pub struct PlannerConfig {
     /// disabling it to remove the continuity leak; the paper disables it
     /// when comparing against Opaque).
     pub enable_continuous: bool,
-    /// Fraction of the table above which Large is used ("contains almost
-    /// every row", §4.1).
-    pub large_threshold: f64,
     /// Operator overrides ("users can also manually choose to force a
     /// particular operator", §5).
     pub force_select: Option<SelectAlgo>,
@@ -301,7 +180,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             enable_continuous: true,
-            large_threshold: 0.9,
             force_select: None,
             force_join: None,
             profile: CostProfile::host(),
@@ -342,7 +220,7 @@ pub struct SelectShape {
     pub schema: Schema,
     /// Input capacity in blocks (scans cover capacity, not fill).
     pub capacity: u64,
-    /// Rows in use (the `large_threshold` admission gate uses this).
+    /// Rows in use (the [`LARGE_THRESHOLD`] admission gate uses this).
     pub rows: u64,
     /// Match count |R| from the planner's preliminary scan (the padded
     /// bound for [`SelectAlgo::Padded`]).
@@ -443,7 +321,7 @@ pub fn choose_select(
         admitted.push(SelectAlgo::Continuous);
     }
     admitted.push(SelectAlgo::Small);
-    if shape.rows > 0 && shape.matches as f64 >= cfg.large_threshold * shape.rows as f64 {
+    if shape.rows > 0 && shape.matches as f64 >= LARGE_THRESHOLD * shape.rows as f64 {
         admitted.push(SelectAlgo::Large);
     }
     admitted.push(SelectAlgo::Hash);
@@ -589,79 +467,6 @@ mod tests {
         };
         let (join, _) = choose_join(&cfg, &joined, &CostProfile::host());
         assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));
-    }
-
-    #[test]
-    fn calibration_text_round_trips() {
-        let p = CostProfile::new("probe", 1.25, 2.5, 17.0);
-        assert_eq!(CostProfile::from_text(&p.to_text()), Some(p));
-        // Every stock profile survives the trip too.
-        for stock in [
-            CostProfile::host(),
-            CostProfile::disk(),
-            CostProfile::cached_disk(),
-            CostProfile::uniform(),
-        ] {
-            assert_eq!(CostProfile::from_text(&stock.to_text()), Some(stock));
-        }
-    }
-
-    #[test]
-    fn calibration_text_rejects_mangled_artifacts() {
-        let good = CostProfile::host().to_text();
-        // Missing key.
-        let missing = good.replace("crossing", "crosing");
-        assert_eq!(CostProfile::from_text(&missing), None);
-        // Non-finite and non-positive weights must not reach the planner.
-        for bad in ["NaN", "inf", "0", "-3.0", "bogus"] {
-            let t = good
-                .lines()
-                .map(|l| {
-                    if l.starts_with("read_block") {
-                        format!("read_block = {bad}")
-                    } else {
-                        l.into()
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            assert_eq!(CostProfile::from_text(&t), None, "read_block = {bad}");
-        }
-        assert_eq!(CostProfile::from_text(""), None);
-    }
-
-    #[test]
-    fn calibration_written_with_a_thread_count_loads_undiscounted() {
-        // What the previous release's `to_text` wrote for `CostProfile::disk()`.
-        let parent = "# ObliDB planner calibration — per-deploy CostProfile weights.\n\
-                      # Untrusted advisory data: a tampered file can only skew plan\n\
-                      # choice, never correctness or obliviousness.\n\
-                      name = disk\n\
-                      read_block = 1\n\
-                      write_block = 2\n\
-                      crossing = 64\n\
-                      threads = 1\n\
-                      parallel_block_fraction = 0.6\n";
-        assert_eq!(CostProfile::from_text(parent), Some(CostProfile::disk()));
-        // A recorded worker count no longer discounts block work.
-        let four = parent.replace("threads = 1", "threads = 4");
-        let stats = HostStats { reads: 100, writes: 50, crossings: 10, ..HostStats::default() };
-        let loaded = CostProfile::from_text(&four).unwrap();
-        assert_eq!(loaded.weigh(&stats), 100.0 * 1.0 + 50.0 * 2.0 + 10.0 * 64.0);
-    }
-
-    #[test]
-    fn calibration_save_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join(format!("oblidb-calib-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = CostProfile::disk();
-        p.save_to(&dir).unwrap();
-        assert_eq!(CostProfile::load_from(&dir), Some(p));
-        // A corrupt artifact reads as absent, not as garbage weights.
-        std::fs::write(dir.join(CALIBRATION_FILE), "read_block = NaN\n").unwrap();
-        assert_eq!(CostProfile::load_from(&dir), None);
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(CostProfile::load_from(&dir), None);
     }
 
     fn build(n: i64) -> (Host, FlatTable) {

@@ -130,11 +130,6 @@ impl IndexedTable {
         self.tree.height()
     }
 
-    /// Direct access to the underlying tree (benchmarks, stats).
-    pub fn tree_mut(&mut self) -> &mut ObTree {
-        &mut self.tree
-    }
-
     /// Inserts a row; every insert costs the same padded number of ORAM
     /// accesses (paper §3.2).
     pub fn insert<M: EnclaveMemory>(

@@ -172,12 +172,6 @@ impl Wal {
         self.durable
     }
 
-    /// Overrides the durable-append policy (a caller reopening with an
-    /// explicit [`WalConfig`] wins over the persisted flag).
-    pub fn set_durable_appends(&mut self, durable: bool) {
-        self.durable = durable;
-    }
-
     /// The untrusted region backing the log — the target of the
     /// durable-append `sync_region` call.
     pub fn region_id(&self) -> oblidb_enclave::RegionId {

@@ -242,11 +242,6 @@ impl PathOram {
         2 * self.leaves - 1
     }
 
-    /// Current stash occupancy.
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> OramStats {
         self.stats

@@ -10,7 +10,7 @@
 //! OBLIDB_AUDIT=1 cargo run --release --example analyze
 //! ```
 
-use oblidb::core::DbConfig;
+use oblidb::core::{CostProfile, DbConfig};
 use oblidb::substrates::SubstrateSpec;
 use oblidb::telemetry;
 
@@ -28,9 +28,10 @@ fn main() {
     // turns on spans, counters, and histograms for this process.
     telemetry::set_enabled(true);
 
-    let config = DbConfig { om_bytes: 4096, ..DbConfig::default() };
+    let mut config = DbConfig { om_bytes: 4096, ..DbConfig::default() };
+    config.planner.profile = CostProfile::named(spec.profile_name());
     println!("audit:     {}\n", config.audit);
-    let mut db = oblidb::database_on_calibrated(&spec, config).expect("substrate builds");
+    let mut db = oblidb::database_on(&spec, config).expect("substrate builds");
 
     db.execute("CREATE TABLE events (id INT, kind INT, size INT) CAPACITY 512").unwrap();
     for i in 0..512 {

@@ -1,5 +1,6 @@
 //! The prepare/explain/execute lifecycle over a runtime-selected
-//! substrate, with the planner cost-calibrated to it.
+//! substrate, with the planner priced by the stock profile paired with
+//! it.
 //!
 //! ```sh
 //! cargo run --release --example explain
@@ -9,8 +10,8 @@
 //!
 //! The same medium-selectivity query plans differently as the crossing
 //! price climbs: with a tiny oblivious-memory budget, `Host` picks the
-//! Hash select (fewest block accesses), while a disk-calibrated profile
-//! picks Small (fewest boundary crossings).
+//! Hash select (fewest block accesses), while the disk profile picks
+//! Small (fewest boundary crossings).
 
 use oblidb::core::{CostProfile, DbConfig};
 use oblidb::substrates::SubstrateSpec;
@@ -24,13 +25,13 @@ fn main() {
         }
     };
     println!("substrate: {} (set OBLIDB_SUBSTRATE to change)", spec.profile_name());
-    println!("profile:   {:?}\n", CostProfile::named(spec.profile_name()));
-
     // Tiny OM budget so the planner has a real trade-off to weigh: the
     // Small select needs ~52 passes here, the Hash select ~2 crossings
     // per input row.
-    let config = DbConfig { om_bytes: 128, ..DbConfig::default() };
-    let mut db = oblidb::database_on_calibrated(&spec, config).expect("substrate builds");
+    let mut config = DbConfig { om_bytes: 128, ..DbConfig::default() };
+    config.planner.profile = CostProfile::named(spec.profile_name());
+    println!("profile:   {:?}\n", config.planner.profile);
+    let mut db = oblidb::database_on(&spec, config).expect("substrate builds");
 
     db.execute("CREATE TABLE events (id INT, kind INT, size INT) CAPACITY 512").unwrap();
     for i in 0..512 {

@@ -136,7 +136,9 @@ impl From<core::DbError> for OpenError {
 /// yesterday's data with byte-identical results and traces.
 ///
 /// `config.seed` must be the seed the database was created with — it is
-/// the enclave identity the manifest is sealed to.
+/// the enclave identity the manifest is sealed to. Plans are priced with
+/// `config.planner.profile` alone: no file in the store directory, which
+/// the host controls, changes them.
 ///
 /// Crash recovery: when the durable write-ahead log extends past the last
 /// checkpoint (the engine crashed, or was dropped without `persist_to`),
@@ -159,7 +161,7 @@ pub fn database_open(
 /// this; `database_open` is the convenience form that drops the report.
 pub fn database_open_with_report(
     spec: &substrates::SubstrateSpec,
-    mut config: core::DbConfig,
+    config: core::DbConfig,
 ) -> Result<(core::Database<substrates::AnySubstrate>, Option<core::RecoveryReport>), OpenError> {
     let dir = spec.persist_dir().ok_or_else(|| {
         std::io::Error::new(
@@ -167,15 +169,6 @@ pub fn database_open_with_report(
             "only disk-backed substrate specs with an explicit directory can be reopened",
         )
     })?;
-    // Reload the persisted calibration artifact (written by
-    // [`database_on_calibrated`]) so planner weights survive restarts.
-    // Only a caller-default profile is substituted — an explicit profile
-    // in `config` is a deliberate choice and wins over the artifact.
-    if config.planner.profile == core::CostProfile::default() {
-        if let Some(profile) = core::CostProfile::load_from(dir) {
-            config.planner.profile = profile;
-        }
-    }
     // A pending recovery journal means an earlier rebuild was interrupted
     // (or could not be checkpointed); the store may be in any state, but
     // the journal — directly, or via its pointer to a live WAL — holds
@@ -252,38 +245,4 @@ fn wipe_store(spec: &substrates::SubstrateSpec) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Like [`database_on`], but with the planner's cost model **calibrated to
-/// the substrate**. On a durable spec (one with a persist directory) this
-/// loads the `oblidb.calibration` artifact if present, otherwise runs the
-/// [`core::CostProfile::calibrate`] micro-probe against the freshly built
-/// substrate and saves the result next to the region files, so the
-/// measured weights survive restarts and are reloaded by
-/// [`database_open`]. Non-durable specs fall back to the
-/// [`core::CostProfile`] conventionally paired with the spec's label
-/// (`disk` ≫ `cached` ≫ `host` crossing weight), keeping in-memory runs
-/// deterministic.
-///
-/// Note this makes plan choices — deliberate, §2.3-sanctioned leakage —
-/// substrate-dependent. Use [`database_on`] when traces must be identical
-/// across substrates (the conformance suite does).
-pub fn database_on_calibrated(
-    spec: &substrates::SubstrateSpec,
-    mut config: core::DbConfig,
-) -> std::io::Result<core::Database<substrates::AnySubstrate>> {
-    let mut mem = spec.build()?;
-    let profile = match spec.persist_dir() {
-        Some(dir) => core::CostProfile::load_from(dir).unwrap_or_else(|| {
-            let p = core::CostProfile::calibrate(spec.profile_name(), &mut mem)
-                .unwrap_or_else(|_| core::CostProfile::named(spec.profile_name()));
-            // Best-effort: the artifact is advisory, an unwritable dir
-            // just means recalibration on the next cold open.
-            let _ = p.save_to(dir);
-            p
-        }),
-        None => core::CostProfile::named(spec.profile_name()),
-    };
-    config.planner.profile = profile;
-    core::Database::try_with_memory(mem, config).map_err(|e| std::io::Error::other(e.to_string()))
 }

@@ -254,6 +254,40 @@ fn index_mutation_counts_are_padded() {
     assert_eq!(miss_counts.len(), 1, "delete-miss cost must not depend on the key");
 }
 
+/// On a `Both` table the planner first walks the index, capped at a match
+/// count derived from the public table size, and falls back to the flat
+/// scan once a range exceeds the cap. Two datasets of one public shape
+/// whose `k >= lo` ranges both exceed it must leave identical traces: the
+/// aborted walk costs the same wherever the range starts.
+#[test]
+fn aborted_index_range_trace_depends_only_on_sizes() {
+    let run = |rows: Vec<(i64, i64)>, lo: i64| {
+        let mut db = fresh_db(&rows, StorageMethod::Both);
+        let sql = format!("SELECT * FROM t WHERE k >= {lo}");
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let scan = plan.rows().iter().filter_map(|r| r[0].as_text()).find(|l| l.contains("Scan"));
+        assert!(scan.is_some_and(|l| l.contains("index range, abort cap")), "{scan:?}");
+        db.start_trace();
+        let out = db.execute(&sql).unwrap();
+        assert!(!out.plan.used_index, "the range exceeds the cap: flat fallback");
+        (out.len(), db.take_trace())
+    };
+    let (n, trace) = run((0..64).map(|i| (i, i)).collect(), 40);
+    assert_eq!(n, 24);
+    // Other values and bound, then the matches at the other end of the
+    // flat table.
+    for (rows, lo) in [
+        ((0..64).map(|i| (7 * i - 3, -i)).collect(), 277),
+        ((0..64).map(|i| (63 - i, i)).collect(), 40),
+    ] {
+        assert_eq!(
+            run(rows, lo),
+            (n, trace.clone()),
+            "aborted index walks must be indistinguishable"
+        );
+    }
+}
+
 /// The planner's choice (the allowed plan leakage) is visible; with the
 /// planner pinned, nothing else is.
 #[test]

@@ -361,43 +361,49 @@ fn open_requires_a_persisted_store() {
     ));
 }
 
-/// `database_on_calibrated` on a durable spec must write the
-/// `oblidb.calibration` artifact next to the region files; a later
-/// default-config `database_open` must reload exactly those weights
-/// instead of re-deriving stock ones.
+/// Plan weights come from code only: an `oblidb.calibration` file the
+/// host plants in the store directory (the name an earlier release
+/// reloaded planner weights from) must not re-weight any plan after a
+/// restart.
 #[test]
-fn calibration_artifact_survives_restart() {
-    use oblidb::core::{CostProfile, CALIBRATION_FILE};
+fn planted_calibration_file_does_not_change_plans() {
+    use oblidb::core::CostProfile;
 
-    let guard = TempDir::new("oblidb-persist-calibration").unwrap();
+    // A join's candidates are counted from capacities and the budget
+    // alone, so its EXPLAIN text repeats across a restart (a Hash
+    // select's count also depends on the output key).
+    const JOIN: &str = "SELECT * FROM bands JOIN people ON bands.age = people.age";
+    let explain = |db: &mut Database<oblidb::substrates::AnySubstrate>| -> Vec<String> {
+        let out = db.execute(&format!("EXPLAIN {JOIN}")).unwrap();
+        out.rows().iter().map(|r| r[0].as_text().unwrap().to_string()).collect()
+    };
+    let guard = TempDir::new("oblidb-persist-planted").unwrap();
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
-    {
-        let mut db = oblidb::database_on_calibrated(&spec, wal_config()).unwrap();
+    let before = {
+        let mut db = oblidb::database_on(&spec, DbConfig::default()).unwrap();
         populate(&mut db);
+        db.execute("CREATE TABLE bands (age INT, band CHAR(8)) CAPACITY 8").unwrap();
+        for age in [21, 30, 99] {
+            db.execute(&format!("INSERT INTO bands VALUES ({age}, 'b{age}')")).unwrap();
+        }
         db.persist_to(&dir).unwrap();
-    }
-    assert!(dir.join(CALIBRATION_FILE).exists(), "calibrated open must persist the artifact");
-    let saved = CostProfile::load_from(&dir).expect("persisted artifact must parse");
-    assert_eq!(saved.name, spec.profile_name());
+        explain(&mut db)
+    };
+    std::fs::write(
+        dir.join("oblidb.calibration"),
+        "name = host\nread_block = 1\nwrite_block = 1\ncrossing = 1000\n",
+    )
+    .unwrap();
 
-    // Reopen with an untouched default config: the persisted weights win.
-    let mut reopened = oblidb::database_open(&spec, wal_config()).unwrap();
-    assert_eq!(
-        reopened.config_mut().planner.profile,
-        saved,
-        "database_open must reload the persisted calibration"
-    );
-    assert_eq!(reopened.execute(QUERY).unwrap().len(), 20);
+    let mut reopened = oblidb::database_open(&spec, DbConfig::default()).unwrap();
+    assert_eq!(reopened.config_mut().planner.profile, CostProfile::default());
+    assert_eq!(explain(&mut reopened), before, "a planted file must not re-weight the plan");
+    assert_eq!(reopened.execute(JOIN).unwrap().len(), 5);
 
-    // A second calibrated open loads the artifact instead of re-probing:
-    // the weights stay bit-identical across restarts.
-    let mut again = oblidb::database_open_with_report(&spec, wal_config()).unwrap().0;
-    assert_eq!(again.config_mut().planner.profile, saved);
-
-    // An explicit profile in the caller's config is never overridden.
-    let mut cfg = wal_config();
-    cfg.planner.profile = CostProfile::uniform();
+    // An explicit profile in the caller's config still holds on reopen.
+    let mut cfg = DbConfig::default();
+    cfg.planner.profile = CostProfile::disk();
     let mut pinned = oblidb::database_open(&spec, cfg).unwrap();
-    assert_eq!(pinned.config_mut().planner.profile, CostProfile::uniform());
+    assert_eq!(pinned.config_mut().planner.profile, CostProfile::disk());
 }

@@ -1,4 +1,4 @@
-//! Planner-parity properties for the cost-calibrated planner:
+//! Planner-parity properties for the cost-based planner:
 //!
 //! 1. **Count exactness** — every operator's count from public sizes
 //!    (`plan::cost::{select_cost, join_cost}`) equals the real operator's
@@ -12,7 +12,7 @@
 //!    would take, run by forcing it: for SELECT via `force_select`
 //!    (`cost_based_choice_never_exceeds_closed_form`) and for JOIN via
 //!    `force_join` (`cost_based_join_never_exceeds_closed_form`).
-//! 3. **Substrate-calibrated divergence** (acceptance) — the same query
+//! 3. **Per-substrate divergence** (acceptance) — the same query
 //!    picks a different, and cheaper-by-weighted-crossings, operator under
 //!    the disk profile than under the host profile; and the conformance
 //!    property (byte-identical results + traces across substrates) holds
@@ -20,6 +20,7 @@
 
 use oblidb::baselines::paper_rules;
 use oblidb::core::exec::{self, select, AggFold, AggFunc, JoinSink, SortMergeVariant};
+use oblidb::core::plan::cost::LARGE_THRESHOLD;
 use oblidb::core::plan::cost::{join_cost, select_cost, JoinAlgo, JoinShape, SelectShape};
 use oblidb::core::plan::{PlanNode, SelectChoice};
 use oblidb::core::predicate::CmpOp;
@@ -81,7 +82,7 @@ fn measured(host: &mut Host, op: impl FnOnce(&mut Host)) -> HostStats {
 ///    over a seeded grid — capacity 1, chunk − 1, chunk, chunk + 1 and
 ///    3·chunk + 7 at both widths; |R| of 0, 1 (Hash's single bucket, every
 ///    row colliding), 2, past the chunk (Continuous wrapping below and above
-///    it), the `large_threshold` edge and all rows; a budget of one to
+///    it), the `LARGE_THRESHOLD` edge and all rows; a budget of one to
 ///    three passes' worth of rows (multi-pass Small and Padded). Through
 ///    the engine, each forced operator's plan estimate equals the measured
 ///    actual.
@@ -97,7 +98,7 @@ fn estimates_match_actuals_for_every_select_algorithm() {
             if cfg!(debug_assertions) && w == 1 && capacity > chunk + 1 {
                 continue;
             }
-            let large_edge = (0.9 * capacity as f64).ceil() as u64;
+            let large_edge = (LARGE_THRESHOLD * capacity as f64).ceil() as u64;
             let mut sizes = vec![0, 1, 2, chunk + 5, large_edge, capacity];
             sizes.retain(|&m| m <= capacity);
             sizes.sort_unstable();
@@ -557,13 +558,4 @@ fn deferred_join_resolves_to_the_plan_time_choice() {
     assert_eq!(join_of(stmt.plan()), (JoinChoice::Deferred, None));
     assert_eq!(stmt.run().unwrap().len(), 48);
     assert_eq!(join_of(stmt.plan()), planned, "deferred resolution must match plan time");
-}
-
-/// Planner calibration probes a live substrate and yields usable weights.
-#[test]
-fn calibration_runs_on_host() {
-    let p = CostProfile::calibrate("host", &mut Host::new()).unwrap();
-    assert_eq!(p.read_block, 1.0);
-    assert!(p.crossing >= 1.0);
-    assert!(p.write_block > 0.0);
 }
