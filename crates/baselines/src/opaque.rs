@@ -165,7 +165,7 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
         // final group (a boundary emit can land in block n-1, so the flush
         // needs its own slot), keeps the pattern fixed. Reads and writes
         // stream in batched runs.
-        let out_schema = group_output_schema(&schema, group_col, func, agg_col);
+        let out_schema = exec::group_output_schema(&schema, group_col, func, agg_col);
         let out_key = self.next_key();
         let mut out = FlatTable::create(&mut self.host, out_key, out_schema.clone(), n + 1)?;
         let out_dummy = out_schema.dummy_row();
@@ -187,10 +187,10 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
                     let boundary = current.as_ref().is_none_or(|(k, _, _)| *k != gkey);
                     if boundary {
                         if let Some((_, v, state)) = current.take() {
-                            emit = Some(out_schema.encode_row(&[v, state.finish(func)])?);
+                            emit = Some(out_schema.encode_row(&[v, state.finish()])?);
                             groups += 1;
                         }
-                        current = Some((gkey, gval, oblidb_core::exec::AggState::new()));
+                        current = Some((gkey, gval, oblidb_core::exec::AggState::new(func)));
                     }
                     let state = &mut current.as_mut().expect("set above").2;
                     match agg_col {
@@ -212,7 +212,7 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
         let flush = match current.take() {
             Some((_, v, state)) => {
                 groups += 1;
-                out_schema.encode_row(&[v, state.finish(func)])?
+                out_schema.encode_row(&[v, state.finish()])?
             }
             None => out_dummy.clone(),
         };
@@ -278,21 +278,6 @@ fn copy_filtered<M: EnclaveMemory>(
         start += n as u64;
     }
     Ok(kept)
-}
-
-fn group_output_schema(
-    schema: &Schema,
-    group_col: usize,
-    func: AggFunc,
-    agg_col: Option<usize>,
-) -> Schema {
-    use oblidb_core::exec::AggState;
-    use oblidb_core::types::{Column, DataType};
-    let agg_input = agg_col.map_or(DataType::Int, |c| schema.columns[c].dtype);
-    Schema::new(vec![
-        Column::new(schema.columns[group_col].name.clone(), schema.columns[group_col].dtype),
-        Column::new("agg", AggState::output_type(func, agg_input)),
-    ])
 }
 
 #[cfg(test)]

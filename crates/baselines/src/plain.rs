@@ -5,7 +5,7 @@
 //! ordinary hash map: every data-dependent branch the oblivious engine
 //! must avoid, this one takes.
 
-use oblidb_core::exec::AggFunc;
+use oblidb_core::exec::{AggFunc, AggState};
 use oblidb_core::predicate::Predicate;
 use oblidb_core::types::{Row, Schema, Value};
 use std::collections::HashMap;
@@ -35,7 +35,7 @@ impl PlainTable {
 
     /// Aggregate with optional predicate.
     pub fn aggregate(&self, func: AggFunc, col: Option<usize>, pred: &Predicate) -> Value {
-        let mut state = oblidb_core::exec::AggState::new();
+        let mut state = AggState::new(func);
         for r in &self.rows {
             if pred.eval(&self.schema, &self.encode(r)) {
                 match col {
@@ -44,7 +44,7 @@ impl PlainTable {
                 }
             }
         }
-        state.finish(func)
+        state.finish()
     }
 
     /// Grouped aggregation; output sorted by group for determinism.
@@ -55,7 +55,7 @@ impl PlainTable {
         agg_col: Option<usize>,
         pred: &Predicate,
     ) -> Vec<(Value, Value)> {
-        let mut groups: HashMap<Vec<u8>, oblidb_core::exec::AggState> = HashMap::new();
+        let mut groups: HashMap<Vec<u8>, AggState> = HashMap::new();
         let mut reps: HashMap<Vec<u8>, Value> = HashMap::new();
         for r in &self.rows {
             let bytes = self.encode(r);
@@ -64,7 +64,7 @@ impl PlainTable {
                 let w = self.schema.columns[group_col].dtype.width();
                 let key = bytes[off..off + w].to_vec();
                 reps.entry(key.clone()).or_insert_with(|| r[group_col].clone());
-                let state = groups.entry(key).or_default();
+                let state = groups.entry(key).or_insert_with(|| AggState::new(func));
                 match agg_col {
                     Some(c) => state.add(&r[c]),
                     None => state.add(&Value::Int(1)),
@@ -75,7 +75,7 @@ impl PlainTable {
             .into_iter()
             .map(|(k, s)| {
                 let rep = reps[&k].clone();
-                (k, (rep, s.finish(func)))
+                (k, (rep, s.finish()))
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));

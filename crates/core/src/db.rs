@@ -951,7 +951,6 @@ impl<M: EnclaveMemory> Database<M> {
     ) -> Result<SelectPlan, DbError> {
         let (agg_items, _) = split_projection(&s.projection);
         let has_aggs = !agg_items.is_empty();
-        let pad_groups = self.config.padding.map(|p| p.max_groups);
 
         let root = if let Some(join) = &s.join {
             let li = self.table_index(&s.table)?;
@@ -1045,7 +1044,6 @@ impl<M: EnclaveMemory> Database<M> {
                     func,
                     agg_col,
                     pred: Predicate::True,
-                    pad_groups,
                     actual: None,
                 })
             } else if has_aggs {
@@ -1076,7 +1074,6 @@ impl<M: EnclaveMemory> Database<M> {
                     func,
                     agg_col,
                     pred,
-                    pad_groups,
                     actual: None,
                 })
             } else if has_aggs {
@@ -1430,8 +1427,9 @@ impl<M: EnclaveMemory> Database<M> {
         }
     }
 
-    /// Runs a SELECT tree: operators → decode → ORDER BY / LIMIT →
-    /// projection.
+    /// Runs a SELECT tree: operators → rows → ORDER BY / LIMIT →
+    /// projection. An aggregate or GROUP BY root returns its rows from its
+    /// accumulators; any other root's table is decoded and freed.
     fn run_select_root(
         &mut self,
         root: &mut PlanNode,
@@ -1439,12 +1437,18 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<QueryOutput, DbError> {
         let mut info = PlanInfo::default();
-        let mut current = self.exec_node(root, &mut info, profile)?;
-
-        info.output_rows = current.num_rows();
-        let mut rows = current.collect_rows(&mut self.host)?;
-        let schema = current.schema().clone();
-        current.free(&mut self.host)?;
+        let (schema, mut rows) = match root {
+            PlanNode::Aggregate(a) => self.exec_aggregate(a, &mut info, profile)?,
+            PlanNode::GroupBy(g) => self.exec_group(g, &mut info, profile)?,
+            other => {
+                let mut table = self.exec_node(other, &mut info, profile)?;
+                let rows = table.collect_rows(&mut self.host)?;
+                let schema = table.schema().clone();
+                table.free(&mut self.host)?;
+                (schema, rows)
+            }
+        };
+        info.output_rows = rows.len() as u64;
 
         // ORDER BY / LIMIT run on the decoded result inside the enclave;
         // they touch no untrusted memory and add no leakage beyond the
@@ -1465,7 +1469,9 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(QueryOutput { schema, rows, plan: info, rows_affected: None })
     }
 
-    /// Executes one operator node, returning its materialized output.
+    /// Executes one table-producing operator node, returning its
+    /// materialized output. Aggregates never get here: `plan_select` puts
+    /// them only at the root, which takes their rows directly.
     fn exec_node(
         &mut self,
         node: &mut PlanNode,
@@ -1479,8 +1485,9 @@ impl<M: EnclaveMemory> Database<M> {
                 let out = self.exec_join(j, None, info, profile)?;
                 Ok(out.expect("an unfolded join returns its table"))
             }
-            PlanNode::Aggregate(a) => self.exec_aggregate(a, info, profile),
-            PlanNode::GroupBy(g) => self.exec_group(g, info, profile),
+            PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
+                unreachable!("aggregates are planned only at the root")
+            }
         }
     }
 
@@ -1700,13 +1707,14 @@ impl<M: EnclaveMemory> Database<M> {
 
     /// Executes a fused select + aggregate node (paper §4.2): one pass over
     /// the input folds every aggregate, no intermediate table. Over a join
-    /// there is no pass at all: the join folds its rows straight in.
+    /// there is no pass at all: the join folds its rows straight in. The
+    /// one result row comes from the accumulators, never sealed.
     fn exec_aggregate(
         &mut self,
         a: &mut AggregateNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
+    ) -> Result<(Schema, Vec<Row>), DbError> {
         let (values, _span, before, started) = if let PlanNode::Join(j) = a.input.as_mut() {
             let items = agg_columns(&a.items, &j.renamed)?;
             let mut fold = AggFold::new(j.renamed.clone(), &items, &a.pred);
@@ -1727,68 +1735,50 @@ impl<M: EnclaveMemory> Database<M> {
             (values, span, before, started)
         };
         info.fused_aggregate = true;
-        let out_schema = Schema::new(
+        let schema = Schema::new(
             a.items
                 .iter()
                 .zip(&values)
                 .map(|((func, col), v)| Column::new(agg_name(*func, col.as_deref()), value_type(v)))
                 .collect(),
         );
-        let key = self.next_key();
-        let encoded = out_schema.encode_row(&values)?;
-        let mut out = FlatTable::from_encoded_rows(&mut self.host, key, out_schema, &[encoded], 1)?;
-        out.set_num_rows(1);
         a.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        Ok(out)
+        Ok((schema, vec![values]))
     }
 
-    /// Executes a grouped-aggregation node (fused with its filter).
+    /// Executes a grouped-aggregation node (fused with its filter); its
+    /// rows come from the group table, never sealed.
     fn exec_group(
         &mut self,
         g: &mut GroupByNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
+    ) -> Result<(Schema, Vec<Row>), DbError> {
         let over_base = matches!(g.input.as_ref(), PlanNode::Scan(_));
         let mut input = self.exec_operand(&mut g.input, info, profile)?;
-        let key = self.next_key();
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::GroupBy);
         let before = self.host.stats();
         let started = std::time::Instant::now();
-        let out = match &mut input {
-            InputRef::Owned(t) => exec::aggregate::group_aggregate_padded(
-                &mut self.host,
-                &self.om,
-                t,
-                g.group_col,
-                g.func,
-                g.agg_col,
-                &g.pred,
-                key,
-                g.pad_groups,
-            )?,
-            InputRef::Stored(i) => {
-                let (_, storage) = &mut self.tables[*i];
-                let f = storage.flat_mut().expect("stored input is flat");
-                exec::aggregate::group_aggregate_padded(
-                    &mut self.host,
-                    &self.om,
-                    f,
-                    g.group_col,
-                    g.func,
-                    g.agg_col,
-                    &g.pred,
-                    key,
-                    g.pad_groups,
-                )?
-            }
+        let table = match &mut input {
+            InputRef::Owned(t) => t,
+            InputRef::Stored(i) => self.tables[*i].1.flat_mut().expect("stored input is flat"),
         };
+        let schema = exec::group_output_schema(table.schema(), g.group_col, g.func, g.agg_col);
+        let rows = exec::group_aggregate(
+            &mut self.host,
+            &self.om,
+            table,
+            g.group_col,
+            g.func,
+            g.agg_col,
+            &g.pred,
+        );
         g.actual = Some(timed_cost(self.host.stats() - before, profile, started));
         input.free(self)?;
         if over_base {
             info.fused_aggregate = true;
         }
-        Ok(out)
+        Ok((schema, rows?))
     }
 }
 
@@ -2249,6 +2239,27 @@ mod tests {
     }
 
     #[test]
+    fn group_overflow_is_a_typed_error_and_returns_its_lease() {
+        let mut db = Database::new(DbConfig { om_bytes: 4096, ..DbConfig::default() });
+        db.execute("CREATE TABLE t (g INT, v INT) CAPACITY 256").unwrap();
+        for i in 0..200 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, 1)")).unwrap();
+        }
+        let groups_below = |db: &mut Database, n: usize| {
+            db.execute(&format!("SELECT g, COUNT(*) FROM t WHERE g < {n} GROUP BY g"))
+        };
+        let limit = match groups_below(&mut db, 200).err() {
+            Some(DbError::TooManyGroups { limit }) => limit,
+            other => panic!("200 groups in 4 KiB of OM: {other:?}"),
+        };
+        // The failed statement returned its OM lease: on the same engine,
+        // exactly `limit` groups fit and one more does not.
+        assert_eq!(groups_below(&mut db, limit).unwrap().len(), limit);
+        let over = groups_below(&mut db, limit + 1).err();
+        assert!(matches!(over, Some(DbError::TooManyGroups { limit: l }) if l == limit));
+    }
+
+    #[test]
     fn update_and_delete_sql() {
         let mut db = db();
         setup_people(&mut db, StorageMethod::Flat);
@@ -2392,7 +2403,7 @@ mod tests {
         // region numbering matches; numbering is itself size-determined).
         let run = |query: &str, expect: usize| {
             let mut db = Database::new(DbConfig {
-                padding: Some(crate::padding::PaddingConfig::uniform(32)),
+                padding: Some(crate::padding::PaddingConfig { pad_rows: 32 }),
                 ..DbConfig::default()
             });
             db.execute("CREATE TABLE t (id INT, v INT) CAPACITY 64").unwrap();

@@ -5,15 +5,18 @@
 //! hash table of per-group accumulators in oblivious memory. The fused
 //! select+project+aggregate operator applies the WHERE predicate during
 //! the same pass, avoiding both the cost and the size-leak of an
-//! intermediate filtered table.
+//! intermediate filtered table. Both are root operators: their rows come
+//! straight from the accumulators, so nothing they produce is sealed to
+//! the host, and the trace is the input scan alone.
 
-use oblidb_crypto::aead::AeadKey;
+use std::hash::BuildHasher;
+
 use oblidb_enclave::{EnclaveMemory, OmBudget};
 
 use crate::error::DbError;
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
-use crate::types::{Column, DataType, Schema, Value};
+use crate::types::{Column, DataType, Row, Schema, Value};
 
 /// Aggregate functions (paper §3: COUNT, SUM, MIN, MAX, AVG).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,51 +33,58 @@ pub enum AggFunc {
     Avg,
 }
 
-/// Incremental accumulator for one aggregate.
+/// Incremental accumulator for one aggregate function. It keeps only what
+/// its function reads: the count, the running sums (SUM, AVG) or the
+/// extreme value (MIN, MAX).
 #[derive(Debug, Clone)]
 pub struct AggState {
+    func: AggFunc,
     count: u64,
     sum_i: i64,
     sum_f: f64,
     any_float: bool,
-    min: Option<Value>,
-    max: Option<Value>,
+    extreme: Option<Value>,
 }
 
 impl AggState {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        AggState { count: 0, sum_i: 0, sum_f: 0.0, any_float: false, min: None, max: None }
+    /// Fresh accumulator for `func`.
+    pub fn new(func: AggFunc) -> Self {
+        AggState { func, count: 0, sum_i: 0, sum_f: 0.0, any_float: false, extreme: None }
     }
 
     /// Folds one value in.
     pub fn add(&mut self, v: &Value) {
         self.count += 1;
-        match v {
-            Value::Int(i) => {
-                self.sum_i = self.sum_i.wrapping_add(*i);
-                self.sum_f += *i as f64;
+        match self.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => match v {
+                Value::Int(i) => {
+                    self.sum_i = self.sum_i.wrapping_add(*i);
+                    self.sum_f += *i as f64;
+                }
+                Value::Float(f) => {
+                    self.any_float = true;
+                    self.sum_f += *f;
+                }
+                Value::Text(_) => {}
+            },
+            AggFunc::Min => {
+                if self.extreme.as_ref().is_none_or(|m| v.cmp_total(m).is_lt()) {
+                    self.extreme = Some(v.clone());
+                }
             }
-            Value::Float(f) => {
-                self.any_float = true;
-                self.sum_f += *f;
+            AggFunc::Max => {
+                if self.extreme.as_ref().is_none_or(|m| v.cmp_total(m).is_gt()) {
+                    self.extreme = Some(v.clone());
+                }
             }
-            Value::Text(_) => {}
-        }
-        let better_min = self.min.as_ref().is_none_or(|m| v.cmp_total(m).is_lt());
-        if better_min {
-            self.min = Some(v.clone());
-        }
-        let better_max = self.max.as_ref().is_none_or(|m| v.cmp_total(m).is_gt());
-        if better_max {
-            self.max = Some(v.clone());
         }
     }
 
-    /// Final value for `func`. Empty inputs give COUNT 0, SUM 0, AVG 0.0,
-    /// and MIN/MAX Int(0) (SQL NULL is out of scope).
-    pub fn finish(&self, func: AggFunc) -> Value {
-        match func {
+    /// Final value. Empty inputs give COUNT 0, SUM 0, AVG 0.0, and MIN/MAX
+    /// Int(0) (SQL NULL is out of scope).
+    pub fn finish(&self) -> Value {
+        match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => {
                 if self.any_float {
@@ -83,8 +93,7 @@ impl AggState {
                     Value::Int(self.sum_i)
                 }
             }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Int(0)),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Int(0)),
+            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Int(0)),
             AggFunc::Avg => {
                 if self.count == 0 {
                     Value::Float(0.0)
@@ -109,21 +118,14 @@ impl AggState {
     }
 }
 
-impl Default for AggState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Every aggregate of one statement folded together: the resolved
-/// `(func, col)` items, one accumulator each, and the filter fused into
-/// the fold. Rows arrive one at a time from a table scan ([`aggregate`])
-/// or straight from a join loop (`exec::join`'s fold sink), so no
-/// intermediate table is needed either way.
+/// Every aggregate of one statement folded together: one accumulator per
+/// resolved `(func, col)` item, and the filter fused into the fold. Rows
+/// arrive one at a time from a table scan ([`aggregate`]) or straight from
+/// a join loop (`exec::join`'s fold sink), so no intermediate table is
+/// needed either way.
 pub struct AggFold<'p> {
     schema: Schema,
-    items: Vec<(AggFunc, Option<usize>)>,
-    states: Vec<AggState>,
+    items: Vec<(Option<usize>, AggState)>,
     pred: &'p Predicate,
 }
 
@@ -131,8 +133,8 @@ impl<'p> AggFold<'p> {
     /// Empty accumulators for `items` over rows of `schema`; `col = None`
     /// means COUNT(*)-style counting.
     pub fn new(schema: Schema, items: &[(AggFunc, Option<usize>)], pred: &'p Predicate) -> Self {
-        let states = vec![AggState::new(); items.len()];
-        AggFold { schema, items: items.to_vec(), states, pred }
+        let items = items.iter().map(|&(func, col)| (col, AggState::new(func))).collect();
+        AggFold { schema, items, pred }
     }
 
     /// Folds one encoded row in, if it is used and matches the filter.
@@ -140,7 +142,7 @@ impl<'p> AggFold<'p> {
         if !Schema::row_used(bytes) || !self.pred.eval(&self.schema, bytes) {
             return;
         }
-        for ((_, col), state) in self.items.iter().zip(&mut self.states) {
+        for (col, state) in &mut self.items {
             match col {
                 Some(c) => state.add(&self.schema.decode_col(bytes, *c)),
                 None => state.add(&Value::Int(1)),
@@ -150,7 +152,7 @@ impl<'p> AggFold<'p> {
 
     /// One final value per item, in item order.
     pub fn finish(&self) -> Vec<Value> {
-        self.items.iter().zip(&self.states).map(|((func, _), s)| s.finish(*func)).collect()
+        self.items.iter().map(|(_, s)| s.finish()).collect()
     }
 }
 
@@ -168,10 +170,82 @@ pub fn aggregate<M: EnclaveMemory>(
     Ok(fold.finish())
 }
 
+/// The schema of [`group_aggregate`]'s rows over `schema`: the group
+/// column, then `agg`.
+pub fn group_output_schema(
+    schema: &Schema,
+    group_col: usize,
+    func: AggFunc,
+    agg_col: Option<usize>,
+) -> Schema {
+    let agg_input = agg_col.map_or(DataType::Int, |c| schema.columns[c].dtype);
+    Schema::new(vec![
+        Column::new(schema.columns[group_col].name.clone(), schema.columns[group_col].dtype),
+        Column::new("agg", AggState::output_type(func, agg_input)),
+    ])
+}
+
+/// Marks a free slot of the group index.
+const EMPTY: u32 = u32::MAX;
+
+/// The per-group accumulators in oblivious memory: each group's encoded key
+/// is copied once, when the group first appears, into one fixed-width
+/// arena; an open-addressed index of group numbers, never more than half
+/// full, is probed by the row's key slice.
+struct GroupTable {
+    width: usize,
+    limit: usize,
+    keys: Vec<u8>,
+    states: Vec<AggState>,
+    slots: Vec<u32>,
+    hasher: std::hash::RandomState,
+}
+
+impl GroupTable {
+    /// Room for `limit` groups of `width`-byte keys, allocated up front.
+    fn with_limit(width: usize, limit: usize) -> Self {
+        GroupTable {
+            width,
+            limit,
+            keys: Vec::with_capacity(limit * width),
+            states: Vec::with_capacity(limit),
+            slots: vec![EMPTY; (2 * limit).next_power_of_two()],
+            hasher: std::hash::RandomState::new(),
+        }
+    }
+
+    fn key(&self, group: usize) -> &[u8] {
+        &self.keys[group * self.width..(group + 1) * self.width]
+    }
+
+    /// The accumulator of `key`'s group, opened for `func` if the group is
+    /// new; `None` when a new group would exceed the limit.
+    fn state(&mut self, key: &[u8], func: AggFunc) -> Option<&mut AggState> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            match self.slots[at] {
+                EMPTY => break,
+                g if self.key(g as usize) == key => return Some(&mut self.states[g as usize]),
+                _ => at = (at + 1) & mask,
+            }
+        }
+        if self.states.len() == self.limit {
+            return None;
+        }
+        self.slots[at] = self.states.len() as u32;
+        self.keys.extend_from_slice(key);
+        self.states.push(AggState::new(func));
+        self.states.last_mut()
+    }
+}
+
 /// Grouped aggregation (paper §4.2): one pass with a per-group accumulator
-/// table in oblivious memory (hash-bucketed by the group value). Output is
-/// one row per group, sorted by group value for determinism, in a flat
-/// table of exactly `#groups` rows (#groups is result-size leakage).
+/// table in oblivious memory. Returns one row per group, `(group value,
+/// aggregate)` as [`group_output_schema`] types them, in ascending order
+/// of the group's encoded key. Nothing is written to untrusted memory, so
+/// the trace is the input scan alone: the group count does not show in
+/// it.
 pub fn group_aggregate<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
@@ -180,52 +254,36 @@ pub fn group_aggregate<M: EnclaveMemory>(
     func: AggFunc,
     agg_col: Option<usize>,
     pred: &Predicate,
-    out_key: AeadKey,
-) -> Result<FlatTable, DbError> {
-    group_aggregate_padded(host, om, input, group_col, func, agg_col, pred, out_key, None)
-}
-
-/// [`group_aggregate`] with an optional padded output bound: in padding
-/// mode the output structure is allocated at `pad_groups` rows whatever
-/// the true group count (§7.2 pads "to the maximum supported number of
-/// groups"), hiding it.
-#[allow(clippy::too_many_arguments)]
-pub fn group_aggregate_padded<M: EnclaveMemory>(
-    host: &mut M,
-    om: &OmBudget,
-    input: &mut FlatTable,
-    group_col: usize,
-    func: AggFunc,
-    agg_col: Option<usize>,
-    pred: &Predicate,
-    out_key: AeadKey,
-    pad_groups: Option<u64>,
-) -> Result<FlatTable, DbError> {
-    use std::collections::HashMap;
-
+) -> Result<Vec<Row>, DbError> {
     let schema = input.schema().clone();
-    let group_width = schema.columns[group_col].dtype.width();
-    // Conservative per-group charge: the encoded key plus the accumulator
-    // (the paper's implementation claims 4 B/group; ours is honest about
-    // its in-enclave footprint). The whole remaining budget is usable —
-    // "each additional group requires very little space" (§4.2).
-    let per_group = group_width + std::mem::size_of::<AggState>();
+    let width = schema.columns[group_col].dtype.width();
+    // What one group costs in the enclave: its key in the arena, its
+    // accumulator (plus a text extreme's heap copy), up to four index
+    // slots, and one entry of the output sort. The whole remaining budget
+    // is usable — "each additional group requires very little space"
+    // (§4.2).
+    let extreme = match (func, agg_col.map(|c| schema.columns[c].dtype)) {
+        (AggFunc::Min | AggFunc::Max, Some(DataType::Text(n))) => n,
+        _ => 0,
+    };
+    let index = std::mem::size_of::<u32>();
+    let per_group = width + std::mem::size_of::<AggState>() + extreme + 5 * index;
     let alloc = om.alloc_up_to(om.available());
-    let group_limit = (alloc.bytes() / per_group).max(1);
+    let group_limit = (alloc.bytes() / per_group).clamp(1, EMPTY as usize / 2);
 
-    let mut groups: HashMap<Vec<u8>, AggState> = HashMap::new();
+    // At most one group per input row: a small table never reserves the
+    // whole budget.
+    let mut groups = GroupTable::with_limit(width, group_limit.min(input.capacity() as usize));
     let off = schema.col_offset(group_col);
     let mut overflow = false;
     input.for_each_row(host, |_, bytes| {
         if overflow || !Schema::row_used(bytes) || !pred.eval(&schema, bytes) {
             return;
         }
-        let key = bytes[off..off + group_width].to_vec();
-        if !groups.contains_key(&key) && groups.len() >= group_limit {
+        let Some(state) = groups.state(&bytes[off..off + width], func) else {
             overflow = true;
             return;
-        }
-        let state = groups.entry(key).or_default();
+        };
         match agg_col {
             Some(c) => state.add(&schema.decode_col(bytes, c)),
             None => state.add(&Value::Int(1)),
@@ -235,57 +293,26 @@ pub fn group_aggregate_padded<M: EnclaveMemory>(
         return Err(DbError::TooManyGroups { limit: group_limit });
     }
 
-    // Deterministic output order: sort by encoded group key.
-    let mut entries: Vec<(Vec<u8>, AggState)> = groups.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let group_dtype = schema.columns[group_col].dtype;
-    let agg_input_dtype = agg_col.map_or(DataType::Int, |c| schema.columns[c].dtype);
-    let out_schema = Schema::new(vec![
-        Column::new(schema.columns[group_col].name.clone(), group_dtype),
-        Column::new("agg", AggState::output_type(func, agg_input_dtype)),
-    ]);
-
-    let n = entries.len() as u64;
-    let capacity = pad_groups.unwrap_or(n).max(n).max(1);
-    let mut out = FlatTable::create(host, out_key, out_schema.clone(), capacity)?;
-    // Decode the group value through a scratch row so Text padding rules
-    // match the input encoding. Output rows (groups, then the dummy pad up
-    // to the public capacity) stream out in contiguous batched runs.
+    let mut order: Vec<u32> = (0..groups.states.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| groups.key(a as usize).cmp(groups.key(b as usize)));
+    // Decode each group value through a scratch row so Text padding rules
+    // match the input encoding.
     let mut scratch = schema.dummy_row();
-    let dummy = out_schema.dummy_row();
-    let out_len = out_schema.row_len();
-    let chunk = out.io_chunk_rows();
-    let mut buf: Vec<u8> = Vec::with_capacity(chunk * out_len);
-    let mut flushed = 0u64;
-    for (i, (key_bytes, state)) in entries.iter().enumerate() {
-        scratch[off..off + group_width].copy_from_slice(key_bytes);
-        let group_value = schema.decode_col(&scratch, group_col);
-        buf.extend_from_slice(&out_schema.encode_row(&[group_value, state.finish(func)])?);
-        if buf.len() >= chunk * out_len {
-            out.write_rows(host, flushed, &buf)?;
-            flushed = i as u64 + 1;
-            buf.clear();
-        }
-    }
-    for i in n..capacity {
-        buf.extend_from_slice(&dummy);
-        if buf.len() >= chunk * out_len {
-            out.write_rows(host, flushed, &buf)?;
-            flushed = i + 1;
-            buf.clear();
-        }
-    }
-    out.write_rows(host, flushed, &buf)?;
-    out.set_num_rows(n);
-    out.set_insert_cursor(capacity);
-    Ok(out)
+    Ok(order
+        .into_iter()
+        .map(|g| {
+            let g = g as usize;
+            scratch[off..off + width].copy_from_slice(groups.key(g));
+            vec![schema.decode_col(&scratch, group_col), groups.states[g].finish()]
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predicate::CmpOp;
+    use oblidb_crypto::aead::AeadKey;
     use oblidb_enclave::Host;
     use oblidb_enclave::DEFAULT_OM_BYTES;
 
@@ -364,18 +391,9 @@ mod tests {
         let (mut host, mut t) =
             build(&[(1, 10, 0.0), (2, 5, 0.0), (1, 20, 0.0), (3, 7, 0.0), (2, 5, 0.0)]);
         let om = OmBudget::new(DEFAULT_OM_BYTES);
-        let mut out = group_aggregate(
-            &mut host,
-            &om,
-            &mut t,
-            0,
-            AggFunc::Sum,
-            Some(1),
-            &Predicate::True,
-            AeadKey([2u8; 32]),
-        )
-        .unwrap();
-        let rows = out.collect_rows(&mut host).unwrap();
+        let rows =
+            group_aggregate(&mut host, &om, &mut t, 0, AggFunc::Sum, Some(1), &Predicate::True)
+                .unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], vec![Value::Int(1), Value::Int(30)]);
         assert_eq!(rows[1], vec![Value::Int(2), Value::Int(10)]);
@@ -387,18 +405,8 @@ mod tests {
         let (mut host, mut t) = build(&[(1, 10, 0.0), (1, 30, 0.0), (2, 100, 0.0), (1, -100, 0.0)]);
         let om = OmBudget::new(DEFAULT_OM_BYTES);
         let pred = Predicate::cmp(t.schema(), "v", CmpOp::Gt, Value::Int(0)).unwrap();
-        let mut out = group_aggregate(
-            &mut host,
-            &om,
-            &mut t,
-            0,
-            AggFunc::Avg,
-            Some(1),
-            &pred,
-            AeadKey([2u8; 32]),
-        )
-        .unwrap();
-        let rows = out.collect_rows(&mut host).unwrap();
+        let rows =
+            group_aggregate(&mut host, &om, &mut t, 0, AggFunc::Avg, Some(1), &pred).unwrap();
         assert_eq!(rows[0], vec![Value::Int(1), Value::Float(20.0)]);
         assert_eq!(rows[1], vec![Value::Int(2), Value::Float(100.0)]);
     }
@@ -409,16 +417,8 @@ mod tests {
         let (mut host, mut t) = build(&rows);
         // Budget for only a handful of groups.
         let om = OmBudget::new(200);
-        let result = group_aggregate(
-            &mut host,
-            &om,
-            &mut t,
-            0,
-            AggFunc::Count,
-            None,
-            &Predicate::True,
-            AeadKey([2u8; 32]),
-        );
+        let result =
+            group_aggregate(&mut host, &om, &mut t, 0, AggFunc::Count, None, &Predicate::True);
         assert!(matches!(result.err().unwrap(), DbError::TooManyGroups { .. }));
     }
 
@@ -439,18 +439,9 @@ mod tests {
     fn group_count_without_agg_col() {
         let (mut host, mut t) = build(&[(5, 0, 0.0), (5, 0, 0.0), (9, 0, 0.0)]);
         let om = OmBudget::new(DEFAULT_OM_BYTES);
-        let mut out = group_aggregate(
-            &mut host,
-            &om,
-            &mut t,
-            0,
-            AggFunc::Count,
-            None,
-            &Predicate::True,
-            AeadKey([2u8; 32]),
-        )
-        .unwrap();
-        let rows = out.collect_rows(&mut host).unwrap();
+        let rows =
+            group_aggregate(&mut host, &om, &mut t, 0, AggFunc::Count, None, &Predicate::True)
+                .unwrap();
         assert_eq!(
             rows,
             vec![vec![Value::Int(5), Value::Int(2)], vec![Value::Int(9), Value::Int(1)],]

@@ -13,7 +13,7 @@ pub mod sort;
 
 use oblidb_enclave::HostStats;
 
-pub use aggregate::{aggregate, group_aggregate, AggFold, AggFunc, AggState};
+pub use aggregate::{aggregate, group_aggregate, group_output_schema, AggFold, AggFunc, AggState};
 pub use join::{
     hash_join, hash_join_into, sort_merge_join, sort_merge_join_into, JoinSink, SortMergeVariant,
 };

@@ -3,33 +3,14 @@
 //! When intermediate and final result sizes are themselves sensitive,
 //! ObliDB can pad every intermediate and final table to a configured bound
 //! and disable the query planner (whose choices depend on result sizes).
-//! Leakage then reduces to the logical plan and the padded bound.
+//! Leakage then reduces to the logical plan and the padded bound. Grouped
+//! aggregation needs no bound: its result stays in the enclave until it is
+//! returned, so the group count never reaches untrusted memory in either
+//! mode.
 
 /// Padding-mode configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaddingConfig {
     /// Every selection output is padded to this many rows.
     pub pad_rows: u64,
-    /// Grouped aggregation outputs are padded to this many groups
-    /// (the paper pads "to the maximum supported number of groups").
-    pub max_groups: u64,
-}
-
-impl PaddingConfig {
-    /// Pads all outputs to `pad_rows`, groups to the same bound.
-    pub fn uniform(pad_rows: u64) -> Self {
-        PaddingConfig { pad_rows, max_groups: pad_rows }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn uniform_sets_both_bounds() {
-        let p = PaddingConfig::uniform(500);
-        assert_eq!(p.pad_rows, 500);
-        assert_eq!(p.max_groups, 500);
-    }
 }

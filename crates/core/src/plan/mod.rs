@@ -272,7 +272,8 @@ pub struct JoinNode {
     pub(crate) renamed: crate::types::Schema,
 }
 
-/// A fused select + aggregate stage (paper §4.2).
+/// A fused select + aggregate stage (paper §4.2). Only ever the root: its
+/// one row comes from the accumulators, not from a table.
 #[derive(Debug, Clone)]
 pub struct AggregateNode {
     /// Input plan.
@@ -285,7 +286,7 @@ pub struct AggregateNode {
     pub actual: Option<NodeCost>,
 }
 
-/// A grouped aggregation stage.
+/// A grouped aggregation stage; like [`AggregateNode`], only ever the root.
 #[derive(Debug, Clone)]
 pub struct GroupByNode {
     /// Input plan.
@@ -298,8 +299,6 @@ pub struct GroupByNode {
     pub agg_col: Option<usize>,
     /// Filter fused into the grouping pass.
     pub pred: Predicate,
-    /// Padded group-count bound when padding mode is on.
-    pub pad_groups: Option<u64>,
     /// Measured cost, filled by `run()`.
     pub actual: Option<NodeCost>,
 }
@@ -557,8 +556,7 @@ fn render(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
             render(&a.input, depth + 1, out);
         }
         PlanNode::GroupBy(g) => {
-            let bound = g.pad_groups.map(|p| format!(" padded_groups={p}")).unwrap_or_default();
-            out.push(format!("{pad}-> GroupBy [{:?}]{bound}", g.func));
+            out.push(format!("{pad}-> GroupBy [{:?}]", g.func));
             push_costs(out, &None, &g.actual);
             render(&g.input, depth + 1, out);
         }

@@ -48,7 +48,7 @@ fn main() {
     println!("\nwith padding to {PAD} rows (identical transcripts):");
     let mut counts = Vec::new();
     for q in [q_rare, q_common] {
-        let (rows, t, accesses) = run(Some(PaddingConfig::uniform(PAD)), q);
+        let (rows, t, accesses) = run(Some(PaddingConfig { pad_rows: PAD }), q);
         println!("  {rows:>6} rows, {t:>10?}, {accesses} accesses");
         counts.push(accesses);
     }

@@ -129,8 +129,8 @@ fn written(trace: &Trace) -> Vec<(RegionId, BTreeSet<u64>)> {
 
 /// An aggregate over a join folds the joined rows in the join's own loop.
 /// Its trace still depends only on sizes, under every join algorithm, and
-/// a folded hash join writes nothing but the pushed-down filter's output
-/// and the one-row result.
+/// a folded hash join writes nothing but the pushed-down filter's output:
+/// the one-row result comes from the accumulators.
 #[test]
 fn folded_join_aggregate_trace_depends_only_on_sizes() {
     use oblidb::core::JoinAlgo;
@@ -163,16 +163,13 @@ fn folded_join_aggregate_trace_depends_only_on_sizes() {
         }
     }
 
-    let one_row = BTreeSet::from([0]);
     let (_, trace) = run(JoinAlgo::Hash, 0, bare);
     let writes = written(&trace);
-    assert_eq!(writes.len(), 1, "a bare folded join writes only its result: {writes:?}");
-    assert_eq!(writes[0].1, one_row);
+    assert!(writes.is_empty(), "a bare folded join writes nothing: {writes:?}");
 
     let (_, trace) = run(JoinAlgo::Hash, 0, pushed);
     let writes = written(&trace);
-    assert_eq!(writes.len(), 2, "filter output and result only: {writes:?}");
-    assert_eq!(writes[1].1, one_row);
+    assert_eq!(writes.len(), 1, "the filter output only: {writes:?}");
     // The first region written is the pushed-down filter's output: the
     // join reads it back, and nothing writes it after that.
     let filter_out = writes[0].0;
@@ -306,5 +303,33 @@ fn forced_algorithms_decouple_plan_from_data() {
             db.take_trace()
         };
         assert_eq!(run(0), run(20), "{algo:?}");
+    }
+}
+
+/// GROUP BY keeps its groups in the enclave and returns them from there:
+/// its trace is the input scan alone, so two tables of one size, with 2
+/// and with 40 distinct groups, give one trace, filtered or not.
+#[test]
+fn group_by_trace_depends_only_on_input_size() {
+    let run = |groups: i64, sql: &str| {
+        let mut db = Database::new(DbConfig::default());
+        db.execute("CREATE TABLE t (g INT, v INT) CAPACITY 64").unwrap();
+        for i in 0..64 {
+            db.execute(&format!("INSERT INTO t VALUES ({}, {i})", i % groups)).unwrap();
+        }
+        let audited = db.execute(sql).unwrap();
+        let (n, trace) = traced(&mut db, sql);
+        assert_eq!(n, audited.len(), "{sql}");
+        assert!(db.audit_violations().is_empty(), "{sql}: {:?}", db.audit_violations());
+        (n, trace)
+    };
+    for (sql, few, many) in [
+        ("SELECT g, SUM(v) FROM t GROUP BY g", 2, 40),
+        ("SELECT g, SUM(v) FROM t WHERE v < 32 GROUP BY g", 2, 32),
+    ] {
+        let (n_few, t_few) = run(2, sql);
+        let (n_many, t_many) = run(40, sql);
+        assert_eq!((n_few, n_many), (few, many), "{sql}");
+        assert_eq!(t_few, t_many, "{sql}: the group count must not show in the trace");
     }
 }

@@ -214,7 +214,7 @@ fn estimates_match_actuals_for_every_select_algorithm() {
 #[test]
 fn padded_estimates_match_actuals() {
     let config = DbConfig {
-        padding: Some(oblidb::core::padding::PaddingConfig::uniform(48)),
+        padding: Some(oblidb::core::padding::PaddingConfig { pad_rows: 48 }),
         ..DbConfig::default()
     };
     let mut db = build_db(config, 64, 64);
