@@ -8,7 +8,7 @@
 //! the architectural difference Figure 7 measures. Running both designs on
 //! one substrate isolates it.
 
-use oblidb_core::exec::{self, AggFunc, SortMergeVariant};
+use oblidb_core::exec::{self, AggFunc, RowSink, SortMergeVariant};
 use oblidb_core::predicate::Predicate;
 use oblidb_core::table::FlatTable;
 use oblidb_core::types::{Schema, Value};
@@ -233,7 +233,7 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
         c2: usize,
     ) -> Result<FlatTable, DbError> {
         let key = self.next_key();
-        exec::sort_merge_join(
+        let out = exec::sort_merge_join(
             &mut self.host,
             &self.om,
             t1,
@@ -241,8 +241,10 @@ impl<M: EnclaveMemory> OpaqueEngine<M> {
             t2,
             c2,
             key,
+            RowSink::seal(),
             SortMergeVariant::Opaque,
-        )
+        )?;
+        Ok(out.expect("a sealing sink returns its table"))
     }
 }
 

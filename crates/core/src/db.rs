@@ -28,7 +28,7 @@ use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
-use crate::exec::{self, AggFold, AggFunc, JoinSink, SortMergeVariant};
+use crate::exec::{self, AggFold, AggFunc, RowSink, SortMergeVariant};
 use crate::padding::PaddingConfig;
 use crate::plan::cost::{
     self, scan_stats, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape,
@@ -38,7 +38,7 @@ use crate::plan::{
     AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
     PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan,
 };
-use crate::predicate::Predicate;
+use crate::predicate::{Bound, Predicate};
 use crate::sql::{self, Parsed, Projection, SelectItem, Statement};
 use crate::table::{FlatTable, IndexedTable, TableStorage};
 use crate::types::{Column, DataType, Row, Schema, Value};
@@ -747,12 +747,16 @@ impl<M: EnclaveMemory> Database<M> {
         let idx = self.table_index(name)?;
         let fast = self.config.fast_inserts;
         // Auto-grow flat storage when full (paper §3: capacity "can be
-        // increased later by copying to a new, larger table").
+        // increased later by copying to a new, larger table"). A fast
+        // insert writes at the cursor, which a delete does not move back,
+        // so it is full when the cursor is; the cursor is public, as the
+        // growth already shows it.
         let needs_grow = {
             let (_, storage) = &self.tables[idx];
             match storage {
                 TableStorage::Flat(f) | TableStorage::Both { flat: f, .. } => {
-                    f.num_rows() >= f.capacity()
+                    let used = if fast { f.insert_cursor() } else { f.num_rows() };
+                    used >= f.capacity()
                 }
                 TableStorage::Indexed(_) => false,
             }
@@ -1202,38 +1206,23 @@ impl<M: EnclaveMemory> Database<M> {
             out_key: None,
         };
 
-        if let Some(pad) = &self.config.padding {
-            let pad_rows = pad.pad_rows;
-            let out_key = self.next_key();
-            let shape = SelectShape {
-                schema: self.tables[self.table_index(&table_name)?].1.schema().clone(),
-                capacity,
-                rows,
-                matches: pad_rows,
-                continuous: false,
-                om_bytes,
-                out_key: out_key.clone(),
-            };
-            node.choice = SelectChoice::Padded { pad_rows };
-            node.est =
-                Some(NodeCost::from_stats(&cost::select_cost(SelectAlgo::Padded, &shape), profile));
-            node.out_key = Some(crate::plan::PlanKey(out_key));
-            return Ok(PlanNode::Filter(node));
-        }
-
-        if !flat_access {
+        let padding = self.config.padding.map(|p| p.pad_rows);
+        if padding.is_none() && !flat_access {
             // The probe result shapes the stage; decide at run time.
             return Ok(PlanNode::Filter(node));
         }
 
         // The planner's preliminary scan (paper §5) — also supplies |R|
         // for the operator's output sizing, so run() does not rescan.
+        // Padding mode skips it: the bound stands in for |R| (§2.3).
         let idx = self.table_index(&table_name)?;
         let schema = self.tables[idx].1.schema().clone();
-        let stats = {
-            let (_, storage) = &mut self.tables[idx];
-            let table = storage.flat_mut().expect("flat access path");
-            scan_stats(&mut self.host, table, &node.pred)?
+        let stats = match padding {
+            Some(pad_rows) => SelectStats { matches: pad_rows, continuous: false },
+            None => {
+                let table = self.tables[idx].1.flat_mut().expect("flat access path");
+                scan_stats(&mut self.host, table, &node.pred)?
+            }
         };
         let out_key = self.next_key();
         let shape = SelectShape {
@@ -1245,10 +1234,14 @@ impl<M: EnclaveMemory> Database<M> {
             om_bytes,
             out_key: out_key.clone(),
         };
-        let (choice, est) = cost::choose_select(&self.config.planner, &shape, profile);
-        node.choice = choice;
-        node.est = est;
-        node.est_matches = Some(stats.matches);
+        if let Some(pad_rows) = padding {
+            node.choice = SelectChoice::Padded { pad_rows };
+            node.est =
+                Some(NodeCost::from_stats(&cost::select_cost(SelectAlgo::Padded, &shape), profile));
+        } else {
+            (node.choice, node.est) = cost::choose_select(&self.config.planner, &shape, profile);
+            node.est_matches = Some(stats.matches);
+        }
         node.out_key = Some(crate::plan::PlanKey(out_key));
         Ok(PlanNode::Filter(node))
     }
@@ -1334,53 +1327,6 @@ impl<M: EnclaveMemory> Database<M> {
                 }
             }
         }
-        if matches!(plan.action, PlanAction::ExplainSelect(_)) {
-            // EXPLAIN executes nothing: the result set is the rendering.
-            let rendering = Explain::of(plan);
-            let width = rendering.lines().iter().map(|l| l.len()).max().unwrap_or(0).max(1);
-            let schema = Schema::new(vec![Column::new("plan", DataType::Text(width))]);
-            let rows = rendering.lines().iter().map(|l| vec![Value::Text(l.clone())]).collect();
-            return Ok(QueryOutput {
-                schema,
-                rows,
-                plan: PlanInfo::default(),
-                rows_affected: None,
-            });
-        }
-        if matches!(plan.action, PlanAction::ExplainAnalyzeSelect(_)) {
-            // EXPLAIN ANALYZE executes the select for real, then renders
-            // the tree with the measured actuals (wall time, crossings,
-            // AEAD bytes) the execution wrote into each node, next to the
-            // planner's estimates. The result set is the rendering; the
-            // plan-shaped leakage of the real run is kept in `.plan`.
-            let profile = plan.profile.clone();
-            let (mut root, stmt) = match &mut plan.action {
-                PlanAction::ExplainAnalyzeSelect(sp) => {
-                    let root = std::mem::replace(
-                        &mut sp.root,
-                        PlanNode::Scan(ScanNode {
-                            table: String::new(),
-                            access: AccessPath::Flat,
-                            rows: 0,
-                            capacity: 0,
-                            actual: None,
-                        }),
-                    );
-                    (root, sp.stmt.clone())
-                }
-                _ => unreachable!("checked above"),
-            };
-            let result = self.run_select_root(&mut root, &stmt, &profile);
-            if let PlanAction::ExplainAnalyzeSelect(sp) = &mut plan.action {
-                sp.root = root;
-            }
-            let executed = result?;
-            let rendering = Explain::of(plan);
-            let width = rendering.lines().iter().map(|l| l.len()).max().unwrap_or(0).max(1);
-            let schema = Schema::new(vec![Column::new("plan", DataType::Text(width))]);
-            let rows = rendering.lines().iter().map(|l| vec![Value::Text(l.clone())]).collect();
-            return Ok(QueryOutput { schema, rows, plan: executed.plan, rows_affected: None });
-        }
         let QueryPlan { action, profile, .. } = plan;
         match action {
             PlanAction::Create(c) => {
@@ -1403,33 +1349,24 @@ impl<M: EnclaveMemory> Database<M> {
                 let n = self.delete_where(table, pred)?;
                 Ok(QueryOutput::affected(n))
             }
-            PlanAction::Select(sp) => {
-                // Take the tree out of the plan so it can be mutated
-                // (actual costs, deferred choices) while `sp.stmt` and
-                // `profile` stay borrowed for the walk.
-                let mut root = std::mem::replace(
-                    &mut sp.root,
-                    PlanNode::Scan(ScanNode {
-                        table: String::new(),
-                        access: AccessPath::Flat,
-                        rows: 0,
-                        capacity: 0,
-                        actual: None,
-                    }),
-                );
-                let result = self.run_select_root(&mut root, &sp.stmt, profile);
-                sp.root = root;
-                result
-            }
-            PlanAction::ExplainSelect(_) | PlanAction::ExplainAnalyzeSelect(_) => {
-                unreachable!("handled above")
+            PlanAction::Select(sp) => self.run_select_root(&mut sp.root, &sp.stmt, profile),
+            // EXPLAIN executes nothing: the result set is the rendering.
+            PlanAction::ExplainSelect(_) => Ok(explained(plan, PlanInfo::default())),
+            // EXPLAIN ANALYZE executes the select for real, then renders the
+            // tree with the measured actuals (wall time, crossings, AEAD
+            // bytes) the execution wrote into each node, next to the
+            // planner's estimates.
+            PlanAction::ExplainAnalyzeSelect(sp) => {
+                let executed = self.run_select_root(&mut sp.root, &sp.stmt, profile)?.plan;
+                Ok(explained(plan, executed))
             }
         }
     }
 
     /// Runs a SELECT tree: operators → rows → ORDER BY / LIMIT →
     /// projection. An aggregate or GROUP BY root returns its rows from its
-    /// accumulators; any other root's table is decoded and freed.
+    /// accumulators; any other root's output is decoded, then freed if the
+    /// statement owns it.
     fn run_select_root(
         &mut self,
         root: &mut PlanNode,
@@ -1441,11 +1378,12 @@ impl<M: EnclaveMemory> Database<M> {
             PlanNode::Aggregate(a) => self.exec_aggregate(a, &mut info, profile)?,
             PlanNode::GroupBy(g) => self.exec_group(g, &mut info, profile)?,
             other => {
-                let mut table = self.exec_node(other, &mut info, profile)?;
-                let rows = table.collect_rows(&mut self.host)?;
+                let owned = self.exec_input(other, &mut info, profile)?;
+                let [mut table] = inputs(&mut self.tables, [(&*other, owned)]);
+                let rows = table.collect_rows(&mut self.host);
                 let schema = table.schema().clone();
                 table.free(&mut self.host)?;
-                (schema, rows)
+                (schema, rows?)
             }
         };
         info.output_rows = rows.len() as u64;
@@ -1469,93 +1407,59 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(QueryOutput { schema, rows, plan: info, rows_affected: None })
     }
 
-    /// Executes one table-producing operator node, returning its
-    /// materialized output. Aggregates never get here: `plan_select` puts
-    /// them only at the root, which takes their rows directly.
-    fn exec_node(
-        &mut self,
-        node: &mut PlanNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
-        match node {
-            PlanNode::Scan(_) => unreachable!("a bare scan is read by the operator above it"),
-            PlanNode::Filter(f) => self.exec_filter(f, info, profile),
-            PlanNode::Join(j) => {
-                let out = self.exec_join(j, None, info, profile)?;
-                Ok(out.expect("an unfolded join returns its table"))
-            }
-            PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
-                unreachable!("aggregates are planned only at the root")
-            }
-        }
-    }
-
-    /// An operator's input: a base-table access, read in place where the
-    /// planned path allows, or a child operator's materialized output.
-    fn exec_operand(
-        &mut self,
-        node: &mut PlanNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<InputRef, DbError> {
-        match node {
-            PlanNode::Scan(scan) => self.exec_input(scan, info, profile),
-            other => Ok(InputRef::Owned(self.exec_node(other, info, profile)?)),
-        }
-    }
-
-    /// Materializes a base-table access per the planned path: the stored
-    /// flat table, or an owned table the index probe produced (with the
-    /// capped walk falling back to the flat representation, paper §4.1).
+    /// Runs what an operator's input needs before it is read: the filter or
+    /// join under it, or the access its base-table scan plans. `None` means
+    /// the scan reads its catalog table in place, for [`inputs`] to borrow.
     fn exec_input(
+        &mut self,
+        node: &mut PlanNode,
+        info: &mut PlanInfo,
+        profile: &CostProfile,
+    ) -> Result<Option<FlatTable>, DbError> {
+        match node {
+            PlanNode::Scan(scan) => self.exec_scan(scan, info, profile),
+            PlanNode::Filter(f) => self.exec_filter(f, info, profile).map(Some),
+            PlanNode::Join(j) => self.exec_join(j, RowSink::seal(), info, profile),
+            PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
+                Err(DbError::Unsupported("an aggregate is planned only at the root".into()))
+            }
+        }
+    }
+
+    /// Runs a base-table access per the planned path: the table an index
+    /// probe materializes, or `None` to read the flat table in place, as a
+    /// capped walk does once it aborts (paper §4.1).
+    fn exec_scan(
         &mut self,
         scan: &mut ScanNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<InputRef, DbError> {
+    ) -> Result<Option<FlatTable>, DbError> {
         let idx = self.table_index(&scan.table)?;
-        match scan.access.clone() {
-            AccessPath::Flat => Ok(InputRef::Stored(idx)),
-            AccessPath::IndexRange { lo, hi, cap } => {
-                let key = self.next_key();
-                let before = self.host.stats();
-                let started = std::time::Instant::now();
-                let (_, storage) = &mut self.tables[idx];
-                let index = storage.indexed_mut().expect("planned index access");
-                if let Some(t) = index.range_to_flat_capped(&mut self.host, key, &lo, &hi, cap)? {
-                    scan.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-                    info.used_index = true;
-                    info.intermediate_rows.push(t.num_rows());
-                    Ok(InputRef::Owned(t))
-                } else {
-                    // Probe aborted past the cap: a flat scan is cheaper.
-                    Ok(InputRef::Stored(idx))
-                }
-            }
-            AccessPath::IndexFull => {
-                let key = self.next_key();
-                let before = self.host.stats();
-                let started = std::time::Instant::now();
-                let (_, storage) = &mut self.tables[idx];
-                let index = storage.indexed_mut().expect("indexed-only");
-                let t = index.range_to_flat(
-                    &mut self.host,
-                    key,
-                    &crate::predicate::Bound::Unbounded,
-                    &crate::predicate::Bound::Unbounded,
-                )?;
-                scan.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-                info.used_index = true;
-                info.intermediate_rows.push(t.num_rows());
-                Ok(InputRef::Owned(t))
-            }
+        let (lo, hi, cap) = match scan.access.clone() {
+            AccessPath::Flat => return Ok(None),
+            AccessPath::IndexRange { lo, hi, cap } => (lo, hi, Some(cap)),
+            AccessPath::IndexFull => (Bound::Unbounded, Bound::Unbounded, None),
+        };
+        let key = self.next_key();
+        let before = self.host.stats();
+        let started = std::time::Instant::now();
+        let index = self.tables[idx].1.indexed_mut().expect("planned index access");
+        let probed = match cap {
+            Some(cap) => index.range_to_flat_capped(&mut self.host, key, &lo, &hi, cap)?,
+            None => Some(index.range_to_flat(&mut self.host, key, &lo, &hi)?),
+        };
+        if let Some(t) = &probed {
+            scan.actual = Some(timed_cost(self.host.stats() - before, profile, started));
+            info.used_index = true;
+            info.intermediate_rows.push(t.num_rows());
         }
+        Ok(probed)
     }
 
-    /// Executes a filter node: materialize the input, resolve a deferred
-    /// operator choice with the same cost machinery prepare uses, run the
-    /// operator, and record the measured cost.
+    /// Executes a filter node: run its input, resolve a deferred operator
+    /// choice with the same cost machinery prepare uses, run the operator,
+    /// and record the measured cost.
     fn exec_filter(
         &mut self,
         f: &mut FilterNode,
@@ -1563,8 +1467,7 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<FlatTable, DbError> {
         let over_intermediate = !matches!(f.input.as_ref(), PlanNode::Scan(_));
-        let mut input = self.exec_operand(&mut f.input, info, profile)?;
-
+        let owned = self.exec_input(&mut f.input, info, profile)?;
         let out_key = match &f.out_key {
             Some(k) => k.0.clone(),
             None => {
@@ -1574,37 +1477,11 @@ impl<M: EnclaveMemory> Database<M> {
             }
         };
         let rng = self.rng.fork();
-
-        let out = match &mut input {
-            InputRef::Owned(t) => run_filter_stage(
-                &mut self.host,
-                &self.om,
-                &self.config,
-                f,
-                t,
-                out_key.clone(),
-                rng,
-                profile,
-                info,
-            )?,
-            InputRef::Stored(i) => {
-                let i = *i;
-                let (_, storage) = &mut self.tables[i];
-                let table = storage.flat_mut().expect("stored input is flat");
-                run_filter_stage(
-                    &mut self.host,
-                    &self.om,
-                    &self.config,
-                    f,
-                    table,
-                    out_key.clone(),
-                    rng,
-                    profile,
-                    info,
-                )?
-            }
-        };
-        input.free(self)?;
+        let [mut input] = inputs(&mut self.tables, [(&*f.input, owned)]);
+        let (host, om, config) = (&mut self.host, &self.om, &self.config);
+        let out = run_filter_stage(host, om, config, f, &mut input, out_key, rng, profile, info);
+        input.free(&mut self.host)?;
+        let out = out?;
         if over_intermediate {
             info.intermediate_rows.push(out.num_rows());
         }
@@ -1612,38 +1489,41 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Executes a join node over its sides, read in place where they are
-    /// stored. The joined rows fold into `fold` when one is given (no
-    /// output table, `None` returned); otherwise they are materialized.
+    /// stored, emitting the joined rows into `sink`. Returns the table a
+    /// sealing sink built, its columns renamed to the real table names.
     fn exec_join(
         &mut self,
         j: &mut JoinNode,
-        fold: Option<&mut AggFold<'_>>,
+        sink: RowSink<'_, '_>,
         info: &mut PlanInfo,
         profile: &CostProfile,
     ) -> Result<Option<FlatTable>, DbError> {
         info.fused_aggregate = false;
-        let (mut left, _) = self.exec_join_side(&mut j.left, info, profile)?;
-        let (mut right, right_key) = self.exec_join_side(&mut j.right, info, profile)?;
-        if let (InputRef::Stored(l), InputRef::Stored(r), Some(key)) = (&left, &right, right_key) {
-            if l == r {
-                // A self-join reads one stored table twice, but a sealed
-                // region is only read through `&mut`: copy one side.
-                let f = self.tables[*r].1.flat_mut().expect("stored input is flat");
-                right = InputRef::Owned(copy_flat(&mut self.host, f, key)?);
-            }
+        let (left, _) = self.exec_join_side(&mut j.left, info, profile)?;
+        let (mut right, copy_key) = self.exec_join_side(&mut j.right, info, profile)?;
+        let same_table = matches!(
+            (j.left.as_ref(), j.right.as_ref()),
+            (PlanNode::Scan(l), PlanNode::Scan(r)) if l.table == r.table
+        );
+        if let (None, None, Some(key), true) = (&left, &right, copy_key, same_table) {
+            // A self-join reads one stored table twice, but a sealed
+            // region is only read through `&mut`: copy one side.
+            let [mut t] = inputs(&mut self.tables, [(&*j.right, None)]);
+            let cap = t.capacity();
+            right = Some(exec::copy_table(&mut self.host, &mut t, key, cap)?);
         }
         let key = self.next_key();
-        let (t1, t2) = join_inputs(&mut self.tables, &mut left, &mut right);
+        let [mut lhs, mut rhs] = inputs(&mut self.tables, [(&*j.left, left), (&*j.right, right)]);
 
         if matches!(j.choice, JoinChoice::Deferred) {
             let shape = JoinShape {
-                left_schema: t1.schema().clone(),
-                left_capacity: t1.capacity(),
-                right_schema: t2.schema().clone(),
-                right_capacity: t2.capacity(),
+                left_schema: lhs.schema().clone(),
+                left_capacity: lhs.capacity(),
+                right_schema: rhs.schema().clone(),
+                right_capacity: rhs.capacity(),
                 om_bytes: self.om.available(),
                 zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
-                folded: fold.is_some(),
+                folded: matches!(sink, RowSink::Fold(_)),
             };
             j.om_bytes = shape.om_bytes;
             (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
@@ -1651,33 +1531,29 @@ impl<M: EnclaveMemory> Database<M> {
         let algo = j.choice.algo().expect("deferred choice is resolved");
         info.join_algo = Some(algo);
 
-        let sink = match fold {
-            Some(agg) => JoinSink::Fold(agg),
-            None => JoinSink::Table,
-        };
         let (host, om) = (&mut self.host, &self.om);
-        let (c1, c2) = (j.left_col, j.right_col);
+        let (t1, c1, t2, c2) = (&mut *lhs, j.left_col, &mut *rhs, j.right_col);
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
         let before = host.stats();
         let started = std::time::Instant::now();
         let out = match algo {
-            JoinAlgo::Hash => exec::hash_join_into(host, om, t1, c1, t2, c2, key, sink)?,
+            JoinAlgo::Hash => exec::hash_join(host, om, t1, c1, t2, c2, key, sink),
             JoinAlgo::Opaque => {
                 let variant = SortMergeVariant::Opaque;
-                exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
+                exec::sort_merge_join(host, om, t1, c1, t2, c2, key, sink, variant)
             }
             JoinAlgo::ZeroOm => {
                 let variant = SortMergeVariant::ZeroOm { scratch_rows: ZERO_OM_SCRATCH_ROWS };
-                exec::sort_merge_join_into(host, om, t1, c1, t2, c2, key, sink, variant)?
+                exec::sort_merge_join(host, om, t1, c1, t2, c2, key, sink, variant)
             }
         };
         j.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        left.free(self)?;
-        right.free(self)?;
+        lhs.free(&mut self.host)?;
+        rhs.free(&mut self.host)?;
 
         // Rename output columns with the real table names so WHERE/GROUP BY
         // can reference them.
-        Ok(out.map(|mut out| {
+        Ok(out?.map(|mut out| {
             info.intermediate_rows.push(out.num_rows());
             out.rename_columns(j.renamed.clone());
             out
@@ -1685,23 +1561,23 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Executes one join side: a pushed-down filter's output, or the base
-    /// table read in place. A side read from a stored table also draws
-    /// the key a copy of it would be sealed under — used only by a
-    /// self-join's copy, it keeps every later key where a copying plan
-    /// would put it, and with it the row order of keyed operators.
+    /// table read in place. A side read in place also draws the key a copy
+    /// of it would be sealed under — used only by a self-join's copy, it
+    /// keeps every later key where a copying plan would put it, and with
+    /// it the row order of keyed operators.
     fn exec_join_side(
         &mut self,
         node: &mut PlanNode,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<(InputRef, Option<AeadKey>), DbError> {
+    ) -> Result<(Option<FlatTable>, Option<AeadKey>), DbError> {
         if let PlanNode::Filter(f) = node {
             let out = self.exec_filter(f, info, profile)?;
             info.intermediate_rows.push(out.num_rows());
-            return Ok((InputRef::Owned(out), None));
+            return Ok((Some(out), None));
         }
-        let input = self.exec_operand(node, info, profile)?;
-        let copy_key = matches!(input, InputRef::Stored(_)).then(|| self.next_key());
+        let input = self.exec_input(node, info, profile)?;
+        let copy_key = input.is_none().then(|| self.next_key());
         Ok((input, copy_key))
     }
 
@@ -1718,21 +1594,18 @@ impl<M: EnclaveMemory> Database<M> {
         let (values, _span, before, started) = if let PlanNode::Join(j) = a.input.as_mut() {
             let items = agg_columns(&a.items, &j.renamed)?;
             let mut fold = AggFold::new(j.renamed.clone(), &items, &a.pred);
-            self.exec_join(j, Some(&mut fold), info, profile)?;
+            self.exec_join(j, RowSink::Fold(&mut fold), info, profile)?;
             let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
             (fold.finish(), span, self.host.stats(), std::time::Instant::now())
         } else {
-            let mut input = self.exec_operand(&mut a.input, info, profile)?;
+            let owned = self.exec_input(&mut a.input, info, profile)?;
             let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
             let (before, started) = (self.host.stats(), std::time::Instant::now());
-            let table = match &mut input {
-                InputRef::Owned(t) => t,
-                InputRef::Stored(i) => self.tables[*i].1.flat_mut().expect("stored input is flat"),
-            };
-            let items = agg_columns(&a.items, table.schema())?;
-            let values = exec::aggregate(&mut self.host, table, &items, &a.pred)?;
-            input.free(self)?;
-            (values, span, before, started)
+            let [mut input] = inputs(&mut self.tables, [(&*a.input, owned)]);
+            let values = agg_columns(&a.items, input.schema())
+                .and_then(|items| exec::aggregate(&mut self.host, &mut input, &items, &a.pred));
+            input.free(&mut self.host)?;
+            (values?, span, before, started)
         };
         info.fused_aggregate = true;
         let schema = Schema::new(
@@ -1755,26 +1628,23 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<(Schema, Vec<Row>), DbError> {
         let over_base = matches!(g.input.as_ref(), PlanNode::Scan(_));
-        let mut input = self.exec_operand(&mut g.input, info, profile)?;
+        let owned = self.exec_input(&mut g.input, info, profile)?;
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::GroupBy);
         let before = self.host.stats();
         let started = std::time::Instant::now();
-        let table = match &mut input {
-            InputRef::Owned(t) => t,
-            InputRef::Stored(i) => self.tables[*i].1.flat_mut().expect("stored input is flat"),
-        };
-        let schema = exec::group_output_schema(table.schema(), g.group_col, g.func, g.agg_col);
+        let [mut input] = inputs(&mut self.tables, [(&*g.input, owned)]);
+        let schema = exec::group_output_schema(input.schema(), g.group_col, g.func, g.agg_col);
         let rows = exec::group_aggregate(
             &mut self.host,
             &self.om,
-            table,
+            &mut input,
             g.group_col,
             g.func,
             g.agg_col,
             &g.pred,
         );
         g.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        input.free(self)?;
+        input.free(&mut self.host)?;
         if over_base {
             info.fused_aggregate = true;
         }
@@ -1827,19 +1697,73 @@ impl<M: EnclaveMemory> PreparedStatement<'_, M> {
     }
 }
 
-/// Either a stored base table or an owned intermediate.
-enum InputRef {
-    Stored(usize),
+/// An operator's input: a catalog table read in place, or an intermediate
+/// the statement owns. Either way the operator sees a `&mut FlatTable`.
+enum Input<'t> {
+    Table(&'t mut FlatTable),
     Owned(FlatTable),
 }
 
-impl InputRef {
-    fn free<M: EnclaveMemory>(self, db: &mut Database<M>) -> Result<(), DbError> {
-        if let InputRef::Owned(t) = self {
-            t.free(&mut db.host)?;
+impl std::ops::Deref for Input<'_> {
+    type Target = FlatTable;
+
+    fn deref(&self) -> &FlatTable {
+        match self {
+            Input::Table(t) => t,
+            Input::Owned(t) => t,
         }
-        Ok(())
     }
+}
+
+impl std::ops::DerefMut for Input<'_> {
+    fn deref_mut(&mut self) -> &mut FlatTable {
+        match self {
+            Input::Table(t) => t,
+            Input::Owned(t) => t,
+        }
+    }
+}
+
+impl Input<'_> {
+    /// Frees an owned intermediate; a catalog table stays.
+    fn free<M: EnclaveMemory>(self, host: &mut M) -> Result<(), DbError> {
+        match self {
+            Input::Table(_) => Ok(()),
+            Input::Owned(t) => t.free(host),
+        }
+    }
+}
+
+/// The inputs `sides` give an operator: each intermediate
+/// [`Database::exec_input`] returned as is, and each scan it left in place
+/// as its catalog table, borrowed. In-place sides read distinct tables (a
+/// self-join copies one side first).
+fn inputs<'t, const N: usize>(
+    tables: &'t mut [(String, TableStorage)],
+    sides: [(&PlanNode, Option<FlatTable>); N],
+) -> [Input<'t>; N] {
+    let mut flats: Vec<(&str, &mut FlatTable)> =
+        tables.iter_mut().filter_map(|(name, t)| Some((name.as_str(), t.flat_mut()?))).collect();
+    sides.map(|(node, owned)| match owned {
+        Some(t) => Input::Owned(t),
+        None => {
+            let at = flats
+                .iter()
+                .position(|(name, _)| matches!(node, PlanNode::Scan(s) if s.table == *name))
+                .expect("an in-place input scans a flat catalog table");
+            Input::Table(flats.swap_remove(at).1)
+        }
+    })
+}
+
+/// The result set of an EXPLAIN: `plan` rendered one line per row, with
+/// the plan-shaped leakage of the run, if one executed.
+fn explained(plan: &QueryPlan, executed: PlanInfo) -> QueryOutput {
+    let rendering = Explain::of(plan);
+    let width = rendering.lines().iter().map(|l| l.len()).max().unwrap_or(0).max(1);
+    let schema = Schema::new(vec![Column::new("plan", DataType::Text(width))]);
+    let rows = rendering.lines().iter().map(|l| vec![Value::Text(l.clone())]).collect();
+    QueryOutput { schema, rows, plan: executed, rows_affected: None }
 }
 
 /// A node's measured actual: the host-stats delta weighted under
@@ -1883,22 +1807,14 @@ fn run_filter_stage<M: EnclaveMemory>(
     profile: &CostProfile,
     info: &mut PlanInfo,
 ) -> Result<FlatTable, DbError> {
-    if let SelectChoice::Padded { pad_rows } = f.choice {
-        // Padding mode: the planner is skipped; pass count and output
-        // size are fixed by the padded bound (§2.3).
-        info.select_algo = Some(SelectAlgo::Padded);
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::SelectPadded);
-        let before = host.stats();
-        let started = std::time::Instant::now();
-        let out = exec::select::select_padded(host, om, input, &f.pred, out_key, pad_rows)?;
-        f.actual = Some(timed_cost(host.stats() - before, profile, started));
-        return Ok(out);
-    }
-
-    // |R| for output sizing: reuse the prepare-time preliminary scan when
-    // the plan has one (the version guard re-plans on staleness); scan now
-    // for deferred stages over fresh intermediates.
+    // |R| for output sizing: in padding mode the bound, with no scan at
+    // all (§2.3); the prepare-time preliminary scan when the plan has one
+    // (the version guard re-plans on staleness); a scan now for deferred
+    // stages over fresh intermediates.
     let stats: SelectStats = match (&f.choice, f.est_matches) {
+        (SelectChoice::Padded { pad_rows }, _) => {
+            SelectStats { matches: *pad_rows, continuous: false }
+        }
         (SelectChoice::Forced(_) | SelectChoice::Chosen { .. }, Some(m)) => {
             SelectStats { matches: m, continuous: false }
         }
@@ -1909,10 +1825,9 @@ fn run_filter_stage<M: EnclaveMemory>(
         }
     };
 
-    let algo = match &f.choice {
-        SelectChoice::Forced(a) => *a,
-        SelectChoice::Chosen { algo, .. } => *algo,
-        SelectChoice::Deferred => {
+    let algo = match f.choice.algo() {
+        Some(algo) => algo,
+        None => {
             let shape = SelectShape {
                 schema: input.schema().clone(),
                 capacity: input.capacity(),
@@ -1928,7 +1843,6 @@ fn run_filter_stage<M: EnclaveMemory>(
             f.choice = choice;
             f.choice.algo().expect("deferred choice is resolved")
         }
-        SelectChoice::Padded { .. } => unreachable!("handled above"),
     };
     info.select_algo = Some(algo);
 
@@ -1945,9 +1859,9 @@ fn run_filter_stage<M: EnclaveMemory>(
         SelectAlgo::Naive => {
             exec::select_naive(host, om, input, &f.pred, out_key, stats.matches, rng)?
         }
+        // Small's windows over the padded bound, the last ones dummies.
         SelectAlgo::Padded => {
-            // Only reachable via force_select; pad to the match count.
-            exec::select::select_padded(host, om, input, &f.pred, out_key, stats.matches)?
+            exec::select_small(host, om, input, &f.pred, out_key, stats.matches.max(1))?
         }
     };
     f.actual = Some(timed_cost(host.stats() - before, profile, started));
@@ -1973,31 +1887,6 @@ fn filter_output_capacity(f: &FilterNode) -> Option<u64> {
     })
 }
 
-/// The flat tables behind a join's two inputs; two stored inputs name
-/// distinct tables (a self-join copies one side first).
-fn join_inputs<'a>(
-    tables: &'a mut [(String, TableStorage)],
-    left: &'a mut InputRef,
-    right: &'a mut InputRef,
-) -> (&'a mut FlatTable, &'a mut FlatTable) {
-    let flat = |t: &'a mut (String, TableStorage)| t.1.flat_mut().expect("stored input is flat");
-    match (left, right) {
-        (InputRef::Owned(l), InputRef::Owned(r)) => (l, r),
-        (InputRef::Owned(l), InputRef::Stored(r)) => (l, flat(&mut tables[*r])),
-        (InputRef::Stored(l), InputRef::Owned(r)) => (flat(&mut tables[*l]), r),
-        (InputRef::Stored(l), InputRef::Stored(r)) => {
-            let (l, r) = (*l, *r);
-            let (lo, hi) = tables.split_at_mut(l.max(r));
-            let (first, second) = (flat(&mut lo[l.min(r)]), flat(&mut hi[0]));
-            if l < r {
-                (first, second)
-            } else {
-                (second, first)
-            }
-        }
-    }
-}
-
 /// Resolves aggregate items' column names against `schema`.
 fn agg_columns(
     items: &[(AggFunc, Option<String>)],
@@ -2007,27 +1896,6 @@ fn agg_columns(
         .iter()
         .map(|(func, col)| Ok((*func, col.as_ref().map(|c| schema.col(c)).transpose()?)))
         .collect()
-}
-
-/// One oblivious copy pass.
-fn copy_flat<M: EnclaveMemory>(
-    host: &mut M,
-    input: &mut FlatTable,
-    key: AeadKey,
-) -> Result<FlatTable, DbError> {
-    let mut out = FlatTable::create(host, key, input.schema().clone(), input.capacity())?;
-    let chunk = input.io_chunk_rows();
-    let cap = input.capacity();
-    let mut start = 0u64;
-    while start < cap {
-        let n = chunk.min((cap - start) as usize);
-        let bytes = input.read_rows(host, start, n)?;
-        out.write_rows(host, start, bytes)?;
-        start += n as u64;
-    }
-    out.set_num_rows(input.num_rows());
-    out.set_insert_cursor(input.capacity());
-    Ok(out)
 }
 
 /// Renders a column type exactly as the SQL grammar accepts it.
@@ -2419,6 +2287,54 @@ mod tests {
         let ta = run("SELECT * FROM t WHERE id = 3", 1);
         let tb = run("SELECT * FROM t WHERE id < 15", 15);
         assert_eq!(ta, tb);
+    }
+
+    #[test]
+    fn padded_bound_overflow_is_a_typed_error() {
+        let mut db = Database::new(DbConfig {
+            padding: Some(crate::padding::PaddingConfig { pad_rows: 4 }),
+            ..DbConfig::default()
+        });
+        db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
+        db.execute("CREATE TABLE u (k INT, w INT) CAPACITY 16").unwrap();
+        for i in 0..10 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+            db.execute(&format!("INSERT INTO u VALUES ({i}, {i})")).unwrap();
+        }
+        let count = db.execute("SELECT COUNT(*) FROM t WHERE k < 8").unwrap();
+        assert_eq!(count.rows()[0][0], Value::Int(8));
+        let om = db.om().available();
+        let over = Err(DbError::PaddedBoundExceeded { bound: 4 });
+        assert_eq!(db.execute("SELECT * FROM t WHERE k < 8").map(|o| o.len()), over);
+        // The WHERE resolves on neither side, so it filters the join output.
+        let joined = "SELECT * FROM t JOIN u ON t.k = u.k WHERE v < 8 AND w >= 0";
+        assert_eq!(db.execute(joined).map(|o| o.len()), over);
+        assert_eq!(db.om().available(), om, "the buffer lease is returned");
+        // Under the bound every row comes back.
+        assert_eq!(db.execute("SELECT * FROM t WHERE k < 4").unwrap().len(), 4);
+        let joined = "SELECT * FROM t JOIN u ON t.k = u.k WHERE v < 4 AND w >= 0";
+        assert_eq!(db.execute(joined).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn fast_insert_after_delete_grows_a_full_table() {
+        // The index half of BOTH has room for one row after the delete.
+        for (storage, end) in [("FLAT", 6), ("BOTH INDEX ON k", 5)] {
+            let mut db = db();
+            let create = format!("CREATE TABLE t (k INT, v INT) STORAGE = {storage} CAPACITY 4");
+            db.execute(&create).unwrap();
+            for i in 0..4 {
+                db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+            }
+            db.execute("DELETE FROM t WHERE k = 0").unwrap();
+            for i in 4..end {
+                db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+            }
+            let out = db.execute("SELECT * FROM t WHERE v >= 0").unwrap();
+            let mut ks: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+            ks.sort_unstable();
+            assert_eq!(ks, (1..end).collect::<Vec<i64>>(), "{storage}");
+        }
     }
 
     #[test]

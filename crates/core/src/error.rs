@@ -38,6 +38,13 @@ pub enum DbError {
     /// The hash-select output table overflowed its collision chains
     /// (cryptographically unlikely; retry with another operator).
     HashSelectOverflow,
+    /// A selection matched more rows than its padded bound holds (padding
+    /// mode, paper §2.3). The operator still ran every pass the bound
+    /// fixes, so the trace is that of any other result under the bound.
+    PaddedBoundExceeded {
+        /// The padded bound in rows.
+        bound: u64,
+    },
     /// Grouped aggregation exceeded the oblivious-memory group budget.
     TooManyGroups {
         /// Groups the operator could hold.
@@ -73,6 +80,9 @@ impl std::fmt::Display for DbError {
             DbError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
             DbError::TableFull(t) => write!(f, "table full: {t}"),
             DbError::HashSelectOverflow => write!(f, "hash select overflow"),
+            DbError::PaddedBoundExceeded { bound } => {
+                write!(f, "result exceeds the padded bound of {bound} rows")
+            }
             DbError::TooManyGroups { limit } => {
                 write!(f, "too many groups for oblivious memory (limit {limit})")
             }

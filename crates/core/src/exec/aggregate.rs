@@ -120,9 +120,9 @@ impl AggState {
 
 /// Every aggregate of one statement folded together: one accumulator per
 /// resolved `(func, col)` item, and the filter fused into the fold. Rows
-/// arrive one at a time from a table scan ([`aggregate`]) or straight from
-/// a join loop (`exec::join`'s fold sink), so no intermediate table is
-/// needed either way.
+/// arrive from a table scan ([`aggregate`]) or straight from a join loop
+/// through [`super::RowSink::Fold`], so no intermediate table is needed
+/// either way.
 pub struct AggFold<'p> {
     schema: Schema,
     items: Vec<(Option<usize>, AggState)>,
@@ -137,15 +137,18 @@ impl<'p> AggFold<'p> {
         AggFold { schema, items, pred }
     }
 
-    /// Folds one encoded row in, if it is used and matches the filter.
-    pub fn add_row(&mut self, bytes: &[u8]) {
-        if !Schema::row_used(bytes) || !self.pred.eval(&self.schema, bytes) {
-            return;
-        }
-        for (col, state) in &mut self.items {
-            match col {
-                Some(c) => state.add(&self.schema.decode_col(bytes, *c)),
-                None => state.add(&Value::Int(1)),
+    /// Folds in each encoded row of `rows` that is used and matches the
+    /// filter.
+    pub fn add_rows(&mut self, rows: &[u8]) {
+        for bytes in rows.chunks_exact(self.schema.row_len()) {
+            if !Schema::row_used(bytes) || !self.pred.eval(&self.schema, bytes) {
+                continue;
+            }
+            for (col, state) in &mut self.items {
+                match col {
+                    Some(c) => state.add(&self.schema.decode_col(bytes, *c)),
+                    None => state.add(&Value::Int(1)),
+                }
             }
         }
     }
@@ -166,7 +169,7 @@ pub fn aggregate<M: EnclaveMemory>(
     pred: &Predicate,
 ) -> Result<Vec<Value>, DbError> {
     let mut fold = AggFold::new(input.schema().clone(), items, pred);
-    input.for_each_row(host, |_, bytes| fold.add_row(bytes))?;
+    input.for_each_row(host, |_, bytes| fold.add_rows(bytes))?;
     Ok(fold.finish())
 }
 

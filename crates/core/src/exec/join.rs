@@ -11,11 +11,11 @@
 //!   enclave memory (0-OM, chunk of 1 by default).
 //!
 //! Each algorithm has one loop that emits one position per probe or merge
-//! row into a [`JoinSink`]. The table sink materializes the joined table,
-//! one output block per position, dummies included. The fold sink feeds
-//! each real joined row straight into an [`AggFold`] and writes nothing,
-//! so an aggregate over a join ([`hash_join_into`], [`sort_merge_join_into`])
-//! costs no output table and no second pass.
+//! row into a [`RowSink`]: the joined row, or a dummy. A sealing sink
+//! materializes the joined table, one output block per position; a fold
+//! sink feeds each real joined row straight into an
+//! [`AggFold`](super::AggFold) and writes nothing, so an aggregate over a
+//! join costs no output table and no second pass.
 //!
 //! Sort keys hash the join value (SipHash-2-4 of the encoded column bytes)
 //! so text joins group correctly; the merge verifies true byte equality,
@@ -27,7 +27,7 @@ use oblidb_crypto::SipHash24;
 use oblidb_enclave::{EnclaveMemory, HostStats, OmBudget};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
-use super::aggregate::AggFold;
+use super::RowSink;
 use crate::error::DbError;
 use crate::plan::cost::JoinShape;
 use crate::table::FlatTable;
@@ -51,96 +51,33 @@ fn union_schema(s1: &Schema, s2: &Schema) -> Schema {
     Schema::new(vec![Column::new("u", crate::types::DataType::Text(1 + 16 + payload))])
 }
 
-/// Where a join's rows go.
-pub enum JoinSink<'a, 'p> {
-    /// Materialize the joined table, sealed under the join's output key.
-    Table,
-    /// Fold every real joined row into these aggregates; nothing is
-    /// written.
-    Fold(&'a mut AggFold<'p>),
-}
-
-/// A [`JoinSink`] opened for one run of a join loop.
-enum Emit<'a, 'p> {
-    /// The output table and the positions buffered since the last flush.
-    Table { out: FlatTable, dummy: Vec<u8>, buf: Vec<u8>, pos: u64, matches: u64 },
-    /// The aggregates and the scratch row each hit is assembled in.
-    Fold { agg: &'a mut AggFold<'p>, row: Vec<u8> },
-}
-
-impl<'a, 'p> Emit<'a, 'p> {
-    /// Opens `sink` for `positions` emitted rows of `schema`; the table
-    /// sink creates its output here.
-    fn open<M: EnclaveMemory>(
-        host: &mut M,
-        sink: JoinSink<'a, 'p>,
-        key: AeadKey,
-        schema: Schema,
-        positions: u64,
-    ) -> Result<Self, DbError> {
-        Ok(match sink {
-            JoinSink::Table => {
-                let dummy = schema.dummy_row();
-                let out = FlatTable::create(host, key, schema, positions)?;
-                Emit::Table { out, dummy, buf: Vec::new(), pos: 0, matches: 0 }
-            }
-            JoinSink::Fold(agg) => {
-                let mut row = schema.dummy_row();
-                row[0] = 1;
-                Emit::Fold { agg, row }
-            }
-        })
-    }
-
-    /// One position: the joined row of used rows `r1` and `r2` (their
-    /// inner flags stripped), or a dummy.
-    fn emit(&mut self, hit: Option<(&[u8], &[u8])>) {
-        match self {
-            Emit::Table { dummy, buf, matches, .. } => match hit {
-                Some((r1, r2)) => {
-                    buf.push(1u8);
-                    buf.extend_from_slice(&r1[1..]);
-                    buf.extend_from_slice(&r2[1..]);
-                    *matches += 1;
-                }
-                None => buf.extend_from_slice(dummy),
-            },
-            Emit::Fold { agg, row } => {
-                if let Some((r1, r2)) = hit {
-                    row[1..r1.len()].copy_from_slice(&r1[1..]);
-                    row[r1.len()..].copy_from_slice(&r2[1..]);
-                    agg.add_row(row);
-                }
-            }
+/// Emits one join position into `sink`: the join of used rows `r1` and
+/// `r2`, both inner used flags stripped, assembled in `row` (its own flag
+/// set), or else `dummy`.
+fn emit(sink: &mut RowSink<'_, '_>, row: &mut [u8], dummy: &[u8], hit: Option<(&[u8], &[u8])>) {
+    match hit {
+        Some((r1, r2)) => {
+            row[1..r1.len()].copy_from_slice(&r1[1..]);
+            row[r1.len()..].copy_from_slice(&r2[1..]);
+            sink.push(row);
         }
-    }
-
-    /// Writes the positions emitted since the last flush as one run.
-    fn flush<M: EnclaveMemory>(&mut self, host: &mut M) -> Result<(), DbError> {
-        if let Emit::Table { out, buf, pos, .. } = self {
-            out.write_rows(host, *pos, buf)?;
-            *pos += (buf.len() / out.row_len()) as u64;
-            buf.clear();
-        }
-        Ok(())
-    }
-
-    /// The materialized table with its real-row count; `None` for a fold.
-    fn finish(self) -> Option<FlatTable> {
-        match self {
-            Emit::Table { mut out, matches, .. } => {
-                out.set_num_rows(matches);
-                out.set_insert_cursor(out.capacity());
-                Some(out)
-            }
-            Emit::Fold { .. } => None,
-        }
+        None => sink.push(dummy),
     }
 }
 
-/// Oblivious hash join (paper §4.3) into a table. Complexity
-/// O(|T1|·|T2| / S); the output data structure holds one block per probe:
-/// `ceil(|T1| / chunk) · |T2|` blocks.
+/// A join's dummy output row and the scratch row each hit is assembled
+/// in.
+fn output_rows(schema: &Schema) -> (Vec<u8>, Vec<u8>) {
+    let dummy = schema.dummy_row();
+    let mut row = dummy.clone();
+    row[0] = 1;
+    (dummy, row)
+}
+
+/// Oblivious hash join (paper §4.3), emitting into `sink`; returns the
+/// table a sealing sink built. Complexity O(|T1|·|T2| / S); the sink takes
+/// one position per probe: `ceil(|T1| / chunk) · |T2|` of them.
+#[allow(clippy::too_many_arguments)]
 pub fn hash_join<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
@@ -149,23 +86,7 @@ pub fn hash_join<M: EnclaveMemory>(
     t2: &mut FlatTable,
     c2: usize,
     out_key: AeadKey,
-) -> Result<FlatTable, DbError> {
-    let out = hash_join_into(host, om, t1, c1, t2, c2, out_key, JoinSink::Table)?;
-    Ok(out.expect("a table sink returns its table"))
-}
-
-/// [`hash_join`] emitting into `sink`; returns the table a table sink
-/// built.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_into<M: EnclaveMemory>(
-    host: &mut M,
-    om: &OmBudget,
-    t1: &mut FlatTable,
-    c1: usize,
-    t2: &mut FlatTable,
-    c2: usize,
-    out_key: AeadKey,
-    sink: JoinSink<'_, '_>,
+    mut sink: RowSink<'_, '_>,
 ) -> Result<Option<FlatTable>, DbError> {
     use std::collections::HashMap;
 
@@ -181,7 +102,8 @@ pub fn hash_join_into<M: EnclaveMemory>(
     let passes = t1.capacity().div_ceil(chunk);
 
     let out_schema = join_schema(&s1, &s2);
-    let mut emit = Emit::open(host, sink, out_key, out_schema, passes * t2.capacity())?;
+    let (dummy, mut joined) = output_rows(&out_schema);
+    sink.open(host, out_key, out_schema, passes * t2.capacity())?;
     let io_chunk = t2.io_chunk_rows();
     let build_io = t1.io_chunk_rows();
     let mut arena: Vec<u8> = Vec::with_capacity(chunk as usize * row1);
@@ -215,17 +137,18 @@ pub fn hash_join_into<M: EnclaveMemory>(
             let probes = t2.read_rows(host, start, n)?;
             for r2 in probes.chunks_exact(row2) {
                 let hit = if Schema::row_used(r2) { build.get(&r2[key2.clone()]) } else { None };
-                emit.emit(hit.map(|&off| (&arena[off..off + row1], r2)));
+                let hit = hit.map(|&off| (&arena[off..off + row1], r2));
+                emit(&mut sink, &mut joined, &dummy, hit);
             }
-            emit.flush(host)?;
+            sink.flush(host)?;
             start += n as u64;
         }
     }
-    Ok(emit.finish())
+    Ok(sink.finish())
 }
 
 /// What [`hash_join`] costs over `shape`: each T1 chunk streamed once, and
-/// per pass one full probe of T2; the table sink adds the `passes · |T2|`
+/// per pass one full probe of T2; a sealing sink adds the `passes · |T2|`
 /// output and one output block per probe in T2-chunk-sized runs.
 pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
     let (row1, row2) = (shape.left_schema.row_len(), shape.right_schema.row_len());
@@ -260,9 +183,13 @@ pub enum SortMergeVariant {
     },
 }
 
-/// Oblivious sort-merge join for foreign-key joins into a table: T1 is the
-/// primary side (unique join keys), T2 the foreign side. Output structure
-/// size is the padded union size; real rows number at most |T2|.
+/// Oblivious sort-merge join for foreign-key joins, emitting into `sink`;
+/// returns the table a sealing sink built. T1 is the primary side (unique
+/// join keys), T2 the foreign side. The sink takes one position per row of
+/// the padded union; real rows number at most |T2|. The union and the key
+/// hash derive from `out_key` whatever the sink, so a fold visits rows in
+/// the order a sealed table would hold them.
+#[allow(clippy::too_many_arguments)]
 pub fn sort_merge_join<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
@@ -271,26 +198,7 @@ pub fn sort_merge_join<M: EnclaveMemory>(
     t2: &mut FlatTable,
     c2: usize,
     out_key: AeadKey,
-    variant: SortMergeVariant,
-) -> Result<FlatTable, DbError> {
-    let sink = JoinSink::Table;
-    let out = sort_merge_join_into(host, om, t1, c1, t2, c2, out_key, sink, variant)?;
-    Ok(out.expect("a table sink returns its table"))
-}
-
-/// [`sort_merge_join`] emitting into `sink`; returns the table a table
-/// sink built. The union and the key hash derive from `out_key` either
-/// way, so a fold visits rows in the order the table would hold them.
-#[allow(clippy::too_many_arguments)]
-pub fn sort_merge_join_into<M: EnclaveMemory>(
-    host: &mut M,
-    om: &OmBudget,
-    t1: &mut FlatTable,
-    c1: usize,
-    t2: &mut FlatTable,
-    c2: usize,
-    out_key: AeadKey,
-    sink: JoinSink<'_, '_>,
+    mut sink: RowSink<'_, '_>,
     variant: SortMergeVariant,
 ) -> Result<Option<FlatTable>, DbError> {
     let s1 = t1.schema().clone();
@@ -375,7 +283,9 @@ pub fn sort_merge_join_into<M: EnclaveMemory>(
     // Merge scan: one read of the union and one emitted position per row,
     // both in batched runs. The current primary row lives in one reused
     // buffer.
-    let mut emit = Emit::open(host, sink, out_key, join_schema(&s1, &s2), n)?;
+    let out_schema = join_schema(&s1, &s2);
+    let (dummy, mut joined) = output_rows(&out_schema);
+    sink.open(host, out_key, out_schema, n)?;
     let (row1, row2) = (s1.row_len(), s2.row_len());
     let mut primary: Option<Vec<u8>> = None;
     let merge_chunk = union.io_chunk_rows();
@@ -398,17 +308,18 @@ pub fn sort_merge_join_into<M: EnclaveMemory>(
                     .filter(|r1| r1[key1.clone()] == r2[key2.clone()])
                     .map(|r1| (r1, r2));
             }
-            emit.emit(hit);
+            emit(&mut sink, &mut joined, &dummy, hit);
         }
-        emit.flush(host)?;
+        sink.flush(host)?;
         start += count as u64;
     }
     union.free(host)?;
-    Ok(emit.finish())
+    Ok(sink.finish())
 }
+
 /// What [`sort_merge_join`] costs over `shape`: the power-of-two union
 /// filled from both sides chunk by chunk, its bitonic sort, and the merge
-/// scan reading it once; the table sink adds the union-sized output and
+/// scan reading it once; a sealing sink adds the union-sized output and
 /// one output block per union row.
 pub fn sort_merge_join_cost(shape: &JoinShape, variant: SortMergeVariant) -> HostStats {
     let (s1, s2) = (&shape.left_schema, &shape.right_schema);
@@ -519,7 +430,9 @@ mod tests {
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
         let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32])).unwrap();
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
+                .unwrap()
+                .unwrap();
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
     }
 
@@ -531,7 +444,9 @@ mod tests {
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
         let om = OmBudget::new(2 * (t1.row_len() + 32));
         let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32])).unwrap();
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
+                .unwrap()
+                .unwrap();
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
         // Output structure: passes × |T2| blocks.
         assert_eq!(out.capacity() % t2_rows().len() as u64, 0);
@@ -552,8 +467,10 @@ mod tests {
             &mut t2,
             0,
             AeadKey([9u8; 32]),
+            RowSink::seal(),
             SortMergeVariant::Opaque,
         )
+        .unwrap()
         .unwrap();
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
     }
@@ -572,8 +489,10 @@ mod tests {
             &mut t2,
             0,
             AeadKey([9u8; 32]),
+            RowSink::seal(),
             SortMergeVariant::ZeroOm { scratch_rows: 1 },
         )
+        .unwrap()
         .unwrap();
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
     }
@@ -618,13 +537,17 @@ mod tests {
                 &mut t2,
                 0,
                 AeadKey([9u8; 32]),
+                RowSink::seal(),
                 variant,
             )
+            .unwrap()
             .unwrap();
             assert_eq!(out.num_rows(), 3, "{variant:?}");
         }
         let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32])).unwrap();
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
+                .unwrap()
+                .unwrap();
         assert_eq!(out.num_rows(), 3);
         let rows = out.collect_rows(&mut host).unwrap();
         assert_eq!(rows.len(), 3);
@@ -637,7 +560,9 @@ mod tests {
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &[(999, 0)], 2);
         let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32])).unwrap();
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
+                .unwrap()
+                .unwrap();
         assert_eq!(out.num_rows(), 0);
         assert!(out.collect_rows(&mut host).unwrap().is_empty());
     }
@@ -661,7 +586,8 @@ mod tests {
                 host.start_trace();
                 match variant {
                     None => {
-                        hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]))
+                        let sink = RowSink::seal();
+                        hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), sink)
                             .unwrap();
                     }
                     Some(v) => {
@@ -673,8 +599,10 @@ mod tests {
                             &mut t2,
                             0,
                             AeadKey([9u8; 32]),
+                            RowSink::seal(),
                             v,
                         )
+                        .unwrap()
                         .unwrap();
                     }
                 }
@@ -691,7 +619,10 @@ mod tests {
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
         let mut joined =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32])).unwrap();
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
+                .unwrap()
+                .unwrap();
+        // Joined rows with b >= 3: b in {3, 4, 5, 6}.
         let pred = Predicate_on_b(&joined);
         let out = crate::exec::select::select_small(
             &mut host,
@@ -699,10 +630,10 @@ mod tests {
             &mut joined,
             &pred,
             AeadKey([8u8; 32]),
-            3,
+            4,
         )
         .unwrap();
-        assert_eq!(out.num_rows(), 3);
+        assert_eq!(out.num_rows(), 4);
     }
 
     #[allow(non_snake_case)]

@@ -2,7 +2,8 @@
 //!
 //! All five produce a flat output table R from a flat input T. The planner
 //! supplies `|R|` (the match count) up front, from its preliminary scan —
-//! it is part of the leakage contract. Each algorithm's access pattern is
+//! it is part of the leakage contract; in padding mode the padded bound
+//! stands in for it. Each algorithm's access pattern is
 //! a deterministic function of `(|T|, |R|, oblivious-memory budget)` only;
 //! trace-equality tests in `tests/` verify this, and the `…_cost` function
 //! beside each operator counts that pattern's accesses from those sizes.
@@ -13,6 +14,7 @@ use oblidb_enclave::{EnclaveMemory, EnclaveRng, HostStats, OmBudget};
 use oblidb_oram::{PathOram, PosMapKind};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
+use super::RowSink;
 use crate::error::DbError;
 use crate::plan::cost::SelectShape;
 use crate::predicate::Predicate;
@@ -27,66 +29,77 @@ pub const HASH_SLOTS: usize = 5;
 /// oblivious memory; the buffer is flushed to R after each pass. Fast when
 /// R fits in a few enclave-fulls. Uses whatever oblivious memory is
 /// available; a smaller budget only means more passes.
+///
+/// The windows partition `[0, bound)`, so R has `bound` positions and the
+/// pass count depends on nothing else. `bound` is the match count, or in
+/// padding mode (paper §2.3) the padded bound, where the last windows are
+/// filled with dummies so any selectivity leaves one transcript. A bound
+/// below the match count would silently drop rows: the passes still run
+/// to the end, so the trace is unchanged, and then the output and the
+/// buffer are released and [`DbError::PaddedBoundExceeded`] returned.
 pub fn select_small<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
     input: &mut FlatTable,
     pred: &Predicate,
     out_key: AeadKey,
-    out_rows: u64,
+    bound: u64,
 ) -> Result<FlatTable, DbError> {
     let schema = input.schema().clone();
     let row_len = schema.row_len();
-    let mut out = FlatTable::create(host, out_key, schema.clone(), out_rows.max(1))?;
+    let dummy = schema.dummy_row();
+    let mut out = RowSink::seal();
+    out.open(host, out_key, schema.clone(), bound.max(1))?;
 
     // Buffer capacity: everything the OM budget will give us, at least one
     // row so progress is guaranteed.
-    let alloc = om.alloc_up_to((out_rows.max(1) as usize) * row_len);
+    let alloc = om.alloc_up_to((bound.max(1) as usize) * row_len);
     let buf_rows = (alloc.bytes() / row_len).max(1) as u64;
-    let passes = out_rows.div_ceil(buf_rows).max(1);
+    let passes = bound.div_ceil(buf_rows).max(1);
 
-    let mut written = 0u64;
+    let mut seen = 0u64;
     for pass in 0..passes {
         let window_lo = pass * buf_rows;
-        let window_hi = (window_lo + buf_rows).min(out_rows);
-        let mut buffer: Vec<u8> = Vec::with_capacity((window_hi - window_lo) as usize * row_len);
-        let mut seen = 0u64;
+        let window_hi = (window_lo + buf_rows).min(bound);
+        seen = 0;
         // One full batched pass over T; matches numbered
         // [window_lo, window_hi) go to the enclave buffer.
         input.for_each_row(host, |_, bytes| {
             if Schema::row_used(bytes) && pred.eval(&schema, bytes) {
                 if seen >= window_lo && seen < window_hi {
-                    buffer.extend_from_slice(bytes);
+                    out.push(bytes);
                 }
                 seen += 1;
             }
         })?;
-        // Flush the buffer to R: the window is contiguous, one crossing.
-        out.write_rows(host, written, &buffer)?;
-        written += (buffer.len() / row_len) as u64;
+        // Flush the whole window, real rows then dummies: one crossing.
+        for _ in seen.clamp(window_lo, window_hi)..window_hi {
+            out.push(&dummy);
+        }
+        out.flush(host)?;
     }
-    out.set_num_rows(written);
-    out.set_insert_cursor(written);
+    let out = out.sealed();
+    if seen > bound {
+        drop(alloc);
+        out.free(host)?;
+        return Err(DbError::PaddedBoundExceeded { bound });
+    }
     Ok(out)
 }
 
-/// What [`select_small`] costs over `shape`: the output allocation, one
-/// full pass over the input per buffer-full of matches, and one flush of
-/// each window (windows partition `[0, |R|)`).
+/// What [`select_small`] costs over `shape` with `shape.matches` as the
+/// bound: the output allocation, one full pass over the input per
+/// buffer-full of the bound, and one flush of each window (windows
+/// partition `[0, bound)`).
 pub fn small_cost(shape: &SelectShape) -> HostStats {
     let row_len = shape.schema.row_len();
-    let out_rows = shape.matches;
-    let buf_rows = buffer_rows(shape.om_bytes, out_rows.max(1), row_len);
-    let passes = out_rows.div_ceil(buf_rows).max(1);
-    FlatTable::create_cost(row_len, out_rows)
+    let bound = shape.matches;
+    // The rows `om.alloc_up_to` grants the buffer, at least one.
+    let buf_rows = ((bound.max(1) as usize * row_len).min(shape.om_bytes) / row_len).max(1) as u64;
+    let passes = bound.div_ceil(buf_rows).max(1);
+    FlatTable::create_cost(row_len, bound)
         + input_pass(shape) * passes
-        + super::in_runs(out_rows, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
-}
-
-/// Rows of the enclave buffer `om.alloc_up_to(rows · row_len)` grants from
-/// a budget of `om_bytes` — at least one, as the operators guarantee.
-fn buffer_rows(om_bytes: usize, rows: u64, row_len: usize) -> u64 {
-    ((rows as usize * row_len).min(om_bytes) / row_len).max(1) as u64
+        + super::in_runs(bound, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
 }
 
 /// One batched pass over the input's capacity, chunk by chunk — what
@@ -105,39 +118,18 @@ pub fn select_large<M: EnclaveMemory>(
     out_key: AeadKey,
 ) -> Result<FlatTable, DbError> {
     let schema = input.schema().clone();
-    let mut out = FlatTable::create(host, out_key, schema.clone(), input.capacity())?;
-    // Copy pass: data-independent, one chunk per crossing each way.
-    let row_len = schema.row_len();
-    let chunk = input.io_chunk_rows();
-    let cap = input.capacity();
-    let mut start = 0u64;
-    let mut buf = Vec::with_capacity(chunk * row_len);
-    while start < cap {
-        let n = chunk.min((cap - start) as usize);
-        let bytes = input.read_rows(host, start, n)?;
-        out.write_rows(host, start, bytes)?;
-        start += n as u64;
-    }
+    let mut out = super::copy_table(host, input, out_key, input.capacity())?;
     // Clear pass: every block read and rewritten (cleared or dummy),
     // chunk by chunk.
     let dummy = schema.dummy_row();
     let mut kept = 0u64;
-    start = 0;
-    while start < cap {
-        let n = chunk.min((cap - start) as usize);
-        buf.clear();
-        buf.extend_from_slice(out.read_rows(host, start, n)?);
-        for bytes in buf.chunks_exact_mut(row_len) {
-            let keep = Schema::row_used(bytes) && pred.eval(&schema, bytes);
-            kept += keep as u64;
-            // Masked clear: kept and cleared rows take the same stores.
-            super::ct::cond_copy_bytes(!keep, bytes, &dummy);
-        }
-        out.write_rows(host, start, &buf)?;
-        start += n as u64;
-    }
+    out.rewrite_scan(host, |bytes| {
+        let keep = Schema::row_used(bytes) && pred.eval(&schema, bytes);
+        kept += keep as u64;
+        // Masked clear: kept and cleared rows take the same stores.
+        super::ct::cond_copy_bytes(!keep, bytes, &dummy);
+    })?;
     out.set_num_rows(kept);
-    out.set_insert_cursor(out.capacity());
     Ok(out)
 }
 
@@ -353,71 +345,6 @@ pub fn hash_cost(shape: &SelectShape) -> HostStats {
         + HostStats { crossings: 2 * cap, ..probes }
 }
 
-/// Padding-mode selection (paper §2.3): a Small-style multi-pass select
-/// whose pass count and output size are fixed by the *padded* bound, not
-/// the true match count — so two queries of any selectivity produce
-/// identical transcripts. Costs `ceil(pad/buf)` passes over T plus `pad`
-/// output writes.
-pub fn select_padded<M: EnclaveMemory>(
-    host: &mut M,
-    om: &OmBudget,
-    input: &mut FlatTable,
-    pred: &Predicate,
-    out_key: AeadKey,
-    pad_rows: u64,
-) -> Result<FlatTable, DbError> {
-    let schema = input.schema().clone();
-    let row_len = schema.row_len();
-    let pad = pad_rows.max(1);
-    let mut out = FlatTable::create(host, out_key, schema.clone(), pad)?;
-    let dummy = schema.dummy_row();
-
-    let alloc = om.alloc_up_to(pad as usize * row_len);
-    let buf_rows = (alloc.bytes() / row_len).max(1) as u64;
-    let passes = pad.div_ceil(buf_rows);
-
-    let mut written = 0u64;
-    let mut out_pos = 0u64;
-    for pass in 0..passes {
-        let window_lo = pass * buf_rows;
-        let window_hi = (window_lo + buf_rows).min(pad);
-        let mut buffer: Vec<u8> = Vec::with_capacity((window_hi - window_lo) as usize * row_len);
-        let mut seen = 0u64;
-        input.for_each_row(host, |_, bytes| {
-            if Schema::row_used(bytes) && pred.eval(&schema, bytes) {
-                if seen >= window_lo && seen < window_hi {
-                    buffer.extend_from_slice(bytes);
-                }
-                seen += 1;
-            }
-        })?;
-        // Flush exactly the window size: real rows then dummies, so the
-        // write count is the padded bound whatever matched — one batched
-        // crossing per window.
-        written += (buffer.len() / row_len) as u64;
-        while buffer.len() < (window_hi - window_lo) as usize * row_len {
-            buffer.extend_from_slice(&dummy);
-        }
-        out.write_rows(host, out_pos, &buffer)?;
-        out_pos += window_hi - window_lo;
-    }
-    out.set_num_rows(written);
-    out.set_insert_cursor(pad);
-    Ok(out)
-}
-
-/// What [`select_padded`] costs over `shape` (`shape.matches` is the
-/// padded bound): [`small_cost`]'s structure with every size fixed by the
-/// bound instead of the match count.
-pub fn padded_cost(shape: &SelectShape) -> HostStats {
-    let row_len = shape.schema.row_len();
-    let pad = shape.matches.max(1);
-    let buf_rows = buffer_rows(shape.om_bytes, pad, row_len);
-    FlatTable::create_cost(row_len, pad)
-        + input_pass(shape) * pad.div_ceil(buf_rows)
-        + super::in_runs(pad, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
-}
-
 /// Naive (baseline only): a direct ORAM translation — one ORAM operation
 /// per input row (real write or dummy), then copy the ORAM out to flat
 /// storage. Costs O(N log N) and 4|R| bytes of oblivious memory for the
@@ -459,21 +386,15 @@ pub fn select_naive<M: EnclaveMemory>(
 
     // Copy the ORAM contents to the flat output format, flushing output
     // rows in contiguous batched runs.
-    let mut out = FlatTable::create(host, out_key, schema, out_rows.max(1))?;
-    let mut flush: Vec<u8> = Vec::with_capacity(chunk * row_len);
-    let mut flush_start = 0u64;
-    for addr in 0..out_rows {
-        let bytes = oram.read(host, addr)?;
-        flush.extend_from_slice(&bytes);
-        if flush.len() >= chunk * row_len {
-            out.write_rows(host, flush_start, &flush)?;
-            flush_start = addr + 1;
-            flush.clear();
+    let mut out = RowSink::seal();
+    out.open(host, out_key, schema, out_rows.max(1))?;
+    for run_start in (0..out_rows).step_by(chunk) {
+        for addr in run_start..(run_start + chunk as u64).min(out_rows) {
+            out.push(&oram.read(host, addr)?);
         }
+        out.flush(host)?;
     }
-    out.write_rows(host, flush_start, &flush)?;
-    out.set_num_rows(written);
-    out.set_insert_cursor(out_rows);
+    let out = out.sealed();
     oram.free(host)?;
     Ok(out)
 }
@@ -533,7 +454,7 @@ mod tests {
                 select_naive(host, &om, t, pred, key, out_rows, EnclaveRng::seed_from_u64(3))
                     .unwrap()
             }
-            SelectAlgo::Padded => select_padded(host, &om, t, pred, key, out_rows).unwrap(),
+            SelectAlgo::Padded => select_small(host, &om, t, pred, key, out_rows.max(1)).unwrap(),
         }
     }
 

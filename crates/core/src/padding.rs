@@ -11,6 +11,8 @@
 /// Padding-mode configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaddingConfig {
-    /// Every selection output is padded to this many rows.
+    /// Every selection output is padded to this many rows; a selection
+    /// matching more fails with
+    /// [`DbError::PaddedBoundExceeded`](crate::DbError::PaddedBoundExceeded).
     pub pad_rows: u64,
 }

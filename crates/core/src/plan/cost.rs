@@ -126,8 +126,9 @@ pub enum SelectAlgo {
     Hash,
     /// ORAM-per-row baseline (never chosen; for comparison).
     Naive,
-    /// Padding-mode selection: multi-pass with pass count and output size
-    /// fixed by the padded bound (§2.3; only used when padding is on).
+    /// Padding-mode selection: Small's windowed select with pass count
+    /// and output size fixed by the padded bound (§2.3; only used when
+    /// padding is on).
     Padded,
 }
 
@@ -256,7 +257,10 @@ pub fn select_cost(algo: SelectAlgo, shape: &SelectShape) -> HostStats {
         SelectAlgo::Continuous => select::continuous_cost(shape),
         SelectAlgo::Hash => select::hash_cost(shape),
         SelectAlgo::Naive => select::naive_cost(shape),
-        SelectAlgo::Padded => select::padded_cost(shape),
+        // Small's windows over the padded bound, never below one row.
+        SelectAlgo::Padded => {
+            select::small_cost(&SelectShape { matches: shape.matches.max(1), ..shape.clone() })
+        }
     }
 }
 

@@ -169,7 +169,8 @@ pub struct ScanNode {
 pub enum SelectChoice {
     /// Pinned by `PlannerConfig::force_select`.
     Forced(SelectAlgo),
-    /// Padding mode: the Padded operator with this public output bound.
+    /// Padding mode: Small's windowed select over this public output
+    /// bound instead of the match count.
     Padded {
         /// Padded output size in rows (§2.3).
         pad_rows: u64,

@@ -13,6 +13,7 @@ use oblidb_enclave::{EnclaveMemory, HostStats};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use crate::error::DbError;
+use crate::exec::RowSink;
 use crate::predicate::Predicate;
 use crate::types::{Row, Schema, Value};
 
@@ -56,21 +57,15 @@ impl FlatTable {
         capacity: u64,
     ) -> Result<Self, DbError> {
         assert!(rows.len() as u64 <= capacity.max(1));
-        let mut t = Self::create(host, key, schema, capacity)?;
         // Batched bulk load: one crossing per chunk of contiguous rows.
-        let row_len = t.row_len();
-        let chunk = t.io_chunk_rows();
-        let mut buf = Vec::with_capacity(chunk * row_len);
+        let chunk = batch_chunk_blocks(schema.row_len());
+        let mut sink = RowSink::seal();
+        sink.open(host, key, schema, capacity)?;
         for group in rows.chunks(chunk) {
-            buf.clear();
-            for row in group {
-                buf.extend_from_slice(row);
-            }
-            t.write_rows(host, t.insert_cursor, &buf)?;
-            t.insert_cursor += group.len() as u64;
+            group.iter().for_each(|row| sink.push(row));
+            sink.flush(host)?;
         }
-        t.num_rows = rows.len() as u64;
-        Ok(t)
+        Ok(sink.sealed())
     }
 
     /// Re-attaches to a persisted table: a [`SealedRegion`] recovered from
@@ -273,7 +268,7 @@ impl FlatTable {
     /// rewritten in [`FlatTable::io_chunk_rows`]-sized runs (one crossing
     /// per direction per run), with `f` applied to each row in place. The
     /// access pattern is a function of the capacity alone.
-    fn rewrite_scan<M: EnclaveMemory>(
+    pub(crate) fn rewrite_scan<M: EnclaveMemory>(
         &mut self,
         host: &mut M,
         mut f: impl FnMut(&mut [u8]),
@@ -376,18 +371,8 @@ impl FlatTable {
         new_capacity: u64,
     ) -> Result<(), DbError> {
         assert!(new_capacity >= self.capacity());
-        let mut bigger = SealedRegion::create(host, key, new_capacity as usize, self.row_len())?;
-        // Chunked copy: one read crossing and one write crossing per run.
-        let chunk = self.io_chunk_rows();
-        let cap = self.capacity();
-        let mut start = 0u64;
-        while start < cap {
-            let n = chunk.min((cap - start) as usize);
-            let bytes = self.store.read_batch(host, start, n)?;
-            bigger.write_batch(host, start, bytes)?;
-            start += n as u64;
-        }
-        let old = std::mem::replace(&mut self.store, bigger);
+        let bigger = crate::exec::copy_table(host, self, key, new_capacity)?;
+        let old = std::mem::replace(&mut self.store, bigger.store);
         old.free(host)?;
         Ok(())
     }
@@ -395,20 +380,12 @@ impl FlatTable {
     /// Decodes every used row (full scan — the only oblivious way out).
     pub fn collect_rows<M: EnclaveMemory>(&mut self, host: &mut M) -> Result<Vec<Row>, DbError> {
         let mut out = Vec::with_capacity(self.num_rows as usize);
-        let row_len = self.row_len();
-        let chunk = self.io_chunk_rows();
-        let cap = self.capacity();
-        let mut start = 0u64;
-        while start < cap {
-            let n = chunk.min((cap - start) as usize);
-            let data = self.store.read_batch(host, start, n)?;
-            for bytes in data.chunks_exact(row_len) {
-                if Schema::row_used(bytes) {
-                    out.push(self.schema.decode_row(bytes));
-                }
+        let schema = self.schema.clone();
+        self.for_each_row(host, |_, bytes| {
+            if Schema::row_used(bytes) {
+                out.push(schema.decode_row(bytes));
             }
-            start += n as u64;
-        }
+        })?;
         Ok(out)
     }
 

@@ -5,7 +5,7 @@
 //! The case generator is a seeded [`EnclaveRng`] loop (the workspace is
 //! dependency-free, so no proptest); failures print the offending case.
 
-use oblidb_core::exec::{self, AggFunc, SortMergeVariant};
+use oblidb_core::exec::{self, AggFunc, RowSink, SortMergeVariant};
 use oblidb_core::predicate::{CmpOp, Predicate};
 use oblidb_core::table::FlatTable;
 use oblidb_core::types::{Column, DataType, Schema, Value};
@@ -144,13 +144,13 @@ fn padded_select_matches_reference() {
         let om = OmBudget::new(DEFAULT_OM_BYTES);
         let mut t = build(&mut host, &rows);
         let pad = expected.len() as u64 + extra;
-        let mut out = exec::select::select_padded(
+        let mut out = exec::select_small(
             &mut host,
             &om,
             &mut t,
             &to_pred(&spec),
             AeadKey([9u8; 32]),
-            pad,
+            pad.max(1),
         )
         .unwrap();
         assert!(out.capacity() >= pad.max(1), "case {case}");
@@ -223,14 +223,15 @@ fn joins_match_reference() {
             let om = OmBudget::new(4096);
             let mut left = build(&mut host, &t1);
             let mut right = build(&mut host, &t2);
-            let key = AeadKey([9u8; 32]);
+            let (key, sink) = (AeadKey([9u8; 32]), RowSink::seal());
             let mut out = match variant {
-                None => exec::hash_join(&mut host, &om, &mut left, 0, &mut right, 0, key).unwrap(),
+                None => exec::hash_join(&mut host, &om, &mut left, 0, &mut right, 0, key, sink),
                 Some(v) => {
-                    exec::sort_merge_join(&mut host, &om, &mut left, 0, &mut right, 0, key, v)
-                        .unwrap()
+                    exec::sort_merge_join(&mut host, &om, &mut left, 0, &mut right, 0, key, sink, v)
                 }
-            };
+            }
+            .unwrap()
+            .unwrap();
             let mut got: Vec<(i64, i64, i64, i64)> = out
                 .collect_rows(&mut host)
                 .unwrap()

@@ -38,16 +38,6 @@ pub fn complaints(n: usize, seed: u64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// The aggregate query measured under padding (grouped aggregation).
-pub fn aggregate_sql() -> &'static str {
-    "SELECT product, COUNT(*) FROM complaints GROUP BY product"
-}
-
-/// The selection query measured under padding.
-pub fn select_sql() -> &'static str {
-    "SELECT * FROM complaints WHERE year = 2015"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,8 @@
 
 use std::collections::BTreeSet;
 
-use oblidb::core::{Database, DbConfig, StorageMethod, Value};
+use oblidb::core::padding::PaddingConfig;
+use oblidb::core::{Database, DbConfig, SelectAlgo, StorageMethod, Value};
 use oblidb::enclave::{AccessKind, RegionId, Trace};
 
 fn fresh_db(rows: &[(i64, i64)], method: StorageMethod) -> Database {
@@ -110,6 +111,49 @@ fn join_trace_depends_only_on_sizes() {
     assert!(n0 > 0);
     assert_eq!(n100, 0);
     assert_eq!(t0, t100, "join selectivity must not show in the trace");
+}
+
+/// Padding mode (paper §2.3): a filter's passes and output size come from
+/// the padded bound, not the match count. Two datasets of one public shape
+/// whose match counts differ, both under the bound, leave one transcript —
+/// for a base select and for a filter over a join's output — and return
+/// what the unpadded engine returns.
+#[test]
+fn padded_filters_hide_match_counts() {
+    let run = |matches: i64, padded: bool, sql: &str| {
+        let padding = padded.then_some(PaddingConfig { pad_rows: 12 });
+        let mut db = Database::new(DbConfig { padding, ..DbConfig::default() });
+        db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 24").unwrap();
+        db.execute("CREATE TABLE b (k INT, y INT) CAPACITY 24").unwrap();
+        for i in 0..20 {
+            // `x < 100` holds for the first `matches` rows of `a` only.
+            let x = if i < matches { i } else { 100 + i };
+            db.execute(&format!("INSERT INTO a VALUES ({i}, {x})")).unwrap();
+            db.execute(&format!("INSERT INTO b VALUES ({i}, {})", 2 * i)).unwrap();
+        }
+        db.start_trace();
+        let out = db.execute(sql).unwrap();
+        let trace = db.take_trace();
+        if padded {
+            assert_eq!(out.plan.select_algo, Some(SelectAlgo::Padded), "{sql}");
+        }
+        let mut rows: Vec<Vec<i64>> =
+            out.rows().iter().map(|r| r.iter().map(|v| v.as_int().unwrap()).collect()).collect();
+        rows.sort_unstable();
+        (rows, trace)
+    };
+    for sql in [
+        "SELECT * FROM a WHERE x < 100",
+        // Resolves on neither side alone, so it filters the join's output.
+        "SELECT * FROM a JOIN b ON a.k = b.k WHERE x < 100 AND y >= 0",
+    ] {
+        let (few, t_few) = run(3, true, sql);
+        let (many, t_many) = run(9, true, sql);
+        assert_eq!((few.len(), many.len()), (3, 9), "{sql}");
+        assert_eq!(t_few, t_many, "{sql}: the match count must not show under padding");
+        assert_eq!(few, run(3, false, sql).0, "{sql}");
+        assert_eq!(many, run(9, false, sql).0, "{sql}");
+    }
 }
 
 /// The regions `trace` writes, in first-write order, each with the block

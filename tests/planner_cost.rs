@@ -19,7 +19,7 @@
 //!    through the prepare/execute path when the profiles agree.
 
 use oblidb::baselines::paper_rules;
-use oblidb::core::exec::{self, select, AggFold, AggFunc, JoinSink, SortMergeVariant};
+use oblidb::core::exec::{self, AggFold, AggFunc, RowSink, SortMergeVariant};
 use oblidb::core::plan::cost::LARGE_THRESHOLD;
 use oblidb::core::plan::cost::{join_cost, select_cost, JoinAlgo, JoinShape, SelectShape};
 use oblidb::core::plan::{PlanNode, SelectChoice};
@@ -156,7 +156,7 @@ fn estimates_match_actuals_for_every_select_algorithm() {
                                 EnclaveRng::seed_from_u64(7),
                             ),
                             SelectAlgo::Padded => {
-                                select::select_padded(h, &om, &mut input, &pred, key, pad)
+                                exec::select_small(h, &om, &mut input, &pred, key, pad.max(1))
                             }
                         }
                         .unwrap();
@@ -453,17 +453,17 @@ fn join_estimates_match_actuals() {
                 let mut agg = AggFold::new(ls.join("l", rs, "r"), &items, &Predicate::True);
                 let mut out = None;
                 let actual = measured(&mut host, |h| {
-                    let sink = if folded { JoinSink::Fold(&mut agg) } else { JoinSink::Table };
+                    let sink = if folded { RowSink::Fold(&mut agg) } else { RowSink::seal() };
                     let (t1, t2) = (&mut t1, &mut t2);
                     out = match algo {
-                        JoinAlgo::Hash => exec::hash_join_into(h, &om, t1, 0, t2, 0, key, sink),
+                        JoinAlgo::Hash => exec::hash_join(h, &om, t1, 0, t2, 0, key, sink),
                         JoinAlgo::Opaque => {
                             let variant = SortMergeVariant::Opaque;
-                            exec::sort_merge_join_into(h, &om, t1, 0, t2, 0, key, sink, variant)
+                            exec::sort_merge_join(h, &om, t1, 0, t2, 0, key, sink, variant)
                         }
                         JoinAlgo::ZeroOm => {
                             let variant = SortMergeVariant::ZeroOm { scratch_rows };
-                            exec::sort_merge_join_into(h, &om, t1, 0, t2, 0, key, sink, variant)
+                            exec::sort_merge_join(h, &om, t1, 0, t2, 0, key, sink, variant)
                         }
                     }
                     .unwrap();
