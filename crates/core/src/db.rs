@@ -77,9 +77,9 @@ pub struct DbConfig {
     /// default, as for tables with few deletions.
     pub fast_inserts: bool,
     /// Write-ahead logging of mutation statements (paper §3). `Some`
-    /// appends every INSERT/UPDATE/DELETE statement to an encrypted log
-    /// before executing it; replay with [`Database::wal_records`] +
-    /// [`Database::replay`].
+    /// appends every CREATE/INSERT/UPDATE/DELETE statement to an
+    /// encrypted log before executing it; [`Database::wal_records`] reads
+    /// it back and [`Database::restore`] replays it into an empty engine.
     pub wal: Option<crate::wal::WalConfig>,
     /// Epoch-based group commit (Obladi-style). `Some` pools mutation WAL
     /// records into an open epoch instead of fsyncing each append;
@@ -290,9 +290,9 @@ impl<M: EnclaveMemory> Database<M> {
             plan_cache_stats: PlanCacheStats::default(),
             auditor: crate::audit::TraceAuditor::default(),
         };
-        if let Some(wal_config) = db.config.wal {
+        if db.config.wal.is_some() {
             let key = db.next_key();
-            db.wal = Some(crate::wal::Wal::create(&mut db.host, key, wal_config)?);
+            db.wal = Some(crate::wal::Wal::create(&mut db.host, key)?);
         }
         Ok(db)
     }
@@ -306,25 +306,13 @@ impl<M: EnclaveMemory> Database<M> {
         }
     }
 
-    /// Replays logged statements (from [`Database::wal_records`] of a
-    /// previous incarnation) into this engine — the redo half of
-    /// recovery. Schema statements must be re-issued first, as in a
-    /// conventional redo from a checkpoint.
-    pub fn replay(&mut self, statements: &[String]) -> Result<(), DbError> {
-        for stmt in statements {
-            self.execute(stmt)?;
-        }
-        Ok(())
-    }
-
     /// Checkpoints the engine: flushes the substrate's buffered state to
     /// its durable medium ([`EnclaveMemory::sync`]) — write-back caches
     /// flush dirty blocks, disk regions fsync, in-memory substrates
     /// no-op. The WAL (when enabled) lives in host regions like every
     /// table, so this is also the log's flush point. It seals no manifest
-    /// and never shortens the log: [`Database::persist_to`] does both, and
-    /// truncates the log under
-    /// [`crate::wal::WalConfig::truncate_at_checkpoint`].
+    /// and never shortens the log: [`Database::persist_to`] does both,
+    /// starting a fresh log from the live state.
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
         self.host.sync().map_err(DbError::from)
     }
@@ -343,11 +331,8 @@ impl<M: EnclaveMemory> Database<M> {
         }
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Epoch);
         let sealed = wal.append_epoch_commit(&mut self.host)?;
-        if wal.durable_appends() {
-            let region = wal.region_id();
-            self.host.sync_region(region)?;
-            oblidb_telemetry::counter_add(oblidb_telemetry::Counter::EpochFsyncs, 1);
-        }
+        self.host.sync_region(wal.region_id())?;
+        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::EpochFsyncs, 1);
         Ok(sealed)
     }
 
@@ -356,15 +341,15 @@ impl<M: EnclaveMemory> Database<M> {
         self.wal.as_ref().map_or(0, |w| w.epoch_pending())
     }
 
-    /// Records dropped from the WAL prefix by truncating checkpoints
-    /// (`None` without a WAL).
+    /// Records dropped from the WAL prefix by checkpoints (`None` without
+    /// a WAL).
     pub fn wal_base_lsn(&self) -> Option<u64> {
         self.wal.as_ref().map(|w| w.base_lsn())
     }
 
-    /// Records currently in the live WAL region (0 without a WAL) —
-    /// bounded under [`crate::wal::WalConfig::truncate_at_checkpoint`],
-    /// monotone otherwise.
+    /// Records currently in the live WAL region (0 without a WAL): the
+    /// last checkpoint's state dump plus every record logged since, so
+    /// it tracks live state, not statement history.
     pub fn wal_len(&self) -> u64 {
         self.wal.as_ref().map_or(0, |w| w.len())
     }
@@ -440,15 +425,15 @@ impl<M: EnclaveMemory> Database<M> {
 
     /// Compacts the live state into a replayable statement list — the
     /// CREATE + INSERT history an empty engine needs to reproduce every
-    /// table exactly. This is what a truncating checkpoint seeds its
-    /// fresh WAL region with, in place of the dropped statement history.
+    /// table exactly. This is what every checkpoint seeds its fresh WAL
+    /// region with, in place of the dropped statement history.
     /// Flat tables only (the same restriction as [`Database::persist_to`]).
     pub(crate) fn dump_state_statements(&mut self) -> Result<Vec<String>, DbError> {
         let mut out = Vec::new();
         for (name, storage) in &mut self.tables {
             let TableStorage::Flat(f) = storage else {
                 return Err(DbError::Unsupported(format!(
-                    "table '{name}' uses indexed storage; state dumps (WAL truncation) \
+                    "table '{name}' uses indexed storage; state dumps (WAL checkpoints) \
                      support FLAT tables only"
                 )));
             };
@@ -745,6 +730,15 @@ impl<M: EnclaveMemory> Database<M> {
     /// Inserts a row, updating every storage method the table has.
     pub fn insert(&mut self, name: &str, values: &[Value]) -> Result<(), DbError> {
         let idx = self.table_index(name)?;
+        // An index does not grow: refuse a full one before either half of
+        // a BOTH table is written, so the refusal changes nothing.
+        if let TableStorage::Indexed(i) | TableStorage::Both { indexed: i, .. } =
+            &self.tables[idx].1
+        {
+            if i.is_full() {
+                return Err(DbError::TableFull("index".into()));
+            }
+        }
         let fast = self.config.fast_inserts;
         // Auto-grow flat storage when full (paper §3: capacity "can be
         // increased later by copying to a new, larger table"). A fast
@@ -1295,10 +1289,10 @@ impl<M: EnclaveMemory> Database<M> {
         // WAL: log DDL and mutations before executing them (paper §3).
         // One sealed append per statement, no data-dependent pattern;
         // CREATE is logged too so crash recovery can replay a complete
-        // history without a separate schema dump. With durable appends
-        // (the default), the record is flushed to the durable medium —
-        // one region-level sync — before the statement runs: the
-        // write-*ahead* property crash recovery relies on.
+        // history without a separate schema dump. The record is flushed
+        // to the durable medium — one region-level sync — before the
+        // statement runs: the write-*ahead* property crash recovery
+        // relies on.
         if matches!(
             plan.action,
             PlanAction::Create(_)
@@ -1317,13 +1311,7 @@ impl<M: EnclaveMemory> Database<M> {
                     wal.append_pending(&mut self.host, query)?;
                 } else {
                     wal.append(&mut self.host, query)?;
-                    // The durability policy belongs to the log itself (it
-                    // is persisted and reattached with it), not to
-                    // whichever config happened to reopen the store.
-                    if wal.durable_appends() {
-                        let region = wal.region_id();
-                        self.host.sync_region(region)?;
-                    }
+                    self.host.sync_region(wal.region_id())?;
                 }
             }
         }
@@ -1909,10 +1897,12 @@ fn render_dtype(dt: DataType) -> String {
 
 /// Renders a value as a SQL literal that re-parses to the identical
 /// value: `{:?}` floats are shortest-roundtrip (the lexer accepts the
-/// exponent form they may take), quotes in text double per the grammar.
+/// exponent form they may take), ±∞ is an exponent that overflows to it,
+/// quotes in text double per the grammar. NaN has no literal.
 fn sql_literal(v: &Value) -> String {
     match v {
         Value::Int(i) => i.to_string(),
+        Value::Float(f) if f.is_infinite() => if *f > 0.0 { "1e999" } else { "-1e999" }.into(),
         Value::Float(f) => format!("{f:?}"),
         Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
     }
@@ -2500,6 +2490,22 @@ mod tests {
         let agg = db.execute("SELECT COUNT(*) FROM people WHERE id > 1000").unwrap();
         assert_eq!(agg.rows()[0][0], Value::Int(0));
     }
+
+    #[test]
+    fn full_index_refuses_both_halves_of_a_both_table() {
+        let mut db = db();
+        db.execute("CREATE TABLE t (k INT, v INT) STORAGE = BOTH INDEX ON k CAPACITY 4").unwrap();
+        for i in 0..4 {
+            db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
+        }
+        let err = db.execute("INSERT INTO t VALUES (9, 9)").unwrap_err();
+        assert!(matches!(err, DbError::TableFull(ref what) if what == "index"), "{err:?}");
+        // Neither half took the row: the flat scan and the index agree.
+        assert_eq!(db.table_rows("t").unwrap(), 4);
+        assert!(db.execute("SELECT * FROM t WHERE v = 9").unwrap().is_empty());
+        assert!(db.execute("SELECT * FROM t WHERE k = 9").unwrap().is_empty());
+        assert_eq!(db.execute("SELECT * FROM t").unwrap().len(), 4);
+    }
 }
 
 #[cfg(test)]
@@ -2508,10 +2514,8 @@ mod wal_tests {
 
     #[test]
     fn wal_logs_mutations_and_replays() {
-        let mut db = Database::new(DbConfig {
-            wal: Some(crate::wal::WalConfig::default()),
-            ..DbConfig::default()
-        });
+        let mut db =
+            Database::new(DbConfig { wal: Some(crate::wal::WalConfig), ..DbConfig::default() });
         db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 32").unwrap();
         db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
         db.execute("INSERT INTO t VALUES (2, 20)").unwrap();
@@ -2528,7 +2532,8 @@ mod wal_tests {
 
         // Redo into a fresh engine — the log alone carries the schema.
         let mut recovered = Database::new(DbConfig::default());
-        recovered.replay(&log).unwrap();
+        let report = recovered.restore(&log).unwrap();
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
         let a = db.execute("SELECT * FROM t ORDER BY k").unwrap();
         let b = recovered.execute("SELECT * FROM t ORDER BY k").unwrap();
         assert_eq!(a.rows(), b.rows());
@@ -2539,10 +2544,8 @@ mod wal_tests {
         // With WAL on, two equal-shape mutations still produce identical
         // traces (the log write is one extra fixed event).
         let run = |key: i64| {
-            let mut db = Database::new(DbConfig {
-                wal: Some(crate::wal::WalConfig::default()),
-                ..DbConfig::default()
-            });
+            let mut db =
+                Database::new(DbConfig { wal: Some(crate::wal::WalConfig), ..DbConfig::default() });
             db.execute("CREATE TABLE t (k INT) CAPACITY 16").unwrap();
             for i in 0..16 {
                 db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
@@ -2558,10 +2561,8 @@ mod wal_tests {
     fn checkpoint_is_a_noop_on_host() {
         // In-memory substrates have nothing to flush; the checkpoint path
         // must still exist (and add no observable accesses).
-        let mut db = Database::new(DbConfig {
-            wal: Some(crate::wal::WalConfig::default()),
-            ..DbConfig::default()
-        });
+        let mut db =
+            Database::new(DbConfig { wal: Some(crate::wal::WalConfig), ..DbConfig::default() });
         db.execute("CREATE TABLE t (k INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
         db.start_trace();

@@ -22,14 +22,19 @@
 //!    the manifest exists for — *rollback* of a region file to an older
 //!    version all surface as `StorageError::TamperDetected`).
 //!
-//! Crash consistency: when the database runs with a WAL whose appends are
-//! durable ([`crate::wal::WalConfig::durable_appends`]), the log on disk
-//! may extend past the last checkpoint. `open_with_memory` detects that
-//! (the log itself is scanned with [`crate::wal::Wal::recover_records`],
-//! which trusts only the log key) and returns
-//! [`Reopened::NeedsRecovery`] with every
-//! durable statement; [`Database::restore`] replays them into a fresh
-//! engine. Rolling back manifest *and* region files together to an older
+//! Crash consistency: with a WAL, every checkpoint starts a fresh log
+//! region from a dump of the live state (CREATE + INSERT per row), and
+//! every record reaches the durable medium before its statement executes.
+//! So the log alone, replayed into an empty engine, gives back the last
+//! checkpoint plus everything committed since. What it does not carry is
+//! a write made through the typed API instead of SQL — in practice a bulk
+//! load ([`Database::create_table_with_rows`]) — with no checkpoint after
+//! it. When the log on disk extends past the manifest,
+//! `open_with_memory` detects that (the log itself is scanned with
+//! [`crate::wal::Wal::recover_records`], which trusts only the log key)
+//! and returns [`Reopened::NeedsRecovery`] with every durable statement;
+//! [`Database::restore`] replays them into a fresh engine. Rolling back
+//! manifest *and* region files together to an older
 //! mutually-consistent checkpoint, or truncating the WAL tail, is
 //! undetectable without a hardware monotonic counter — the standard
 //! sealed-storage bound, inherited here and documented in the README.
@@ -208,7 +213,6 @@ struct WalRecord {
     block_bytes: u64,
     len: u64,
     base_lsn: u64,
-    durable: bool,
     region_manifest: Vec<u8>,
 }
 
@@ -317,7 +321,9 @@ fn encode_manifest(m: &DbManifest) -> Vec<u8> {
             out.extend_from_slice(&w.block_bytes.to_le_bytes());
             out.extend_from_slice(&w.len.to_le_bytes());
             out.extend_from_slice(&w.base_lsn.to_le_bytes());
-            out.push(w.durable as u8);
+            // The durability byte of the manifest layout: every log is
+            // write-ahead, so it is always 1 and never read back.
+            out.push(1);
             put_bytes(&mut out, &w.region_manifest);
         }
     }
@@ -347,9 +353,9 @@ fn decode_manifest(plain: &[u8]) -> Result<DbManifest, DbError> {
             let block_bytes = r.u64()?;
             let len = r.u64()?;
             let base_lsn = r.u64()?;
-            let durable = r.u8()? != 0;
+            let _durability = r.u8()?;
             let region_manifest = r.bytes()?.to_vec();
-            Some(WalRecord { region, key, block_bytes, len, base_lsn, durable, region_manifest })
+            Some(WalRecord { region, key, block_bytes, len, base_lsn, region_manifest })
         }
         _ => return Err(DbError::ManifestRejected("bad WAL flag".into())),
     };
@@ -547,12 +553,13 @@ pub fn write_recovery_statements(
 // ---- Database surface -----------------------------------------------------
 
 impl<M: EnclaveMemory> Database<M> {
-    /// Checkpoints the database into `dir`: flushes the substrate to its
-    /// durable medium, then atomically writes the sealed manifest
-    /// ([`DB_MANIFEST_FILE`]) that [`Database::open_with_memory`] needs to
-    /// re-attach. The manifest write is the commit point: a crash before
-    /// the rename leaves the previous checkpoint intact and the WAL
-    /// covering the gap.
+    /// Checkpoints the database into `dir`: starts a fresh WAL from the
+    /// live state (when the database has a log, or its config asks for
+    /// one), flushes the substrate to its durable medium, then atomically
+    /// writes the sealed manifest ([`DB_MANIFEST_FILE`]) that
+    /// [`Database::open_with_memory`] needs to re-attach. The manifest
+    /// write is the commit point: a crash before the rename leaves the
+    /// previous checkpoint intact and the old WAL covering the gap.
     ///
     /// Only flat tables persist today; indexed/`Both` storage lives in
     /// Path ORAM whose position maps and stash are enclave state with no
@@ -573,48 +580,73 @@ impl<M: EnclaveMemory> Database<M> {
         // later fold). Seal it now.
         self.commit_epoch()?;
 
-        // Truncating checkpoint: retire the statement history by seeding a
-        // *fresh* WAL region with a compacted state dump (CREATE + INSERT
-        // per live row) and switching over atomically via the manifest
-        // write below. In-place truncation is unsound under the
-        // revision-2 probe discipline (each slot is written exactly
-        // twice: zero-fill, then its append), so the old region is left
-        // untouched until the manifest pointing at its replacement lands,
-        // then freed.
-        let mut retired_wal = None;
-        if self.wal.is_some() && self.config.wal.is_some_and(|c| c.truncate_at_checkpoint) {
-            let dump = self.dump_state_statements()?;
-            let old = self.wal.take().expect("checked above");
-            let old_lsn = old.checkpoint_lsn();
-            let durable = old.durable_appends();
-            let longest = dump.iter().map(|s| s.len()).max().unwrap_or(0);
-            let block_bytes = old.block_bytes().max(longest + 3);
-            let key = self.next_key();
-            let mut fresh = crate::wal::Wal::create(
-                &mut self.host,
-                key,
-                crate::wal::WalConfig {
-                    block_bytes,
-                    capacity: (dump.len() as u64).max(8),
-                    durable_appends: durable,
-                    truncate_at_checkpoint: true,
-                },
-            )?;
-            for stmt in &dump {
-                fresh.append(&mut self.host, stmt)?;
+        let mut fresh = if self.wal.is_some() || self.config.wal.is_some() {
+            Some(self.seeded_log()?)
+        } else {
+            None
+        };
+        if let Err(e) = self.write_manifest(dir, fresh.as_mut()) {
+            // The previous manifest still names the old log, so it stays
+            // the live one.
+            if let Some(f) = fresh {
+                let _ = f.free(&mut self.host);
             }
-            fresh.set_base_lsn(old_lsn);
-            self.wal = Some(fresh);
-            retired_wal = Some(old);
+            return Err(e);
         }
+        // The manifest pointing at the fresh WAL region is durable — the
+        // retired region is unreachable from any recovery path and its
+        // untrusted memory can go. (A crash here merely leaks it.)
+        if let Some(old) = std::mem::replace(&mut self.wal, fresh) {
+            old.free(&mut self.host)?;
+        }
+        // This checkpoint completes any in-flight recovery: the journal's
+        // statements are now reflected by the manifest (best-effort
+        // removal; a leftover journal is re-read and re-applied, which is
+        // idempotent — it still describes the same committed history).
+        let _ = std::fs::remove_file(dir.join(RECOVERY_JOURNAL_FILE));
+        Ok(())
+    }
 
+    /// A fresh WAL region seeded with the compacted live state, whose LSN
+    /// continues the log it replaces. In-place truncation would be
+    /// unsound under the revision-2 probe discipline (each slot is
+    /// written exactly twice: zero-fill, then its append), so the old
+    /// region stays untouched until the manifest naming its replacement
+    /// lands. The record widens when a dumped row needs more than the
+    /// old log's.
+    fn seeded_log(&mut self) -> Result<crate::wal::Wal, DbError> {
+        let dump = self.dump_state_statements()?;
+        let longest = dump.iter().map(|s| s.len()).max().unwrap_or(0);
+        let block_bytes =
+            self.wal.as_ref().map_or(crate::wal::WAL_BLOCK, |w| w.block_bytes()).max(longest + 3);
+        let key = self.next_key();
+        let mut fresh = crate::wal::Wal::create_sized(
+            &mut self.host,
+            key,
+            block_bytes,
+            (dump.len() as u64).max(8),
+        )?;
+        for stmt in &dump {
+            fresh.append(&mut self.host, stmt)?;
+        }
+        fresh.set_base_lsn(self.wal.as_ref().map_or(0, |w| w.checkpoint_lsn()));
+        Ok(fresh)
+    }
+
+    /// Flushes the substrate, then seals and atomically writes the
+    /// manifest describing every table and `wal`.
+    fn write_manifest(
+        &mut self,
+        dir: &Path,
+        wal: Option<&mut crate::wal::Wal>,
+    ) -> Result<(), DbError> {
         // Data first: every sealed block (and the substrate's own region
         // table) must be durable before the manifest that describes it.
         self.host.sync()?;
 
         let mut tables = Vec::with_capacity(self.tables.len());
         for (name, storage) in &mut self.tables {
-            let TableStorage::Flat(f) = storage else { unreachable!("checked above") };
+            let TableStorage::Flat(f) = storage else { unreachable!("checked by persist_to") };
             tables.push(TableRecord {
                 name: name.clone(),
                 schema: f.schema().clone(),
@@ -625,13 +657,12 @@ impl<M: EnclaveMemory> Database<M> {
                 region_manifest: f.seal_manifest(),
             });
         }
-        let wal = self.wal.as_mut().map(|w| WalRecord {
+        let wal = wal.map(|w| WalRecord {
             region: w.region_id(),
             key: w.key(),
             block_bytes: w.block_bytes() as u64,
             len: w.len(),
             base_lsn: w.base_lsn(),
-            durable: w.durable_appends(),
             region_manifest: w.seal_manifest(),
         });
         let manifest =
@@ -649,19 +680,7 @@ impl<M: EnclaveMemory> Database<M> {
             DbError::ManifestRejected(format!("cannot write manifest in {}: {e}", dir.display()))
         };
         std::fs::create_dir_all(dir).map_err(io)?;
-        write_atomically(dir, DB_MANIFEST_FILE, &blob).map_err(io)?;
-        // The manifest pointing at the fresh WAL region is durable — the
-        // retired region is unreachable from any recovery path and its
-        // untrusted memory can go. (A crash here merely leaks it.)
-        if let Some(old) = retired_wal {
-            old.free(&mut self.host)?;
-        }
-        // This checkpoint completes any in-flight recovery: the journal's
-        // statements are now reflected by the manifest (best-effort
-        // removal; a leftover journal is re-read and re-applied, which is
-        // idempotent — it still describes the same committed history).
-        let _ = std::fs::remove_file(dir.join(RECOVERY_JOURNAL_FILE));
-        Ok(())
+        write_atomically(dir, DB_MANIFEST_FILE, &blob).map_err(io)
     }
 
     /// Re-attaches to a persisted database: `host` must be the reopened
@@ -775,15 +794,11 @@ impl<M: EnclaveMemory> Database<M> {
                     write_recovery_journal(dir, &master_key, &mut rng, &plan)?;
                     return Ok(Reopened::NeedsRecovery(plan));
                 }
-                // The caller's explicit WAL config wins over the persisted
-                // durability flag; absent one, the log keeps its own.
-                let durable = config.wal.map_or(w.durable, |c| c.durable_appends);
                 Some(crate::wal::Wal::reattach(
                     store,
                     w.key.clone(),
                     w.len,
                     block_bytes,
-                    durable,
                     w.base_lsn,
                 ))
             }
@@ -824,13 +839,12 @@ impl<M: EnclaveMemory> Database<M> {
             auditor: Default::default(),
         };
         // The store was persisted without a WAL but the caller wants one:
-        // honor the config by creating a fresh log now — silently leaving
-        // write-ahead durability off would betray the request.
-        if db.wal.is_none() {
-            if let Some(wal_config) = db.config.wal {
-                let key = db.next_key();
-                db.wal = Some(crate::wal::Wal::create(&mut db.host, key, wal_config)?);
-            }
+        // checkpoint now, so the new log starts from the live state and
+        // the manifest names it. A log the manifest does not name would
+        // be invisible to the next open, and the writes it covered would
+        // fail to authenticate against the old checkpoint.
+        if db.wal.is_none() && db.config.wal.is_some() {
+            db.persist_to(dir)?;
         }
         Ok(Reopened::Clean(db))
     }

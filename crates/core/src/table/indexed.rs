@@ -119,6 +119,12 @@ impl IndexedTable {
         self.tree.len()
     }
 
+    /// Whether the index holds as many rows as it was sized for (public:
+    /// row count and capacity both are).
+    pub fn is_full(&self) -> bool {
+        self.tree.len() >= self.tree.max_records()
+    }
+
     /// The untrusted regions of the index's ORAM, where block positions
     /// are random by construction.
     pub fn oram_region_ids(&self) -> Vec<oblidb_enclave::RegionId> {

@@ -19,40 +19,21 @@ use oblidb_storage::SealedRegion;
 
 use crate::error::DbError;
 
-/// Default WAL record size: fits any reasonably sized statement.
-pub const DEFAULT_WAL_BLOCK: usize = 512;
+/// Bytes per log record: fits any reasonably sized statement. A
+/// checkpoint widens the record of the log it seeds when a dumped row
+/// needs more ([`crate::Database::persist_to`]).
+pub const WAL_BLOCK: usize = 512;
 
-/// WAL configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalConfig {
-    /// Bytes per log record (statements longer than `block_bytes - 3`
-    /// bytes are rejected).
-    pub block_bytes: usize,
-    /// Initial capacity in records; the log grows by doubling.
-    pub capacity: u64,
-    /// Flush each appended record to the durable medium
-    /// (`sync_region`) before its statement executes — the write-*ahead*
-    /// property that makes post-checkpoint statements recoverable after a
-    /// crash. On by default; in-memory substrates pay nothing for it.
-    pub durable_appends: bool,
-    /// Drop the log prefix at each [`persist`](crate::Database::persist_to)
-    /// checkpoint: the checkpoint re-seeds a fresh region with a compacted
-    /// state dump and retires the old one, so the log stays proportional
-    /// to live state instead of statement history. Off by default —
-    /// recovery semantics are identical either way, only log size differs.
-    pub truncate_at_checkpoint: bool,
-}
+/// Records a fresh log holds before its first doubling.
+const WAL_CAPACITY: u64 = 256;
 
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            block_bytes: DEFAULT_WAL_BLOCK,
-            capacity: 256,
-            durable_appends: true,
-            truncate_at_checkpoint: false,
-        }
-    }
-}
+/// Turns write-ahead logging on ([`crate::DbConfig::wal`]). It has no
+/// settings: every record is flushed to the durable medium before its
+/// statement executes (under group commit, by its epoch's commit
+/// marker), and every [`persist_to`](crate::Database::persist_to)
+/// checkpoint starts a fresh log from the live state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalConfig;
 
 /// Epoch scheduler configuration (Obladi-style group commit): how long
 /// commits may pool in one epoch before the group fsync closes it, and
@@ -74,7 +55,7 @@ impl Default for EpochConfig {
 }
 
 /// Record kind: a standalone statement, committed the instant it is
-/// durable (the pre-epoch discipline, and still what replay/restore use).
+/// durable (the pre-epoch discipline, and still what restore uses).
 pub(crate) const REC_STATEMENT: u8 = 1;
 /// Record kind: a statement belonging to the currently open epoch —
 /// invisible to recovery until an epoch-commit marker follows it.
@@ -89,13 +70,9 @@ pub struct Wal {
     len: u64,
     block_bytes: usize,
     grow_key: AeadKey,
-    /// Whether appends flush through to the durable medium before their
-    /// statement executes. A property of the *log*, persisted with it —
-    /// not of whoever happens to reopen the store.
-    durable: bool,
-    /// Records dropped by truncating checkpoints before this region began;
+    /// Records dropped by checkpoints before this region began;
     /// `base_lsn + len` is the monotonic log sequence number across
-    /// truncations.
+    /// checkpoints.
     base_lsn: u64,
     /// Statements appended as `REC_EPOCH_PENDING` since the last
     /// epoch-commit marker — what the next marker will make durable.
@@ -103,28 +80,23 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates an empty log.
-    pub fn create<M: EnclaveMemory>(
+    /// Creates an empty log of [`WAL_BLOCK`]-byte records.
+    pub fn create<M: EnclaveMemory>(host: &mut M, key: AeadKey) -> Result<Self, DbError> {
+        Self::create_sized(host, key, WAL_BLOCK, WAL_CAPACITY)
+    }
+
+    /// Creates an empty log of `block_bytes`-byte records with room for
+    /// `capacity` before its first doubling — the shape a checkpoint
+    /// seeds with its state dump.
+    pub(crate) fn create_sized<M: EnclaveMemory>(
         host: &mut M,
         key: AeadKey,
-        config: WalConfig,
+        block_bytes: usize,
+        capacity: u64,
     ) -> Result<Self, DbError> {
-        assert!(config.block_bytes > 3, "block must fit the length+kind header");
-        let store = SealedRegion::create(
-            host,
-            key.clone(),
-            config.capacity.max(1) as usize,
-            config.block_bytes,
-        )?;
-        Ok(Wal {
-            store,
-            len: 0,
-            block_bytes: config.block_bytes,
-            grow_key: key,
-            durable: config.durable_appends,
-            base_lsn: 0,
-            epoch_pending: 0,
-        })
+        assert!(block_bytes > 3, "block must fit the length+kind header");
+        let store = SealedRegion::create(host, key.clone(), capacity.max(1) as usize, block_bytes)?;
+        Ok(Wal { store, len: 0, block_bytes, grow_key: key, base_lsn: 0, epoch_pending: 0 })
     }
 
     /// Re-attaches to a persisted log from its sealed region manifest plus
@@ -135,27 +107,26 @@ impl Wal {
         key: AeadKey,
         len: u64,
         block_bytes: usize,
-        durable: bool,
         base_lsn: u64,
     ) -> Self {
         // A persisted log never ends mid-epoch ([`crate::Database::persist_to`]
         // closes the epoch first), so pending restarts at zero.
-        Wal { store, len, block_bytes, grow_key: key, durable, base_lsn, epoch_pending: 0 }
+        Wal { store, len, block_bytes, grow_key: key, base_lsn, epoch_pending: 0 }
     }
 
-    /// Records dropped before this region by truncating checkpoints.
+    /// Records dropped before this region by checkpoints.
     pub fn base_lsn(&self) -> u64 {
         self.base_lsn
     }
 
     /// Marks `lsn` records as having been compacted away before this
-    /// region — set once when a truncating checkpoint seeds a fresh log.
+    /// region — set once when a checkpoint seeds a fresh log.
     pub(crate) fn set_base_lsn(&mut self, lsn: u64) {
         self.base_lsn = lsn;
     }
 
     /// The monotonic log sequence number: records ever appended across
-    /// all truncations, i.e. where the next record will land.
+    /// all checkpoints, i.e. where the next record will land.
     pub fn checkpoint_lsn(&self) -> u64 {
         self.base_lsn + self.len
     }
@@ -164,12 +135,6 @@ impl Wal {
     /// is at an epoch boundary).
     pub fn epoch_pending(&self) -> u64 {
         self.epoch_pending
-    }
-
-    /// Whether appended records must reach the durable medium before
-    /// their statement executes.
-    pub fn durable_appends(&self) -> bool {
-        self.durable
     }
 
     /// The untrusted region backing the log — the target of the
@@ -271,9 +236,13 @@ impl Wal {
         self.check_fits(bytes)?;
         if self.len >= self.store.len() {
             let new_cap = (self.store.len() * 2).max(8);
-            self.store.grow(host, new_cap as usize)?;
             // Growth writes are driven by the public record count only.
-            let _ = self.grow_key;
+            self.store.grow(host, new_cap as usize)?;
+            // Make the new geometry durable before a record lands in the
+            // grown part: under group commit nothing else syncs the log
+            // until its epoch closes, and a crash in between would leave
+            // a region file longer than the substrate's region table says.
+            host.sync_region(self.store.region_id())?;
         }
         let mut record = vec![0u8; self.block_bytes];
         record[..2].copy_from_slice(&(bytes.len() as u16).to_le_bytes());
@@ -429,12 +398,7 @@ mod tests {
 
     fn setup() -> (Host, Wal) {
         let mut host = Host::new();
-        let wal = Wal::create(
-            &mut host,
-            AeadKey([3u8; 32]),
-            WalConfig { block_bytes: 64, capacity: 2, ..WalConfig::default() },
-        )
-        .unwrap();
+        let wal = Wal::create_sized(&mut host, AeadKey([3u8; 32]), 64, 2).unwrap();
         (host, wal)
     }
 

@@ -102,7 +102,7 @@ fn main() -> ExitCode {
     let config = DbConfig {
         seed: args.seed,
         audit: args.audit,
-        wal: if epoch.is_some() { Some(WalConfig::default()) } else { DbConfig::default().wal },
+        wal: if epoch.is_some() { Some(WalConfig) } else { DbConfig::default().wal },
         epoch,
         ..DbConfig::default()
     };

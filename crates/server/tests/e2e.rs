@@ -97,7 +97,7 @@ fn transactions_over_the_wire() {
     let epoch = EpochConfig { duration_ms: 2, max_statements: 64 };
     let db = SharedDatabase::new(
         Host::new(),
-        DbConfig { wal: Some(WalConfig::default()), epoch: Some(epoch), ..DbConfig::default() },
+        DbConfig { wal: Some(WalConfig), epoch: Some(epoch), ..DbConfig::default() },
     )
     .unwrap();
     let config = ServerConfig { addr: "127.0.0.1:0".to_string(), workers: 2, epoch: Some(epoch) };

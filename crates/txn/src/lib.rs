@@ -367,7 +367,7 @@ mod tests {
     use oblidb_enclave::Host;
 
     fn manager(epoch: Option<EpochConfig>) -> TxnManager {
-        let config = DbConfig { wal: Some(WalConfig::default()), epoch, ..DbConfig::default() };
+        let config = DbConfig { wal: Some(WalConfig), epoch, ..DbConfig::default() };
         TxnManager::new(SharedDatabase::new(Host::new(), config).unwrap(), epoch)
     }
 

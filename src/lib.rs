@@ -202,7 +202,6 @@ fn rebuild(
     statements: &[String],
 ) -> Result<(core::Database<substrates::AnySubstrate>, core::RecoveryReport), OpenError> {
     let dir = spec.persist_dir().expect("checked by caller");
-    let replay_is_logged = config.wal.is_some_and(|w| w.durable_appends);
     // Re-journal the resolved history before destroying anything: the
     // previous journal may point at a WAL the wipe is about to delete.
     core::write_recovery_statements(dir, &config, statements)?;
@@ -215,11 +214,11 @@ fn rebuild(
     let report = db.restore(statements)?;
     match db.persist_to(dir) {
         Ok(()) => {} // journal retired by persist_to
-        Err(core::DbError::Unsupported(_)) if replay_is_logged => {
+        Err(core::DbError::Unsupported(_)) => {
             // The replayed history contains state persist_to cannot
             // checkpoint yet (an indexed CREATE TABLE in the replay). The
             // rebuilt engine is fully usable and its fresh WAL — written
-            // by the replay itself, with durable appends — holds the
+            // by the replay itself, write-ahead — holds the
             // complete history and keeps receiving new mutations. Point
             // the journal at it, so the next open recovers the full
             // (possibly extended) history instead of wedging or losing

@@ -1,16 +1,18 @@
 //! Crash-consistency property tests: interrupt a workload between its
 //! data writes (`write_blocks`) and the next checkpoint (`sync` +
 //! manifest), "crash" by dropping the engine, reopen via
-//! `database_open`, and assert that recovery — manifest state plus
-//! durable-WAL replay — converges to the pre-crash committed state, on
-//! every disk-backed substrate spec.
+//! `database_open_with_report`, and assert that recovery — the log, which
+//! every checkpoint starts from a dump of the live state, replayed into an
+//! empty engine — converges to the pre-crash committed state, on every
+//! disk-backed substrate spec.
 //!
 //! "Committed" means the statement's WAL record reached the durable
-//! medium, which `WalConfig::durable_appends` (the default) guarantees
-//! before the statement executes. The oracle is an in-memory engine
-//! replaying the identical statement stream.
+//! medium, which every append guarantees before the statement executes.
+//! The oracle is an in-memory engine replaying the identical statement
+//! stream; every statement succeeds there, so a statement recovery skips
+//! is a lost write.
 
-use oblidb::core::{Database, DbConfig, Row};
+use oblidb::core::{Column, DataType, Database, DbConfig, Row, Schema, StorageMethod, Value};
 use oblidb::enclave::EnclaveRng;
 use oblidb::substrates::{SubstrateSpec, TempDir};
 
@@ -43,14 +45,17 @@ fn all_rows(db: &mut Database<impl oblidb::enclave::EnclaveMemory>) -> Vec<Row> 
     db.execute("SELECT * FROM t ORDER BY k").unwrap().rows().to_vec()
 }
 
-/// One crash-recovery scenario: `committed` statements run (some before a
-/// mid-stream checkpoint, the rest after it, with no sync before the
-/// "crash"), then the engine is dropped and reopened.
+/// One crash-recovery scenario: a seeded statement stream runs with two
+/// checkpoints at seeded points — so the second dumps a log that already
+/// starts with a dump — and at least two statements after the last one,
+/// with no sync before the "crash"; then the engine is dropped and
+/// reopened.
 fn crash_and_recover(spec: &SubstrateSpec, seed: u64) {
     let label = spec.profile_name();
     let mut rng = EnclaveRng::seed_from_u64(seed);
     let total = 16 + (rng.next_u64() % 12) as usize;
-    let checkpoint_at = 4 + (rng.next_u64() % (total as u64 - 6)) as usize;
+    let first = 2 + (rng.next_u64() % (total as u64 / 2)) as usize;
+    let second = first + 1 + (rng.next_u64() % (total - first - 1) as u64) as usize;
 
     let mut statements = vec!["CREATE TABLE t (k INT, v INT) CAPACITY 16".to_string()];
     let mut next_id = 0i64;
@@ -67,12 +72,12 @@ fn crash_and_recover(spec: &SubstrateSpec, seed: u64) {
         all_rows(&mut oracle)
     };
 
-    // System under test: checkpoint mid-stream, crash at the end.
+    // System under test: checkpoint twice mid-stream, crash at the end.
     {
         let mut db = oblidb::database_on(spec, wal_config()).unwrap();
         for (i, stmt) in statements.iter().enumerate() {
             db.execute(stmt).unwrap();
-            if i + 1 == checkpoint_at {
+            if i + 1 == first || i + 1 == second {
                 db.persist_to(spec.persist_dir().unwrap()).unwrap();
             }
         }
@@ -83,12 +88,18 @@ fn crash_and_recover(spec: &SubstrateSpec, seed: u64) {
     }
 
     // Recovery: manifest (catalog/geometry/log identity) + WAL replay.
-    let mut recovered = oblidb::database_open(spec, wal_config()).unwrap();
+    let (mut recovered, report) = oblidb::database_open_with_report(spec, wal_config()).unwrap();
+    let report = report.expect("statements after the last checkpoint must trigger recovery");
+    assert!(
+        report.skipped.is_empty(),
+        "{label} seed {seed}: recovery skipped committed statements: {:?}",
+        report.skipped
+    );
     assert_eq!(
         all_rows(&mut recovered),
         expected,
         "{label} seed {seed}: recovery must converge to the pre-crash committed state \
-         (checkpoint at {checkpoint_at}/{total})"
+         (checkpoints at {first} and {second} of {total})"
     );
 
     // Recovery re-persisted the store: a second open is clean and equal.
@@ -187,26 +198,73 @@ fn wal_growth_past_checkpoint_still_recovers() {
     let guard = TempDir::new("oblidb-crash-walgrow").unwrap();
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
-    let tiny_wal = DbConfig {
-        wal: Some(oblidb::core::wal::WalConfig { capacity: 2, ..Default::default() }),
-        ..DbConfig::default()
-    };
     {
-        let mut db = oblidb::database_on(&spec, tiny_wal.clone()).unwrap();
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
         db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
-        db.persist_to(&dir).unwrap(); // checkpoint at 1 record, capacity 2
-        for i in 0..6 {
+        // The checkpoint seeds a log of 8 slots with the 1-record dump.
+        db.persist_to(&dir).unwrap();
+        for i in 0..12 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
         }
-        // The log grew 2 → 8; crash.
+        // The log grew 8 → 16; crash.
     }
-    let mut recovered = oblidb::database_open(&spec, tiny_wal.clone()).unwrap();
-    assert_eq!(all_rows(&mut recovered).len(), 6);
+    let mut recovered = oblidb::database_open(&spec, wal_config()).unwrap();
+    assert_eq!(all_rows(&mut recovered).len(), 12);
     // And a *clean* reopen after the grown log was checkpointed.
     recovered.persist_to(&dir).unwrap();
     drop(recovered);
-    let mut clean = oblidb::database_open(&spec, tiny_wal).unwrap();
-    assert_eq!(all_rows(&mut clean).len(), 6);
+    let mut clean = oblidb::database_open(&spec, wal_config()).unwrap();
+    assert_eq!(all_rows(&mut clean).len(), 12);
+}
+
+#[test]
+fn bulk_load_before_a_checkpoint_survives_a_crash() {
+    // A bulk load writes no log records; the checkpoint after it puts the
+    // loaded rows into the log, so a crash after one more INSERT brings
+    // back all eleven rows.
+    let guard = TempDir::new("oblidb-crash-bulk").unwrap();
+    let dir = guard.path().join("db");
+    let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
+    {
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
+        let schema =
+            Schema::new(vec![Column::new("k", DataType::Int), Column::new("v", DataType::Int)]);
+        let rows: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+        db.create_table_with_rows("t", schema, StorageMethod::Flat, None, &rows, 16).unwrap();
+        db.persist_to(&dir).unwrap();
+        db.execute("INSERT INTO t VALUES (10, 10)").unwrap();
+    } // crash
+    let (mut db, report) = oblidb::database_open_with_report(&spec, wal_config()).unwrap();
+    let report = report.expect("the INSERT after the checkpoint must trigger recovery");
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+    let expected: Vec<Row> = (0..11).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+    assert_eq!(all_rows(&mut db), expected);
+}
+
+#[test]
+fn walless_store_reopened_with_a_log_survives_a_crash() {
+    // A reopen that adds a log checkpoints first, so the manifest names
+    // the new log and a crash after the next INSERT replays it.
+    let guard = TempDir::new("oblidb-crash-latewal").unwrap();
+    let dir = guard.path().join("db");
+    let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
+    {
+        let mut db = oblidb::database_on(&spec, DbConfig::default()).unwrap();
+        db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+        db.persist_to(&dir).unwrap();
+    }
+    {
+        let mut db = oblidb::database_open(&spec, wal_config()).unwrap();
+        db.execute("INSERT INTO t VALUES (2, 20)").unwrap();
+    } // crash
+    let (mut db, report) = oblidb::database_open_with_report(&spec, wal_config()).unwrap();
+    assert_eq!(
+        all_rows(&mut db),
+        vec![vec![Value::Int(1), Value::Int(10)], vec![Value::Int(2), Value::Int(20)]]
+    );
+    let report = report.expect("the INSERT after the checkpoint must trigger recovery");
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
 }
 
 #[test]

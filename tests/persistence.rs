@@ -273,13 +273,22 @@ fn reopening_a_walless_store_with_wal_config_enables_logging() {
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
     {
         let mut db = oblidb::database_on(&spec, DbConfig::default()).unwrap();
-        db.execute("CREATE TABLE t (k INT)").unwrap();
+        db.execute("CREATE TABLE t (k INT) CAPACITY 4").unwrap();
+        db.execute("INSERT INTO t VALUES (3)").unwrap();
         db.persist_to(&dir).unwrap();
     }
     let mut db = oblidb::database_open(&spec, wal_config()).unwrap();
     db.execute("INSERT INTO t VALUES (7)").unwrap();
+    // The reopen checkpointed: the new log starts with the state dump.
     let log = db.wal_records().unwrap();
-    assert_eq!(log, vec!["INSERT INTO t VALUES (7)".to_string()]);
+    assert_eq!(
+        log,
+        vec![
+            "CREATE TABLE t (k INT) CAPACITY 4".to_string(),
+            "INSERT INTO t VALUES (3)".to_string(),
+            "INSERT INTO t VALUES (7)".to_string(),
+        ]
+    );
 }
 
 #[test]

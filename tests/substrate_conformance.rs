@@ -12,7 +12,7 @@ use oblidb::enclave::{EnclaveMemory, Host, Trace};
 use oblidb::substrates::{AnySubstrate, CachedMemory, DiskMemory, SubstrateSpec, TempDir};
 
 fn wal_db_config() -> DbConfig {
-    DbConfig { wal: Some(WalConfig::default()), ..DbConfig::default() }
+    DbConfig { wal: Some(WalConfig), ..DbConfig::default() }
 }
 
 /// The mixed workload of the acceptance criteria: bulk load, inserts,
@@ -123,7 +123,8 @@ fn wal_replay_from_disk_substrate() {
 
     // The log includes the CREATE, so replay alone rebuilds the table.
     let mut recovered = Database::new(DbConfig::default());
-    recovered.replay(&log).unwrap();
+    let report = recovered.restore(&log).unwrap();
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
     let a = db.execute("SELECT * FROM t ORDER BY k").unwrap();
     let b = recovered.execute("SELECT * FROM t ORDER BY k").unwrap();
     assert_eq!(a.rows(), b.rows());

@@ -309,7 +309,7 @@ fn auditor_ignores_positions_random_or_public_by_construction() {
     let _g = gate();
     telemetry::set_enabled(false);
     for fast_inserts in [false, true] {
-        let wal = Some(oblidb::core::wal::WalConfig::default());
+        let wal = Some(oblidb::core::wal::WalConfig);
         let config = DbConfig { audit: true, wal, fast_inserts, ..DbConfig::default() };
         let mut db = Database::new(config);
         db.execute("CREATE TABLE p (k INT, v INT) STORAGE = INDEXED INDEX ON k CAPACITY 64")

@@ -12,7 +12,7 @@ use oblidb::txn::{TxnManager, TxnOutcome};
 
 fn epoch_config() -> DbConfig {
     DbConfig {
-        wal: Some(WalConfig::default()),
+        wal: Some(WalConfig),
         epoch: Some(EpochConfig { duration_ms: 60_000, max_statements: 1024 }),
         ..DbConfig::default()
     }
@@ -235,7 +235,7 @@ fn rollback_restores_and_abort_is_deterministic() {
 /// shorter predecessors already applied.
 #[test]
 fn oversized_wal_record_aborts_the_whole_commit() {
-    let config = DbConfig { wal: Some(WalConfig::default()), ..DbConfig::default() };
+    let config = DbConfig { wal: Some(WalConfig), ..DbConfig::default() };
     let mgr = TxnManager::new(SharedDatabase::new(Host::new(), config).unwrap(), None);
     let mut s = mgr.session();
     s.execute("CREATE TABLE t (k INT, v INT) STORAGE = FLAT CAPACITY 32").unwrap();

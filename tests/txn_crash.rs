@@ -11,7 +11,7 @@ use oblidb::substrates::{SubstrateSpec, TempDir};
 /// A huge window and cap: the epoch only closes when the test says so.
 fn epoch_config() -> DbConfig {
     DbConfig {
-        wal: Some(WalConfig::default()),
+        wal: Some(WalConfig),
         epoch: Some(EpochConfig { duration_ms: 3_600_000, max_statements: 1 << 20 }),
         ..DbConfig::default()
     }

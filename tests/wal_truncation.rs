@@ -1,17 +1,14 @@
-//! WAL truncation at checkpoint: with `truncate_at_checkpoint` on, each
-//! `persist_to` retires the old log region and seeds a fresh one with a
-//! compacted state dump, so the log stays proportional to live state
-//! instead of statement history — while the manifest's checkpoint LSN
-//! keeps counting every statement ever logged.
+//! WAL truncation at checkpoint: each `persist_to` retires the old log
+//! region and seeds a fresh one with a compacted state dump, so the log
+//! stays proportional to live state instead of statement history — while
+//! the manifest's checkpoint LSN keeps counting every statement ever
+//! logged.
 
 use oblidb::core::{Database, DbConfig, Row, Value, WalConfig};
 use oblidb::substrates::{SubstrateSpec, TempDir};
 
-fn truncating_config() -> DbConfig {
-    DbConfig {
-        wal: Some(WalConfig { truncate_at_checkpoint: true, ..WalConfig::default() }),
-        ..DbConfig::default()
-    }
+fn wal_config() -> DbConfig {
+    DbConfig { wal: Some(WalConfig), ..DbConfig::default() }
 }
 
 fn all_rows(db: &mut Database<impl oblidb::enclave::EnclaveMemory>) -> Vec<Row> {
@@ -23,7 +20,7 @@ fn log_stays_bounded_across_checkpoint_cycles() {
     let guard = TempDir::new("oblidb-waltrunc-bounded").unwrap();
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
-    let mut db = oblidb::database_on(&spec, truncating_config()).unwrap();
+    let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
     db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
 
     // Steady state: each cycle updates the same single row many times,
@@ -52,27 +49,6 @@ fn log_stays_bounded_across_checkpoint_cycles() {
         base_lsns.windows(2).all(|w| w[0] < w[1]),
         "base LSN must advance with every checkpoint: {base_lsns:?}"
     );
-
-    // Un-truncated control: same workload, log keeps every record.
-    let guard2 = TempDir::new("oblidb-waltrunc-control").unwrap();
-    let dir2 = guard2.path().join("db");
-    let spec2 = SubstrateSpec::Disk { dir: Some(dir2.clone()) };
-    let plain = DbConfig { wal: Some(WalConfig::default()), ..DbConfig::default() };
-    let mut control = oblidb::database_on(&spec2, plain).unwrap();
-    control.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
-    control.execute("INSERT INTO t VALUES (1, 0)").unwrap();
-    for cycle in 0..6 {
-        for i in 0..20 {
-            control.execute(&format!("UPDATE t SET v = {} WHERE k = 1", cycle * 100 + i)).unwrap();
-        }
-        control.persist_to(&dir2).unwrap();
-    }
-    assert!(
-        control.wal_len() > 10 * db.wal_len(),
-        "control log ({} records) should dwarf the truncated log ({})",
-        control.wal_len(),
-        db.wal_len()
-    );
 }
 
 #[test]
@@ -81,7 +57,7 @@ fn truncated_store_reopens_with_identical_state() {
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
     let expected = {
-        let mut db = oblidb::database_on(&spec, truncating_config()).unwrap();
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
         db.execute("CREATE TABLE t (k INT, v INT, s CHAR(6)) CAPACITY 32").unwrap();
         for i in 0..8 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, {}, 'x{}')", i * 3, i)).unwrap();
@@ -94,14 +70,14 @@ fn truncated_store_reopens_with_identical_state() {
         db.persist_to(&dir).unwrap();
         all_rows(&mut db)
     };
-    let mut reopened = oblidb::database_open(&spec, truncating_config()).unwrap();
+    let mut reopened = oblidb::database_open(&spec, wal_config()).unwrap();
     assert_eq!(all_rows(&mut reopened), expected);
     // And the reopened engine keeps truncating.
     reopened.execute("INSERT INTO t VALUES (50, 1, 'y')").unwrap();
     reopened.persist_to(&dir).unwrap();
     let len_after = reopened.wal_len();
     drop(reopened);
-    let mut again = oblidb::database_open(&spec, truncating_config()).unwrap();
+    let mut again = oblidb::database_open(&spec, wal_config()).unwrap();
     assert_eq!(again.wal_len(), len_after);
     assert_eq!(again.execute("SELECT * FROM t WHERE k = 50").unwrap().len(), 1);
 }
@@ -114,7 +90,7 @@ fn crash_after_truncating_checkpoint_recovers() {
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
     {
-        let mut db = oblidb::database_on(&spec, truncating_config()).unwrap();
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
         db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
         for i in 0..5 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
@@ -124,29 +100,52 @@ fn crash_after_truncating_checkpoint_recovers() {
         db.execute("DELETE FROM t WHERE k = 1").unwrap();
         // Crash before the next checkpoint.
     }
-    let mut recovered = oblidb::database_open(&spec, truncating_config()).unwrap();
+    let mut recovered = oblidb::database_open(&spec, wal_config()).unwrap();
     let rows = all_rows(&mut recovered);
     assert_eq!(rows.len(), 5, "4 surviving seeds + the post-checkpoint insert: {rows:?}");
     assert!(rows.contains(&vec![Value::Int(100), Value::Int(100)]));
     assert!(!rows.iter().any(|r| r[0] == Value::Int(1)), "deleted row resurrected");
 }
 
+/// Rows with every float as its bit pattern, so `-0.0` and `0.0` differ.
+fn bit_exact(rows: &[Row]) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("float {:#018x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+}
+
 #[test]
 fn text_values_survive_dump_and_restore() {
-    // The dump renders literals back to SQL: quotes must escape, floats
-    // must round-trip, and the restored rows must compare equal.
+    // The checkpoint's dump renders each row back to SQL, and recovery
+    // replays it: quotes must escape, extreme and multi-byte values must
+    // come back bit-equal, and no dumped statement may fail to re-parse.
     let guard = TempDir::new("oblidb-waltrunc-text").unwrap();
     let dir = guard.path().join("db");
     let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
-    let expected = {
-        let mut db = oblidb::database_on(&spec, truncating_config()).unwrap();
+    let before = {
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
         db.execute("CREATE TABLE t (k INT, f FLOAT, s CHAR(12)) CAPACITY 8").unwrap();
-        db.execute("INSERT INTO t VALUES (1, 0.1, 'it''s here')").unwrap();
-        db.execute("INSERT INTO t VALUES (2, 1e-7, 'semi;colon')").unwrap();
-        db.execute("INSERT INTO t VALUES (3, -2.5e10, '')").unwrap();
-        db.persist_to(&dir).unwrap(); // state now lives only in the dump
+        for stmt in [
+            "INSERT INTO t VALUES (1, 0.1, 'it''s here')",
+            "INSERT INTO t VALUES (2, 1e-7, 'semi;colon')",
+            "INSERT INTO t VALUES (3, -2.5e10, '')",
+            // Twelve bytes of UTF-8 fill CHAR(12): 3 + 3 + 2 + 1 + 2 + 1.
+            "INSERT INTO t VALUES (4, 1e400, '€€ünïx')",
+            "INSERT INTO t VALUES (5, -1e400, '''quoted''')",
+            "INSERT INTO t VALUES (-9223372036854775808, -0.0, 'min')",
+        ] {
+            db.execute(stmt).unwrap();
+        }
+        db.persist_to(&dir).unwrap(); // these rows now live only in the dump
+        db.execute("INSERT INTO t VALUES (6, 2.5, 'after')").unwrap();
         all_rows(&mut db)
-    };
-    let mut reopened = oblidb::database_open(&spec, truncating_config()).unwrap();
-    assert_eq!(all_rows(&mut reopened), expected);
+    }; // crash
+    assert!(matches!(before[4][1], Value::Float(f) if f == f64::INFINITY), "{before:?}");
+    assert!(matches!(before[5][1], Value::Float(f) if f == f64::NEG_INFINITY), "{before:?}");
+    let (mut db, report) = oblidb::database_open_with_report(&spec, wal_config()).unwrap();
+    let report = report.expect("the INSERT after the checkpoint must trigger recovery");
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+    assert_eq!(bit_exact(&all_rows(&mut db)), bit_exact(&before));
 }
