@@ -446,8 +446,7 @@ impl<M: EnclaveMemory> Database<M> {
                 .join(", ");
             out.push(format!("CREATE TABLE {name} ({cols}) CAPACITY {}", f.capacity()));
             for row in f.collect_rows(&mut self.host)? {
-                let vals = row.iter().map(sql_literal).collect::<Vec<_>>().join(", ");
-                out.push(format!("INSERT INTO {name} VALUES ({vals})"));
+                out.push(insert_sql(name, &row));
             }
         }
         Ok(out)
@@ -566,7 +565,7 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Creates a table.
-    pub fn create_table(
+    fn create_table(
         &mut self,
         name: &str,
         schema: Schema,
@@ -727,8 +726,32 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(self.tables[self.table_index(name)?].1.schema())
     }
 
-    /// Inserts a row, updating every storage method the table has.
+    /// Inserts a row, updating every storage method the table has. The
+    /// row is logged ahead as the `INSERT` statement that replays it.
     pub fn insert(&mut self, name: &str, values: &[Value]) -> Result<(), DbError> {
+        self.write_ahead(&insert_sql(name, values))?;
+        self.insert_row(name, values)
+    }
+
+    /// Writes `statement` ahead of its execution (paper §3): one sealed
+    /// append, no data-dependent pattern, made durable by one region-level
+    /// sync before the statement runs. Under epochs the record joins the
+    /// open epoch and becomes durable with the next commit marker's group
+    /// fsync ([`Database::commit_epoch`]): at most one epoch can be lost.
+    fn write_ahead(&mut self, statement: &str) -> Result<(), DbError> {
+        if let Some(wal) = &mut self.wal {
+            if self.config.epoch.is_some() {
+                wal.append_pending(&mut self.host, statement)?;
+            } else {
+                wal.append(&mut self.host, statement)?;
+                self.host.sync_region(wal.region_id())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Database::insert`] once the row is logged.
+    fn insert_row(&mut self, name: &str, values: &[Value]) -> Result<(), DbError> {
         let idx = self.table_index(name)?;
         // An index does not grow: refuse a full one before either half of
         // a BOTH table is written, so the refusal changes nothing.
@@ -790,7 +813,7 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Deletes rows matching `pred`; returns the count (a result size).
-    pub fn delete_where(&mut self, name: &str, pred: &Predicate) -> Result<u64, DbError> {
+    fn delete_where(&mut self, name: &str, pred: &Predicate) -> Result<u64, DbError> {
         let idx = self.table_index(name)?;
         let (_, storage) = &mut self.tables[idx];
         let n = match storage {
@@ -807,7 +830,7 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Updates rows matching `pred`; returns the count.
-    pub fn update_where(
+    fn update_where(
         &mut self,
         name: &str,
         pred: &Predicate,
@@ -984,34 +1007,36 @@ impl<M: EnclaveMemory> Database<M> {
             // Aggregates directly over the join (no GROUP BY, no WHERE left
             // above it) fold the joined rows instead of materializing them.
             let folded = has_aggs && s.group_by.is_none() && (pushed || s.where_clause.is_none());
-            let (choice, est) = match (left_capacity, right_capacity) {
-                (Some(left_capacity), Some(right_capacity)) => {
-                    let shape = JoinShape {
-                        left_schema: ls.clone(),
-                        left_capacity,
-                        right_schema: rs.clone(),
-                        right_capacity,
-                        om_bytes,
-                        zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
-                        folded,
-                    };
-                    cost::choose_join(&self.config.planner, &shape, profile)
-                }
-                // A side's shape waits on a runtime index probe.
-                _ => (JoinChoice::Deferred, None),
-            };
-
-            let mut top = PlanNode::Join(JoinNode {
+            let mut join = JoinNode {
                 left: Box::new(left),
                 right: Box::new(right),
                 left_col: lc,
                 right_col: rc,
-                choice,
-                est,
+                // A side's shape may wait on a runtime index probe.
+                choice: JoinChoice::Deferred,
+                est: None,
                 actual: None,
                 om_bytes,
+                fused: None,
                 renamed: renamed.clone(),
-            });
+            };
+            if let (Some(left_capacity), Some(right_capacity)) = (left_capacity, right_capacity) {
+                let shape = JoinShape {
+                    left_schema: ls.clone(),
+                    left_capacity,
+                    right_schema: rs.clone(),
+                    right_capacity,
+                    om_bytes,
+                    zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
+                    folded,
+                    fused: None,
+                };
+                (join.choice, join.est) = cost::choose_join(&self.config.planner, &shape, profile);
+                if folded {
+                    cost::fuse_filtered_build(&self.config.planner, &mut join, &shape, profile);
+                }
+            }
+            let mut top = PlanNode::Join(join);
 
             // WHERE after the join, unless push-down already consumed it.
             if let (Some(w), false) = (&s.where_clause, pushed) {
@@ -1286,13 +1311,9 @@ impl<M: EnclaveMemory> Database<M> {
         plan: &mut QueryPlan,
         query: &str,
     ) -> Result<QueryOutput, DbError> {
-        // WAL: log DDL and mutations before executing them (paper §3).
-        // One sealed append per statement, no data-dependent pattern;
-        // CREATE is logged too so crash recovery can replay a complete
-        // history without a separate schema dump. The record is flushed
-        // to the durable medium — one region-level sync — before the
-        // statement runs: the write-*ahead* property crash recovery
-        // relies on.
+        // WAL: log DDL and mutations before executing them. CREATE is
+        // logged too, so crash recovery replays a complete history without
+        // a separate schema dump.
         if matches!(
             plan.action,
             PlanAction::Create(_)
@@ -1300,20 +1321,7 @@ impl<M: EnclaveMemory> Database<M> {
                 | PlanAction::Update { .. }
                 | PlanAction::Delete { .. }
         ) {
-            if let Some(wal) = &mut self.wal {
-                if self.config.epoch.is_some() {
-                    // Group commit: the record joins the open epoch and
-                    // becomes durable at the next commit marker's single
-                    // group fsync ([`Database::commit_epoch`]) — the
-                    // Obladi trade: a bounded (one-epoch) loss window in
-                    // exchange for one fsync per epoch instead of per
-                    // statement.
-                    wal.append_pending(&mut self.host, query)?;
-                } else {
-                    wal.append(&mut self.host, query)?;
-                    self.host.sync_region(wal.region_id())?;
-                }
-            }
+            self.write_ahead(query)?;
         }
         let QueryPlan { action, profile, .. } = plan;
         match action {
@@ -1326,7 +1334,7 @@ impl<M: EnclaveMemory> Database<M> {
                 Ok(QueryOutput::empty(Schema::new(Vec::new())))
             }
             PlanAction::Insert(i) => {
-                self.insert(&i.table, &i.values)?;
+                self.insert_row(&i.table, &i.values)?;
                 Ok(QueryOutput::affected(1))
             }
             PlanAction::Update { table, assignments, pred } => {
@@ -1512,6 +1520,7 @@ impl<M: EnclaveMemory> Database<M> {
                 om_bytes: self.om.available(),
                 zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
                 folded: matches!(sink, RowSink::Fold(_)),
+                fused: None,
             };
             j.om_bytes = shape.om_bytes;
             (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
@@ -1525,7 +1534,9 @@ impl<M: EnclaveMemory> Database<M> {
         let before = host.stats();
         let started = std::time::Instant::now();
         let out = match algo {
-            JoinAlgo::Hash => exec::hash_join(host, om, t1, c1, t2, c2, key, sink),
+            JoinAlgo::Hash => {
+                exec::hash_join(host, om, t1, c1, t2, c2, key, sink, j.fused.as_ref())
+            }
             JoinAlgo::Opaque => {
                 let variant = SortMergeVariant::Opaque;
                 exec::sort_merge_join(host, om, t1, c1, t2, c2, key, sink, variant)
@@ -1884,6 +1895,12 @@ fn agg_columns(
         .iter()
         .map(|(func, col)| Ok((*func, col.as_ref().map(|c| schema.col(c)).transpose()?)))
         .collect()
+}
+
+/// The `INSERT` statement that replays inserting `values` into `table`.
+fn insert_sql(table: &str, values: &[Value]) -> String {
+    let vals = values.iter().map(sql_literal).collect::<Vec<_>>().join(", ");
+    format!("INSERT INTO {table} VALUES ({vals})")
 }
 
 /// Renders a column type exactly as the SQL grammar accepts it.

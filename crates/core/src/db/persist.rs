@@ -26,10 +26,10 @@
 //! region from a dump of the live state (CREATE + INSERT per row), and
 //! every record reaches the durable medium before its statement executes.
 //! So the log alone, replayed into an empty engine, gives back the last
-//! checkpoint plus everything committed since. What it does not carry is
-//! a write made through the typed API instead of SQL — in practice a bulk
-//! load ([`Database::create_table_with_rows`]) — with no checkpoint after
-//! it. When the log on disk extends past the manifest,
+//! checkpoint plus everything committed since (a typed `insert` is logged
+//! as its SQL form). What it does not carry is a bulk load
+//! ([`Database::create_table_with_rows`]) with no checkpoint after it.
+//! When the log on disk extends past the manifest,
 //! `open_with_memory` detects that (the log itself is scanned with
 //! [`crate::wal::Wal::recover_records`], which trusts only the log key)
 //! and returns [`Reopened::NeedsRecovery`] with every durable statement;

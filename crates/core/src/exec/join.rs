@@ -1,21 +1,29 @@
 //! Oblivious join algorithms (paper §4.3).
 //!
-//! * [`hash_join`] — block-partitioned oblivious hash join: chunks of T1
-//!   that fit in oblivious memory become an in-enclave hash table, and
-//!   every row of T2 probes each chunk once, so the access pattern depends
-//!   only on the table sizes and the budget.
+//! * [`hash_join`] — block-partitioned oblivious hash join: chunks of the
+//!   build side that fit in oblivious memory become an in-enclave hash
+//!   table, and every row of the other side probes each chunk once, so the
+//!   access pattern depends only on the table sizes and the budget.
 //! * [`sort_merge_join`] — the Opaque join and its 0-OM variant: union the
 //!   tables, obliviously sort by join key, then one linear merge scan over
 //!   the union. The two variants differ only in whether the sort's chunk
 //!   buffer is charged to oblivious memory (Opaque) or lives in ordinary
 //!   enclave memory (0-OM, chunk of 1 by default).
 //!
-//! Each algorithm has one loop that emits one position per probe or merge
-//! row into a [`RowSink`]: the joined row, or a dummy. A sealing sink
-//! materializes the joined table, one output block per position; a fold
-//! sink feeds each real joined row straight into an
-//! [`AggFold`](super::AggFold) and writes nothing, so an aggregate over a
-//! join costs no output table and no second pass.
+//! Both are foreign-key joins: T1 (the FROM side) is the primary side and
+//! its join keys are unique; T2's may repeat. Each loop emits into a
+//! [`RowSink`]: a sealing sink materializes the joined table, one output
+//! block per position (dummies included); a fold sink feeds each real
+//! joined row straight into an [`AggFold`](super::AggFold) and writes
+//! nothing, so an aggregate over a join costs no output table.
+//!
+//! When T1's keys repeat, what comes back depends on the orientation:
+//! * built on T1 (the unfused hash join), a probe of T2 matches, in each
+//!   chunk holding its key, the last T1 row of that key there;
+//! * sort-merge matches each T2 row with the T1 row of its key that sorts
+//!   last;
+//! * a fused build ([`FusedFilter`], either side) chains every build row of
+//!   a key, so each probe folds all of its matches: the full inner join.
 //!
 //! Sort keys hash the join value (SipHash-2-4 of the encoded column bytes)
 //! so text joins group correctly; the merge verifies true byte equality,
@@ -29,7 +37,8 @@ use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use super::RowSink;
 use crate::error::DbError;
-use crate::plan::cost::JoinShape;
+use crate::plan::cost::{JoinShape, JoinSide};
+use crate::plan::FusedFilter;
 use crate::table::FlatTable;
 use crate::types::{Column, Schema};
 
@@ -75,8 +84,16 @@ fn output_rows(schema: &Schema) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// Oblivious hash join (paper §4.3), emitting into `sink`; returns the
-/// table a sealing sink built. Complexity O(|T1|·|T2| / S); the sink takes
-/// one position per probe: `ceil(|T1| / chunk) · |T2|` of them.
+/// table a sealing sink built. Complexity O(|T1|·|T2| / S).
+///
+/// Unfused, the build is T1 in chunks and the sink takes one position per
+/// probe of T2, `ceil(|T1| / chunk) · |T2|` of them: the last build row of
+/// the probe's key, or a dummy. `fused` builds on the filtered side
+/// instead and needs a folding sink: each probe of the other side folds
+/// every build row of its key, in build order, so the fold runs in probe
+/// order, then build order. `passes` follows from `bound`, and a bound
+/// below the match count returns [`DbError::PaddedBoundExceeded`] once
+/// every pass has run, with the OM lease handed back.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join<M: EnclaveMemory>(
     host: &mut M,
@@ -87,73 +104,131 @@ pub fn hash_join<M: EnclaveMemory>(
     c2: usize,
     out_key: AeadKey,
     mut sink: RowSink<'_, '_>,
+    fused: Option<&FusedFilter>,
 ) -> Result<Option<FlatTable>, DbError> {
     use std::collections::HashMap;
 
-    let s1 = t1.schema().clone();
-    let s2 = t2.schema().clone();
-    let (key1, key2) = (key_range(&s1, c1), key_range(&s2, c2));
-    let (row1, row2) = (s1.row_len(), s2.row_len());
+    if fused.is_some() && !matches!(sink, RowSink::Fold(_)) {
+        return Err(DbError::Unsupported("a fused hash build only folds".into()));
+    }
+    let out_schema = join_schema(t1.schema(), t2.schema());
+    let build_right = fused.is_some_and(|f| f.side == JoinSide::Right);
+    let (build, cb, probe, cp) = if build_right { (t2, c2, t1, c1) } else { (t1, c1, t2, c2) };
+    let (sb, sp) = (build.schema().clone(), probe.schema().clone());
+    let (key_b, key_p) = (key_range(&sb, cb), key_range(&sp, cp));
+    let (row_b, row_p) = (sb.row_len(), sp.row_len());
 
-    // Oblivious-memory chunk: how much of T1 fits in the enclave at once.
-    let entry_size = row1 + 32;
-    let alloc = om.alloc_up_to(t1.capacity() as usize * entry_size);
-    let chunk = ((alloc.bytes() / entry_size).max(1) as u64).min(t1.capacity());
-    let passes = t1.capacity().div_ceil(chunk);
+    // Oblivious-memory chunk: how many build rows fit in the enclave at
+    // once, out of the stored side or the filter's bound.
+    let rows = fused.map_or(build.capacity(), |f| f.bound.max(1));
+    let entry_size = row_b + 32;
+    let alloc = om.alloc_up_to(rows as usize * entry_size);
+    let chunk = ((alloc.bytes() / entry_size).max(1) as u64).min(rows);
+    let passes = rows.div_ceil(chunk);
 
-    let out_schema = join_schema(&s1, &s2);
     let (dummy, mut joined) = output_rows(&out_schema);
-    sink.open(host, out_key, out_schema, passes * t2.capacity())?;
-    let io_chunk = t2.io_chunk_rows();
-    let build_io = t1.io_chunk_rows();
-    let mut arena: Vec<u8> = Vec::with_capacity(chunk as usize * row1);
+    sink.open(host, out_key, out_schema, passes * probe.capacity())?;
+    let (probe_io, build_io) = (probe.io_chunk_rows(), build.io_chunk_rows());
+    let mut arena: Vec<u8> = Vec::with_capacity(chunk as usize * row_b);
+    let mut seen = 0u64;
     for pass in 0..passes {
-        let lo = pass * chunk;
-        let hi = (lo + chunk).min(t1.capacity());
-        // Read this chunk of T1 into one contiguous arena, in io-sized
-        // batched runs so the region scratch stays bounded — the arena
-        // and its index are what the OM budget pays for.
+        let (lo, hi) = (pass * chunk, ((pass + 1) * chunk).min(rows));
+        // Read this pass's build rows into one contiguous arena, in
+        // io-sized batched runs so the region scratch stays bounded — the
+        // arena and its index are what the OM budget pays for.
         arena.clear();
-        let mut at = lo;
-        while at < hi {
-            let n = build_io.min((hi - at) as usize);
-            arena.extend_from_slice(t1.read_rows(host, at, n)?);
-            at += n as u64;
-        }
-        // Index the used rows by key bytes; a later duplicate overwrites
-        // an earlier one.
-        let mut build: HashMap<&[u8], usize> = HashMap::with_capacity((hi - lo) as usize);
-        for (i, r1) in arena.chunks_exact(row1).enumerate() {
-            if Schema::row_used(r1) {
-                build.insert(&r1[key1.clone()], i * row1);
+        match fused {
+            None => {
+                let mut at = lo;
+                while at < hi {
+                    let n = build_io.min((hi - at) as usize);
+                    arena.extend_from_slice(build.read_rows(host, at, n)?);
+                    at += n as u64;
+                }
+            }
+            Some(f) => {
+                seen = 0;
+                build.for_each_row(host, |_, r| {
+                    if Schema::row_used(r) && f.pred.eval(&sb, r) {
+                        if (lo..hi).contains(&seen) {
+                            arena.extend_from_slice(r);
+                        }
+                        seen += 1;
+                    }
+                })?;
             }
         }
-        // Probe every row of T2; each probe emits exactly one position
-        // (paper: "After each check, a row is written to the next block of
-        // an output table") — reads and writes move in batched runs.
+        // Index the used rows by key bytes: each key's first and last row,
+        // with `next` chaining a key's rows in build order.
+        let mut index: HashMap<&[u8], (usize, usize)> = HashMap::with_capacity(chunk as usize);
+        let mut next = vec![usize::MAX; arena.len() / row_b];
+        for (i, r) in arena.chunks_exact(row_b).enumerate() {
+            if Schema::row_used(r) {
+                let ends = index.entry(&r[key_b.clone()]).or_insert((i, i));
+                if ends.1 != i {
+                    next[ends.1] = i;
+                    ends.1 = i;
+                }
+            }
+        }
+        let row = |i: usize| &arena[i * row_b..(i + 1) * row_b];
+        // Probe every row of the other side; unfused, each probe emits
+        // exactly one position (paper: "After each check, a row is written
+        // to the next block of an output table") — reads and writes move
+        // in batched runs.
         let mut start = 0u64;
-        while start < t2.capacity() {
-            let n = io_chunk.min((t2.capacity() - start) as usize);
-            let probes = t2.read_rows(host, start, n)?;
-            for r2 in probes.chunks_exact(row2) {
-                let hit = if Schema::row_used(r2) { build.get(&r2[key2.clone()]) } else { None };
-                let hit = hit.map(|&off| (&arena[off..off + row1], r2));
-                emit(&mut sink, &mut joined, &dummy, hit);
+        while start < probe.capacity() {
+            let n = probe_io.min((probe.capacity() - start) as usize);
+            for rp in probe.read_rows(host, start, n)?.chunks_exact(row_p) {
+                let hit = if Schema::row_used(rp) { index.get(&rp[key_p.clone()]) } else { None };
+                match (fused, hit) {
+                    (None, hit) => {
+                        let hit = hit.map(|&(_, last)| (row(last), rp));
+                        emit(&mut sink, &mut joined, &dummy, hit);
+                    }
+                    (Some(_), hit) => {
+                        let mut i = hit.map_or(usize::MAX, |&(first, _)| first);
+                        while i != usize::MAX {
+                            let pair = if build_right { (rp, row(i)) } else { (row(i), rp) };
+                            emit(&mut sink, &mut joined, &dummy, Some(pair));
+                            i = next[i];
+                        }
+                    }
+                }
             }
             sink.flush(host)?;
             start += n as u64;
         }
     }
-    Ok(sink.finish())
+    match fused {
+        Some(f) if seen > f.bound => Err(DbError::PaddedBoundExceeded { bound: f.bound }),
+        _ => Ok(sink.finish()),
+    }
 }
 
-/// What [`hash_join`] costs over `shape`: each T1 chunk streamed once, and
-/// per pass one full probe of T2; a sealing sink adds the `passes · |T2|`
-/// output and one output block per probe in T2-chunk-sized runs.
+/// What [`hash_join`] costs over `shape`. Unfused: each T1 chunk streamed
+/// once, and per pass one full probe of T2; a sealing sink adds the
+/// `passes · |T2|` output and one output block per probe in T2-chunk-sized
+/// runs. Fused: per pass, one scan of the filtered side's base table and
+/// one of the other side, nothing written.
 pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
-    let (row1, row2) = (shape.left_schema.row_len(), shape.right_schema.row_len());
+    let (s1, s2) = (&shape.left_schema, &shape.right_schema);
     let (cap1, cap2) = (shape.left_capacity.max(1), shape.right_capacity.max(1));
-    let out_len = join_schema(&shape.left_schema, &shape.right_schema).row_len();
+    if let Some((side, bound)) = shape.fused {
+        let ((sb, cap_b), (sp, cap_p)) = match side {
+            JoinSide::Left => ((s1, cap1), (s2, cap2)),
+            JoinSide::Right => ((s2, cap2), (s1, cap1)),
+        };
+        let entry_size = sb.row_len() + 32;
+        let rows = bound.max(1);
+        let chunk = (((rows as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64)
+            .min(rows);
+        let scans = SealedRegion::read_batch_cost(sb.row_len(), cap_b)
+            + SealedRegion::read_batch_cost(sp.row_len(), cap_p);
+        return scans * rows.div_ceil(chunk);
+    }
+    let (row1, row2) = (s1.row_len(), s2.row_len());
+    let out_len = join_schema(s1, s2).row_len();
     let entry_size = row1 + 32;
     let chunk =
         (((cap1 as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64).min(cap1);
@@ -356,6 +431,8 @@ pub fn sort_merge_join_cost(shape: &JoinShape, variant: SortMergeVariant) -> Hos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{AggFold, AggFunc};
+    use crate::predicate::Predicate;
     use crate::types::{DataType, Value};
     use oblidb_enclave::Host;
     use oblidb_enclave::DEFAULT_OM_BYTES;
@@ -380,6 +457,32 @@ mod tests {
             .collect();
         FlatTable::from_encoded_rows(host, AeadKey([seed; 32]), schema, &encoded, rows.len() as u64)
             .unwrap()
+    }
+
+    /// The table an unfused hash join of `t1` and `t2` on their first
+    /// columns seals.
+    fn hashed<M: EnclaveMemory>(
+        host: &mut M,
+        om: &OmBudget,
+        t1: &mut FlatTable,
+        t2: &mut FlatTable,
+    ) -> FlatTable {
+        hash_join(host, om, t1, 0, t2, 0, AeadKey([9u8; 32]), RowSink::seal(), None)
+            .unwrap()
+            .unwrap()
+    }
+
+    /// The table a sort-merge join of `t1` and `t2` on their first columns
+    /// seals.
+    fn merged<M: EnclaveMemory>(
+        host: &mut M,
+        om: &OmBudget,
+        t1: &mut FlatTable,
+        t2: &mut FlatTable,
+        variant: SortMergeVariant,
+    ) -> FlatTable {
+        let key = AeadKey([9u8; 32]);
+        sort_merge_join(host, om, t1, 0, t2, 0, key, RowSink::seal(), variant).unwrap().unwrap()
     }
 
     /// Reference nested-loop join on decoded values.
@@ -429,10 +532,7 @@ mod tests {
         let om = OmBudget::new(DEFAULT_OM_BYTES);
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
-        let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
-                .unwrap()
-                .unwrap();
+        let mut out = hashed(&mut host, &om, &mut t1, &mut t2);
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
     }
 
@@ -443,10 +543,7 @@ mod tests {
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
         let om = OmBudget::new(2 * (t1.row_len() + 32));
-        let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
-                .unwrap()
-                .unwrap();
+        let mut out = hashed(&mut host, &om, &mut t1, &mut t2);
         assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
         // Output structure: passes × |T2| blocks.
         assert_eq!(out.capacity() % t2_rows().len() as u64, 0);
@@ -454,47 +551,19 @@ mod tests {
     }
 
     #[test]
-    fn opaque_join_matches_reference() {
-        let mut host = Host::new();
-        let om = OmBudget::new(DEFAULT_OM_BYTES);
-        let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
-        let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
-        let mut out = sort_merge_join(
-            &mut host,
-            &om,
-            &mut t1,
-            0,
-            &mut t2,
-            0,
-            AeadKey([9u8; 32]),
-            RowSink::seal(),
-            SortMergeVariant::Opaque,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
-    }
-
-    #[test]
-    fn zero_om_join_matches_reference() {
-        let mut host = Host::new();
-        let om = OmBudget::new(0); // truly zero oblivious memory
-        let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
-        let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
-        let mut out = sort_merge_join(
-            &mut host,
-            &om,
-            &mut t1,
-            0,
-            &mut t2,
-            0,
-            AeadKey([9u8; 32]),
-            RowSink::seal(),
-            SortMergeVariant::ZeroOm { scratch_rows: 1 },
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
+    fn sort_merge_joins_match_reference() {
+        // Opaque, then truly zero oblivious memory.
+        for (om_bytes, variant) in [
+            (DEFAULT_OM_BYTES, SortMergeVariant::Opaque),
+            (0, SortMergeVariant::ZeroOm { scratch_rows: 1 }),
+        ] {
+            let mut host = Host::new();
+            let om = OmBudget::new(om_bytes);
+            let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
+            let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
+            let mut out = merged(&mut host, &om, &mut t1, &mut t2, variant);
+            assert_eq!(extract(&mut host, &mut out), reference(&t1_rows(), &t2_rows()));
+        }
     }
 
     #[test]
@@ -529,28 +598,28 @@ mod tests {
         let mut t2 =
             FlatTable::from_encoded_rows(&mut host, AeadKey([2u8; 32]), s2, &r2, 4).unwrap();
         for variant in [SortMergeVariant::Opaque, SortMergeVariant::ZeroOm { scratch_rows: 2 }] {
-            let out = sort_merge_join(
-                &mut host,
-                &om,
-                &mut t1,
-                0,
-                &mut t2,
-                0,
-                AeadKey([9u8; 32]),
-                RowSink::seal(),
-                variant,
-            )
-            .unwrap()
-            .unwrap();
+            let out = merged(&mut host, &om, &mut t1, &mut t2, variant);
             assert_eq!(out.num_rows(), 3, "{variant:?}");
         }
-        let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
-                .unwrap()
-                .unwrap();
-        assert_eq!(out.num_rows(), 3);
-        let rows = out.collect_rows(&mut host).unwrap();
-        assert_eq!(rows.len(), 3);
+        let mut out = hashed(&mut host, &om, &mut t1, &mut t2);
+        assert_eq!((out.num_rows(), out.collect_rows(&mut host).unwrap().len()), (3, 3));
+    }
+
+    #[test]
+    fn repeated_primary_keys_per_build_orientation() {
+        let (mut host, om) = (Host::new(), OmBudget::new(DEFAULT_OM_BYTES));
+        let mut t1 = build(&mut host, schema1(), &[(3, 1), (3, 2), (5, 3)], 1);
+        let mut t2 = build(&mut host, schema2(), &[(3, 7)], 2);
+        let mut unfused = hashed(&mut host, &om, &mut t1, &mut t2);
+        assert_eq!(extract(&mut host, &mut unfused), [(3, 2, 3, 7)], "the last T1 row");
+        for (side, bound) in [(JoinSide::Left, 3), (JoinSide::Right, 1)] {
+            let fused = FusedFilter { side, pred: Predicate::True, bound };
+            let (s, count) = (join_schema(t1.schema(), t2.schema()), [(AggFunc::Count, None)]);
+            let mut agg = AggFold::new(s, &count, &Predicate::True);
+            let (key, sink) = (AeadKey([9u8; 32]), RowSink::Fold(&mut agg));
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, key, sink, Some(&fused)).unwrap();
+            assert_eq!(agg.finish(), [Value::Int(2)], "{side:?}: every pair");
+        }
     }
 
     #[test]
@@ -559,10 +628,7 @@ mod tests {
         let om = OmBudget::new(DEFAULT_OM_BYTES);
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &[(999, 0)], 2);
-        let mut out =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
-                .unwrap()
-                .unwrap();
+        let mut out = hashed(&mut host, &om, &mut t1, &mut t2);
         assert_eq!(out.num_rows(), 0);
         assert!(out.collect_rows(&mut host).unwrap().is_empty());
     }
@@ -585,27 +651,9 @@ mod tests {
                 let mut t2 = build(&mut host, schema2(), &d2, 2);
                 host.start_trace();
                 match variant {
-                    None => {
-                        let sink = RowSink::seal();
-                        hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), sink)
-                            .unwrap();
-                    }
-                    Some(v) => {
-                        sort_merge_join(
-                            &mut host,
-                            &om,
-                            &mut t1,
-                            0,
-                            &mut t2,
-                            0,
-                            AeadKey([9u8; 32]),
-                            RowSink::seal(),
-                            v,
-                        )
-                        .unwrap()
-                        .unwrap();
-                    }
-                }
+                    None => hashed(&mut host, &om, &mut t1, &mut t2),
+                    Some(v) => merged(&mut host, &om, &mut t1, &mut t2, v),
+                };
                 traces.push(host.take_trace());
             }
             assert_eq!(traces[0], traces[1], "{variant:?}");
@@ -618,27 +666,12 @@ mod tests {
         let om = OmBudget::new(DEFAULT_OM_BYTES);
         let mut t1 = build(&mut host, schema1(), &t1_rows(), 1);
         let mut t2 = build(&mut host, schema2(), &t2_rows(), 2);
-        let mut joined =
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, AeadKey([9u8; 32]), RowSink::seal())
-                .unwrap()
-                .unwrap();
+        let mut joined = hashed(&mut host, &om, &mut t1, &mut t2);
         // Joined rows with b >= 3: b in {3, 4, 5, 6}.
-        let pred = Predicate_on_b(&joined);
-        let out = crate::exec::select::select_small(
-            &mut host,
-            &om,
-            &mut joined,
-            &pred,
-            AeadKey([8u8; 32]),
-            4,
-        )
-        .unwrap();
+        let ge = crate::predicate::CmpOp::Ge;
+        let pred = Predicate::cmp(joined.schema(), "t2.b", ge, Value::Int(3)).unwrap();
+        let key = AeadKey([8u8; 32]);
+        let out = crate::exec::select_small(&mut host, &om, &mut joined, &pred, key, 4).unwrap();
         assert_eq!(out.num_rows(), 4);
-    }
-
-    #[allow(non_snake_case)]
-    fn Predicate_on_b(joined: &FlatTable) -> crate::predicate::Predicate {
-        use crate::predicate::CmpOp;
-        crate::predicate::Predicate::cmp(joined.schema(), "t2.b", CmpOp::Ge, Value::Int(3)).unwrap()
     }
 }

@@ -33,7 +33,8 @@ use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
 
-use super::{CandidateCost, JoinCandidateCost, JoinChoice, NodeCost, SelectChoice};
+use super::{AccessPath, CandidateCost, FusedFilter, JoinCandidateCost, JoinChoice, JoinNode};
+use super::{NodeCost, PlanNode, SelectChoice};
 
 /// Per-substrate operator pricing, in units of one in-RAM block access.
 ///
@@ -264,6 +265,15 @@ pub fn select_cost(algo: SelectAlgo, shape: &SelectShape) -> HostStats {
     }
 }
 
+/// One input of a join: left is the FROM (primary) side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSide {
+    /// The FROM side, T1.
+    Left,
+    /// The JOIN side, T2.
+    Right,
+}
+
 /// The public shape a JOIN stage is priced from.
 #[derive(Debug, Clone)]
 pub struct JoinShape {
@@ -282,6 +292,10 @@ pub struct JoinShape {
     /// Whether the join folds into the aggregate above it instead of
     /// materializing: no output table is created or written.
     pub folded: bool,
+    /// A folded hash join that builds on this side with its pushed-down
+    /// filter, keeping at most this many passing rows; the side's schema
+    /// and capacity are then its base table's.
+    pub fused: Option<(JoinSide, u64)>,
 }
 
 /// The accesses one JOIN operator will make over `shape` — fill, oblivious
@@ -374,6 +388,58 @@ pub fn choose_join(
     (JoinChoice::Chosen { algo, candidates }, Some(est))
 }
 
+/// Fuses a folded join's pushed-down filter into a hash build on its side
+/// ([`FusedFilter`]) when that counts cheaper under
+/// `profile` than the filter's select plus the join `j.choice` names over
+/// `shape`. It applies to a filter over a flat base table whose bound is
+/// pinned — the prepare-time match count, or the padded bound — beside a
+/// flat table of another name, unless a select or another join is forced
+/// or the budget admits only the 0-OM join.
+pub(crate) fn fuse_filtered_build(
+    cfg: &PlannerConfig,
+    j: &mut JoinNode,
+    shape: &JoinShape,
+    profile: &CostProfile,
+) {
+    let (side, filter, other) = match (j.left.as_ref(), j.right.as_ref()) {
+        (PlanNode::Filter(f), PlanNode::Scan(o)) => (JoinSide::Left, f, o),
+        (PlanNode::Scan(o), PlanNode::Filter(f)) => (JoinSide::Right, f, o),
+        _ => return,
+    };
+    let bound = match (&filter.choice, filter.est_matches) {
+        (SelectChoice::Padded { pad_rows }, _) => *pad_rows,
+        (_, Some(m)) => m,
+        _ => return,
+    };
+    let (PlanNode::Scan(base), Some(algo)) = (filter.input.as_ref(), j.choice.algo()) else {
+        return;
+    };
+    if cfg.force_select.is_some()
+        || (algo != JoinAlgo::Hash && cfg.force_join.is_some())
+        || shape.om_bytes == 0
+        || base.access != AccessPath::Flat
+        || other.access != AccessPath::Flat
+        || base.table == other.table
+    {
+        return;
+    }
+    let mut fused = JoinShape { fused: Some((side, bound)), ..shape.clone() };
+    let (l, r) = (&mut fused.left_capacity, &mut fused.right_capacity);
+    *(if side == JoinSide::Left { l } else { r }) = base.capacity;
+    let fused = NodeCost::from_stats(&join_cost(JoinAlgo::Hash, &fused), profile);
+    let unfused = filter.est.map_or(0.0, |c| c.weighted) + profile.weigh(&join_cost(algo, shape));
+    if fused.weighted >= unfused {
+        return;
+    }
+    let (scan, pred) = (PlanNode::Scan(base.clone()), filter.pred.clone());
+    **(if side == JoinSide::Left { &mut j.left } else { &mut j.right }) = scan;
+    if let JoinChoice::Chosen { algo, .. } = &mut j.choice {
+        *algo = JoinAlgo::Hash;
+    }
+    j.est = Some(fused);
+    j.fused = Some(FusedFilter { side, pred, bound });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,6 +499,7 @@ mod tests {
             om_bytes: 1 << 16,
             zero_om_scratch_rows: 1,
             folded: false,
+            fused: None,
         };
         let cfg = PlannerConfig::default();
         let candidates_of = |shape: &JoinShape| {
@@ -468,6 +535,7 @@ mod tests {
             om_bytes: 1 << 20,
             zero_om_scratch_rows: 1,
             folded: false,
+            fused: None,
         };
         let (join, _) = choose_join(&cfg, &joined, &CostProfile::host());
         assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));

@@ -23,7 +23,7 @@ use crate::predicate::{Bound, Predicate};
 use crate::sql;
 use crate::types::Value;
 
-use cost::{CostProfile, JoinAlgo, SelectAlgo};
+use cost::{CostProfile, JoinAlgo, JoinSide, SelectAlgo};
 
 /// Pre-allocated output-region key material, redacted from Debug output
 /// (plans render in logs and EXPLAIN results; keys must not).
@@ -249,6 +249,23 @@ impl JoinChoice {
     }
 }
 
+/// A side's pushed-down filter that a folded hash join runs inside its
+/// build ([`crate::exec::hash_join`]): no select operator runs, and the
+/// side's plan is the bare scan of its base table. Every build pass scans
+/// that table whole and keeps the rows `pred` passes, numbered from 0 in
+/// table order; pass `k` keeps rows `k·chunk … (k+1)·chunk − 1` of
+/// `bound`, so no chunk ends at a data-dependent position.
+#[derive(Debug, Clone)]
+pub struct FusedFilter {
+    /// The side the join builds on.
+    pub side: JoinSide,
+    /// The filter's resolved predicate.
+    pub pred: Predicate,
+    /// Passing rows the build covers: the prepare-time match count, or
+    /// the padded bound.
+    pub bound: u64,
+}
+
 /// A planned join stage (left = FROM side / primary, right = foreign).
 #[derive(Debug, Clone)]
 pub struct JoinNode {
@@ -268,6 +285,8 @@ pub struct JoinNode {
     pub actual: Option<NodeCost>,
     /// Oblivious-memory budget (bytes) the choice assumed.
     pub om_bytes: usize,
+    /// The filter the hash build runs, when the planner fused one.
+    pub fused: Option<FusedFilter>,
     /// Output schema with table-qualified column names, applied to the
     /// joined table so downstream WHERE / GROUP BY can reference them.
     pub(crate) renamed: crate::types::Schema,
@@ -534,7 +553,10 @@ fn render(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
                 JoinChoice::Chosen { algo, .. } => format!("{algo:?}"),
                 JoinChoice::Deferred => "deferred to run".to_string(),
             };
-            out.push(format!("{pad}-> Join [{algo}] om={}B", j.om_bytes));
+            let fused = j.fused.as_ref().map_or(String::new(), |f| {
+                format!(" build={:?} fused filter, bound {}", f.side, f.bound)
+            });
+            out.push(format!("{pad}-> Join [{algo}] om={}B{fused}", j.om_bytes));
             if let JoinChoice::Chosen { candidates, .. } = &j.choice {
                 let cells: Vec<String> = candidates
                     .iter()

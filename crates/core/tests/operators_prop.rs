@@ -225,7 +225,9 @@ fn joins_match_reference() {
             let mut right = build(&mut host, &t2);
             let (key, sink) = (AeadKey([9u8; 32]), RowSink::seal());
             let mut out = match variant {
-                None => exec::hash_join(&mut host, &om, &mut left, 0, &mut right, 0, key, sink),
+                None => {
+                    exec::hash_join(&mut host, &om, &mut left, 0, &mut right, 0, key, sink, None)
+                }
                 Some(v) => {
                     exec::sort_merge_join(&mut host, &om, &mut left, 0, &mut right, 0, key, sink, v)
                 }

@@ -130,6 +130,32 @@ fn crash_between_writes_and_sync_recovers_on_cached_disk() {
     }
 }
 
+/// A row inserted through the typed `Database::insert` after a checkpoint
+/// is written ahead like its SQL form, so a crash before the next
+/// checkpoint recovers it: the reopen replays the log, skips nothing, and
+/// finds no region the manifest does not describe.
+#[test]
+fn typed_insert_after_checkpoint_is_logged_and_recovered() {
+    let guard = TempDir::new("oblidb-crash-typed").unwrap();
+    let dir = guard.path().join("db");
+    let spec = SubstrateSpec::Disk { dir: Some(dir.clone()) };
+    {
+        let mut db = oblidb::database_on(&spec, wal_config()).unwrap();
+        db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
+        db.persist_to(&dir).unwrap();
+        db.insert("t", &[Value::Int(2), Value::Int(-20)]).unwrap();
+    } // crash: no checkpoint after the typed insert
+
+    let (mut recovered, report) = oblidb::database_open_with_report(&spec, wal_config()).unwrap();
+    let report = report.expect("a logged insert after the checkpoint triggers recovery");
+    assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+    assert_eq!(
+        all_rows(&mut recovered),
+        vec![vec![Value::Int(1), Value::Int(10)], vec![Value::Int(2), Value::Int(-20)]]
+    );
+}
+
 #[test]
 fn crash_during_recovery_itself_loses_nothing() {
     // The nastiest schedule: crash past a checkpoint, start recovery,

@@ -152,9 +152,12 @@ fn bdb_q3_equivalent_to_plain_reference() {
 /// instead of materializing the join. Whatever the algorithm, the number
 /// of hash passes, the side the WHERE is pushed to, or whether a side is
 /// index-probed (a join chosen at run time), the fold must equal folding
-/// the rows the same join materializes (`SELECT *`, in result order) —
-/// floats to the bit — and its integer aggregates must equal the plain
-/// engine's.
+/// the rows the same join materializes (`SELECT *`), floats to the bit,
+/// and its integer aggregates must equal the plain engine's. The fold
+/// order is the materialized result order, except where the planner fuses
+/// the WHERE on `r` into a hash build on `r`: that fold runs per build
+/// pass in probe order (`lk`), then build order (`x`). A fused join lists
+/// no intermediate at all.
 #[test]
 fn folded_join_aggregates_equal_the_materialized_join() {
     use oblidb::core::{Column, DataType, JoinAlgo, Schema};
@@ -216,9 +219,21 @@ fn folded_join_aggregates_equal_the_materialized_join() {
                 let folded = run(format!("{aggregate}{where_clause}"));
                 let materialized = run(format!("{star}{where_clause}"));
 
-                // Fold the materialized rows [lk, i, rk, f, x] in order.
-                let rows = materialized.rows();
+                // Fold the materialized rows [lk, i, rk, f, x] in fold order.
+                let fused = !where_clause.is_empty()
+                    && !indexed
+                    && folded.plan.intermediate_rows.is_empty();
+                let mut rows = materialized.rows().to_vec();
                 assert!(!rows.is_empty(), "{ctx}");
+                if fused && label == "WHERE on r" {
+                    // Build pass k keeps passing rows k·chunk … (k+1)·chunk − 1.
+                    let chunk = (om_bytes / (r_schema.row_len() + 32)).max(1) as i64;
+                    let pass = |x: i64| (x - 20) / chunk;
+                    rows.sort_by_key(|r| {
+                        let x = r[4].as_int().unwrap();
+                        (pass(x), r[0].as_int().unwrap(), x)
+                    });
+                }
                 let ints: Vec<i64> = rows.iter().map(|r| r[1].as_int().unwrap()).collect();
                 let sum_f = rows.iter().fold(0.0f64, |acc, r| acc + r[3].as_float().unwrap());
                 let expected = [
@@ -267,10 +282,132 @@ fn folded_join_aggregates_equal_the_materialized_join() {
                 assert_eq!(folded.plan.used_index, indexed, "{ctx}");
                 let (join_rows, inputs) = materialized.plan.intermediate_rows.split_last().unwrap();
                 assert_eq!(*join_rows, rows.len() as u64, "{ctx}");
+                if algo == JoinAlgo::Hash && om_bytes == 1 << 20 && label.starts_with("WHERE") {
+                    assert!(fused, "{ctx}: one build pass fuses the filter");
+                }
+                let listed: &[u64] = if fused { &[] } else { inputs };
                 assert_eq!(
-                    folded.plan.intermediate_rows, inputs,
+                    folded.plan.intermediate_rows, listed,
                     "{ctx}: no join output is listed"
                 );
+            }
+        }
+    }
+}
+
+/// Aggregates folded over a join against the plain engine, over seeded
+/// random foreign-key tables (`l`'s keys unique, `r`'s repeating or
+/// missing): COUNT, SUM, MIN, MAX and AVG over INT and FLOAT columns of
+/// both sides, with the WHERE on `l`, on `r` or absent, under each forced
+/// join algorithm and the planner's own choice, with one build pass and
+/// with at least three. Integers must match exactly and floats within
+/// 1e-9 relative: a fused build folds in its own order.
+#[test]
+fn folded_join_with_filter_matches_plain_on_random_tables() {
+    use oblidb::core::{Column, DataType, JoinAlgo, Schema};
+    use oblidb::enclave::EnclaveRng;
+
+    let side = |name: &str| {
+        let col = |c: &str, dtype| Column::new(format!("{name}{c}"), dtype);
+        Schema::new(vec![
+            col("k", DataType::Int),
+            col("i", DataType::Int),
+            col("f", DataType::Float),
+        ])
+    };
+    let (l_schema, r_schema) = (side("l"), side("r"));
+    let joined = l_schema.join("l", &r_schema, "r");
+    let items = [
+        ("COUNT(*)", AggFunc::Count, None),
+        ("SUM(li)", AggFunc::Sum, Some(1)),
+        ("SUM(rf)", AggFunc::Sum, Some(5)),
+        ("MIN(ri)", AggFunc::Min, Some(4)),
+        ("MIN(lf)", AggFunc::Min, Some(2)),
+        ("MAX(li)", AggFunc::Max, Some(1)),
+        ("MAX(rf)", AggFunc::Max, Some(5)),
+        ("AVG(ri)", AggFunc::Avg, Some(4)),
+        ("AVG(lf)", AggFunc::Avg, Some(2)),
+    ];
+    let select = items.iter().map(|(sql, ..)| *sql).collect::<Vec<_>>().join(", ");
+    // Both sides have 25-byte rows: 4 per build chunk, so ≥ 3 passes.
+    let small_om = 4 * (l_schema.row_len() + 32);
+    let seeds: &[u64] = if cfg!(debug_assertions) { &[1, 2] } else { &[1, 2, 3, 4, 5, 6, 7, 8] };
+
+    for &seed in seeds {
+        let mut rng = EnclaveRng::seed_from_u64(seed);
+        let value = |rng: &mut EnclaveRng, n: u64| rng.below(2 * n + 1) as i64 - n as i64;
+        let row = |rng: &mut EnclaveRng, k: i64| {
+            let (i, f) = (value(rng, 1_000), value(rng, 10_000));
+            vec![Value::Int(k), Value::Int(i), Value::Float(f as f64 / 7.0)]
+        };
+        let (n_l, n_r) = (25 + rng.below(10) as usize, 60 + rng.below(60) as usize);
+        let mut keys: Vec<i64> = (0..n_l as i64).map(|i| 3 * i - 40).collect();
+        for i in (1..n_l).rev() {
+            keys.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let l_rows: Vec<Vec<Value>> = keys.iter().map(|&k| row(&mut rng, k)).collect();
+        let r_rows: Vec<Vec<Value>> = (0..n_r)
+            .map(|_| {
+                // About one row in eight matches no `l` key.
+                let at = rng.below(n_l as u64 * 8 / 7) as usize;
+                let k = keys.get(at).copied().unwrap_or(3 * at as i64 - 39);
+                row(&mut rng, k)
+            })
+            .collect();
+        let plain = PlainTable::new(
+            joined.clone(),
+            PlainTable::new(l_schema.clone(), l_rows.clone()).join(
+                0,
+                &PlainTable::new(r_schema.clone(), r_rows.clone()),
+                0,
+            ),
+        );
+        let wheres = [
+            (String::new(), Predicate::True),
+            (
+                " WHERE li < 250".into(),
+                Predicate::cmp(&joined, "l.li", CmpOp::Lt, Value::Int(250)).unwrap(),
+            ),
+            (
+                " WHERE ri >= -300".into(),
+                Predicate::cmp(&joined, "r.ri", CmpOp::Ge, Value::Int(-300)).unwrap(),
+            ),
+        ];
+
+        for om_bytes in [1 << 20, small_om] {
+            for algo in [None, Some(JoinAlgo::Hash), Some(JoinAlgo::Opaque), Some(JoinAlgo::ZeroOm)]
+            {
+                let mut config = DbConfig { om_bytes, ..DbConfig::default() };
+                config.planner.force_join = algo;
+                let mut db = Database::new(config);
+                for (name, schema, rows) in [("l", &l_schema, &l_rows), ("r", &r_schema, &r_rows)] {
+                    let n = rows.len() as u64;
+                    db.create_table_with_rows(
+                        name,
+                        schema.clone(),
+                        StorageMethod::Flat,
+                        None,
+                        rows,
+                        n,
+                    )
+                    .unwrap();
+                }
+                for (where_sql, pred) in &wheres {
+                    let sql = format!("SELECT {select} FROM l JOIN r ON l.lk = r.rk{where_sql}");
+                    let ctx = format!("seed {seed}, OM {om_bytes} B, {algo:?}: {sql}");
+                    let out = db.execute(&sql).unwrap();
+                    assert!(out.plan.fused_aggregate, "{ctx}");
+                    for ((item, func, col), got) in items.iter().zip(&out.rows()[0]) {
+                        let want = plain.aggregate(*func, *col, pred);
+                        match (got, &want) {
+                            (Value::Float(a), Value::Float(b)) => assert!(
+                                (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+                                "{ctx}: {item} = {a}, plain {b}"
+                            ),
+                            _ => assert_eq!(got, &want, "{ctx}: {item}"),
+                        }
+                    }
+                }
             }
         }
     }

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use oblidb::core::padding::PaddingConfig;
-use oblidb::core::{Database, DbConfig, SelectAlgo, StorageMethod, Value};
+use oblidb::core::{Database, DbConfig, DbError, SelectAlgo, StorageMethod, Value};
 use oblidb::enclave::{AccessKind, RegionId, Trace};
 
 fn fresh_db(rows: &[(i64, i64)], method: StorageMethod) -> Database {
@@ -156,6 +156,45 @@ fn padded_filters_hide_match_counts() {
     }
 }
 
+/// Padding mode through the fused build: the build's passes come from the
+/// padded bound, so 3 and 9 matches under a bound of 12 leave one trace.
+/// 13 matches run every pass, then return `PaddedBoundExceeded` and hand
+/// the OM lease back.
+#[test]
+fn padded_fused_build_hides_match_counts() {
+    let run = |matches: i64| {
+        let padding = Some(PaddingConfig { pad_rows: 12 });
+        let mut db = Database::new(DbConfig { padding, ..DbConfig::default() });
+        db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 24").unwrap();
+        db.execute("CREATE TABLE b (k INT, y INT) CAPACITY 24").unwrap();
+        for i in 0..20 {
+            let y = if i < matches { i } else { 100 + i };
+            db.execute(&format!("INSERT INTO a VALUES ({i}, {i})")).unwrap();
+            db.execute(&format!("INSERT INTO b VALUES ({i}, {y})")).unwrap();
+        }
+        let sql = "SELECT COUNT(*), SUM(x) FROM a JOIN b ON a.k = b.k WHERE y < 100";
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let lines: Vec<&str> = plan.rows().iter().filter_map(|r| r[0].as_text()).collect();
+        assert!(
+            lines.iter().any(|l| l.contains("build=Right fused filter, bound 12")),
+            "{lines:?}"
+        );
+        let om = db.om().available();
+        db.start_trace();
+        let out = db.execute(sql).map(|o| o.rows()[0][0].clone());
+        let trace = db.take_trace();
+        assert_eq!(db.om().available(), om, "the OM lease comes back");
+        (out, trace)
+    };
+    let (few, t_few) = run(3);
+    let (many, t_many) = run(9);
+    assert_eq!((few.unwrap(), many.unwrap()), (Value::Int(3), Value::Int(9)));
+    assert_eq!(t_few, t_many, "the match count must not show under padding");
+    let (over, t_over) = run(13);
+    assert!(matches!(over, Err(DbError::PaddedBoundExceeded { bound: 12 })), "{over:?}");
+    assert_eq!(t_over, t_few, "an overflow is found only after every pass ran");
+}
+
 /// The regions `trace` writes, in first-write order, each with the block
 /// indices written.
 fn written(trace: &Trace) -> Vec<(RegionId, BTreeSet<u64>)> {
@@ -173,8 +212,9 @@ fn written(trace: &Trace) -> Vec<(RegionId, BTreeSet<u64>)> {
 
 /// An aggregate over a join folds the joined rows in the join's own loop.
 /// Its trace still depends only on sizes, under every join algorithm, and
-/// a folded hash join writes nothing but the pushed-down filter's output:
-/// the one-row result comes from the accumulators.
+/// a folded hash join writes nothing, its pushed-down filter included: the
+/// filter runs inside the build, and the one-row result comes from the
+/// accumulators.
 #[test]
 fn folded_join_aggregate_trace_depends_only_on_sizes() {
     use oblidb::core::JoinAlgo;
@@ -207,19 +247,79 @@ fn folded_join_aggregate_trace_depends_only_on_sizes() {
         }
     }
 
-    let (_, trace) = run(JoinAlgo::Hash, 0, bare);
-    let writes = written(&trace);
-    assert!(writes.is_empty(), "a bare folded join writes nothing: {writes:?}");
+    for sql in [bare, pushed] {
+        let (_, trace) = run(JoinAlgo::Hash, 0, sql);
+        let writes = written(&trace);
+        assert!(writes.is_empty(), "{sql}: a folded hash join writes nothing: {writes:?}");
+    }
+}
 
-    let (_, trace) = run(JoinAlgo::Hash, 0, pushed);
-    let writes = written(&trace);
-    assert_eq!(writes.len(), 1, "the filter output only: {writes:?}");
-    // The first region written is the pushed-down filter's output: the
-    // join reads it back, and nothing writes it after that.
-    let filter_out = writes[0].0;
-    let events = trace.for_region(filter_out);
-    let first_read = events.iter().position(|e| e.kind == AccessKind::Read).unwrap();
-    assert!(events[first_read..].iter().all(|e| e.kind == AccessKind::Read));
+/// A fused build's pass count comes from the filter's bound and the OM
+/// budget, and every pass scans both tables whole. `b` has 48 rows, of
+/// which `y < 100` holds for `matches`; a 4-row build chunk makes 10 and
+/// 12 matches take 3 passes each, so they leave one trace, while 13 take
+/// 4.
+#[test]
+fn fused_build_trace_depends_only_on_the_pass_count() {
+    let run = |matches: i64| {
+        let entry = 1 + 8 + 8 + 32;
+        let mut db = Database::new(DbConfig { om_bytes: 4 * entry, ..DbConfig::default() });
+        db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 64").unwrap();
+        db.execute("CREATE TABLE b (k INT, y INT) CAPACITY 48").unwrap();
+        for i in 0..64 {
+            db.execute(&format!("INSERT INTO a VALUES ({i}, {i})")).unwrap();
+        }
+        for i in 0..48 {
+            let y = if i < matches { i } else { 100 + i };
+            db.execute(&format!("INSERT INTO b VALUES ({i}, {y})")).unwrap();
+        }
+        let sql = "SELECT COUNT(*), SUM(x) FROM a JOIN b ON a.k = b.k WHERE y < 100";
+        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let join = plan.rows().iter().filter_map(|r| r[0].as_text()).find(|l| l.contains("Join"));
+        let fused = format!("build=Right fused filter, bound {matches}");
+        assert!(join.is_some_and(|l| l.contains(&fused)), "{join:?}");
+        db.start_trace();
+        let out = db.execute(sql).unwrap();
+        let trace = db.take_trace();
+        assert_eq!(out.rows()[0][0], Value::Int(matches), "{sql}");
+        assert!(written(&trace).is_empty(), "{sql}");
+        trace
+    };
+    let three = run(10);
+    assert_eq!(three, run(12), "equal pass counts must be indistinguishable");
+    assert_ne!(three, run(13), "a fourth pass scans both tables again");
+}
+
+/// BDB Q3 over two `uservisits` tables of one size whose date filters
+/// pass 30 % and 35 % of the rows: both need one build pass, so the fused
+/// join leaves one trace and writes nothing.
+#[test]
+fn q3_trace_hides_the_date_selectivity() {
+    use oblidb::workloads::bdb;
+    let run = |share: f64| {
+        let mut visits = bdb::uservisits(400, 200, 3);
+        let passing = (share * visits.len() as f64) as usize;
+        for (i, row) in visits.iter_mut().enumerate() {
+            let date = if i < passing { 0 } else { bdb::Q3_DATE_CUTOFF };
+            row[3] = Value::Int(date);
+        }
+        let mut db = Database::new(DbConfig::default());
+        let rankings = bdb::rankings(200, 3);
+        for (name, schema, rows) in [
+            ("rankings", bdb::rankings_schema(), rankings),
+            ("uservisits", bdb::uservisits_schema(), visits),
+        ] {
+            let n = rows.len() as u64;
+            db.create_table_with_rows(name, schema, StorageMethod::Flat, None, &rows, n).unwrap();
+        }
+        db.start_trace();
+        let out = db.execute(&bdb::q3_sql()).unwrap();
+        assert!(out.plan.fused_aggregate && out.plan.intermediate_rows.is_empty());
+        db.take_trace()
+    };
+    let trace = run(0.30);
+    assert!(written(&trace).is_empty(), "Q3 seals nothing");
+    assert_eq!(trace, run(0.35), "the date selectivity must not show in Q3's trace");
 }
 
 /// A self-join names one stored table on both sides; one side is copied

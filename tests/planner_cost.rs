@@ -444,6 +444,7 @@ fn join_estimates_match_actuals() {
                     om_bytes,
                     zero_om_scratch_rows: scratch_rows,
                     folded,
+                    fused: None,
                 };
                 let mut host = Host::new();
                 let mut t1 = table(&mut host, ls, lcap, |i| i as i64);
@@ -456,7 +457,7 @@ fn join_estimates_match_actuals() {
                     let sink = if folded { RowSink::Fold(&mut agg) } else { RowSink::seal() };
                     let (t1, t2) = (&mut t1, &mut t2);
                     out = match algo {
-                        JoinAlgo::Hash => exec::hash_join(h, &om, t1, 0, t2, 0, key, sink),
+                        JoinAlgo::Hash => exec::hash_join(h, &om, t1, 0, t2, 0, key, sink, None),
                         JoinAlgo::Opaque => {
                             let variant = SortMergeVariant::Opaque;
                             exec::sort_merge_join(h, &om, t1, 0, t2, 0, key, sink, variant)
@@ -524,6 +525,93 @@ fn join_estimates_match_actuals() {
         writes.push(actual.writes);
     }
     assert!(writes[1] < writes[0], "a folded join writes no output: {writes:?}");
+}
+
+/// A folded hash join that runs a side's pushed-down filter inside its
+/// build costs what `join_cost` counts over the fused shape: the filter on
+/// either side, both widths, one build pass and three or more, a bound at
+/// the match count and a padded one above it. The fold counts the
+/// nested-loop join's rows. Through the engine, a fused join's estimate
+/// equals its measured actual, with the filter on either side.
+#[test]
+fn fused_build_estimates_match_actuals() {
+    use oblidb::core::plan::cost::JoinSide;
+    use oblidb::core::plan::FusedFilter;
+
+    let [narrow, wide] = widths();
+    let left_id = |i: u64| i as i64;
+    let right_id = |i: u64| ((i * 7) % 43) as i64;
+    let items = [(AggFunc::Count, None)];
+    for (ls, lcap, rs, rcap) in [(&narrow, 40, &wide, 30), (&wide, 20, &narrow, 300)] {
+        for side in [JoinSide::Left, JoinSide::Right] {
+            let (bs, keep, build_ids): (_, i64, Vec<i64>) = match side {
+                JoinSide::Left => (ls, lcap as i64 * 2 / 3, (0..lcap).map(left_id).collect()),
+                JoinSide::Right => (rs, 30, (0..rcap).map(right_id).collect()),
+            };
+            let matches = build_ids.iter().filter(|&&id| id < keep).count() as u64;
+            let kept = |i, j| if side == JoinSide::Left { left_id(i) } else { right_id(j) } < keep;
+            let pairs = (0..lcap).flat_map(|i| (0..rcap).map(move |j| (i, j)));
+            let want = pairs.filter(|&(i, j)| left_id(i) == right_id(j) && kept(i, j)).count();
+            let entry = bs.row_len() + 32;
+            for (bound, om_bytes) in [
+                (matches, 1 << 20),
+                (matches, (matches as usize / 3) * entry),
+                (matches + 5, (matches as usize / 4) * entry),
+            ] {
+                let ctx = format!("{side:?}: bound {bound} of {matches}, OM {om_bytes} B");
+                let mut host = Host::new();
+                let mut t1 = table(&mut host, ls, lcap, left_id);
+                let mut t2 = table(&mut host, rs, rcap, right_id);
+                let om = OmBudget::new(om_bytes);
+                let pred = Predicate::cmp(bs, "id", CmpOp::Lt, Value::Int(keep)).unwrap();
+                let fused = FusedFilter { side, pred, bound };
+                let mut agg = AggFold::new(ls.join("l", rs, "r"), &items, &Predicate::True);
+                let actual = measured(&mut host, |h| {
+                    let (t1, t2, key) = (&mut t1, &mut t2, AeadKey([0x77; 32]));
+                    let sink = RowSink::Fold(&mut agg);
+                    exec::hash_join(h, &om, t1, 0, t2, 0, key, sink, Some(&fused)).unwrap();
+                });
+                let shape = JoinShape {
+                    left_schema: ls.clone(),
+                    left_capacity: lcap,
+                    right_schema: rs.clone(),
+                    right_capacity: rcap,
+                    om_bytes,
+                    zero_om_scratch_rows: 1,
+                    folded: true,
+                    fused: Some((side, bound)),
+                };
+                assert_eq!(join_cost(JoinAlgo::Hash, &shape), actual, "{ctx}");
+                assert_eq!(agg.finish()[0], Value::Int(want as i64), "{ctx}");
+            }
+        }
+    }
+
+    let mut db = Database::new(DbConfig::default());
+    db.execute("CREATE TABLE d (k INT, name INT) CAPACITY 16").unwrap();
+    db.execute("CREATE TABLE f (k INT, v INT) CAPACITY 48").unwrap();
+    for i in 0..16 {
+        db.execute(&format!("INSERT INTO d VALUES ({i}, {i})")).unwrap();
+    }
+    for i in 0..48 {
+        db.execute(&format!("INSERT INTO f VALUES ({}, {i})", i % 16)).unwrap();
+    }
+    for (sql, side) in [
+        ("SELECT COUNT(*), SUM(v) FROM d JOIN f ON d.k = f.k WHERE name < 9", JoinSide::Left),
+        ("SELECT COUNT(*), SUM(v) FROM d JOIN f ON d.k = f.k WHERE v < 20", JoinSide::Right),
+    ] {
+        let mut stmt = db.prepare(sql).unwrap();
+        stmt.run().unwrap();
+        let PlanNode::Aggregate(a) = stmt.plan().select_root().unwrap() else { panic!("{sql}") };
+        let PlanNode::Join(j) = a.input.as_ref() else { panic!("{sql}: a join under the root") };
+        assert_eq!(j.fused.as_ref().map(|f| f.side), Some(side), "{sql}");
+        let (est, actual) = (j.est.unwrap(), j.actual.unwrap());
+        assert_eq!(
+            (est.reads, est.writes, est.crossings, est.bytes),
+            (actual.reads, actual.writes, actual.crossings, actual.bytes),
+            "{sql}: the fused build's count must equal its measured cost"
+        );
+    }
 }
 
 /// One choice function, two call sites: a join planned at prepare (both
