@@ -2,10 +2,13 @@
 //! choice across substrate profiles, recorded for the perf trajectory.
 //!
 //! For a sweep of query shapes (selectivity × oblivious-memory budget)
-//! the same SELECT is planned under the host, disk, and cached-disk
-//! [`CostProfile`]s, and the operator the closed-form rule
-//! ([`paper_rules::choose_select`]) would take is priced beside the
-//! engine's pick by planning once more with `force_select` set to it.
+//! the same SELECT is priced under the host, disk, and cached-disk
+//! [`CostProfile`]s: the engine's pick comes from its preliminary scan and
+//! choice function ([`scan_stats`], [`choose_select`]) run directly — a
+//! root select leaves its choice to run time, and takes none when its
+//! matches fit oblivious memory — and both it and the operator the
+//! closed-form rule ([`paper_rules::choose_select`]) would take are priced
+//! by planning with `force_select` set to them.
 //! Emits `BENCH_planner.json`: one row per profile × shape with both
 //! choices and their counted, profile-weighted costs (crossings priced per
 //! substrate; the host profile's crossing weight is the SGX OCALL model).
@@ -15,7 +18,12 @@
 use std::fmt::Write as _;
 
 use oblidb_baselines::paper_rules;
-use oblidb_core::{CostProfile, Database, DbConfig, SelectAlgo, StorageMethod, Value};
+use oblidb_core::plan::cost::{choose_select, scan_stats, PlannerConfig, SelectShape};
+use oblidb_core::predicate::CmpOp;
+use oblidb_core::table::FlatTable;
+use oblidb_core::{CostProfile, Database, DbConfig, Predicate, SelectAlgo, StorageMethod, Value};
+use oblidb_crypto::aead::AeadKey;
+use oblidb_enclave::Host;
 
 fn smoke() -> bool {
     oblidb_bench::smoke_mode()
@@ -53,22 +61,47 @@ fn schema() -> oblidb_core::Schema {
     ])
 }
 
-/// Plans `WHERE v = 1` (without running it) under `profile`, with the
-/// operator left to the engine or pinned, and reports the filter's
-/// operator and its estimated weighted cost.
-fn plan(shape: &Shape, profile: &CostProfile, force: Option<SelectAlgo>) -> (SelectAlgo, f64) {
+fn data(shape: &Shape) -> Vec<Vec<Value>> {
+    (0..shape.rows).map(|i| vec![Value::Int(i), Value::Int(i % shape.modulus)]).collect()
+}
+
+/// The operator the engine's planner takes for `WHERE v = 1` under
+/// `profile` when the matches overflow oblivious memory: the preliminary
+/// scan's statistics priced by its choice function.
+fn choose(shape: &Shape, profile: &CostProfile) -> SelectAlgo {
+    let (mut host, key, capacity) = (Host::new(), AeadKey([0; 32]), shape.rows as u64);
+    let rows: Vec<Vec<u8>> = data(shape).iter().map(|r| schema().encode_row(r).unwrap()).collect();
+    let mut t =
+        FlatTable::from_encoded_rows(&mut host, key.clone(), schema(), &rows, capacity).unwrap();
+    let pred = Predicate::cmp(&schema(), "v", CmpOp::Eq, Value::Int(1)).unwrap();
+    let stats = scan_stats(&mut host, &mut t, &pred, |_| {}).unwrap();
+    let select = SelectShape {
+        schema: schema(),
+        capacity,
+        rows: capacity,
+        matches: stats.matches,
+        continuous: stats.continuous,
+        om_bytes: shape.om_bytes,
+        out_key: key,
+    };
+    let cfg = PlannerConfig { profile: profile.clone(), ..PlannerConfig::default() };
+    choose_select(&cfg, &select, profile).0.algo().expect("an unforced choice names its winner")
+}
+
+/// Plans `WHERE v = 1` (without running it) under `profile` with the
+/// operator pinned to `algo`, and reports its estimated weighted cost:
+/// counted at the output key the engine draws, as Hash's buckets need.
+fn priced(shape: &Shape, profile: &CostProfile, algo: SelectAlgo) -> f64 {
     let mut config = DbConfig { om_bytes: shape.om_bytes, ..DbConfig::default() };
     config.planner.profile = profile.clone();
-    config.planner.force_select = force;
+    config.planner.force_select = Some(algo);
     let mut db = Database::new(config);
-    let data: Vec<Vec<Value>> =
-        (0..shape.rows).map(|i| vec![Value::Int(i), Value::Int(i % shape.modulus)]).collect();
-    db.create_table_with_rows("t", schema(), StorageMethod::Flat, None, &data, shape.rows as u64)
+    let capacity = shape.rows as u64;
+    db.create_table_with_rows("t", schema(), StorageMethod::Flat, None, &data(shape), capacity)
         .unwrap();
     let stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
     let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-    let algo = filter.choice.algo().expect("flat base filter is decided at prepare");
-    (algo, filter.est.expect("prepare costs a flat base filter").weighted)
+    filter.est.expect("prepare costs a forced flat base filter").weighted
 }
 
 fn main() {
@@ -87,8 +120,9 @@ fn main() {
                 shape.om_bytes,
                 true,
             );
-            let (costed_algo, costed_cost) = plan(&shape, &profile, None);
-            let (_, closed_cost) = plan(&shape, &profile, Some(closed_algo));
+            let costed_algo = choose(&shape, &profile);
+            let costed_cost = priced(&shape, &profile, costed_algo);
+            let closed_cost = priced(&shape, &profile, closed_algo);
             let flip = closed_algo != costed_algo;
             table.row(&[
                 profile.name.clone(),

@@ -23,20 +23,22 @@ pub mod persist;
 pub mod shared;
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
-use crate::exec::{self, AggFold, AggFunc, RowSink, SortMergeVariant};
+use crate::exec::{self, select::first_pass_cost, AggFold, AggFunc, RowSink, SortMergeVariant};
 use crate::padding::PaddingConfig;
 use crate::plan::cost::{
     self, scan_stats, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape,
     SelectStats,
 };
 use crate::plan::{
-    AccessPath, AggregateNode, Explain, FilterNode, GroupByNode, JoinChoice, JoinNode, NodeCost,
-    PlanAction, PlanNode, QueryPlan, ScanNode, SelectChoice, SelectPlan,
+    AccessPath, AggregateNode, CandidateCost, Explain, FilterNode, GroupByNode, JoinChoice,
+    JoinNode, NodeCost, PlanAction, PlanKey, PlanNode, QueryPlan, ScanNode, SelectChoice,
+    SelectPlan,
 };
 use crate::predicate::{Bound, Predicate};
 use crate::sql::{self, Parsed, Projection, SelectItem, Statement};
@@ -214,7 +216,7 @@ pub struct Database<M: EnclaveMemory = Host> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// `prepare` calls served from the cache (same shape and literals,
-    /// same catalog version — no preliminary scan, no costing).
+    /// same catalog version — no planning, no join side's scan).
     pub hits: u64,
     /// `prepare` calls that compiled a plan (first sight, or stale).
     pub misses: u64,
@@ -871,8 +873,8 @@ impl<M: EnclaveMemory> Database<M> {
     /// SELECT plans are cached by the parser's token shape and literals
     /// ([`Parsed::cache_key`]: spacing and keyword case do not matter) and
     /// validated against the catalog version, so preparing the same
-    /// statement again with no intervening change skips the preliminary
-    /// scan and costing ([`Database::plan_cache_stats`] counts it).
+    /// statement again with no intervening change skips planning, and with
+    /// it any join side's preliminary scan ([`Database::plan_cache_stats`]).
     /// Mutations are never cached: running one bumps the version anyway.
     pub fn prepare_parsed(&mut self, parsed: Parsed) -> Result<PreparedStatement<'_, M>, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Prepare);
@@ -1107,7 +1109,7 @@ impl<M: EnclaveMemory> Database<M> {
                     actual: None,
                 })
             } else {
-                self.plan_base_filter(scan, pred, profile)?
+                self.plan_base_filter(scan, pred, true, profile)?
             }
         };
         Ok(SelectPlan { root, stmt: s })
@@ -1128,7 +1130,7 @@ impl<M: EnclaveMemory> Database<M> {
             Some(p) => {
                 let scan = self.plan_scan(idx, name, &p);
                 let exact_input = matches!(scan.access, AccessPath::Flat);
-                let node = self.plan_base_filter(scan, p, profile)?;
+                let node = self.plan_base_filter(scan, p, false, profile)?;
                 let capacity = match &node {
                     PlanNode::Filter(f) if exact_input => filter_output_capacity(f),
                     _ => None,
@@ -1201,14 +1203,16 @@ impl<M: EnclaveMemory> Database<M> {
         ScanNode { table: name.to_string(), access, rows, capacity, actual: None }
     }
 
-    /// Plans the selection stage over a base-table scan. For a flat access
-    /// path the operator is chosen here (the input shape is exact); index
-    /// candidates defer the choice to run time, when the probe has
-    /// materialized its result.
+    /// Plans the selection stage over a base-table scan. A join side over a
+    /// flat access path, or a forced one, has its operator chosen here (the
+    /// input shape is exact); index candidates defer the choice to run
+    /// time, when the probe has materialized its result, and so does an
+    /// unforced, unpadded `root`, whose first pass is its preliminary scan.
     fn plan_base_filter(
         &mut self,
         scan: ScanNode,
         pred: Predicate,
+        root: bool,
         profile: &CostProfile,
     ) -> Result<PlanNode, DbError> {
         let om_bytes = self.om.available();
@@ -1226,21 +1230,21 @@ impl<M: EnclaveMemory> Database<M> {
         };
 
         let padding = self.config.padding.map(|p| p.pad_rows);
-        if padding.is_none() && !flat_access {
-            // The probe result shapes the stage; decide at run time.
+        let first_pass = root && self.config.planner.force_select.is_none();
+        if padding.is_none() && (!flat_access || first_pass) {
             return Ok(PlanNode::Filter(node));
         }
 
-        // The planner's preliminary scan (paper §5) — also supplies |R|
-        // for the operator's output sizing, so run() does not rescan.
-        // Padding mode skips it: the bound stands in for |R| (§2.3).
+        // The planner's preliminary scan (paper §5) — also supplies |R| for
+        // the operator's output and the join's costing, so run() does not
+        // rescan. Padding mode skips it: the bound stands in for |R| (§2.3).
         let idx = self.table_index(&table_name)?;
         let schema = self.tables[idx].1.schema().clone();
         let stats = match padding {
             Some(pad_rows) => SelectStats { matches: pad_rows, continuous: false },
             None => {
                 let table = self.tables[idx].1.flat_mut().expect("flat access path");
-                scan_stats(&mut self.host, table, &node.pred)?
+                scan_stats(&mut self.host, table, &node.pred, |_| {})?
             }
         };
         let out_key = self.next_key();
@@ -1255,13 +1259,19 @@ impl<M: EnclaveMemory> Database<M> {
         };
         if let Some(pad_rows) = padding {
             node.choice = SelectChoice::Padded { pad_rows };
-            node.est =
-                Some(NodeCost::from_stats(&cost::select_cost(SelectAlgo::Padded, &shape), profile));
+            // A root's first pass is the whole select when the bound fits.
+            let row_len = shape.schema.row_len();
+            let counted = if root && pad_rows.saturating_mul(row_len as u64) <= om_bytes as u64 {
+                first_pass_cost(row_len, capacity)
+            } else {
+                cost::select_cost(SelectAlgo::Padded, &shape)
+            };
+            node.est = Some(NodeCost::from_stats(&counted, profile));
         } else {
             (node.choice, node.est) = cost::choose_select(&self.config.planner, &shape, profile);
             node.est_matches = Some(stats.matches);
         }
-        node.out_key = Some(crate::plan::PlanKey(out_key));
+        node.out_key = Some(PlanKey(out_key));
         Ok(PlanNode::Filter(node))
     }
 
@@ -1279,7 +1289,7 @@ impl<M: EnclaveMemory> Database<M> {
     fn run_plan(&mut self, plan: &mut QueryPlan, parsed: &Parsed) -> Result<QueryOutput, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Run);
         oblidb_telemetry::counter_add(oblidb_telemetry::Counter::StatementsRun, 1);
-        let timed = oblidb_telemetry::enabled().then(std::time::Instant::now);
+        let timed = oblidb_telemetry::enabled().then(Instant::now);
         let audit = self.config.audit && !self.host.tracing();
         if self.config.audit && !audit {
             self.auditor.skip();
@@ -1360,9 +1370,9 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Runs a SELECT tree: operators → rows → ORDER BY / LIMIT →
-    /// projection. An aggregate or GROUP BY root returns its rows from its
-    /// accumulators; any other root's output is decoded, then freed if the
-    /// statement owns it.
+    /// projection. An aggregate, GROUP BY or fitting first-pass root returns
+    /// its rows from the enclave; any other root's output is decoded, then
+    /// freed if the statement owns it.
     fn run_select_root(
         &mut self,
         root: &mut PlanNode,
@@ -1373,6 +1383,16 @@ impl<M: EnclaveMemory> Database<M> {
         let (schema, mut rows) = match root {
             PlanNode::Aggregate(a) => self.exec_aggregate(a, &mut info, profile)?,
             PlanNode::GroupBy(g) => self.exec_group(g, &mut info, profile)?,
+            PlanNode::Filter(f) if self.config.planner.force_select.is_none() => {
+                let mut rows = Vec::new();
+                let (schema, out) = self.exec_filter(f, Some(&mut rows), &mut info, profile)?;
+                if let Some(mut out) = out {
+                    let read = out.collect_rows(&mut self.host);
+                    out.free(&mut self.host)?;
+                    rows = read?;
+                }
+                (schema, rows)
+            }
             other => {
                 let owned = self.exec_input(other, &mut info, profile)?;
                 let [mut table] = inputs(&mut self.tables, [(&*other, owned)]);
@@ -1414,7 +1434,7 @@ impl<M: EnclaveMemory> Database<M> {
     ) -> Result<Option<FlatTable>, DbError> {
         match node {
             PlanNode::Scan(scan) => self.exec_scan(scan, info, profile),
-            PlanNode::Filter(f) => self.exec_filter(f, info, profile).map(Some),
+            PlanNode::Filter(f) => Ok(self.exec_filter(f, None, info, profile)?.1),
             PlanNode::Join(j) => self.exec_join(j, RowSink::seal(), info, profile),
             PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
                 Err(DbError::Unsupported("an aggregate is planned only at the root".into()))
@@ -1439,7 +1459,7 @@ impl<M: EnclaveMemory> Database<M> {
         };
         let key = self.next_key();
         let before = self.host.stats();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let index = self.tables[idx].1.indexed_mut().expect("planned index access");
         let probed = match cap {
             Some(cap) => index.range_to_flat_capped(&mut self.host, key, &lo, &hi, cap)?,
@@ -1455,33 +1475,33 @@ impl<M: EnclaveMemory> Database<M> {
 
     /// Executes a filter node: run its input, resolve a deferred operator
     /// choice with the same cost machinery prepare uses, run the operator,
-    /// and record the measured cost.
+    /// and record the measured cost. Returns the output's schema and the
+    /// table the operator sealed — none when `rows`, a root select's, took
+    /// the matches from its first pass.
     fn exec_filter(
         &mut self,
         f: &mut FilterNode,
+        mut rows: Option<&mut Vec<Row>>,
         info: &mut PlanInfo,
         profile: &CostProfile,
-    ) -> Result<FlatTable, DbError> {
+    ) -> Result<(Schema, Option<FlatTable>), DbError> {
         let over_intermediate = !matches!(f.input.as_ref(), PlanNode::Scan(_));
         let owned = self.exec_input(&mut f.input, info, profile)?;
-        let out_key = match &f.out_key {
-            Some(k) => k.0.clone(),
-            None => {
-                let k = self.next_key();
-                f.out_key = Some(crate::plan::PlanKey(k.clone()));
-                k
-            }
-        };
+        let out_key = f.out_key.get_or_insert_with(|| PlanKey(self.next_key())).0.clone();
         let rng = self.rng.fork();
         let [mut input] = inputs(&mut self.tables, [(&*f.input, owned)]);
-        let (host, om, config) = (&mut self.host, &self.om, &self.config);
-        let out = run_filter_stage(host, om, config, f, &mut input, out_key, rng, profile, info);
+        let schema = input.schema().clone();
+        let (host, om, config, sink) =
+            (&mut self.host, &self.om, &self.config, rows.as_deref_mut());
+        let out =
+            run_filter_stage(host, om, config, f, &mut input, out_key, rng, profile, info, sink);
         input.free(&mut self.host)?;
         let out = out?;
         if over_intermediate {
-            info.intermediate_rows.push(out.num_rows());
+            let kept = rows.map_or(0, |r| r.len() as u64);
+            info.intermediate_rows.push(out.as_ref().map_or(kept, FlatTable::num_rows));
         }
-        Ok(out)
+        Ok((schema, out))
     }
 
     /// Executes a join node over its sides, read in place where they are
@@ -1532,7 +1552,7 @@ impl<M: EnclaveMemory> Database<M> {
         let (t1, c1, t2, c2) = (&mut *lhs, j.left_col, &mut *rhs, j.right_col);
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
         let before = host.stats();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let out = match algo {
             JoinAlgo::Hash => {
                 exec::hash_join(host, om, t1, c1, t2, c2, key, sink, j.fused.as_ref())
@@ -1571,9 +1591,9 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<(Option<FlatTable>, Option<AeadKey>), DbError> {
         if let PlanNode::Filter(f) = node {
-            let out = self.exec_filter(f, info, profile)?;
-            info.intermediate_rows.push(out.num_rows());
-            return Ok((Some(out), None));
+            let (_, out) = self.exec_filter(f, None, info, profile)?;
+            info.intermediate_rows.extend(out.as_ref().map(FlatTable::num_rows));
+            return Ok((out, None));
         }
         let input = self.exec_input(node, info, profile)?;
         let copy_key = input.is_none().then(|| self.next_key());
@@ -1595,11 +1615,11 @@ impl<M: EnclaveMemory> Database<M> {
             let mut fold = AggFold::new(j.renamed.clone(), &items, &a.pred);
             self.exec_join(j, RowSink::Fold(&mut fold), info, profile)?;
             let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
-            (fold.finish(), span, self.host.stats(), std::time::Instant::now())
+            (fold.finish(), span, self.host.stats(), Instant::now())
         } else {
             let owned = self.exec_input(&mut a.input, info, profile)?;
             let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
-            let (before, started) = (self.host.stats(), std::time::Instant::now());
+            let (before, started) = (self.host.stats(), Instant::now());
             let [mut input] = inputs(&mut self.tables, [(&*a.input, owned)]);
             let values = agg_columns(&a.items, input.schema())
                 .and_then(|items| exec::aggregate(&mut self.host, &mut input, &items, &a.pred));
@@ -1630,7 +1650,7 @@ impl<M: EnclaveMemory> Database<M> {
         let owned = self.exec_input(&mut g.input, info, profile)?;
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::GroupBy);
         let before = self.host.stats();
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let [mut input] = inputs(&mut self.tables, [(&*g.input, owned)]);
         let schema = exec::group_output_schema(input.schema(), g.group_col, g.func, g.agg_col);
         let rows = exec::group_aggregate(
@@ -1661,7 +1681,7 @@ impl<M: EnclaveMemory> Database<M> {
 /// db.execute("CREATE TABLE t (k INT, v INT)").unwrap();
 /// db.execute("INSERT INTO t VALUES (1, 10)").unwrap();
 /// let mut stmt = db.prepare("SELECT * FROM t WHERE k = 1").unwrap();
-/// println!("{}", stmt.explain()); // estimated costs
+/// println!("{}", stmt.explain()); // the plan, its root filter deferred to run
 /// let out = stmt.run().unwrap();
 /// println!("{}", stmt.explain()); // now with actual costs
 /// assert_eq!(out.len(), 1);
@@ -1793,7 +1813,9 @@ fn select_span_kind(algo: SelectAlgo) -> oblidb_telemetry::SpanKind {
 
 /// Runs a filter node's selection stage over a materialized flat input
 /// (paper §4.1 + §5): resolves a deferred choice, dispatches the chosen
-/// operator, and records the measured cost into the node.
+/// operator, and records the measured cost into the node. Given `rows`, a
+/// root select's first pass ([`exec::select_first_pass`]) returns the
+/// matches there, and `None`, when they fit oblivious memory.
 #[allow(clippy::too_many_arguments)]
 fn run_filter_stage<M: EnclaveMemory>(
     host: &mut M,
@@ -1805,24 +1827,43 @@ fn run_filter_stage<M: EnclaveMemory>(
     rng: EnclaveRng,
     profile: &CostProfile,
     info: &mut PlanInfo,
-) -> Result<FlatTable, DbError> {
-    // |R| for output sizing: in padding mode the bound, with no scan at
-    // all (§2.3); the prepare-time preliminary scan when the plan has one
-    // (the version guard re-plans on staleness); a scan now for deferred
-    // stages over fresh intermediates.
-    let stats: SelectStats = match (&f.choice, f.est_matches) {
-        (SelectChoice::Padded { pad_rows }, _) => {
-            SelectStats { matches: *pad_rows, continuous: false }
+    rows: Option<&mut Vec<Row>>,
+) -> Result<Option<FlatTable>, DbError> {
+    let pad = if let SelectChoice::Padded { pad_rows } = f.choice { Some(pad_rows) } else { None };
+    let mut first = None;
+    if let Some(rows) = rows {
+        let algo = if pad.is_some() { SelectAlgo::Padded } else { SelectAlgo::Small };
+        let (_span, before, started) =
+            (oblidb_telemetry::span(select_span_kind(algo)), host.stats(), Instant::now());
+        let schema = input.schema().clone();
+        let sink = &mut RowSink::Rows(&schema, &mut *rows);
+        first = exec::select_first_pass(host, om, input, &f.pred, pad, sink)?;
+        if first.is_none() {
+            let est = first_pass_cost(schema.row_len(), input.capacity());
+            let est = NodeCost::from_stats(&est, profile);
+            if pad.is_none() {
+                let candidates = vec![CandidateCost { algo, cost: est }];
+                f.choice = SelectChoice::Chosen { algo, candidates };
+            }
+            f.est_matches = pad.is_none().then_some(rows.len() as u64);
+            (f.est, f.actual) =
+                (Some(est), Some(timed_cost(host.stats() - before, profile, started)));
+            info.select_algo = Some(algo);
+            return Ok(None);
+        } else if pad.is_none() {
+            f.choice = SelectChoice::Deferred;
         }
-        (SelectChoice::Forced(_) | SelectChoice::Chosen { .. }, Some(m)) => {
-            SelectStats { matches: m, continuous: false }
-        }
-        _ => {
-            let s = scan_stats(host, input, &f.pred)?;
-            f.est_matches = Some(s.matches);
-            s
-        }
+    }
+    // |R| for output sizing: in padding mode the bound, with no scan (§2.3);
+    // a root select's first pass; a join side's or forced stage's prepare
+    // scan (the version guard re-plans on staleness); else a scan now.
+    let stats = match (pad, first, f.choice.algo(), f.est_matches) {
+        (Some(matches), ..) => SelectStats { matches, continuous: false },
+        (None, Some(s), ..) => s,
+        (None, None, Some(_), Some(m)) => SelectStats { matches: m, continuous: false },
+        _ => scan_stats(host, input, &f.pred, |_| {})?,
     };
+    f.est_matches = pad.is_none().then_some(stats.matches);
 
     let algo = match f.choice.algo() {
         Some(algo) => algo,
@@ -1845,9 +1886,8 @@ fn run_filter_stage<M: EnclaveMemory>(
     };
     info.select_algo = Some(algo);
 
-    let _span = oblidb_telemetry::span(select_span_kind(algo));
-    let before = host.stats();
-    let started = std::time::Instant::now();
+    let (_span, before, started) =
+        (oblidb_telemetry::span(select_span_kind(algo)), host.stats(), Instant::now());
     let out = match algo {
         SelectAlgo::Small => exec::select_small(host, om, input, &f.pred, out_key, stats.matches)?,
         SelectAlgo::Large => exec::select_large(host, input, &f.pred, out_key)?,
@@ -1864,7 +1904,7 @@ fn run_filter_stage<M: EnclaveMemory>(
         }
     };
     f.actual = Some(timed_cost(host.stats() - before, profile, started));
-    Ok(out)
+    Ok(Some(out))
 }
 
 /// Exact output capacity of a filter whose operator and match count were
@@ -2156,24 +2196,26 @@ mod tests {
         let mut db = db();
         setup_people(&mut db, StorageMethod::Flat);
         let mut stmt = db.prepare("SELECT * FROM people WHERE id < 6").unwrap();
-        // Prepare-time plan: a cost-chosen filter with estimates, no
-        // actuals yet.
+        // Prepare-time plan: a root filter waits for its first pass, so it
+        // has no match count, estimate or actual yet.
         let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-        assert_eq!(filter.est_matches, Some(6));
-        assert!(filter.est.is_some(), "flat base filters are costed at prepare");
-        assert!(filter.actual.is_none());
-        assert!(matches!(filter.choice, SelectChoice::Chosen { .. }));
+        assert_eq!((filter.est_matches, filter.est, filter.actual), (None, None, None));
+        assert_eq!(filter.choice, SelectChoice::Deferred);
         let before = stmt.explain().to_string();
-        assert!(before.contains("Filter"), "{before}");
-        assert!(before.contains("candidates:"), "{before}");
+        assert!(before.contains("Filter [deferred to run]"), "{before}");
         assert!(!before.contains("act:"), "{before}");
 
+        // The run resolves it: the 6 matches fit OM, so the first pass was
+        // the whole select, counted exactly.
         let out = stmt.run().unwrap();
         assert_eq!(out.len(), 6);
         let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-        assert!(filter.actual.is_some(), "run() writes measured costs back");
+        assert_eq!(filter.choice.algo(), Some(SelectAlgo::Small));
+        assert_eq!(filter.est_matches, Some(6));
+        let (est, actual) = (filter.est.unwrap(), filter.actual.unwrap());
+        assert_eq!((est.reads, est.writes), (actual.reads, 0), "one pass, nothing written");
         let after = stmt.explain().to_string();
-        assert!(after.contains("act:"), "{after}");
+        assert!(after.contains("candidates:") && after.contains("act:"), "{after}");
     }
 
     #[test]

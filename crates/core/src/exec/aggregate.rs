@@ -296,14 +296,19 @@ pub fn group_aggregate<M: EnclaveMemory>(
         return Err(DbError::TooManyGroups { limit: group_limit });
     }
 
-    let mut order: Vec<u32> = (0..groups.states.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| groups.key(a as usize).cmp(groups.key(b as usize)));
+    // Sort on each key's first eight bytes as one big-endian word, which
+    // orders as the bytes do; only equal words compare whole keys.
+    let word = |key: &[u8]| u64::from_be_bytes(std::array::from_fn(|i| *key.get(i).unwrap_or(&0)));
+    let key = |g: u32| groups.key(g as usize);
+    let mut order: Vec<(u64, u32)> =
+        (0..groups.states.len() as u32).map(|g| (word(key(g)), g)).collect();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
     // Decode each group value through a scratch row so Text padding rules
     // match the input encoding.
     let mut scratch = schema.dummy_row();
     Ok(order
         .into_iter()
-        .map(|g| {
+        .map(|(_, g)| {
             let g = g as usize;
             scratch[off..off + width].copy_from_slice(groups.key(g));
             vec![schema.decode_col(&scratch, group_col), groups.states[g].finish()]

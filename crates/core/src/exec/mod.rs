@@ -3,7 +3,8 @@
 //! Every operator that produces rows in order emits them into one
 //! [`RowSink`]: `Seal` materializes them into a new flat table, one block
 //! per emitted position (dummies included), written in runs; `Fold` feeds
-//! the real ones straight into an [`AggFold`] and writes nothing. Both
+//! the real ones straight into an [`AggFold`] and `Rows` decodes them, and
+//! neither writes anything. Both
 //! joins, Small's window flushes, Naive's copy-out, `copy_table` and
 //! bulk loads emit through it. Continuous and Hash update computed
 //! positions of their output in place, so they write their tables
@@ -25,12 +26,13 @@ use oblidb_enclave::{EnclaveMemory, HostStats};
 
 use crate::error::DbError;
 use crate::table::FlatTable;
-use crate::types::Schema;
+use crate::types::{Row, Schema};
 
 pub use aggregate::{aggregate, group_aggregate, group_output_schema, AggFold, AggFunc, AggState};
 pub use join::{hash_join, sort_merge_join, SortMergeVariant};
 pub use select::{
-    select_continuous, select_hash, select_large, select_naive, select_small, HASH_SLOTS,
+    select_continuous, select_first_pass, select_hash, select_large, select_naive, select_small,
+    HASH_SLOTS,
 };
 pub use sort::bitonic_sort;
 
@@ -50,6 +52,9 @@ pub enum RowSink<'a, 'p> {
     /// Fold every real emitted row into these aggregates; nothing is
     /// written.
     Fold(&'a mut AggFold<'p>),
+    /// Decode every real emitted row of this schema into the vector;
+    /// nothing is written.
+    Rows(&'a Schema, &'a mut Vec<Row>),
 }
 
 impl RowSink<'_, '_> {
@@ -78,6 +83,11 @@ impl RowSink<'_, '_> {
         match self {
             RowSink::Seal { run, .. } => run.extend_from_slice(rows),
             RowSink::Fold(agg) => agg.add_rows(rows),
+            RowSink::Rows(schema, out) => out.extend(
+                rows.chunks_exact(schema.row_len())
+                    .filter(|r| Schema::row_used(r))
+                    .map(|r| schema.decode_row(r)),
+            ),
         }
     }
 
@@ -94,11 +104,11 @@ impl RowSink<'_, '_> {
         Ok(())
     }
 
-    /// The sealed table; `None` for a fold.
+    /// The sealed table; `None` for a fold or decoded rows.
     pub fn finish(self) -> Option<FlatTable> {
         match self {
             RowSink::Seal { out, .. } => out,
-            RowSink::Fold(_) => None,
+            RowSink::Fold(_) | RowSink::Rows(..) => None,
         }
     }
 

@@ -1,9 +1,9 @@
 //! The oblivious SELECT algorithms (paper §4.1, Figures 3–5).
 //!
-//! All five produce a flat output table R from a flat input T. The planner
-//! supplies `|R|` (the match count) up front, from its preliminary scan —
-//! it is part of the leakage contract; in padding mode the padded bound
-//! stands in for it. Each algorithm's access pattern is
+//! All five produce a flat output table R from a flat input T, given `|R|`
+//! (the match count, from a root select's [`select_first_pass`] or a join
+//! side's scan at prepare) — it is part of the leakage contract; in padding
+//! mode the padded bound stands in for it. Each algorithm's access pattern is
 //! a deterministic function of `(|T|, |R|, oblivious-memory budget)` only;
 //! trace-equality tests in `tests/` verify this, and the `…_cost` function
 //! beside each operator counts that pattern's accesses from those sizes.
@@ -16,7 +16,7 @@ use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use super::RowSink;
 use crate::error::DbError;
-use crate::plan::cost::SelectShape;
+use crate::plan::cost::{scan_stats, SelectShape, SelectStats};
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
@@ -98,14 +98,52 @@ pub fn small_cost(shape: &SelectShape) -> HostStats {
     let buf_rows = ((bound.max(1) as usize * row_len).min(shape.om_bytes) / row_len).max(1) as u64;
     let passes = bound.div_ceil(buf_rows).max(1);
     FlatTable::create_cost(row_len, bound)
-        + input_pass(shape) * passes
+        + first_pass_cost(row_len, shape.capacity) * passes
         + super::in_runs(bound, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
 }
 
-/// One batched pass over the input's capacity, chunk by chunk — what
-/// [`FlatTable::for_each_row`] and every operator's `read_rows` loop cost.
-fn input_pass(shape: &SelectShape) -> HostStats {
-    SealedRegion::read_batch_cost(shape.schema.row_len(), shape.capacity.max(1))
+/// A root select's first pass: §5's preliminary scan, buffering the
+/// matches in scan order in an OM lease of up to `|T|` rows (the padded
+/// bound `pad`, in padding mode). If all fit, it is Small without its
+/// output write: they go to `out` and `None` returns. Otherwise it returns
+/// the scan's statistics, emitting nothing — or in padding mode, skipping
+/// the scan, the bound; a bound below the match count is
+/// [`DbError::PaddedBoundExceeded`]. The trace is one pass over T, or none.
+pub fn select_first_pass<M: EnclaveMemory>(
+    host: &mut M,
+    om: &OmBudget,
+    input: &mut FlatTable,
+    pred: &Predicate,
+    pad: Option<u64>,
+    out: &mut RowSink,
+) -> Result<Option<SelectStats>, DbError> {
+    let row_len = input.row_len();
+    let bytes = |rows: u64| (rows as usize).saturating_mul(row_len);
+    let lease = om.alloc_up_to(bytes(pad.unwrap_or(input.capacity())));
+    if let Some(bound) = pad.filter(|&p| bytes(p) > lease.bytes()) {
+        return Ok(Some(SelectStats { matches: bound, continuous: false }));
+    }
+    let mut buf = Vec::new();
+    let stats = scan_stats(host, input, pred, |row| {
+        if buf.len() + row_len <= lease.bytes() {
+            buf.extend_from_slice(row);
+        }
+    })?;
+    if let Some(bound) = pad.filter(|&p| stats.matches > p) {
+        return Err(DbError::PaddedBoundExceeded { bound });
+    }
+    if bytes(stats.matches) > lease.bytes() {
+        return Ok(Some(stats));
+    }
+    out.push(&buf);
+    Ok(None)
+}
+
+/// One batched pass over `capacity` rows of `row_len` bytes, chunk by chunk
+/// — what [`FlatTable::for_each_row`] and every operator's `read_rows` loop
+/// cost, and all [`select_first_pass`] costs when it scans.
+pub fn first_pass_cost(row_len: usize, capacity: u64) -> HostStats {
+    SealedRegion::read_batch_cost(row_len, capacity.max(1))
 }
 
 /// Large (Figure 4B): copy T to R, then one pass over R clearing
@@ -215,7 +253,7 @@ pub fn continuous_cost(shape: &SelectShape) -> HostStats {
     let updates =
         SealedRegion::read_batch_cost(row_len, cap) + SealedRegion::write_batch_cost(row_len, cap);
     FlatTable::create_cost(row_len, r)
-        + input_pass(shape)
+        + first_pass_cost(row_len, cap)
         + HostStats { crossings: 2 * segments, ..updates }
 }
 
@@ -341,7 +379,7 @@ pub fn hash_cost(shape: &SelectShape) -> HostStats {
     let probes = SealedRegion::read_batch_at_cost(row_len, slots)
         + SealedRegion::write_batch_at_cost(row_len, slots);
     FlatTable::create_cost(row_len, buckets * HASH_SLOTS as u64)
-        + input_pass(shape)
+        + first_pass_cost(row_len, cap)
         + HostStats { crossings: 2 * cap, ..probes }
 }
 
@@ -407,7 +445,7 @@ pub fn naive_cost(shape: &SelectShape) -> HostStats {
     let out_rows = shape.matches;
     let oram_rows = out_rows.max(1);
     PathOram::create_cost(oram_rows, row_len)
-        + input_pass(shape)
+        + first_pass_cost(row_len, cap)
         + PathOram::access_cost(oram_rows, row_len) * (cap + out_rows)
         + FlatTable::create_cost(row_len, out_rows)
         + SealedRegion::write_batch_cost(row_len, out_rows)

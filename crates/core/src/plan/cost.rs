@@ -2,8 +2,9 @@
 //!
 //! ObliDB chooses among operator implementations using only information the
 //! adversary already has (or will get): table sizes, the output size, the
-//! result's continuity, and the oblivious-memory budget. The planner's own
-//! preliminary scan ([`scan_stats`]) has a fixed access pattern — read
+//! result's continuity, and the oblivious-memory budget. The preliminary
+//! scan ([`scan_stats`]: at prepare for a join side's filter, as a root
+//! select's own first pass otherwise) has a fixed access pattern — read
 //! every row once — so the only leakage optimization adds is the final
 //! algorithm choice.
 //!
@@ -144,9 +145,9 @@ pub enum JoinAlgo {
     ZeroOm,
 }
 
-/// What the planner's preliminary scan learns (paper §5: "(1) the number
-/// of rows satisfying the predicate and (2) whether those rows are
-/// adjacent in the input table").
+/// What the preliminary scan learns (paper §5: "(1) the number of rows
+/// satisfying the predicate and (2) whether those rows are adjacent in the
+/// input table").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectStats {
     /// Number of matching rows — becomes |R|, already-leaked output size.
@@ -189,13 +190,15 @@ impl Default for PlannerConfig {
     }
 }
 
-/// The planner's preliminary scan: reads every row once, updating
-/// statistics inside the enclave. Fixed access pattern; "often for free"
-/// because operators need |R| before allocating output anyway (§5).
+/// The preliminary scan: reads every row once, updating statistics inside
+/// the enclave, and hands each match to `each` in scan order. Fixed access
+/// pattern; "often for free" because operators need |R| before allocating
+/// output anyway (§5) — free indeed as a root select's first pass.
 pub fn scan_stats<M: EnclaveMemory>(
     host: &mut M,
     input: &mut FlatTable,
     pred: &Predicate,
+    mut each: impl FnMut(&[u8]),
 ) -> Result<SelectStats, DbError> {
     let schema = input.schema().clone();
     let mut matches = 0u64;
@@ -204,6 +207,7 @@ pub fn scan_stats<M: EnclaveMemory>(
     input.for_each_row(host, |_, bytes| {
         let hit = Schema::row_used(bytes) && pred.eval(&schema, bytes);
         if hit {
+            each(bytes);
             matches += 1;
             if !prev {
                 runs += 1;
@@ -224,8 +228,8 @@ pub struct SelectShape {
     pub capacity: u64,
     /// Rows in use (the [`LARGE_THRESHOLD`] admission gate uses this).
     pub rows: u64,
-    /// Match count |R| from the planner's preliminary scan (the padded
-    /// bound for [`SelectAlgo::Padded`]).
+    /// Match count |R| from the preliminary scan (the padded bound for
+    /// [`SelectAlgo::Padded`]).
     pub matches: u64,
     /// Whether the matches form one contiguous run.
     pub continuous: bool,
@@ -554,17 +558,17 @@ mod tests {
     fn stats_count_and_continuity() {
         let (mut host, mut t) = build(20);
         let p = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(5)).unwrap();
-        let s = scan_stats(&mut host, &mut t, &p).unwrap();
+        let s = scan_stats(&mut host, &mut t, &p, |_| {}).unwrap();
         assert_eq!(s, SelectStats { matches: 5, continuous: true });
 
         let a = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(3)).unwrap();
         let b = Predicate::cmp(t.schema(), "id", CmpOp::Ge, Value::Int(15)).unwrap();
         let split = Predicate::Or(Box::new(a), Box::new(b));
-        let s = scan_stats(&mut host, &mut t, &split).unwrap();
+        let s = scan_stats(&mut host, &mut t, &split, |_| {}).unwrap();
         assert_eq!(s, SelectStats { matches: 8, continuous: false });
 
         let none = Predicate::cmp(t.schema(), "id", CmpOp::Gt, Value::Int(99)).unwrap();
-        let s = scan_stats(&mut host, &mut t, &none).unwrap();
+        let s = scan_stats(&mut host, &mut t, &none, |_| {}).unwrap();
         assert_eq!(s, SelectStats { matches: 0, continuous: false });
     }
 
@@ -574,10 +578,10 @@ mod tests {
         let p1 = Predicate::True;
         let p2 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(3)).unwrap();
         host.start_trace();
-        scan_stats(&mut host, &mut t, &p1).unwrap();
+        scan_stats(&mut host, &mut t, &p1, |_| {}).unwrap();
         let a = host.take_trace();
         host.start_trace();
-        scan_stats(&mut host, &mut t, &p2).unwrap();
+        scan_stats(&mut host, &mut t, &p2, |_| {}).unwrap();
         let b = host.take_trace();
         assert_eq!(a, b);
     }

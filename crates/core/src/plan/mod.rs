@@ -182,9 +182,9 @@ pub enum SelectChoice {
         /// Every candidate the planner counted, in admission order.
         candidates: Vec<CandidateCost>,
     },
-    /// Deferred to execution: the input is an intermediate (index
-    /// materialization or join output) whose shape only exists at run
-    /// time. Resolved by the same cost machinery, then written back.
+    /// Deferred to execution: a root select's first pass, or an input whose
+    /// shape only exists at run time (index materialization or join
+    /// output). Resolved by the same cost machinery, then written back.
     Deferred,
 }
 
@@ -208,8 +208,8 @@ pub struct FilterNode {
     pub pred: Predicate,
     /// The operator decision.
     pub choice: SelectChoice,
-    /// Match count |R| from the prepare-time preliminary scan (`None`
-    /// when deferred or in padding mode).
+    /// Match count |R| from the preliminary scan, at prepare or at run
+    /// (`None` before it, and in padding mode).
     pub est_matches: Option<u64>,
     /// Counted cost estimate for the chosen operator.
     pub est: Option<NodeCost>,
@@ -217,8 +217,8 @@ pub struct FilterNode {
     pub actual: Option<NodeCost>,
     /// Oblivious-memory budget (bytes) the choice assumed.
     pub om_bytes: usize,
-    /// Output-region key, pre-allocated at prepare so the estimate and
-    /// the execution share the Hash operator's bucket functions.
+    /// Output-region key, drawn before the choice is costed so the estimate
+    /// and the execution share the Hash operator's bucket functions.
     pub(crate) out_key: Option<PlanKey>,
 }
 

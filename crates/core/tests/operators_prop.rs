@@ -191,6 +191,41 @@ fn aggregates_match_reference() {
 /// All three joins agree with a nested-loop reference on arbitrary
 /// (possibly non-FK) key distributions — T1 keys are deduplicated to
 /// preserve the FK precondition of the sort-merge variants.
+/// GROUP BY returns its groups in ascending encoded-key order: the sort
+/// compares each key's first eight bytes as one word, then whole keys, so
+/// `Text(16)` keys alike in their first eight bytes still sort right.
+#[test]
+fn groups_sharing_an_eight_byte_prefix_sort_on_the_whole_key() {
+    let s =
+        Schema::new(vec![Column::new("g", DataType::Text(16)), Column::new("v", DataType::Int)]);
+    let keys = ["checkin-station9", "checkin-", "checkin-station1", "checkin-s", "checkin!"];
+    let encoded: Vec<Vec<u8>> = [&keys[..], &["checkio", "checkin-s"]]
+        .concat()
+        .iter()
+        .map(|k| s.encode_row(&[Value::Text(k.to_string()), Value::Int(1)]).unwrap())
+        .collect();
+    let mut host = Host::new();
+    let mut t =
+        FlatTable::from_encoded_rows(&mut host, AeadKey([1u8; 32]), s, &encoded, 8).unwrap();
+    let om = OmBudget::new(DEFAULT_OM_BYTES);
+    let rows =
+        exec::group_aggregate(&mut host, &om, &mut t, 0, AggFunc::Count, None, &Predicate::True)
+            .unwrap();
+    let got: Vec<(&str, i64)> =
+        rows.iter().map(|r| (r[0].as_text().unwrap(), r[1].as_int().unwrap())).collect();
+    assert_eq!(
+        got,
+        [
+            ("checkin!", 1),
+            ("checkin-", 1),
+            ("checkin-s", 2),
+            ("checkin-station1", 1),
+            ("checkin-station9", 1),
+            ("checkio", 1),
+        ]
+    );
+}
+
 #[test]
 fn joins_match_reference() {
     let mut rng = EnclaveRng::seed_from_u64(0x101);

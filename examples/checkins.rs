@@ -6,6 +6,9 @@
 //! employee 3172 entered the building. This example records the simulated
 //! OS-level trace for two differently-parameterized queries and shows the
 //! transcripts are identical, so the adversary learns nothing but sizes.
+//! A third, more selective query returns fewer rows and still leaves the
+//! same transcript: all three results fit oblivious memory, so each select
+//! is one pass over the table that writes nothing.
 //!
 //! ```sh
 //! cargo run --release --example checkins
@@ -16,7 +19,8 @@ use oblidb::core::{Database, DbConfig};
 fn build_db() -> Database {
     let mut db = Database::new(DbConfig::default());
     // Disable the Continuous algorithm: its choice leaks continuity, and
-    // we want byte-identical transcripts across these two queries.
+    // we want byte-identical transcripts even where matches overflow
+    // oblivious memory and the planner chooses an operator.
     db.config_mut().planner.enable_continuous = false;
     db.execute("CREATE TABLE Checkins (uid INT, day INT, direction INT) CAPACITY 512").unwrap();
     // 400 check-in events for 200 employees over 2 days.
@@ -51,18 +55,20 @@ fn main() {
     );
     println!("transcripts identical: the adversary cannot tell the queries apart.");
 
-    // Contrast: what the paper warns about. A *non-oblivious* filter whose
-    // output writes coincide with matching input rows would produce a
-    // different trace per uid — here the engine's operators never do that.
+    // A more selective query: fewer rows, same transcript. The output size
+    // is leaked by design, but through the result, not the access pattern:
+    // results that fit oblivious memory are never written out.
     let mut db = build_db();
     db.start_trace();
     let c = db.execute("SELECT * FROM Checkins WHERE uid = 3172 AND day > 5").unwrap();
     let trace_c = db.take_trace();
+    assert_ne!(c.len(), a.len());
+    assert_eq!(trace_c, trace_a, "results that fit oblivious memory leave one transcript");
     println!(
-        "\na more selective query ({} rows) changes only the *output size*, \
-         which ObliDB leaks by design: {} accesses vs {}.",
+        "\na more selective query ({} rows vs {}) leaves the same transcript too: \
+         {} accesses, one pass over the table.",
         c.len(),
-        trace_c.len(),
-        trace_a.len()
+        a.len(),
+        trace_c.len()
     );
 }

@@ -40,11 +40,14 @@ fn main() {
 
     let query = "SELECT * FROM events WHERE kind = 1";
 
-    // Phase 1+2: prepare and explain — nothing has executed yet.
+    // Phase 1+2: prepare and explain — nothing has executed yet, and a
+    // root select's filter waits for its first pass to count the matches.
     let mut stmt = db.prepare(query).unwrap();
-    println!("--- {query}\n--- plan (estimates only)\n{}", stmt.explain());
+    println!("--- {query}\n--- plan (filter deferred to run)\n{}", stmt.explain());
 
-    // Phase 3: run, then explain again — actual counted costs appear.
+    // Phase 3: run, then explain again — the 256 matches overflow 128 bytes
+    // of OM, so the first pass's count chose an operator; its estimate
+    // and actual counted costs appear.
     let out = stmt.run().unwrap();
     println!("--- ran: {} rows\n--- plan (with actuals)\n{}", out.len(), stmt.explain());
 

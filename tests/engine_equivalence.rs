@@ -572,3 +572,148 @@ fn group_by_matches_plain_on_random_tables() {
         }
     }
 }
+
+/// Root selects against the plain engine over seeded random tables, flat
+/// and BOTH (indexed on `id`), padded and not: with an OM budget the
+/// matches fit in, the first pass is the whole select and reports its
+/// operator; with one of three rows, most of them overflow to a sealing
+/// operator. With and without WHERE, and with ORDER BY the unique key …
+/// LIMIT. Unordered results are compared as sets, floats to the bit.
+#[test]
+fn root_selects_match_plain_on_random_tables() {
+    use oblidb::core::padding::PaddingConfig;
+    use oblidb::core::{Column, DataType, Schema, SelectAlgo};
+    use oblidb::enclave::EnclaveRng;
+
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("v", DataType::Int),
+        Column::new("f", DataType::Float),
+        Column::new("s", DataType::Text(8)),
+    ]);
+    let tight_om = 3 * schema.row_len();
+    // Under the tight budget: first passes that fit, and that overflow.
+    let seeds: &[u64] = if cfg!(debug_assertions) { &[1, 2] } else { &[1, 2, 3, 4, 5, 6, 7, 8] };
+    let (mut fitted, mut overflowed) = (0, 0);
+    for &seed in seeds {
+        let mut rng = EnclaveRng::seed_from_u64(seed);
+        let n = 40 + rng.below(60) as usize;
+        let capacity = n as u64 + rng.below(20);
+        let mut ids: Vec<i64> = (0..n as i64).map(|i| 2 * i - 30).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let rows: Vec<Vec<Value>> = ids
+            .iter()
+            .map(|&id| {
+                let text = ["a", "b", "c"][rng.below(3) as usize].repeat(1 + rng.below(8) as usize);
+                vec![
+                    Value::Int(id),
+                    Value::Int(rng.below(20) as i64),
+                    Value::Float((rng.below(2_001) as f64 - 1_000.0) / 7.0),
+                    Value::Text(text),
+                ]
+            })
+            .collect();
+        let plain = PlainTable::new(schema.clone(), rows.clone());
+        let (x, lo) = (rng.below(20) as i64, 2 * rng.below(n as u64) as i64 - 30);
+        let cmp = |col: &str, op, v| Predicate::cmp(&schema, col, op, Value::Int(v)).unwrap();
+        let range = Predicate::And(
+            Box::new(cmp("id", CmpOp::Ge, lo)),
+            Box::new(cmp("id", CmpOp::Lt, lo + 12)),
+        );
+        let wheres = [
+            (String::new(), Predicate::True),
+            (format!(" WHERE v < {x}"), cmp("v", CmpOp::Lt, x)),
+            (format!(" WHERE v = {x}"), cmp("v", CmpOp::Eq, x)),
+            (format!(" WHERE id >= {lo} AND id < {}", lo + 12), range),
+        ];
+        for method in [StorageMethod::Flat, StorageMethod::Both] {
+            let load = |config| {
+                let mut db = Database::new(config);
+                db.create_table_with_rows("t", schema.clone(), method, Some("id"), &rows, capacity)
+                    .unwrap();
+                db
+            };
+            // The OM the table holds for good: a BOTH table's position map.
+            let held = load(DbConfig::default()).om().used();
+            for padding in [None, Some(PaddingConfig { pad_rows: n as u64 })] {
+                for om_bytes in [1 << 20, held + tight_om] {
+                    let tight = om_bytes != 1 << 20;
+                    let mut db = load(DbConfig { om_bytes, padding, ..DbConfig::default() });
+                    for (where_sql, pred) in &wheres {
+                        let mut want = plain.select(pred);
+                        let sql = format!("SELECT * FROM t{where_sql}");
+                        let ctx =
+                            format!("seed {seed}, {method:?}, {padding:?}, OM {om_bytes} B: {sql}");
+                        db.host_mut().reset_stats();
+                        let out = db.execute(&sql).unwrap();
+                        let mut got = exact_rows(out.rows());
+                        got.sort();
+                        let mut sorted = exact_rows(&want);
+                        sorted.sort();
+                        assert_eq!(got, sorted, "{ctx}");
+                        // On a flat table only an overflowing first pass
+                        // writes (an index walk writes, aborted or not).
+                        let flat = method == StorageMethod::Flat;
+                        let sealed = flat && db.host_mut().stats().writes > 0;
+                        if tight {
+                            *if sealed { &mut overflowed } else { &mut fitted } += 1;
+                        } else {
+                            let algo = if padding.is_some() {
+                                SelectAlgo::Padded
+                            } else {
+                                SelectAlgo::Small
+                            };
+                            assert_eq!(out.plan.select_algo, Some(algo), "{ctx}");
+                            assert!(!sealed, "{ctx}: {} matches fit OM", want.len());
+                        }
+
+                        want.sort_by_key(|r| r[0].as_int().unwrap());
+                        let limit = 1 + rng.below(8) as usize;
+                        for desc in [false, true] {
+                            let sql = format!(
+                                "{sql} ORDER BY id{} LIMIT {limit}",
+                                if desc { " DESC" } else { "" }
+                            );
+                            let mut want = want.clone();
+                            if desc {
+                                want.reverse();
+                            }
+                            want.truncate(limit);
+                            let got = db.execute(&sql).unwrap();
+                            assert_eq!(exact_rows(got.rows()), exact_rows(&want), "{ctx}: {sql}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(fitted > 0 && overflowed > 0, "tight OM: {fitted} fitted, {overflowed} overflowed");
+}
+
+/// Preparing a root select over a flat table touches no memory: its
+/// preliminary scan is its own first pass, at run time.
+#[test]
+fn preparing_a_root_flat_select_touches_no_memory() {
+    let rows = synthetic::table(N, 8, 3);
+    let mut db = Database::new(DbConfig::default());
+    db.create_table_with_rows(
+        "t",
+        synthetic::schema(8),
+        StorageMethod::Flat,
+        None,
+        &rows,
+        N as u64,
+    )
+    .unwrap();
+    let before = db.host_mut().stats();
+    for sql in [
+        "SELECT * FROM t",
+        "SELECT id FROM t WHERE val < 150 ORDER BY id LIMIT 3",
+        "EXPLAIN SELECT * FROM t WHERE val = 7",
+    ] {
+        db.prepare(sql).unwrap();
+        assert_eq!(db.host_mut().stats(), before, "{sql}");
+    }
+}

@@ -156,6 +156,29 @@ fn padded_filters_hide_match_counts() {
     }
 }
 
+/// A root select whose matches fit oblivious memory is its own first pass:
+/// one read of the table, nothing written. Two tables of one capacity
+/// whose matches number 3 and 40 leave one trace, unpadded and under a
+/// padded bound both fit.
+#[test]
+fn root_select_trace_hides_the_match_count_when_it_fits() {
+    for padding in [None, Some(PaddingConfig { pad_rows: 48 })] {
+        let run = |matches: i64| {
+            let mut db = Database::new(DbConfig { padding, ..DbConfig::default() });
+            db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 64").unwrap();
+            for i in 0..50 {
+                let v = if i < matches { i } else { 100 + i };
+                db.execute(&format!("INSERT INTO t VALUES ({i}, {v})")).unwrap();
+            }
+            let (n, trace) = traced(&mut db, "SELECT * FROM t WHERE v < 100");
+            assert_eq!(n as i64, matches, "{padding:?}");
+            assert!(written(&trace).is_empty(), "{padding:?}: the matches stay in OM");
+            trace
+        };
+        assert_eq!(run(3), run(40), "{padding:?}: the match count must not show");
+    }
+}
+
 /// Padding mode through the fused build: the build's passes come from the
 /// padded bound, so 3 and 9 matches under a bound of 12 leave one trace.
 /// 13 matches run every pass, then return `PaddedBoundExceeded` and hand

@@ -19,6 +19,7 @@
 //!    through the prepare/execute path when the profiles agree.
 
 use oblidb::baselines::paper_rules;
+use oblidb::core::exec::select::first_pass_cost;
 use oblidb::core::exec::{self, AggFold, AggFunc, RowSink, SortMergeVariant};
 use oblidb::core::plan::cost::LARGE_THRESHOLD;
 use oblidb::core::plan::cost::{join_cost, select_cost, JoinAlgo, JoinShape, SelectShape};
@@ -209,6 +210,54 @@ fn estimates_match_actuals_for_every_select_algorithm() {
     }
 }
 
+/// A root select's first pass costs one pass over its input, as
+/// `first_pass_cost` counts it, whether its matches fit the OM lease (and
+/// come back from there) or overflow it: both widths, capacities around
+/// the chunk, padded and not. Through the engine, a root select whose
+/// matches fit estimates that count, writes nothing, and reports Small.
+#[test]
+fn first_pass_estimates_match_actuals() {
+    for schema in widths() {
+        let row_len = schema.row_len();
+        let chunk = batch_chunk_blocks(row_len) as u64;
+        for capacity in [1, chunk, chunk + 1] {
+            let matches = capacity.div_ceil(2);
+            let all = capacity as usize * row_len;
+            for (om_bytes, pad) in [(all, None), (row_len, None), (all, Some(capacity))] {
+                let ctx = format!("capacity {capacity}, row {row_len} B, OM {om_bytes} B, {pad:?}");
+                let mut host = Host::new();
+                let mut input = table(&mut host, &schema, capacity, |i| i as i64);
+                let pred =
+                    Predicate::cmp(&schema, "id", CmpOp::Lt, Value::Int(matches as i64)).unwrap();
+                let om = OmBudget::new(om_bytes);
+                let (mut rows, mut overflow) = (Vec::new(), None);
+                let actual = measured(&mut host, |h| {
+                    let mut sink = RowSink::Rows(&schema, &mut rows);
+                    overflow =
+                        exec::select_first_pass(h, &om, &mut input, &pred, pad, &mut sink).unwrap();
+                });
+                assert_eq!(first_pass_cost(row_len, capacity), actual, "{ctx}");
+                let fits = matches as usize * row_len <= om_bytes;
+                assert_eq!(overflow.map(|s| s.matches), (!fits).then_some(matches), "{ctx}");
+                assert_eq!(rows.len() as u64, if fits { matches } else { 0 }, "{ctx}");
+            }
+        }
+    }
+
+    let mut db = build_db(DbConfig::default(), 96, 96);
+    let mut stmt = db.prepare("SELECT * FROM t WHERE id >= 16 AND id < 48").unwrap();
+    assert_eq!(stmt.run().unwrap().len(), 32);
+    let f = filter_of(stmt.plan().select_root().unwrap());
+    assert_eq!(f.choice.algo(), Some(SelectAlgo::Small));
+    let (est, actual) = (f.est.unwrap(), f.actual.unwrap());
+    assert_eq!(
+        (est.reads, est.writes, est.crossings, est.bytes),
+        (actual.reads, actual.writes, actual.crossings, actual.bytes),
+        "the first pass's counted estimate must equal its measured cost"
+    );
+    assert_eq!(actual.writes, 0, "matches that fit OM are never written");
+}
+
 /// Padding mode: the padded estimate is exact too (pass count and output
 /// size come from the public bound).
 #[test]
@@ -388,15 +437,16 @@ fn disk_and_host_profiles_pick_different_cheaper_operators() {
     assert_eq!(cost_of(&disk_candidates, disk_algo), disk_actual.weighted);
 }
 
-/// 3b. EXPLAIN SELECT works end to end and surfaces the per-substrate
-/// divergence textually.
+/// 3b. EXPLAIN ANALYZE works end to end and surfaces the per-substrate
+/// divergence textually (a root select chooses at run time, once its
+/// first pass finds the matches overflow oblivious memory).
 #[test]
 fn explain_select_shows_the_calibrated_choice() {
     let explain_with = |profile: CostProfile| {
         let mut config = DbConfig { om_bytes: 128, ..DbConfig::default() };
         config.planner.profile = profile;
         let mut db = build_db(config, 512, 2);
-        let out = db.execute("EXPLAIN SELECT * FROM t WHERE v = 1").unwrap();
+        let out = db.execute("EXPLAIN ANALYZE SELECT * FROM t WHERE v = 1").unwrap();
         out.rows().iter().map(|r| r[0].as_text().unwrap().to_string()).collect::<Vec<_>>()
     };
     let host = explain_with(CostProfile::host());

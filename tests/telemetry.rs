@@ -91,20 +91,27 @@ fn telemetry_on_is_trace_and_result_identical() {
 
 /// Planning is not execution. The cost-based planner counts its
 /// candidates from public sizes and touches no memory doing it: preparing
-/// an uncached select records the prepare and plan spans and the
-/// preliminary scan's real reads — no operator span, no sealed block, and
-/// exactly as many opened blocks as the substrate served.
+/// an uncached join whose WHERE is pushed down to one side records the
+/// prepare and plan spans and that side's preliminary scan's real reads —
+/// no operator span, no sealed block, and exactly as many opened blocks
+/// as the substrate served. A root select reads nothing at prepare: its
+/// scan is its own first pass, at run time.
 #[test]
 fn planner_costing_touches_no_memory() {
     let _g = gate();
     telemetry::set_enabled(false);
     let mut db = seeded_db(DbConfig::default());
+    db.execute("CREATE TABLE d (g INT, label CHAR(8)) CAPACITY 16").unwrap();
+    db.host_mut().reset_stats();
+    let explain = db.prepare(QUERY).unwrap().explain().to_string();
+    assert!(explain.contains("Filter [deferred to run]"), "{explain}");
+    assert_eq!(db.host_mut().stats().total_accesses(), 0, "a root select reads at run time");
     let _ = telemetry::take_spans();
     telemetry::reset_metrics();
-    db.host_mut().reset_stats();
 
     telemetry::set_enabled(true);
-    let explain = db.prepare(QUERY).unwrap().explain().to_string();
+    let join = "SELECT * FROM d JOIN t ON d.g = t.k WHERE v < 18";
+    let explain = db.prepare(join).unwrap().explain().to_string();
     telemetry::set_enabled(false);
     assert!(explain.contains("candidates:"), "the planner costed its candidates:\n{explain}");
 
