@@ -4,11 +4,11 @@
 //! For a sweep of query shapes (selectivity × oblivious-memory budget)
 //! the same SELECT is priced under the host, disk, and cached-disk
 //! [`CostProfile`]s: the engine's pick comes from its preliminary scan and
-//! choice function ([`scan_stats`], [`choose_select`]) run directly — a
-//! root select leaves its choice to run time, and takes none when its
-//! matches fit oblivious memory — and both it and the operator the
+//! choice function ([`select_first_pass`], [`choose_select`]) run directly — a
+//! select chooses at run time, after its first pass, and takes none when
+//! its matches fit oblivious memory — and both it and the operator the
 //! closed-form rule ([`paper_rules::choose_select`]) would take are priced
-//! by planning with `force_select` set to them.
+//! by running with `force_select` set to them.
 //! Emits `BENCH_planner.json`: one row per profile × shape with both
 //! choices and their counted, profile-weighted costs (crossings priced per
 //! substrate; the host profile's crossing weight is the SGX OCALL model).
@@ -18,12 +18,13 @@
 use std::fmt::Write as _;
 
 use oblidb_baselines::paper_rules;
-use oblidb_core::plan::cost::{choose_select, scan_stats, PlannerConfig, SelectShape};
+use oblidb_core::exec::select::select_first_pass;
+use oblidb_core::plan::cost::{choose_select, PlannerConfig, SelectShape};
 use oblidb_core::predicate::CmpOp;
 use oblidb_core::table::FlatTable;
 use oblidb_core::{CostProfile, Database, DbConfig, Predicate, SelectAlgo, StorageMethod, Value};
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::Host;
+use oblidb_enclave::{Host, OmBudget};
 
 fn smoke() -> bool {
     oblidb_bench::smoke_mode()
@@ -74,7 +75,8 @@ fn choose(shape: &Shape, profile: &CostProfile) -> SelectAlgo {
     let mut t =
         FlatTable::from_encoded_rows(&mut host, key.clone(), schema(), &rows, capacity).unwrap();
     let pred = Predicate::cmp(&schema(), "v", CmpOp::Eq, Value::Int(1)).unwrap();
-    let stats = scan_stats(&mut host, &mut t, &pred, |_| {}).unwrap();
+    let om = OmBudget::new(0);
+    let stats = select_first_pass(&mut host, &om, &mut t, &pred, None, 1).unwrap().stats;
     let select = SelectShape {
         schema: schema(),
         capacity,
@@ -88,9 +90,9 @@ fn choose(shape: &Shape, profile: &CostProfile) -> SelectAlgo {
     choose_select(&cfg, &select, profile).0.algo().expect("an unforced choice names its winner")
 }
 
-/// Plans `WHERE v = 1` (without running it) under `profile` with the
-/// operator pinned to `algo`, and reports its estimated weighted cost:
-/// counted at the output key the engine draws, as Hash's buckets need.
+/// Runs `WHERE v = 1` under `profile` with the operator pinned to `algo`,
+/// and reports its estimated weighted cost: counted at run time, after the
+/// first pass, at the output key the engine draws, as Hash's buckets need.
 fn priced(shape: &Shape, profile: &CostProfile, algo: SelectAlgo) -> f64 {
     let mut config = DbConfig { om_bytes: shape.om_bytes, ..DbConfig::default() };
     config.planner.profile = profile.clone();
@@ -99,9 +101,10 @@ fn priced(shape: &Shape, profile: &CostProfile, algo: SelectAlgo) -> f64 {
     let capacity = shape.rows as u64;
     db.create_table_with_rows("t", schema(), StorageMethod::Flat, None, &data(shape), capacity)
         .unwrap();
-    let stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
+    let mut stmt = db.prepare("SELECT * FROM t WHERE v = 1").unwrap();
+    stmt.run().unwrap();
     let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-    filter.est.expect("prepare costs a forced flat base filter").weighted
+    filter.est.expect("a run costs its forced filter").weighted
 }
 
 fn main() {

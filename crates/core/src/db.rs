@@ -29,11 +29,13 @@ use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
-use crate::exec::{self, select::first_pass_cost, AggFold, AggFunc, RowSink, SortMergeVariant};
+use crate::exec::{
+    self, select::first_pass_cost, AggFold, AggFunc, FirstPass, RowSink, SortMergeVariant,
+};
 use crate::padding::PaddingConfig;
 use crate::plan::cost::{
-    self, scan_stats, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape,
-    SelectStats,
+    self, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape, SelectStats,
+    ZERO_OM_SCRATCH_ROWS,
 };
 use crate::plan::{
     AccessPath, AggregateNode, CandidateCost, Explain, FilterNode, GroupByNode, JoinChoice,
@@ -58,11 +60,6 @@ pub enum StorageMethod {
     /// Both, kept in sync (Figure 12).
     Both,
 }
-
-/// Plain (non-oblivious) enclave scratch rows granted to the 0-OM join's
-/// sort (§4.3: it speeds up "regardless of whether the memory is
-/// oblivious").
-const ZERO_OM_SCRATCH_ROWS: usize = 1;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -755,6 +752,9 @@ impl<M: EnclaveMemory> Database<M> {
     /// [`Database::insert`] once the row is logged.
     fn insert_row(&mut self, name: &str, values: &[Value]) -> Result<(), DbError> {
         let idx = self.table_index(name)?;
+        // Refuse a row the schema cannot encode before anything is written,
+        // growth included.
+        self.tables[idx].1.schema().encode_row(values)?;
         // An index does not grow: refuse a full one before either half of
         // a BOTH table is written, so the refusal changes nothing.
         if let TableStorage::Indexed(i) | TableStorage::Both { indexed: i, .. } =
@@ -873,8 +873,9 @@ impl<M: EnclaveMemory> Database<M> {
     /// SELECT plans are cached by the parser's token shape and literals
     /// ([`Parsed::cache_key`]: spacing and keyword case do not matter) and
     /// validated against the catalog version, so preparing the same
-    /// statement again with no intervening change skips planning, and with
-    /// it any join side's preliminary scan ([`Database::plan_cache_stats`]).
+    /// statement again with no intervening change skips planning
+    /// ([`Database::plan_cache_stats`]). Planning moves no block either way:
+    /// every filter counts its matches in its run-time first pass.
     /// Mutations are never cached: running one bumps the version anyway.
     pub fn prepare_parsed(&mut self, parsed: Parsed) -> Result<PreparedStatement<'_, M>, DbError> {
         let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Prepare);
@@ -965,8 +966,8 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Compiles a SELECT into its operator tree, choosing physical
-    /// operators wherever the input shape is already known (base flat
-    /// tables) and deferring the rest to run time.
+    /// operators wherever the input shape is public at prepare (a join of
+    /// flat tables or padded filters) and deferring the rest to run time.
     fn plan_select(
         &mut self,
         s: sql::Select,
@@ -975,7 +976,9 @@ impl<M: EnclaveMemory> Database<M> {
         let (agg_items, _) = split_projection(&s.projection);
         let has_aggs = !agg_items.is_empty();
 
-        let root = if let Some(join) = &s.join {
+        // The input the projection reads, its schema, and the filter still
+        // to apply there.
+        let (input, schema, pred) = if let Some(join) = &s.join {
             let li = self.table_index(&s.table)?;
             let ri = self.table_index(&join.table)?;
             let ls = self.tables[li].1.schema().clone();
@@ -984,25 +987,12 @@ impl<M: EnclaveMemory> Database<M> {
             let rc = rs.col(&join.right_col)?;
 
             // Push the WHERE down to whichever single side it resolves on.
-            let mut pushed = false;
-            let (left_pred, right_pred) = match &s.where_clause {
-                Some(w) => {
-                    if let Ok(p) = w.resolve(&ls) {
-                        pushed = true;
-                        (Some(p), None)
-                    } else if let Ok(p) = w.resolve(&rs) {
-                        pushed = true;
-                        (None, Some(p))
-                    } else {
-                        (None, None)
-                    }
-                }
-                None => (None, None),
-            };
-
-            let (left, left_capacity) = self.plan_join_side(li, &s.table, left_pred, profile)?;
-            let (right, right_capacity) =
-                self.plan_join_side(ri, &join.table, right_pred, profile)?;
+            let resolve = |schema| s.where_clause.as_ref().and_then(|w| w.resolve(schema).ok());
+            let left_pred = resolve(&ls);
+            let right_pred = left_pred.is_none().then(|| resolve(&rs)).flatten();
+            let pushed = left_pred.is_some() || right_pred.is_some();
+            let (left, left_capacity) = self.plan_join_side(li, &s.table, left_pred);
+            let (right, right_capacity) = self.plan_join_side(ri, &join.table, right_pred);
 
             let om_bytes = self.om.available();
             let renamed = ls.join(&s.table, &rs, &join.table);
@@ -1014,7 +1004,8 @@ impl<M: EnclaveMemory> Database<M> {
                 right: Box::new(right),
                 left_col: lc,
                 right_col: rc,
-                // A side's shape may wait on a runtime index probe.
+                // A side's shape may wait on a runtime index probe or a
+                // filter's first pass.
                 choice: JoinChoice::Deferred,
                 est: None,
                 actual: None,
@@ -1023,64 +1014,24 @@ impl<M: EnclaveMemory> Database<M> {
                 renamed: renamed.clone(),
             };
             if let (Some(left_capacity), Some(right_capacity)) = (left_capacity, right_capacity) {
-                let shape = JoinShape {
-                    left_schema: ls.clone(),
-                    left_capacity,
-                    right_schema: rs.clone(),
-                    right_capacity,
-                    om_bytes,
-                    zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
-                    folded,
-                    fused: None,
-                };
-                (join.choice, join.est) = cost::choose_join(&self.config.planner, &shape, profile);
-                if folded {
-                    cost::fuse_filtered_build(&self.config.planner, &mut join, &shape, profile);
+                let (left, right) = ((ls, left_capacity), (rs, right_capacity));
+                let shape = JoinShape::new(left, right, om_bytes, folded);
+                let cfg = &self.config.planner;
+                (join.choice, join.est) = cost::choose_join(cfg, &shape, profile);
+                // Padding mode's bound is public: it decides a fused build
+                // here.
+                if let (true, Some(pad)) = (folded, self.config.padding.map(|p| p.pad_rows)) {
+                    let bound = SelectStats { matches: pad, continuous: false };
+                    cost::fuse_filtered_build(cfg, Some(pad), &mut join, bound, om_bytes, profile);
                 }
             }
             let mut top = PlanNode::Join(join);
-
             // WHERE after the join, unless push-down already consumed it.
             if let (Some(w), false) = (&s.where_clause, pushed) {
                 let pred = w.resolve(&renamed)?;
-                let choice = match &self.config.padding {
-                    Some(pad) => SelectChoice::Padded { pad_rows: pad.pad_rows },
-                    None => SelectChoice::Deferred,
-                };
-                top = PlanNode::Filter(FilterNode {
-                    input: Box::new(top),
-                    pred,
-                    choice,
-                    est_matches: None,
-                    est: None,
-                    actual: None,
-                    om_bytes,
-                    out_key: None,
-                });
+                top = PlanNode::Filter(self.plan_filter(top, pred));
             }
-
-            if let Some(g) = &s.group_by {
-                let (func, agg_col) = single_agg(&agg_items)?;
-                let group_col = renamed.col(g)?;
-                let agg_col = agg_col.map(|c| renamed.col(&c)).transpose()?;
-                PlanNode::GroupBy(GroupByNode {
-                    input: Box::new(top),
-                    group_col,
-                    func,
-                    agg_col,
-                    pred: Predicate::True,
-                    actual: None,
-                })
-            } else if has_aggs {
-                PlanNode::Aggregate(AggregateNode {
-                    input: Box::new(top),
-                    items: agg_items,
-                    pred: Predicate::True,
-                    actual: None,
-                })
-            } else {
-                top
-            }
+            (top, renamed, None)
         } else {
             let idx = self.table_index(&s.table)?;
             let schema = self.tables[idx].1.schema().clone();
@@ -1088,28 +1039,32 @@ impl<M: EnclaveMemory> Database<M> {
                 Some(w) => w.resolve(&schema)?,
                 None => Predicate::True,
             };
-            let scan = self.plan_scan(idx, &s.table, &pred);
-            if let Some(g) = &s.group_by {
-                let (func, agg_col) = single_agg(&agg_items)?;
-                let group_col = schema.col(g)?;
-                let agg_col = agg_col.map(|c| schema.col(&c)).transpose()?;
-                PlanNode::GroupBy(GroupByNode {
-                    input: Box::new(PlanNode::Scan(scan)),
-                    group_col,
-                    func,
-                    agg_col,
-                    pred,
-                    actual: None,
-                })
-            } else if has_aggs {
-                PlanNode::Aggregate(AggregateNode {
-                    input: Box::new(PlanNode::Scan(scan)),
-                    items: agg_items,
-                    pred,
-                    actual: None,
-                })
-            } else {
-                self.plan_base_filter(scan, pred, true, profile)?
+            (PlanNode::Scan(self.plan_scan(idx, &s.table, &pred)), schema, Some(pred))
+        };
+
+        let root = if let Some(g) = &s.group_by {
+            let (func, agg_col) = single_agg(&agg_items)?;
+            let (group_col, agg_col) = (schema.col(g)?, agg_col.map(|c| schema.col(&c)));
+            PlanNode::GroupBy(GroupByNode {
+                input: Box::new(input),
+                group_col,
+                func,
+                agg_col: agg_col.transpose()?,
+                pred: pred.unwrap_or(Predicate::True),
+                actual: None,
+            })
+        } else if has_aggs {
+            let pred = pred.unwrap_or(Predicate::True);
+            PlanNode::Aggregate(AggregateNode {
+                input: Box::new(input),
+                items: agg_items,
+                pred,
+                actual: None,
+            })
+        } else {
+            match pred {
+                Some(pred) => PlanNode::Filter(self.plan_filter(input, pred)),
+                None => input,
             }
         };
         Ok(SelectPlan { root, stmt: s })
@@ -1117,36 +1072,23 @@ impl<M: EnclaveMemory> Database<M> {
 
     /// Plans one join input: a pushed-down filter over its base table or a
     /// bare scan. Returns the node plus its output capacity when that is
-    /// exact at prepare time — `None` (→ deferred join choice) when a
-    /// runtime index probe could change it.
+    /// public at prepare time: a flat table's, or a padded filter's bound
+    /// over one. `None` (→ deferred join choice) when a runtime index probe
+    /// or first pass decides it.
     fn plan_join_side(
         &mut self,
         idx: usize,
         name: &str,
         pred: Option<Predicate>,
-        profile: &CostProfile,
-    ) -> Result<(PlanNode, Option<u64>), DbError> {
+    ) -> (PlanNode, Option<u64>) {
+        let scan = self.plan_scan(idx, name, pred.as_ref().unwrap_or(&Predicate::True));
+        let flat = (scan.access == AccessPath::Flat).then_some(scan.capacity);
         match pred {
             Some(p) => {
-                let scan = self.plan_scan(idx, name, &p);
-                let exact_input = matches!(scan.access, AccessPath::Flat);
-                let node = self.plan_base_filter(scan, p, false, profile)?;
-                let capacity = match &node {
-                    PlanNode::Filter(f) if exact_input => filter_output_capacity(f),
-                    _ => None,
-                };
-                Ok((node, capacity))
+                let capacity = flat.and(self.config.padding).map(|pad| pad.pad_rows.max(1));
+                (PlanNode::Filter(self.plan_filter(PlanNode::Scan(scan), p)), capacity)
             }
-            None => {
-                let scan = self.plan_scan(idx, name, &Predicate::True);
-                let capacity = match scan.access {
-                    // A bare stored table is read in place.
-                    AccessPath::Flat => Some(scan.capacity),
-                    // Index materialization sizes the copy by the walk.
-                    _ => None,
-                };
-                Ok((PlanNode::Scan(scan), capacity))
-            }
+            None => (PlanNode::Scan(scan), flat),
         }
     }
 
@@ -1200,79 +1142,30 @@ impl<M: EnclaveMemory> Database<M> {
         } else {
             AccessPath::IndexFull
         };
-        ScanNode { table: name.to_string(), access, rows, capacity, actual: None }
+        let schema = storage.schema().clone();
+        ScanNode { table: name.to_string(), access, schema, rows, capacity, actual: None }
     }
 
-    /// Plans the selection stage over a base-table scan. A join side over a
-    /// flat access path, or a forced one, has its operator chosen here (the
-    /// input shape is exact); index candidates defer the choice to run
-    /// time, when the probe has materialized its result, and so does an
-    /// unforced, unpadded `root`, whose first pass is its preliminary scan.
-    fn plan_base_filter(
-        &mut self,
-        scan: ScanNode,
-        pred: Predicate,
-        root: bool,
-        profile: &CostProfile,
-    ) -> Result<PlanNode, DbError> {
-        let om_bytes = self.om.available();
-        let (table_name, capacity, rows) = (scan.table.clone(), scan.capacity, scan.rows);
-        let flat_access = matches!(scan.access, AccessPath::Flat);
-        let mut node = FilterNode {
-            input: Box::new(PlanNode::Scan(scan)),
+    /// Plans a selection stage over `input`. Its operator waits for the
+    /// run-time first pass ([`exec::select_first_pass`]), which counts |R|;
+    /// padding mode pins Small's windows over the bound (§2.3). The output
+    /// key is drawn now, so the Hash candidate is priced with the buckets
+    /// it would run with.
+    fn plan_filter(&mut self, input: PlanNode, pred: Predicate) -> FilterNode {
+        let choice = match self.config.padding {
+            Some(pad) => SelectChoice::Padded { pad_rows: pad.pad_rows },
+            None => SelectChoice::Deferred,
+        };
+        FilterNode {
+            input: Box::new(input),
             pred,
-            choice: SelectChoice::Deferred,
+            choice,
             est_matches: None,
             est: None,
             actual: None,
-            om_bytes,
-            out_key: None,
-        };
-
-        let padding = self.config.padding.map(|p| p.pad_rows);
-        let first_pass = root && self.config.planner.force_select.is_none();
-        if padding.is_none() && (!flat_access || first_pass) {
-            return Ok(PlanNode::Filter(node));
+            om_bytes: self.om.available(),
+            out_key: PlanKey(self.next_key()),
         }
-
-        // The planner's preliminary scan (paper §5) — also supplies |R| for
-        // the operator's output and the join's costing, so run() does not
-        // rescan. Padding mode skips it: the bound stands in for |R| (§2.3).
-        let idx = self.table_index(&table_name)?;
-        let schema = self.tables[idx].1.schema().clone();
-        let stats = match padding {
-            Some(pad_rows) => SelectStats { matches: pad_rows, continuous: false },
-            None => {
-                let table = self.tables[idx].1.flat_mut().expect("flat access path");
-                scan_stats(&mut self.host, table, &node.pred, |_| {})?
-            }
-        };
-        let out_key = self.next_key();
-        let shape = SelectShape {
-            schema,
-            capacity,
-            rows,
-            matches: stats.matches,
-            continuous: stats.continuous,
-            om_bytes,
-            out_key: out_key.clone(),
-        };
-        if let Some(pad_rows) = padding {
-            node.choice = SelectChoice::Padded { pad_rows };
-            // A root's first pass is the whole select when the bound fits.
-            let row_len = shape.schema.row_len();
-            let counted = if root && pad_rows.saturating_mul(row_len as u64) <= om_bytes as u64 {
-                first_pass_cost(row_len, capacity)
-            } else {
-                cost::select_cost(SelectAlgo::Padded, &shape)
-            };
-            node.est = Some(NodeCost::from_stats(&counted, profile));
-        } else {
-            (node.choice, node.est) = cost::choose_select(&self.config.planner, &shape, profile);
-            node.est_matches = Some(stats.matches);
-        }
-        node.out_key = Some(PlanKey(out_key));
-        Ok(PlanNode::Filter(node))
     }
 
     // ---- plan execution ---------------------------------------------------
@@ -1370,9 +1263,9 @@ impl<M: EnclaveMemory> Database<M> {
     }
 
     /// Runs a SELECT tree: operators → rows → ORDER BY / LIMIT →
-    /// projection. An aggregate, GROUP BY or fitting first-pass root returns
-    /// its rows from the enclave; any other root's output is decoded, then
-    /// freed if the statement owns it.
+    /// projection. An aggregate, GROUP BY or a filter whose first pass fits
+    /// returns its rows from the enclave; any other root's output is
+    /// decoded, then freed if the statement owns it.
     fn run_select_root(
         &mut self,
         root: &mut PlanNode,
@@ -1383,9 +1276,10 @@ impl<M: EnclaveMemory> Database<M> {
         let (schema, mut rows) = match root {
             PlanNode::Aggregate(a) => self.exec_aggregate(a, &mut info, profile)?,
             PlanNode::GroupBy(g) => self.exec_group(g, &mut info, profile)?,
-            PlanNode::Filter(f) if self.config.planner.force_select.is_none() => {
+            PlanNode::Filter(f) => {
                 let mut rows = Vec::new();
-                let (schema, out) = self.exec_filter(f, Some(&mut rows), &mut info, profile)?;
+                let (schema, out) =
+                    self.exec_filter(f, Some(&mut rows), None, &mut info, profile)?;
                 if let Some(mut out) = out {
                     let read = out.collect_rows(&mut self.host);
                     out.free(&mut self.host)?;
@@ -1434,7 +1328,7 @@ impl<M: EnclaveMemory> Database<M> {
     ) -> Result<Option<FlatTable>, DbError> {
         match node {
             PlanNode::Scan(scan) => self.exec_scan(scan, info, profile),
-            PlanNode::Filter(f) => Ok(self.exec_filter(f, None, info, profile)?.1),
+            PlanNode::Filter(f) => Ok(self.exec_filter(f, None, None, info, profile)?.1),
             PlanNode::Join(j) => self.exec_join(j, RowSink::seal(), info, profile),
             PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
                 Err(DbError::Unsupported("an aggregate is planned only at the root".into()))
@@ -1473,28 +1367,28 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(probed)
     }
 
-    /// Executes a filter node: run its input, resolve a deferred operator
-    /// choice with the same cost machinery prepare uses, run the operator,
-    /// and record the measured cost. Returns the output's schema and the
-    /// table the operator sealed — none when `rows`, a root select's, took
-    /// the matches from its first pass.
+    /// Executes a filter node: run its input, then its selection stage
+    /// ([`run_filter_stage`]) over it, recording the measured cost. Returns
+    /// the output's schema and the table the stage sealed — none when
+    /// `rows`, a root select's, took the matches from the first pass.
+    /// `first` is a first pass already run over the input, if any.
     fn exec_filter(
         &mut self,
         f: &mut FilterNode,
         mut rows: Option<&mut Vec<Row>>,
+        first: Option<FirstPass>,
         info: &mut PlanInfo,
         profile: &CostProfile,
     ) -> Result<(Schema, Option<FlatTable>), DbError> {
         let over_intermediate = !matches!(f.input.as_ref(), PlanNode::Scan(_));
         let owned = self.exec_input(&mut f.input, info, profile)?;
-        let out_key = f.out_key.get_or_insert_with(|| PlanKey(self.next_key())).0.clone();
         let rng = self.rng.fork();
         let [mut input] = inputs(&mut self.tables, [(&*f.input, owned)]);
         let schema = input.schema().clone();
         let (host, om, config, sink) =
             (&mut self.host, &self.om, &self.config, rows.as_deref_mut());
         let out =
-            run_filter_stage(host, om, config, f, &mut input, out_key, rng, profile, info, sink);
+            run_filter_stage(host, om, config, f, &mut input, rng, profile, info, sink, first);
         input.free(&mut self.host)?;
         let out = out?;
         if over_intermediate {
@@ -1507,6 +1401,12 @@ impl<M: EnclaveMemory> Database<M> {
     /// Executes a join node over its sides, read in place where they are
     /// stored, emitting the joined rows into `sink`. Returns the table a
     /// sealing sink built, its columns renamed to the real table names.
+    ///
+    /// Unpadded, a folded join's fusable side starts with its filter's
+    /// first pass, kept in build entries: it counts the bound a fused build
+    /// would cover ([`cost::fuse_filtered_build`]), and is that build's
+    /// first pass when it fuses; otherwise the filter's stage takes it.
+    /// Padding mode decided at prepare.
     fn exec_join(
         &mut self,
         j: &mut JoinNode,
@@ -1515,8 +1415,35 @@ impl<M: EnclaveMemory> Database<M> {
         profile: &CostProfile,
     ) -> Result<Option<FlatTable>, DbError> {
         info.fused_aggregate = false;
-        let (left, _) = self.exec_join_side(&mut j.left, info, profile)?;
-        let (mut right, copy_key) = self.exec_join_side(&mut j.right, info, profile)?;
+        let om_bytes = self.om.available();
+        let (mut passes, mut first, mut clock) = ([None, None], None, None);
+        let cfg = &self.config.planner;
+        let fusable = cost::fusable_side(cfg, j, om_bytes)
+            .filter(|_| matches!(sink, RowSink::Fold(_)) && self.config.padding.is_none());
+        if let Some((side, f, ..)) = fusable {
+            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
+            let (before, started) = (self.host.stats(), Instant::now());
+            let [mut base] = inputs(&mut self.tables, [(&*f.input, None)]);
+            let entry = exec::join::build_entry_len(base.row_len());
+            let (host, om, pred) = (&mut self.host, &self.om, &f.pred);
+            let pass = exec::select_first_pass(host, om, &mut base, pred, None, entry)?;
+            (j.fused, j.om_bytes) = (None, om_bytes);
+            if cost::fuse_filtered_build(cfg, None, j, pass.stats, om_bytes, profile) {
+                (first, clock) = (Some(pass), Some((span, before, started)));
+            } else {
+                passes[side as usize] = Some(pass);
+            }
+        }
+        // A fused build reads both sides in place; an overflowing first
+        // pass goes to its filter's stage.
+        let [l, r] = passes;
+        let ((left, _), (mut right, copy_key)) = match j.fused {
+            Some(_) => ((None, None), (None, None)),
+            None => (
+                self.exec_join_side(&mut j.left, l, info, profile)?,
+                self.exec_join_side(&mut j.right, r, info, profile)?,
+            ),
+        };
         let same_table = matches!(
             (j.left.as_ref(), j.right.as_ref()),
             (PlanNode::Scan(l), PlanNode::Scan(r)) if l.table == r.table
@@ -1532,16 +1459,10 @@ impl<M: EnclaveMemory> Database<M> {
         let [mut lhs, mut rhs] = inputs(&mut self.tables, [(&*j.left, left), (&*j.right, right)]);
 
         if matches!(j.choice, JoinChoice::Deferred) {
-            let shape = JoinShape {
-                left_schema: lhs.schema().clone(),
-                left_capacity: lhs.capacity(),
-                right_schema: rhs.schema().clone(),
-                right_capacity: rhs.capacity(),
-                om_bytes: self.om.available(),
-                zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
-                folded: matches!(sink, RowSink::Fold(_)),
-                fused: None,
-            };
+            let (left, right) =
+                ((lhs.schema().clone(), lhs.capacity()), (rhs.schema().clone(), rhs.capacity()));
+            let folded = matches!(sink, RowSink::Fold(_));
+            let shape = JoinShape::new(left, right, self.om.available(), folded);
             j.om_bytes = shape.om_bytes;
             (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
         }
@@ -1550,12 +1471,14 @@ impl<M: EnclaveMemory> Database<M> {
 
         let (host, om) = (&mut self.host, &self.om);
         let (t1, c1, t2, c2) = (&mut *lhs, j.left_col, &mut *rhs, j.right_col);
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
-        let before = host.stats();
-        let started = Instant::now();
+        // A fused build's clock started at its first pass.
+        let (_span, before, started) = clock.unwrap_or_else(|| {
+            (oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join), host.stats(), Instant::now())
+        });
         let out = match algo {
             JoinAlgo::Hash => {
-                exec::hash_join(host, om, t1, c1, t2, c2, key, sink, j.fused.as_ref())
+                let fused = j.fused.as_ref().map(|f| (f, first));
+                exec::hash_join(host, om, t1, c1, t2, c2, key, sink, fused)
             }
             JoinAlgo::Opaque => {
                 let variant = SortMergeVariant::Opaque;
@@ -1587,11 +1510,12 @@ impl<M: EnclaveMemory> Database<M> {
     fn exec_join_side(
         &mut self,
         node: &mut PlanNode,
+        first: Option<FirstPass>,
         info: &mut PlanInfo,
         profile: &CostProfile,
     ) -> Result<(Option<FlatTable>, Option<AeadKey>), DbError> {
         if let PlanNode::Filter(f) = node {
-            let (_, out) = self.exec_filter(f, None, info, profile)?;
+            let (_, out) = self.exec_filter(f, None, first, info, profile)?;
             info.intermediate_rows.extend(out.as_ref().map(FlatTable::num_rows));
             return Ok((out, None));
         }
@@ -1755,8 +1679,8 @@ impl Input<'_> {
 
 /// The inputs `sides` give an operator: each intermediate
 /// [`Database::exec_input`] returned as is, and each scan it left in place
-/// as its catalog table, borrowed. In-place sides read distinct tables (a
-/// self-join copies one side first).
+/// (or a fused filter's, its build's) as its catalog table, borrowed.
+/// In-place sides read distinct tables (a self-join copies one side first).
 fn inputs<'t, const N: usize>(
     tables: &'t mut [(String, TableStorage)],
     sides: [(&PlanNode, Option<FlatTable>); N],
@@ -1766,9 +1690,10 @@ fn inputs<'t, const N: usize>(
     sides.map(|(node, owned)| match owned {
         Some(t) => Input::Owned(t),
         None => {
+            let scan = if let PlanNode::Filter(f) = node { &*f.input } else { node };
             let at = flats
                 .iter()
-                .position(|(name, _)| matches!(node, PlanNode::Scan(s) if s.table == *name))
+                .position(|(name, _)| matches!(scan, PlanNode::Scan(s) if s.table == *name))
                 .expect("an in-place input scans a flat catalog table");
             Input::Table(flats.swap_remove(at).1)
         }
@@ -1812,10 +1737,13 @@ fn select_span_kind(algo: SelectAlgo) -> oblidb_telemetry::SpanKind {
 }
 
 /// Runs a filter node's selection stage over a materialized flat input
-/// (paper §4.1 + §5): resolves a deferred choice, dispatches the chosen
-/// operator, and records the measured cost into the node. Given `rows`, a
-/// root select's first pass ([`exec::select_first_pass`]) returns the
-/// matches there, and `None`, when they fit oblivious memory.
+/// (paper §4.1 + §5) and records its choice and measured cost into the
+/// node. Its first pass ([`exec::select_first_pass`], or `first`, one
+/// already run) counts |R|. When the matches fit oblivious memory the pass
+/// is the whole select, Small without its rescan: they go to `rows`, a
+/// root select's, and `None` returns, or into a sealed |R|-row table.
+/// Otherwise, and always for a forced stage, the pass's statistics resolve
+/// the operator, which runs.
 #[allow(clippy::too_many_arguments)]
 fn run_filter_stage<M: EnclaveMemory>(
     host: &mut M,
@@ -1823,107 +1751,81 @@ fn run_filter_stage<M: EnclaveMemory>(
     config: &DbConfig,
     f: &mut FilterNode,
     input: &mut FlatTable,
-    out_key: AeadKey,
     rng: EnclaveRng,
     profile: &CostProfile,
     info: &mut PlanInfo,
     rows: Option<&mut Vec<Row>>,
+    first: Option<FirstPass>,
 ) -> Result<Option<FlatTable>, DbError> {
     let pad = if let SelectChoice::Padded { pad_rows } = f.choice { Some(pad_rows) } else { None };
-    let mut first = None;
-    if let Some(rows) = rows {
-        let algo = if pad.is_some() { SelectAlgo::Padded } else { SelectAlgo::Small };
-        let (_span, before, started) =
-            (oblidb_telemetry::span(select_span_kind(algo)), host.stats(), Instant::now());
-        let schema = input.schema().clone();
-        let sink = &mut RowSink::Rows(&schema, &mut *rows);
-        first = exec::select_first_pass(host, om, input, &f.pred, pad, sink)?;
-        if first.is_none() {
-            let est = first_pass_cost(schema.row_len(), input.capacity());
-            let est = NodeCost::from_stats(&est, profile);
-            if pad.is_none() {
-                let candidates = vec![CandidateCost { algo, cost: est }];
-                f.choice = SelectChoice::Chosen { algo, candidates };
-            }
-            f.est_matches = pad.is_none().then_some(rows.len() as u64);
-            (f.est, f.actual) =
-                (Some(est), Some(timed_cost(host.stats() - before, profile, started)));
-            info.select_algo = Some(algo);
-            return Ok(None);
-        } else if pad.is_none() {
-            f.choice = SelectChoice::Deferred;
-        }
-    }
-    // |R| for output sizing: in padding mode the bound, with no scan (§2.3);
-    // a root select's first pass; a join side's or forced stage's prepare
-    // scan (the version guard re-plans on staleness); else a scan now.
-    let stats = match (pad, first, f.choice.algo(), f.est_matches) {
-        (Some(matches), ..) => SelectStats { matches, continuous: false },
-        (None, Some(s), ..) => s,
-        (None, None, Some(_), Some(m)) => SelectStats { matches: m, continuous: false },
-        _ => scan_stats(host, input, &f.pred, |_| {})?,
+    let (row_len, out_key) = (input.row_len(), f.out_key.0.clone());
+    let kept = if pad.is_some() { SelectAlgo::Padded } else { SelectAlgo::Small };
+    let (span, before, started) =
+        (oblidb_telemetry::span(select_span_kind(kept)), host.stats(), Instant::now());
+    let first = first
+        .map_or_else(|| exec::select_first_pass(host, om, input, &f.pred, pad, row_len), Ok)?;
+    let stats = first.stats;
+    let mut shape = SelectShape {
+        schema: input.schema().clone(),
+        capacity: input.capacity(),
+        rows: input.num_rows(),
+        matches: pad.unwrap_or(stats.matches),
+        continuous: stats.continuous,
+        om_bytes: 0,
+        out_key: out_key.clone(),
     };
     f.est_matches = pad.is_none().then_some(stats.matches);
-
-    let algo = match f.choice.algo() {
-        Some(algo) => algo,
-        None => {
-            let shape = SelectShape {
-                schema: input.schema().clone(),
-                capacity: input.capacity(),
-                rows: input.num_rows(),
-                matches: stats.matches,
-                continuous: stats.continuous,
-                om_bytes: om.available(),
-                out_key: out_key.clone(),
-            };
-            f.om_bytes = shape.om_bytes;
-            let (choice, est) = cost::choose_select(&config.planner, &shape, profile);
-            f.est = est;
-            f.choice = choice;
-            f.choice.algo().expect("deferred choice is resolved")
+    let fits = first.fits(row_len) && config.planner.force_select.is_none();
+    let out = match (fits, rows) {
+        (false, _) => None,
+        (true, Some(rows)) => {
+            RowSink::Rows(&shape.schema, rows).push(&first.kept);
+            None
+        }
+        // Sealed, with dummies up to the padded bound.
+        (true, None) => {
+            let (mut sink, dummy) = (RowSink::seal(), shape.schema.dummy_row());
+            sink.open(host, out_key.clone(), shape.schema.clone(), shape.matches.max(1))?;
+            sink.push(&first.kept);
+            (stats.matches..shape.matches).for_each(|_| sink.push(&dummy));
+            sink.flush(host)?;
+            Some(sink.sealed())
         }
     };
+    drop((first, span));
+    (shape.om_bytes, f.om_bytes) = (om.available(), om.available());
+    if fits {
+        let est = match out {
+            Some(_) => cost::select_cost(kept, &shape),
+            None => first_pass_cost(row_len, shape.capacity),
+        };
+        let est = NodeCost::from_stats(&est, profile);
+        if pad.is_none() {
+            let candidates = vec![CandidateCost { algo: kept, cost: est }];
+            f.choice = SelectChoice::Chosen { algo: kept, candidates };
+        }
+        (f.est, f.actual) = (Some(est), Some(timed_cost(host.stats() - before, profile, started)));
+        info.select_algo = Some(kept);
+        return Ok(out);
+    }
+    (f.choice, f.est) = cost::resolve_select(&config.planner, pad, &shape, profile);
+    let algo = f.choice.algo().expect("a resolved choice names its operator");
     info.select_algo = Some(algo);
 
     let (_span, before, started) =
         (oblidb_telemetry::span(select_span_kind(algo)), host.stats(), Instant::now());
+    let (pred, bound) = (&f.pred, shape.matches);
     let out = match algo {
-        SelectAlgo::Small => exec::select_small(host, om, input, &f.pred, out_key, stats.matches)?,
-        SelectAlgo::Large => exec::select_large(host, input, &f.pred, out_key)?,
-        SelectAlgo::Continuous => {
-            exec::select_continuous(host, input, &f.pred, out_key, stats.matches)?
-        }
-        SelectAlgo::Hash => exec::select_hash(host, input, &f.pred, out_key, stats.matches)?,
-        SelectAlgo::Naive => {
-            exec::select_naive(host, om, input, &f.pred, out_key, stats.matches, rng)?
-        }
+        SelectAlgo::Small => exec::select_small(host, om, input, pred, out_key, bound)?,
+        SelectAlgo::Large => exec::select_large(host, input, pred, out_key)?,
+        SelectAlgo::Continuous => exec::select_continuous(host, input, pred, out_key, bound)?,
+        SelectAlgo::Hash => exec::select_hash(host, input, pred, out_key, bound)?,
+        SelectAlgo::Naive => exec::select_naive(host, om, input, pred, out_key, bound, rng)?,
         // Small's windows over the padded bound, the last ones dummies.
-        SelectAlgo::Padded => {
-            exec::select_small(host, om, input, &f.pred, out_key, stats.matches.max(1))?
-        }
+        SelectAlgo::Padded => exec::select_small(host, om, input, pred, out_key, bound.max(1))?,
     };
     f.actual = Some(timed_cost(host.stats() - before, profile, started));
     Ok(Some(out))
-}
-
-/// Exact output capacity of a filter whose operator and match count were
-/// pinned at prepare time — the basis for prepare-time join costing.
-/// `None` when it depends on runtime state.
-fn filter_output_capacity(f: &FilterNode) -> Option<u64> {
-    let input_capacity = match f.input.as_ref() {
-        PlanNode::Scan(s) => s.capacity,
-        _ => return None,
-    };
-    if let SelectChoice::Padded { pad_rows } = &f.choice {
-        return Some((*pad_rows).max(1));
-    }
-    let m = f.est_matches?;
-    Some(match f.choice.algo()? {
-        SelectAlgo::Large => input_capacity,
-        SelectAlgo::Hash => m.max(1) * exec::HASH_SLOTS as u64,
-        _ => m.max(1),
-    })
 }
 
 /// Resolves aggregate items' column names against `schema`.
@@ -2383,6 +2285,30 @@ mod tests {
             let mut ks: Vec<i64> = out.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
             ks.sort_unstable();
             assert_eq!(ks, (1..end).collect::<Vec<i64>>(), "{storage}");
+        }
+    }
+
+    #[test]
+    fn a_refused_insert_into_a_full_table_moves_no_block() {
+        for storage in ["FLAT", "BOTH INDEX ON k"] {
+            let mut db = db();
+            let create =
+                format!("CREATE TABLE t (k INT, v CHAR(4)) STORAGE = {storage} CAPACITY 4");
+            db.execute(&create).unwrap();
+            for i in 0..4 {
+                db.execute(&format!("INSERT INTO t VALUES ({i}, 'ab')")).unwrap();
+            }
+            if storage != "FLAT" {
+                // The index half has room again; the flat half's cursor does not.
+                db.execute("DELETE FROM t WHERE k = 0").unwrap();
+            }
+            let (version, capacity) = (db.version, db.tables[0].1.flat_mut().unwrap().capacity());
+            db.host_mut().reset_stats();
+            let err = db.execute("INSERT INTO t VALUES (9, 'toolongtext')").unwrap_err();
+            assert!(matches!(err, DbError::TypeMismatch(_)), "{storage}: {err:?}");
+            assert_eq!(db.host_mut().stats().total_accesses(), 0, "{storage}");
+            assert_eq!(db.tables[0].1.flat_mut().unwrap().capacity(), capacity, "{storage}");
+            assert_eq!(db.version, version, "{storage}");
         }
     }
 

@@ -35,6 +35,7 @@ use oblidb_crypto::SipHash24;
 use oblidb_enclave::{EnclaveMemory, HostStats, OmBudget};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
+use super::select::FirstPass;
 use super::RowSink;
 use crate::error::DbError;
 use crate::plan::cost::{JoinShape, JoinSide};
@@ -83,6 +84,18 @@ fn output_rows(schema: &Schema) -> (Vec<u8>, Vec<u8>) {
     (dummy, row)
 }
 
+/// Bytes of oblivious memory one build row takes: the row and its index
+/// entry.
+pub fn build_entry_len(row_len: usize) -> usize {
+    row_len + 32
+}
+
+/// Build rows per pass over `rows` rows: what `om_bytes` holds, at least
+/// one, at most all.
+fn build_chunk(rows: u64, entry_len: usize, om_bytes: usize) -> u64 {
+    (((rows as usize).saturating_mul(entry_len).min(om_bytes) / entry_len).max(1) as u64).min(rows)
+}
+
 /// Oblivious hash join (paper §4.3), emitting into `sink`; returns the
 /// table a sealing sink built. Complexity O(|T1|·|T2| / S).
 ///
@@ -91,9 +104,14 @@ fn output_rows(schema: &Schema) -> (Vec<u8>, Vec<u8>) {
 /// the probe's key, or a dummy. `fused` builds on the filtered side
 /// instead and needs a folding sink: each probe of the other side folds
 /// every build row of its key, in build order, so the fold runs in probe
-/// order, then build order. `passes` follows from `bound`, and a bound
-/// below the match count returns [`DbError::PaddedBoundExceeded`] once
-/// every pass has run, with the OM lease handed back.
+/// order, then build order. Every build pass scans that side whole and
+/// keeps the rows the filter passes, numbered from 0 in table order; pass
+/// `k` keeps rows `k·chunk … (k+1)·chunk − 1` of the bound, so no chunk
+/// ends at a data-dependent position, and `passes` follows from the bound.
+/// Given the filter's first pass, that is pass 0: its kept rows are the
+/// first chunk, and its lease sizes the chunks. A padded bound below the
+/// match count returns [`DbError::PaddedBoundExceeded`] once every pass
+/// has run, with the OM lease handed back.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_join<M: EnclaveMemory>(
     host: &mut M,
@@ -104,7 +122,7 @@ pub fn hash_join<M: EnclaveMemory>(
     c2: usize,
     out_key: AeadKey,
     mut sink: RowSink<'_, '_>,
-    fused: Option<&FusedFilter>,
+    fused: Option<(&FusedFilter, Option<FirstPass>)>,
 ) -> Result<Option<FlatTable>, DbError> {
     use std::collections::HashMap;
 
@@ -112,6 +130,7 @@ pub fn hash_join<M: EnclaveMemory>(
         return Err(DbError::Unsupported("a fused hash build only folds".into()));
     }
     let out_schema = join_schema(t1.schema(), t2.schema());
+    let (fused, first) = fused.map_or((None, None), |(f, first)| (Some(f), first));
     let build_right = fused.is_some_and(|f| f.side == JoinSide::Right);
     let (build, cb, probe, cp) = if build_right { (t2, c2, t1, c1) } else { (t1, c1, t2, c2) };
     let (sb, sp) = (build.schema().clone(), probe.schema().clone());
@@ -121,9 +140,12 @@ pub fn hash_join<M: EnclaveMemory>(
     // Oblivious-memory chunk: how many build rows fit in the enclave at
     // once, out of the stored side or the filter's bound.
     let rows = fused.map_or(build.capacity(), |f| f.bound.max(1));
-    let entry_size = row_b + 32;
-    let alloc = om.alloc_up_to(rows as usize * entry_size);
-    let chunk = ((alloc.bytes() / entry_size).max(1) as u64).min(rows);
+    let entry_size = build_entry_len(row_b);
+    let (mut pass0, alloc) = match first {
+        Some(p) => (Some(p.kept), p.lease),
+        None => (None, om.alloc_up_to(rows as usize * entry_size)),
+    };
+    let chunk = build_chunk(rows, entry_size, alloc.bytes());
     let passes = rows.div_ceil(chunk);
 
     let (dummy, mut joined) = output_rows(&out_schema);
@@ -137,8 +159,8 @@ pub fn hash_join<M: EnclaveMemory>(
         // io-sized batched runs so the region scratch stays bounded — the
         // arena and its index are what the OM budget pays for.
         arena.clear();
-        match fused {
-            None => {
+        match (fused, pass0.take()) {
+            (None, _) => {
                 let mut at = lo;
                 while at < hi {
                     let n = build_io.min((hi - at) as usize);
@@ -146,7 +168,8 @@ pub fn hash_join<M: EnclaveMemory>(
                     at += n as u64;
                 }
             }
-            Some(f) => {
+            (Some(_), Some(kept)) => arena = kept,
+            (Some(f), None) => {
                 seen = 0;
                 build.for_each_row(host, |_, r| {
                     if Schema::row_used(r) && f.pred.eval(&sb, r) {
@@ -219,19 +242,15 @@ pub fn hash_join_cost(shape: &JoinShape) -> HostStats {
             JoinSide::Left => ((s1, cap1), (s2, cap2)),
             JoinSide::Right => ((s2, cap2), (s1, cap1)),
         };
-        let entry_size = sb.row_len() + 32;
         let rows = bound.max(1);
-        let chunk = (((rows as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64)
-            .min(rows);
+        let chunk = build_chunk(rows, build_entry_len(sb.row_len()), shape.om_bytes);
         let scans = SealedRegion::read_batch_cost(sb.row_len(), cap_b)
             + SealedRegion::read_batch_cost(sp.row_len(), cap_p);
         return scans * rows.div_ceil(chunk);
     }
     let (row1, row2) = (s1.row_len(), s2.row_len());
     let out_len = join_schema(s1, s2).row_len();
-    let entry_size = row1 + 32;
-    let chunk =
-        (((cap1 as usize * entry_size).min(shape.om_bytes) / entry_size).max(1) as u64).min(cap1);
+    let chunk = build_chunk(cap1, build_entry_len(row1), shape.om_bytes);
     let passes = cap1.div_ceil(chunk);
     let build = super::in_runs(cap1, chunk, |n| SealedRegion::read_batch_cost(row1, n));
     let probe = SealedRegion::read_batch_cost(row2, cap2);
@@ -617,7 +636,8 @@ mod tests {
             let (s, count) = (join_schema(t1.schema(), t2.schema()), [(AggFunc::Count, None)]);
             let mut agg = AggFold::new(s, &count, &Predicate::True);
             let (key, sink) = (AeadKey([9u8; 32]), RowSink::Fold(&mut agg));
-            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, key, sink, Some(&fused)).unwrap();
+            let fused = Some((&fused, None));
+            hash_join(&mut host, &om, &mut t1, 0, &mut t2, 0, key, sink, fused).unwrap();
             assert_eq!(agg.finish(), [Value::Int(2)], "{side:?}: every pair");
         }
     }

@@ -32,7 +32,7 @@ pub use aggregate::{aggregate, group_aggregate, group_output_schema, AggFold, Ag
 pub use join::{hash_join, sort_merge_join, SortMergeVariant};
 pub use select::{
     select_continuous, select_first_pass, select_hash, select_large, select_naive, select_small,
-    HASH_SLOTS,
+    FirstPass, HASH_SLOTS,
 };
 pub use sort::bitonic_sort;
 

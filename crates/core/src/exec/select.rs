@@ -1,22 +1,22 @@
 //! The oblivious SELECT algorithms (paper §4.1, Figures 3–5).
 //!
 //! All five produce a flat output table R from a flat input T, given `|R|`
-//! (the match count, from a root select's [`select_first_pass`] or a join
-//! side's scan at prepare) — it is part of the leakage contract; in padding
-//! mode the padded bound stands in for it. Each algorithm's access pattern is
-//! a deterministic function of `(|T|, |R|, oblivious-memory budget)` only;
-//! trace-equality tests in `tests/` verify this, and the `…_cost` function
-//! beside each operator counts that pattern's accesses from those sizes.
+//! (the match count, from the filter's own [`select_first_pass`]) — it is
+//! part of the leakage contract; in padding mode the padded bound stands in
+//! for it. Each algorithm's access pattern is a deterministic function of
+//! `(|T|, |R|, oblivious-memory budget)` only; trace-equality tests in
+//! `tests/` verify this, and the `…_cost` function beside each operator
+//! counts that pattern's accesses from those sizes.
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_crypto::SipHash24;
-use oblidb_enclave::{EnclaveMemory, EnclaveRng, HostStats, OmBudget};
+use oblidb_enclave::{EnclaveMemory, EnclaveRng, HostStats, OmAllocation, OmBudget};
 use oblidb_oram::{PathOram, PosMapKind};
 use oblidb_storage::{batch_chunk_blocks, SealedRegion};
 
 use super::RowSink;
 use crate::error::DbError;
-use crate::plan::cost::{scan_stats, SelectShape, SelectStats};
+use crate::plan::cost::{SelectShape, SelectStats};
 use crate::predicate::Predicate;
 use crate::table::FlatTable;
 use crate::types::Schema;
@@ -102,41 +102,63 @@ pub fn small_cost(shape: &SelectShape) -> HostStats {
         + super::in_runs(bound, buf_rows, |n| SealedRegion::write_batch_cost(row_len, n))
 }
 
-/// A root select's first pass: §5's preliminary scan, buffering the
-/// matches in scan order in an OM lease of up to `|T|` rows (the padded
-/// bound `pad`, in padding mode). If all fit, it is Small without its
-/// output write: they go to `out` and `None` returns. Otherwise it returns
-/// the scan's statistics, emitting nothing — or in padding mode, skipping
-/// the scan, the bound; a bound below the match count is
-/// [`DbError::PaddedBoundExceeded`]. The trace is one pass over T, or none.
+/// What a filter's [`select_first_pass`] leaves its consumer.
+pub struct FirstPass {
+    /// |R| and continuity — in padding mode, when the pass is skipped, the
+    /// bound.
+    pub stats: SelectStats,
+    /// The first matches in scan order, encoded, as many as the lease
+    /// holds.
+    pub kept: Vec<u8>,
+    /// The oblivious memory the kept rows occupy.
+    pub lease: OmAllocation,
+}
+
+impl FirstPass {
+    /// Whether every match was kept, so the pass is the whole select.
+    pub fn fits(&self, row_len: usize) -> bool {
+        self.kept.len() as u64 == self.stats.matches * row_len as u64
+    }
+}
+
+/// A filter's first pass: §5's preliminary scan, the only place |R| is
+/// counted. It reads every row once, counting the matches and whether they
+/// are one contiguous run, and keeps them in scan order in an OM lease of
+/// up to `|T|` entries of `entry_len` bytes (the padded bound `pad`'s, in
+/// padding mode), at least one, as Small's buffer. When all fit, they are
+/// the whole select; otherwise the statistics choose the operator. In
+/// padding mode a bound overflowing the lease skips the scan, and a bound
+/// below the match count is [`DbError::PaddedBoundExceeded`]. The trace is
+/// one pass over T, or none.
 pub fn select_first_pass<M: EnclaveMemory>(
     host: &mut M,
     om: &OmBudget,
     input: &mut FlatTable,
     pred: &Predicate,
     pad: Option<u64>,
-    out: &mut RowSink,
-) -> Result<Option<SelectStats>, DbError> {
-    let row_len = input.row_len();
-    let bytes = |rows: u64| (rows as usize).saturating_mul(row_len);
-    let lease = om.alloc_up_to(bytes(pad.unwrap_or(input.capacity())));
-    if let Some(bound) = pad.filter(|&p| bytes(p) > lease.bytes()) {
-        return Ok(Some(SelectStats { matches: bound, continuous: false }));
+    entry_len: usize,
+) -> Result<FirstPass, DbError> {
+    let (schema, row_len) = (input.schema().clone(), input.row_len());
+    let lease =
+        om.alloc_up_to((pad.unwrap_or(input.capacity()) as usize).saturating_mul(entry_len));
+    let keep = (lease.bytes() / entry_len).max(1) * row_len;
+    let (mut kept, mut matches, mut runs, mut prev) = (Vec::new(), 0u64, 0u64, false);
+    if let Some(bound) = pad.filter(|&p| (p as usize).saturating_mul(row_len) > keep) {
+        let stats = SelectStats { matches: bound, continuous: false };
+        return Ok(FirstPass { stats, kept, lease });
     }
-    let mut buf = Vec::new();
-    let stats = scan_stats(host, input, pred, |row| {
-        if buf.len() + row_len <= lease.bytes() {
-            buf.extend_from_slice(row);
+    input.for_each_row(host, |_, row| {
+        let hit = Schema::row_used(row) && pred.eval(&schema, row);
+        if hit && kept.len() < keep {
+            kept.extend_from_slice(row);
         }
+        (matches, runs, prev) = (matches + hit as u64, runs + (hit && !prev) as u64, hit);
     })?;
-    if let Some(bound) = pad.filter(|&p| stats.matches > p) {
+    if let Some(bound) = pad.filter(|&p| matches > p) {
         return Err(DbError::PaddedBoundExceeded { bound });
     }
-    if bytes(stats.matches) > lease.bytes() {
-        return Ok(Some(stats));
-    }
-    out.push(&buf);
-    Ok(None)
+    let stats = SelectStats { matches, continuous: runs <= 1 && matches > 0 };
+    Ok(FirstPass { stats, kept, lease })
 }
 
 /// One batched pass over `capacity` rows of `row_len` bytes, chunk by chunk
@@ -625,5 +647,42 @@ mod tests {
         let p2 = Predicate::cmp(mid.schema(), "id", CmpOp::Ge, Value::Int(15)).unwrap();
         let mut out = run(SelectAlgo::Small, &mut host, &mut mid, &p2, 5);
         assert_eq!(ids(&mut host, &mut out), vec![15, 16, 17, 18, 19]);
+    }
+
+    #[test]
+    fn first_pass_counts_and_notes_continuity() {
+        let (mut host, mut t) = build(20);
+        let stats = |host: &mut Host, t: &mut FlatTable, p: &Predicate| {
+            let om = OmBudget::new(0);
+            select_first_pass(host, &om, t, p, None, t.row_len()).unwrap().stats
+        };
+        let p = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(5)).unwrap();
+        assert_eq!(stats(&mut host, &mut t, &p), SelectStats { matches: 5, continuous: true });
+
+        let a = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(3)).unwrap();
+        let b = Predicate::cmp(t.schema(), "id", CmpOp::Ge, Value::Int(15)).unwrap();
+        let split = Predicate::Or(Box::new(a), Box::new(b));
+        let s = stats(&mut host, &mut t, &split);
+        assert_eq!(s, SelectStats { matches: 8, continuous: false });
+
+        let none = Predicate::cmp(t.schema(), "id", CmpOp::Gt, Value::Int(99)).unwrap();
+        let s = stats(&mut host, &mut t, &none);
+        assert_eq!(s, SelectStats { matches: 0, continuous: false });
+    }
+
+    #[test]
+    fn first_pass_has_a_fixed_pattern() {
+        let (mut host, mut t) = build(10);
+        let om = OmBudget::new(DEFAULT_OM_BYTES);
+        let p1 = Predicate::True;
+        let p2 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(3)).unwrap();
+        let mut traces = Vec::new();
+        for p in [&p1, &p2] {
+            host.start_trace();
+            let row_len = t.row_len();
+            select_first_pass(&mut host, &om, &mut t, p, None, row_len).unwrap();
+            traces.push(host.take_trace());
+        }
+        assert_eq!(traces[0], traces[1]);
     }
 }

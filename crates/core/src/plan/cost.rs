@@ -3,10 +3,10 @@
 //! ObliDB chooses among operator implementations using only information the
 //! adversary already has (or will get): table sizes, the output size, the
 //! result's continuity, and the oblivious-memory budget. The preliminary
-//! scan ([`scan_stats`]: at prepare for a join side's filter, as a root
-//! select's own first pass otherwise) has a fixed access pattern — read
-//! every row once — so the only leakage optimization adds is the final
-//! algorithm choice.
+//! scan that counts |R| is every filter's own run-time first pass
+//! ([`crate::exec::select_first_pass`]), with a fixed access pattern —
+//! read every row once — so the only leakage optimization adds is the
+//! final algorithm choice. Nothing here touches memory.
 //!
 //! Candidates are **counted from public sizes**. Every select and join
 //! operator's access pattern is a function of those sizes only (the
@@ -26,16 +26,13 @@
 //! the parity tests compare against.
 
 use oblidb_crypto::aead::AeadKey;
-use oblidb_enclave::{EnclaveMemory, HostStats};
+use oblidb_enclave::HostStats;
 
-use crate::error::DbError;
 use crate::exec::{join, select, SortMergeVariant};
-use crate::predicate::Predicate;
-use crate::table::FlatTable;
 use crate::types::Schema;
 
-use super::{AccessPath, CandidateCost, FusedFilter, JoinCandidateCost, JoinChoice, JoinNode};
-use super::{NodeCost, PlanNode, SelectChoice};
+use super::{AccessPath, CandidateCost, FilterNode, FusedFilter, JoinCandidateCost, JoinChoice};
+use super::{JoinNode, NodeCost, PlanNode, ScanNode, SelectChoice};
 
 /// Per-substrate operator pricing, in units of one in-RAM block access.
 ///
@@ -145,7 +142,7 @@ pub enum JoinAlgo {
     ZeroOm,
 }
 
-/// What the preliminary scan learns (paper §5: "(1) the number of rows
+/// What a filter's first pass learns (paper §5: "(1) the number of rows
 /// satisfying the predicate and (2) whether those rows are adjacent in the
 /// input table").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +152,11 @@ pub struct SelectStats {
     /// Whether the matches form one contiguous run of the table.
     pub continuous: bool,
 }
+
+/// Plain (non-oblivious) enclave scratch rows granted to the 0-OM join's
+/// sort (§4.3: it speeds up "regardless of whether the memory is
+/// oblivious").
+pub(crate) const ZERO_OM_SCRATCH_ROWS: usize = 1;
 
 /// Fraction of the table at or above which Large is admitted ("contains
 /// almost every row", §4.1).
@@ -190,34 +192,6 @@ impl Default for PlannerConfig {
     }
 }
 
-/// The preliminary scan: reads every row once, updating statistics inside
-/// the enclave, and hands each match to `each` in scan order. Fixed access
-/// pattern; "often for free" because operators need |R| before allocating
-/// output anyway (§5) — free indeed as a root select's first pass.
-pub fn scan_stats<M: EnclaveMemory>(
-    host: &mut M,
-    input: &mut FlatTable,
-    pred: &Predicate,
-    mut each: impl FnMut(&[u8]),
-) -> Result<SelectStats, DbError> {
-    let schema = input.schema().clone();
-    let mut matches = 0u64;
-    let mut runs = 0u32;
-    let mut prev = false;
-    input.for_each_row(host, |_, bytes| {
-        let hit = Schema::row_used(bytes) && pred.eval(&schema, bytes);
-        if hit {
-            each(bytes);
-            matches += 1;
-            if !prev {
-                runs += 1;
-            }
-        }
-        prev = hit;
-    })?;
-    Ok(SelectStats { matches, continuous: runs <= 1 && matches > 0 })
-}
-
 /// The public shape a SELECT stage is priced from: everything the
 /// adversary already knows (or will learn) about it.
 #[derive(Clone)]
@@ -228,7 +202,7 @@ pub struct SelectShape {
     pub capacity: u64,
     /// Rows in use (the [`LARGE_THRESHOLD`] admission gate uses this).
     pub rows: u64,
-    /// Match count |R| from the preliminary scan (the padded bound for
+    /// Match count |R| from the first pass (the padded bound for
     /// [`SelectAlgo::Padded`]).
     pub matches: u64,
     /// Whether the matches form one contiguous run.
@@ -302,6 +276,23 @@ pub struct JoinShape {
     pub fused: Option<(JoinSide, u64)>,
 }
 
+impl JoinShape {
+    /// An unfused join of `left` and `right`, each a schema and a capacity.
+    pub fn new(left: (Schema, u64), right: (Schema, u64), om_bytes: usize, folded: bool) -> Self {
+        let ((left_schema, left_capacity), (right_schema, right_capacity)) = (left, right);
+        JoinShape {
+            left_schema,
+            left_capacity,
+            right_schema,
+            right_capacity,
+            om_bytes,
+            zero_om_scratch_rows: ZERO_OM_SCRATCH_ROWS,
+            folded,
+            fused: None,
+        }
+    }
+}
+
 /// The accesses one JOIN operator will make over `shape` — fill, oblivious
 /// sort, merge / build, probe, and the output unless the join folds —
 /// counted from the two capacities and the budget alone.
@@ -317,8 +308,8 @@ pub fn join_cost(algo: JoinAlgo, shape: &JoinShape) -> HostStats {
 }
 
 /// Picks the SELECT operator for a fully-shaped input — the engine's one
-/// way to choose, called at prepare time and again when a
-/// [`SelectChoice::Deferred`] stage resolves at run time.
+/// way to choose, called at run time once a [`SelectChoice::Deferred`]
+/// stage's first pass has counted |R| and overflowed.
 ///
 /// `cfg.force_select` pins the operator (still counted, so the plan
 /// carries an estimate). Otherwise every admissible candidate is counted,
@@ -358,6 +349,24 @@ pub fn choose_select(
     (SelectChoice::Chosen { algo, candidates }, Some(est))
 }
 
+/// The operator a filter stage runs over `shape` when its first pass does
+/// not fit, and its estimate: Small's windows over the padded bound `pad`,
+/// or else [`choose_select`]'s pick.
+pub(crate) fn resolve_select(
+    cfg: &PlannerConfig,
+    pad: Option<u64>,
+    shape: &SelectShape,
+    profile: &CostProfile,
+) -> (SelectChoice, Option<NodeCost>) {
+    match pad {
+        Some(pad_rows) => {
+            let est = NodeCost::from_stats(&select_cost(SelectAlgo::Padded, shape), profile);
+            (SelectChoice::Padded { pad_rows }, Some(est))
+        }
+        None => choose_select(cfg, shape, profile),
+    }
+}
+
 /// Picks the JOIN operator for two fully-shaped inputs, mirroring
 /// [`choose_select`]: `cfg.force_join` pins it (uncosted); otherwise the
 /// candidates are counted and the cheapest under `profile` wins. A zero
@@ -392,64 +401,99 @@ pub fn choose_join(
     (JoinChoice::Chosen { algo, candidates }, Some(est))
 }
 
-/// Fuses a folded join's pushed-down filter into a hash build on its side
-/// ([`FusedFilter`]) when that counts cheaper under
-/// `profile` than the filter's select plus the join `j.choice` names over
-/// `shape`. It applies to a filter over a flat base table whose bound is
-/// pinned — the prepare-time match count, or the padded bound — beside a
-/// flat table of another name, unless a select or another join is forced
-/// or the budget admits only the 0-OM join.
-pub(crate) fn fuse_filtered_build(
+/// The side whose pushed-down filter a folded join's hash build may run
+/// ([`FusedFilter`]), with that filter, its base table's scan and the other
+/// side's: a filter over a flat base table beside a flat table of another
+/// name, unless a select or a join other than Hash is forced or the budget
+/// is zero.
+pub(crate) fn fusable_side<'j>(
     cfg: &PlannerConfig,
-    j: &mut JoinNode,
-    shape: &JoinShape,
-    profile: &CostProfile,
-) {
+    j: &'j JoinNode,
+    om_bytes: usize,
+) -> Option<(JoinSide, &'j FilterNode, &'j ScanNode, &'j ScanNode)> {
     let (side, filter, other) = match (j.left.as_ref(), j.right.as_ref()) {
         (PlanNode::Filter(f), PlanNode::Scan(o)) => (JoinSide::Left, f, o),
         (PlanNode::Scan(o), PlanNode::Filter(f)) => (JoinSide::Right, f, o),
-        _ => return,
+        _ => return None,
     };
-    let bound = match (&filter.choice, filter.est_matches) {
-        (SelectChoice::Padded { pad_rows }, _) => *pad_rows,
-        (_, Some(m)) => m,
-        _ => return,
+    let PlanNode::Scan(base) = filter.input.as_ref() else { return None };
+    let admitted = cfg.force_select.is_none()
+        && cfg.force_join.is_none_or(|algo| algo == JoinAlgo::Hash)
+        && om_bytes > 0
+        && base.access == AccessPath::Flat
+        && other.access == AccessPath::Flat
+        && base.table != other.table;
+    admitted.then_some((side, filter, base, other))
+}
+
+/// Fuses `j`'s fusable side's filter into its hash build over `stats`'
+/// matches — the first pass's |R|, or the padded bound `pad` — and records
+/// it ([`FusedFilter`]), returning whether it did. Rows that fit one build
+/// pass always fuse: the pass that counted them is the build. Otherwise
+/// the build fuses when it counts cheaper under `profile` than the
+/// filter's own select ([`resolve_select`]) plus the join chosen over its
+/// output.
+pub(crate) fn fuse_filtered_build(
+    cfg: &PlannerConfig,
+    pad: Option<u64>,
+    j: &mut JoinNode,
+    stats: SelectStats,
+    om_bytes: usize,
+    profile: &CostProfile,
+) -> bool {
+    let Some((side, f, base, other)) = fusable_side(cfg, j, om_bytes) else { return false };
+    let (b, o) = ((base.schema.clone(), base.capacity), (other.schema.clone(), other.capacity));
+    let [l, r] = if side == JoinSide::Left { [b, o] } else { [o, b] };
+    let (bound, pred) = (stats.matches, f.pred.clone());
+    let mut shape =
+        JoinShape { fused: Some((side, bound)), ..JoinShape::new(l, r, om_bytes, true) };
+    let est = NodeCost::from_stats(&join_cost(JoinAlgo::Hash, &shape), profile);
+    let entry = join::build_entry_len(base.schema.row_len());
+    if (bound as usize).saturating_mul(entry) > om_bytes.max(entry) {
+        let select = SelectShape {
+            schema: base.schema.clone(),
+            capacity: base.capacity,
+            rows: base.rows,
+            matches: bound,
+            continuous: stats.continuous,
+            om_bytes,
+            out_key: f.out_key.0.clone(),
+        };
+        let (choice, select_est) = resolve_select(cfg, pad, &select, profile);
+        // The rows its operator seals.
+        let capacity = match choice.algo() {
+            Some(SelectAlgo::Large) => base.capacity,
+            Some(SelectAlgo::Hash) => bound.max(1) * select::HASH_SLOTS as u64,
+            _ => bound.max(1),
+        };
+        let side_capacity = if side == JoinSide::Left {
+            &mut shape.left_capacity
+        } else {
+            &mut shape.right_capacity
+        };
+        (*side_capacity, shape.fused) = (capacity, None);
+        let Some(algo) = choose_join(cfg, &shape, profile).0.algo() else { return false };
+        let unfused =
+            select_est.map_or(0.0, |c| c.weighted) + profile.weigh(&join_cost(algo, &shape));
+        if est.weighted >= unfused {
+            return false;
+        }
+    }
+    j.choice = match cfg.force_join {
+        Some(algo) => JoinChoice::Forced(algo),
+        None => JoinChoice::Chosen {
+            algo: JoinAlgo::Hash,
+            candidates: vec![JoinCandidateCost { algo: JoinAlgo::Hash, cost: est }],
+        },
     };
-    let (PlanNode::Scan(base), Some(algo)) = (filter.input.as_ref(), j.choice.algo()) else {
-        return;
-    };
-    if cfg.force_select.is_some()
-        || (algo != JoinAlgo::Hash && cfg.force_join.is_some())
-        || shape.om_bytes == 0
-        || base.access != AccessPath::Flat
-        || other.access != AccessPath::Flat
-        || base.table == other.table
-    {
-        return;
-    }
-    let mut fused = JoinShape { fused: Some((side, bound)), ..shape.clone() };
-    let (l, r) = (&mut fused.left_capacity, &mut fused.right_capacity);
-    *(if side == JoinSide::Left { l } else { r }) = base.capacity;
-    let fused = NodeCost::from_stats(&join_cost(JoinAlgo::Hash, &fused), profile);
-    let unfused = filter.est.map_or(0.0, |c| c.weighted) + profile.weigh(&join_cost(algo, shape));
-    if fused.weighted >= unfused {
-        return;
-    }
-    let (scan, pred) = (PlanNode::Scan(base.clone()), filter.pred.clone());
-    **(if side == JoinSide::Left { &mut j.left } else { &mut j.right }) = scan;
-    if let JoinChoice::Chosen { algo, .. } = &mut j.choice {
-        *algo = JoinAlgo::Hash;
-    }
-    j.est = Some(fused);
-    j.fused = Some(FusedFilter { side, pred, bound });
+    (j.est, j.fused) = (Some(est), Some(FusedFilter { side, pred, bound }));
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::CmpOp;
-    use crate::types::{Column, DataType, Value};
-    use oblidb_enclave::Host;
+    use crate::types::{Column, DataType};
 
     fn shape(cap: u64, matches: u64, continuous: bool, om: usize) -> SelectShape {
         SelectShape {
@@ -543,46 +587,5 @@ mod tests {
         };
         let (join, _) = choose_join(&cfg, &joined, &CostProfile::host());
         assert_eq!(join, JoinChoice::Forced(JoinAlgo::ZeroOm));
-    }
-
-    fn build(n: i64) -> (Host, FlatTable) {
-        let s = Schema::new(vec![Column::new("id", DataType::Int)]);
-        let mut host = Host::new();
-        let rows: Vec<Vec<u8>> = (0..n).map(|i| s.encode_row(&[Value::Int(i)]).unwrap()).collect();
-        let t = FlatTable::from_encoded_rows(&mut host, AeadKey([1u8; 32]), s, &rows, n as u64)
-            .unwrap();
-        (host, t)
-    }
-
-    #[test]
-    fn stats_count_and_continuity() {
-        let (mut host, mut t) = build(20);
-        let p = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(5)).unwrap();
-        let s = scan_stats(&mut host, &mut t, &p, |_| {}).unwrap();
-        assert_eq!(s, SelectStats { matches: 5, continuous: true });
-
-        let a = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(3)).unwrap();
-        let b = Predicate::cmp(t.schema(), "id", CmpOp::Ge, Value::Int(15)).unwrap();
-        let split = Predicate::Or(Box::new(a), Box::new(b));
-        let s = scan_stats(&mut host, &mut t, &split, |_| {}).unwrap();
-        assert_eq!(s, SelectStats { matches: 8, continuous: false });
-
-        let none = Predicate::cmp(t.schema(), "id", CmpOp::Gt, Value::Int(99)).unwrap();
-        let s = scan_stats(&mut host, &mut t, &none, |_| {}).unwrap();
-        assert_eq!(s, SelectStats { matches: 0, continuous: false });
-    }
-
-    #[test]
-    fn stats_scan_has_fixed_pattern() {
-        let (mut host, mut t) = build(10);
-        let p1 = Predicate::True;
-        let p2 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(3)).unwrap();
-        host.start_trace();
-        scan_stats(&mut host, &mut t, &p1, |_| {}).unwrap();
-        let a = host.take_trace();
-        host.start_trace();
-        scan_stats(&mut host, &mut t, &p2, |_| {}).unwrap();
-        let b = host.take_trace();
-        assert_eq!(a, b);
     }
 }

@@ -155,6 +155,8 @@ pub struct ScanNode {
     pub table: String,
     /// Chosen access path.
     pub access: AccessPath,
+    /// The table's schema.
+    pub schema: crate::types::Schema,
     /// Rows in use at prepare time (public).
     pub rows: u64,
     /// Allocated capacity at prepare time (public).
@@ -175,16 +177,15 @@ pub enum SelectChoice {
         /// Padded output size in rows (§2.3).
         pad_rows: u64,
     },
-    /// Cost-chosen at prepare time, with the candidate table.
+    /// Cost-chosen at run time, with the candidate table.
     Chosen {
         /// The winning operator.
         algo: SelectAlgo,
         /// Every candidate the planner counted, in admission order.
         candidates: Vec<CandidateCost>,
     },
-    /// Deferred to execution: a root select's first pass, or an input whose
-    /// shape only exists at run time (index materialization or join
-    /// output). Resolved by the same cost machinery, then written back.
+    /// Deferred to execution: the filter's first pass counts |R|, then
+    /// the cost machinery resolves the choice and writes it back.
     Deferred,
 }
 
@@ -208,8 +209,8 @@ pub struct FilterNode {
     pub pred: Predicate,
     /// The operator decision.
     pub choice: SelectChoice,
-    /// Match count |R| from the preliminary scan, at prepare or at run
-    /// (`None` before it, and in padding mode).
+    /// Match count |R| from the run-time first pass (`None` before it, and
+    /// in padding mode).
     pub est_matches: Option<u64>,
     /// Counted cost estimate for the chosen operator.
     pub est: Option<NodeCost>,
@@ -217,9 +218,9 @@ pub struct FilterNode {
     pub actual: Option<NodeCost>,
     /// Oblivious-memory budget (bytes) the choice assumed.
     pub om_bytes: usize,
-    /// Output-region key, drawn before the choice is costed so the estimate
-    /// and the execution share the Hash operator's bucket functions.
-    pub(crate) out_key: Option<PlanKey>,
+    /// Output-region key, drawn at prepare so the estimate and the
+    /// execution share the Hash operator's bucket functions.
+    pub(crate) out_key: PlanKey,
 }
 
 /// How (and when) a join stage's operator was fixed.
@@ -227,15 +228,16 @@ pub struct FilterNode {
 pub enum JoinChoice {
     /// Pinned by `PlannerConfig::force_join`.
     Forced(JoinAlgo),
-    /// Cost-chosen at prepare time from the estimated input shapes.
+    /// Cost-chosen from the input shapes: at prepare when they are public
+    /// there, else at run.
     Chosen {
         /// The winning operator.
         algo: JoinAlgo,
         /// Every candidate the planner counted.
         candidates: Vec<JoinCandidateCost>,
     },
-    /// Deferred to execution (an input shape depends on a runtime index
-    /// probe).
+    /// Deferred to execution (an input's shape waits on a runtime index
+    /// probe or a filter's first pass).
     Deferred,
 }
 
@@ -251,18 +253,17 @@ impl JoinChoice {
 
 /// A side's pushed-down filter that a folded hash join runs inside its
 /// build ([`crate::exec::hash_join`]): no select operator runs, and the
-/// side's plan is the bare scan of its base table. Every build pass scans
-/// that table whole and keeps the rows `pred` passes, numbered from 0 in
-/// table order; pass `k` keeps rows `k·chunk … (k+1)·chunk − 1` of
-/// `bound`, so no chunk ends at a data-dependent position.
+/// build reads the filter's base table. Padding mode decides it at
+/// prepare, over the bound; otherwise the filter's run-time first pass
+/// counts the bound, and the join decides then.
 #[derive(Debug, Clone)]
 pub struct FusedFilter {
     /// The side the join builds on.
     pub side: JoinSide,
     /// The filter's resolved predicate.
     pub pred: Predicate,
-    /// Passing rows the build covers: the prepare-time match count, or
-    /// the padded bound.
+    /// Passing rows the build covers: the first pass's |R|, or the padded
+    /// bound.
     pub bound: u64,
 }
 
@@ -285,7 +286,7 @@ pub struct JoinNode {
     pub actual: Option<NodeCost>,
     /// Oblivious-memory budget (bytes) the choice assumed.
     pub om_bytes: usize,
-    /// The filter the hash build runs, when the planner fused one.
+    /// The filter the hash build runs, when the join fused one.
     pub fused: Option<FusedFilter>,
     /// Output schema with table-qualified column names, applied to the
     /// joined table so downstream WHERE / GROUP BY can reference them.
@@ -565,8 +566,14 @@ fn render(node: &PlanNode, depth: usize, out: &mut Vec<String>) {
                 out.push(format!("{pad}   candidates: {}", cells.join(" ")));
             }
             push_costs(out, &j.est, &j.actual);
-            render(&j.left, depth + 1, out);
-            render(&j.right, depth + 1, out);
+            // A fused side's filter runs in the build: show its base table.
+            let fused = j.fused.as_ref().map(|f| f.side);
+            for (side, child) in [(JoinSide::Left, &j.left), (JoinSide::Right, &j.right)] {
+                match child.as_ref() {
+                    PlanNode::Filter(f) if fused == Some(side) => render(&f.input, depth + 1, out),
+                    child => render(child, depth + 1, out),
+                }
+            }
         }
         PlanNode::Aggregate(a) => {
             let items: Vec<String> = a

@@ -247,7 +247,9 @@ impl SealedRegion {
         moved(true, payload_len, count, (count > 0) as u64)
     }
 
-    /// Reads and authenticates a block, returning its plaintext payload.
+    /// Reads and authenticates a block, returning its plaintext payload:
+    /// a one-block [`SealedRegion::read_batch`] over the per-block host
+    /// read.
     ///
     /// The returned slice borrows this region's scratch buffer; copy it out
     /// before the next storage call.
@@ -256,29 +258,17 @@ impl SealedRegion {
         host: &mut M,
         index: u64,
     ) -> Result<&[u8], StorageError> {
-        let revision = *self.revisions.get(index as usize).ok_or(HostError::OutOfBounds {
-            region: self.region,
-            index,
-            len: self.len(),
-        })?;
-        let sealed = host.read(self.region, index)?;
+        self.check_bounds(std::iter::once(index))?;
+        self.batch.clear();
+        self.batch.extend_from_slice(host.read(self.region, index)?);
         self.scratch.clear();
-        self.scratch.extend_from_slice(sealed);
-
-        let (nonce_bytes, rest) = self.scratch.split_at_mut(NONCE_LEN);
-        let (ciphertext, tag) = rest.split_at_mut(self.payload_len);
-        let nonce = Nonce((&*nonce_bytes).try_into().expect("nonce length"));
-        let tag: [u8; TAG_LEN] = (&*tag).try_into().expect("tag length");
-        let mut aad = [0u8; 16];
-        aad[..8].copy_from_slice(&index.to_le_bytes());
-        aad[8..].copy_from_slice(&revision.to_le_bytes());
-
-        aead::open(&self.key, &nonce, &aad, ciphertext, &tag)
-            .map_err(|_| StorageError::TamperDetected { region: self.region, index })?;
-        Ok(&self.scratch[NONCE_LEN..NONCE_LEN + self.payload_len])
+        self.scratch.resize(self.payload_len, 0);
+        self.open_batch(index, 1, None, 0)?;
+        Ok(&self.scratch)
     }
 
-    /// Seals and writes a block, bumping its revision.
+    /// Seals and writes a block, bumping its revision: a one-block
+    /// [`SealedRegion::write_batch`] over the per-block host write.
     ///
     /// Every write re-randomizes the ciphertext (fresh nonce), so a dummy
     /// write — writing back exactly what was read — is indistinguishable
@@ -290,28 +280,9 @@ impl SealedRegion {
         payload: &[u8],
     ) -> Result<(), StorageError> {
         assert_eq!(payload.len(), self.payload_len, "payload length mismatch");
-        let len = self.len();
-        let slot = self.revisions.get_mut(index as usize).ok_or(HostError::OutOfBounds {
-            region: self.region,
-            index,
-            len,
-        })?;
-        *slot += 1;
-        let revision = *slot;
-
-        self.write_counter += 1;
-        let nonce = Nonce::from_parts(self.region.0, self.write_counter);
-        let mut aad = [0u8; 16];
-        aad[..8].copy_from_slice(&index.to_le_bytes());
-        aad[8..].copy_from_slice(&revision.to_le_bytes());
-
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&nonce.0);
-        self.scratch.extend_from_slice(payload);
-        let ct_range = NONCE_LEN..NONCE_LEN + self.payload_len;
-        let tag = aead::seal(&self.key, &nonce, &aad, &mut self.scratch[ct_range]);
-        self.scratch.extend_from_slice(&tag);
-        host.write(self.region, index, &self.scratch)?;
+        self.check_bounds(std::iter::once(index))?;
+        self.seal_batch(index, 1, None, payload);
+        host.write(self.region, index, &self.batch)?;
         Ok(())
     }
 

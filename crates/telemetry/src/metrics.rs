@@ -33,13 +33,13 @@ pub enum Counter {
     WalAppends,
     /// WAL records decoded during crash recovery.
     WalRecoveredRecords,
-    /// Blocks sealed through the batch AEAD path.
+    /// Region blocks sealed, one at a time or in a batch.
     BlocksSealed,
-    /// Blocks opened through the batch AEAD path.
+    /// Region blocks opened, one at a time or in a batch.
     BlocksOpened,
-    /// Payload bytes sealed through the batch AEAD path.
+    /// Payload bytes of the region blocks sealed.
     BytesSealed,
-    /// Payload bytes opened through the batch AEAD path.
+    /// Payload bytes of the region blocks opened.
     BytesOpened,
     /// Path ORAM accesses (real + dummy).
     OramAccesses,

@@ -60,7 +60,7 @@ pub enum SpanKind {
     /// `Database::prepare_parsed`: plan (or plan-cache hit) of a statement
     /// its text entry point has already parsed.
     Prepare,
-    /// Physical plan construction: preliminary scans and costing.
+    /// Physical plan construction and costing; no I/O.
     Plan,
     /// `run_plan`: one statement end to end.
     Run,

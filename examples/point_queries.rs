@@ -67,4 +67,7 @@ fn main() {
         start.elapsed(),
         out.plan.used_index
     );
+    // Under OBLIDB_AUDIT=1 every statement ran traced: same-shape
+    // statements must have left one transcript.
+    assert!(db.audit_violations().is_empty(), "{:?}", db.audit_report());
 }

@@ -717,3 +717,54 @@ fn preparing_a_root_flat_select_touches_no_memory() {
         assert_eq!(db.host_mut().stats(), before, "{sql}");
     }
 }
+
+/// Prepare moves no block, whatever the SELECT: a root filter over a flat
+/// table and over an index, an aggregate, a GROUP BY, a folded join with
+/// its filter on either side, a materialized join with a filtered side, a
+/// join over an index side, a forced select and padding mode all prepare
+/// and `EXPLAIN` with the host's counters and trace unchanged. Every
+/// filter counts its matches in its run-time first pass.
+#[test]
+fn preparing_any_select_moves_no_block() {
+    use oblidb::core::padding::PaddingConfig;
+    use oblidb::core::SelectAlgo;
+
+    let selects = [
+        "SELECT * FROM f WHERE v < 20",
+        "SELECT * FROM i WHERE k < 5",
+        "SELECT COUNT(*), SUM(v) FROM f WHERE v < 20",
+        "SELECT k, SUM(v) FROM f WHERE v < 20 GROUP BY k",
+        "SELECT COUNT(*), SUM(v) FROM d JOIN f ON d.k = f.k WHERE name < 9",
+        "SELECT COUNT(*), SUM(v) FROM d JOIN f ON d.k = f.k WHERE v < 20",
+        "SELECT * FROM d JOIN f ON d.k = f.k WHERE v < 20",
+        "SELECT * FROM i JOIN f ON i.k = f.k WHERE v < 20",
+    ];
+    let mut forced = DbConfig::default();
+    forced.planner.force_select = Some(SelectAlgo::Large);
+    let padded = DbConfig { padding: Some(PaddingConfig { pad_rows: 24 }), ..DbConfig::default() };
+    for (mode, config) in [("default", DbConfig::default()), ("forced", forced), ("padded", padded)]
+    {
+        let mut db = Database::new(config);
+        db.execute("CREATE TABLE d (k INT, name INT) CAPACITY 16").unwrap();
+        db.execute("CREATE TABLE f (k INT, v INT) CAPACITY 48").unwrap();
+        db.execute("CREATE TABLE i (k INT, w INT) STORAGE = INDEXED INDEX ON k").unwrap();
+        for n in 0..48 {
+            db.execute(&format!("INSERT INTO f VALUES ({}, {n})", n % 16)).unwrap();
+        }
+        for n in 0..16 {
+            db.execute(&format!("INSERT INTO d VALUES ({n}, {n})")).unwrap();
+            db.execute(&format!("INSERT INTO i VALUES ({n}, {n})")).unwrap();
+        }
+        for sql in selects {
+            let before = db.host_mut().stats();
+            db.start_trace();
+            db.prepare(sql).unwrap();
+            let explain = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+            let trace = db.take_trace();
+            assert!(!explain.is_empty(), "{mode}: {sql}");
+            assert_eq!(db.host_mut().stats(), before, "{mode}: {sql}");
+            assert!(trace.0.is_empty(), "{mode}: {sql}: {} accesses", trace.0.len());
+            assert!(db.execute(sql).is_ok(), "{mode}: {sql}");
+        }
+    }
+}

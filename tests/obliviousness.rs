@@ -218,6 +218,35 @@ fn padded_fused_build_hides_match_counts() {
     assert_eq!(t_over, t_few, "an overflow is found only after every pass ran");
 }
 
+/// A join side's filter whose matches fit oblivious memory is Small's one
+/// pass: its first pass counts and keeps them, and they are sealed into
+/// exactly |R| blocks. Two datasets of one public shape whose filtered side
+/// passes 6 rows, at different positions and with different values, give
+/// one trace.
+#[test]
+fn filtered_join_side_trace_depends_only_on_its_match_count() {
+    let run = |first: i64| {
+        let mut db = Database::new(DbConfig::default());
+        db.execute("CREATE TABLE a (k INT, x INT) CAPACITY 16").unwrap();
+        db.execute("CREATE TABLE b (k INT, y INT) CAPACITY 32").unwrap();
+        for i in 0..16 {
+            db.execute(&format!("INSERT INTO a VALUES ({i}, {i})")).unwrap();
+        }
+        for i in 0..32 {
+            let y = if (first..first + 6).contains(&i) { i } else { 100 + i };
+            db.execute(&format!("INSERT INTO b VALUES ({}, {y})", (i + first) % 16)).unwrap();
+        }
+        db.start_trace();
+        let out = db.execute("SELECT * FROM a JOIN b ON a.k = b.k WHERE y < 100").unwrap();
+        let trace = db.take_trace();
+        assert_eq!((out.len(), out.plan.select_algo), (6, Some(SelectAlgo::Small)));
+        let sealed = written(&trace);
+        assert_eq!(sealed[0].1, (0..6).collect(), "the filter seals |R| blocks");
+        trace
+    };
+    assert_eq!(run(0), run(20), "the matches' positions and values must not show");
+}
+
 /// The regions `trace` writes, in first-write order, each with the block
 /// indices written.
 fn written(trace: &Trace) -> Vec<(RegionId, BTreeSet<u64>)> {
@@ -281,7 +310,8 @@ fn folded_join_aggregate_trace_depends_only_on_sizes() {
 /// budget, and every pass scans both tables whole. `b` has 48 rows, of
 /// which `y < 100` holds for `matches`; a 4-row build chunk makes 10 and
 /// 12 matches take 3 passes each, so they leave one trace, while 13 take
-/// 4.
+/// 4. The bound is the filter's run-time first pass's count, which
+/// `EXPLAIN ANALYZE` shows.
 #[test]
 fn fused_build_trace_depends_only_on_the_pass_count() {
     let run = |matches: i64| {
@@ -297,7 +327,7 @@ fn fused_build_trace_depends_only_on_the_pass_count() {
             db.execute(&format!("INSERT INTO b VALUES ({i}, {y})")).unwrap();
         }
         let sql = "SELECT COUNT(*), SUM(x) FROM a JOIN b ON a.k = b.k WHERE y < 100";
-        let plan = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let plan = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         let join = plan.rows().iter().filter_map(|r| r[0].as_text()).find(|l| l.contains("Join"));
         let fused = format!("build=Right fused filter, bound {matches}");
         assert!(join.is_some_and(|l| l.contains(&fused)), "{join:?}");

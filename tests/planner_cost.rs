@@ -182,7 +182,8 @@ fn estimates_match_actuals_for_every_select_algorithm() {
         }
     }
 
-    // The engine wires the same counts into every forced plan.
+    // The engine wires the same counts into every forced plan, costed once
+    // its first pass has counted |R|.
     for algo in [
         SelectAlgo::Small,
         SelectAlgo::Large,
@@ -196,12 +197,12 @@ fn estimates_match_actuals_for_every_select_algorithm() {
         let mut db = build_db(config, 96, 96);
         // Contiguous range so Continuous is valid too.
         let mut stmt = db.prepare("SELECT * FROM t WHERE id >= 16 AND id < 48").unwrap();
-        let est = filter_of(stmt.plan().select_root().unwrap())
-            .est
-            .unwrap_or_else(|| panic!("{algo:?}: forced choice must still be costed"));
         let out = stmt.run().unwrap();
         assert_eq!(out.len(), 32, "{algo:?}");
-        let actual = filter_of(stmt.plan().select_root().unwrap()).actual.unwrap();
+        let f = filter_of(stmt.plan().select_root().unwrap());
+        assert_eq!(f.choice.algo(), Some(algo));
+        let est = f.est.unwrap_or_else(|| panic!("{algo:?}: forced choice must still be costed"));
+        let actual = f.actual.unwrap();
         assert_eq!(
             (est.reads, est.writes, est.crossings, est.bytes),
             (actual.reads, actual.writes, actual.crossings, actual.bytes),
@@ -210,11 +211,11 @@ fn estimates_match_actuals_for_every_select_algorithm() {
     }
 }
 
-/// A root select's first pass costs one pass over its input, as
+/// A filter's first pass costs one pass over its input, as
 /// `first_pass_cost` counts it, whether its matches fit the OM lease (and
-/// come back from there) or overflow it: both widths, capacities around
-/// the chunk, padded and not. Through the engine, a root select whose
-/// matches fit estimates that count, writes nothing, and reports Small.
+/// are all kept) or overflow it: both widths, capacities around the chunk,
+/// padded and not. Through the engine, a root select whose matches fit
+/// estimates that count, writes nothing, and reports Small.
 #[test]
 fn first_pass_estimates_match_actuals() {
     for schema in widths() {
@@ -230,16 +231,17 @@ fn first_pass_estimates_match_actuals() {
                 let pred =
                     Predicate::cmp(&schema, "id", CmpOp::Lt, Value::Int(matches as i64)).unwrap();
                 let om = OmBudget::new(om_bytes);
-                let (mut rows, mut overflow) = (Vec::new(), None);
+                let mut first = None;
                 let actual = measured(&mut host, |h| {
-                    let mut sink = RowSink::Rows(&schema, &mut rows);
-                    overflow =
-                        exec::select_first_pass(h, &om, &mut input, &pred, pad, &mut sink).unwrap();
+                    let pass = exec::select_first_pass(h, &om, &mut input, &pred, pad, row_len);
+                    first = Some(pass.unwrap());
                 });
+                let first = first.unwrap();
                 assert_eq!(first_pass_cost(row_len, capacity), actual, "{ctx}");
                 let fits = matches as usize * row_len <= om_bytes;
-                assert_eq!(overflow.map(|s| s.matches), (!fits).then_some(matches), "{ctx}");
-                assert_eq!(rows.len() as u64, if fits { matches } else { 0 }, "{ctx}");
+                assert_eq!(first.stats.matches, matches, "{ctx}");
+                assert_eq!(first.fits(row_len), fits, "{ctx}");
+                assert_eq!(first.kept.len() as u64 / row_len as u64 == matches, fits, "{ctx}");
             }
         }
     }
@@ -259,7 +261,7 @@ fn first_pass_estimates_match_actuals() {
 }
 
 /// Padding mode: the padded estimate is exact too (pass count and output
-/// size come from the public bound).
+/// size come from the public bound), and the run costs it.
 #[test]
 fn padded_estimates_match_actuals() {
     let config = DbConfig {
@@ -268,9 +270,9 @@ fn padded_estimates_match_actuals() {
     };
     let mut db = build_db(config, 64, 64);
     let mut stmt = db.prepare("SELECT * FROM t WHERE id < 5").unwrap();
-    let est = filter_of(stmt.plan().select_root().unwrap()).est.unwrap();
     stmt.run().unwrap();
-    let actual = filter_of(stmt.plan().select_root().unwrap()).actual.unwrap();
+    let f = filter_of(stmt.plan().select_root().unwrap());
+    let (est, actual) = (f.est.unwrap(), f.actual.unwrap());
     assert_eq!(
         (est.reads, est.writes, est.crossings),
         (actual.reads, actual.writes, actual.crossings)
@@ -579,12 +581,15 @@ fn join_estimates_match_actuals() {
 
 /// A folded hash join that runs a side's pushed-down filter inside its
 /// build costs what `join_cost` counts over the fused shape: the filter on
-/// either side, both widths, one build pass and three or more, a bound at
-/// the match count and a padded one above it. The fold counts the
-/// nested-loop join's rows. Through the engine, a fused join's estimate
-/// equals its measured actual, with the filter on either side.
+/// either side, both widths, one build pass and three or more, a bound
+/// counted by the filter's first pass, which runs as the build's first
+/// pass, and a padded one above it, which the build scans for itself. The
+/// fold counts the nested-loop join's rows. Through the engine, a fused
+/// join's estimate equals its measured actual, with the filter on either
+/// side.
 #[test]
 fn fused_build_estimates_match_actuals() {
+    use oblidb::core::exec::join::build_entry_len;
     use oblidb::core::plan::cost::JoinSide;
     use oblidb::core::plan::FusedFilter;
 
@@ -602,25 +607,36 @@ fn fused_build_estimates_match_actuals() {
             let kept = |i, j| if side == JoinSide::Left { left_id(i) } else { right_id(j) } < keep;
             let pairs = (0..lcap).flat_map(|i| (0..rcap).map(move |j| (i, j)));
             let want = pairs.filter(|&(i, j)| left_id(i) == right_id(j) && kept(i, j)).count();
-            let entry = bs.row_len() + 32;
-            for (bound, om_bytes) in [
-                (matches, 1 << 20),
-                (matches, (matches as usize / 3) * entry),
-                (matches + 5, (matches as usize / 4) * entry),
+            let entry = build_entry_len(bs.row_len());
+            for (padded, om_bytes) in [
+                (None, 1 << 20),
+                (None, (matches as usize / 3) * entry),
+                (Some(matches + 5), (matches as usize / 4) * entry),
             ] {
-                let ctx = format!("{side:?}: bound {bound} of {matches}, OM {om_bytes} B");
+                let ctx = format!("{side:?}: {padded:?} of {matches}, OM {om_bytes} B");
                 let mut host = Host::new();
                 let mut t1 = table(&mut host, ls, lcap, left_id);
                 let mut t2 = table(&mut host, rs, rcap, right_id);
                 let om = OmBudget::new(om_bytes);
                 let pred = Predicate::cmp(bs, "id", CmpOp::Lt, Value::Int(keep)).unwrap();
-                let fused = FusedFilter { side, pred, bound };
                 let mut agg = AggFold::new(ls.join("l", rs, "r"), &items, &Predicate::True);
+                let mut bound = 0;
                 let actual = measured(&mut host, |h| {
                     let (t1, t2, key) = (&mut t1, &mut t2, AeadKey([0x77; 32]));
+                    let first = match padded {
+                        Some(_) => None,
+                        None => {
+                            let base = if side == JoinSide::Left { &mut *t1 } else { &mut *t2 };
+                            Some(exec::select_first_pass(h, &om, base, &pred, None, entry).unwrap())
+                        }
+                    };
+                    bound = padded.unwrap_or_else(|| first.as_ref().unwrap().stats.matches);
+                    let fused = FusedFilter { side, pred: pred.clone(), bound };
                     let sink = RowSink::Fold(&mut agg);
-                    exec::hash_join(h, &om, t1, 0, t2, 0, key, sink, Some(&fused)).unwrap();
+                    exec::hash_join(h, &om, t1, 0, t2, 0, key, sink, Some((&fused, first)))
+                        .unwrap();
                 });
+                assert_eq!(bound, padded.unwrap_or(matches), "{ctx}: the pass counts |R|");
                 let shape = JoinShape {
                     left_schema: ls.clone(),
                     left_capacity: lcap,

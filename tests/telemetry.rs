@@ -91,42 +91,75 @@ fn telemetry_on_is_trace_and_result_identical() {
 
 /// Planning is not execution. The cost-based planner counts its
 /// candidates from public sizes and touches no memory doing it: preparing
-/// an uncached join whose WHERE is pushed down to one side records the
-/// prepare and plan spans and that side's preliminary scan's real reads —
-/// no operator span, no sealed block, and exactly as many opened blocks
-/// as the substrate served. A root select reads nothing at prepare: its
-/// scan is its own first pass, at run time.
+/// an uncached root select, or a join whose WHERE is pushed down to one
+/// side, reads nothing and records only the prepare and plan spans — no
+/// operator span, no sealed or opened block. Every filter's preliminary
+/// scan is its own first pass, at run time, where the choices it feeds are
+/// costed: `EXPLAIN ANALYZE` shows them, having opened exactly as many
+/// blocks as the substrate served.
 #[test]
 fn planner_costing_touches_no_memory() {
     let _g = gate();
     telemetry::set_enabled(false);
     let mut db = seeded_db(DbConfig::default());
     db.execute("CREATE TABLE d (g INT, label CHAR(8)) CAPACITY 16").unwrap();
-    db.host_mut().reset_stats();
-    let explain = db.prepare(QUERY).unwrap().explain().to_string();
-    assert!(explain.contains("Filter [deferred to run]"), "{explain}");
-    assert_eq!(db.host_mut().stats().total_accesses(), 0, "a root select reads at run time");
     let _ = telemetry::take_spans();
     telemetry::reset_metrics();
+    db.host_mut().reset_stats();
+    let counter = |name: &str| {
+        let snap = telemetry::snapshot();
+        snap.counters.iter().find(|(n, _)| n == name).unwrap().1
+    };
 
     telemetry::set_enabled(true);
     let join = "SELECT * FROM d JOIN t ON d.g = t.k WHERE v < 18";
-    let explain = db.prepare(join).unwrap().explain().to_string();
+    for sql in [QUERY, join] {
+        let explain = db.prepare(sql).unwrap().explain().to_string();
+        assert!(explain.contains("Filter [deferred to run]"), "{explain}");
+    }
     telemetry::set_enabled(false);
-    assert!(explain.contains("candidates:"), "the planner costed its candidates:\n{explain}");
-
+    assert_eq!(db.host_mut().stats().total_accesses(), 0, "prepare reads nothing");
     let spans = telemetry::take_spans();
     assert!(spans.iter().any(|s| s.kind == telemetry::SpanKind::Plan));
     for s in &spans {
-        use telemetry::SpanKind::{OpenBatch, Plan, Prepare};
-        assert!(matches!(s.kind, Prepare | Plan | OpenBatch), "planning recorded {:?}", s.kind);
+        use telemetry::SpanKind::{Plan, Prepare};
+        assert!(matches!(s.kind, Prepare | Plan), "planning recorded {:?}", s.kind);
     }
+    assert_eq!((counter("blocks_sealed"), counter("blocks_opened")), (0, 0));
+    telemetry::reset_metrics();
+
+    telemetry::set_enabled(true);
+    let out = db.execute(&format!("EXPLAIN ANALYZE {join}")).unwrap();
+    telemetry::set_enabled(false);
+    let explain: Vec<&str> = out.rows().iter().filter_map(|r| r[0].as_text()).collect();
+    assert!(explain.iter().any(|l| l.contains("candidates:")), "costed at run:\n{explain:?}");
+    let served = db.host_mut().stats().reads;
+    assert!(served > 0, "the first pass read the table");
+    assert_eq!(counter("blocks_opened"), served, "only blocks that exist were opened");
+    let _ = telemetry::take_spans();
+    telemetry::reset_metrics();
+}
+
+/// Every sealed block reaches storage telemetry, one sealed on its own
+/// included: a fast INSERT seals exactly one block, and its payload bytes.
+#[test]
+fn a_single_block_insert_reaches_storage_telemetry() {
+    let _g = gate();
+    telemetry::set_enabled(false);
+    let mut db = seeded_db(DbConfig::default());
+    let _ = telemetry::take_spans();
+    telemetry::reset_metrics();
+    db.host_mut().reset_stats();
+    telemetry::set_enabled(true);
+    db.execute("INSERT INTO t VALUES (64, 192)").unwrap();
+    telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     let counter = |name: &str| snap.counters.iter().find(|(n, _)| n == name).unwrap().1;
-    assert_eq!(counter("blocks_sealed"), 0, "nothing real was written");
-    let served = db.host_mut().stats().reads;
-    assert!(served > 0, "the preliminary scan read the table");
-    assert_eq!(counter("blocks_opened"), served, "only blocks that exist were opened");
+    assert_eq!(db.host_mut().stats().writes, 1, "a fast insert writes one block");
+    assert_eq!(counter("blocks_sealed"), 1);
+    let row_len = db.table_schema("t").unwrap().row_len() as u64;
+    assert_eq!(counter("bytes_sealed"), row_len);
+    let _ = telemetry::take_spans();
     telemetry::reset_metrics();
 }
 
