@@ -196,9 +196,15 @@ impl ObTree {
 
         // addr 0 = sentinel leaf, addr 1 = root (bottom internal).
         let sentinel = LeafNode { key: 0, prev: NIL, next: NIL, payload: vec![0u8; payload_len] };
-        oram.write(host, 0, &Node::Leaf(sentinel).serialize(fanout, payload_len))?;
-        let root = InternalNode { entries: vec![(0, 0)] };
-        oram.write(host, 1, &Node::Internal(root).serialize(fanout, payload_len))?;
+        let sentinel = Node::Leaf(sentinel).serialize(fanout, payload_len);
+        let root =
+            Node::Internal(InternalNode { entries: vec![(0, 0)] }).serialize(fanout, payload_len);
+        if let Err(e) = oram.write(host, 0, &sentinel).and_then(|()| oram.write(host, 1, &root)) {
+            // Best-effort cleanup; the write's failure is the error worth
+            // surfacing.
+            let _ = oram.free(host);
+            return Err(e.into());
+        }
 
         Ok(Self {
             oram,

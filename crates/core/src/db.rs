@@ -18,48 +18,36 @@
 //!    select) → join → select → aggregate/group-by → decode — measuring
 //!    each node's actual access counts as it goes. [`Database::execute`]
 //!    remains as a thin prepare-then-run shim.
+//!
+//! [`Database`] is one struct over three files, each an `impl` block: this
+//! one (configuration, constructors, catalog, DML, WAL and epochs),
+//! `db/plan.rs` (`prepare*` and plan construction) and `db/run.rs` (plan
+//! execution). How a table is stored is decided in
+//! [`crate::table::TableStorage`].
 
 pub mod persist;
+mod plan;
+mod run;
 pub mod shared;
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use oblidb_crypto::aead::AeadKey;
 use oblidb_enclave::{EnclaveMemory, EnclaveRng, Host, OmBudget, Trace, DEFAULT_OM_BYTES};
 
 use crate::error::DbError;
-use crate::exec::{
-    self, select::first_pass_cost, AggFold, AggFunc, FirstPass, RowSink, SortMergeVariant,
-};
 use crate::padding::PaddingConfig;
-use crate::plan::cost::{
-    self, CostProfile, JoinAlgo, JoinShape, PlannerConfig, SelectAlgo, SelectShape, SelectStats,
-    ZERO_OM_SCRATCH_ROWS,
-};
-use crate::plan::{
-    AccessPath, AggregateNode, CandidateCost, Explain, FilterNode, GroupByNode, JoinChoice,
-    JoinNode, NodeCost, PlanAction, PlanKey, PlanNode, QueryPlan, ScanNode, SelectChoice,
-    SelectPlan,
-};
-use crate::predicate::{Bound, Predicate};
-use crate::sql::{self, Parsed, Projection, SelectItem, Statement};
-use crate::table::{FlatTable, IndexedTable, TableStorage};
-use crate::types::{Column, DataType, Row, Schema, Value};
+use crate::plan::cost::{JoinAlgo, PlannerConfig, SelectAlgo};
+use crate::plan::{Explain, QueryPlan};
+use crate::predicate::Predicate;
+use crate::sql::{Parsed, Statement};
+use crate::table::TableStorage;
+use crate::types::{DataType, Row, Schema, Value};
+
+pub use crate::table::StorageMethod;
 
 /// Default initial table capacity (rows) when CREATE TABLE gives none.
 pub const DEFAULT_CAPACITY: u64 = 1024;
-
-/// Which storage method(s) a table uses (paper §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageMethod {
-    /// Flat only.
-    Flat,
-    /// Oblivious B+ tree only.
-    Indexed,
-    /// Both, kept in sync (Figure 12).
-    Both,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -381,10 +369,7 @@ impl<M: EnclaveMemory> Database<M> {
                     {
                         return Err(DbError::Sql(format!("table '{}' already exists", c.name)));
                     }
-                    let schema = Schema::new(
-                        c.columns.iter().map(|cd| Column::new(cd.name.clone(), cd.dtype)).collect(),
-                    );
-                    created.push((c.name.clone(), schema));
+                    created.push((c.name.clone(), c.schema()));
                 }
                 Statement::Insert(i) => {
                     let schema = lookup(&created, self, &i.table)?;
@@ -396,8 +381,8 @@ impl<M: EnclaveMemory> Database<M> {
                         w.resolve(&schema)?;
                     }
                     for a in &u.sets {
-                        let idx = schema.col(&a.col)?;
-                        check_assignable(schema.columns[idx].dtype, &a.value, &a.col)?;
+                        let col = &schema.columns[schema.col(&a.col)?];
+                        col.encode_value(&a.value, &mut vec![0; col.dtype.width()])?;
                     }
                 }
                 Statement::Delete(d) => {
@@ -430,12 +415,13 @@ impl<M: EnclaveMemory> Database<M> {
     pub(crate) fn dump_state_statements(&mut self) -> Result<Vec<String>, DbError> {
         let mut out = Vec::new();
         for (name, storage) in &mut self.tables {
-            let TableStorage::Flat(f) = storage else {
+            if storage.indexed().is_some() {
                 return Err(DbError::Unsupported(format!(
                     "table '{name}' uses indexed storage; state dumps (WAL checkpoints) \
                      support FLAT tables only"
                 )));
-            };
+            }
+            let f = storage.flat_mut().expect("a table without an index is flat");
             let cols = f
                 .schema()
                 .columns
@@ -451,15 +437,9 @@ impl<M: EnclaveMemory> Database<M> {
         Ok(out)
     }
 
-    /// Fresh derived key for a new region/table: master key, incarnation
-    /// epoch, and a monotone counter — unique per region per incarnation.
+    /// The next region key this incarnation derives.
     fn next_key(&mut self) -> AeadKey {
-        self.key_counter += 1;
-        let mut label = Vec::with_capacity(7 + 16 + 8);
-        label.extend_from_slice(b"region:");
-        label.extend_from_slice(&self.key_epoch);
-        label.extend_from_slice(&self.key_counter.to_le_bytes());
-        AeadKey(oblidb_crypto::derive_key(&self.master_key, &label))
+        region_key(&self.master_key, &self.key_epoch, &mut self.key_counter)
     }
 
     /// Engine configuration (mutable, so experiments can flip planner
@@ -495,10 +475,7 @@ impl<M: EnclaveMemory> Database<M> {
     /// Every table's public sizes — name, row count, flat insert cursor —
     /// for [`crate::audit::statement_shape`].
     pub(crate) fn public_sizes(&self) -> Vec<(String, u64, u64)> {
-        let cursor = |t: &TableStorage| match t {
-            TableStorage::Flat(f) | TableStorage::Both { flat: f, .. } => f.insert_cursor(),
-            TableStorage::Indexed(_) => 0,
-        };
+        let cursor = |t: &TableStorage| t.flat().map_or(0, |f| f.insert_cursor());
         self.tables.iter().map(|(n, t)| (n.clone(), t.num_rows(), cursor(t))).collect()
     }
 
@@ -507,10 +484,7 @@ impl<M: EnclaveMemory> Database<M> {
     /// regions, where positions are random by construction, and the WAL
     /// region, written at its public append position.
     pub(crate) fn position_randomized_regions(&self) -> Vec<oblidb_enclave::RegionId> {
-        let indexed = self.tables.iter().filter_map(|(_, t)| match t {
-            TableStorage::Indexed(i) | TableStorage::Both { indexed: i, .. } => Some(i),
-            TableStorage::Flat(_) => None,
-        });
+        let indexed = self.tables.iter().filter_map(|(_, t)| t.indexed());
         let mut regions: Vec<_> = indexed.flat_map(|i| i.oram_region_ids()).collect();
         regions.extend(self.wal.as_ref().map(|w| w.region_id()));
         regions
@@ -563,7 +537,7 @@ impl<M: EnclaveMemory> Database<M> {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Creates a table.
+    /// Creates a table: empty, or bulk-loaded with `rows`.
     fn create_table(
         &mut self,
         name: &str,
@@ -571,63 +545,18 @@ impl<M: EnclaveMemory> Database<M> {
         method: StorageMethod,
         index_on: Option<&str>,
         capacity: u64,
+        rows: Option<&[Vec<Value>]>,
     ) -> Result<(), DbError> {
         if self.tables.iter().any(|(n, _)| n == name) {
             return Err(DbError::TableExists(name.to_string()));
         }
-        let storage = match method {
-            StorageMethod::Flat => {
-                let key = self.next_key();
-                let flat = FlatTable::create(&mut self.host, key, schema, capacity)?;
-                TableStorage::Flat(flat)
-            }
-            StorageMethod::Indexed => {
-                let col = index_on.ok_or(DbError::Unsupported(
-                    "INDEXED storage requires INDEX ON <col>".into(),
-                ))?;
-                let key_col = schema.col(col)?;
-                let key = self.next_key();
-                let rng = self.rng.fork();
-                TableStorage::Indexed(IndexedTable::create(
-                    &mut self.host,
-                    key,
-                    schema,
-                    key_col,
-                    capacity,
-                    &self.om,
-                    rng,
-                )?)
-            }
-            StorageMethod::Both => {
-                let col = index_on
-                    .ok_or(DbError::Unsupported("BOTH storage requires INDEX ON <col>".into()))?;
-                let key_col = schema.col(col)?;
-                let fk = self.next_key();
-                let flat = FlatTable::create(&mut self.host, fk, schema.clone(), capacity)?;
-                let ik = self.next_key();
-                let rng = self.rng.fork();
-                let indexed = IndexedTable::create(
-                    &mut self.host,
-                    ik,
-                    schema,
-                    key_col,
-                    capacity,
-                    &self.om,
-                    rng,
-                );
-                // Don't leak the flat region if the index half fails.
-                let indexed = match indexed {
-                    Ok(i) => i,
-                    Err(e) => {
-                        // Best-effort cleanup; the index failure is the
-                        // error worth surfacing.
-                        let _ = flat.free(&mut self.host);
-                        return Err(e);
-                    }
-                };
-                TableStorage::Both { flat, indexed }
-            }
-        };
+        let encoded = rows.map(|rows| rows.iter().map(|r| schema.encode_row(r)).collect());
+        let encoded: Option<Vec<Vec<u8>>> = encoded.transpose()?;
+        let next_key = || region_key(&self.master_key, &self.key_epoch, &mut self.key_counter);
+        let (host, om, rng, rows) = (&mut self.host, &self.om, &mut self.rng, encoded.as_deref());
+        let storage = TableStorage::create(
+            host, om, rng, next_key, schema, method, index_on, capacity, rows,
+        )?;
         self.tables.push((name.to_string(), storage));
         self.version += 1;
         Ok(())
@@ -644,75 +573,7 @@ impl<M: EnclaveMemory> Database<M> {
         rows: &[Vec<Value>],
         capacity: u64,
     ) -> Result<(), DbError> {
-        if self.tables.iter().any(|(n, _)| n == name) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        let encoded: Vec<Vec<u8>> =
-            rows.iter().map(|r| schema.encode_row(r)).collect::<Result<_, _>>()?;
-        let cap = capacity.max(rows.len() as u64);
-        let storage = match method {
-            StorageMethod::Flat => {
-                let key = self.next_key();
-                let flat =
-                    FlatTable::from_encoded_rows(&mut self.host, key, schema, &encoded, cap)?;
-                TableStorage::Flat(flat)
-            }
-            StorageMethod::Indexed => {
-                let col = index_on.ok_or(DbError::Unsupported(
-                    "INDEXED storage requires INDEX ON <col>".into(),
-                ))?;
-                let key_col = schema.col(col)?;
-                let key = self.next_key();
-                let rng = self.rng.fork();
-                TableStorage::Indexed(IndexedTable::from_encoded_rows(
-                    &mut self.host,
-                    key,
-                    schema,
-                    key_col,
-                    &encoded,
-                    cap,
-                    &self.om,
-                    rng,
-                )?)
-            }
-            StorageMethod::Both => {
-                let col = index_on
-                    .ok_or(DbError::Unsupported("BOTH storage requires INDEX ON <col>".into()))?;
-                let key_col = schema.col(col)?;
-                let fk = self.next_key();
-                let flat = FlatTable::from_encoded_rows(
-                    &mut self.host,
-                    fk,
-                    schema.clone(),
-                    &encoded,
-                    cap,
-                )?;
-                let ik = self.next_key();
-                let rng = self.rng.fork();
-                let indexed = match IndexedTable::from_encoded_rows(
-                    &mut self.host,
-                    ik,
-                    schema,
-                    key_col,
-                    &encoded,
-                    cap,
-                    &self.om,
-                    rng,
-                ) {
-                    Ok(i) => i,
-                    Err(e) => {
-                        // Best-effort cleanup; the index failure is the
-                        // error worth surfacing.
-                        let _ = flat.free(&mut self.host);
-                        return Err(e);
-                    }
-                };
-                TableStorage::Both { flat, indexed }
-            }
-        };
-        self.tables.push((name.to_string(), storage));
-        self.version += 1;
-        Ok(())
+        self.create_table(name, schema, method, index_on, capacity, Some(rows))
     }
 
     /// Row count of a table (public information).
@@ -754,60 +615,9 @@ impl<M: EnclaveMemory> Database<M> {
         let idx = self.table_index(name)?;
         // Refuse a row the schema cannot encode before anything is written,
         // growth included.
-        self.tables[idx].1.schema().encode_row(values)?;
-        // An index does not grow: refuse a full one before either half of
-        // a BOTH table is written, so the refusal changes nothing.
-        if let TableStorage::Indexed(i) | TableStorage::Both { indexed: i, .. } =
-            &self.tables[idx].1
-        {
-            if i.is_full() {
-                return Err(DbError::TableFull("index".into()));
-            }
-        }
-        let fast = self.config.fast_inserts;
-        // Auto-grow flat storage when full (paper §3: capacity "can be
-        // increased later by copying to a new, larger table"). A fast
-        // insert writes at the cursor, which a delete does not move back,
-        // so it is full when the cursor is; the cursor is public, as the
-        // growth already shows it.
-        let needs_grow = {
-            let (_, storage) = &self.tables[idx];
-            match storage {
-                TableStorage::Flat(f) | TableStorage::Both { flat: f, .. } => {
-                    let used = if fast { f.insert_cursor() } else { f.num_rows() };
-                    used >= f.capacity()
-                }
-                TableStorage::Indexed(_) => false,
-            }
-        };
-        if needs_grow {
-            let key = self.next_key();
-            if let Some(f) = self.tables[idx].1.flat_mut() {
-                let new_cap = f.capacity() * 2;
-                f.grow(&mut self.host, key, new_cap)?;
-            }
-        }
-        let (_, storage) = &mut self.tables[idx];
-        match storage {
-            TableStorage::Flat(f) => {
-                if fast {
-                    f.insert_fast(&mut self.host, values)?;
-                } else {
-                    f.insert_oblivious(&mut self.host, values)?;
-                }
-            }
-            TableStorage::Indexed(i) => {
-                i.insert(&mut self.host, values)?;
-            }
-            TableStorage::Both { flat, indexed } => {
-                if fast {
-                    flat.insert_fast(&mut self.host, values)?;
-                } else {
-                    flat.insert_oblivious(&mut self.host, values)?;
-                }
-                indexed.insert(&mut self.host, values)?;
-            }
-        }
+        let row = self.tables[idx].1.schema().encode_row(values)?;
+        let grow_key = || region_key(&self.master_key, &self.key_epoch, &mut self.key_counter);
+        self.tables[idx].1.insert(&mut self.host, &row, self.config.fast_inserts, grow_key)?;
         // Bumped only on success: a rejected mutation changes nothing, so
         // it must not invalidate prepared statements.
         self.version += 1;
@@ -817,16 +627,7 @@ impl<M: EnclaveMemory> Database<M> {
     /// Deletes rows matching `pred`; returns the count (a result size).
     fn delete_where(&mut self, name: &str, pred: &Predicate) -> Result<u64, DbError> {
         let idx = self.table_index(name)?;
-        let (_, storage) = &mut self.tables[idx];
-        let n = match storage {
-            TableStorage::Flat(f) => f.delete_where(&mut self.host, pred)?,
-            TableStorage::Indexed(i) => i.delete_where(&mut self.host, pred)?,
-            TableStorage::Both { flat, indexed } => {
-                let n = flat.delete_where(&mut self.host, pred)?;
-                indexed.delete_where(&mut self.host, pred)?;
-                n
-            }
-        };
+        let n = self.tables[idx].1.delete_where(&mut self.host, pred)?;
         self.version += 1;
         Ok(n)
     }
@@ -839,16 +640,7 @@ impl<M: EnclaveMemory> Database<M> {
         assignments: &[(usize, Value)],
     ) -> Result<u64, DbError> {
         let idx = self.table_index(name)?;
-        let (_, storage) = &mut self.tables[idx];
-        let n = match storage {
-            TableStorage::Flat(f) => f.update_where(&mut self.host, pred, assignments)?,
-            TableStorage::Indexed(i) => i.update_where(&mut self.host, pred, assignments)?,
-            TableStorage::Both { flat, indexed } => {
-                let n = flat.update_where(&mut self.host, pred, assignments)?;
-                indexed.update_where(&mut self.host, pred, assignments)?;
-                n
-            }
-        };
+        let n = self.tables[idx].1.update_where(&mut self.host, pred, assignments)?;
         self.version += 1;
         Ok(n)
     }
@@ -857,741 +649,6 @@ impl<M: EnclaveMemory> Database<M> {
     /// over the prepare → run lifecycle.
     pub fn execute(&mut self, query: &str) -> Result<QueryOutput, DbError> {
         self.prepare(query)?.run()
-    }
-
-    /// Parses and compiles one SQL statement into a physical plan without
-    /// executing it: [`sql::parse`], then [`Database::prepare_parsed`].
-    pub fn prepare(&mut self, query: &str) -> Result<PreparedStatement<'_, M>, DbError> {
-        self.prepare_parsed(sql::parse(query)?)
-    }
-
-    /// Compiles one parsed statement into a physical plan without executing
-    /// it. The returned [`PreparedStatement`] can be inspected
-    /// ([`PreparedStatement::explain`]) and run — repeatedly; it re-plans
-    /// itself transparently, without reparsing, if the database changed.
-    ///
-    /// SELECT plans are cached by the parser's token shape and literals
-    /// ([`Parsed::cache_key`]: spacing and keyword case do not matter) and
-    /// validated against the catalog version, so preparing the same
-    /// statement again with no intervening change skips planning
-    /// ([`Database::plan_cache_stats`]). Planning moves no block either way:
-    /// every filter counts its matches in its run-time first pass.
-    /// Mutations are never cached: running one bumps the version anyway.
-    pub fn prepare_parsed(&mut self, parsed: Parsed) -> Result<PreparedStatement<'_, M>, DbError> {
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Prepare);
-        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::Prepares, 1);
-        let key = matches!(
-            parsed.statement(),
-            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
-        )
-        .then(|| parsed.cache_key());
-        if let Some(plan) = key
-            .as_ref()
-            .and_then(|k| self.plan_cache.get(k))
-            .filter(|p| p.version == self.version)
-            .cloned()
-        {
-            self.plan_cache_stats.hits += 1;
-            oblidb_telemetry::counter_add(oblidb_telemetry::Counter::PlanCacheHits, 1);
-            return Ok(PreparedStatement { db: self, parsed, plan });
-        }
-        self.plan_cache_stats.misses += 1;
-        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::PlanCacheMisses, 1);
-        let plan = self.build_plan(parsed.statement())?;
-        if let Some(key) = key {
-            if self.plan_cache.len() >= PLAN_CACHE_CAP {
-                let current = self.version;
-                self.plan_cache.retain(|_, p| p.version == current);
-                if self.plan_cache.len() >= PLAN_CACHE_CAP {
-                    self.plan_cache.clear();
-                }
-            }
-            self.plan_cache.insert(key, plan.clone());
-        }
-        Ok(PreparedStatement { db: self, parsed, plan })
-    }
-
-    /// Prepared-plan cache counters (hits avoid re-planning entirely).
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache_stats
-    }
-
-    // ---- plan construction ------------------------------------------------
-
-    fn build_plan(&mut self, statement: &Statement) -> Result<QueryPlan, DbError> {
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Plan);
-        let profile = self.config.planner.profile.clone();
-        let action = match statement {
-            Statement::Create(c) => PlanAction::Create(c.clone()),
-            Statement::Insert(i) => PlanAction::Insert(i.clone()),
-            Statement::Update(u) => {
-                let idx = self.table_index(&u.table)?;
-                let schema = self.tables[idx].1.schema().clone();
-                let pred = match &u.where_clause {
-                    Some(w) => w.resolve(&schema)?,
-                    None => Predicate::True,
-                };
-                let assignments: Vec<(usize, Value)> = u
-                    .sets
-                    .iter()
-                    .map(|a| Ok((schema.col(&a.col)?, a.value.clone())))
-                    .collect::<Result<_, DbError>>()?;
-                PlanAction::Update { table: u.table.clone(), assignments, pred }
-            }
-            Statement::Delete(d) => {
-                let idx = self.table_index(&d.table)?;
-                let schema = self.tables[idx].1.schema().clone();
-                let pred = match &d.where_clause {
-                    Some(w) => w.resolve(&schema)?,
-                    None => Predicate::True,
-                };
-                PlanAction::Delete { table: d.table.clone(), pred }
-            }
-            Statement::Select(s) => PlanAction::Select(self.plan_select(s.clone(), &profile)?),
-            Statement::Explain(s) => {
-                PlanAction::ExplainSelect(self.plan_select(s.clone(), &profile)?)
-            }
-            Statement::ExplainAnalyze(s) => {
-                PlanAction::ExplainAnalyzeSelect(self.plan_select(s.clone(), &profile)?)
-            }
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                return Err(DbError::Unsupported(
-                    "BEGIN / COMMIT / ROLLBACK require a transaction session (oblidb::txn) — \
-                     a bare engine has no statement buffer to control"
-                        .into(),
-                ))
-            }
-        };
-        Ok(QueryPlan { action, profile, version: self.version })
-    }
-
-    /// Compiles a SELECT into its operator tree, choosing physical
-    /// operators wherever the input shape is public at prepare (a join of
-    /// flat tables or padded filters) and deferring the rest to run time.
-    fn plan_select(
-        &mut self,
-        s: sql::Select,
-        profile: &CostProfile,
-    ) -> Result<SelectPlan, DbError> {
-        let (agg_items, _) = split_projection(&s.projection);
-        let has_aggs = !agg_items.is_empty();
-
-        // The input the projection reads, its schema, and the filter still
-        // to apply there.
-        let (input, schema, pred) = if let Some(join) = &s.join {
-            let li = self.table_index(&s.table)?;
-            let ri = self.table_index(&join.table)?;
-            let ls = self.tables[li].1.schema().clone();
-            let rs = self.tables[ri].1.schema().clone();
-            let lc = ls.col(&join.left_col)?;
-            let rc = rs.col(&join.right_col)?;
-
-            // Push the WHERE down to whichever single side it resolves on.
-            let resolve = |schema| s.where_clause.as_ref().and_then(|w| w.resolve(schema).ok());
-            let left_pred = resolve(&ls);
-            let right_pred = left_pred.is_none().then(|| resolve(&rs)).flatten();
-            let pushed = left_pred.is_some() || right_pred.is_some();
-            let (left, left_capacity) = self.plan_join_side(li, &s.table, left_pred);
-            let (right, right_capacity) = self.plan_join_side(ri, &join.table, right_pred);
-
-            let om_bytes = self.om.available();
-            let renamed = ls.join(&s.table, &rs, &join.table);
-            // Aggregates directly over the join (no GROUP BY, no WHERE left
-            // above it) fold the joined rows instead of materializing them.
-            let folded = has_aggs && s.group_by.is_none() && (pushed || s.where_clause.is_none());
-            let mut join = JoinNode {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_col: lc,
-                right_col: rc,
-                // A side's shape may wait on a runtime index probe or a
-                // filter's first pass.
-                choice: JoinChoice::Deferred,
-                est: None,
-                actual: None,
-                om_bytes,
-                fused: None,
-                renamed: renamed.clone(),
-            };
-            if let (Some(left_capacity), Some(right_capacity)) = (left_capacity, right_capacity) {
-                let (left, right) = ((ls, left_capacity), (rs, right_capacity));
-                let shape = JoinShape::new(left, right, om_bytes, folded);
-                let cfg = &self.config.planner;
-                (join.choice, join.est) = cost::choose_join(cfg, &shape, profile);
-                // Padding mode's bound is public: it decides a fused build
-                // here.
-                if let (true, Some(pad)) = (folded, self.config.padding.map(|p| p.pad_rows)) {
-                    let bound = SelectStats { matches: pad, continuous: false };
-                    cost::fuse_filtered_build(cfg, Some(pad), &mut join, bound, om_bytes, profile);
-                }
-            }
-            let mut top = PlanNode::Join(join);
-            // WHERE after the join, unless push-down already consumed it.
-            if let (Some(w), false) = (&s.where_clause, pushed) {
-                let pred = w.resolve(&renamed)?;
-                top = PlanNode::Filter(self.plan_filter(top, pred));
-            }
-            (top, renamed, None)
-        } else {
-            let idx = self.table_index(&s.table)?;
-            let schema = self.tables[idx].1.schema().clone();
-            let pred = match &s.where_clause {
-                Some(w) => w.resolve(&schema)?,
-                None => Predicate::True,
-            };
-            (PlanNode::Scan(self.plan_scan(idx, &s.table, &pred)), schema, Some(pred))
-        };
-
-        let root = if let Some(g) = &s.group_by {
-            let (func, agg_col) = single_agg(&agg_items)?;
-            let (group_col, agg_col) = (schema.col(g)?, agg_col.map(|c| schema.col(&c)));
-            PlanNode::GroupBy(GroupByNode {
-                input: Box::new(input),
-                group_col,
-                func,
-                agg_col: agg_col.transpose()?,
-                pred: pred.unwrap_or(Predicate::True),
-                actual: None,
-            })
-        } else if has_aggs {
-            let pred = pred.unwrap_or(Predicate::True);
-            PlanNode::Aggregate(AggregateNode {
-                input: Box::new(input),
-                items: agg_items,
-                pred,
-                actual: None,
-            })
-        } else {
-            match pred {
-                Some(pred) => PlanNode::Filter(self.plan_filter(input, pred)),
-                None => input,
-            }
-        };
-        Ok(SelectPlan { root, stmt: s })
-    }
-
-    /// Plans one join input: a pushed-down filter over its base table or a
-    /// bare scan. Returns the node plus its output capacity when that is
-    /// public at prepare time: a flat table's, or a padded filter's bound
-    /// over one. `None` (→ deferred join choice) when a runtime index probe
-    /// or first pass decides it.
-    fn plan_join_side(
-        &mut self,
-        idx: usize,
-        name: &str,
-        pred: Option<Predicate>,
-    ) -> (PlanNode, Option<u64>) {
-        let scan = self.plan_scan(idx, name, pred.as_ref().unwrap_or(&Predicate::True));
-        let flat = (scan.access == AccessPath::Flat).then_some(scan.capacity);
-        match pred {
-            Some(p) => {
-                let capacity = flat.and(self.config.padding).map(|pad| pad.pad_rows.max(1));
-                (PlanNode::Filter(self.plan_filter(PlanNode::Scan(scan), p)), capacity)
-            }
-            None => (PlanNode::Scan(scan), flat),
-        }
-    }
-
-    /// Decides the physical access path for a base table (paper §4.1/§5):
-    /// attempt the index when the predicate maps to a range on the indexed
-    /// column (with the public abort cap), otherwise the flat
-    /// representation.
-    fn plan_scan(&self, idx: usize, name: &str, pred: &Predicate) -> ScanNode {
-        let storage = &self.tables[idx].1;
-        let has_flat = matches!(storage, TableStorage::Flat(_) | TableStorage::Both { .. });
-        let has_index = matches!(storage, TableStorage::Indexed(_) | TableStorage::Both { .. });
-        let rows = storage.num_rows();
-        let capacity = match storage {
-            TableStorage::Flat(f) | TableStorage::Both { flat: f, .. } => f.capacity(),
-            TableStorage::Indexed(_) => rows,
-        };
-
-        let index_range = pred.index_range().filter(|(col, lo, hi)| {
-            let key_col = match storage {
-                TableStorage::Indexed(i) => i.key_col(),
-                TableStorage::Both { indexed, .. } => indexed.key_col(),
-                TableStorage::Flat(_) => return false,
-            };
-            *col == key_col
-                && !(matches!(lo, crate::predicate::Bound::Unbounded)
-                    && matches!(hi, crate::predicate::Bound::Unbounded))
-        });
-
-        let access = if let Some((_, lo, hi)) =
-            index_range.filter(|_| has_index && self.config.padding.is_none())
-        {
-            // The cap is the match count beyond which a flat scan is
-            // cheaper: an index chain read costs ≈ 2·(path length) bucket
-            // accesses of 4-slot blocks versus ~2 row accesses per
-            // flat-scanned row. Both the cap and the abort decision are
-            // functions of public sizes, so the probe leaks nothing beyond
-            // the final plan choice (§5).
-            let cap = if has_flat {
-                let height = match storage {
-                    TableStorage::Both { indexed, .. } => indexed.height() as u64,
-                    _ => 1,
-                };
-                let oram_factor = 8 * (height + 2);
-                (2 * rows.max(1)) / oram_factor.max(1)
-            } else {
-                u64::MAX
-            };
-            AccessPath::IndexRange { lo, hi, cap }
-        } else if has_flat {
-            AccessPath::Flat
-        } else {
-            AccessPath::IndexFull
-        };
-        let schema = storage.schema().clone();
-        ScanNode { table: name.to_string(), access, schema, rows, capacity, actual: None }
-    }
-
-    /// Plans a selection stage over `input`. Its operator waits for the
-    /// run-time first pass ([`exec::select_first_pass`]), which counts |R|;
-    /// padding mode pins Small's windows over the bound (§2.3). The output
-    /// key is drawn now, so the Hash candidate is priced with the buckets
-    /// it would run with.
-    fn plan_filter(&mut self, input: PlanNode, pred: Predicate) -> FilterNode {
-        let choice = match self.config.padding {
-            Some(pad) => SelectChoice::Padded { pad_rows: pad.pad_rows },
-            None => SelectChoice::Deferred,
-        };
-        FilterNode {
-            input: Box::new(input),
-            pred,
-            choice,
-            est_matches: None,
-            est: None,
-            actual: None,
-            om_bytes: self.om.available(),
-            out_key: PlanKey(self.next_key()),
-        }
-    }
-
-    // ---- plan execution ---------------------------------------------------
-
-    /// Executes a compiled plan, writing measured node costs back into it.
-    ///
-    /// This is the statement-level telemetry boundary: a `Run` span and
-    /// latency histogram wrap the whole execution, and when
-    /// [`DbConfig::audit`] is on the statement runs under an access trace
-    /// whose hash is checked against the first trace recorded for the same
-    /// statement shape (see [`crate::audit`]). Auditing borrows the trace
-    /// channel — a statement that runs while the caller is already tracing
-    /// is counted as a skip, never silently unaudited.
-    fn run_plan(&mut self, plan: &mut QueryPlan, parsed: &Parsed) -> Result<QueryOutput, DbError> {
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Run);
-        oblidb_telemetry::counter_add(oblidb_telemetry::Counter::StatementsRun, 1);
-        let timed = oblidb_telemetry::enabled().then(Instant::now);
-        let audit = self.config.audit && !self.host.tracing();
-        if self.config.audit && !audit {
-            self.auditor.skip();
-        }
-        if audit {
-            self.host.start_trace();
-        }
-        let result = self.run_plan_inner(plan, parsed.text());
-        if audit {
-            let trace = self.host.take_trace();
-            if let Ok(out) = &result {
-                let tables = self.public_sizes();
-                let shape =
-                    crate::audit::statement_shape(parsed.shape(), &tables, out.plan.output_rows);
-                self.auditor.observe(&shape, &trace, &self.position_randomized_regions());
-            }
-        }
-        if let Some(t0) = timed {
-            oblidb_telemetry::histogram_record(
-                oblidb_telemetry::HistogramId::StatementNanos,
-                t0.elapsed().as_nanos() as u64,
-            );
-        }
-        result
-    }
-
-    fn run_plan_inner(
-        &mut self,
-        plan: &mut QueryPlan,
-        query: &str,
-    ) -> Result<QueryOutput, DbError> {
-        // WAL: log DDL and mutations before executing them. CREATE is
-        // logged too, so crash recovery replays a complete history without
-        // a separate schema dump.
-        if matches!(
-            plan.action,
-            PlanAction::Create(_)
-                | PlanAction::Insert(_)
-                | PlanAction::Update { .. }
-                | PlanAction::Delete { .. }
-        ) {
-            self.write_ahead(query)?;
-        }
-        let QueryPlan { action, profile, .. } = plan;
-        match action {
-            PlanAction::Create(c) => {
-                let schema = Schema::new(
-                    c.columns.iter().map(|cd| Column::new(cd.name.clone(), cd.dtype)).collect(),
-                );
-                let cap = c.capacity.unwrap_or(DEFAULT_CAPACITY);
-                self.create_table(&c.name, schema, c.storage, c.index_on.as_deref(), cap)?;
-                Ok(QueryOutput::empty(Schema::new(Vec::new())))
-            }
-            PlanAction::Insert(i) => {
-                self.insert_row(&i.table, &i.values)?;
-                Ok(QueryOutput::affected(1))
-            }
-            PlanAction::Update { table, assignments, pred } => {
-                let n = self.update_where(table, pred, assignments)?;
-                Ok(QueryOutput::affected(n))
-            }
-            PlanAction::Delete { table, pred } => {
-                let n = self.delete_where(table, pred)?;
-                Ok(QueryOutput::affected(n))
-            }
-            PlanAction::Select(sp) => self.run_select_root(&mut sp.root, &sp.stmt, profile),
-            // EXPLAIN executes nothing: the result set is the rendering.
-            PlanAction::ExplainSelect(_) => Ok(explained(plan, PlanInfo::default())),
-            // EXPLAIN ANALYZE executes the select for real, then renders the
-            // tree with the measured actuals (wall time, crossings, AEAD
-            // bytes) the execution wrote into each node, next to the
-            // planner's estimates.
-            PlanAction::ExplainAnalyzeSelect(sp) => {
-                let executed = self.run_select_root(&mut sp.root, &sp.stmt, profile)?.plan;
-                Ok(explained(plan, executed))
-            }
-        }
-    }
-
-    /// Runs a SELECT tree: operators → rows → ORDER BY / LIMIT →
-    /// projection. An aggregate, GROUP BY or a filter whose first pass fits
-    /// returns its rows from the enclave; any other root's output is
-    /// decoded, then freed if the statement owns it.
-    fn run_select_root(
-        &mut self,
-        root: &mut PlanNode,
-        s: &sql::Select,
-        profile: &CostProfile,
-    ) -> Result<QueryOutput, DbError> {
-        let mut info = PlanInfo::default();
-        let (schema, mut rows) = match root {
-            PlanNode::Aggregate(a) => self.exec_aggregate(a, &mut info, profile)?,
-            PlanNode::GroupBy(g) => self.exec_group(g, &mut info, profile)?,
-            PlanNode::Filter(f) => {
-                let mut rows = Vec::new();
-                let (schema, out) =
-                    self.exec_filter(f, Some(&mut rows), None, &mut info, profile)?;
-                if let Some(mut out) = out {
-                    let read = out.collect_rows(&mut self.host);
-                    out.free(&mut self.host)?;
-                    rows = read?;
-                }
-                (schema, rows)
-            }
-            other => {
-                let owned = self.exec_input(other, &mut info, profile)?;
-                let [mut table] = inputs(&mut self.tables, [(&*other, owned)]);
-                let rows = table.collect_rows(&mut self.host);
-                let schema = table.schema().clone();
-                table.free(&mut self.host)?;
-                (schema, rows?)
-            }
-        };
-        info.output_rows = rows.len() as u64;
-
-        // ORDER BY / LIMIT run on the decoded result inside the enclave;
-        // they touch no untrusted memory and add no leakage beyond the
-        // (already leaked) result size.
-        if let Some((col, desc)) = &s.order_by {
-            let idx = schema.col(col)?;
-            rows.sort_by(|a, b| a[idx].cmp_total(&b[idx]));
-            if *desc {
-                rows.reverse();
-            }
-        }
-        if let Some(limit) = s.limit {
-            rows.truncate(limit as usize);
-        }
-
-        let (agg_items, col_items) = split_projection(&s.projection);
-        let (schema, rows) = project(schema, rows, &col_items, &agg_items, s)?;
-        Ok(QueryOutput { schema, rows, plan: info, rows_affected: None })
-    }
-
-    /// Runs what an operator's input needs before it is read: the filter or
-    /// join under it, or the access its base-table scan plans. `None` means
-    /// the scan reads its catalog table in place, for [`inputs`] to borrow.
-    fn exec_input(
-        &mut self,
-        node: &mut PlanNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<Option<FlatTable>, DbError> {
-        match node {
-            PlanNode::Scan(scan) => self.exec_scan(scan, info, profile),
-            PlanNode::Filter(f) => Ok(self.exec_filter(f, None, None, info, profile)?.1),
-            PlanNode::Join(j) => self.exec_join(j, RowSink::seal(), info, profile),
-            PlanNode::Aggregate(_) | PlanNode::GroupBy(_) => {
-                Err(DbError::Unsupported("an aggregate is planned only at the root".into()))
-            }
-        }
-    }
-
-    /// Runs a base-table access per the planned path: the table an index
-    /// probe materializes, or `None` to read the flat table in place, as a
-    /// capped walk does once it aborts (paper §4.1).
-    fn exec_scan(
-        &mut self,
-        scan: &mut ScanNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<Option<FlatTable>, DbError> {
-        let idx = self.table_index(&scan.table)?;
-        let (lo, hi, cap) = match scan.access.clone() {
-            AccessPath::Flat => return Ok(None),
-            AccessPath::IndexRange { lo, hi, cap } => (lo, hi, Some(cap)),
-            AccessPath::IndexFull => (Bound::Unbounded, Bound::Unbounded, None),
-        };
-        let key = self.next_key();
-        let before = self.host.stats();
-        let started = Instant::now();
-        let index = self.tables[idx].1.indexed_mut().expect("planned index access");
-        let probed = match cap {
-            Some(cap) => index.range_to_flat_capped(&mut self.host, key, &lo, &hi, cap)?,
-            None => Some(index.range_to_flat(&mut self.host, key, &lo, &hi)?),
-        };
-        if let Some(t) = &probed {
-            scan.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-            info.used_index = true;
-            info.intermediate_rows.push(t.num_rows());
-        }
-        Ok(probed)
-    }
-
-    /// Executes a filter node: run its input, then its selection stage
-    /// ([`run_filter_stage`]) over it, recording the measured cost. Returns
-    /// the output's schema and the table the stage sealed — none when
-    /// `rows`, a root select's, took the matches from the first pass.
-    /// `first` is a first pass already run over the input, if any.
-    fn exec_filter(
-        &mut self,
-        f: &mut FilterNode,
-        mut rows: Option<&mut Vec<Row>>,
-        first: Option<FirstPass>,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<(Schema, Option<FlatTable>), DbError> {
-        let over_intermediate = !matches!(f.input.as_ref(), PlanNode::Scan(_));
-        let owned = self.exec_input(&mut f.input, info, profile)?;
-        let rng = self.rng.fork();
-        let [mut input] = inputs(&mut self.tables, [(&*f.input, owned)]);
-        let schema = input.schema().clone();
-        let (host, om, config, sink) =
-            (&mut self.host, &self.om, &self.config, rows.as_deref_mut());
-        let out =
-            run_filter_stage(host, om, config, f, &mut input, rng, profile, info, sink, first);
-        input.free(&mut self.host)?;
-        let out = out?;
-        if over_intermediate {
-            let kept = rows.map_or(0, |r| r.len() as u64);
-            info.intermediate_rows.push(out.as_ref().map_or(kept, FlatTable::num_rows));
-        }
-        Ok((schema, out))
-    }
-
-    /// Executes a join node over its sides, read in place where they are
-    /// stored, emitting the joined rows into `sink`. Returns the table a
-    /// sealing sink built, its columns renamed to the real table names.
-    ///
-    /// Unpadded, a folded join's fusable side starts with its filter's
-    /// first pass, kept in build entries: it counts the bound a fused build
-    /// would cover ([`cost::fuse_filtered_build`]), and is that build's
-    /// first pass when it fuses; otherwise the filter's stage takes it.
-    /// Padding mode decided at prepare.
-    fn exec_join(
-        &mut self,
-        j: &mut JoinNode,
-        sink: RowSink<'_, '_>,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<Option<FlatTable>, DbError> {
-        info.fused_aggregate = false;
-        let om_bytes = self.om.available();
-        let (mut passes, mut first, mut clock) = ([None, None], None, None);
-        let cfg = &self.config.planner;
-        let fusable = cost::fusable_side(cfg, j, om_bytes)
-            .filter(|_| matches!(sink, RowSink::Fold(_)) && self.config.padding.is_none());
-        if let Some((side, f, ..)) = fusable {
-            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join);
-            let (before, started) = (self.host.stats(), Instant::now());
-            let [mut base] = inputs(&mut self.tables, [(&*f.input, None)]);
-            let entry = exec::join::build_entry_len(base.row_len());
-            let (host, om, pred) = (&mut self.host, &self.om, &f.pred);
-            let pass = exec::select_first_pass(host, om, &mut base, pred, None, entry)?;
-            (j.fused, j.om_bytes) = (None, om_bytes);
-            if cost::fuse_filtered_build(cfg, None, j, pass.stats, om_bytes, profile) {
-                (first, clock) = (Some(pass), Some((span, before, started)));
-            } else {
-                passes[side as usize] = Some(pass);
-            }
-        }
-        // A fused build reads both sides in place; an overflowing first
-        // pass goes to its filter's stage.
-        let [l, r] = passes;
-        let ((left, _), (mut right, copy_key)) = match j.fused {
-            Some(_) => ((None, None), (None, None)),
-            None => (
-                self.exec_join_side(&mut j.left, l, info, profile)?,
-                self.exec_join_side(&mut j.right, r, info, profile)?,
-            ),
-        };
-        let same_table = matches!(
-            (j.left.as_ref(), j.right.as_ref()),
-            (PlanNode::Scan(l), PlanNode::Scan(r)) if l.table == r.table
-        );
-        if let (None, None, Some(key), true) = (&left, &right, copy_key, same_table) {
-            // A self-join reads one stored table twice, but a sealed
-            // region is only read through `&mut`: copy one side.
-            let [mut t] = inputs(&mut self.tables, [(&*j.right, None)]);
-            let cap = t.capacity();
-            right = Some(exec::copy_table(&mut self.host, &mut t, key, cap)?);
-        }
-        let key = self.next_key();
-        let [mut lhs, mut rhs] = inputs(&mut self.tables, [(&*j.left, left), (&*j.right, right)]);
-
-        if matches!(j.choice, JoinChoice::Deferred) {
-            let (left, right) =
-                ((lhs.schema().clone(), lhs.capacity()), (rhs.schema().clone(), rhs.capacity()));
-            let folded = matches!(sink, RowSink::Fold(_));
-            let shape = JoinShape::new(left, right, self.om.available(), folded);
-            j.om_bytes = shape.om_bytes;
-            (j.choice, j.est) = cost::choose_join(&self.config.planner, &shape, profile);
-        }
-        let algo = j.choice.algo().expect("deferred choice is resolved");
-        info.join_algo = Some(algo);
-
-        let (host, om) = (&mut self.host, &self.om);
-        let (t1, c1, t2, c2) = (&mut *lhs, j.left_col, &mut *rhs, j.right_col);
-        // A fused build's clock started at its first pass.
-        let (_span, before, started) = clock.unwrap_or_else(|| {
-            (oblidb_telemetry::span(oblidb_telemetry::SpanKind::Join), host.stats(), Instant::now())
-        });
-        let out = match algo {
-            JoinAlgo::Hash => {
-                let fused = j.fused.as_ref().map(|f| (f, first));
-                exec::hash_join(host, om, t1, c1, t2, c2, key, sink, fused)
-            }
-            JoinAlgo::Opaque => {
-                let variant = SortMergeVariant::Opaque;
-                exec::sort_merge_join(host, om, t1, c1, t2, c2, key, sink, variant)
-            }
-            JoinAlgo::ZeroOm => {
-                let variant = SortMergeVariant::ZeroOm { scratch_rows: ZERO_OM_SCRATCH_ROWS };
-                exec::sort_merge_join(host, om, t1, c1, t2, c2, key, sink, variant)
-            }
-        };
-        j.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        lhs.free(&mut self.host)?;
-        rhs.free(&mut self.host)?;
-
-        // Rename output columns with the real table names so WHERE/GROUP BY
-        // can reference them.
-        Ok(out?.map(|mut out| {
-            info.intermediate_rows.push(out.num_rows());
-            out.rename_columns(j.renamed.clone());
-            out
-        }))
-    }
-
-    /// Executes one join side: a pushed-down filter's output, or the base
-    /// table read in place. A side read in place also draws the key a copy
-    /// of it would be sealed under — used only by a self-join's copy, it
-    /// keeps every later key where a copying plan would put it, and with
-    /// it the row order of keyed operators.
-    fn exec_join_side(
-        &mut self,
-        node: &mut PlanNode,
-        first: Option<FirstPass>,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<(Option<FlatTable>, Option<AeadKey>), DbError> {
-        if let PlanNode::Filter(f) = node {
-            let (_, out) = self.exec_filter(f, None, first, info, profile)?;
-            info.intermediate_rows.extend(out.as_ref().map(FlatTable::num_rows));
-            return Ok((out, None));
-        }
-        let input = self.exec_input(node, info, profile)?;
-        let copy_key = input.is_none().then(|| self.next_key());
-        Ok((input, copy_key))
-    }
-
-    /// Executes a fused select + aggregate node (paper §4.2): one pass over
-    /// the input folds every aggregate, no intermediate table. Over a join
-    /// there is no pass at all: the join folds its rows straight in. The
-    /// one result row comes from the accumulators, never sealed.
-    fn exec_aggregate(
-        &mut self,
-        a: &mut AggregateNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<(Schema, Vec<Row>), DbError> {
-        let (values, _span, before, started) = if let PlanNode::Join(j) = a.input.as_mut() {
-            let items = agg_columns(&a.items, &j.renamed)?;
-            let mut fold = AggFold::new(j.renamed.clone(), &items, &a.pred);
-            self.exec_join(j, RowSink::Fold(&mut fold), info, profile)?;
-            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
-            (fold.finish(), span, self.host.stats(), Instant::now())
-        } else {
-            let owned = self.exec_input(&mut a.input, info, profile)?;
-            let span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::Aggregate);
-            let (before, started) = (self.host.stats(), Instant::now());
-            let [mut input] = inputs(&mut self.tables, [(&*a.input, owned)]);
-            let values = agg_columns(&a.items, input.schema())
-                .and_then(|items| exec::aggregate(&mut self.host, &mut input, &items, &a.pred));
-            input.free(&mut self.host)?;
-            (values?, span, before, started)
-        };
-        info.fused_aggregate = true;
-        let schema = Schema::new(
-            a.items
-                .iter()
-                .zip(&values)
-                .map(|((func, col), v)| Column::new(agg_name(*func, col.as_deref()), value_type(v)))
-                .collect(),
-        );
-        a.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        Ok((schema, vec![values]))
-    }
-
-    /// Executes a grouped-aggregation node (fused with its filter); its
-    /// rows come from the group table, never sealed.
-    fn exec_group(
-        &mut self,
-        g: &mut GroupByNode,
-        info: &mut PlanInfo,
-        profile: &CostProfile,
-    ) -> Result<(Schema, Vec<Row>), DbError> {
-        let over_base = matches!(g.input.as_ref(), PlanNode::Scan(_));
-        let owned = self.exec_input(&mut g.input, info, profile)?;
-        let _span = oblidb_telemetry::span(oblidb_telemetry::SpanKind::GroupBy);
-        let before = self.host.stats();
-        let started = Instant::now();
-        let [mut input] = inputs(&mut self.tables, [(&*g.input, owned)]);
-        let schema = exec::group_output_schema(input.schema(), g.group_col, g.func, g.agg_col);
-        let rows = exec::group_aggregate(
-            &mut self.host,
-            &self.om,
-            &mut input,
-            g.group_col,
-            g.func,
-            g.agg_col,
-            &g.pred,
-        );
-        g.actual = Some(timed_cost(self.host.stats() - before, profile, started));
-        input.free(&mut self.host)?;
-        if over_base {
-            info.fused_aggregate = true;
-        }
-        Ok((schema, rows?))
     }
 }
 
@@ -1640,203 +697,15 @@ impl<M: EnclaveMemory> PreparedStatement<'_, M> {
     }
 }
 
-/// An operator's input: a catalog table read in place, or an intermediate
-/// the statement owns. Either way the operator sees a `&mut FlatTable`.
-enum Input<'t> {
-    Table(&'t mut FlatTable),
-    Owned(FlatTable),
-}
-
-impl std::ops::Deref for Input<'_> {
-    type Target = FlatTable;
-
-    fn deref(&self) -> &FlatTable {
-        match self {
-            Input::Table(t) => t,
-            Input::Owned(t) => t,
-        }
-    }
-}
-
-impl std::ops::DerefMut for Input<'_> {
-    fn deref_mut(&mut self) -> &mut FlatTable {
-        match self {
-            Input::Table(t) => t,
-            Input::Owned(t) => t,
-        }
-    }
-}
-
-impl Input<'_> {
-    /// Frees an owned intermediate; a catalog table stays.
-    fn free<M: EnclaveMemory>(self, host: &mut M) -> Result<(), DbError> {
-        match self {
-            Input::Table(_) => Ok(()),
-            Input::Owned(t) => t.free(host),
-        }
-    }
-}
-
-/// The inputs `sides` give an operator: each intermediate
-/// [`Database::exec_input`] returned as is, and each scan it left in place
-/// (or a fused filter's, its build's) as its catalog table, borrowed.
-/// In-place sides read distinct tables (a self-join copies one side first).
-fn inputs<'t, const N: usize>(
-    tables: &'t mut [(String, TableStorage)],
-    sides: [(&PlanNode, Option<FlatTable>); N],
-) -> [Input<'t>; N] {
-    let mut flats: Vec<(&str, &mut FlatTable)> =
-        tables.iter_mut().filter_map(|(name, t)| Some((name.as_str(), t.flat_mut()?))).collect();
-    sides.map(|(node, owned)| match owned {
-        Some(t) => Input::Owned(t),
-        None => {
-            let scan = if let PlanNode::Filter(f) = node { &*f.input } else { node };
-            let at = flats
-                .iter()
-                .position(|(name, _)| matches!(scan, PlanNode::Scan(s) if s.table == *name))
-                .expect("an in-place input scans a flat catalog table");
-            Input::Table(flats.swap_remove(at).1)
-        }
-    })
-}
-
-/// The result set of an EXPLAIN: `plan` rendered one line per row, with
-/// the plan-shaped leakage of the run, if one executed.
-fn explained(plan: &QueryPlan, executed: PlanInfo) -> QueryOutput {
-    let rendering = Explain::of(plan);
-    let width = rendering.lines().iter().map(|l| l.len()).max().unwrap_or(0).max(1);
-    let schema = Schema::new(vec![Column::new("plan", DataType::Text(width))]);
-    let rows = rendering.lines().iter().map(|l| vec![Value::Text(l.clone())]).collect();
-    QueryOutput { schema, rows, plan: executed, rows_affected: None }
-}
-
-/// A node's measured actual: the host-stats delta weighted under
-/// `profile`, stamped with the wall time elapsed since `started` — the
-/// number `EXPLAIN ANALYZE` renders as `time=` next to the estimate.
-fn timed_cost(
-    delta: oblidb_enclave::HostStats,
-    profile: &CostProfile,
-    started: std::time::Instant,
-) -> NodeCost {
-    let mut cost = NodeCost::from_stats(&delta, profile);
-    cost.nanos = started.elapsed().as_nanos() as u64;
-    cost
-}
-
-/// The span kind instrumenting one selection operator.
-fn select_span_kind(algo: SelectAlgo) -> oblidb_telemetry::SpanKind {
-    use oblidb_telemetry::SpanKind;
-    match algo {
-        SelectAlgo::Small => SpanKind::SelectSmall,
-        SelectAlgo::Large => SpanKind::SelectLarge,
-        SelectAlgo::Continuous => SpanKind::SelectContinuous,
-        SelectAlgo::Hash => SpanKind::SelectHash,
-        SelectAlgo::Naive => SpanKind::SelectNaive,
-        SelectAlgo::Padded => SpanKind::SelectPadded,
-    }
-}
-
-/// Runs a filter node's selection stage over a materialized flat input
-/// (paper §4.1 + §5) and records its choice and measured cost into the
-/// node. Its first pass ([`exec::select_first_pass`], or `first`, one
-/// already run) counts |R|. When the matches fit oblivious memory the pass
-/// is the whole select, Small without its rescan: they go to `rows`, a
-/// root select's, and `None` returns, or into a sealed |R|-row table.
-/// Otherwise, and always for a forced stage, the pass's statistics resolve
-/// the operator, which runs.
-#[allow(clippy::too_many_arguments)]
-fn run_filter_stage<M: EnclaveMemory>(
-    host: &mut M,
-    om: &OmBudget,
-    config: &DbConfig,
-    f: &mut FilterNode,
-    input: &mut FlatTable,
-    rng: EnclaveRng,
-    profile: &CostProfile,
-    info: &mut PlanInfo,
-    rows: Option<&mut Vec<Row>>,
-    first: Option<FirstPass>,
-) -> Result<Option<FlatTable>, DbError> {
-    let pad = if let SelectChoice::Padded { pad_rows } = f.choice { Some(pad_rows) } else { None };
-    let (row_len, out_key) = (input.row_len(), f.out_key.0.clone());
-    let kept = if pad.is_some() { SelectAlgo::Padded } else { SelectAlgo::Small };
-    let (span, before, started) =
-        (oblidb_telemetry::span(select_span_kind(kept)), host.stats(), Instant::now());
-    let first = first
-        .map_or_else(|| exec::select_first_pass(host, om, input, &f.pred, pad, row_len), Ok)?;
-    let stats = first.stats;
-    let mut shape = SelectShape {
-        schema: input.schema().clone(),
-        capacity: input.capacity(),
-        rows: input.num_rows(),
-        matches: pad.unwrap_or(stats.matches),
-        continuous: stats.continuous,
-        om_bytes: 0,
-        out_key: out_key.clone(),
-    };
-    f.est_matches = pad.is_none().then_some(stats.matches);
-    let fits = first.fits(row_len) && config.planner.force_select.is_none();
-    let out = match (fits, rows) {
-        (false, _) => None,
-        (true, Some(rows)) => {
-            RowSink::Rows(&shape.schema, rows).push(&first.kept);
-            None
-        }
-        // Sealed, with dummies up to the padded bound.
-        (true, None) => {
-            let (mut sink, dummy) = (RowSink::seal(), shape.schema.dummy_row());
-            sink.open(host, out_key.clone(), shape.schema.clone(), shape.matches.max(1))?;
-            sink.push(&first.kept);
-            (stats.matches..shape.matches).for_each(|_| sink.push(&dummy));
-            sink.flush(host)?;
-            Some(sink.sealed())
-        }
-    };
-    drop((first, span));
-    (shape.om_bytes, f.om_bytes) = (om.available(), om.available());
-    if fits {
-        let est = match out {
-            Some(_) => cost::select_cost(kept, &shape),
-            None => first_pass_cost(row_len, shape.capacity),
-        };
-        let est = NodeCost::from_stats(&est, profile);
-        if pad.is_none() {
-            let candidates = vec![CandidateCost { algo: kept, cost: est }];
-            f.choice = SelectChoice::Chosen { algo: kept, candidates };
-        }
-        (f.est, f.actual) = (Some(est), Some(timed_cost(host.stats() - before, profile, started)));
-        info.select_algo = Some(kept);
-        return Ok(out);
-    }
-    (f.choice, f.est) = cost::resolve_select(&config.planner, pad, &shape, profile);
-    let algo = f.choice.algo().expect("a resolved choice names its operator");
-    info.select_algo = Some(algo);
-
-    let (_span, before, started) =
-        (oblidb_telemetry::span(select_span_kind(algo)), host.stats(), Instant::now());
-    let (pred, bound) = (&f.pred, shape.matches);
-    let out = match algo {
-        SelectAlgo::Small => exec::select_small(host, om, input, pred, out_key, bound)?,
-        SelectAlgo::Large => exec::select_large(host, input, pred, out_key)?,
-        SelectAlgo::Continuous => exec::select_continuous(host, input, pred, out_key, bound)?,
-        SelectAlgo::Hash => exec::select_hash(host, input, pred, out_key, bound)?,
-        SelectAlgo::Naive => exec::select_naive(host, om, input, pred, out_key, bound, rng)?,
-        // Small's windows over the padded bound, the last ones dummies.
-        SelectAlgo::Padded => exec::select_small(host, om, input, pred, out_key, bound.max(1))?,
-    };
-    f.actual = Some(timed_cost(host.stats() - before, profile, started));
-    Ok(Some(out))
-}
-
-/// Resolves aggregate items' column names against `schema`.
-fn agg_columns(
-    items: &[(AggFunc, Option<String>)],
-    schema: &Schema,
-) -> Result<Vec<(AggFunc, Option<usize>)>, DbError> {
-    items
-        .iter()
-        .map(|(func, col)| Ok((*func, col.as_ref().map(|c| schema.col(c)).transpose()?)))
-        .collect()
+/// Fresh derived key for a new region/table: master key, incarnation
+/// epoch, and a monotone counter — unique per region per incarnation.
+fn region_key(master_key: &[u8; 32], key_epoch: &[u8; 16], counter: &mut u64) -> AeadKey {
+    *counter += 1;
+    let mut label = Vec::with_capacity(7 + 16 + 8);
+    label.extend_from_slice(b"region:");
+    label.extend_from_slice(key_epoch);
+    label.extend_from_slice(&counter.to_le_bytes());
+    AeadKey(oblidb_crypto::derive_key(master_key, &label))
 }
 
 /// The `INSERT` statement that replays inserting `values` into `table`.
@@ -1867,97 +736,16 @@ fn sql_literal(v: &Value) -> String {
     }
 }
 
-/// The (column type, assigned value) compatibility check UPDATE encoding
-/// enforces at run time, applied at validation time — mirrors
-/// [`Schema::encode_row`]'s acceptance rules.
-fn check_assignable(dtype: DataType, value: &Value, col: &str) -> Result<(), DbError> {
-    match (dtype, value) {
-        (DataType::Int, Value::Int(_))
-        | (DataType::Float, Value::Float(_))
-        | (DataType::Float, Value::Int(_)) => Ok(()),
-        (DataType::Text(n), Value::Text(s)) if s.len() <= n => Ok(()),
-        (DataType::Text(n), Value::Text(s)) => Err(DbError::TypeMismatch(format!(
-            "string of {} bytes exceeds CHAR({n}) column {col}",
-            s.len()
-        ))),
-        (dt, v) => Err(DbError::TypeMismatch(format!("column {col} is {dt:?}, value {v:?}"))),
-    }
-}
-
-fn split_projection(p: &Projection) -> (Vec<(AggFunc, Option<String>)>, Vec<String>) {
-    let mut aggs = Vec::new();
-    let mut cols = Vec::new();
-    if let Projection::Items(items) = p {
-        for item in items {
-            match item {
-                SelectItem::Aggregate { func, col } => aggs.push((*func, col.clone())),
-                SelectItem::Column(c) => cols.push(c.clone()),
-            }
-        }
-    }
-    (aggs, cols)
-}
-
-fn single_agg(aggs: &[(AggFunc, Option<String>)]) -> Result<(AggFunc, Option<String>), DbError> {
-    match aggs {
-        [one] => Ok(one.clone()),
-        [] => Err(DbError::Unsupported("GROUP BY requires exactly one aggregate".into())),
-        _ => Err(DbError::Unsupported("GROUP BY supports exactly one aggregate per query".into())),
-    }
-}
-
-fn agg_name(func: AggFunc, col: Option<&str>) -> String {
-    let f = match func {
-        AggFunc::Count => "count",
-        AggFunc::Sum => "sum",
-        AggFunc::Min => "min",
-        AggFunc::Max => "max",
-        AggFunc::Avg => "avg",
-    };
-    match col {
-        Some(c) => format!("{f}({c})"),
-        None => format!("{f}(*)"),
-    }
-}
-
-fn value_type(v: &Value) -> crate::types::DataType {
-    match v {
-        Value::Int(_) => crate::types::DataType::Int,
-        Value::Float(_) => crate::types::DataType::Float,
-        Value::Text(s) => crate::types::DataType::Text(s.len().max(1)),
-    }
-}
-
-/// Applies the final column projection to decoded rows.
-fn project(
-    schema: Schema,
-    rows: Vec<Row>,
-    col_items: &[String],
-    agg_items: &[(AggFunc, Option<String>)],
-    s: &sql::Select,
-) -> Result<(Schema, Vec<Row>), DbError> {
-    // Star, pure aggregates, or group-by outputs pass through unchanged.
-    if matches!(s.projection, Projection::Star) || col_items.is_empty() || s.group_by.is_some() {
-        let _ = agg_items;
-        return Ok((schema, rows));
-    }
-    let indices: Vec<usize> = col_items.iter().map(|c| schema.col(c)).collect::<Result<_, _>>()?;
-    let out_schema = Schema::new(indices.iter().map(|&i| schema.columns[i].clone()).collect());
-    let out_rows =
-        rows.into_iter().map(|r| indices.iter().map(|&i| r[i].clone()).collect()).collect();
-    Ok((out_schema, out_rows))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::DataType;
+    use crate::types::{Column, DataType};
 
-    fn db() -> Database {
+    pub(super) fn db() -> Database {
         Database::new(DbConfig::default())
     }
 
-    fn setup_people(db: &mut Database, method: StorageMethod) {
+    pub(super) fn setup_people(db: &mut Database, method: StorageMethod) {
         let storage = match method {
             StorageMethod::Flat => "STORAGE = FLAT",
             StorageMethod::Indexed => "STORAGE = INDEXED INDEX ON id",
@@ -1970,110 +758,6 @@ mod tests {
         for i in 0..20i64 {
             db.execute(&format!("INSERT INTO people VALUES ({i}, {}, 'p{}')", 20 + i, i)).unwrap();
         }
-    }
-
-    #[test]
-    fn create_insert_select_flat() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let out = db.execute("SELECT * FROM people WHERE id = 7").unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0][1], Value::Int(27));
-        assert_eq!(out.rows()[0][2], Value::Text("p7".into()));
-    }
-
-    #[test]
-    fn select_projection() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let out = db.execute("SELECT name, age FROM people WHERE id < 3").unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.schema.columns[0].name, "name");
-        assert_eq!(out.rows()[0], vec![Value::Text("p0".into()), Value::Int(20)]);
-    }
-
-    #[test]
-    fn select_via_index() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Indexed);
-        let out = db.execute("SELECT * FROM people WHERE id = 13").unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out.plan.used_index);
-        assert_eq!(out.rows()[0][0], Value::Int(13));
-    }
-
-    #[test]
-    fn range_query_on_index() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Indexed);
-        let out = db.execute("SELECT * FROM people WHERE id >= 5 AND id < 9").unwrap();
-        assert_eq!(out.len(), 4);
-        assert!(out.plan.used_index);
-    }
-
-    #[test]
-    fn both_storage_picks_index_for_point_flat_for_big() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Both);
-        let point = db.execute("SELECT * FROM people WHERE id = 3").unwrap();
-        assert!(point.plan.used_index, "point query should use the index");
-        let big = db.execute("SELECT * FROM people WHERE id >= 0").unwrap();
-        assert!(!big.plan.used_index, "full-range query should scan flat");
-        assert_eq!(big.len(), 20);
-    }
-
-    #[test]
-    fn aggregates_fused() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let out = db
-            .execute(
-                "SELECT COUNT(*), SUM(age), MIN(age), MAX(age), AVG(age) FROM people WHERE id < 10",
-            )
-            .unwrap();
-        assert!(out.plan.fused_aggregate);
-        assert_eq!(out.rows()[0][0], Value::Int(10));
-        assert_eq!(out.rows()[0][1], Value::Int(245));
-        assert_eq!(out.rows()[0][2], Value::Int(20));
-        assert_eq!(out.rows()[0][3], Value::Int(29));
-        assert_eq!(out.rows()[0][4], Value::Float(24.5));
-    }
-
-    #[test]
-    fn group_by_with_where() {
-        let mut db = db();
-        db.execute("CREATE TABLE sales (region INT, amount INT)").unwrap();
-        for (r, a) in [(1, 10), (1, 20), (2, 5), (2, 5), (3, 100), (1, -1)] {
-            db.execute(&format!("INSERT INTO sales VALUES ({r}, {a})")).unwrap();
-        }
-        let out = db
-            .execute("SELECT region, SUM(amount) FROM sales WHERE amount > 0 GROUP BY region")
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.rows()[0], vec![Value::Int(1), Value::Int(30)]);
-        assert_eq!(out.rows()[1], vec![Value::Int(2), Value::Int(10)]);
-        assert_eq!(out.rows()[2], vec![Value::Int(3), Value::Int(100)]);
-    }
-
-    #[test]
-    fn group_overflow_is_a_typed_error_and_returns_its_lease() {
-        let mut db = Database::new(DbConfig { om_bytes: 4096, ..DbConfig::default() });
-        db.execute("CREATE TABLE t (g INT, v INT) CAPACITY 256").unwrap();
-        for i in 0..200 {
-            db.execute(&format!("INSERT INTO t VALUES ({i}, 1)")).unwrap();
-        }
-        let groups_below = |db: &mut Database, n: usize| {
-            db.execute(&format!("SELECT g, COUNT(*) FROM t WHERE g < {n} GROUP BY g"))
-        };
-        let limit = match groups_below(&mut db, 200).err() {
-            Some(DbError::TooManyGroups { limit }) => limit,
-            other => panic!("200 groups in 4 KiB of OM: {other:?}"),
-        };
-        // The failed statement returned its OM lease: on the same engine,
-        // exactly `limit` groups fit and one more does not.
-        assert_eq!(groups_below(&mut db, limit).unwrap().len(), limit);
-        let over = groups_below(&mut db, limit + 1).err();
-        assert!(matches!(over, Some(DbError::TooManyGroups { limit: l }) if l == limit));
     }
 
     #[test]
@@ -2094,71 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_explain_run_lifecycle() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let mut stmt = db.prepare("SELECT * FROM people WHERE id < 6").unwrap();
-        // Prepare-time plan: a root filter waits for its first pass, so it
-        // has no match count, estimate or actual yet.
-        let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-        assert_eq!((filter.est_matches, filter.est, filter.actual), (None, None, None));
-        assert_eq!(filter.choice, SelectChoice::Deferred);
-        let before = stmt.explain().to_string();
-        assert!(before.contains("Filter [deferred to run]"), "{before}");
-        assert!(!before.contains("act:"), "{before}");
-
-        // The run resolves it: the 6 matches fit OM, so the first pass was
-        // the whole select, counted exactly.
-        let out = stmt.run().unwrap();
-        assert_eq!(out.len(), 6);
-        let filter = stmt.plan().select_root().unwrap().find_filter().unwrap();
-        assert_eq!(filter.choice.algo(), Some(SelectAlgo::Small));
-        assert_eq!(filter.est_matches, Some(6));
-        let (est, actual) = (filter.est.unwrap(), filter.actual.unwrap());
-        assert_eq!((est.reads, est.writes), (actual.reads, 0), "one pass, nothing written");
-        let after = stmt.explain().to_string();
-        assert!(after.contains("candidates:") && after.contains("act:"), "{after}");
-    }
-
-    #[test]
-    fn prepared_statement_reruns_and_replans() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        // A prepared SELECT is rerunnable.
-        let mut stmt = db.prepare("SELECT * FROM people WHERE age >= 30").unwrap();
-        assert_eq!(stmt.run().unwrap().len(), 10);
-        assert_eq!(stmt.run().unwrap().len(), 10);
-        // A prepared mutation bumps the catalog version when run, so its
-        // second run goes through the transparent re-plan path (the
-        // statement holds the only &mut Database, so nothing else can
-        // invalidate it in between).
-        let mut ins = db.prepare("INSERT INTO people VALUES (100, 1, 'y')").unwrap();
-        ins.run().unwrap();
-        ins.run().unwrap();
-        assert_eq!(db.table_rows("people").unwrap(), 22);
-        let mut del = db.prepare("DELETE FROM people WHERE id = 100").unwrap();
-        assert_eq!(del.run().unwrap().rows_affected, Some(2));
-        assert_eq!(del.run().unwrap().rows_affected, Some(0), "re-planned, nothing left");
-    }
-
-    #[test]
-    fn explain_select_statement_renders_plan() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let before_trace_rows = db.table_rows("people").unwrap();
-        let out = db.execute("EXPLAIN SELECT * FROM people WHERE id < 6").unwrap();
-        assert_eq!(out.schema.columns[0].name, "plan");
-        let text: Vec<String> =
-            out.rows().iter().map(|r| r[0].as_text().unwrap().to_string()).collect();
-        assert!(text[0].starts_with("Select"), "{text:?}");
-        assert!(text.iter().any(|l| l.contains("Filter")), "{text:?}");
-        assert!(text.iter().any(|l| l.contains("Scan people")), "{text:?}");
-        // EXPLAIN executes nothing.
-        assert_eq!(db.table_rows("people").unwrap(), before_trace_rows);
-        assert!(db.execute("EXPLAIN SELECT * FROM nope").is_err());
-    }
-
-    #[test]
     fn update_delete_on_both_storage_stays_consistent() {
         let mut db = db();
         setup_people(&mut db, StorageMethod::Both);
@@ -2173,98 +792,6 @@ mod tests {
         assert_eq!(db.table_rows("people").unwrap(), 15);
         let gone = db.execute("SELECT * FROM people WHERE id = 16").unwrap();
         assert!(gone.is_empty());
-    }
-
-    #[test]
-    fn join_two_tables() {
-        let mut db = db();
-        db.execute("CREATE TABLE dept (did INT, dname CHAR(8))").unwrap();
-        db.execute("CREATE TABLE emp (eid INT, did INT)").unwrap();
-        for d in 0..4 {
-            db.execute(&format!("INSERT INTO dept VALUES ({d}, 'd{d}')")).unwrap();
-        }
-        for e in 0..12 {
-            db.execute(&format!("INSERT INTO emp VALUES ({e}, {})", e % 3)).unwrap();
-        }
-        let out = db.execute("SELECT * FROM dept JOIN emp ON dept.did = emp.did").unwrap();
-        assert_eq!(out.len(), 12);
-        assert!(out.plan.join_algo.is_some());
-    }
-
-    #[test]
-    fn join_with_where_pushdown_and_group() {
-        let mut db = db();
-        db.execute("CREATE TABLE r (url INT, rank INT)").unwrap();
-        db.execute("CREATE TABLE v (dest INT, rev INT, day INT)").unwrap();
-        for u in 0..8 {
-            db.execute(&format!("INSERT INTO r VALUES ({u}, {})", u * 10)).unwrap();
-        }
-        for i in 0..24 {
-            db.execute(&format!("INSERT INTO v VALUES ({}, {}, {})", i % 8, i, i % 4)).unwrap();
-        }
-        // Push-down filter on v only.
-        let out = db.execute("SELECT * FROM r JOIN v ON r.url = v.dest WHERE day = 1").unwrap();
-        assert_eq!(out.len(), 6);
-        // Grouped aggregation over a join: matching dests are {1, 5}, so
-        // two rank groups with revenue sums 1+9+17 and 5+13+21.
-        let out = db
-            .execute("SELECT r.rank, SUM(rev) FROM r JOIN v ON r.url = v.dest WHERE day = 1 GROUP BY r.rank")
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.rows()[0], vec![Value::Int(10), Value::Int(27)]);
-        assert_eq!(out.rows()[1], vec![Value::Int(50), Value::Int(39)]);
-    }
-
-    #[test]
-    fn padding_mode_hides_result_sizes() {
-        // Two selections of very different selectivity must produce
-        // identical traces under padding mode (fresh engine per query so
-        // region numbering matches; numbering is itself size-determined).
-        let run = |query: &str, expect: usize| {
-            let mut db = Database::new(DbConfig {
-                padding: Some(crate::padding::PaddingConfig { pad_rows: 32 }),
-                ..DbConfig::default()
-            });
-            db.execute("CREATE TABLE t (id INT, v INT) CAPACITY 64").unwrap();
-            for i in 0..20 {
-                db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
-            }
-            db.start_trace();
-            let out = db.execute(query).unwrap();
-            assert_eq!(out.len(), expect);
-            assert_eq!(out.plan.select_algo, Some(SelectAlgo::Padded));
-            db.take_trace()
-        };
-        let ta = run("SELECT * FROM t WHERE id = 3", 1);
-        let tb = run("SELECT * FROM t WHERE id < 15", 15);
-        assert_eq!(ta, tb);
-    }
-
-    #[test]
-    fn padded_bound_overflow_is_a_typed_error() {
-        let mut db = Database::new(DbConfig {
-            padding: Some(crate::padding::PaddingConfig { pad_rows: 4 }),
-            ..DbConfig::default()
-        });
-        db.execute("CREATE TABLE t (k INT, v INT) CAPACITY 16").unwrap();
-        db.execute("CREATE TABLE u (k INT, w INT) CAPACITY 16").unwrap();
-        for i in 0..10 {
-            db.execute(&format!("INSERT INTO t VALUES ({i}, {i})")).unwrap();
-            db.execute(&format!("INSERT INTO u VALUES ({i}, {i})")).unwrap();
-        }
-        let count = db.execute("SELECT COUNT(*) FROM t WHERE k < 8").unwrap();
-        assert_eq!(count.rows()[0][0], Value::Int(8));
-        let om = db.om().available();
-        let over = Err(DbError::PaddedBoundExceeded { bound: 4 });
-        assert_eq!(db.execute("SELECT * FROM t WHERE k < 8").map(|o| o.len()), over);
-        // The WHERE resolves on neither side, so it filters the join output.
-        let joined = "SELECT * FROM t JOIN u ON t.k = u.k WHERE v < 8 AND w >= 0";
-        assert_eq!(db.execute(joined).map(|o| o.len()), over);
-        assert_eq!(db.om().available(), om, "the buffer lease is returned");
-        // Under the bound every row comes back.
-        assert_eq!(db.execute("SELECT * FROM t WHERE k < 4").unwrap().len(), 4);
-        let joined = "SELECT * FROM t JOIN u ON t.k = u.k WHERE v < 4 AND w >= 0";
-        assert_eq!(db.execute(joined).unwrap().len(), 4);
     }
 
     #[test]
@@ -2313,24 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn select_traces_identical_for_same_sizes() {
-        // The engine-level obliviousness check: same table size, same
-        // output size, different query parameters → identical traces.
-        let make = |lo: i64| {
-            let mut db = db();
-            setup_people(&mut db, StorageMethod::Flat);
-            db.config_mut().planner.enable_continuous = false;
-            db.start_trace();
-            let out = db
-                .execute(&format!("SELECT * FROM people WHERE id >= {lo} AND id < {}", lo + 4))
-                .unwrap();
-            assert_eq!(out.len(), 4);
-            db.take_trace()
-        };
-        assert_eq!(make(0), make(13));
-    }
-
-    #[test]
     fn flat_table_autogrows() {
         let mut db = db();
         db.execute("CREATE TABLE t (x INT) CAPACITY 2").unwrap();
@@ -2372,7 +881,8 @@ mod tests {
                 Schema::new(vec![Column::new("x", DataType::Int)]),
                 StorageMethod::Indexed,
                 None,
-                8
+                8,
+                None
             ),
             Err(DbError::Unsupported(_))
         ));
@@ -2394,86 +904,59 @@ mod tests {
     }
 
     #[test]
-    fn forced_operators() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        for algo in [SelectAlgo::Small, SelectAlgo::Large, SelectAlgo::Hash, SelectAlgo::Naive] {
-            db.config_mut().planner.force_select = Some(algo);
-            let out = db.execute("SELECT * FROM people WHERE id < 6").unwrap();
-            assert_eq!(out.plan.select_algo, Some(algo));
-            assert_eq!(out.len(), 6, "{algo:?}");
-        }
-    }
-
-    #[test]
-    fn order_by_and_limit() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let out = db
-            .execute("SELECT id, age FROM people WHERE id < 10 ORDER BY age DESC LIMIT 3")
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        let ages: Vec<i64> = out.rows().iter().map(|r| r[1].as_int().unwrap()).collect();
-        assert_eq!(ages, vec![29, 28, 27]);
-    }
-
-    #[test]
-    fn plan_cache_hits_skip_replanning_and_invalidate_on_change() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        // A case-distinct table: the catalog, and so the cache, tell
-        // `People` from `people`.
-        db.execute("CREATE TABLE People (id INT) CAPACITY 64").unwrap();
-        let q = "SELECT * FROM people WHERE id < 6";
-        assert_eq!(db.prepare(q).unwrap().run().unwrap().len(), 6);
-        let after_first = db.plan_cache_stats();
-        assert_eq!(after_first.hits, 0);
-
-        // Same SQL, unchanged catalog: served from the cache with zero
-        // host accesses (no preliminary scan, no costing).
-        db.host_mut().reset_stats();
+    fn a_refused_index_create_leaves_no_region() {
+        let schema =
+            || Schema::new(vec![Column::new("k", DataType::Int), Column::new("v", DataType::Int)]);
+        for (storage, method) in
+            [("INDEXED", StorageMethod::Indexed), ("BOTH", StorageMethod::Both)]
         {
-            let stmt = db.prepare(q).unwrap();
-            assert!(stmt.plan().select_root().is_some());
+            for bulk in [false, true] {
+                // 4 KiB of OM holds no position map for 1 000 rows' nodes.
+                let mut db = Database::new(DbConfig { om_bytes: 4096, ..DbConfig::default() });
+                db.start_trace();
+                let refused = if bulk {
+                    db.create_table_with_rows("t", schema(), method, Some("k"), &[], 1000)
+                } else {
+                    let create = format!(
+                        "CREATE TABLE t (k INT, v INT) STORAGE = {storage} INDEX ON k CAPACITY 1000"
+                    );
+                    db.execute(&create).map(|_| ())
+                };
+                let trace = db.take_trace();
+                let err = refused.expect_err(storage).to_string();
+                assert!(err.contains("oblivious memory"), "{storage} bulk={bulk}: {err}");
+                if method == StorageMethod::Indexed {
+                    assert!(trace.is_empty(), "bulk={bulk}: {} events", trace.len());
+                }
+                let host = db.host_mut();
+                let live: Vec<u32> = (0..4)
+                    .filter(|&r| host.region_len(oblidb_enclave::RegionId(r)).is_ok())
+                    .collect();
+                assert_eq!(live, Vec::<u32>::new(), "{storage} bulk={bulk}");
+                let create =
+                    format!("CREATE TABLE t (k INT, v INT) STORAGE = {storage} INDEX ON k");
+                db.execute(&format!("{create} CAPACITY 8")).unwrap();
+            }
         }
-        assert_eq!(db.host_mut().stats().total_accesses(), 0, "hit must not touch the host");
-        assert_eq!(db.plan_cache_stats().hits, after_first.hits + 1);
-        // A cached plan still runs correctly (fresh output regions).
-        assert_eq!(db.prepare(q).unwrap().run().unwrap().len(), 6);
-        // The key is the token shape plus literals: spacing and keyword
-        // case do not matter, a case-distinct table name does.
-        assert_eq!(
-            db.prepare("select *  from people\nwhere id<6;").unwrap().run().unwrap().len(),
-            6
-        );
-        assert_eq!(db.plan_cache_stats().hits, after_first.hits + 3);
-        let misses = db.plan_cache_stats().misses;
-        assert!(db.prepare("SELECT * FROM People WHERE id < 6").unwrap().run().unwrap().is_empty());
-        assert_eq!(db.plan_cache_stats().misses, misses + 1);
-
-        // Any mutation (data or DDL) bumps the version: stale entry,
-        // re-planned, and the fresh row is visible.
-        db.execute("INSERT INTO people VALUES (3, 21, 'x')").unwrap();
-        let before = db.plan_cache_stats();
-        assert_eq!(db.prepare(q).unwrap().run().unwrap().len(), 7);
-        let after = db.plan_cache_stats();
-        assert_eq!(after.misses, before.misses + 1, "stale plans are not hits");
-
-        // Planner-config changes cannot bump the version; handing out the
-        // config borrow drops the cache instead.
-        db.config_mut().planner.force_select = Some(SelectAlgo::Large);
-        let out = db.execute(q).unwrap();
-        assert_eq!(out.plan.select_algo, Some(SelectAlgo::Large));
     }
 
     #[test]
-    fn empty_result_queries() {
-        let mut db = db();
-        setup_people(&mut db, StorageMethod::Flat);
-        let out = db.execute("SELECT * FROM people WHERE id > 1000").unwrap();
-        assert!(out.is_empty());
-        let agg = db.execute("SELECT COUNT(*) FROM people WHERE id > 1000").unwrap();
-        assert_eq!(agg.rows()[0][0], Value::Int(0));
+    fn a_float_index_finds_rows_by_int_and_float_literals() {
+        for storage in ["INDEXED", "BOTH"] {
+            let mut db = db();
+            let create = format!("CREATE TABLE t (k FLOAT, v INT) STORAGE = {storage} INDEX ON k");
+            db.execute(&create).unwrap();
+            db.execute("INSERT INTO t VALUES (1, 1)").unwrap();
+            db.execute("INSERT INTO t VALUES (2.5, 2)").unwrap();
+            for pred in ["k = 1", "k = 1.0", "k >= 0.5 AND k <= 1.5", "k >= 0 AND k < 2"] {
+                let out = db.execute(&format!("SELECT v FROM t WHERE {pred}")).unwrap();
+                assert_eq!(out.rows(), [vec![Value::Int(1)]], "{storage}: {pred}");
+            }
+            // An integer assigned to the key is keyed as the float it stores.
+            db.execute("UPDATE t SET k = 3 WHERE v = 2").unwrap();
+            let out = db.execute("SELECT v FROM t WHERE k >= 2.5 AND k <= 3.5").unwrap();
+            assert_eq!(out.rows(), [vec![Value::Int(2)]], "{storage}");
+        }
     }
 
     #[test]

@@ -40,6 +40,8 @@
 //! sealed-storage bound, inherited here and documented in the README.
 
 use super::*;
+use crate::table::FlatTable;
+use crate::types::Column;
 use oblidb_storage::{SealedRegion, SEAL_OVERHEAD};
 use std::io::Write as _;
 use std::path::Path;
@@ -567,7 +569,7 @@ impl<M: EnclaveMemory> Database<M> {
     pub fn persist_to(&mut self, dir: impl AsRef<Path>) -> Result<(), DbError> {
         let dir = dir.as_ref();
         for (name, storage) in &self.tables {
-            if !matches!(storage, TableStorage::Flat(_)) {
+            if storage.indexed().is_some() {
                 return Err(DbError::Unsupported(format!(
                     "table '{name}' uses indexed storage; persisting Path ORAM state \
                      (position map, stash) is not supported yet — only FLAT tables persist"
@@ -646,7 +648,7 @@ impl<M: EnclaveMemory> Database<M> {
 
         let mut tables = Vec::with_capacity(self.tables.len());
         for (name, storage) in &mut self.tables {
-            let TableStorage::Flat(f) = storage else { unreachable!("checked by persist_to") };
+            let f = storage.flat_mut().expect("checked by persist_to");
             tables.push(TableRecord {
                 name: name.clone(),
                 schema: f.schema().clone(),
@@ -819,7 +821,7 @@ impl<M: EnclaveMemory> Database<M> {
                 )));
             }
             let flat = FlatTable::reattach(store, t.schema.clone(), t.num_rows, t.insert_cursor);
-            tables.push((t.name.clone(), TableStorage::Flat(flat)));
+            tables.push((t.name.clone(), flat.into()));
         }
 
         let key_epoch = fresh_key_epoch(&mut rng);

@@ -4,7 +4,8 @@
 //!
 //! * **Storage methods** ([`table`]): *flat* tables (sealed blocks, one row
 //!   per block, scanned in full for obliviousness) and *indexed* tables (an
-//!   oblivious B+ tree inside Path ORAM), or both at once.
+//!   oblivious B+ tree inside Path ORAM), or both at once — chosen,
+//!   created and mutated in one place, [`table::TableStorage`].
 //! * **Oblivious operators** ([`exec`]): five SELECT algorithms (Naive,
 //!   Small, Large, Continuous, Hash), aggregation and grouped aggregation,
 //!   a fused select+project+aggregate operator, and three join algorithms
@@ -14,7 +15,9 @@
 //!   the oblivious-memory budget.
 //! * **A SQL front-end** ([`sql`]) and the [`Database`] facade tying it all
 //!   together, with an optional padding mode that hides intermediate result
-//!   sizes (§2.3).
+//!   sizes (§2.3). The facade spans three files of [`db`]: `db.rs`
+//!   (configuration, catalog, DML, WAL and epochs), `db/plan.rs` (prepare
+//!   and plan construction) and `db/run.rs` (plan execution).
 //!
 //! Leakage contract (paper §2.3): only the sizes of input, intermediate,
 //! and result tables, and the physical plan chosen. The enclave

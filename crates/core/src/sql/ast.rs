@@ -1,8 +1,8 @@
 //! SQL abstract syntax.
 
-use crate::db::StorageMethod;
 use crate::exec::AggFunc;
-use crate::types::{DataType, Value};
+use crate::table::StorageMethod;
+use crate::types::{Column, DataType, Schema, Value};
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +58,13 @@ pub struct CreateTable {
     pub index_on: Option<String>,
     /// Initial row capacity (defaults to [`crate::db::DEFAULT_CAPACITY`]).
     pub capacity: Option<u64>,
+}
+
+impl CreateTable {
+    /// The table's schema: its column definitions, in order.
+    pub fn schema(&self) -> Schema {
+        Schema::new(self.columns.iter().map(|c| Column::new(c.name.clone(), c.dtype)).collect())
+    }
 }
 
 /// `INSERT INTO name VALUES (...)`.

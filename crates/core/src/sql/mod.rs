@@ -10,8 +10,8 @@ mod lexer;
 mod parser;
 
 pub use ast::{
-    Assignment, ColumnDef, CreateTable, Delete, Insert, JoinClause, Projection, Select, SelectItem,
-    Statement, Update,
+    ast_pred::PredExpr, Assignment, ColumnDef, CreateTable, Delete, Insert, JoinClause, Projection,
+    Select, SelectItem, Statement, Update,
 };
 pub use lexer::{tokenize, Token};
 pub use parser::{parse, parses_on_this_thread, Parsed};

@@ -3,10 +3,10 @@
 use std::cell::Cell;
 use std::fmt::Write as _;
 
-use crate::db::StorageMethod;
 use crate::error::DbError;
 use crate::exec::AggFunc;
 use crate::predicate::CmpOp;
+use crate::table::StorageMethod;
 use crate::types::{DataType, Value};
 
 use super::ast::ast_pred::PredExpr;

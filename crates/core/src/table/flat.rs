@@ -237,22 +237,21 @@ impl FlatTable {
         self.schema = schema;
     }
 
-    /// Oblivious insert (paper §3.1): one pass over the whole table; the
-    /// first unused block gets the real write, every other block gets a
-    /// dummy re-encryption. Leaks only the table size.
+    /// Oblivious insert (paper §3.1) of an encoded row: one pass over the
+    /// whole table; the first unused block gets the real write, every
+    /// other block gets a dummy re-encryption. Leaks only the table size.
     pub fn insert_oblivious<M: EnclaveMemory>(
         &mut self,
         host: &mut M,
-        values: &[Value],
+        encoded: &[u8],
     ) -> Result<(), DbError> {
-        let encoded = self.schema.encode_row(values)?;
         let mut placed = false;
         // Chunked pass: read a run of blocks in one crossing, splice the
         // row into the first unused slot, rewrite the whole run (fresh
         // encryptions make the untouched rows dummy writes).
         self.rewrite_scan(host, |row| {
             if !placed && !Schema::row_used(row) {
-                row.copy_from_slice(&encoded);
+                row.copy_from_slice(encoded);
                 placed = true;
             }
         })?;
@@ -291,19 +290,19 @@ impl FlatTable {
         Ok(())
     }
 
-    /// Constant-time insert (paper §3.1): writes directly at the cursor.
-    /// Safe for tables with few deletions; leaks only the insertion count,
-    /// which the adversary learns from table growth anyway.
+    /// Constant-time insert (paper §3.1) of an encoded row: writes
+    /// directly at the cursor. Safe for tables with few deletions; leaks
+    /// only the insertion count, which the adversary learns from table
+    /// growth anyway.
     pub fn insert_fast<M: EnclaveMemory>(
         &mut self,
         host: &mut M,
-        values: &[Value],
+        encoded: &[u8],
     ) -> Result<(), DbError> {
-        let encoded = self.schema.encode_row(values)?;
         if self.insert_cursor >= self.capacity() {
             return Err(DbError::TableFull("flat table".into()));
         }
-        self.store.write(host, self.insert_cursor, &encoded)?;
+        self.store.write(host, self.insert_cursor, encoded)?;
         self.insert_cursor += 1;
         self.num_rows += 1;
         Ok(())
@@ -418,11 +417,15 @@ mod tests {
         vec![Value::Int(id), Value::Int(v)]
     }
 
+    fn row(id: i64, v: i64) -> Vec<u8> {
+        schema().encode_row(&vrow(id, v)).unwrap()
+    }
+
     #[test]
     fn oblivious_insert_and_collect() {
         let (mut host, mut t) = setup(8);
-        t.insert_oblivious(&mut host, &vrow(1, 10)).unwrap();
-        t.insert_oblivious(&mut host, &vrow(2, 20)).unwrap();
+        t.insert_oblivious(&mut host, &row(1, 10)).unwrap();
+        t.insert_oblivious(&mut host, &row(2, 20)).unwrap();
         assert_eq!(t.num_rows(), 2);
         let rows = t.collect_rows(&mut host).unwrap();
         assert_eq!(rows.len(), 2);
@@ -433,10 +436,10 @@ mod tests {
     fn oblivious_insert_touches_every_block_uniformly() {
         let (mut host, mut t) = setup(8);
         host.start_trace();
-        t.insert_oblivious(&mut host, &vrow(1, 10)).unwrap();
+        t.insert_oblivious(&mut host, &row(1, 10)).unwrap();
         let trace_a = host.take_trace();
         host.start_trace();
-        t.insert_oblivious(&mut host, &vrow(999, -5)).unwrap();
+        t.insert_oblivious(&mut host, &row(999, -5)).unwrap();
         let trace_b = host.take_trace();
         // Identical access pattern no matter the values or fill level.
         assert_eq!(trace_a, trace_b);
@@ -456,7 +459,7 @@ mod tests {
     fn oblivious_scans_batch_crossings() {
         let (mut host, mut t) = setup(100);
         host.reset_stats();
-        t.insert_oblivious(&mut host, &vrow(1, 10)).unwrap();
+        t.insert_oblivious(&mut host, &row(1, 10)).unwrap();
         let s = host.stats();
         assert_eq!(s.total_accesses(), 200, "every block read and rewritten");
         assert_eq!(s.crossings, 2, "one batched crossing per direction");
@@ -466,26 +469,26 @@ mod tests {
     fn fast_insert_is_constant_time() {
         let (mut host, mut t) = setup(8);
         host.start_trace();
-        t.insert_fast(&mut host, &vrow(1, 1)).unwrap();
+        t.insert_fast(&mut host, &row(1, 1)).unwrap();
         assert_eq!(host.take_trace().len(), 1);
-        t.insert_fast(&mut host, &vrow(2, 2)).unwrap();
+        t.insert_fast(&mut host, &row(2, 2)).unwrap();
         assert_eq!(t.collect_rows(&mut host).unwrap().len(), 2);
     }
 
     #[test]
     fn table_full_detected() {
         let (mut host, mut t) = setup(2);
-        t.insert_fast(&mut host, &vrow(1, 1)).unwrap();
-        t.insert_fast(&mut host, &vrow(2, 2)).unwrap();
-        assert!(matches!(t.insert_fast(&mut host, &vrow(3, 3)), Err(DbError::TableFull(_))));
-        assert!(matches!(t.insert_oblivious(&mut host, &vrow(3, 3)), Err(DbError::TableFull(_))));
+        t.insert_fast(&mut host, &row(1, 1)).unwrap();
+        t.insert_fast(&mut host, &row(2, 2)).unwrap();
+        assert!(matches!(t.insert_fast(&mut host, &row(3, 3)), Err(DbError::TableFull(_))));
+        assert!(matches!(t.insert_oblivious(&mut host, &row(3, 3)), Err(DbError::TableFull(_))));
     }
 
     #[test]
     fn update_where_applies_assignments() {
         let (mut host, mut t) = setup(4);
         for i in 0..4 {
-            t.insert_fast(&mut host, &vrow(i, i * 10)).unwrap();
+            t.insert_fast(&mut host, &row(i, i * 10)).unwrap();
         }
         let pred = Predicate::cmp(t.schema(), "id", CmpOp::Ge, Value::Int(2)).unwrap();
         let changed = t.update_where(&mut host, &pred, &[(1, Value::Int(0))]).unwrap();
@@ -499,7 +502,7 @@ mod tests {
     fn update_trace_is_data_independent() {
         let (mut host, mut t) = setup(6);
         for i in 0..6 {
-            t.insert_fast(&mut host, &vrow(i, i)).unwrap();
+            t.insert_fast(&mut host, &row(i, i)).unwrap();
         }
         let p_none = Predicate::cmp(t.schema(), "id", CmpOp::Gt, Value::Int(100)).unwrap();
         let p_all = Predicate::True;
@@ -516,7 +519,7 @@ mod tests {
     fn delete_where_marks_unused() {
         let (mut host, mut t) = setup(5);
         for i in 0..5 {
-            t.insert_fast(&mut host, &vrow(i, i)).unwrap();
+            t.insert_fast(&mut host, &row(i, i)).unwrap();
         }
         let pred = Predicate::cmp(t.schema(), "id", CmpOp::Lt, Value::Int(2)).unwrap();
         assert_eq!(t.delete_where(&mut host, &pred).unwrap(), 2);
@@ -530,7 +533,7 @@ mod tests {
     fn delete_trace_is_data_independent() {
         let (mut host, mut t) = setup(5);
         for i in 0..5 {
-            t.insert_fast(&mut host, &vrow(i, i)).unwrap();
+            t.insert_fast(&mut host, &row(i, i)).unwrap();
         }
         let p1 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(0)).unwrap();
         let p2 = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(4)).unwrap();
@@ -546,11 +549,11 @@ mod tests {
     #[test]
     fn oblivious_insert_reuses_deleted_slots() {
         let (mut host, mut t) = setup(2);
-        t.insert_fast(&mut host, &vrow(1, 1)).unwrap();
-        t.insert_fast(&mut host, &vrow(2, 2)).unwrap();
+        t.insert_fast(&mut host, &row(1, 1)).unwrap();
+        t.insert_fast(&mut host, &row(2, 2)).unwrap();
         let pred = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(1)).unwrap();
         t.delete_where(&mut host, &pred).unwrap();
-        t.insert_oblivious(&mut host, &vrow(3, 3)).unwrap();
+        t.insert_oblivious(&mut host, &row(3, 3)).unwrap();
         let mut ids: Vec<i64> =
             t.collect_rows(&mut host).unwrap().iter().map(|r| r[0].as_int().unwrap()).collect();
         ids.sort_unstable();
@@ -560,11 +563,11 @@ mod tests {
     #[test]
     fn grow_preserves_rows() {
         let (mut host, mut t) = setup(2);
-        t.insert_fast(&mut host, &vrow(1, 1)).unwrap();
-        t.insert_fast(&mut host, &vrow(2, 2)).unwrap();
+        t.insert_fast(&mut host, &row(1, 1)).unwrap();
+        t.insert_fast(&mut host, &row(2, 2)).unwrap();
         t.grow(&mut host, AeadKey([2u8; 32]), 10).unwrap();
         assert_eq!(t.capacity(), 10);
-        t.insert_fast(&mut host, &vrow(3, 3)).unwrap();
+        t.insert_fast(&mut host, &row(3, 3)).unwrap();
         assert_eq!(t.collect_rows(&mut host).unwrap().len(), 3);
     }
 

@@ -15,7 +15,7 @@ use crate::error::DbError;
 use crate::key;
 use crate::predicate::{Bound, Predicate};
 use crate::table::FlatTable;
-use crate::types::{Schema, Value};
+use crate::types::{DataType, Schema, Value};
 
 /// Default internal-node fanout for table indexes.
 pub const DEFAULT_FANOUT: usize = 8;
@@ -26,21 +26,6 @@ pub struct IndexedTable {
     tree: ObTree,
     key_col: usize,
     next_rowid: u64,
-}
-
-/// Converts column-range bounds into a composite key range.
-fn key_range(lo: &Bound, hi: &Bound) -> (u128, u128) {
-    let k_lo = match lo {
-        Bound::Unbounded => 0,
-        Bound::Inclusive(v) => key::range_lo(v),
-        Bound::Exclusive(v) => key::range_hi(v).saturating_add(1),
-    };
-    let k_hi = match hi {
-        Bound::Unbounded => u128::MAX,
-        Bound::Inclusive(v) => key::range_hi(v),
-        Bound::Exclusive(v) => key::range_lo(v).saturating_sub(1),
-    };
-    (k_lo, k_hi)
 }
 
 impl IndexedTable {
@@ -114,6 +99,28 @@ impl IndexedTable {
         self.key_col
     }
 
+    /// Converts column-range bounds on the key column into a composite key
+    /// range. Keys are read from encoded rows, so an integer bound on a
+    /// float column is taken as the float the row codec stores for it.
+    fn key_range(&self, lo: &Bound, hi: &Bound) -> (u128, u128) {
+        let dtype = self.schema.columns[self.key_col].dtype;
+        let as_stored = |v: &Value| match (dtype, v) {
+            (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
+            _ => v.clone(),
+        };
+        let k_lo = match lo {
+            Bound::Unbounded => 0,
+            Bound::Inclusive(v) => key::range_lo(&as_stored(v)),
+            Bound::Exclusive(v) => key::range_hi(&as_stored(v)).saturating_add(1),
+        };
+        let k_hi = match hi {
+            Bound::Unbounded => u128::MAX,
+            Bound::Inclusive(v) => key::range_hi(&as_stored(v)),
+            Bound::Exclusive(v) => key::range_lo(&as_stored(v)).saturating_sub(1),
+        };
+        (k_lo, k_hi)
+    }
+
     /// Row count (public).
     pub fn num_rows(&self) -> u64 {
         self.tree.len()
@@ -136,18 +143,17 @@ impl IndexedTable {
         self.tree.height()
     }
 
-    /// Inserts a row; every insert costs the same padded number of ORAM
-    /// accesses (paper §3.2).
+    /// Inserts an encoded row; every insert costs the same padded number
+    /// of ORAM accesses (paper §3.2).
     pub fn insert<M: EnclaveMemory>(
         &mut self,
         host: &mut M,
-        values: &[Value],
+        encoded: &[u8],
     ) -> Result<u64, DbError> {
-        let encoded = self.schema.encode_row(values)?;
         let rowid = self.next_rowid;
         self.next_rowid += 1;
-        let k = key::composite(&values[self.key_col], rowid);
-        match self.tree.insert(host, k, &encoded) {
+        let k = key::composite(&self.schema.decode_col(encoded, self.key_col), rowid);
+        match self.tree.insert(host, k, encoded) {
             Ok(_) => Ok(rowid),
             Err(ObTreeError::CapacityExceeded) => Err(DbError::TableFull("index".into())),
             Err(e) => Err(e.into()),
@@ -183,7 +189,7 @@ impl IndexedTable {
         hi: &Bound,
         cap: u64,
     ) -> Result<Option<FlatTable>, DbError> {
-        let (k_lo, k_hi) = key_range(lo, hi);
+        let (k_lo, k_hi) = self.key_range(lo, hi);
         let Some(hits) = self.tree.range_leaky_capped(host, k_lo, k_hi, cap)? else {
             return Ok(None);
         };
@@ -231,7 +237,7 @@ impl IndexedTable {
             if key_changes {
                 self.tree.delete(host, k)?;
                 let rowid = (k & u64::MAX as u128) as u64;
-                let nk = key::composite(&row[self.key_col], rowid);
+                let nk = key::composite(&self.schema.decode_col(&encoded, self.key_col), rowid);
                 self.tree.insert(host, nk, &encoded)?;
             } else {
                 self.tree.update(host, k, &encoded)?;
@@ -254,7 +260,7 @@ impl IndexedTable {
         pred: &Predicate,
     ) -> Result<Vec<(u128, Vec<u8>)>, DbError> {
         let (k_lo, k_hi) = match pred.index_range() {
-            Some((col, lo, hi)) if col == self.key_col => key_range(&lo, &hi),
+            Some((col, lo, hi)) if col == self.key_col => self.key_range(&lo, &hi),
             _ => (0, u128::MAX),
         };
         let hits = self.tree.range_leaky(host, k_lo, k_hi)?;
@@ -312,11 +318,15 @@ mod tests {
         vec![Value::Int(id), Value::Int(v)]
     }
 
+    fn row(id: i64, v: i64) -> Vec<u8> {
+        schema().encode_row(&vrow(id, v)).unwrap()
+    }
+
     #[test]
     fn insert_and_point_range() {
         let (mut host, _om, mut t) = setup(100);
         for i in 0..50 {
-            t.insert(&mut host, &vrow(i, i * 2)).unwrap();
+            t.insert(&mut host, &row(i, i * 2)).unwrap();
         }
         assert_eq!(t.num_rows(), 50);
         let mut flat = t
@@ -336,8 +346,8 @@ mod tests {
     fn range_with_duplicates() {
         let (mut host, _om, mut t) = setup(100);
         for i in 0..10 {
-            t.insert(&mut host, &vrow(5, i)).unwrap();
-            t.insert(&mut host, &vrow(6, 100 + i)).unwrap();
+            t.insert(&mut host, &row(5, i)).unwrap();
+            t.insert(&mut host, &row(6, 100 + i)).unwrap();
         }
         let mut flat = t
             .range_to_flat(
@@ -354,7 +364,7 @@ mod tests {
     fn open_and_exclusive_bounds() {
         let (mut host, _om, mut t) = setup(100);
         for i in 0..20 {
-            t.insert(&mut host, &vrow(i, i)).unwrap();
+            t.insert(&mut host, &row(i, i)).unwrap();
         }
         let mut flat = t
             .range_to_flat(
@@ -377,7 +387,7 @@ mod tests {
     fn delete_where_uses_index_range() {
         let (mut host, _om, mut t) = setup(100);
         for i in 0..30 {
-            t.insert(&mut host, &vrow(i, i)).unwrap();
+            t.insert(&mut host, &row(i, i)).unwrap();
         }
         let pred = Predicate::cmp(&schema(), "id", CmpOp::Lt, Value::Int(10)).unwrap();
         assert_eq!(t.delete_where(&mut host, &pred).unwrap(), 10);
@@ -388,7 +398,7 @@ mod tests {
     fn delete_where_nonkey_falls_back_to_scan() {
         let (mut host, _om, mut t) = setup(100);
         for i in 0..30 {
-            t.insert(&mut host, &vrow(i, i % 3)).unwrap();
+            t.insert(&mut host, &row(i, i % 3)).unwrap();
         }
         let pred = Predicate::cmp(&schema(), "v", CmpOp::Eq, Value::Int(0)).unwrap();
         assert_eq!(t.delete_where(&mut host, &pred).unwrap(), 10);
@@ -398,7 +408,7 @@ mod tests {
     fn update_where_in_place() {
         let (mut host, _om, mut t) = setup(50);
         for i in 0..10 {
-            t.insert(&mut host, &vrow(i, 0)).unwrap();
+            t.insert(&mut host, &row(i, 0)).unwrap();
         }
         let pred = Predicate::cmp(&schema(), "id", CmpOp::Ge, Value::Int(5)).unwrap();
         assert_eq!(t.update_where(&mut host, &pred, &[(1, Value::Int(7))]).unwrap(), 5);
@@ -413,7 +423,7 @@ mod tests {
     fn update_where_key_column_moves_entry() {
         let (mut host, _om, mut t) = setup(50);
         for i in 0..5 {
-            t.insert(&mut host, &vrow(i, i)).unwrap();
+            t.insert(&mut host, &row(i, i)).unwrap();
         }
         let pred = Predicate::cmp(&schema(), "id", CmpOp::Eq, Value::Int(2)).unwrap();
         assert_eq!(t.update_where(&mut host, &pred, &[(0, Value::Int(100))]).unwrap(), 1);
@@ -457,7 +467,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.num_rows(), 40);
         // Mutations after bulk load keep working, with fresh row ids.
-        t.insert(&mut host, &vrow(100, 1)).unwrap();
+        t.insert(&mut host, &row(100, 1)).unwrap();
         let pred = Predicate::cmp(t.schema(), "id", CmpOp::Eq, Value::Int(100)).unwrap();
         assert_eq!(t.delete_where(&mut host, &pred).unwrap(), 1);
     }
@@ -466,7 +476,7 @@ mod tests {
     fn structure_scan_sees_all_rows() {
         let (mut host, _om, mut t) = setup(20);
         for i in 0..20 {
-            t.insert(&mut host, &vrow(i, i)).unwrap();
+            t.insert(&mut host, &row(i, i)).unwrap();
         }
         let mut count = 0;
         t.scan_structure(&mut host, |slot| {

@@ -98,6 +98,36 @@ impl Column {
     pub fn new(name: impl Into<String>, dtype: DataType) -> Self {
         Column { name: name.into(), dtype }
     }
+
+    /// Encodes `value` into `out`, this column's `dtype.width()` bytes of
+    /// a row — the one rule for which values a column accepts: its own
+    /// type, an integer in a float column, text that fits.
+    #[inline]
+    pub fn encode_value(&self, value: &Value, out: &mut [u8]) -> Result<(), DbError> {
+        match (self.dtype, value) {
+            (DataType::Int, Value::Int(v)) => out.copy_from_slice(&v.to_le_bytes()),
+            (DataType::Float, Value::Float(v)) => out.copy_from_slice(&v.to_le_bytes()),
+            (DataType::Float, Value::Int(v)) => out.copy_from_slice(&(*v as f64).to_le_bytes()),
+            (DataType::Text(n), Value::Text(s)) => {
+                let bytes = s.as_bytes();
+                if bytes.len() > n {
+                    return Err(DbError::TypeMismatch(format!(
+                        "string of {} bytes exceeds CHAR({n}) column {}",
+                        bytes.len(),
+                        self.name
+                    )));
+                }
+                out[..bytes.len()].copy_from_slice(bytes);
+            }
+            (dt, v) => {
+                return Err(DbError::TypeMismatch(format!(
+                    "column {} is {dt:?}, value {v:?}",
+                    self.name
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// An ordered list of columns; owns the row codec.
@@ -161,35 +191,9 @@ impl Schema {
         out[0] = 1;
         let mut off = 1;
         for (col, val) in self.columns.iter().zip(values) {
-            match (col.dtype, val) {
-                (DataType::Int, Value::Int(v)) => {
-                    out[off..off + 8].copy_from_slice(&v.to_le_bytes());
-                }
-                (DataType::Float, Value::Float(v)) => {
-                    out[off..off + 8].copy_from_slice(&v.to_le_bytes());
-                }
-                (DataType::Float, Value::Int(v)) => {
-                    out[off..off + 8].copy_from_slice(&(*v as f64).to_le_bytes());
-                }
-                (DataType::Text(n), Value::Text(s)) => {
-                    let bytes = s.as_bytes();
-                    if bytes.len() > n {
-                        return Err(DbError::TypeMismatch(format!(
-                            "string of {} bytes exceeds CHAR({n}) column {}",
-                            bytes.len(),
-                            col.name
-                        )));
-                    }
-                    out[off..off + bytes.len()].copy_from_slice(bytes);
-                }
-                (dt, v) => {
-                    return Err(DbError::TypeMismatch(format!(
-                        "column {} is {dt:?}, value {v:?}",
-                        col.name
-                    )));
-                }
-            }
-            off += col.dtype.width();
+            let width = col.dtype.width();
+            col.encode_value(val, &mut out[off..off + width])?;
+            off += width;
         }
         Ok(out)
     }

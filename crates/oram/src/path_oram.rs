@@ -159,14 +159,19 @@ impl PathOram {
         let levels = leaves.trailing_zeros() + 1;
         let buckets = 2 * leaves - 1;
         let bucket_len = Bucket::serialized_len(Z, payload_len);
+        // Paper §3.3: a direct map takes 8 bytes of oblivious memory per
+        // row, charged before the bucket store exists, so a refusal
+        // allocates nothing.
+        let direct = match pos_kind {
+            PosMapKind::Direct => Some(om.try_alloc(capacity as usize * 8)?),
+            PosMapKind::Recursive { .. } => None,
+        };
         let store = SealedRegion::create(host, key.clone(), buckets as usize, bucket_len)?;
 
         let posmap = match pos_kind {
             PosMapKind::Direct => {
-                // Paper §3.3: 8 bytes of oblivious memory per row.
-                let alloc = om.try_alloc(capacity as usize * 8)?;
                 let map = (0..capacity).map(|_| rng.below(leaves) as u32).collect();
-                PositionMap::Direct { map, _om: alloc }
+                PositionMap::Direct { map, _om: direct.expect("a direct map is charged above") }
             }
             PosMapKind::Recursive { entries_per_block } => {
                 assert!(entries_per_block > 0, "entries_per_block must be positive");
@@ -184,7 +189,16 @@ impl PathOram {
                     PosMapKind::Direct,
                     om,
                     rng.fork(),
-                )?;
+                );
+                let inner = match inner {
+                    Ok(inner) => inner,
+                    Err(e) => {
+                        // Best-effort cleanup; the map's failure is the
+                        // error worth surfacing.
+                        let _ = store.free(host);
+                        return Err(e);
+                    }
+                };
                 PositionMap::Recursive { inner: Box::new(inner), entries_per_block }
             }
         };
@@ -454,9 +468,22 @@ impl PathOram {
         rng: EnclaveRng,
     ) -> Result<Self, OramError> {
         let mut oram = Self::new(host, key, items.len() as u64, payload_len, pos_kind, om, rng)?;
+        match oram.fill(host, items) {
+            Ok(()) => Ok(oram),
+            Err(e) => {
+                // Best-effort cleanup; the fill's failure is the error
+                // worth surfacing.
+                let _ = oram.free(host);
+                Err(e)
+            }
+        }
+    }
 
+    /// [`PathOram::with_contents`] once the empty tree exists.
+    fn fill<M: EnclaveMemory>(&mut self, host: &mut M, items: &[Vec<u8>]) -> Result<(), OramError> {
+        let payload_len = self.payload_len;
         // Build the whole tree in enclave memory, then seal each bucket once.
-        let bucket_count = oram.bucket_count() as usize;
+        let bucket_count = self.bucket_count() as usize;
         let mut tree: Vec<Bucket> = vec![Bucket::empty(Z, payload_len); bucket_count];
         let mut fill: Vec<usize> = vec![0; bucket_count];
 
@@ -464,13 +491,13 @@ impl PathOram {
             assert_eq!(data.len(), payload_len, "payload length mismatch");
             // Assign a fresh random leaf and record it in the position map
             // (works for both direct and recursive maps).
-            let leaf = oram.rng.below(oram.leaves);
-            oram.posmap.get_and_set(host, addr as u64, leaf as u32)?;
+            let leaf = self.rng.below(self.leaves);
+            self.posmap.get_and_set(host, addr as u64, leaf as u32)?;
             let slot = Slot { addr: addr as u64, leaf: leaf as u32, data: data.clone() };
             // Deepest available bucket on the path, else stash.
             let mut placed = false;
-            for level in (0..oram.levels).rev() {
-                let idx = oram.path_bucket(leaf, level) as usize;
+            for level in (0..self.levels).rev() {
+                let idx = self.path_bucket(leaf, level) as usize;
                 if fill[idx] < Z {
                     tree[idx].slots[fill[idx]] = slot.clone();
                     fill[idx] += 1;
@@ -479,7 +506,7 @@ impl PathOram {
                 }
             }
             if !placed {
-                oram.stash.push(slot);
+                self.stash.push(slot);
             }
         }
 
@@ -494,10 +521,10 @@ impl PathOram {
             for (off, bucket) in tree[idx..idx + n].iter().enumerate() {
                 bucket.serialize_into(payload_len, &mut buf[off * bucket_len..][..bucket_len]);
             }
-            oram.store.write_batch(host, idx as u64, &buf[..n * bucket_len])?;
+            self.store.write_batch(host, idx as u64, &buf[..n * bucket_len])?;
             idx += n;
         }
-        Ok(oram)
+        Ok(())
     }
 
     /// Releases untrusted memory.

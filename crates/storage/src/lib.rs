@@ -154,7 +154,12 @@ impl SealedRegion {
             scratch: vec![0u8; payload_len + SEAL_OVERHEAD],
             batch: Vec::new(),
         };
-        this.zero_fill(host, 0, blocks)?;
+        if let Err(e) = this.zero_fill(host, 0, blocks) {
+            // Best-effort cleanup; the fill's failure is the error worth
+            // surfacing.
+            let _ = host.free_region(region);
+            return Err(e);
+        }
         Ok(this)
     }
 

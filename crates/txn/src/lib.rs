@@ -409,20 +409,22 @@ mod tests {
         let mgr = manager(None);
         let mut s = mgr.session();
         s.execute("CREATE TABLE t (id INT)").unwrap();
-        s.execute("BEGIN").unwrap();
-        s.execute("INSERT INTO t VALUES (1)").unwrap();
-        // Type mismatch: validation rejects the whole batch before the
+        // Type mismatches: validation rejects the whole batch before the
         // first insert runs.
-        s.execute("INSERT INTO t VALUES ('nope')").unwrap();
-        assert!(s.execute("COMMIT").is_err());
-        assert!(!s.in_txn(), "a failed commit ends the transaction");
-        assert!(rows(&s.execute("SELECT * FROM t").unwrap()).is_empty());
-        // A malformed statement and the rejected COMMIT are both session
-        // errors, and both reach the shared counter the metrics verb reads.
+        for bad in ["INSERT INTO t VALUES ('nope')", "UPDATE t SET id = 'nope'"] {
+            s.execute("BEGIN").unwrap();
+            s.execute("INSERT INTO t VALUES (1)").unwrap();
+            s.execute(bad).unwrap();
+            assert!(s.execute("COMMIT").is_err(), "{bad}");
+            assert!(!s.in_txn(), "a failed commit ends the transaction");
+            assert!(rows(&s.execute("SELECT * FROM t").unwrap()).is_empty(), "{bad}");
+        }
+        // A malformed statement and the rejected COMMITs are all session
+        // errors, and all reach the shared counter the metrics verb reads.
         assert!(s.execute("SELEC nope").is_err());
-        assert_eq!(s.stats().errors, 2);
+        assert_eq!(s.stats().errors, 3);
         let metrics = s.database().metrics_snapshot().to_text();
-        assert!(metrics.contains("db_statement_errors 2\n"), "{metrics}");
+        assert!(metrics.contains("db_statement_errors 3\n"), "{metrics}");
     }
 
     #[test]
